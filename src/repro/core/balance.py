@@ -118,6 +118,9 @@ def balance_adjust(
     if chidx is None:
         chidx = ChannelIndex(topo)
     report = BalanceReport()
+    # pairs often come out of numpy (np.nonzero of a demand matrix);
+    # the policy built below must carry plain ints to stay serializable
+    pairs = [(int(src), int(dst)) for src, dst in pairs]
 
     # ---- local level: per-pair hot channels -> remove that pair's paths
     excluded_descs: set = set()

@@ -15,7 +15,9 @@ simulator without ever materializing the set, and membership is O(1).
 
 Candidate sampling is O(1) rejection sampling over the uniform descriptor
 distribution with a bounded number of attempts, falling back to reservoir
-sampling over full enumeration for extremely sparse policies.
+sampling over full enumeration for extremely sparse policies.  It consumes
+randomness only through ``rng.integers(n)``, so the simulator may hand it
+a :class:`~repro.sim.draws.DrawStream` in place of the generator.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.routing.paths import Channel, Path
+from repro.routing.paths import Channel
+from repro.routing.table import route_table
 from repro.routing.vlb import (
     VlbDescriptor,
     enumerate_vlb_descriptors,
     vlb_hops,
-    vlb_leg_hops,
     vlb_path,
 )
 from repro.topology.dragonfly import Dragonfly
@@ -140,24 +142,29 @@ class PathPolicy(abc.ABC):
         Returns ``None`` when the pair has no VLB path at all (fewer than
         three groups) or the policy excludes every path for the pair.
         """
-        gs, gd = topo.group_of(src), topo.group_of(dst)
-        eligible = [
-            gm for gm in range(topo.g) if gm != gs and gm != gd
-        ]
-        if not eligible:
+        table = route_table(topo)
+        row = table.vlb_row(table.group[src], table.group[dst])
+        if row is None:
             return None
-        for _ in range(_SAMPLE_ATTEMPTS):
-            gm = eligible[int(rng.integers(len(eligible)))]
-            m1 = len(topo.links_between_groups(gs, gm))
-            m2 = len(topo.links_between_groups(gm, gd))
+        mids, links_in, links_out = row
+        draw = rng.integers
+
+        def attempt() -> Optional[VlbDescriptor]:
+            """One uniform descriptor draw; ``None`` when it is rejected."""
+            gm = draw(len(mids))
+            m1 = links_in[gm]
+            m2 = links_out[gm]
             if m1 == 0 or m2 == 0:
-                continue
+                return None
+            switches = mids[gm]
             desc = VlbDescriptor(
-                mid=topo.switch_id(gm, int(rng.integers(topo.a))),
-                slot1=int(rng.integers(m1)),
-                slot2=int(rng.integers(m2)),
+                switches[draw(len(switches))], int(draw(m1)), int(draw(m2))
             )
-            if self.contains(topo, src, dst, desc):
+            return desc if self.contains(topo, src, dst, desc) else None
+
+        for _ in range(_SAMPLE_ATTEMPTS):
+            desc = attempt()
+            if desc is not None:
                 return desc
         # Sparse policy: build a memoized reservoir for this pair, reused
         # by every later draw.  A long bounded rejection burst is tried
@@ -166,19 +173,9 @@ class PathPolicy(abc.ABC):
         reservoir = _sparse_memo.get(key)
         if reservoir is None:
             reservoir = []
-            burst = 64 * _SPARSE_RESERVOIR
-            for _ in range(burst):
-                gm = eligible[int(rng.integers(len(eligible)))]
-                m1 = len(topo.links_between_groups(gs, gm))
-                m2 = len(topo.links_between_groups(gm, gd))
-                if m1 == 0 or m2 == 0:
-                    continue
-                desc = VlbDescriptor(
-                    mid=topo.switch_id(gm, int(rng.integers(topo.a))),
-                    slot1=int(rng.integers(m1)),
-                    slot2=int(rng.integers(m2)),
-                )
-                if self.contains(topo, src, dst, desc):
+            for _ in range(64 * _SPARSE_RESERVOIR):
+                desc = attempt()
+                if desc is not None:
                     reservoir.append(desc)
                     if len(reservoir) >= _SPARSE_RESERVOIR:
                         break
@@ -198,19 +195,6 @@ class PathPolicy(abc.ABC):
         if not reservoir:
             return None
         return reservoir[int(rng.integers(len(reservoir)))]
-
-    def sample_path(
-        self,
-        topo: Dragonfly,
-        src: int,
-        dst: int,
-        rng: np.random.Generator,
-    ) -> Optional[Path]:
-        """Like :meth:`sample` but returns a materialized :class:`Path`."""
-        desc = self.sample(topo, src, dst, rng)
-        if desc is None:
-            return None
-        return vlb_path(topo, src, dst, desc)
 
     def average_hops(self, topo: Dragonfly, src: int, dst: int) -> float:
         """Mean hop count over the set for a pair (by enumeration)."""
@@ -339,11 +323,12 @@ class StrategicFiveHopPolicy(PathPolicy):
             raise ValueError("order must be '2+3' or '3+2'")
 
     def contains(self, topo, src, dst, desc) -> bool:
-        a, b = vlb_leg_hops(topo, src, dst, desc)
-        if a + b <= 4:
+        first, second = route_table(topo).vlb_legs(src, dst, desc)
+        hops = first.hops + second.hops
+        if hops <= 4:
             return True
-        if a + b == 5:
-            return (a, b) == ((2, 3) if self.order == "2+3" else (3, 2))
+        if hops == 5:
+            return first.hops == (2 if self.order == "2+3" else 3)
         return False
 
     def describe(self) -> str:

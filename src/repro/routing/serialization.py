@@ -51,14 +51,14 @@ def policy_to_dict(policy: PathPolicy) -> Dict:
             "kind": "excluding",
             "base": policy_to_dict(policy.base),
             "excluded_channels": [
-                [ch.src, ch.dst, ch.slot]
+                [int(ch.src), int(ch.dst), int(ch.slot)]
                 for ch in sorted(
                     policy.excluded_channels,
                     key=lambda c: (c.src, c.dst, c.slot),
                 )
             ],
             "excluded_descriptors": [
-                [src, dst, list(desc)]
+                [int(src), int(dst), [int(x) for x in desc]]
                 for src, dst, desc in sorted(policy.excluded_descriptors)
             ],
         }

@@ -10,14 +10,18 @@ pair), ~110k per pair on ``dfly(13,26,13,27)``.
 
 Hop counts run from 2 (both legs are bare global hops) to 6 (both legs are
 local+global+local), always with exactly 2 global hops.
+
+Legs are rows of the topology's interned :mod:`~repro.routing.table`, so
+``vlb_path`` / ``vlb_hops`` / ``vlb_leg_hops`` are lookups after the first
+touch of a switch pair.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, NamedTuple
 
-from repro.routing.minimal import min_hops_via, min_path_via
 from repro.routing.paths import Path
+from repro.routing.table import route_table
 from repro.topology.dragonfly import Dragonfly
 
 __all__ = [
@@ -50,42 +54,25 @@ class VlbDescriptor(NamedTuple):
     slot2: int  # global link slot between mid group and dst group
 
 
-def _legs(topo: Dragonfly, src: int, dst: int, desc: VlbDescriptor):
-    gs, gd = topo.group_of(src), topo.group_of(dst)
-    gm = topo.group_of(desc.mid)
-    if gm == gs or gm == gd:
-        raise ValueError(
-            f"VLB intermediate {desc.mid} lies in the source or destination "
-            f"group ({gs}, {gd})"
-        )
-    link1 = topo.links_between_groups(gs, gm)[desc.slot1]
-    link2 = topo.links_between_groups(gm, gd)[desc.slot2]
-    return link1, link2
-
-
 def vlb_path(topo: Dragonfly, src: int, dst: int, desc: VlbDescriptor) -> Path:
     """Materialize the VLB path for a descriptor."""
-    link1, link2 = _legs(topo, src, dst, desc)
-    first = min_path_via(topo, src, desc.mid, link1)
-    second = min_path_via(topo, desc.mid, dst, link2)
-    return first.concat(second)
+    table = route_table(topo)
+    first, second = table.vlb_legs(src, dst, desc)
+    return table.path_of(src, first.chans + second.chans)
 
 
 def vlb_leg_hops(
     topo: Dragonfly, src: int, dst: int, desc: VlbDescriptor
 ) -> tuple:
     """Hop counts of the two MIN legs, without building paths."""
-    link1, link2 = _legs(topo, src, dst, desc)
-    return (
-        min_hops_via(topo, src, desc.mid, link1),
-        min_hops_via(topo, desc.mid, dst, link2),
-    )
+    first, second = route_table(topo).vlb_legs(src, dst, desc)
+    return (first.hops, second.hops)
 
 
 def vlb_hops(topo: Dragonfly, src: int, dst: int, desc: VlbDescriptor) -> int:
     """Total hop count of a VLB path, without building it."""
-    a, b = vlb_leg_hops(topo, src, dst, desc)
-    return a + b
+    first, second = route_table(topo).vlb_legs(src, dst, desc)
+    return first.hops + second.hops
 
 
 def enumerate_vlb_descriptors(

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import ctypes
 import mmap
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -109,22 +110,24 @@ class ArrayChannel(SimChannel):
     """A SimChannel whose live state may reside in the SoA arrays.
 
     Construction is identical to :class:`SimChannel` (ArrayNetwork reuses
-    the whole inherited topology build); afterwards the network assigns
-    every channel its array ``index`` and, in native mode, a back
-    reference so :meth:`load_metric` -- the UGAL congestion estimate read
-    per routing decision -- answers from the arrays the kernel updates.
-    In fallback mode the back reference stays ``None`` and the inherited
+    the whole inherited topology build, including each channel's dense
+    ``index``, which is its row in the arrays); in native mode the
+    network hands every routable channel the array bag so
+    :meth:`load_metric` -- the UGAL congestion estimate of a single
+    routing decision -- answers from the arrays the kernel updates.  (The
+    bag, not the network: a back reference would tie every network into
+    a reference cycle that only the cyclic collector frees.)
+    In fallback mode the bag stays ``None`` and the inherited
     deque/credit state remains authoritative.
     """
 
-    __slots__ = ("index", "_anet")
+    __slots__ = ("_soa",)
 
     def load_metric(self) -> int:
-        net = self._anet
-        if net is None:
+        soa = self._soa
+        if soa is None:
             return SimChannel.load_metric(self)
         i = self.index
-        soa = net._S
         return (
             int(soa.out_len[i])
             + self.credit_capacity
@@ -155,26 +158,26 @@ class ArrayNetwork(Network):
         super().__init__(topo, params, num_vcs)
         self._S: Optional[_SoA] = None
         self._kernel = load_kernel()
-        # channel index assignment happens in both modes so ArrayChannel
-        # slots are always initialized; the SoA is built only in native
-        # mode (fallback keeps the inherited wheel structures live)
+        # array order is the inherited ``channel.index`` order; the SoA
+        # is built only in native mode (fallback keeps the inherited
+        # wheel structures live)
         # repro: allow[DET102]: self.channels is insertion-ordered by the
-        # deterministic topology construction; index order is part of the
-        # SoA layout contract
+        # deterministic topology construction
         ordered = list(self.channels.values())
         self._num_switch_channels = len(ordered)
         ordered += self.inject_channels
         ordered += self.eject_channels
-        for i, channel in enumerate(ordered):
-            channel.index = i
-            channel._anet = None
+        for channel in ordered:
+            channel._soa = None
+        # routed packets handed to inject() since the last flush
+        self._pending: List[Packet] = []
         if self._kernel is None:
             return
         self._build_soa(ordered)
         for channel in ordered[: self._num_switch_channels]:
-            channel._anet = self
+            channel._soa = self._S
         for channel in self.eject_channels:
-            channel._anet = self
+            channel._soa = self._S
 
     # ------------------------------------------------------------------
     # SoA construction (native mode only)
@@ -320,10 +323,9 @@ class ArrayNetwork(Network):
         self._arena_len = 0
         S.arena_chan = np.zeros(self._arena_cap, np.int32)
         S.arena_vc = np.zeros(self._arena_cap, np.int32)
-        # memoized by id(route); _route_refs pins the lists so ids are
-        # never recycled while the memo lives
-        self._route_memo: Dict[int, int] = {}
-        self._route_refs: List[object] = []
+        # routes handed out by route_handle() since the last commit
+        self._staged_chan: List[int] = []
+        self._staged_vc: List[int] = []
         S.counters = np.zeros(COUNTERS_LEN, np.int64)
         S.counters[CNT_FREE] = cap
 
@@ -452,92 +454,94 @@ class ArrayNetwork(Network):
     # ------------------------------------------------------------------
     # Injection (native) -- mirrors Network.inject over the arrays
     # ------------------------------------------------------------------
-    def _register_route(self, route, vcs) -> int:
-        """Intern a route (channel/VC lists) into the arena, memoized.
+    def route_handle(self, chans, vcs) -> int:
+        """The arena offset of a route, staged for the next commit.
 
-        Candidate-cache entries share list objects 1:1 with their VC
-        lists, so id(route) is a sound memo key; revised routes are
-        fresh lists and intern individually.
+        Routing registers every candidate once, when it builds it, so
+        the arena holds each distinct candidate -- PAR-revised ones
+        included -- once, however many packets take it.  Arena layout is
+        bookkeeping only; results never depend on it.
         """
-        key = id(route)
-        off = self._route_memo.get(key)
-        if off is not None:
-            return off
-        S = self._S
-        off = self._arena_len
-        need = off + len(route)
-        if need > self._arena_cap:
-            self._grow_arena(need)
-        arena_chan = S.arena_chan
-        arena_vc = S.arena_vc
-        for i, channel in enumerate(route):
-            arena_chan[off + i] = channel.index
-            arena_vc[off + i] = vcs[i]
-        self._arena_len = need
-        self._route_memo[key] = off
-        self._route_refs.append(route)
+        if self._S is None:
+            return 0
+        off = self._arena_len + len(self._staged_chan)
+        self._staged_chan += chans
+        self._staged_vc += vcs
         return off
+
+    def _commit_routes(self) -> None:
+        """Write the staged routes into the arena (before the kernel or
+        anything else reads it)."""
+        if self._staged_chan:
+            chans, vcs = self._staged_chan, self._staged_vc
+            self._staged_chan, self._staged_vc = [], []
+            self.intern_route(chans, vcs)
 
     def inject(self, packet: Packet) -> None:
         """Queue a routed packet at its node's source queue.
 
-        The queue entry is a packed value record (kernel.c ``SE_*``); no
-        pool id is allocated until the kernel moves the packet into the
-        network at injection-transmit, so deep source backlogs never
-        inflate the hot record pool.  Revisable packets additionally park
-        their Python object in ``_live`` under a staging id the kernel
-        threads through to ``pmeta``.
+        Natively the packet only joins ``_pending``; the cycle's
+        injections land as one :meth:`inject_batch` scatter when
+        :meth:`step` starts (or earlier, the moment anything reads
+        source-queue state -- the clock does not move in between, so
+        deferring is invisible).  Queue entries are packed value records
+        (kernel.c ``SE_*``); no pool id is allocated until the kernel
+        moves the packet into the network at injection-transmit, so deep
+        source backlogs never inflate the hot record pool.  Revisable
+        packets additionally park their Python object in ``_live`` under
+        a staging id the kernel threads through to ``pmeta``.
         """
-        S = self._S
-        if S is None:
+        if self._S is None:
             super().inject(packet)
             return
-        path_hops = packet.path_hops
-        # empty routes (intra-switch pairs) never touch the arena
-        off = self._register_route(packet.route, packet.vcs) if path_hops else 0
-        spid = 0
-        if packet.revisable:
-            spid = self._next_spid
-            self._next_spid = spid + 1
-            self._live[spid] = packet
-        node = packet.src_node
-        src_len = S.src_len
-        n = int(src_len[node])
-        if n == 0:
-            channel = self._inj_base + node
-            when = int(S.busy_until[channel])
-            cycle = self.cycle
-            if when < cycle:
-                when = cycle
-            bucket = when % self._wheel_size
-            m = int(S.tw_n[bucket])
-            S.tw_chan[bucket, m] = channel
-            S.tw_n[bucket] = m + 1
-            S.counters[CNT_PT] += 1
-        elif n >= self._src_cap:
-            self._grow_src()
-        S.src_buf[node, (int(S.src_head[node]) + n) % self._src_cap] = (
-            path_hops,
-            packet.vcs[0] if path_hops else 0,
-            packet.dst_node,
-            1 if packet.revisable else 0,
-            off,
-            packet.inject_cycle,
-            spid,
-            1 if packet.used_vlb else 0,
-        )
-        src_len[node] = n + 1
+        self._pending.append(packet)
+
+    def _flush_pending(self) -> None:
+        """Move ``_pending`` into the source queues, in inject() order."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        # node + one SE_* record per packet, appended straight into a
+        # typed buffer numpy can view without converting element-wise
+        buf = array("i")
+        add_row = buf.extend
+        for packet in pending:
+            hops = packet.path_hops
+            vc0 = packet.vcs[0] if hops else 0
+            spid = 0
+            if packet.revisable:
+                spid = self._next_spid
+                self._next_spid = spid + 1
+                self._live[spid] = packet
+            add_row(
+                (
+                    packet.src_node,
+                    hops,
+                    vc0,
+                    packet.dst_node,
+                    packet.revisable,
+                    packet.route_ref,
+                    packet.inject_cycle,
+                    spid,
+                    packet.used_vlb,
+                )
+            )
+        rows = np.frombuffer(buf, np.intc).reshape(len(pending), 9)
+        nodes = rows[:, 0]
+        # inject_batch wants strictly ascending nodes (every Bernoulli
+        # cycle is one such run; trace replays may repeat a node)
+        cuts = (np.flatnonzero(nodes[1:] <= nodes[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(pending)]):
+            self.inject_batch(nodes[lo:hi], rows[lo:hi, 1:])
 
     def intern_route(self, chan_indices, vcs) -> int:
-        """Append a route given by raw channel indices to the arena.
-
-        The batched driver's shared candidate tables carry channel
-        *indices* (identical across every network built on one topology)
-        instead of per-network :class:`SimChannel` objects, so its
-        interning bypasses the ``id(route)``-keyed memo of
-        :meth:`_register_route`; callers memoize offsets themselves.
-        Arena layout is bookkeeping only -- results never depend on it.
+        """Append an image of routes given by raw channel indices to the
+        arena, now; returns its offset.  (The batched driver's MIN lane
+        interns the table's whole ``MinImage`` this way and memoizes
+        offsets by table slot.)
         """
+        self._commit_routes()
         S = self._S
         off = self._arena_len
         need = off + len(chan_indices)
@@ -548,26 +552,19 @@ class ArrayNetwork(Network):
         self._arena_len = need
         return off
 
-    def inject_batch(
-        self,
-        src_nodes: np.ndarray,
-        path_hops: np.ndarray,
-        vcs0: np.ndarray,
-        dst_nodes: np.ndarray,
-        route_offs: np.ndarray,
-        cycle: int,
-        used_vlb: int = 0,
-    ) -> None:
-        """Vectorized :meth:`inject` for one cycle's routed packets.
+    def inject_batch(self, src_nodes: np.ndarray, records: np.ndarray) -> None:
+        """Vectorized injection of already-routed packets at this cycle.
 
-        Contract (matches the engine's Bernoulli injection exactly):
-        ``src_nodes`` is strictly ascending with at most one packet per
-        node, every packet is non-revisable and already routed (arena
-        offsets from :meth:`intern_route`), and the caller has applied
-        the source-queue cap filter.  The queue records written, the
-        timing-wheel appends for previously-empty queues (in the same
-        ascending order the per-packet loop produces), and the counter
-        updates are bit-identical to ``inject()`` called per packet.
+        ``src_nodes`` must be strictly ascending (at most one packet per
+        node -- what one Bernoulli cycle produces); ``records`` holds one
+        row per packet in kernel.c ``SE_*`` column order: path hops,
+        injection VC, destination node, revisable flag, route arena
+        offset (:meth:`intern_route`), inject cycle, ``_live`` staging
+        id, used-VLB flag.  The caller has applied the source-queue cap
+        filter.  The queue entries written, the timing-wheel appends for
+        previously-empty queues (per bucket, in ascending node order)
+        and the counter updates are what a per-packet loop over the
+        wheel engine's ``inject`` produces.
         """
         S = self._S
         lens = S.src_len[src_nodes]
@@ -575,32 +572,19 @@ class ArrayNetwork(Network):
             self._grow_src()
         empties = src_nodes[lens == 0]
         if empties.size:
-            busy = S.busy_until
-            tw_chan = S.tw_chan
-            tw_n = S.tw_n
-            ws = self._wheel_size
-            base = self._inj_base
-            for node in empties.tolist():
-                channel = base + node
-                when = int(busy[channel])
-                if when < cycle:
-                    when = cycle
-                bucket = when % ws
-                m = int(tw_n[bucket])
-                tw_chan[bucket, m] = channel
-                tw_n[bucket] = m + 1
+            channels = empties + self._inj_base
+            buckets = (
+                np.maximum(S.busy_until[channels], self.cycle)
+                % self._wheel_size
+            )
+            for bucket in sorted(set(buckets.tolist())):
+                due = channels[buckets == bucket]
+                m = int(S.tw_n[bucket])
+                S.tw_chan[bucket, m : m + due.size] = due
+                S.tw_n[bucket] = m + due.size
             S.counters[CNT_PT] += int(empties.size)
-        rec = np.empty((src_nodes.size, 8), np.int32)
-        rec[:, 0] = path_hops
-        rec[:, 1] = vcs0
-        rec[:, 2] = dst_nodes
-        rec[:, 3] = 0  # revisable
-        rec[:, 4] = route_offs
-        rec[:, 5] = cycle
-        rec[:, 6] = 0  # spid
-        rec[:, 7] = used_vlb
         pos = (S.src_head[src_nodes] + lens) % self._src_cap
-        S.src_buf[src_nodes, pos] = rec
+        S.src_buf[src_nodes, pos] = records
         S.src_len[src_nodes] = lens + 1
 
     # ------------------------------------------------------------------
@@ -631,6 +615,7 @@ class ArrayNetwork(Network):
         the whole batch, then run every run's :meth:`post_step` -- the
         exact sequence ``step()`` performs for a single run.
         """
+        self._flush_pending()
         S = self._S
         cycle = self.cycle
         idx = cycle % self._wheel_size
@@ -648,6 +633,7 @@ class ArrayNetwork(Network):
             self._apply_credit_bucket(idx)
             self._process_revisions(idx)
             skip_credits = 1
+        self._commit_routes()
         return skip_credits
 
     def post_step(self) -> None:
@@ -660,9 +646,11 @@ class ArrayNetwork(Network):
         self.cycle += 1
 
     def finalize(self) -> None:
-        """Flush buffered ejections so statistics hooks are complete."""
+        """Flush pending injections and buffered ejections, so queue
+        state and statistics hooks are complete."""
         if self._S is None:
             return
+        self._flush_pending()
         self._flush_ejections()
 
     def _apply_credit_bucket(self, idx: int) -> None:
@@ -706,9 +694,7 @@ class ArrayNetwork(Network):
                 packet.current_vc = int(S.p_current_vc[pid])
                 on_arrival(packet, int(dst_router[chans[i]]))
                 revisable[pid] = 0
-                S.p_route_off[pid] = self._register_route(
-                    packet.route, packet.vcs
-                )
+                S.p_route_off[pid] = packet.route_ref
                 S.p_path_hops[pid] = packet.path_hops
                 S.pm_vlb[pid] = 1 if packet.used_vlb else 0
         S.rev_n[idx] = 0
@@ -776,7 +762,17 @@ class ArrayNetwork(Network):
     def source_queue_len(self, node: int) -> int:
         if self._S is None:
             return super().source_queue_len(node)
+        if self._pending:  # asked once per generated packet
+            self._flush_pending()
         return int(self._S.src_len[node])
+
+    def load_snapshot(self) -> Optional[List[int]]:
+        S = self._S
+        if S is None:
+            return None
+        n = self._num_switch_channels
+        capacity = self.params.buffer_size * self.num_vcs
+        return (S.out_len[:n] + capacity - S.cred_total[:n]).tolist()
 
     def reset_channel_counters(self) -> None:
         if self._S is None:
@@ -829,6 +825,7 @@ class ArrayNetwork(Network):
     def injection_backlog(self) -> int:
         if self._S is None:
             return super().injection_backlog()
+        self._flush_pending()
         return int(self._S.src_len.sum())
 
     def in_flight(self) -> int:
@@ -845,6 +842,7 @@ class ArrayNetwork(Network):
     def quiescent(self) -> bool:
         if self._S is None:
             return super().quiescent()
+        self._flush_pending()
         counters = self._S.counters
         return (
             not counters[CNT_PT]

@@ -9,15 +9,16 @@ per-run cache behavior matches the single-run kernel), and the per-cycle
 Python driver work around it is paid once per batch:
 
 * **Shared candidate tables.**  MIN-path candidate sets are rng-free and
-  identical for every run on one (topology, VC scheme) -- the batch
-  enumerates them once (process-memoized) and each run bulk-interns the
-  whole table into its route arena in one vectorized copy.
+  identical for every run on one (topology, VC scheme) -- the flattened
+  :class:`~repro.routing.table.MinImage` of the topology's interned
+  route table -- and each run bulk-interns the whole image into its
+  route arena in one vectorized copy.
 * **Vectorized injection.**  For MIN routing the per-packet Python loop
   (candidate lookup, ``Packet`` objects, per-packet ``inject()``)
   collapses to array lookups plus one ``inject_batch`` scatter per run
   per cycle; only the order-pinned rng draws (one ``integers(k)`` per
   multi-candidate packet, in packet order -- exactly the draws
-  ``RoutingAlgorithm._random_min`` makes) stay scalar.
+  ``RoutingAlgorithm.pick_min`` makes) stay scalar.
 * **Generic fallback.**  Every other variant (VLB/UGAL/PAR and the T-
   forms) runs the engine's own per-packet injection loop verbatim, per
   run, still sharing the batched kernel call.  Their VLB candidate
@@ -37,20 +38,19 @@ from __future__ import annotations
 
 import ctypes
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.obs import Tracer
-from repro.routing.minimal import min_paths
 from repro.routing.pathset import swap_sample_memo
+from repro.routing.table import route_table
 from repro.sim.array import ArrayNetwork
 from repro.sim.array.native import CState
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
 from repro.sim.routing import make_routing
 from repro.sim.stats import SimResult, StatsCollector
-from repro.sim.vc import assign_vcs
 from repro.traffic.patterns import NO_TRAFFIC
 
 __all__ = ["BatchUnsupported", "simulate_batch"]
@@ -61,81 +61,6 @@ _MAX_SOURCE_QUEUE = 10_000  # simulate()'s default source-queue cap
 class BatchUnsupported(RuntimeError):
     """This batch cannot take the batched path (caller should fall back
     to per-run ``simulate()``; results are identical either way)."""
-
-
-# ----------------------------------------------------------------------
-# Shared MIN candidate tables (rng-free, so safe to share across runs
-# and across calls; keyed by topology identity + VC parameters)
-# ----------------------------------------------------------------------
-class _MinTable:
-    """Flattened per-pair MIN candidates over one (topology, VC scheme).
-
-    ``k[pair]`` candidates starting at slot ``first[pair]``; per slot a
-    hop count, a head VC, and an offset into one concatenated
-    (channel, vc) route image that each network interns wholesale.
-    """
-
-    __slots__ = ("k", "first", "hops", "vcs0", "rel", "chan", "vc", "nsw")
-
-    def __init__(self, topo, network: ArrayNetwork, vc_scheme: str,
-                 num_vcs: int) -> None:
-        nsw = topo.num_switches
-        self.nsw = nsw
-        k = np.zeros(nsw * nsw, np.int32)
-        first = np.zeros(nsw * nsw, np.int64)
-        hops: List[int] = []
-        vcs0: List[int] = []
-        rel: List[int] = []
-        chan: List[int] = []
-        vc: List[int] = []
-        for s in range(nsw):
-            for d in range(nsw):
-                if s == d:
-                    continue
-                pair = s * nsw + d
-                paths = min_paths(topo, s, d)
-                first[pair] = len(hops)
-                k[pair] = len(paths)
-                for path in paths:
-                    vcs = assign_vcs(path, vc_scheme, num_vcs=num_vcs)
-                    rel.append(len(chan))
-                    hops.append(path.num_hops)
-                    vcs0.append(vcs[0])
-                    chan.extend(
-                        c.index for c in network.path_channels(path)
-                    )
-                    vc.extend(vcs)
-        self.k = k
-        self.first = first
-        self.hops = np.array(hops, np.int32)
-        self.vcs0 = np.array(vcs0, np.int32)
-        self.rel = np.array(rel, np.int64)
-        self.chan = np.array(chan, np.int32)
-        self.vc = np.array(vc, np.int32)
-
-
-_MIN_TABLE_MEMO: Dict[Tuple, _MinTable] = {}
-_MIN_TABLE_MEMO_MAX = 4
-
-
-def _min_table(topo, network: ArrayNetwork, vc_scheme: str,
-               num_vcs: int) -> _MinTable:
-    import json
-
-    from repro.perf.cache import topology_fingerprint
-
-    key = (
-        json.dumps(topology_fingerprint(topo), sort_keys=True),
-        vc_scheme,
-        num_vcs,
-    )
-    table = _MIN_TABLE_MEMO.get(key)
-    if table is None:
-        if len(_MIN_TABLE_MEMO) >= _MIN_TABLE_MEMO_MAX:
-            _MIN_TABLE_MEMO.pop(next(iter(_MIN_TABLE_MEMO)))
-        table = _MinTable(topo, network, vc_scheme, num_vcs)
-        _MIN_TABLE_MEMO[key] = table
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -280,12 +205,11 @@ def simulate_batch(
             num_nodes,
         )
         for run in runs:
-            table = _min_table(
-                topo, run.net, run.params.vc_scheme, run.net.num_vcs
+            image = route_table(topo).min_image(
+                run.params.vc_scheme, run.net.num_vcs
             )
-            run.table = table  # type: ignore[attr-defined]
-            base_off = run.net.intern_route(table.chan, table.vc)
-            run.offs = base_off + table.rel
+            run.table = image
+            run.offs = run.net.intern_route(image.chan, image.vc) + image.rel
 
     if tracer is not None:
         tracer.record(
@@ -364,7 +288,7 @@ def _inject_min(run: _Run, cycle: int, nodes, sw_of, nsw: int) -> None:
     one ``random(num_nodes)`` Bernoulli draw, one ``sample_destinations``
     call with the unfiltered sources, then one ``integers(k)`` per
     multi-candidate packet in packet order (single-candidate and
-    same-switch packets draw nothing, matching ``_random_min``).
+    same-switch packets draw nothing, matching ``pick_min``).
     """
     load = run.load
     if load <= 0.0:
@@ -385,7 +309,7 @@ def _inject_min(run: _Run, cycle: int, nodes, sw_of, nsw: int) -> None:
     ssw = sw_of[srcs]
     dsw = sw_of[dests]
     pairs = ssw * nsw + dsw
-    table = run.table  # type: ignore[attr-defined]
+    table = run.table
     ks = np.where(ssw == dsw, 0, table.k[pairs])
     slots = table.first[pairs]
     multi = np.nonzero(ks > 1)[0]
@@ -394,11 +318,14 @@ def _inject_min(run: _Run, cycle: int, nodes, sw_of, nsw: int) -> None:
         for i in multi.tolist():
             slots[i] += int(ints(int(ks[i])))
     picked = ks > 0
-    hops = np.where(picked, table.hops[slots], 0).astype(np.int32)
-    vcs0 = np.where(picked, table.vcs0[slots], 0).astype(np.int32)
-    offs = np.where(picked, run.offs[slots], 0)
+    records = np.zeros((m, 8), np.int32)  # kernel.c SE_* columns
+    records[:, 0] = np.where(picked, table.hops[slots], 0)
+    records[:, 1] = np.where(picked, table.vcs0[slots], 0)
+    records[:, 2] = dests
+    records[:, 4] = np.where(picked, run.offs[slots], 0)
+    records[:, 5] = cycle
     run.algo.min_chosen += m
-    run.net.inject_batch(srcs, hops, vcs0, dests, offs, cycle)
+    run.net.inject_batch(srcs, records)
 
 
 def _inject_generic(run: _Run, cycle: int, nodes) -> None:
@@ -446,6 +373,7 @@ def _finish(
     from repro.sim.engine import _run_manifest
 
     run.net.finalize()
+    run.net.on_arrival = None  # drop the network <-> routing cycle
     measure_cycles = run.params.measure_windows * run.params.window_cycles
     result = run.stats.result(
         offered_load=run.load,

@@ -98,9 +98,11 @@ def build_network(
     """Construct a :class:`Network` sized for the routing variant's VCs.
 
     ``params.engine`` selects the implementation behind the shared
-    interface: the timing-wheel default, the struct-of-arrays batched
-    engine (``repro.sim.array``), or the seed-faithful legacy oracle.
-    All three are bit-identical (the knob is identity-neutral), so the
+    interface: ``"wheel"`` (the default) is the timing-wheel
+    :class:`Network`, ``"array"`` the struct-of-arrays engine with the
+    native cycle kernel (``repro.sim.array``), ``"legacy"`` the
+    seed-faithful oracle kept in ``repro.perf.bench``.  Results are
+    bit-identical across them (the knob is identity-neutral), so the
     choice is purely a performance decision.
     """
     name = routing_variant.lower()
@@ -299,6 +301,9 @@ def simulate(
     # drain any ejections the engine buffered across cycles (array
     # engine); must precede stats.result so the tail packets count
     network.finalize()
+    # the hook closes a network <-> routing reference cycle; without it
+    # both are freed on return instead of piling up until a full GC
+    network.on_arrival = None
     # repro: allow[DET104]: closes the wall_seconds runtime measurement
     wall_seconds = time.perf_counter() - wall_start
 

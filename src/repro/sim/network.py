@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +63,7 @@ class SimChannel:
     """A directed channel plus its upstream output queue and credits."""
 
     __slots__ = (
+        "index",
         "src_router",
         "dst_router",
         "src_port",
@@ -96,6 +97,9 @@ class SimChannel:
         is_ejection: bool = False,
         src_port: int = 0,
     ) -> None:
+        # dense id, assigned by Network.__init__: switch channels in
+        # insertion (== route table) order, then injection, then ejection
+        self.index = -1
         self.src_router = src_router
         self.dst_router = dst_router
         self.src_port = src_port  # output port at src_router (0 if none)
@@ -283,6 +287,15 @@ class Network:
                     src_port=term_port,
                 )
             )
+
+        # repro: allow[DET102]: self.channels is insertion-ordered by the
+        # deterministic topology construction; index order is part of the
+        # route-table and SoA layout contract
+        ordered = list(self.channels.values())
+        ordered += self.inject_channels
+        ordered += self.eject_channels
+        for i, channel in enumerate(ordered):
+            channel.index = i
 
         # --- event timing wheels: slot (cycle % size) -> work items ---
         # The farthest any event is scheduled ahead is a delivery:
@@ -580,6 +593,17 @@ class Network:
 
     def source_queue_len(self, node: int) -> int:
         return len(self.inject_channels[node].out_queue)
+
+    def route_handle(self, chans: Sequence[int], vcs: Sequence[int]) -> int:
+        """Register a route (switch-channel indices + per-hop VCs) packets
+        will be injected with; the handle goes on ``Packet.route_ref``.
+        This engine walks ``Packet.route`` directly and needs none."""
+        return 0
+
+    def load_snapshot(self) -> Optional[List[int]]:
+        """``load_metric`` of every switch channel by ``index``, when the
+        engine can read them in bulk; ``None`` here (ask the channels)."""
+        return None
 
     def step(self) -> None:
         """Advance one cycle (deliver -> crossbar -> transmit)."""

@@ -9,9 +9,12 @@ class Packet:
     """One single-flit packet and its source route.
 
     ``route`` is the list of :class:`~repro.sim.network.SimChannel` objects
-    still to traverse (switch-to-switch channels followed by the ejection
-    channel); ``vcs`` the matching VC per switch-to-switch hop.  ``hop``
-    indexes the next entry of ``route``.
+    to traverse (switch-to-switch channels; the ejection channel follows
+    implicitly); ``vcs`` the matching VC per hop.  ``hop`` indexes the
+    next entry of ``route``.  Both lists are shared with every other
+    packet on the same routing candidate (never mutate them), and
+    ``route_ref`` is the network's handle for the pair
+    (:meth:`~repro.sim.network.Network.route_handle`).
     """
 
     __slots__ = (
@@ -20,6 +23,7 @@ class Packet:
         "inject_cycle",
         "route",
         "vcs",
+        "route_ref",
         "hop",
         "revisable",
         "used_vlb",
@@ -34,6 +38,7 @@ class Packet:
         self.inject_cycle = inject_cycle
         self.route = None  # type: ignore[assignment]
         self.vcs = None  # type: ignore[assignment]
+        self.route_ref = 0
         self.hop = 0
         self.revisable = False  # PAR: may re-decide at the second switch
         self.used_vlb = False

@@ -1,4 +1,4 @@
-"""Routing decision state: candidate generation, caches, queue estimates.
+"""Routing decision state: candidate rows, caches, queue estimates.
 
 The T- variants (T-UGAL-L, T-UGAL-G, T-PAR) are the same decision
 procedures with a restricted VLB :class:`~repro.routing.pathset.PathPolicy`
@@ -6,29 +6,48 @@ procedures with a restricted VLB :class:`~repro.routing.pathset.PathPolicy`
 paths for UGAL".
 
 :class:`RoutingAlgorithm` owns everything a decision *uses* -- per-pair
-MIN/VLB candidate caches, the rng, queue-state cost estimates, decision
-counters -- while each variant's decision *procedure* (how MIN, VLB,
-UGAL-L, UGAL-G, and PAR choose and revise) lives in a
+MIN/VLB candidate caches, the rng, queue-state reads, decision counters
+-- while each variant's decision *procedure* (how MIN, VLB, UGAL-L,
+UGAL-G, and PAR choose and revise) lives in a
 :class:`~repro.sim.strategies.RoutingStrategy` looked up in
 ``repro.spec``'s ``ROUTING_REGISTRY``.  Adding a variant is a
 registration, not an edit to this file.
+
+Candidates are integer rows of the topology's interned
+:class:`~repro.routing.table.RouteTable` (hops, channel indices, VC
+ladder by slot shape) plus this network's channel objects for them; no
+:class:`~repro.routing.paths.Path` is built per packet.  One
+``route_packets`` call works in two phases: every random pick of the
+batch, strictly in packet order, from a
+:class:`~repro.sim.draws.DrawStream`; then the strategy's decision over
+the whole batch against one read of the channel loads.  See
+"Route tables and draw order" in ``docs/simulator.md``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.routing.minimal import min_paths
-from repro.routing.paths import Path
 from repro.routing.pathset import AllVlbPolicy, PathPolicy
+from repro.routing.table import route_table
+from repro.sim.draws import DrawStream
 from repro.sim.network import Network, SimChannel
 from repro.sim.packet import Packet
-from repro.sim.vc import assign_vcs
 
 __all__ = [
-    "CandidateEntry",
+    "Candidate",
+    "Pick",
     "RoutingAlgorithm",
     "ROUTING_VARIANTS",
     "make_routing",
@@ -36,8 +55,30 @@ __all__ = [
 
 ROUTING_VARIANTS = ("min", "vlb", "ugal-l", "ugal-g", "par")
 
-# a prepared route candidate: the path, its live channels, its VC ladder
-CandidateEntry = Tuple[Path, List[SimChannel], List[int]]
+
+class Candidate(NamedTuple):
+    """A prepared route: the table's integer row plus this network's
+    view of it.  ``route`` and ``vcs`` are shared between all packets
+    that take the candidate and are never mutated."""
+
+    hops: int
+    chans: Tuple[int, ...]  # channel indices (table order == network order)
+    shape: str  # 'l'/'g' per hop; keys the VC ladders
+    route: List[SimChannel]
+    vcs: List[int]
+    ref: int  # Network.route_handle of (chans, vcs)
+
+
+# one packet's draws: its MIN and VLB candidates (VLB ``None`` when the
+# strategy draws none or the policy offers none) plus the extra
+# candidates of each kind that min_candidates / vlb_candidates > 1 add
+Pick = Tuple[
+    Packet,
+    Candidate,
+    Optional[Candidate],
+    Sequence[Candidate],
+    Sequence[Candidate],
+]
 
 
 class _NoVlbPath:
@@ -82,116 +123,200 @@ class RoutingAlgorithm:
         self.min_chosen = 0
         self.vlb_chosen = 0
         self.par_revised = 0
-        # per-pair MIN path cache (tiny objects, hot path)
-        self._min_cache: Dict[Tuple[int, int], List[CandidateEntry]] = {}
-        # per-pair VLB candidate cache; once `_vlb_cache_cap` distinct
-        # candidates were drawn for a pair, further draws reuse them
-        # uniformly; _NO_VLB_PATH marks pairs the policy cannot serve
-        self._vlb_cache: Dict[
-            Tuple[int, int], Union[List[CandidateEntry], _NoVlbPath]
-        ] = {}
+
+        self.table = route_table(self.topo)
+        # table channel index -> this network's channel; the table's
+        # indices double as rows of the engine's load snapshot
+        self._channels: List[SimChannel] = [
+            network.channels[key] for key in self.table.channel_keys
+        ]
+        if len(self._channels) != len(network.channels) or any(
+            channel.index != i for i, channel in enumerate(self._channels)
+        ):
+            raise RuntimeError(
+                "network channel order differs from the route table's"
+            )
+        self._ladders = self.table.ladders(self.vc_scheme, self.num_vcs)
+        self._nsw = self.topo.num_switches
+        self._switch_of = [
+            self.topo.switch_of_node(n) for n in range(self.topo.num_nodes)
+        ]
+        self._same_switch = Candidate(0, (), "", [], [], 0)
+        # per-pair MIN candidates, keyed src * num_switches + dst
+        self._min_cache: Dict[int, List[Candidate]] = {}
+        # per-pair VLB candidate cache; once `_vlb_cache_cap` candidates
+        # were drawn for a pair, further draws reuse them uniformly;
+        # _NO_VLB_PATH marks pairs the policy cannot serve
+        self._vlb_cache: Dict[int, Union[List[Candidate], _NoVlbPath]] = {}
         self._vlb_cache_cap = network.params.vlb_cache_per_pair
+        # PAR-revised (route, vcs, handle) by channel-index row, so equal
+        # revisions share one route object and one network handle
+        self._revised: Dict[
+            Tuple[int, ...], Tuple[List[SimChannel], List[int], int]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Candidate generation
     # ------------------------------------------------------------------
-    def _prepare(self, path: Path) -> CandidateEntry:
-        return (
-            path,
-            self.network.path_channels(path),
-            assign_vcs(path, self.vc_scheme, num_vcs=self.num_vcs),
+    def _candidate(self, chans: Tuple[int, ...], shape: str) -> Candidate:
+        channels = self._channels
+        vcs = self._ladders[shape]
+        return Candidate(
+            len(chans),
+            chans,
+            shape,
+            [channels[c] for c in chans],
+            vcs,
+            self.network.route_handle(chans, vcs),
         )
 
-    def _min_candidates(
-        self, src_sw: int, dst_sw: int
-    ) -> List[CandidateEntry]:
-        entries = self._min_cache.get((src_sw, dst_sw))
-        if entries is None:
-            entries = [
-                self._prepare(p) for p in min_paths(self.topo, src_sw, dst_sw)
-            ]
-            self._min_cache[(src_sw, dst_sw)] = entries
-        return entries
+    def pick_min(self, src_sw: int, dst_sw: int, draws) -> Candidate:
+        """One random MIN candidate (no draw for single-path pairs).
 
-    def _random_min(self, src_sw: int, dst_sw: int) -> CandidateEntry:
-        entries = self._min_candidates(src_sw, dst_sw)
+        ``draws`` is anything with ``integers(n)``: the generator itself
+        or a :class:`~repro.sim.draws.DrawStream` over it.
+        """
+        key = src_sw * self._nsw + dst_sw
+        entries = self._min_cache.get(key)
+        if entries is None:
+            entries = self._min_cache[key] = [
+                self._candidate(leg.chans, leg.shape)
+                for leg in self.table.min_legs(src_sw, dst_sw)
+            ]
         if len(entries) == 1:
             return entries[0]
-        return entries[int(self.rng.integers(len(entries)))]
+        return entries[draws.integers(len(entries))]
 
-    def _random_vlb(
-        self, src_sw: int, dst_sw: int
-    ) -> Optional[CandidateEntry]:
-        """One random VLB candidate as a (path, channels, vcs) triple.
+    def pick_vlb(self, src_sw: int, dst_sw: int, draws) -> Optional[Candidate]:
+        """One random VLB candidate, ``None`` if the policy offers none.
 
         Uses the per-pair candidate cache: the first ``_vlb_cache_cap``
         draws are genuine uniform samples from the policy (and are
-        memoized); later draws reuse them uniformly.
+        memoized in draw order); later draws reuse them uniformly.
         """
-        key = (src_sw, dst_sw)
+        key = src_sw * self._nsw + dst_sw
         cache = self._vlb_cache.get(key)
         if isinstance(cache, _NoVlbPath):
             return None  # pair has no VLB path under this policy
         if cache is None:
-            cache = []
-            self._vlb_cache[key] = cache
-        if self._vlb_cache_cap <= 0 or len(cache) < self._vlb_cache_cap:
-            path = self.policy.sample_path(
-                self.topo, src_sw, dst_sw, self.rng
-            )
-            if path is None:
+            cache = self._vlb_cache[key] = []
+        cap = self._vlb_cache_cap
+        if cap <= 0 or len(cache) < cap:
+            desc = self.policy.sample(self.topo, src_sw, dst_sw, draws)
+            if desc is None:
                 if not cache:
                     self._vlb_cache[key] = _NO_VLB_PATH
                     return None
-                return cache[int(self.rng.integers(len(cache)))]
-            entry = self._prepare(path)
-            if self._vlb_cache_cap > 0:
+                return cache[draws.integers(len(cache))]
+            first, second = self.table.vlb_legs(src_sw, dst_sw, desc)
+            entry = self._candidate(
+                first.chans + second.chans, first.shape + second.shape
+            )
+            if cap > 0:
                 cache.append(entry)
             return entry
-        return cache[int(self.rng.integers(len(cache)))]
+        return cache[draws.integers(len(cache))]
+
+    def revised_route(
+        self, packet: Packet, vlb: Candidate
+    ) -> Tuple[List[SimChannel], List[int], int]:
+        """(route, vcs, handle) of ``packet`` re-routed over ``vlb`` from
+        its current hop, on the next VC level; interned per distinct
+        row."""
+        hop = packet.hop
+        taken = packet.route[:hop]
+        chans = tuple([ch.index for ch in taken]) + vlb.chans
+        entry = self._revised.get(chans)
+        if entry is None:
+            ladders = self.table.ladders(
+                self.vc_scheme, self.num_vcs, revised=True, hop_offset=hop
+            )
+            vcs = packet.vcs[:hop] + ladders[vlb.shape]
+            entry = self._revised[chans] = (
+                taken + vlb.route,
+                vcs,
+                self.network.route_handle(chans, vcs),
+            )
+        return entry
 
     # ------------------------------------------------------------------
     # Queue estimates
     # ------------------------------------------------------------------
-    def _channels_of(self, path: Path) -> List[SimChannel]:
-        return self.network.path_channels(path)
+    def load_reader(self, decisions: int) -> Callable[[int], int]:
+        """``channel index -> load_metric`` for one batch of decisions.
 
-    def _cost_local(self, channels: List[SimChannel], hops: int) -> int:
-        """UGAL-L/PAR estimate: first-hop local queue x path length."""
-        if not channels:
-            return 0
-        return channels[0].load_metric() * hops
-
-    def _cost_global(self, channels: List[SimChannel]) -> int:
-        """UGAL-G estimate: total queue along the whole path."""
-        return sum(ch.load_metric() for ch in channels)
+        Channel state does not change while a batch is being routed, so
+        when the batch is large enough to pay for it the loads of all
+        channels are read from the engine's arrays at once; otherwise
+        (and on engines without such arrays) each read asks the channel.
+        """
+        channels = self._channels
+        if decisions >= 8 + len(channels) // 64:
+            loads = self.network.load_snapshot()
+            if loads is not None:
+                return loads.__getitem__
+        return lambda index: channels[index].load_metric()
 
     # ------------------------------------------------------------------
     # Decisions (delegated to the registered strategy)
     # ------------------------------------------------------------------
     def route_packet(self, packet: Packet) -> None:
         """Fill in route/vcs for a packet at its source switch."""
-        src_sw = self.topo.switch_of_node(packet.src_node)
-        dst_sw = self.topo.switch_of_node(packet.dst_node)
-        if src_sw == dst_sw:
-            self._apply(packet, ((Path((src_sw,), ())), [], []), False)
-            return
-        self.strategy.decide(self, packet, src_sw, dst_sw)
+        self._route((packet,), self.rng)
 
     def route_packets(self, packets: Sequence[Packet]) -> None:
         """Route a batch of freshly created packets, in order.
 
         Batch-friendly hook for the engines: one call per injection
         cycle instead of one per packet.  The RNG draw order is pinned
-        -- packets are routed strictly in sequence order, so the draws
+        -- every pick is drawn strictly in packet order, so the draws
         (and the VLB candidate-cache mutations they cause) happen in
-        exactly the order the per-packet loop would produce.  Decisions
-        only read channel ``load_metric`` state, never source-queue
-        occupancy, so routing a whole batch before injecting any of it
-        is bit-identical to interleaving route/inject per packet.
+        exactly the order a per-packet loop would produce, and the
+        :class:`~repro.sim.draws.DrawStream` leaves the generator in the
+        state scalar draws would have.  Decisions only read channel
+        ``load_metric`` state, never source-queue occupancy, and consume
+        no randomness, so drawing for the whole batch, then deciding the
+        whole batch, then injecting it is bit-identical to interleaving
+        draw/decide/inject per packet.
         """
+        with DrawStream(self.rng, chunk=max(64, 8 * len(packets))) as draws:
+            self._route(packets, draws)
+
+    def _route(self, packets: Sequence[Packet], draws) -> None:
+        strategy = self.strategy
+        params = self.network.params
+        extra_min = extra_vlb = 0
+        if strategy.multi_candidate:
+            extra_min = params.min_candidates - 1
+            extra_vlb = params.vlb_candidates - 1
+        draws_vlb = strategy.draws_vlb
+        switch_of = self._switch_of
+        pick_min = self.pick_min
+        pick_vlb = self.pick_vlb
+        picks: List[Pick] = []
+        no_extras: Sequence[Candidate] = ()
         for packet in packets:
-            self.route_packet(packet)
+            src_sw = switch_of[packet.src_node]
+            dst_sw = switch_of[packet.dst_node]
+            if src_sw == dst_sw:
+                self._apply(packet, self._same_switch, False)
+                continue
+            min_pick = pick_min(src_sw, dst_sw, draws)
+            vlb_pick = pick_vlb(src_sw, dst_sw, draws) if draws_vlb else None
+            more_min = more_vlb = no_extras
+            if vlb_pick is not None and (extra_min or extra_vlb):
+                # the original UGAL allows "a small number" of candidates
+                # of each kind; pairs without a VLB path draw no extras
+                more_min = [
+                    pick_min(src_sw, dst_sw, draws) for _ in range(extra_min)
+                ]
+                maybe = [
+                    pick_vlb(src_sw, dst_sw, draws) for _ in range(extra_vlb)
+                ]
+                more_vlb = [c for c in maybe if c is not None]
+            picks.append((packet, min_pick, vlb_pick, more_min, more_vlb))
+        if picks:
+            strategy.decide(self, picks)
 
     def revise_at(self, packet: Packet, router_idx: int) -> None:
         """Mid-route revision hook (PAR's second-hop re-decision).
@@ -204,12 +329,12 @@ class RoutingAlgorithm:
 
     # ------------------------------------------------------------------
     def _apply(
-        self, packet: Packet, entry: CandidateEntry, used_vlb: bool
+        self, packet: Packet, entry: Candidate, used_vlb: bool
     ) -> None:
-        path, channels, vcs = entry
-        packet.route = channels
-        packet.vcs = vcs
-        packet.path_hops = path.num_hops
+        packet.route = entry.route
+        packet.vcs = entry.vcs
+        packet.route_ref = entry.ref
+        packet.path_hops = entry.hops
         packet.used_vlb = used_vlb
         if used_vlb:
             self.vlb_chosen += 1

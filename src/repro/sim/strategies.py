@@ -1,27 +1,27 @@
 """Routing decision strategies: the variant-specific half of UGAL routing.
 
 :class:`~repro.sim.routing.RoutingAlgorithm` owns the state a decision
-needs -- candidate caches, queue estimates, decision counters -- while the
-*decision procedure* of each variant (MIN, VLB, UGAL-L, UGAL-G, PAR) lives
-here as a registered strategy object.  Adding a routing variant means
-registering a new strategy in ``ROUTING_REGISTRY`` (see
-:mod:`repro.spec.builtins`), not editing branch chains in the algorithm.
+needs -- candidate caches, queue-state reads, decision counters -- and
+draws every packet's MIN/VLB candidates; the *decision procedure* of each
+variant (MIN, VLB, UGAL-L, UGAL-G, PAR) lives here as a registered
+strategy object that decides a whole batch of drawn picks at once.
+Adding a routing variant means registering a new strategy in
+``ROUTING_REGISTRY`` (see :mod:`repro.spec.builtins`), not editing branch
+chains in the algorithm.
 
-Every strategy draws its random candidates in exactly the order the
-original monolithic implementation did, so same-seed simulations are
-bit-identical to the pre-split code (pinned by the LegacyParity tests).
+The class attributes ``draws_vlb`` / ``multi_candidate`` tell the
+algorithm which candidates to draw, in the order the original monolithic
+implementation drew them, so same-seed simulations are bit-identical to
+the pre-split code (pinned by the LegacyParity tests).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.routing.paths import LOCAL_SLOT, Path
-from repro.sim.vc import assign_vcs
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.packet import Packet
-    from repro.sim.routing import CandidateEntry, RoutingAlgorithm
+    from repro.sim.routing import Candidate, Pick, RoutingAlgorithm
 
 __all__ = [
     "MinimalStrategy",
@@ -37,15 +37,16 @@ class RoutingStrategy:
     """Per-variant route selection; stateless, shared across algorithms."""
 
     name: str = ""
+    # does a decision need a VLB candidate at all?
+    draws_vlb: bool = True
+    # does it honour SimParams.min_candidates / vlb_candidates?
+    multi_candidate: bool = False
 
     def decide(
-        self,
-        algo: "RoutingAlgorithm",
-        packet: "Packet",
-        src_sw: int,
-        dst_sw: int,
+        self, algo: "RoutingAlgorithm", picks: Sequence["Pick"]
     ) -> None:
-        """Choose a route for ``packet`` at its source switch."""
+        """Choose a route for every drawn pick (packets at their source
+        switches, source != destination switch), in order."""
         raise NotImplementedError
 
     def revise(
@@ -59,15 +60,13 @@ class MinimalStrategy(RoutingStrategy):
     """Always a random MIN path."""
 
     name = "min"
+    draws_vlb = False
 
     def decide(
-        self,
-        algo: "RoutingAlgorithm",
-        packet: "Packet",
-        src_sw: int,
-        dst_sw: int,
+        self, algo: "RoutingAlgorithm", picks: Sequence["Pick"]
     ) -> None:
-        algo._apply(packet, algo._random_min(src_sw, dst_sw), used_vlb=False)
+        for packet, min_pick, _vlb, _more_min, _more_vlb in picks:
+            algo._apply(packet, min_pick, False)
 
 
 class ValiantStrategy(RoutingStrategy):
@@ -77,20 +76,15 @@ class ValiantStrategy(RoutingStrategy):
     name = "vlb"
 
     def decide(
-        self,
-        algo: "RoutingAlgorithm",
-        packet: "Packet",
-        src_sw: int,
-        dst_sw: int,
+        self, algo: "RoutingAlgorithm", picks: Sequence["Pick"]
     ) -> None:
         # the MIN candidate is drawn first (same rng order as UGAL) and
         # used only as the no-VLB fallback
-        min_entry = algo._random_min(src_sw, dst_sw)
-        vlb_entry = algo._random_vlb(src_sw, dst_sw)
-        if vlb_entry is None:
-            algo._apply(packet, min_entry, used_vlb=False)
-        else:
-            algo._apply(packet, vlb_entry, used_vlb=True)
+        for packet, min_pick, vlb_pick, _more_min, _more_vlb in picks:
+            if vlb_pick is None:
+                algo._apply(packet, min_pick, False)
+            else:
+                algo._apply(packet, vlb_pick, True)
 
 
 class UgalStrategy(RoutingStrategy):
@@ -98,52 +92,44 @@ class UgalStrategy(RoutingStrategy):
     path's delay from queue state, pick the smaller (MIN wins ties plus
     the threshold ``T``).  Subclasses choose the delay estimate."""
 
-    def cost(self, algo: "RoutingAlgorithm", entry: "CandidateEntry") -> int:
-        """Estimated delay of a candidate path."""
+    multi_candidate = True
+
+    def cost(self, load: Callable[[int], int], entry: "Candidate") -> int:
+        """Estimated delay of a candidate path; ``load`` maps a channel
+        index to its current ``load_metric``."""
         raise NotImplementedError
 
-    def on_min_chosen(
-        self, algo: "RoutingAlgorithm", packet: "Packet", min_path: Path
-    ) -> None:
+    def on_min_chosen(self, packet: "Packet", min_pick: "Candidate") -> None:
         """Hook invoked when the MIN candidate wins (PAR arms revision)."""
         return None
 
     def decide(
-        self,
-        algo: "RoutingAlgorithm",
-        packet: "Packet",
-        src_sw: int,
-        dst_sw: int,
+        self, algo: "RoutingAlgorithm", picks: Sequence["Pick"]
     ) -> None:
-        min_entry = algo._random_min(src_sw, dst_sw)
-        vlb_entry = algo._random_vlb(src_sw, dst_sw)
-        if vlb_entry is None:
-            algo._apply(packet, min_entry, used_vlb=False)
-            return
-
-        # optionally draw extra candidates and keep the cheapest of each
-        # kind (the original UGAL allows "a small number" of candidates)
-        params = algo.network.params
-        cost_min = self.cost(algo, min_entry)
-        for _ in range(params.min_candidates - 1):
-            other = algo._random_min(src_sw, dst_sw)
-            other_cost = self.cost(algo, other)
-            if other_cost < cost_min:
-                min_entry, cost_min = other, other_cost
-        cost_vlb = self.cost(algo, vlb_entry)
-        for _ in range(params.vlb_candidates - 1):
-            maybe = algo._random_vlb(src_sw, dst_sw)
-            if maybe is None:
+        load = algo.load_reader(len(picks))
+        cost = self.cost
+        threshold = algo.threshold
+        for packet, min_pick, vlb_pick, more_min, more_vlb in picks:
+            if vlb_pick is None:
+                algo._apply(packet, min_pick, False)
                 continue
-            maybe_cost = self.cost(algo, maybe)
-            if maybe_cost < cost_vlb:
-                vlb_entry, cost_vlb = maybe, maybe_cost
-
-        if cost_min <= cost_vlb + algo.threshold:
-            algo._apply(packet, min_entry, used_vlb=False)
-            self.on_min_chosen(algo, packet, min_entry[0])
-        else:
-            algo._apply(packet, vlb_entry, used_vlb=True)
+            # keep the cheapest candidate of each kind, first drawn
+            # winning ties
+            cost_min = cost(load, min_pick)
+            for other in more_min:
+                other_cost = cost(load, other)
+                if other_cost < cost_min:
+                    min_pick, cost_min = other, other_cost
+            cost_vlb = cost(load, vlb_pick)
+            for other in more_vlb:
+                other_cost = cost(load, other)
+                if other_cost < cost_vlb:
+                    vlb_pick, cost_vlb = other, other_cost
+            if cost_min <= cost_vlb + threshold:
+                algo._apply(packet, min_pick, False)
+                self.on_min_chosen(packet, min_pick)
+            else:
+                algo._apply(packet, vlb_pick, True)
 
 
 class UgalLocalStrategy(UgalStrategy):
@@ -151,8 +137,8 @@ class UgalLocalStrategy(UgalStrategy):
 
     name = "ugal-l"
 
-    def cost(self, algo: "RoutingAlgorithm", entry: "CandidateEntry") -> int:
-        return algo._cost_local(entry[1], entry[0].num_hops)
+    def cost(self, load: Callable[[int], int], entry: "Candidate") -> int:
+        return load(entry.chans[0]) * entry.hops
 
 
 class UgalGlobalStrategy(UgalStrategy):
@@ -160,8 +146,8 @@ class UgalGlobalStrategy(UgalStrategy):
 
     name = "ugal-g"
 
-    def cost(self, algo: "RoutingAlgorithm", entry: "CandidateEntry") -> int:
-        return algo._cost_global(entry[1])
+    def cost(self, load: Callable[[int], int], entry: "Candidate") -> int:
+        return sum(map(load, entry.chans))
 
 
 class ParStrategy(UgalLocalStrategy):
@@ -170,10 +156,8 @@ class ParStrategy(UgalLocalStrategy):
 
     name = "par"
 
-    def on_min_chosen(
-        self, algo: "RoutingAlgorithm", packet: "Packet", min_path: Path
-    ) -> None:
-        if min_path.num_hops >= 2 and min_path.slots[0] == LOCAL_SLOT:
+    def on_min_chosen(self, packet: "Packet", min_pick: "Candidate") -> None:
+        if min_pick.hops >= 2 and min_pick.shape[0] == "l":
             packet.revisable = True
 
     def revise(
@@ -183,31 +167,26 @@ class ParStrategy(UgalLocalStrategy):
 
         The remaining MIN route competes with a fresh VLB path from here;
         if VLB wins, the remaining route is rewritten using the next VC
-        level.
+        level.  One packet per call, so draws stay scalar.
         """
         dst_sw = algo.topo.switch_of_node(packet.dst_node)
         if router_idx == dst_sw:
             return
-        vlb_entry = algo._random_vlb(router_idx, dst_sw)
-        if vlb_entry is None:
+        vlb = algo.pick_vlb(router_idx, dst_sw, algo.rng)
+        if vlb is None:
             return
-        vlb_path, vlb_ch, _ = vlb_entry
-        remaining = packet.route[packet.hop :]
-        remaining_hops = len(remaining)
+        hop = packet.hop
+        remaining_hops = len(packet.route) - hop
         cost_min = (
-            remaining[0].load_metric() * remaining_hops if remaining else 0
+            packet.route[hop].load_metric() * remaining_hops
+            if remaining_hops
+            else 0
         )
-        cost_vlb = algo._cost_local(vlb_ch, vlb_path.num_hops)
+        cost_vlb = vlb.route[0].load_metric() * vlb.hops
         if cost_vlb + algo.threshold < cost_min:
-            vcs = assign_vcs(
-                vlb_path,
-                algo.vc_scheme,
-                hop_offset=packet.hop,
-                revised=True,
-                num_vcs=algo.num_vcs,
+            packet.route, packet.vcs, packet.route_ref = algo.revised_route(
+                packet, vlb
             )
-            packet.route = packet.route[: packet.hop] + vlb_ch
-            packet.vcs = packet.vcs[: packet.hop] + vcs
-            packet.path_hops = packet.hop + vlb_path.num_hops
+            packet.path_hops = hop + vlb.hops
             packet.used_vlb = True
             algo.par_revised += 1

@@ -75,6 +75,65 @@ def test_par_revisions_exercised():
     assert res == _run("par", load=0.6)
 
 
+def test_par_arena_is_bounded_by_distinct_routes():
+    """A long saturated PAR run revises thousands of packets, but equal
+    revisions share one interned route: the arena grows with the number
+    of distinct candidates, not with packets."""
+    import numpy as np
+
+    from repro.sim import build_network
+    from repro.sim.packet import Packet
+    from repro.sim.routing import make_routing
+    from repro.traffic.patterns import Shift
+
+    params = SimParams(engine="array", vlb_cache_per_pair=2)
+    network = build_network(TOPO, params, "par")
+    if network.backend != "native":
+        pytest.skip("needs the native array kernel")
+    rng = np.random.default_rng(2)
+    algo = make_routing(network, "par", rng=rng)
+    network.on_arrival = algo.revise_at
+    pattern = Shift(TOPO, 2, 0)
+    nodes = np.arange(TOPO.num_nodes)
+
+    def run(cycles):
+        for _ in range(cycles):
+            srcs = nodes[rng.random(TOPO.num_nodes) < 0.7]
+            dests = pattern.sample_destinations(srcs, rng)
+            batch = [
+                Packet(int(s), int(d), network.cycle)
+                for s, d in zip(srcs, dests)
+                if network.source_queue_len(int(s)) < 50
+            ]
+            algo.route_packets(batch)
+            for packet in batch:
+                network.inject(packet)
+            network.step()
+        network.finalize()
+
+    run(600)
+    revisions = algo.par_revised
+    assert revisions > 400
+    assert len(algo._revised) < revisions / 4
+    # with a finite per-pair cache every candidate ever built is still
+    # held by the algorithm, so the arena is exactly their routes
+    cached = [
+        entry
+        for entries in list(algo._min_cache.values())
+        + [v for v in algo._vlb_cache.values() if isinstance(v, list)]
+        for entry in entries
+    ]
+    assert network._arena_len == sum(e.hops for e in cached) + sum(
+        len(route) for route, _vcs, _ref in algo._revised.values()
+    )
+    # and it has stopped growing: the same traffic again adds (almost)
+    # nothing, where one slice per revision would add thousands of slots
+    before = network._arena_len
+    run(600)
+    assert algo.par_revised > revisions + 400
+    assert network._arena_len - before < 6 * 20
+
+
 def test_array_engine_class_is_used():
     from repro.sim.engine import build_network
 

@@ -102,3 +102,47 @@ class TestBalanceAdjust:
         assert report.max_over_mean_local >= 1.0
         assert report.max_over_mean_global >= 1.0
         assert isinstance(report.adjusted, bool)
+
+
+class TestNumpyPairsStaySerializable:
+    """Algorithm 1 takes its balance pairs from ``np.nonzero``; the
+    adjusted policy must not carry those NumPy integers into its spec
+    (``compute_tvlb(balance=True)`` used to die in ``json.dumps``)."""
+
+    def test_balance_adjust_casts_numpy_pairs(self):
+        import json
+
+        from repro.spec import PolicySpec
+        from repro.traffic.patterns import Shift
+
+        topo = Dragonfly(3, 6, 3, 7)  # small shapes need no adjustment
+        demand = Shift(topo, 1, 0).demand_matrix()
+        pairs = list(zip(*np.nonzero(demand)))[:4]
+        assert type(pairs[0][0]) is not int
+        adjusted, report = balance_adjust(topo, HopClassPolicy(4, 0.25), pairs)
+        assert isinstance(adjusted, ExcludingPolicy)
+        assert report.removed_descriptors > 0
+        for src, dst, _desc in adjusted.excluded_descriptors:
+            assert type(src) is int and type(dst) is int
+        json.dumps(PolicySpec.of(adjusted).to_dict())
+
+    def test_compute_tvlb_default_balance_returns_a_fingerprintable_policy(
+        self,
+    ):
+        from repro.core import compute_tvlb
+        from repro.sim import SimParams
+        from repro.spec import RunSpec
+        from repro.traffic.patterns import Shift
+
+        topo = Dragonfly(2, 4, 2, 3)
+        result = compute_tvlb(topo, sim_params=SimParams(window_cycles=20))
+        spec = RunSpec.from_objects(
+            topo,
+            Shift(topo, 1, 0),
+            0.1,
+            routing="t-ugal-l",
+            policy=result.policy,
+            params=SimParams(window_cycles=20),
+            seed=0,
+        )
+        assert len(spec.fingerprint()) == 64

@@ -66,6 +66,28 @@ class TestRoundTrips:
         assert back.excluded_channels == pol.excluded_channels
         assert back.excluded_descriptors == pol.excluded_descriptors
 
+    def test_excluding_built_from_numpy_integers(self, topo):
+        """np.int64 channels/descriptors (what a numpy-derived pair list
+        feeds the balance adjustment) serialize as plain JSON ints and
+        round-trip through the spec layer."""
+        import json
+
+        from repro.spec import PolicySpec
+
+        i64 = np.int64
+        pol = ExcludingPolicy(
+            AllVlbPolicy(),
+            excluded_channels=frozenset({Channel(i64(4), i64(8), i64(0))}),
+            excluded_descriptors=frozenset(
+                {(i64(0), i64(8), VlbDescriptor(i64(4), i64(0), i64(1)))}
+            ),
+        )
+        data = PolicySpec.of(pol).to_dict()
+        back = PolicySpec.from_dict(json.loads(json.dumps(data))).build()
+        assert back.excluded_channels == {Channel(4, 8, 0)}
+        assert back.excluded_descriptors == {(0, 8, VlbDescriptor(4, 0, 1))}
+        _same_membership(topo, pol, back, PAIRS)
+
     def test_explicit(self, topo):
         descs = list(enumerate_vlb_descriptors(topo, 0, 8))[:5]
         pol = ExplicitPathSet(paths={(0, 8): descs}, label="mine")
