@@ -150,7 +150,7 @@ def _exec_args(p, jobs_default=None):
                    help="worker processes for independent simulation "
                         "points (default: $REPRO_JOBS or 1)")
     p.add_argument("--batch", type=int, default=None, metavar="B",
-                   help="array-engine runs advanced per kernel call where "
+                   help="MIN-routed runs advanced per kernel call where "
                         "compatible: 1 disables batching, N>1 caps the "
                         "batch, 0 lets the planner pick (default: "
                         "$REPRO_BATCH or planner default; results are "
@@ -249,9 +249,7 @@ def _cmd_sim(args) -> int:
         if routing.startswith("t-") or args.policy
         else None
     )
-    params = SimParams(
-        window_cycles=args.window, verify=args.verify, engine=args.engine
-    )
+    params = SimParams(window_cycles=args.window, verify=args.verify)
     res = simulate(
         topo,
         pattern,
@@ -293,9 +291,7 @@ def _cmd_sweep(args) -> int:
         else None
     )
     loads = parse_loads(args.loads)
-    params = SimParams(
-        window_cycles=args.window, verify=args.verify, engine=args.engine
-    )
+    params = SimParams(window_cycles=args.window, verify=args.verify)
     if args.sample_every or args.trace_dir:
         # identity-neutral: traced points still share cache entries with
         # untraced runs of the same spec
@@ -604,11 +600,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--verify", action="store_true",
                    help="statically verify the configuration before "
                         "simulating (repro.verify pre-flight gate)")
-    p.add_argument("--engine", default="wheel",
-                   choices=["wheel", "array", "legacy"],
-                   help="cycle-engine implementation (bit-identical "
-                        "results; 'array' is the fast struct-of-arrays "
-                        "engine, 'legacy' the seed-faithful oracle)")
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser(
@@ -640,11 +631,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--progress", action="store_true",
                    help="heartbeat/ETA lines on stderr while the batch "
                         "runs")
-    p.add_argument("--engine", default="wheel",
-                   choices=["wheel", "array", "legacy"],
-                   help="cycle-engine implementation (bit-identical "
-                        "results; 'array' is the fast struct-of-arrays "
-                        "engine, 'legacy' the seed-faithful oracle)")
     _exec_args(p)
     p.set_defaults(func=_cmd_sweep)
 

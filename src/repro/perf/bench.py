@@ -2,20 +2,16 @@
 
 The benchmark families:
 
-* **Engine microbenchmark** -- cycles/second of the per-cycle engine
-  (deliver / crossbar / transmit) under MIN routing, where routing-side
-  work is negligible and the measurement isolates the network hot path.
-  The baseline is :class:`LegacyNetwork`, a faithful reimplementation of
-  the seed engine's data structures (per-cycle ``sorted`` round-robin,
-  dict port budgets, dict-of-lists event buckets) layered on the current
-  :class:`~repro.sim.network.Network`; it produces bit-identical results,
-  so the speedup ratio measures exactly the data-structure work.
-* **Array-engine microbenchmark** -- the same step-only methodology,
-  comparing the default timing-wheel engine against the struct-of-arrays
-  batched engine (``repro.sim.array.ArrayNetwork``, native C kernel when
-  a compiler is available).  The record names the backend that actually
-  ran (``native`` vs ``fallback``) because the fallback is the wheel
-  path itself and its "speedup" is meaningless.
+* **Array-engine microbenchmark** -- cycles/second of the per-cycle
+  engine (deliver / crossbar / transmit) under MIN routing, where
+  routing-side work is negligible and the measurement isolates the
+  network hot path: ``ArrayNetwork`` on its native C kernel against the
+  same class on the reference path it inherits from the timing-wheel
+  ``Network`` (what a compiler-less host runs, selected here with
+  ``REPRO_ARRAYNET_NATIVE=0``).  The record names the backend that
+  actually ran (``native`` vs ``fallback``) because on a host without a
+  compiler both arms are the reference path and the "speedup" is
+  meaningless.
 * **Sweep wall-clock** -- an N-point latency-vs-load ladder executed
   serially, through a process pool (``--jobs``), and through a warm
   on-disk cache, asserting that all three return identical results.
@@ -42,13 +38,11 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import ObsConfig
 from repro.perf.cache import SimCache
 from repro.perf.executor import SweepExecutor
-from repro.sim.network import Network, Router, SimChannel
-from repro.sim.packet import Packet
 from repro.sim.params import SimParams
 from repro.sim.sweep import latency_vs_load
 from repro.topology import default_dragonfly
@@ -56,253 +50,53 @@ from repro.topology.dragonfly import Dragonfly
 from repro.traffic.patterns import UniformRandom
 
 __all__ = [
-    "LegacyNetwork",
-    "LegacyRouter",
-    "LegacySimChannel",
     "bench_adversary",
     "bench_array",
     "bench_batch",
-    "bench_engine",
     "bench_model",
     "bench_obs",
     "bench_sweep",
-    "legacy_engine",
     "main",
     "run_benchmarks",
 ]
 
 
-class LegacySimChannel(SimChannel):
-    """Seed-faithful channel: ``load_metric`` re-sums credits per call."""
-
-    __slots__ = ()
-
-    def load_metric(self) -> int:
-        committed = self.buffer_size * len(self.credits) - sum(self.credits)
-        return len(self.out_queue) + committed
-
-
-class LegacyRouter(Router):
-    """Seed-faithful router: occupied input slots tracked in a ``set``."""
-
-    __slots__ = ()
-
-    def __init__(self, idx: int, num_ports: int, num_vcs: int) -> None:
-        super().__init__(idx, num_ports, num_vcs)
-        self.active = set()  # type: ignore[assignment]
-
-    def activate(self, slot: int) -> None:
-        self.active.add(slot)
-
-    def deactivate(self, slot: int) -> None:
-        self.active.discard(slot)
-
-
-class LegacyNetwork(Network):
-    """The seed engine's hot-path data structures, for baseline timing.
-
-    Reimplements the pre-optimization per-cycle phases: future events in
-    ``dict`` buckets keyed by cycle, round-robin order via a per-cycle
-    ``sorted(...)`` with a modular key, crossbar budgets in dicts keyed by
-    port / ``id(channel)``, occupied input slots in per-router ``set``s,
-    and an O(num_vcs) ``load_metric`` that re-sums credit counters on
-    every query.  Credit totals are still maintained (a few integer adds)
-    so the optimized :meth:`SimChannel.load_metric` invariants stay
-    consistent; work lists stay insertion-ordered dicts so both engines
-    see identical event orderings and produce bit-identical results.
-    """
-
-    channel_cls = LegacySimChannel
-    router_cls = LegacyRouter
-
-    def __init__(self, topo, params, num_vcs) -> None:
-        super().__init__(topo, params, num_vcs)
-        self._deliveries: Dict[int, List[Tuple[SimChannel, Packet]]] = {}
-        self._credit_returns: Dict[
-            int, List[Tuple[SimChannel, int, int]]
-        ] = {}
-        # seed work list: channels with queued output flits, scanned every
-        # cycle (insertion-ordered for run-to-run determinism)
-        self._busy_channels: Dict[SimChannel, None] = {}
-
-    def inject(self, packet: Packet) -> None:
-        channel = self.inject_channels[packet.src_node]
-        channel.out_queue.append(packet)
-        self._busy_channels[channel] = None
-
-    def _deliver(self) -> None:
-        returns = self._credit_returns.pop(self.cycle, None)
-        if returns:
-            for channel, vc, count in returns:
-                channel.credits[vc] += count
-                channel.credit_total += count
-        items = self._deliveries.pop(self.cycle, None)
-        if not items:
-            return
-        for channel, packet in items:
-            if channel.is_ejection:
-                self.on_eject(packet, self.cycle)
-                continue
-            router = self.routers[channel.dst_router]
-            if packet.hop == 1 and packet.revisable and self.on_arrival:
-                self.on_arrival(packet, router.idx)
-            slot = router.slot(channel.dst_port, packet.current_vc)
-            router.queues[slot].append(packet)
-            router.active.add(slot)
-            self._active_routers[router.idx] = None
-            packet.arrived_channel = channel
-
-    def _crossbar(self) -> None:
-        speedup = self.params.speedup
-        num_vcs = self.num_vcs
-        psize = self.params.packet_size
-        for ridx in list(self._active_routers):
-            router = self.routers[ridx]
-            if not router.active:
-                del self._active_routers[ridx]
-                continue
-            if len(router.active) == 1:
-                order = list(router.active)
-            else:
-                total = router.num_ports * num_vcs
-                rr = router.rr
-                order = sorted(router.active, key=lambda s: (s - rr) % total)
-            router.rr = (router.rr + 1) % (router.num_ports * num_vcs)
-            in_budget: Dict[int, int] = {}
-            out_budget: Dict[int, int] = {}
-            for slot in order:
-                queue = router.queues[slot]
-                if not queue:
-                    router.active.discard(slot)
-                    continue
-                port = slot // num_vcs
-                if in_budget.get(port, 0) >= speedup:
-                    continue
-                packet = queue[0]
-                ejecting = packet.hop >= packet.path_hops
-                if ejecting:
-                    out_channel = self.eject_channels[packet.dst_node]
-                    next_vc = 0
-                else:
-                    out_channel = packet.route[packet.hop]
-                    next_vc = packet.next_vc
-                out_key = id(out_channel)
-                if out_budget.get(out_key, 0) >= speedup:
-                    continue
-                if len(out_channel.out_queue) >= out_channel.out_capacity:
-                    continue
-                if not ejecting and out_channel.credits[next_vc] < psize:
-                    continue
-                queue.popleft()
-                if not queue:
-                    router.active.discard(slot)
-                in_budget[port] = in_budget.get(port, 0) + 1
-                out_budget[out_key] = out_budget.get(out_key, 0) + 1
-                arrived = packet.arrived_channel
-                if arrived is not None:
-                    when = self.cycle + arrived.latency
-                    self._credit_returns.setdefault(when, []).append(
-                        (arrived, packet.current_vc, psize)
-                    )
-                if not ejecting:
-                    out_channel.credits[next_vc] -= psize
-                    out_channel.credit_total -= psize
-                    packet.current_vc = next_vc
-                    packet.hop += 1
-                out_channel.out_queue.append(packet)
-                self._busy_channels[out_channel] = None
-            if not router.active:
-                self._active_routers.pop(ridx, None)
-
-    def _transmit(self) -> None:
-        psize = self.params.packet_size
-        tail_delay = psize - 1
-        done = []
-        for channel in self._busy_channels:
-            if not channel.out_queue:
-                done.append(channel)
-                continue
-            if self.cycle < channel.busy_until:
-                continue
-            if channel.src_router is None and not channel.is_ejection:
-                packet = channel.out_queue[0]
-                vc = packet.next_vc if packet.path_hops else 0
-                if channel.credits[vc] < psize:
-                    continue
-                channel.credits[vc] -= psize
-                channel.credit_total -= psize
-                packet.current_vc = vc
-                channel.out_queue.popleft()
-                when = self.cycle + channel.latency + tail_delay
-            else:
-                packet = channel.out_queue.popleft()
-                when = self.cycle + channel.latency + tail_delay
-                if not channel.is_ejection:
-                    when += self.params.router_latency
-            channel.busy_until = self.cycle + psize
-            channel.flits_sent += psize
-            self._deliveries.setdefault(when, []).append((channel, packet))
-            if not channel.out_queue:
-                done.append(channel)
-        for channel in done:
-            self._busy_channels.pop(channel, None)
-
-    def quiescent(self) -> bool:
-        return (
-            not self._busy_channels
-            and not self._deliveries
-            and not self._credit_returns
-            and self.in_flight() == 0
-        )
-
-    def in_flight(self) -> int:
-        total = sum(len(items) for items in self._deliveries.values())
-        for router in self.routers:
-            for q in router.queues:
-                total += len(q)
-        # repro: allow[DET102]: integer occupancy total; addition order
-        # cannot change the sum
-        for channel in self.channels.values():
-            total += len(channel.out_queue)
-        for channel in self.eject_channels:
-            total += len(channel.out_queue)
-        return total
-
-
 @contextmanager
-def legacy_engine():
-    """Run ``simulate()`` on :class:`LegacyNetwork` inside this context."""
-    import repro.sim.engine as engine_module
+def _reference_path() -> Iterator[None]:
+    """Networks built inside the context step on the reference path.
 
-    original = engine_module.Network
-    engine_module.Network = LegacyNetwork
+    Sets the host gate ``REPRO_ARRAYNET_NATIVE=0`` (read by
+    ``load_kernel`` each time a network is built) and restores it.
+    """
+    previous = os.environ.get("REPRO_ARRAYNET_NATIVE")
+    os.environ["REPRO_ARRAYNET_NATIVE"] = "0"
     try:
         yield
     finally:
-        engine_module.Network = original
+        if previous is None:
+            del os.environ["REPRO_ARRAYNET_NATIVE"]
+        else:
+            os.environ["REPRO_ARRAYNET_NATIVE"] = previous
 
 
 # ---------------------------------------------------------------------------
 # Benchmarks
 # ---------------------------------------------------------------------------
-def _time_steps(topo, pattern, load, routing, params, seed, cls=None) -> Tuple:
+def _time_steps(topo, pattern, load, routing, params, seed) -> Tuple:
     """Run one ``simulate()`` and time only the engine's ``step`` calls.
 
-    The accumulator wraps ``cls.step`` (default :class:`Network`, which
-    :class:`LegacyNetwork` inherits; pass ``ArrayNetwork`` explicitly
-    because it *overrides* ``step`` and patching the base class would
-    silently time nothing) and sums a ``perf_counter`` interval around
-    each cycle.  Injection, routing decisions, and warmup/drain
-    bookkeeping in ``simulate()`` are identical code in all engines and
-    are excluded, so the ratio measures the deliver/crossbar/transmit
-    phases the engine work touched.
+    The accumulator wraps ``ArrayNetwork.step`` (which runs the kernel
+    or defers to the inherited reference ``step``, so one patch times
+    either path) and sums a ``perf_counter`` interval around each
+    cycle.  Injection, routing decisions, and warmup/drain bookkeeping
+    in ``simulate()`` are excluded, so the ratio measures the
+    deliver/crossbar/transmit phases only.
     """
+    from repro.sim.array import ArrayNetwork
     from repro.sim.engine import simulate
 
-    if cls is None:
-        cls = Network
     acc = [0.0, 0]
-    original = cls.step
+    original = ArrayNetwork.step
 
     def step(self):
         start = time.perf_counter()
@@ -310,76 +104,14 @@ def _time_steps(topo, pattern, load, routing, params, seed, cls=None) -> Tuple:
         acc[0] += time.perf_counter() - start
         acc[1] += 1
 
-    cls.step = step
+    ArrayNetwork.step = step
     try:
         result = simulate(
             topo, pattern, load, routing=routing, params=params, seed=seed
         )
     finally:
-        cls.step = original
+        ArrayNetwork.step = original
     return acc[0], acc[1], result
-
-
-def bench_engine(
-    topo: Optional[Dragonfly] = None,
-    *,
-    window_cycles: int = 600,
-    load: float = 1.0,
-    routing: str = "min",
-    seed: int = 1,
-    repeats: int = 5,
-) -> Dict:
-    """Engine cycles/second, optimized vs the legacy reference baseline.
-
-    MIN routing keeps the routing layer trivial (cached single-path
-    decisions) and the saturating default load keeps buffers deep, so the
-    per-cycle deliver/crossbar/transmit phases dominate ``step()`` time;
-    a long window lets queue occupancy build up, which is exactly the
-    regime the engine refactor targets (the legacy per-cycle ``sorted``
-    cost grows with the occupied-slot count).
-    Timing is step-only (see :func:`_time_steps`); the two engines run in
-    interleaved optimized/legacy pairs so slow drift in background load
-    hits both equally, and the record reports best-of-``repeats`` per
-    engine -- the minimum is the standard noise-robust estimator, since
-    scheduler interference only ever adds time.  Both engines must
-    produce bit-identical results (asserted in the record).
-    """
-    topo = topo if topo is not None else default_dragonfly()
-    params = SimParams(window_cycles=window_cycles)
-    pattern = UniformRandom(topo)
-
-    best_opt, best_leg = float("inf"), float("inf")
-    cycles_opt = cycles_leg = 0
-    result_opt = result_leg = None
-    for _ in range(repeats):
-        elapsed, cycles_opt, result_opt = _time_steps(
-            topo, pattern, load, routing, params, seed
-        )
-        best_opt = min(best_opt, elapsed)
-        with legacy_engine():
-            elapsed, cycles_leg, result_leg = _time_steps(
-                topo, pattern, load, routing, params, seed
-            )
-        best_leg = min(best_leg, elapsed)
-
-    identical = (
-        result_opt.avg_latency == result_leg.avg_latency
-        and result_opt.accepted_rate == result_leg.accepted_rate
-        and result_opt.packets_measured == result_leg.packets_measured
-    )
-    return {
-        "topology": str(topo),
-        "routing": routing,
-        "load": load,
-        "window_cycles": window_cycles,
-        "engine_cycles": cycles_opt,
-        "baseline_engine": "legacy",
-        "optimized_engine": "wheel",
-        "baseline_cycles_per_sec": cycles_leg / best_leg,
-        "optimized_cycles_per_sec": cycles_opt / best_opt,
-        "speedup": (cycles_opt / best_opt) / (cycles_leg / best_leg),
-        "identical_results": identical,
-    }
 
 
 def bench_array(
@@ -391,40 +123,41 @@ def bench_array(
     seed: int = 1,
     repeats: int = 5,
 ) -> Dict:
-    """Array-engine cycles/second vs the timing-wheel default.
+    """Native-kernel cycles/second vs the reference path.
 
-    Same step-only, interleaved, best-of-``repeats`` methodology as
-    :func:`bench_engine` (see there for why MIN at saturating load is
-    the right regime), but the baseline arm is the *wheel* engine -- the
-    repo default that ``bench_engine`` reports as "optimized" -- so the
-    two records compose: legacy -> wheel -> array.
+    MIN routing keeps the routing layer trivial and the saturating
+    default load keeps buffers deep, so the per-cycle
+    deliver/crossbar/transmit phases dominate ``step()`` time; a long
+    window lets queue occupancy build up.  Timing is step-only (see
+    :func:`_time_steps`); the two arms run in interleaved pairs so slow
+    drift in background load hits both equally, and the record reports
+    best-of-``repeats`` per arm -- the minimum is the standard
+    noise-robust estimator, since scheduler interference only ever adds
+    time.
 
     ``identical_results`` uses full :class:`SimResult` equality (every
     measured field; the manifest is excluded by construction), which is
-    the engine-parity contract the array engine must uphold.  ``backend``
-    records whether the native C kernel actually ran: without a compiler
-    the array engine falls back to the inherited wheel path and the
-    speedup would be a meaningless ~1.0x.
+    the parity contract the kernel must uphold.  ``backend`` records
+    whether the native C kernel actually ran: without a compiler both
+    arms are the reference path and the speedup is a meaningless ~1.0x.
     """
-    from repro.sim.array import ArrayNetwork
     from repro.sim.array.native import native_available
 
     topo = topo if topo is not None else default_dragonfly()
     pattern = UniformRandom(topo)
-    wheel_params = SimParams(window_cycles=window_cycles)
-    array_params = SimParams(window_cycles=window_cycles, engine="array")
+    params = SimParams(window_cycles=window_cycles)
 
-    best_wheel, best_arr = float("inf"), float("inf")
-    cycles_wheel = cycles_arr = 0
-    result_wheel = result_arr = None
+    best_ref, best_arr = float("inf"), float("inf")
+    cycles_ref = cycles_arr = 0
+    result_ref = result_arr = None
     for _ in range(repeats):
-        elapsed, cycles_wheel, result_wheel = _time_steps(
-            topo, pattern, load, routing, wheel_params, seed
-        )
-        best_wheel = min(best_wheel, elapsed)
+        with _reference_path():
+            elapsed, cycles_ref, result_ref = _time_steps(
+                topo, pattern, load, routing, params, seed
+            )
+        best_ref = min(best_ref, elapsed)
         elapsed, cycles_arr, result_arr = _time_steps(
-            topo, pattern, load, routing, array_params, seed,
-            cls=ArrayNetwork,
+            topo, pattern, load, routing, params, seed
         )
         best_arr = min(best_arr, elapsed)
 
@@ -437,10 +170,10 @@ def bench_array(
         "baseline_engine": "wheel",
         "optimized_engine": "array",
         "backend": "native" if native_available() else "fallback",
-        "baseline_cycles_per_sec": cycles_wheel / best_wheel,
+        "baseline_cycles_per_sec": cycles_ref / best_ref,
         "optimized_cycles_per_sec": cycles_arr / best_arr,
-        "speedup": (cycles_arr / best_arr) / (cycles_wheel / best_wheel),
-        "identical_results": result_arr == result_wheel,
+        "speedup": (cycles_arr / best_arr) / (cycles_ref / best_ref),
+        "identical_results": result_arr == result_ref,
     }
 
 
@@ -452,24 +185,23 @@ def bench_batch(
     routing: str = "min",
     batch_sizes: Sequence[int] = (1, 4, 8, 16),
 ) -> Dict:
-    """Batched multi-run throughput vs sequential single-run array runs.
+    """Lockstep multi-run throughput vs the same runs one after another.
 
-    Unlike the step-only microbenchmarks, this arm times **whole runs**:
-    at saturating load the kernel is only a few percent of a full
-    ``simulate()`` (per-packet routing and injection dominate), so the
-    batched driver's win comes from amortizing that per-cycle Python
-    work across runs -- shared MIN candidate tables, vectorized
-    injection, one ``repro_step_batch`` call per cycle.  End-to-end
-    aggregate cycles/second is therefore the honest metric, and it is
-    the quantity sweeps actually experience.
+    Unlike the step-only microbenchmark, this arm times **whole runs**:
+    end-to-end aggregate cycles/second is the quantity sweeps actually
+    experience.  Both arms drive the same :class:`~repro.sim.engine.Run`
+    (the vectorized MIN injection lane included), so the ratio isolates
+    what the lockstep itself buys: one ``repro_step_batch`` call per
+    cycle instead of B ``repro_step_cycle`` calls, against B networks'
+    state interleaved in the cache.
 
     Each batch size ``B`` runs seeds ``0..B-1`` once through
     :func:`repro.sim.batch.simulate_batch` and once sequentially through
-    ``simulate()`` on the array engine; ``identical_results`` demands
-    full :class:`SimResult` equality for every run -- the bit-parity
-    contract that makes batching identity-neutral.  The shared candidate
-    table is prewarmed outside the timed regions (it is process-memoized
-    and amortized across every batch on one topology).
+    ``simulate()``; ``identical_results`` demands full
+    :class:`SimResult` equality for every run -- the bit-parity contract
+    that makes batching identity-neutral.  The route table is prewarmed
+    outside the timed regions (it is process-memoized and amortized
+    across every run on one topology).
     """
     from repro.sim.array.native import native_available
     from repro.sim.batch import simulate_batch
@@ -478,7 +210,7 @@ def bench_batch(
 
     topo = topo if topo is not None else default_dragonfly()
     pattern = UniformRandom(topo)
-    params = SimParams(window_cycles=window_cycles, engine="array")
+    params = SimParams(window_cycles=window_cycles)
     record: Dict = {
         "topology": str(topo),
         "routing": routing,
@@ -490,8 +222,8 @@ def bench_batch(
         "identical_results": True,
     }
     if record["backend"] != "native":
-        # the batched driver refuses the scalar fallback (no shared
-        # kernel call to amortize); report the skip instead of a fake 1x
+        # the batched driver refuses the reference path (no shared
+        # kernel call to make); report the skip instead of a fake 1x
         record["skipped"] = "native kernel unavailable"
         return record
 
@@ -506,7 +238,7 @@ def bench_batch(
     simulate_batch(
         [RunSpec.from_objects(
             topo, pattern, load, routing=routing, policy=None,
-            params=SimParams(window_cycles=1, engine="array"), seed=0,
+            params=SimParams(window_cycles=1), seed=0,
         )]
     )
     for size in batch_sizes:
@@ -907,7 +639,7 @@ def run_benchmarks(
     cache_dir: Optional[str] = None,
     quick: bool = False,
 ) -> Dict:
-    """Run all three benchmark families and return the trajectory record."""
+    """Run every benchmark family and return the trajectory record."""
     p, a, h, g = (int(x) for x in topology.split(","))
     topo = Dragonfly(p, a, h, g)
     if quick:
@@ -919,14 +651,9 @@ def run_benchmarks(
     loads = [0.05 + 0.05 * i for i in range(sweep_points)]
     record = {
         "bench": "repro.perf",
-        "version": 4,
+        "version": 5,
         "python": platform.python_version(),
         "cpus": os.cpu_count() or 1,
-        "engine_microbench": bench_engine(
-            topo,
-            window_cycles=engine_window,
-            repeats=1 if quick else 5,
-        ),
         "array_microbench": bench_array(
             topo,
             window_cycles=engine_window,
@@ -1002,11 +729,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(record, fh, indent=2)
         fh.write("\n")
 
-    eng = record["engine_microbench"]
     swp = record["sweep"]
-    print(f"engine: {eng['baseline_cycles_per_sec']:.0f} -> "
-          f"{eng['optimized_cycles_per_sec']:.0f} cycles/s "
-          f"({eng['speedup']:.2f}x, identical={eng['identical_results']})")
     arr = record["array_microbench"]
     print(f"array ({arr['backend']}): "
           f"{arr['baseline_cycles_per_sec']:.0f} -> "

@@ -16,16 +16,20 @@ where batching is *profitable*:
 
 * eligible payloads are declarative ``RunSpec``s (live-object tasks
   cannot cross ``simulate_batch``'s validation), uninstrumented
-  (``params.obs is None``), not explicit legacy-oracle requests, not
-  opted out via ``params.batch == 1``, and MIN-routed -- MIN is the
-  variant with a fully vectorized injection fast path (measured ~2.4x
-  end-to-end per run at batch 8).  The adaptive variants spend their
-  time in per-packet routing decisions that batching cannot amortize
-  (measured 0.87-1.03x, i.e. neutral to slightly negative from cache
-  interleaving), so they keep the single-run path;
-* eligible payloads group by (topology, routing, policy) -- the
-  compatibility contract of ``simulate_batch``; seed, load, pattern and
-  measurement windows may differ within a group (ragged completion);
+  (``params.obs is None``), not opted out via ``params.batch == 1``,
+  and MIN-routed.  What made MIN batches fast when this policy was
+  written (~2.4x end-to-end per run at batch 8 against the then
+  single-run driver) was the vectorized MIN injection lane, and that
+  lane now belongs to every native MIN run (``Run.inject``), batched or
+  not; the lockstep itself measures 0.8-0.9x of the same runs executed
+  one after another (``docs/performance.md``), as it always did for the
+  adaptive variants (0.87-1.03x), which keep the single-run path.  The
+  policy is kept as it was because the repo's benchmark drives it
+  (``min_ur_batch_g9``); removing the lockstep is scheduled behind a
+  benchmark change, see ROADMAP;
+* eligible payloads group by :func:`repro.sim.batch.compatibility_key`
+  (topology, routing, policy); seed, load, pattern and measurement
+  windows may differ within a group (ragged completion);
 * groups chunk to ``max_batch`` (default 16), lowered by any member's
   ``params.batch`` hint, and -- when the executor runs a process pool --
   spread so every worker gets work instead of one worker hoarding a
@@ -43,6 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.sim.batch import compatibility_key
 from repro.spec import RunSpec
 
 __all__ = ["BatchPlanner", "BatchUnit"]
@@ -75,25 +80,11 @@ class BatchPlanner:
         if not isinstance(payload, RunSpec):
             return False
         params = payload.params
-        if params.obs is not None or params.engine == "legacy":
-            return False
-        if params.batch == 1:
+        if params.obs is not None or params.batch == 1:
             return False
         base = payload.routing.lower()
         base = base[2:] if base.startswith("t-") else base
         return base == "min"
-
-    @staticmethod
-    def _group_key(payload: RunSpec) -> Tuple:
-        from repro.spec import canonical_json
-
-        return (
-            canonical_json(payload.topology.to_dict()),
-            payload.routing.lower(),
-            canonical_json(payload.policy.to_dict())
-            if payload.policy is not None
-            else None,
-        )
 
     def plan(self, payloads: Sequence) -> List[BatchUnit]:
         """Partition ``payloads`` into units covering each index once.
@@ -106,7 +97,7 @@ class BatchPlanner:
         order: List[Tuple[int, BatchUnit]] = []
         for i, payload in enumerate(payloads):
             if self.max_batch > 1 and self.eligible(payload):
-                groups.setdefault(self._group_key(payload), []).append(i)
+                groups.setdefault(compatibility_key(payload), []).append(i)
             else:
                 order.append((i, BatchUnit([i], batched=False)))
         # repro: allow[DET102]: groups is keyed in first-payload order

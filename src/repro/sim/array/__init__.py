@@ -1,8 +1,8 @@
-"""Struct-of-arrays batched simulation engine (``SimParams.engine="array"``).
+"""The simulation engine: struct-of-arrays state, native cycle kernel.
 
-See :mod:`repro.sim.array.network` for the engine and its parity
-contract, and :mod:`repro.sim.array.native` for the on-demand native
-kernel build.
+See :mod:`repro.sim.array.network` for the engine, its reference path
+and the parity contract between the two, and
+:mod:`repro.sim.array.native` for the on-demand native kernel build.
 """
 
 from repro.sim.array.native import (

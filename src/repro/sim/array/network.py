@@ -1,11 +1,11 @@
 """ArrayNetwork: struct-of-arrays batched cycle engine.
 
-The third engine behind the :class:`repro.sim.network.Network` interface
-(``SimParams.engine="array"``).  All flit/credit/VC state lives in numpy
-struct-of-arrays -- per-channel credit tables, output-queue rings, router
-input-buffer rings, sorted active-slot tables, and fixed-capacity timing
-wheels -- and the per-cycle phases are advanced for the whole network per
-call:
+The engine every run gets (``repro.sim.build_network``), behind the
+:class:`repro.sim.network.Network` interface it inherits.  All
+flit/credit/VC state lives in numpy struct-of-arrays -- per-channel
+credit tables, output-queue rings, router input-buffer rings, sorted
+active-slot tables, and fixed-capacity timing wheels -- and the
+per-cycle phases are advanced for the whole network per call:
 
 * the hot path is the native kernel (``kernel.c``, built on demand by
   :mod:`repro.sim.array.native`), a bit-exact transliteration of the
@@ -25,17 +25,19 @@ call:
   is kept scalar-exact and revisions stay in Python);
 * when no C compiler is available (gate ``REPRO_ARRAYNET_NATIVE``), the
   engine transparently falls back to the inherited scalar wheel path --
-  bit-identical by definition, slower, and logged once.
+  slower, logged once, and the reference the kernel is held to.
 
 Because ejections are buffered lazily, callers that drive ``step()``
 directly must call :meth:`finalize` before reading final statistics
 (``simulate`` does this); per-ejection hook order and cycle stamps are
 preserved exactly, only the hook call *time* is deferred.
 
-Results are bit-identical to the wheel engine and ``LegacyNetwork``
-across seed x routing x load (pinned by ``tests/test_array_engine.py``),
-which is why ``SimParams.engine`` is identity-neutral: all engines share
-cache entries and spec fingerprints.
+Results are bit-identical between the kernel and the wheel path across
+seed x routing x load x network parameters (pinned, together with the
+values themselves, by ``tests/test_routing_parity_matrix.py`` and
+``tests/test_array_engine.py``), which is why the path taken is a fact
+about the host and not part of a run's identity: both share cache
+entries and spec fingerprints.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ class _SoA:
 
 
 class ArrayNetwork(Network):
-    """Struct-of-arrays engine behind the Network interface."""
+    """Struct-of-arrays engine behind the Network interface (native
+    kernel, or the inherited reference path when ``backend`` says so)."""
 
     channel_cls = ArrayChannel
 
@@ -537,7 +540,7 @@ class ArrayNetwork(Network):
 
     def intern_route(self, chan_indices, vcs) -> int:
         """Append an image of routes given by raw channel indices to the
-        arena, now; returns its offset.  (The batched driver's MIN lane
+        arena, now; returns its offset.  (``Run``'s MIN injection lane
         interns the table's whole ``MinImage`` this way and memoizes
         offsets by table slot.)
         """

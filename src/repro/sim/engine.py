@@ -2,7 +2,9 @@
 
 ``simulate(...)`` builds the network, wires a routing algorithm and a
 traffic pattern to it, runs warmup + measurement windows, and returns a
-:class:`~repro.sim.stats.SimResult`.
+:class:`~repro.sim.stats.SimResult`.  What a run *is* -- its set-up, its
+per-cycle injection, its result -- is :class:`Run`, shared with the
+lockstep driver in :mod:`repro.sim.batch`.
 
 Injection follows BookSim's Bernoulli process: each node independently
 generates a packet with probability ``load`` per cycle; packets wait in an
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -26,8 +29,9 @@ from repro.obs import (
     active_capture,
 )
 from repro.obs.manifest import RunManifest
-from repro.routing.pathset import PathPolicy
-from repro.sim.network import Network
+from repro.routing.pathset import PathPolicy, swap_sample_memo
+from repro.routing.table import route_table
+from repro.sim.array import ArrayNetwork
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
 from repro.sim.routing import make_routing
@@ -35,92 +39,333 @@ from repro.sim.stats import SimResult, StatsCollector
 from repro.topology.dragonfly import Dragonfly
 from repro.traffic.patterns import NO_TRAFFIC, TrafficPattern
 
-__all__ = ["simulate", "build_network"]
-
-
-def _run_manifest(
-    topo: Dragonfly,
-    pattern: TrafficPattern,
-    load: float,
-    routing: str,
-    policy: Optional[PathPolicy],
-    params: SimParams,
-    seed: int,
-    spec: Optional[Any],
-) -> RunManifest:
-    """The provenance record of one run (identity fields only).
-
-    Fingerprint derivation mirrors the result cache: the declarative
-    ``RunSpec`` identity when every component is a registered spec type,
-    the structural fallback otherwise, ``None`` for ad-hoc components.
-    Lazy imports keep ``repro.sim`` importable without ``repro.perf``.
-    """
-    from repro.perf.cache import fingerprint as cache_fingerprint
-    from repro.spec import RunSpec, SpecError
-
-    if spec is None:
-        try:
-            spec = RunSpec.from_objects(
-                topo,
-                pattern,
-                load,
-                routing=routing,
-                policy=policy,
-                params=params,
-                seed=seed,
-            )
-        except SpecError:
-            spec = None
-    return RunManifest(
-        kind="sim",
-        fingerprint=cache_fingerprint(
-            topo,
-            pattern,
-            load,
-            routing=routing,
-            policy=policy,
-            params=params,
-            seed=seed,
-        ),
-        spec_fingerprint=spec.fingerprint() if spec is not None else None,
-        topology=str(topo),
-        routing=routing.lower(),
-        load=float(load),
-        seed=int(seed),
-    )
+__all__ = ["Run", "simulate", "build_network"]
 
 
 def build_network(
     topo: Dragonfly,
     params: SimParams,
     routing_variant: str,
-) -> Network:
-    """Construct a :class:`Network` sized for the routing variant's VCs.
+) -> ArrayNetwork:
+    """Construct the network, sized for the routing variant's VCs.
 
-    ``params.engine`` selects the implementation behind the shared
-    interface: ``"wheel"`` (the default) is the timing-wheel
-    :class:`Network`, ``"array"`` the struct-of-arrays engine with the
-    native cycle kernel (``repro.sim.array``), ``"legacy"`` the
-    seed-faithful oracle kept in ``repro.perf.bench``.  Results are
-    bit-identical across them (the knob is identity-neutral), so the
-    choice is purely a performance decision.
+    There is one engine: :class:`~repro.sim.array.ArrayNetwork`.  It
+    steps through the native cycle kernel where the host can build it
+    and through the inherited timing-wheel :class:`Network` path where
+    it cannot (or where ``REPRO_ARRAYNET_NATIVE=0`` says not to) -- a
+    fact about the host, never about the run: results are bit-identical
+    either way, and the wheel path is the parity reference.
     """
     name = routing_variant.lower()
     base = name[2:] if name.startswith("t-") else name
     num_vcs = params.vcs_required(base, topo.max_local_hops)
-    engine = params.engine
-    if engine == "array":
-        from repro.sim.array import ArrayNetwork
+    return ArrayNetwork(topo, params, num_vcs)
 
-        return ArrayNetwork(topo, params, num_vcs)
-    if engine == "legacy":
-        # lazy: the oracle lives in the bench harness, above repro.sim
-        from repro.perf.bench import LegacyNetwork
 
-        return LegacyNetwork(topo, params, num_vcs)
-    # the module-global name, not a direct class reference:
-    # repro.perf.bench.legacy_engine() monkeypatches it for A/B timing
-    return Network(topo, params, num_vcs)
+class Run:
+    """One simulation run: set-up, per-cycle injection, result.
+
+    Both drivers are built from it.  ``simulate()`` makes one, then per
+    cycle ``run.inject(cycle); run.net.step()``; ``simulate_batch``
+    makes B and replaces the B ``step()`` calls by their ``pre_step`` /
+    ``post_step`` halves around one batched kernel call.  Everything
+    that decides a result -- the rng, the draw order, the routing
+    algorithm, the statistics -- lives here once.
+    """
+
+    def __init__(
+        self,
+        topo: Dragonfly,
+        pattern: TrafficPattern,
+        load: float,
+        *,
+        routing: str = "ugal-l",
+        policy: Optional[PathPolicy] = None,
+        params: Optional[SimParams] = None,
+        seed: int = 0,
+        max_source_queue: int = 10_000,
+        spec: Optional[Any] = None,
+    ) -> None:
+        if not 0.0 <= load <= 1.0:
+            raise ValueError("load must be in [0, 1] packets/cycle/node")
+        params = params if params is not None else SimParams()
+        self.topo = topo
+        self.pattern = pattern
+        self.load = load
+        self.routing = routing
+        self.policy = policy
+        self.params = params
+        self.seed = seed
+        self.spec = spec
+        self.max_source_queue = max_source_queue
+        self.warmup = params.warmup_cycles
+        self.total = params.total_cycles
+        self.net = net = build_network(topo, params, routing)
+        self.rng = np.random.default_rng(seed)
+        self.algo = make_routing(net, routing, policy=policy, rng=self.rng)
+        base = self.algo.variant  # the name without its t- prefix
+        if params.verify:
+            # static pre-flight gate: certify deadlock freedom and path-set
+            # invariants before burning cycles on a broken configuration
+            from repro.verify import verify_config
+
+            report = verify_config(
+                topo,
+                policy,
+                scheme=params.vc_scheme,
+                routing=base,
+                num_vcs=net.num_vcs,
+                seed=seed,
+            )
+            if not report.passed:
+                raise RuntimeError(
+                    "static verification failed for this simulation "
+                    f"configuration:\n{report.to_text()}"
+                )
+        self.stats = StatsCollector(topo.num_nodes, self.warmup)
+        net.on_eject = self.stats.record_ejection
+        net.on_eject_batch = self.stats.record_ejection_batch
+        net.on_arrival = self.algo.revise_at
+        # sparse-policy reservoirs depend on the rng that filled them, so
+        # every run samples against its own memo (see sampling()): the
+        # result is a pure function of the arguments, whatever ran before
+        # or runs interleaved with it in this process
+        self.memo: dict = {}
+        obs = params.obs
+        self.registry = (
+            MetricRegistry()
+            if obs is not None and obs.metrics
+            else NULL_REGISTRY
+        )
+        self._inc_injected = self.registry.counter("engine.packets_injected").inc
+        self._inc_stalled = self.registry.counter("engine.inject_stalls").inc
+        self._nodes = np.arange(topo.num_nodes)
+        self._scheduled = getattr(pattern, "scheduled", False)
+        # MIN candidates are rng-free table rows, so with the native
+        # kernel a whole cycle's injection is array lookups (_inject_min)
+        # into the table's flattened image.  Filling that image is one
+        # Python step per switch pair (once per topology per process),
+        # which pays only for a run that routes at least as many packets
+        self._min_lane = (
+            base == "min"
+            and not self._scheduled
+            and net.backend == "native"
+            and self.total * topo.num_nodes * load >= topo.num_switches**2
+        )
+        if self._min_lane:
+            image = route_table(topo).min_image(params.vc_scheme, net.num_vcs)
+            self._image = image
+            # the whole image, interned once: arena offset per table slot
+            self._offs = net.intern_route(image.chan, image.vc) + image.rel
+            self._sw_of = np.fromiter(
+                (topo.switch_of_node(n) for n in range(topo.num_nodes)),
+                np.int64,
+                topo.num_nodes,
+            )
+        # repro: allow[DET104]: wall_seconds is runtime metadata on the
+        # manifest, never part of result identity or cache keys
+        self._wall_start = time.perf_counter()
+
+    @classmethod
+    def from_spec(cls, spec: Any, topo: Optional[Dragonfly] = None) -> "Run":
+        """The run a :class:`~repro.spec.RunSpec` declares (on ``topo``
+        when the caller already built the spec's topology)."""
+        if topo is None:
+            topo = spec.topology.build()
+        return cls(
+            topo,
+            spec.pattern.build(topo),
+            spec.load,
+            routing=spec.routing,
+            policy=spec.policy.build() if spec.policy is not None else None,
+            params=spec.params,
+            seed=spec.seed,
+            spec=spec,
+        )
+
+    @contextmanager
+    def sampling(self) -> Iterator[None]:
+        """Route against this run's private reservoir memo inside the
+        context (injection and PAR revision both sample)."""
+        previous = swap_sample_memo(self.memo)
+        try:
+            yield
+        finally:
+            swap_sample_memo(previous)
+
+    # ------------------------------------------------------------------
+    # Injection: trace events, or one Bernoulli draw per node
+    # ------------------------------------------------------------------
+    def inject(self, cycle: int) -> None:
+        """Generate, route and queue the packets of ``cycle``."""
+        if self._scheduled:
+            self._inject_scheduled(cycle)
+        elif self.load > 0.0:
+            draws = self.rng.random(self.topo.num_nodes) < self.load
+            srcs = self._nodes[draws]
+            if srcs.size:
+                dests = self.pattern.sample_destinations(srcs, self.rng)
+                if self._min_lane:
+                    self._inject_min(cycle, srcs, np.asarray(dests))
+                else:
+                    self._inject_routed(cycle, srcs, dests)
+
+    def _inject_scheduled(self, cycle: int) -> None:
+        net = self.net
+        algo = self.algo
+        for src, dst in self.pattern.injections_at(cycle):
+            if src == dst:
+                continue
+            if net.source_queue_len(src) >= self.max_source_queue:
+                self._inc_stalled()
+                continue
+            packet = Packet(src, int(dst), cycle)
+            algo.route_packet(packet)
+            net.inject(packet)
+            self._inc_injected()
+
+    def _inject_routed(self, cycle: int, srcs: np.ndarray, dests) -> None:
+        """Create, route all, then inject all.
+
+        Routing reads only channel load_metric state (never source
+        queues), each node draws at most one packet per cycle, and
+        route_packets preserves sequence order, so this is bit-identical
+        to a per-packet route/inject interleave.
+        """
+        net = self.net
+        cap = self.max_source_queue
+        inc_stalled, inc_injected = self._inc_stalled, self._inc_injected
+        batch = []
+        for src, dst in zip(srcs.tolist(), dests.tolist()):
+            if dst == NO_TRAFFIC:
+                continue
+            if net.source_queue_len(src) >= cap:
+                inc_stalled()
+                continue
+            batch.append(Packet(src, int(dst), cycle))
+            inc_injected()
+        if batch:
+            self.algo.route_packets(batch)
+            for packet in batch:
+                net.inject(packet)
+
+    def _inject_min(
+        self, cycle: int, srcs: np.ndarray, dests: np.ndarray
+    ) -> None:
+        """:meth:`_inject_routed` for MIN, as array operations.
+
+        The rng consumption is the routed lane's: one ``integers(k)``
+        per multi-candidate packet in packet order (single-candidate and
+        same-switch packets draw nothing, matching
+        ``RoutingAlgorithm.pick_min``).
+        """
+        net = self.net
+        live = dests != NO_TRAFFIC
+        keep = live & (net._S.src_len[srcs] < self.max_source_queue)
+        srcs = srcs[keep]
+        m = srcs.size
+        if self.registry.enabled:
+            self._inc_stalled(int(live.sum()) - m)
+            self._inc_injected(m)
+        if not m:
+            return
+        dests = dests[keep]
+        ssw = self._sw_of[srcs]
+        dsw = self._sw_of[dests]
+        pairs = ssw * self.topo.num_switches + dsw
+        image = self._image
+        ks = np.where(ssw == dsw, 0, image.k[pairs])
+        slots = image.first[pairs]
+        multi = np.nonzero(ks > 1)[0]
+        if multi.size:
+            ints = self.rng.integers
+            for i in multi.tolist():
+                slots[i] += int(ints(int(ks[i])))
+        picked = ks > 0
+        records = np.zeros((m, 8), np.int32)  # kernel.c SE_* columns
+        records[:, 0] = np.where(picked, image.hops[slots], 0)
+        records[:, 1] = np.where(picked, image.vcs0[slots], 0)
+        records[:, 2] = dests
+        records[:, 4] = np.where(picked, self._offs[slots], 0)
+        records[:, 5] = cycle
+        self.algo.min_chosen += m
+        net.inject_batch(srcs, records)
+
+    # ------------------------------------------------------------------
+    def finish(self) -> SimResult:
+        """Drain the network and package the run's :class:`SimResult`."""
+        net = self.net
+        params = self.params
+        # the engine buffers ejections across cycles; drain them before
+        # stats.result so the tail packets count
+        net.finalize()
+        # the hook closes a network <-> routing reference cycle; without it
+        # both are freed on return instead of piling up until a full GC
+        net.on_arrival = None
+        # repro: allow[DET104]: closes the wall_seconds runtime measurement
+        wall_seconds = time.perf_counter() - self._wall_start
+        measure_cycles = params.measure_windows * params.window_cycles
+        result = self.stats.result(
+            offered_load=self.load,
+            measure_cycles=measure_cycles,
+            sat_latency=params.sat_latency,
+            routing=self.algo,
+            sat_accept_factor=params.sat_accept_factor,
+            live_fraction=self.pattern.live_fraction(),
+        )
+        result.channel_utilization = net.channel_utilization(measure_cycles)
+
+        # provenance, off the hot path: observability never perturbs the
+        # result above
+        registry = self.registry
+        registry.counter("engine.cycles").inc(self.total)
+        registry.counter("engine.packets_measured").inc(result.packets_measured)
+        registry.gauge("engine.cycles_per_sec").set(
+            self.total / wall_seconds if wall_seconds > 0 else 0.0
+        )
+        self.manifest = manifest = self._manifest()
+        manifest.wall_seconds = wall_seconds
+        manifest.engine_cycles = self.total
+        if registry.enabled:
+            manifest.metrics = registry.snapshot()
+        result.manifest = manifest
+        return result
+
+
+    def _manifest(self) -> RunManifest:
+        """The provenance record of this run (identity fields only).
+
+        Fingerprint derivation mirrors the result cache: the declarative
+        ``RunSpec`` identity when every component is a registered spec
+        type, the structural fallback otherwise, ``None`` for ad-hoc
+        components.  Lazy imports keep ``repro.sim`` importable without
+        ``repro.perf``.
+        """
+        from repro.perf.cache import fingerprint as cache_fingerprint
+        from repro.spec import RunSpec, SpecError
+
+        args = (self.topo, self.pattern, self.load)
+        identity: Dict[str, Any] = dict(
+            routing=self.routing,
+            policy=self.policy,
+            params=self.params,
+            seed=self.seed,
+        )
+        spec = self.spec
+        if spec is None:
+            try:
+                spec = RunSpec.from_objects(*args, **identity)
+            except SpecError:
+                pass
+        return RunManifest(
+            kind="sim",
+            fingerprint=cache_fingerprint(*args, **identity),
+            spec_fingerprint=spec.fingerprint() if spec is not None else None,
+            topology=str(self.topo),
+            routing=self.routing.lower(),
+            load=float(self.load),
+            seed=int(self.seed),
+        )
 
 
 def simulate(
@@ -153,7 +398,6 @@ def simulate(
     non-saturated run reaches and packets are only generated while below
     it (stalled generation, like BookSim's finite injection queues).
     """
-    run_spec = None
     if pattern is None and load is None:
         # spec form -- lazy import, the spec layer sits above sim
         from repro.spec import RunSpec
@@ -162,186 +406,71 @@ def simulate(
             raise TypeError(
                 "simulate() needs (topo, pattern, load, ...) or a RunSpec"
             )
-        run_spec = topo
-        topo = run_spec.topology.build()
-        pattern = run_spec.pattern.build(topo)
-        load = run_spec.load
-        routing = run_spec.routing
-        policy = (
-            run_spec.policy.build() if run_spec.policy is not None else None
-        )
-        params = run_spec.params
-        seed = run_spec.seed
+        run = Run.from_spec(topo)
     elif pattern is None or load is None:
         raise TypeError("simulate() needs both pattern and load")
-    if not 0.0 <= load <= 1.0:
-        raise ValueError("load must be in [0, 1] packets/cycle/node")
-    params = params if params is not None else SimParams()
-
-    # drop sampling state inherited from earlier runs in this process, so
-    # the result is a pure function of the arguments (and serial sweeps
-    # match process-pool sweeps bit for bit)
-    from repro.routing.pathset import reset_sample_memo
-
-    reset_sample_memo()
-
-    network = build_network(topo, params, routing)
-    if params.verify:
-        # static pre-flight gate: certify deadlock freedom and path-set
-        # invariants before burning cycles on a broken configuration
-        from repro.verify import verify_config
-
-        base = routing.lower()
-        base = base[2:] if base.startswith("t-") else base
-        report = verify_config(
+    else:
+        run = Run(
             topo,
-            policy,
-            scheme=params.vc_scheme,
-            routing=base,
-            num_vcs=network.num_vcs,
+            pattern,
+            load,
+            routing=routing,
+            policy=policy,
+            params=params,
             seed=seed,
+            max_source_queue=max_source_queue,
         )
-        if not report.passed:
-            raise RuntimeError(
-                "static verification failed for this simulation "
-                f"configuration:\n{report.to_text()}"
-            )
-    rng = np.random.default_rng(seed)
-    algo = make_routing(network, routing, policy=policy, rng=rng)
-    stats = StatsCollector(topo.num_nodes, params.warmup_cycles)
-
-    network.on_eject = stats.record_ejection
-    network.on_eject_batch = stats.record_ejection_batch
-    network.on_arrival = algo.revise_at
-
-    nodes = np.arange(topo.num_nodes)
-    total_cycles = params.total_cycles
-    warmup_cycles = params.warmup_cycles
-
-    scheduled = getattr(pattern, "scheduled", False)
+    network = run.net
+    total_cycles = run.total
 
     # --- observability wiring (repro.obs; identity-neutral) ---
     # The disabled default keeps the hot loop untouched beyond one
     # ``sampler is not None`` check per cycle and no-op counter calls
     # per injected packet (the <2% budget asserted in the bench smoke).
-    obs = params.obs
-    registry = NULL_REGISTRY
+    obs = run.params.obs
     tracer: Optional[Tracer] = None
     sampler: Optional[EngineSampler] = None
     sample_every = 0
     run_label = ""
-    if obs is not None:
-        if obs.metrics:
-            registry = MetricRegistry()
-        if obs.sample_every > 0:
-            sample_every = obs.sample_every
-            run_label = f"seed{seed}-load{load:g}"
-            tracer = Tracer()
-            tracer.record(
-                "run_start",
-                run=run_label,
-                kind="sim",
-                cycle=0,
-                topology=str(topo),
-                routing=routing,
-                load=float(load),
-                seed=int(seed),
-                sample_every=sample_every,
-            )
-            sampler = EngineSampler(tracer, network, run_label)
-    inc_injected = registry.counter("engine.packets_injected").inc
-    inc_stalled = registry.counter("engine.inject_stalls").inc
+    if obs is not None and obs.sample_every > 0:
+        sample_every = obs.sample_every
+        run_label = f"seed{run.seed}-load{run.load:g}"
+        tracer = Tracer()
+        tracer.record(
+            "run_start",
+            run=run_label,
+            kind="sim",
+            cycle=0,
+            topology=str(run.topo),
+            routing=run.routing,
+            load=float(run.load),
+            seed=int(run.seed),
+            sample_every=sample_every,
+        )
+        sampler = EngineSampler(tracer, network, run_label)
 
-    # repro: allow[DET104]: wall_seconds is runtime metadata on the
-    # result, never part of result identity or cache keys
-    wall_start = time.perf_counter()
-    for cycle in range(total_cycles):
-        if cycle == warmup_cycles:
-            network.reset_channel_counters()
-            if sampler is not None:
-                sampler.rebase()
-        # --- injection: trace events, or Bernoulli per node ---
-        if scheduled:
-            for src, dst in pattern.injections_at(cycle):
-                if src == dst:
-                    continue
-                if network.source_queue_len(src) >= max_source_queue:
-                    inc_stalled()
-                    continue
-                packet = Packet(src, int(dst), cycle)
-                algo.route_packet(packet)
-                network.inject(packet)
-                inc_injected()
-        elif load > 0.0:
-            draws = rng.random(topo.num_nodes) < load
-            srcs = nodes[draws]
-            if srcs.size:
-                dests = pattern.sample_destinations(srcs, rng)
-                # batch: create, route all, then inject all.  Routing
-                # reads only channel load_metric state (never source
-                # queues), each node draws at most one packet per cycle,
-                # and route_packets preserves sequence order, so this is
-                # bit-identical to the per-packet route/inject interleave
-                batch = []
-                for src, dst in zip(srcs.tolist(), dests.tolist()):
-                    if dst == NO_TRAFFIC:
-                        continue
-                    if network.source_queue_len(src) >= max_source_queue:
-                        inc_stalled()
-                        continue
-                    batch.append(Packet(src, int(dst), cycle))
-                    inc_injected()
-                if batch:
-                    algo.route_packets(batch)
-                    for packet in batch:
-                        network.inject(packet)
-        network.step()
-        if sampler is not None and network.cycle % sample_every == 0:
-            sampler.sample()
-    # drain any ejections the engine buffered across cycles (array
-    # engine); must precede stats.result so the tail packets count
-    network.finalize()
-    # the hook closes a network <-> routing reference cycle; without it
-    # both are freed on return instead of piling up until a full GC
-    network.on_arrival = None
-    # repro: allow[DET104]: closes the wall_seconds runtime measurement
-    wall_seconds = time.perf_counter() - wall_start
+    with run.sampling():
+        for cycle in range(total_cycles):
+            if cycle == run.warmup:
+                network.reset_channel_counters()
+                if sampler is not None:
+                    sampler.rebase()
+            run.inject(cycle)
+            network.step()
+            if sampler is not None and network.cycle % sample_every == 0:
+                sampler.sample()
+    result = run.finish()
 
-    measure_cycles = params.measure_windows * params.window_cycles
-    result = stats.result(
-        offered_load=load,
-        measure_cycles=measure_cycles,
-        sat_latency=params.sat_latency,
-        routing=algo,
-        sat_accept_factor=params.sat_accept_factor,
-        live_fraction=pattern.live_fraction(),
-    )
-    result.channel_utilization = network.channel_utilization(measure_cycles)
-
-    # --- provenance + trace finalization (post-measurement, off the
-    # hot path; observability must never perturb the result above) ---
-    registry.counter("engine.cycles").inc(total_cycles)
-    registry.counter("engine.packets_measured").inc(result.packets_measured)
-    registry.gauge("engine.cycles_per_sec").set(
-        total_cycles / wall_seconds if wall_seconds > 0 else 0.0
-    )
-    manifest = _run_manifest(
-        topo, pattern, load, routing, policy, params, seed, run_spec
-    )
-    manifest.wall_seconds = wall_seconds
-    manifest.engine_cycles = total_cycles
-    if registry.enabled:
-        manifest.metrics = registry.snapshot()
-    result.manifest = manifest
     if tracer is not None:
+        manifest = run.manifest
         tracer.record(
             "run_end",
             run=run_label,
             kind="sim",
             cycle=total_cycles,
             cycles=total_cycles,
-            wall_seconds=wall_seconds,
-            metrics=registry.snapshot() if registry.enabled else None,
+            wall_seconds=manifest.wall_seconds,
+            metrics=manifest.metrics,
         )
         if obs is not None and obs.trace_dir:
             stem = (

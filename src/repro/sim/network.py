@@ -172,17 +172,6 @@ class Router:
     def slot(self, port: int, vc: int) -> int:
         return port * self.num_vcs + vc
 
-    def activate(self, slot: int) -> None:
-        """Mark an input slot occupied (caller ensures it was empty)."""
-        insort(self.active, slot)
-
-    def deactivate(self, slot: int) -> None:
-        """Mark an input slot drained."""
-        active = self.active
-        i = bisect_left(active, slot)
-        if i < len(active) and active[i] == slot:
-            active.pop(i)
-
 
 class Network:
     """Builds the simulation network for a topology and runs cycles.
@@ -192,10 +181,9 @@ class Network:
     ports in the order of ``topo.global_links_of_switch``.
     """
 
-    # overridable element classes (the benchmark harness substitutes
-    # seed-faithful variants to measure the data-structure speedup)
+    # overridable: ArrayNetwork's channels answer load_metric from the
+    # arrays its kernel updates
     channel_cls = SimChannel
-    router_cls = Router
 
     def __init__(
         self, topo: Dragonfly, params: SimParams, num_vcs: int
@@ -208,10 +196,9 @@ class Network:
         p = topo.p
         local_degree = topo.local_degree
         num_ports = topo.radix
-        router_cls = self.router_cls
         channel_cls = self.channel_cls
         self.routers = [
-            router_cls(i, num_ports, num_vcs)
+            Router(i, num_ports, num_vcs)
             for i in range(topo.num_switches)
         ]
 

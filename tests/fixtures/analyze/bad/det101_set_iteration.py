@@ -3,14 +3,15 @@
 The fast engine once kept its per-cycle work list as a ``set`` and
 iterated it in ``_transmit``; channel objects hash by ``id()``, so the
 scan order -- and with it credit allocation under contention -- changed
-from run to run.  The fix is the insertion-ordered dict-as-set
-(``Dict[SimChannel, None]``) in ``repro.perf.bench``.
+from run to run.  The fix was an insertion-ordered dict-as-set
+(``Dict[SimChannel, None]``); the engine's work lists are timing wheels
+today.
 """
 
 from typing import List, Set
 
 
-class LegacyNetwork:
+class SetWorkListNetwork:
     def __init__(self) -> None:
         # DET101: a set of id()-hashed objects used as a work list
         self._busy_channels: Set[object] = set()

@@ -1,21 +1,23 @@
-"""Array-engine parity: the struct-of-arrays engine is bit-identical.
+"""Array-engine parity: the native kernel is bit-identical.
 
-The array engine (``SimParams(engine="array")``) re-implements the
-per-cycle deliver/crossbar/transmit phases over numpy struct-of-arrays
-state with a native C kernel.  Its entire value rests on one contract:
-every ``SimResult`` field equals the timing-wheel engine's (and hence
-the legacy oracle's) bit for bit, across routing variants, seeds, and
-loads.  These tests pin that contract, the documented scalar fallback
-(no C compiler -> inherited wheel path), and the cache/identity
-neutrality of the engine knob: runs from different engines must share
-result-cache entries, because the knob changes performance, never
-results.
+``ArrayNetwork`` re-implements the per-cycle deliver/crossbar/transmit
+phases over numpy struct-of-arrays state with a native C kernel.  Its
+entire value rests on one contract: every ``SimResult`` field equals
+what the reference path -- the timing-wheel ``Network`` code it inherits
+and falls back to without a C compiler (the ``reference_engine``
+fixture) -- produces, bit for bit, across routing variants, seeds, and
+loads.  These tests pin that contract and the cache/identity neutrality
+of the path taken: it is a fact about the host, so runs from either
+path, and from before the ``engine`` knob was removed, share
+result-cache entries.
 """
+
+import os
+import shutil
 
 import pytest
 
 import repro.perf.executor as executor_module
-from repro.perf.bench import legacy_engine
 from repro.perf.cache import SimCache, fingerprint
 from repro.perf.executor import SimTask, SweepExecutor
 from repro.sim import SimParams, simulate
@@ -28,15 +30,22 @@ TOPO = Dragonfly(2, 4, 2, 5)
 ROUTINGS = ["min", "vlb", "ugal-l", "ugal-g", "par"]
 
 
-def _run(routing, *, load=0.2, seed=3, engine="wheel", window=80):
+def _run(routing, *, load=0.2, seed=3, window=80):
     return simulate(
         TOPO,
         UniformRandom(TOPO),
         load,
         routing=routing,
-        params=SimParams(window_cycles=window, engine=engine),
+        params=SimParams(window_cycles=window),
         seed=seed,
     )
+
+
+def _run_on_both(reference_engine, routing, **kwargs):
+    """(reference result, this host's default-path result)."""
+    reference = _run(routing, **kwargs)
+    reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
+    return reference, _run(routing, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -44,35 +53,25 @@ def _run(routing, *, load=0.2, seed=3, engine="wheel", window=80):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("routing", ROUTINGS)
 @pytest.mark.parametrize("seed", [0, 3])
-def test_array_matches_wheel(routing, seed):
+def test_array_matches_wheel(routing, seed, reference_engine):
     """Full SimResult equality: every measured field, not a tolerance."""
-    assert _run(routing, seed=seed, engine="array") == _run(
-        routing, seed=seed
-    )
+    wheel, array = _run_on_both(reference_engine, routing, seed=seed)
+    assert array == wheel
 
 
 @pytest.mark.parametrize("routing", ["min", "ugal-l", "par"])
-def test_array_matches_wheel_at_high_load(routing):
+def test_array_matches_wheel_at_high_load(routing, reference_engine):
     """Saturation exercises budgets, credit stalls, and deep queues."""
-    assert _run(routing, load=0.9, engine="array") == _run(
-        routing, load=0.9
-    )
+    wheel, array = _run_on_both(reference_engine, routing, load=0.9)
+    assert array == wheel
 
 
-def test_array_matches_legacy_oracle():
-    """Transitivity made explicit: array == legacy, not just == wheel."""
-    arr = _run("ugal-l", load=0.6, engine="array")
-    with legacy_engine():
-        legacy = _run("ugal-l", load=0.6)
-    assert arr == legacy
-
-
-def test_par_revisions_exercised():
+def test_par_revisions_exercised(reference_engine):
     """The PAR arm revises packets, so hop-1 revision -- the only
     order-sensitive RNG in a cycle -- is actually covered above."""
-    res = _run("par", load=0.6, engine="array")
-    assert res.par_revised > 0
-    assert res == _run("par", load=0.6)
+    wheel, array = _run_on_both(reference_engine, "par", load=0.6)
+    assert array.par_revised > 0
+    assert array == wheel
 
 
 def test_par_arena_is_bounded_by_distinct_routes():
@@ -86,7 +85,7 @@ def test_par_arena_is_bounded_by_distinct_routes():
     from repro.sim.routing import make_routing
     from repro.traffic.patterns import Shift
 
-    params = SimParams(engine="array", vlb_cache_per_pair=2)
+    params = SimParams(vlb_cache_per_pair=2)
     network = build_network(TOPO, params, "par")
     if network.backend != "native":
         pytest.skip("needs the native array kernel")
@@ -137,18 +136,21 @@ def test_par_arena_is_bounded_by_distinct_routes():
 def test_array_engine_class_is_used():
     from repro.sim.engine import build_network
 
-    net = build_network(TOPO, SimParams(engine="array"), "ugal-l")
+    net = build_network(TOPO, SimParams(), "ugal-l")
     assert isinstance(net, ArrayNetwork)
 
 
 # ---------------------------------------------------------------------------
 # Documented scalar fallback
 # ---------------------------------------------------------------------------
-def test_fallback_without_native_kernel(monkeypatch):
+def test_fallback_without_native_kernel(reference_engine):
     """With the native gate off, ArrayNetwork runs the inherited wheel
-    path -- same results, no kernel required."""
-    monkeypatch.setenv("REPRO_ARRAYNET_NATIVE", "0")
-    assert _run("ugal-l", engine="array") == _run("ugal-l")
+    path -- no kernel required, same results."""
+    from repro.sim.engine import build_network
+
+    assert build_network(TOPO, SimParams(), "ugal-l").backend != "native"
+    wheel, array = _run_on_both(reference_engine, "ugal-l")
+    assert array == wheel
 
 
 def test_native_kernel_builds_here():
@@ -158,58 +160,74 @@ def test_native_kernel_builds_here():
 
 
 # ---------------------------------------------------------------------------
-# Engine knob is identity-neutral: cross-engine cache sharing
+# The path taken is identity-neutral: cache keys, cache sharing
 # ---------------------------------------------------------------------------
-def test_engine_excluded_from_fingerprint():
-    pattern = UniformRandom(TOPO)
-    fps = {
-        fingerprint(
-            TOPO,
-            pattern,
-            0.2,
-            routing="ugal-l",
-            policy=None,
-            params=SimParams(window_cycles=80, engine=engine),
-            seed=3,
-        )
-        for engine in ("wheel", "array", "legacy")
-    }
-    assert len(fps) == 1
+# keys of the two entries in tests/fixtures/simcache_pr12, a SimCache
+# directory written at the last commit that had ``SimParams.engine``
+# (ugal-l by engine="array", min by engine="wheel")
+PARENT_KEYS = {
+    "ugal-l": "dfeb6b2098314e267bd71ba0799dd112"
+    "119fa2cacb2bb99a1893a512e6484c81",
+    "min": "2f8ba7bf017c184f4e3efc2c3ff515ae"
+    "93813256a04d2eb877ccf537d197be13",
+}
+PARENT_CACHE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "fixtures", "simcache_pr12"
+)
 
 
-def test_cross_engine_cache_sharing(tmp_path, monkeypatch):
-    """An array-engine run warms the cache for a wheel-engine run."""
+def _task(routing):
+    return SimTask(
+        TOPO,
+        UniformRandom(TOPO),
+        0.2,
+        routing=routing,
+        policy=None,
+        params=SimParams(window_cycles=80),
+        seed=3,
+    )
 
-    def task(engine):
-        return SimTask(
-            TOPO,
-            UniformRandom(TOPO),
-            0.2,
-            routing="ugal-l",
-            policy=None,
-            params=SimParams(window_cycles=80, engine=engine),
-            seed=3,
-        )
 
-    with SweepExecutor(jobs=1, cache=SimCache(str(tmp_path))) as executor:
-        first = executor.run([task("array")])
+def test_engine_excluded_from_fingerprint(reference_engine):
+    """Removing the knob moved no cache key: the keys are the ones the
+    parent commit computed, on either path."""
+    for routing, key in PARENT_KEYS.items():
+        task = _task(routing)
+        assert fingerprint(
+            task.topo, task.pattern, task.load, routing=task.routing,
+            policy=None, params=task.params, seed=task.seed,
+        ) == key
+        assert os.path.exists(SimCache(PARENT_CACHE).path_for(key))
+
+
+def test_cross_engine_cache_sharing(tmp_path, reference_engine):
+    """A reference-path run warms the cache for a native run, and a
+    cache directory written before the ``engine`` knob was removed is
+    hit, not recomputed."""
+    fresh = str(tmp_path / "fresh")
+    with SweepExecutor(jobs=1, cache=SimCache(fresh)) as executor:
+        first = executor.run([_task("ugal-l"), _task("min")])
         assert executor.cache_hits == 0
+    reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
 
     def bomb(t):
-        raise AssertionError("cache miss: engines do not share entries")
+        raise AssertionError("cache miss: the engines do not share entries")
 
-    monkeypatch.setattr(executor_module, "run_task", bomb)
-    with SweepExecutor(jobs=1, cache=SimCache(str(tmp_path))) as executor:
-        second = executor.run([task("wheel")])
-        assert executor.cache_hits == 1
-    assert second == first
+    reference_engine.setattr(executor_module, "run_task", bomb)
+    inherited = str(tmp_path / "inherited")
+    shutil.copytree(PARENT_CACHE, inherited)
+    for root in (fresh, inherited):
+        with SweepExecutor(jobs=1, cache=SimCache(root)) as executor:
+            second = executor.run([_task("ugal-l"), _task("min")])
+            assert executor.cache_hits == 2
+        assert second == first
 
 
 def test_obs_neutral_on_array_engine():
     """Observability hooks never perturb array-engine results."""
     from repro.obs import ObsConfig
 
-    params = SimParams(window_cycles=80, engine="array")
+    params = SimParams(window_cycles=80)
     instrumented = simulate(
         TOPO,
         UniformRandom(TOPO),
@@ -218,7 +236,7 @@ def test_obs_neutral_on_array_engine():
         params=params.with_obs(ObsConfig(metrics=True)),
         seed=3,
     )
-    assert instrumented == _run("ugal-l", engine="array")
+    assert instrumented == _run("ugal-l")
 
 
 # ---------------------------------------------------------------------------

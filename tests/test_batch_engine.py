@@ -1,10 +1,10 @@
 """Batched multi-run engine: bit-parity, planning, and cache identity.
 
-``repro.sim.batch.simulate_batch`` advances B independent array-engine
-runs through shared kernel invocations; ``repro.perf.planner.
-BatchPlanner`` decides which executor payloads ride together.  The whole
-feature rests on one contract: **batching is a pure scheduling decision**.
-Every run in a batch must equal its single-run array result bit for bit
+``repro.sim.batch.simulate_batch`` advances B independent runs through
+shared kernel invocations; ``repro.perf.planner.BatchPlanner`` decides
+which executor payloads ride together.  The whole feature rests on one
+contract: **batching is a pure scheduling decision**.
+Every run in a batch must equal its single-run result bit for bit
 (full ``SimResult`` equality, not a tolerance), keep its own RunSpec
 fingerprint and cache entry, and differ only in the identity-neutral
 ``RunManifest.batch_size``/``batch_slot`` environment fields.  These
@@ -34,15 +34,13 @@ def _spec(routing, *, seed=0, load=0.2, window=80, batch=0):
         UniformRandom(TOPO),
         load,
         routing=routing,
-        params=SimParams(
-            window_cycles=window, engine="array", batch=batch
-        ),
+        params=SimParams(window_cycles=window, batch=batch),
         seed=seed,
     )
 
 
 # ---------------------------------------------------------------------------
-# Bit-parity: batched == single-run array, full SimResult equality
+# Bit-parity: batched == single-run, full SimResult equality
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("routing", ROUTINGS)
 def test_batched_matches_single(routing):
@@ -99,10 +97,9 @@ def test_incompatible_specs_rejected():
         simulate_batch([_spec("min"), _spec("ugal-l")])
 
 
-def test_unsupported_without_native_kernel(monkeypatch):
+def test_unsupported_without_native_kernel(reference_engine):
     """No native kernel -> the batch path refuses rather than silently
     running a scalar lockstep (callers fall back to per-run)."""
-    monkeypatch.setenv("REPRO_ARRAYNET_NATIVE", "0")
     with pytest.raises(BatchUnsupported):
         simulate_batch([_spec("min", seed=0), _spec("min", seed=1)])
 
@@ -120,7 +117,7 @@ def test_fingerprint_ignores_batch_knob():
             0.2,
             routing="min",
             policy=None,
-            params=SimParams(window_cycles=80, engine="array", batch=b),
+            params=SimParams(window_cycles=80, batch=b),
             seed=0,
         )
         for b in (0, 1, 8)
@@ -139,7 +136,7 @@ def test_cache_sharing_batched_and_single(tmp_path):
                 UniformRandom(TOPO),
                 0.2,
                 routing="min",
-                params=SimParams(window_cycles=80, engine="array"),
+                params=SimParams(window_cycles=80),
                 seed=seed,
             )
             for seed in seeds
@@ -177,11 +174,6 @@ def test_planner_eligibility():
     assert not BatchPlanner.eligible(_spec("min", batch=1))
     # live-object tasks cannot cross simulate_batch's validation
     assert not BatchPlanner.eligible(object())
-    # explicit legacy-oracle requests are never batched
-    legacy = _spec("min").replace(
-        params=SimParams(window_cycles=80, engine="legacy")
-    )
-    assert not BatchPlanner.eligible(legacy)
 
 
 def test_planner_groups_compatible_specs_only():
@@ -191,7 +183,7 @@ def test_planner_groups_compatible_specs_only():
         UniformRandom(other_topo),
         0.2,
         routing="min",
-        params=SimParams(window_cycles=80, engine="array"),
+        params=SimParams(window_cycles=80),
         seed=0,
     )
     payloads = [
@@ -245,7 +237,7 @@ def _min_tasks(seeds, window=80):
             UniformRandom(TOPO),
             0.2,
             routing="min",
-            params=SimParams(window_cycles=window, engine="array"),
+            params=SimParams(window_cycles=window),
             seed=seed,
         )
         for seed in seeds
@@ -274,7 +266,7 @@ def test_executor_trace_marks_batched_units():
             UniformRandom(TOPO),
             0.2,
             routing="ugal-l",
-            params=SimParams(window_cycles=80, engine="array"),
+            params=SimParams(window_cycles=80),
             seed=0,
         )
     ]
@@ -297,15 +289,14 @@ def test_executor_batch_knob_disables(monkeypatch):
     assert all(r.manifest.batch_size is None for r in results)
 
 
-def test_executor_falls_back_without_native(monkeypatch):
+def test_executor_falls_back_without_native(reference_engine):
     """BatchUnsupported inside the worker degrades to per-run execution
     with identical results -- planning is always safe."""
-    monkeypatch.setenv("REPRO_ARRAYNET_NATIVE", "0")
     tasks = _min_tasks(range(3), window=60)
     with SweepExecutor(jobs=1) as executor:
         results = executor.run(tasks)
     assert all(r.manifest.batch_size is None for r in results)
-    monkeypatch.delenv("REPRO_ARRAYNET_NATIVE")
+    reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
     assert results == [spec.run() for spec in
                        (t.payload() for t in tasks)]
 
@@ -316,7 +307,7 @@ def test_replicate_matches_seed_loop():
     from repro.sim.engine import simulate
     from repro.sim.replication import replicate
 
-    params = SimParams(window_cycles=60, engine="array")
+    params = SimParams(window_cycles=60)
     stats = replicate(
         TOPO,
         lambda seed: UniformRandom(TOPO),

@@ -1,14 +1,18 @@
-"""Routing decisions: one result per configuration, whatever runs it.
+"""One result per configuration, whatever runs it.
 
-The table-driven routing path (interned route tables, DrawStream draws,
-batched decide + inject) sits behind ``route_packets`` / ``inject`` /
-``step`` / ``revise_at``, so every driver must produce the same
-``SimResult`` for a fixed seed: the wheel engine (scalar channel reads,
-immediate injection), the array engine (one SoA load snapshot per batch,
-deferred batched injection) and ``simulate_batch`` at B=1 (its generic
-lane calls the same hooks around a shared kernel call).  ``PINNED``
-additionally holds the values the pre-table implementation produced for
-each case, so "all three agree" cannot hide a common drift.
+Every path through the simulator must produce the same ``SimResult``
+for a fixed seed: the reference path (the timing-wheel ``Network`` code:
+scalar channel reads, immediate injection -- what a compiler-less host
+runs), the native kernel (one SoA load snapshot per batch, deferred
+batched injection, the vectorized MIN lane) and ``simulate_batch`` at
+B=1 (the same ``Run`` around a shared kernel call).  ``PINNED``
+additionally holds the values each case produced before the code under
+it was replaced -- the routing cases at the commit before the route
+table; the ``oracle/`` cases (what the tests against the deleted
+seed-faithful legacy oracle ran) and the network-parameter cases at
+the commit before the ``engine`` knob and that oracle were removed,
+where wheel, array and legacy engines all produced them -- so "all
+agree" cannot hide a common drift.
 """
 
 import pytest
@@ -25,12 +29,15 @@ from repro.routing.pathset import (
 from repro.routing.vlb import VlbDescriptor
 from repro.sim import SimParams, simulate
 from repro.sim.batch import simulate_batch
+from repro.sim.engine import Run
 from repro.spec import RunSpec
-from repro.topology import Dragonfly
+from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
 from repro.traffic.patterns import Shift, UniformRandom
 from repro.traffic.trace import TraceTraffic
 
 TOPO = Dragonfly(2, 4, 2, 5)
+MESH = FullMesh(8, 2)
+CASCADE = CascadeDragonfly(2, 4, 2, 3, rows=2, cols=2)
 LOAD = 0.3
 SEED = 4
 WINDOW = 20
@@ -64,7 +71,15 @@ def _trace():
     return TraceTraffic(TOPO, events)
 
 
-# id -> (routing, policy factory, SimParams overrides, pattern factory)
+def _ur():
+    return UniformRandom(TOPO)
+
+
+_ORACLE = {"seed": 3, "window": 80}
+
+# id -> (routing, policy factory, SimParams overrides, pattern factory
+# [, {"topo" | "load" | "seed" | "window": ...} where the case departs
+# from TOPO / LOAD / SEED / WINDOW])
 CASES = {
     "min": ("min", None, {}, None),
     "vlb": ("vlb", None, {}, None),
@@ -106,10 +121,52 @@ CASES = {
     "t-par/explicit": ("t-par", _explicit, {}, None),
     "ugal-l/trace": ("ugal-l", None, {}, _trace),
     "par/trace": ("par", None, {}, _trace),
+    # what the legacy-oracle tests ran (UR, seed 3, window 80)
+    "oracle/min": ("min", None, {}, _ur, {**_ORACLE, "load": 0.2}),
+    "oracle/ugal-l": ("ugal-l", None, {}, _ur, {**_ORACLE, "load": 0.2}),
+    "oracle/par": ("par", None, {}, _ur, {**_ORACLE, "load": 0.2}),
+    "oracle/min-hi": ("min", None, {}, _ur, {**_ORACLE, "load": 0.9}),
+    "oracle/ugal-l-mid": ("ugal-l", None, {}, _ur, {**_ORACLE, "load": 0.6}),
+    # network parameters (the sensitivity axes of Figs 15-18) and shapes
+    "ugal-l/psize4": ("ugal-l", None, {"packet_size": 4}, None, {"window": 40}),
+    "par/perhop": ("par", None, {"vc_scheme": "perhop"}, None),
+    "ugal-l/speedup1": (
+        "ugal-l", None, {"speedup": 1}, _ur, {"load": 0.8, "window": 40},
+    ),
+    "par/buf8": ("par", None, {"buffer_size": 8}, None, {"load": 0.8, "window": 40}),
+    "ugal-l/lat20-40": (
+        "ugal-l",
+        None,
+        {"local_latency": 20, "global_latency": 40},
+        None,
+        {"window": 60},
+    ),
+    "mesh/ugal-l": (
+        "ugal-l",
+        None,
+        {},
+        lambda: UniformRandom(MESH),
+        {"topo": MESH, "load": 0.5, "window": 40},
+    ),
+    "mesh/min": (
+        "min",
+        None,
+        {},
+        lambda: Shift(MESH, 1, 0),
+        {"topo": MESH, "load": 0.5, "window": 40},
+    ),
+    "cascade/par": (
+        "par",
+        None,
+        {},
+        lambda: Shift(CASCADE, 1, 0),
+        {"topo": CASCADE, "window": 40},
+    ),
 }
 
 # (avg_latency, accepted_rate, avg_hops, min_chosen, vlb_chosen,
-# par_revised) of every case at the commit before the route table
+# par_revised) of every case at the commit before the code under it
+# changed (see the module docstring)
 PINNED = {
     "min": (
         45.666666666666664, 0.19875, 2.5660377358490565,
@@ -191,6 +248,58 @@ PINNED = {
         63.1948051948052, 0.09625, 4.1688311688311686,
         0, 962, 0,
     ),
+    "oracle/min": (
+        33.394904458598724, 0.19625, 2.2404458598726116,
+        2630, 0, 0,
+    ),
+    "oracle/ugal-l": (
+        35.625, 0.1975, 2.4003164556962027,
+        2263, 307, 0,
+    ),
+    "oracle/par": (
+        37.65217391304348, 0.2084375, 2.5337331334332833,
+        2318, 279, 136,
+    ),
+    "oracle/min-hi": (
+        54.20450209843571, 0.8190625, 2.2167111789393363,
+        11545, 0, 0,
+    ),
+    "oracle/ugal-l-mid": (
+        35.341109383100054, 0.6028125, 2.2680145152928977,
+        7303, 381, 0,
+    ),
+    "ugal-l/psize4": (
+        109.76958525345623, 0.135625, 4.046082949308755,
+        1012, 883, 0,
+    ),
+    "par/perhop": (
+        44.36305732484077, 0.19625, 2.917197452229299,
+        595, 388, 92,
+    ),
+    "ugal-l/speedup1": (
+        54.39313725490196, 0.6375, 2.3254901960784315,
+        4850, 250, 0,
+    ),
+    "par/buf8": (
+        114.07333333333334, 0.09375, 3.5,
+        2478, 2675, 78,
+    ),
+    "ugal-l/lat20-40": (
+        133.29747899159665, 0.24791666666666667, 3.981512605042017,
+        1474, 1432, 0,
+    ),
+    "mesh/ugal-l": (
+        19.13719512195122, 0.5125, 0.9817073170731707,
+        1163, 116, 0,
+    ),
+    "mesh/min": (
+        24.153125, 0.5, 1.0,
+        1246, 0, 0,
+    ),
+    "cascade/par": (
+        47.97610921501707, 0.30520833333333336, 3.167235494880546,
+        929, 222, 88,
+    ),
 }
 
 
@@ -205,46 +314,85 @@ def _metrics(result):
     )
 
 
-def _run(case, engine):
-    routing, policy, overrides, pattern = CASES[case]
-    return simulate(
-        TOPO,
-        pattern() if pattern else Shift(TOPO, 2, 0),
-        LOAD,
+def _arguments(case):
+    """``simulate()`` / ``RunSpec.from_objects`` arguments of a case."""
+    routing, policy, overrides, pattern, *where = CASES[case]
+    where = where[0] if where else {}
+    topo = where.get("topo", TOPO)
+    return (
+        topo,
+        pattern() if pattern else Shift(topo, 2, 0),
+        where.get("load", LOAD),
+    ), dict(
         routing=routing,
         policy=policy() if policy else None,
-        params=SimParams(window_cycles=WINDOW, engine=engine, **overrides),
-        seed=SEED,
+        params=SimParams(
+            window_cycles=where.get("window", WINDOW), **overrides
+        ),
+        seed=where.get("seed", SEED),
     )
+
+
+def _run(case):
+    args, kwargs = _arguments(case)
+    return simulate(*args, **kwargs)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_wheel_array_and_batch_agree_with_the_pinned_result(case):
-    wheel = _run(case, "wheel")
-    array = _run(case, "array")
+def test_wheel_array_and_batch_agree_with_the_pinned_result(
+    case, reference_engine
+):
+    wheel = _run(case)
+    reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
+    array = _run(case)
     assert array == wheel
     assert _metrics(wheel) == PINNED[case]
     assert wheel.min_chosen + wheel.vlb_chosen > 0
-    routing, policy, overrides, pattern = CASES[case]
-    if pattern is _trace:
+    if CASES[case][3] is _trace:
         return  # scheduled traces have no RunSpec form to batch
-    spec = RunSpec.from_objects(
-        TOPO,
-        pattern() if pattern else Shift(TOPO, 2, 0),
-        LOAD,
-        routing=routing,
-        policy=policy() if policy else None,
-        params=SimParams(window_cycles=WINDOW, engine="array", **overrides),
-        seed=SEED,
-    )
+    args, kwargs = _arguments(case)
+    spec = RunSpec.from_objects(*args, **kwargs)
     assert simulate_batch([spec]) == [array]
+    assert simulate(spec) == array
+
+
+def test_min_lane_counts_injections_like_the_reference(reference_engine):
+    """With ``obs.metrics`` on, a MIN run's vectorized injection lane
+    reports the counters the reference path's per-packet loop does --
+    stalls included, under a source-queue cap low enough to bite."""
+    from repro.obs import ObsConfig
+
+    def run():
+        params = SimParams(window_cycles=WINDOW, obs=ObsConfig(metrics=True))
+        return simulate(
+            TOPO, Shift(TOPO, 2, 0), 0.9, routing="min", params=params,
+            seed=SEED, max_source_queue=3,
+        )
+
+    reference = run()
+    reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
+    native = run()
+    assert native == reference
+    names = ("engine.packets_injected", "engine.inject_stalls")
+    counted = [native.manifest.metrics[name] for name in names]
+    assert counted == [reference.manifest.metrics[name] for name in names]
+    assert min(counted) > 0
 
 
 def test_sparse_case_reaches_the_reservoir_fallback():
     """The matrix's sparse policy is only a fallback test if rejection
-    sampling actually gives up for some pair."""
-    _run("t-ugal-l/sparse", "array")
-    assert pathset._sparse_memo  # simulate() resets it on entry, not exit
+    sampling actually gives up for some pair -- and the reservoirs it
+    then builds land in the run's own memo, not the process-wide one."""
+    args, kwargs = _arguments("t-ugal-l/sparse")
+    before = dict(pathset._sparse_memo)
+    run = Run(*args, **kwargs)
+    with run.sampling():
+        for cycle in range(run.total):
+            run.inject(cycle)
+            run.net.step()
+    assert run.memo
+    assert pathset._sparse_memo == before
+    assert _metrics(run.finish()) == PINNED["t-ugal-l/sparse"]
 
 
 def test_excluding_and_all_vlb_differ():
@@ -258,4 +406,4 @@ def test_excluding_and_all_vlb_differ():
         params=SimParams(window_cycles=WINDOW),
         seed=SEED,
     )
-    assert _metrics(_run("t-ugal-l/excluding", "wheel")) != _metrics(base)
+    assert _metrics(_run("t-ugal-l/excluding")) != _metrics(base)

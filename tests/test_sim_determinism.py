@@ -1,21 +1,18 @@
-"""Run-to-run determinism and optimized-vs-legacy engine identity.
+"""Run-to-run determinism.
 
 The seed engine kept its transmit work list in a ``set`` of channel
 objects, so iteration order -- and with it, any future behaviour that
 depends on event order -- varied with object memory addresses from run
 to run.  The engine now uses ordered structures (wheels and
-insertion-ordered dicts) throughout; these tests pin that down:
-
-* the same (topology, pattern, routing, seed) produces bit-identical
-  ``SimResult`` records on repeated in-process runs, and
-* the optimized engine matches :class:`~repro.perf.bench.LegacyNetwork`,
-  a faithful re-implementation of the seed's per-cycle data structures,
-  bit for bit across routing variants.
+insertion-ordered dicts) throughout; these tests pin that down: the
+same (topology, pattern, routing, seed) produces bit-identical
+``SimResult`` records on repeated in-process runs.  (That the values
+are still the ones the seed engine's data structures produced is pinned
+by the ``oracle/`` cases of ``tests/test_routing_parity_matrix.py``.)
 """
 
 import pytest
 
-from repro.perf.bench import LegacyNetwork, legacy_engine
 from repro.sim import SimParams, simulate
 from repro.topology import Dragonfly
 from repro.traffic.patterns import UniformRandom
@@ -48,28 +45,3 @@ def test_same_seed_same_result(routing):
 def test_different_seeds_differ():
     # sanity: the equality above is not vacuous
     assert _run("ugal-l", seed=3) != _run("ugal-l", seed=4)
-
-
-@pytest.mark.parametrize("routing", ["min", "ugal-l", "par"])
-def test_legacy_engine_bit_identical(routing):
-    """The hot-path rewrite changed no observable behaviour."""
-    reference = _run(routing)
-    with legacy_engine():
-        legacy = _run(routing)
-    assert legacy == reference
-
-
-def test_legacy_engine_identity_at_high_load():
-    """Deep queues exercise budgets, credit stalls, and drain paths."""
-    optimized = _run("min", load=0.9)
-    with legacy_engine():
-        legacy = _run("min", load=0.9)
-    assert legacy == optimized
-
-
-def test_legacy_network_is_swapped_in():
-    import repro.sim.engine as engine_module
-
-    with legacy_engine():
-        assert engine_module.Network is LegacyNetwork
-    assert engine_module.Network is not LegacyNetwork

@@ -12,9 +12,11 @@ from repro.topology import Dragonfly
 
 
 def _drain(network, max_cycles=5000):
-    """Step until nothing is in flight and all credits returned (or fail)."""
+    """Step until nothing is in flight and all credits returned (or
+    fail), then flush the ejections the engine still buffers."""
     for _ in range(max_cycles):
         if network.quiescent():
+            network.finalize()
             return network.cycle
         network.step()
     raise AssertionError("network did not drain")
@@ -92,7 +94,10 @@ class TestDeliveryAndLatency:
 
 
 class TestCreditsAndBuffers:
-    def test_credits_restored_after_drain(self, topo):
+    """The credit and buffer checks read the reference path's own
+    structures (``channel.credits``, ``router.queues``)."""
+
+    def test_credits_restored_after_drain(self, topo, reference_engine):
         params = SimParams(window_cycles=100, buffer_size=4)
         pairs = [(n, (n + 17) % topo.num_nodes) for n in range(topo.num_nodes)]
         pairs = [(s, d) for s, d in pairs if d != s]
@@ -103,7 +108,7 @@ class TestCreditsAndBuffers:
         for channel in network.channels.values():
             assert all(c == params.buffer_size for c in channel.credits)
 
-    def test_credits_never_negative_nor_overflow(self, topo):
+    def test_credits_never_negative_nor_overflow(self, topo, reference_engine):
         params = SimParams(window_cycles=60, buffer_size=2)
         network = build_network(topo, params, "vlb")
         rng = np.random.default_rng(1)

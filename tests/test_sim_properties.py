@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import build_network
@@ -35,6 +35,7 @@ def _run_random_batch(pairs, routing, seed):
             assert all(0 <= c <= PARAMS.buffer_size for c in ch.credits)
     else:
         raise AssertionError("did not drain")
+    network.finalize()
     return network, ejected
 
 
@@ -50,8 +51,18 @@ def packet_batches(draw):
     return pairs
 
 
+# the env gate the fixture sets is the same for every example
+_SHARED_FIXTURE = [HealthCheck.function_scoped_fixture]
+
+
+@pytest.mark.usefixtures("reference_engine")
 class TestConservationProperties:
-    @settings(max_examples=12, deadline=None)
+    """On the reference path: the per-cycle credit invariant reads its
+    own structures (``channel.credits``)."""
+
+    @settings(
+        max_examples=12, deadline=None, suppress_health_check=_SHARED_FIXTURE
+    )
     @given(pairs=packet_batches(), seed=st.integers(0, 100))
     def test_every_packet_delivered_ugal(self, pairs, seed):
         network, ejected = _run_random_batch(pairs, "ugal-l", seed)
@@ -63,13 +74,17 @@ class TestConservationProperties:
         for ch in network.channels.values():
             assert all(c == PARAMS.buffer_size for c in ch.credits)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(
+        max_examples=8, deadline=None, suppress_health_check=_SHARED_FIXTURE
+    )
     @given(pairs=packet_batches(), seed=st.integers(0, 100))
     def test_every_packet_delivered_par(self, pairs, seed):
         _network, ejected = _run_random_batch(pairs, "par", seed)
         assert len(ejected) == len(pairs)
 
-    @settings(max_examples=8, deadline=None)
+    @settings(
+        max_examples=8, deadline=None, suppress_health_check=_SHARED_FIXTURE
+    )
     @given(pairs=packet_batches(), seed=st.integers(0, 100))
     def test_every_packet_delivered_vlb(self, pairs, seed):
         _network, ejected = _run_random_batch(pairs, "vlb", seed)
