@@ -294,9 +294,12 @@ def _cmd_sweep(args) -> int:
     params = SimParams(window_cycles=args.window, verify=args.verify)
     if args.sample_every or args.trace_dir:
         # identity-neutral: traced points still share cache entries with
-        # untraced runs of the same spec
+        # untraced runs of the same spec.  A traced run also keeps the
+        # metric registry, so its run_end event says what the run did
+        # (routing.lane, sampling and injection counts)
         params = params.with_obs(
             ObsConfig(
+                metrics=True,
                 sample_every=args.sample_every,
                 trace_dir=args.trace_dir,
             )

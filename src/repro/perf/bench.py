@@ -190,7 +190,7 @@ def bench_batch(
     Unlike the step-only microbenchmark, this arm times **whole runs**:
     end-to-end aggregate cycles/second is the quantity sweeps actually
     experience.  Both arms drive the same :class:`~repro.sim.engine.Run`
-    (the vectorized MIN injection lane included), so the ratio isolates
+    (its array injection lane included), so the ratio isolates
     what the lockstep itself buys: one ``repro_step_batch`` call per
     cycle instead of B ``repro_step_cycle`` calls, against B networks'
     state interleaved in the cache.

@@ -19,8 +19,8 @@ where batching is *profitable*:
   (``params.obs is None``), not opted out via ``params.batch == 1``,
   and MIN-routed.  What made MIN batches fast when this policy was
   written (~2.4x end-to-end per run at batch 8 against the then
-  single-run driver) was the vectorized MIN injection lane, and that
-  lane now belongs to every native MIN run (``Run.inject``), batched or
+  single-run driver) was vectorized MIN injection, and that now
+  belongs to every native run (``Run``'s array lane), batched or
   not; the lockstep itself measures 0.8-0.9x of the same runs executed
   one after another (``docs/performance.md``), as it always did for the
   adaptive variants (0.87-1.03x), which keep the single-run path.  The

@@ -18,6 +18,13 @@ distribution with a bounded number of attempts, falling back to reservoir
 sampling over full enumeration for extremely sparse policies.  It consumes
 randomness only through ``rng.integers(n)``, so the simulator may hand it
 a :class:`~repro.sim.draws.DrawStream` in place of the generator.
+
+The membership test is also available as *data*
+(:meth:`PathPolicy.membership_program`, :func:`policy_program`): a few
+integer rows the simulator's routing kernel evaluates against the
+topology's flattened route tables, so that sampling from a built-in
+policy needs no Python per attempt.  ``contains`` stays the definition;
+the program is tested equal to it descriptor by descriptor.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.routing.paths import Channel
-from repro.routing.table import route_table
+from repro.routing.table import RouteTable, route_table
 from repro.routing.vlb import (
     VlbDescriptor,
     enumerate_vlb_descriptors,
@@ -46,6 +53,8 @@ __all__ = [
     "StrategicFiveHopPolicy",
     "ExcludingPolicy",
     "ExplicitPathSet",
+    "PolicyProgram",
+    "policy_program",
     "reset_sample_memo",
     "swap_sample_memo",
 ]
@@ -61,13 +70,15 @@ _sparse_memo: dict = {}
 
 
 def reset_sample_memo() -> None:
-    """Clear the sparse-policy reservoir memo.
+    """Clear the process-wide sparse-policy reservoir memo.
 
     The memo's contents depend on the rng that first populated each
-    entry, so a simulation that inherits another run's reservoirs can
-    draw differently than one starting fresh.  ``simulate()`` clears it
-    at entry so every run is a pure function of its own arguments --
-    which also makes serial and process-pool sweeps bit-identical.
+    entry, so sampling that inherits another caller's reservoirs can
+    draw differently than sampling that starts fresh.  Simulation runs
+    never see this memo -- each :class:`~repro.sim.engine.Run` swaps a
+    private one in around its own sampling (:func:`swap_sample_memo`) --
+    so this is for code that samples from a policy directly and wants a
+    result that is a pure function of its own arguments.
     """
     _sparse_memo.clear()
 
@@ -108,6 +119,97 @@ def _mix(seed: int, src: int, dst: int, desc: VlbDescriptor) -> int:
     return x
 
 
+# membership-program opcodes (``PO_*`` in sim/array/kernel.c)
+OP_HOP_CLASS = 1  # p0 full_hops, p1 quota of the next class, p2 seed
+OP_STRATEGIC = 2  # p0 first-leg hops a 5-hop path must have
+OP_ORDERED = 3  # p0 quota (-1: every ordered intermediate), p1 seed
+OP_KEYS = 4  # p0 offset, p1 count into ``keys``, p2 required presence
+OP_CHANNELS = 5  # p0 offset into ``mask``: no hop on a marked channel
+
+
+@dataclass
+class PolicyProgram:
+    """A policy's membership test as table data.
+
+    A descriptor is in the set iff every row of ``ops`` --
+    ``(opcode, p0, p1, p2)``, see the ``OP_*`` constants -- accepts it.
+    Rows refer to the topology's flattened tables
+    (:meth:`~repro.routing.table.RouteTable.min_image` for leg hops and
+    channels) and to two blobs carried here: ``keys``, sorted runs of
+    :meth:`descriptor_key` values, and ``mask``, one byte per channel
+    index.  A policy that samples by index instead of by rejection
+    (:class:`ExplicitPathSet`) also carries its per-pair descriptor
+    ``lists``: ``first[pair] .. first[pair + 1]`` rows of ``desc``.
+    """
+
+    ops: List[Tuple[int, int, int, int]] = field(default_factory=list)
+    keys: List[int] = field(default_factory=list)
+    mask: bytearray = field(default_factory=bytearray)
+    lists: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @staticmethod
+    def descriptor_key(
+        table: RouteTable, src: int, dst: int, mid: int, slot1: int, slot2: int
+    ) -> int:
+        """``(src, dst, mid, slot1, slot2)`` as one sortable integer."""
+        bound = table.slot_bound
+        return (
+            ((src * table.nsw + dst) * table.nsw + mid) * bound + slot1
+        ) * bound + slot2
+
+
+def _as_int64(seed: int) -> int:
+    """``seed`` mod 2**64, as the signed value with those bits."""
+    seed &= 0xFFFFFFFFFFFFFFFF
+    return seed - (1 << 64) if seed >= 1 << 63 else seed
+
+
+def _valid_descriptor(table: RouteTable, src: int, dst: int, desc) -> bool:
+    """Does ``(src, dst, desc)`` name a path -- would ``table.vlb_legs``
+    succeed, without leaning on negative indexing?"""
+    try:
+        mid, slot1, slot2 = (int(x) for x in desc)
+        if not (0 <= src < table.nsw and 0 <= dst < table.nsw):
+            return False
+        if min(slot1, slot2) < 0:
+            return False
+        table.vlb_legs(src, dst, VlbDescriptor(mid, slot1, slot2))
+    except (TypeError, ValueError, IndexError):
+        return False
+    return True
+
+
+def policy_program(
+    policy: "PathPolicy", table: RouteTable
+) -> Optional[PolicyProgram]:
+    """``policy``'s membership test compiled against ``table``, or
+    ``None`` when it only exists as Python.
+
+    A program is trusted only if the class that supplies
+    ``membership_program`` is also the one whose ``contains`` /
+    ``sample`` / ``iter_descriptors`` the policy actually runs: a
+    subclass that overrides one of those without recompiling falls back
+    to Python instead of being silently routed by its parent's test.
+    Programs of hashable policies are memoized on the table.
+    """
+    cls = type(policy)
+    owner = next(c for c in cls.__mro__ if "membership_program" in vars(c))
+    for name in ("contains", "sample", "iter_descriptors"):
+        if getattr(cls, name) is not getattr(owner, name):
+            return None
+    try:
+        return table.programs[policy]  # type: ignore[return-value]
+    except KeyError:
+        pass
+    except TypeError:  # unhashable (mutable) policy: compile per use
+        return policy.membership_program(table)
+    program = policy.membership_program(table)
+    if len(table.programs) >= 64:
+        table.programs.clear()
+    table.programs[policy] = program
+    return program
+
+
 class PathPolicy(abc.ABC):
     """The set of candidate VLB paths available per switch pair."""
 
@@ -120,6 +222,15 @@ class PathPolicy(abc.ABC):
     @abc.abstractmethod
     def describe(self) -> str:
         """Short human-readable label (used in benches and reports)."""
+
+    def membership_program(self, table: RouteTable) -> Optional[PolicyProgram]:
+        """:meth:`contains` as data for the routing kernel, or ``None``
+        (the default) when this policy can only be asked in Python.
+
+        Read through :func:`policy_program`, which also checks that the
+        program still describes the class it is asked of.
+        """
+        return None
 
     # ------------------------------------------------------------------
     def iter_descriptors(
@@ -215,6 +326,9 @@ class AllVlbPolicy(PathPolicy):
     def contains(self, topo, src, dst, desc) -> bool:
         return True
 
+    def membership_program(self, table) -> PolicyProgram:
+        return PolicyProgram()  # no row: everything is accepted
+
     def describe(self) -> str:
         return "all VLB"
 
@@ -250,6 +364,12 @@ class HopClassPolicy(PathPolicy):
             quota = int(round(self.extra_fraction * 10_000))
             return _mix(self.seed, src, dst, desc) % 10_000 < quota
         return False
+
+    def membership_program(self, table) -> PolicyProgram:
+        quota = int(round(self.extra_fraction * 10_000))
+        return PolicyProgram(
+            ops=[(OP_HOP_CLASS, self.full_hops, quota, _as_int64(self.seed))]
+        )
 
     def describe(self) -> str:
         if self.full_hops == 0 and self.extra_fraction == 0.0:
@@ -300,6 +420,12 @@ class OrderedVlbPolicy(PathPolicy):
         quota = int(round(self.fraction * 10_000))
         return _mix(self.seed, src, dst, desc) % 10_000 < quota
 
+    def membership_program(self, table) -> PolicyProgram:
+        quota = -1 if self.fraction >= 1.0 else int(round(self.fraction * 10_000))
+        return PolicyProgram(
+            ops=[(OP_ORDERED, quota, _as_int64(self.seed), 0)]
+        )
+
     def describe(self) -> str:
         if self.fraction >= 1.0:
             return "ordered VLB"
@@ -331,6 +457,11 @@ class StrategicFiveHopPolicy(PathPolicy):
             return first.hops == (2 if self.order == "2+3" else 3)
         return False
 
+    def membership_program(self, table) -> PolicyProgram:
+        return PolicyProgram(
+            ops=[(OP_STRATEGIC, 2 if self.order == "2+3" else 3, 0, 0)]
+        )
+
     def describe(self) -> str:
         return f"strategic 5-hop ({self.order})"
 
@@ -361,6 +492,38 @@ class ExcludingPolicy(PathPolicy):
             if any(ch in self.excluded_channels for ch in path.channels()):
                 return False
         return True
+
+    def membership_program(self, table) -> Optional[PolicyProgram]:
+        base = policy_program(self.base, table)
+        if base is None:
+            return None
+        program = PolicyProgram(
+            list(base.ops), list(base.keys), bytearray(base.mask)
+        )
+        # descriptors that name no real path can never be sampled
+        keys = sorted(
+            PolicyProgram.descriptor_key(table, src, dst, *desc)
+            for src, dst, desc in self.excluded_descriptors
+            if _valid_descriptor(table, src, dst, desc)
+        )
+        if keys:
+            program.ops.append((OP_KEYS, len(program.keys), len(keys), 0))
+            program.keys += keys
+        marked = [
+            index
+            for index in (
+                table.channel_index(ch.src, ch.dst, ch.slot)
+                for ch in self.excluded_channels
+            )
+            if index is not None
+        ]
+        if marked:
+            mask = bytearray(len(table.channel_keys))
+            for index in marked:
+                mask[index] = 1
+            program.ops.append((OP_CHANNELS, len(program.mask), 0, 0))
+            program.mask += mask
+        return program
 
     def describe(self) -> str:
         return (
@@ -412,6 +575,38 @@ class ExplicitPathSet(PathPolicy):
         if not options:
             return None
         return options[int(rng.integers(len(options)))]
+
+    def membership_program(self, table) -> Optional[PolicyProgram]:
+        """The lists themselves (sampling is by index) plus, for a
+        wrapping policy that rejection-samples against :meth:`contains`,
+        their sorted keys.  ``None`` if any listed descriptor names no
+        path: the Python procedure then raises where it always did."""
+        nsw = table.nsw
+        first = np.zeros(nsw * nsw + 1, np.int64)
+        rows: List[Tuple[int, int, int]] = []
+        keys: List[int] = []
+        pairs = sorted(
+            (src * nsw + dst, src, dst)
+            for src, dst in self.paths
+            if 0 <= src < nsw and 0 <= dst < nsw and src != dst
+        )
+        for pair, src, dst in pairs:
+            options = self.paths[(src, dst)]
+            if not all(_valid_descriptor(table, src, dst, d) for d in options):
+                return None
+            first[pair + 1] = len(options)
+            rows.extend((int(d[0]), int(d[1]), int(d[2])) for d in options)
+            keys.extend(
+                PolicyProgram.descriptor_key(table, src, dst, *d)
+                for d in options
+            )
+        np.cumsum(first, out=first)
+        keys.sort()
+        return PolicyProgram(
+            ops=[(OP_KEYS, 0, len(keys), 1)],
+            keys=keys,
+            lists=(first, np.array(rows, np.int32).reshape(len(rows), 3)),
+        )
 
     def describe(self) -> str:
         return self.label

@@ -24,6 +24,13 @@ two legs, its channels and shape their concatenation.  Everything is
 filled lazily, per pair, on first touch; nothing here depends on an rng,
 a policy or a network instance, so one table serves every run, engine
 and model pass on an equal topology (see :func:`route_table`).
+
+The same rows also exist flattened into numpy arrays --
+:class:`MinImage` (all MIN candidates, their shape ids, and the VC
+ladder of every ordered pair of shapes) and :class:`VlbImage` (the
+sampling rows of all group pairs) -- which is the form the simulator's
+routing kernel reads; a policy's membership test joins them as a
+:class:`~repro.routing.pathset.PolicyProgram`.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from repro.routing.channels import ChannelIndex
 from repro.routing.minimal import min_paths
 from repro.routing.paths import LOCAL_SLOT, Path
 
-__all__ = ["Leg", "MinImage", "RouteTable", "route_table"]
+__all__ = ["Leg", "MinImage", "VlbImage", "RouteTable", "route_table"]
 
 # (switch_id tuples of the eligible intermediate groups, link counts
 # src-group->mid-group, link counts mid-group->dst-group), index-aligned
@@ -54,12 +61,21 @@ class Leg(NamedTuple):
 
 
 class MinImage(NamedTuple):
-    """Every MIN candidate of a topology, flattened for vectorized use.
+    """Every MIN candidate of a topology, flattened for array use.
 
     Pair ``src * nsw + dst`` owns candidate slots ``first[pair]`` ..
     ``first[pair] + k[pair] - 1``; slot ``i`` has ``hops[i]`` hops, head
     VC ``vcs0[i]``, and its (channel, VC) sequence starts at ``rel[i]``
     in the concatenated ``chan`` / ``vc`` image.
+
+    A VLB candidate ``(mid, slot1, slot2)`` of the pair is slots
+    ``first[src * nsw + mid] + slot1`` and ``first[mid * nsw + dst] +
+    slot2`` back to back.  Its VC ladder depends only on the two slots'
+    shapes: with ``S = len(shapes)``, ``combo_off[revised, shape[i] * S
+    + shape[j]]`` is where the ladder of ``shapes[shape[i]] +
+    shapes[shape[j]]`` starts in ``combo_vc`` (row 1: PAR's
+    ``revised=True, hop_offset=1`` ladder), or ``-1`` where
+    ``assign_vcs`` raises for that shape under this VC budget.
     """
 
     k: np.ndarray
@@ -69,6 +85,34 @@ class MinImage(NamedTuple):
     rel: np.ndarray
     chan: np.ndarray
     vc: np.ndarray
+    shape: np.ndarray  # per slot: index into ``shapes``
+    shapes: Tuple[str, ...]
+    shape_local: np.ndarray  # per shape: 1 when its first hop is local
+    combo_off: np.ndarray  # [2, S * S]
+    combo_vc: np.ndarray
+
+
+class VlbImage(NamedTuple):
+    """:meth:`RouteTable.vlb_row` of every group pair, flattened.
+
+    Group pair ``gs * g + gd`` owns entries ``first[pair]`` ..
+    ``first[pair] + n[pair] - 1`` (``n == 0``: no VLB path), one per
+    eligible intermediate group ``group[e]`` in ascending order, with
+    ``links_in[e]`` / ``links_out[e]`` global links towards the source /
+    destination group; ``switches[gm]`` are a group's switch ids in the
+    order uniform descriptor sampling indexes them.  ``switch_group``
+    and ``node_switch`` are ``group_of`` / ``switch_of_node`` as arrays.
+    """
+
+    first: np.ndarray
+    n: np.ndarray
+    group: np.ndarray
+    links_in: np.ndarray
+    links_out: np.ndarray
+    switches: np.ndarray  # [g, a]
+    switch_group: np.ndarray
+    node_switch: np.ndarray
+    slot_bound: int  # exclusive upper bound of every descriptor's slots
 
 
 class _Ladders(Dict[str, List[int]]):
@@ -125,6 +169,10 @@ class RouteTable:
         self._vlb_rows: Dict[int, Optional[VlbRow]] = {}
         self._ladders: Dict[Tuple[str, int, bool, int], _Ladders] = {}
         self._images: Dict[Tuple[str, int], MinImage] = {}
+        self._vlb_image: Optional[VlbImage] = None
+        # compiled membership tests by (hashable) policy; see
+        # repro.routing.pathset.policy_program
+        self.programs: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
     # Legs
@@ -179,6 +227,10 @@ class RouteTable:
         second = legs.get(mid * nsw + dst) or self.min_legs(mid, dst)
         return first[desc.slot1], second[desc.slot2]
 
+    def channel_index(self, src: int, dst: int, slot: int) -> Optional[int]:
+        """Dense index of a directed channel, ``None`` if there is none."""
+        return self._index.get((src, dst, slot))
+
     def path_of(self, src: int, chans: Sequence[int]) -> Path:
         """Materialize the switch-level path of a channel-index row."""
         keys = self.channel_keys
@@ -214,6 +266,56 @@ class RouteTable:
         self._vlb_rows[key] = row
         return row
 
+    @property
+    def slot_bound(self) -> int:
+        """Exclusive upper bound of every VLB descriptor's link slots."""
+        return self.vlb_image().slot_bound
+
+    def vlb_image(self) -> VlbImage:
+        """:meth:`vlb_row` of all group pairs as flat arrays."""
+        image = self._vlb_image
+        if image is not None:
+            return image
+        g = self.g
+        first = np.zeros(g * g, np.int32)
+        n = np.zeros(g * g, np.int32)
+        group: List[int] = []
+        links_in: List[int] = []
+        links_out: List[int] = []
+        for gs in range(g):
+            for gd in range(g):
+                row = self.vlb_row(gs, gd)
+                first[gs * g + gd] = len(group)
+                if row is None:
+                    continue
+                mids, m_in, m_out = row
+                n[gs * g + gd] = len(mids)
+                group.extend(self.group[switches[0]] for switches in mids)
+                links_in.extend(m_in)
+                links_out.extend(m_out)
+        topo = self.topo
+        image = self._vlb_image = VlbImage(
+            first,
+            n,
+            np.array(group, np.int32),
+            np.array(links_in, np.int32),
+            np.array(links_out, np.int32),
+            np.array(
+                [
+                    [topo.switch_id(gm, k) for k in range(topo.a)]
+                    for gm in range(g)
+                ],
+                np.int32,
+            ).reshape(g, topo.a),
+            np.array(self.group, np.int32),
+            np.array(
+                [topo.switch_of_node(node) for node in range(topo.num_nodes)],
+                np.int32,
+            ),
+            max([1, *links_in, *links_out]),
+        )
+        return image
+
     # ------------------------------------------------------------------
     # VC ladders
     # ------------------------------------------------------------------
@@ -233,10 +335,15 @@ class RouteTable:
         return ladders
 
     # ------------------------------------------------------------------
-    # Flattened MIN image (the batched driver's vectorized lane)
+    # Flattened MIN image (the routing kernel's candidate tables)
     # ------------------------------------------------------------------
     def min_image(self, scheme: str, num_vcs: int) -> MinImage:
-        """All MIN candidates as flat arrays; fills every MIN row."""
+        """All MIN candidates as flat arrays; fills every MIN row.
+
+        Raises the ladders' ``ValueError`` when a MIN shape does not fit
+        ``num_vcs``; a two-leg shape that does not fit is only marked
+        (``combo_off == -1``).
+        """
         image = self._images.get((scheme, num_vcs))
         if image is not None:
             return image
@@ -249,6 +356,8 @@ class RouteTable:
         rel: List[int] = []
         chan: List[int] = []
         vc: List[int] = []
+        shape: List[int] = []
+        shape_ids: Dict[str, int] = {}
         for s in range(nsw):
             for d in range(nsw):
                 if s == d:
@@ -263,6 +372,27 @@ class RouteTable:
                     vcs0.append(vcs[0])
                     chan.extend(leg.chans)
                     vc.extend(vcs)
+                    shape.append(
+                        shape_ids.setdefault(leg.shape, len(shape_ids))
+                    )
+        shapes = tuple(shape_ids)
+        count = len(shapes)
+        combo_off = np.full((2, count * count), -1, np.int32)
+        combo_vc: List[int] = []
+        for revised in (0, 1):
+            two_leg = (
+                self.ladders(scheme, num_vcs, revised=True, hop_offset=1)
+                if revised
+                else ladders
+            )
+            for i, head in enumerate(shapes):
+                for j, tail in enumerate(shapes):
+                    try:
+                        vcs = two_leg[head + tail]
+                    except ValueError:
+                        continue  # too few VCs: marked, raised on use
+                    combo_off[revised, i * count + j] = len(combo_vc)
+                    combo_vc.extend(vcs)
         image = self._images[(scheme, num_vcs)] = MinImage(
             k,
             first,
@@ -271,6 +401,11 @@ class RouteTable:
             np.array(rel, np.int64),
             np.array(chan, np.int32),
             np.array(vc, np.int32),
+            np.array(shape, np.int32),
+            shapes,
+            np.array([name.startswith("l") for name in shapes], np.int32),
+            combo_off,
+            np.array(combo_vc, np.int32),
         )
         return image
 

@@ -5,8 +5,8 @@
  * struct-of-arrays state owned by Python/numpy.  The kernel holds NO
  * private state: every array it touches is a numpy buffer allocated and
  * introspected on the Python side, so observability, routing decisions
- * (load_metric) and the pure-Python phases (PAR revision processing,
- * injection, ejection draining) all read and write the same memory.
+ * (load_metric), injection and ejection draining all read and write the
+ * same memory.
  *
  * Bit-exactness contract (the reason this is a scalar transliteration and
  * not a blindly vectorized arbiter): every iteration order below mirrors
@@ -18,8 +18,9 @@
  *   - wheel buckets are drained in append order;
  *   - credits are applied before deliveries, deliveries before the
  *     crossbar, the crossbar before transmissions.
- * Grant order pins the PAR on_arrival RNG draw order (handled in Python),
- * which is the only order-sensitive randomness in a cycle.
+ * Grant order pins the RNG draw order of PAR's hop-1 revisions (run before
+ * the step: repro_revise_batch, or Python's on_arrival per packet), which
+ * is the only order-sensitive randomness in a cycle.
  *
  * Performance notes (the step is memory-bound: thousands of scattered
  * accesses per cycle at saturation):
@@ -54,15 +55,23 @@
  *     drain) holds at most nNodes packets per cycle and Python flushes
  *     it before fewer than nNodes slots remain.
  *
+ * Routing decisions live here too (second half of the file):
+ * repro_route_batch decides one cycle's injections and repro_revise_batch
+ * one delivery bucket's PAR revisions, both from flat tables (RouteCtx)
+ * and a buffer of pre-drawn random words, in exactly the order and with
+ * exactly the draws of the per-packet Python procedure in
+ * repro/sim/routing.py + repro/routing/pathset.py, which stays the
+ * reference they are tested against.
+ *
  * The kernel is built on demand by repro.sim.array.native with the system
- * C compiler; repro_abi() guards the struct layout against drift between
- * this file and the ctypes mirror.
+ * C compiler; repro_abi() guards both struct layouts against drift
+ * between this file and the ctypes mirrors.
  */
 
 #include <stdint.h>
 #include <string.h>
 
-#define REPRO_ARRAYNET_ABI_VERSION 11
+#define REPRO_ARRAYNET_ABI_VERSION 12
 
 /* counters[] indices (shared with Python) */
 #define CNT_ACT 0 /* active routers in act_list */
@@ -202,8 +211,8 @@ typedef struct {
     int32_t *pkt;        /* [cap][PK_STRIDE] */
     int32_t *pmeta;      /* [cap][PM_STRIDE] */
     int32_t *free_stack; /* [cap] LIFO of free pids (count CNT_FREE) */
-    const int32_t *arena_chan;
-    const int32_t *arena_vc;
+    int32_t *arena_chan; /* appended to by the routing entry points */
+    int32_t *arena_vc;
     int64_t *counters; /* CNT_* above */
     /* --- scalars --- */
     int64_t nR;
@@ -287,29 +296,36 @@ static int64_t router_remove(int32_t *act_list, int32_t *act_pos,
     return nact - 1;
 }
 
-/* phase 1: credit returns, then wire arrivals into input buffers.
- * skip_credits: Python already applied this bucket (PAR revision cycles,
- * where revisions must read post-credit load_metric before the kernel
- * runs). */
-static int64_t deliver(State *s, int64_t cycle, int32_t idx,
-                       int64_t skip_credits)
+/* this bucket's credit returns (idempotent: the bucket is emptied) */
+static void apply_credits(State *s, int32_t idx)
 {
+    const int32_t ncr = s->cw_n[idx];
+    if (!ncr)
+        return;
     const int32_t cs = (int32_t)s->cred_stride;
     const int32_t ors = (int32_t)s->outrow_stride;
     const int32_t psize = (int32_t)s->psize;
     int32_t *const outrow = s->outrow;
-    int32_t ncr = s->cw_n[idx];
-    if (ncr && !skip_credits) {
-        const int32_t *cc = s->cw_chan + (int64_t)idx * s->cw_cap;
-        const int32_t *cv = s->cw_vc + (int64_t)idx * s->cw_cap;
-        for (int32_t i = 0; i < ncr; i++) {
-            int32_t *row = outrow + (int64_t)cc[i] * ors + OR_CRED;
-            row[cv[i]] += psize;
-            row[cs - 1] += psize;
-        }
-        s->cw_n[idx] = 0;
-        s->counters[CNT_PC] -= ncr;
+    const int32_t *cc = s->cw_chan + (int64_t)idx * s->cw_cap;
+    const int32_t *cv = s->cw_vc + (int64_t)idx * s->cw_cap;
+    for (int32_t i = 0; i < ncr; i++) {
+        int32_t *row = outrow + (int64_t)cc[i] * ors + OR_CRED;
+        row[cv[i]] += psize;
+        row[cs - 1] += psize;
     }
+    s->cw_n[idx] = 0;
+    s->counters[CNT_PC] -= ncr;
+}
+
+/* phase 1: credit returns, then wire arrivals into input buffers.
+ * skip_credits: the bucket was already applied (PAR revision cycles,
+ * where revisions must read post-credit load_metric before the rest of
+ * the cycle runs). */
+static int64_t deliver(State *s, int64_t cycle, int32_t idx,
+                       int64_t skip_credits)
+{
+    if (!skip_credits)
+        apply_credits(s, idx);
     const int32_t nd = s->dw_n[idx];
     if (!nd) {
         s->rev_n[idx] = 0;
@@ -370,7 +386,7 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
             nej++;
             continue;
         }
-        /* any PAR revision for this bucket already ran in Python */
+        /* any PAR revision for this bucket already ran (pre-step) */
         int32_t *const rec = pkt + (int64_t)pid * PK_STRIDE;
         const int32_t r = ch_dst_router[c];
         const int32_t gslot = ch_gslot[c] + dm[i];
@@ -820,8 +836,8 @@ static int64_t transmit(State *s, int64_t cycle, int32_t idx)
         dw_pid[b * dw_cap + m] = pid;
         dw_meta[b * dw_cap + m] = wvc;
         dw_n[b] = m + 1;
-        /* a revisable packet delivered after its first hop will need a
-         * Python-side PAR revision before that bucket is drained; the
+        /* a revisable packet delivered after its first hop will need its
+         * PAR revision before that bucket is drained; the
          * grant stamped that fact into the wire word so the switch path
          * here never loads the packet record */
         rev_n[b] += wrev;
@@ -844,12 +860,6 @@ static int64_t transmit(State *s, int64_t cycle, int32_t idx)
     return 0;
 }
 
-/* layout guard: version * 100000 + sizeof(State), compared against the
- * ctypes mirror before the first call */
-int64_t repro_abi(void)
-{
-    return REPRO_ARRAYNET_ABI_VERSION * 100000 + (int64_t)sizeof(State);
-}
 
 int64_t repro_step_cycle(State *s, int64_t cycle, int64_t skip_credits)
 {
@@ -890,4 +900,694 @@ int64_t repro_step_batch(State **ss, int64_t n, int64_t cycle,
             return rc * 1000 + r;
     }
     return 0;
+}
+
+/* ======================================================================
+ * Routing decisions
+ *
+ * Everything a decision does per packet -- the bounded-integer draws,
+ * the policy's rejection test, the per-pair VLB candidate cache, the
+ * UGAL-L / UGAL-G / PAR cost comparison -- as reads of flat tables:
+ *   - MinImage (repro.routing.table): MIN candidates by switch pair; a
+ *     VLB descriptor (mid, slot1, slot2) is two of its slots, and the VC
+ *     ladder of the pair of slot shapes is a row of combo_off/combo_vc;
+ *   - VlbImage: eligible intermediate groups and link counts per group
+ *     pair (uniform descriptor sampling);
+ *   - the policy's membership program (repro.routing.pathset.PO_* rows);
+ *   - the run's candidate store: per switch pair a row of `pair` plus
+ *     blocks of `pool` (cached candidates, sparse-policy reservoir,
+ *     enumeration handed in by Python);
+ *   - `words`: raw 32-bit generator output, consumed exactly as
+ *     numpy.random.Generator.integers(n) would consume it.
+ * Python owns every buffer.  A decision that needs more than there is
+ * -- words, pool or arena space, a pair's enumeration, a VC ladder that
+ * does not exist -- is rolled back completely and the call returns its
+ * index with RouteCtx.status saying what to provide, so re-entering at
+ * that index reproduces it from the same word.
+ * ====================================================================== */
+
+#define RS_OK 0
+#define RS_WORDS 1  /* word buffer ran dry */
+#define RS_POOL 2   /* candidate-store pool full */
+#define RS_ARENA 3  /* route arena full */
+#define RS_ENUM 4   /* need iter_descriptors of pair fail_a */
+#define RS_LADDER 5 /* combo fail_a has no (fail_b: revised) VC ladder */
+
+/* strategies (repro.sim.strategies) */
+#define RK_MIN 0
+#define RK_VLB 1
+#define RK_UGAL_L 2
+#define RK_UGAL_G 3
+#define RK_PAR 4
+
+/* membership-program opcodes (repro.routing.pathset.OP_*) */
+#define PO_HOP_CLASS 1
+#define PO_STRATEGIC 2
+#define PO_ORDERED 3
+#define PO_KEYS 4
+#define PO_CHANNELS 5
+
+/* PathPolicy.sample's constants (repro.routing.pathset) */
+#define SAMPLE_ATTEMPTS 128
+#define SPARSE_RESERVOIR 256
+#define SPARSE_BURST (64 * SPARSE_RESERVOIR)
+#define SPARSE_MEMO_MAX 20000
+
+/* per-pair store row (int32 columns) */
+#define PS_OFF 0   /* pool offset of the candidate block */
+#define PS_CAP 1   /* its capacity, in candidates */
+#define PS_LEN 2   /* candidates cached so far */
+#define PS_FLAGS 3
+#define PS_ROFF 4  /* reservoir: pool offset, */
+#define PS_RLEN 5  /* descriptor count */
+#define PS_EOFF 6  /* enumeration (written by Python): pool offset, */
+#define PS_ELEN 7  /* descriptor count */
+#define PS_STRIDE 8
+#define PF_NO_VLB 1    /* the policy offers this pair nothing */
+#define PF_RESERVOIR 2 /* PS_ROFF/PS_RLEN are valid */
+#define PF_ENUM 4      /* PS_EOFF/PS_ELEN are valid */
+
+/* decision counters */
+#define RC_VLB 0        /* decisions that chose the VLB candidate */
+#define RC_ATTEMPTS 1   /* uniform descriptor draws tried */
+#define RC_ACCEPTS 2    /* ... that the policy accepted */
+#define RC_REUSES 3     /* picks served from a pair's candidate cache */
+#define RC_FALLBACK 4   /* picks served from a sparse-policy reservoir */
+#define RC_CONSIDERED 5 /* hop-1 arrivals PAR looked at */
+#define RC_REVISED 6    /* ... and re-routed */
+#define RC_LEN 8
+
+typedef struct {
+    /* --- topology + MinImage --- */
+    const int32_t *sw_of;  /* [nNodes] */
+    const int32_t *grp_of; /* [nsw] */
+    const int32_t *mi_k;
+    const int64_t *mi_first;
+    const int32_t *mi_hops;
+    const int32_t *mi_vcs0;
+    const int64_t *mi_rel;
+    const int32_t *mi_chan;
+    const int32_t *mi_shape;
+    const int32_t *shape_local;
+    const int32_t *combo_off; /* [2][nshapes * nshapes] */
+    const int32_t *combo_vc;
+    /* --- VlbImage --- */
+    const int32_t *vr_first;
+    const int32_t *vr_n;
+    const int32_t *vr_group;
+    const int32_t *vr_in;
+    const int32_t *vr_out;
+    const int32_t *grp_sw; /* [ngroups][a] */
+    /* --- policy program --- */
+    const int64_t *ops; /* [nops][4] */
+    const int64_t *keys;
+    const uint8_t *mask;
+    const int64_t *ex_first; /* by_index: CSR over switch pairs */
+    const int32_t *ex_desc;  /* [.][3] */
+    /* --- candidate store --- */
+    int32_t *pair; /* [nsw * nsw][PS_STRIDE] */
+    int32_t *pool;
+    const uint32_t *words;
+    /* --- scalars --- */
+    int64_t nsw;
+    int64_t ngroups;
+    int64_t a;
+    int64_t nshapes;
+    int64_t nops;
+    int64_t by_index;
+    int64_t key_bound;
+    int64_t kind; /* RK_* */
+    int64_t threshold;
+    int64_t extra_min; /* candidates beyond the first, UGAL family */
+    int64_t extra_vlb;
+    int64_t cache_cap; /* vlb_cache_per_pair */
+    int64_t credit_cap; /* buffer_size * num_vcs of a switch channel */
+    int64_t image_base; /* arena offset of the interned MinImage */
+    int64_t pool_len;
+    int64_t pool_cap;
+    int64_t nres; /* reservoirs memoized (SPARSE_MEMO_MAX) */
+    int64_t arena_len;
+    int64_t arena_cap;
+    int64_t nwords;
+    int64_t wpos; /* words consumed */
+    int64_t nout; /* repro_revise_batch: rows written */
+    int64_t status;
+    int64_t fail_a;
+    int64_t fail_b;
+    int64_t cnt[RC_LEN];
+} RouteCtx;
+
+/* layout guard, compared against the ctypes mirrors before the first
+ * call: (version * 10000 + sizeof(RouteCtx)) * 10000 + sizeof(State) */
+int64_t repro_abi(void)
+{
+    return (REPRO_ARRAYNET_ABI_VERSION * 10000 + (int64_t)sizeof(RouteCtx)) *
+               10000 +
+           (int64_t)sizeof(State);
+}
+
+/* numpy's bounded integer below n <= 2**32 (Lemire multiply-shift over
+ * next_uint32 words); n == 1 consumes nothing.  On a dry buffer: RS_WORDS
+ * and 0, which is in range for every n. */
+static inline uint32_t rc_draw(RouteCtx *c, uint64_t n)
+{
+    if (n <= 1)
+        return 0;
+    if (c->wpos >= c->nwords) {
+        c->status = RS_WORDS;
+        return 0;
+    }
+    uint64_t m = (uint64_t)c->words[c->wpos++] * n;
+    uint64_t left = m & 0xffffffffu;
+    if (left < n) {
+        const uint64_t threshold = (((uint64_t)1 << 32) - n) % n;
+        while (left < threshold) {
+            if (c->wpos >= c->nwords) {
+                c->status = RS_WORDS;
+                return 0;
+            }
+            m = (uint64_t)c->words[c->wpos++] * n;
+            left = m & 0xffffffffu;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* test hook for rc_draw: one draw per bound until done or dry; returns
+ * the draws completed, *consumed the words they used */
+int64_t repro_draw_batch(const uint32_t *words, int64_t nwords,
+                         const int64_t *bounds, int64_t n, int64_t *out,
+                         int64_t *consumed)
+{
+    RouteCtx c;
+    memset(&c, 0, sizeof c);
+    c.words = words;
+    c.nwords = nwords;
+    int64_t i = 0;
+    for (; i < n; i++) {
+        const int64_t before = c.wpos;
+        const uint32_t value = rc_draw(&c, (uint64_t)bounds[i]);
+        if (c.status) {
+            c.wpos = before;
+            break;
+        }
+        out[i] = value;
+    }
+    *consumed = c.wpos;
+    return i;
+}
+
+/* repro.routing.pathset._mix, in wrapping 64-bit arithmetic */
+static inline uint64_t rc_mix(uint64_t seed, uint64_t src, uint64_t dst,
+                              uint64_t mid, uint64_t s1, uint64_t s2)
+{
+    uint64_t x = seed * 0x9E3779B97F4A7C15ull + src * 0xBF58476D1CE4E5B9ull +
+                 dst * 0x94D049BB133111EBull + mid * 0xD6E8FEB86659FD93ull +
+                 s1 * 0xA5A5A5A5A5A5A5A5ull + s2 * 0x0123456789ABCDEFull;
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ull;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBull;
+    x ^= x >> 31;
+    return x;
+}
+
+typedef struct {
+    int32_t mid, s1, s2;
+} Desc;
+
+/* a prepared route: hops, arena offset, injection VC, and the MinImage
+ * slot (MIN) or shape-pair index (VLB) it came from */
+typedef struct {
+    int32_t hops, off, vc0, aux;
+} Cand;
+
+/* policy.contains(src, dst, desc): every program row must accept */
+static int rc_contains(const RouteCtx *c, int32_t src, int32_t dst, Desc d)
+{
+    const int64_t nsw = c->nsw;
+    const int64_t slot1 = c->mi_first[src * nsw + d.mid] + d.s1;
+    const int64_t slot2 = c->mi_first[d.mid * nsw + dst] + d.s2;
+    const int32_t h1 = c->mi_hops[slot1];
+    const int32_t hops = h1 + c->mi_hops[slot2];
+    for (int64_t i = 0; i < c->nops; i++) {
+        const int64_t *op = c->ops + i * 4;
+        switch (op[0]) {
+        case PO_HOP_CLASS:
+            if (hops <= op[1])
+                break;
+            if (hops == op[1] + 1 && op[2] > 0 &&
+                rc_mix((uint64_t)op[3], src, dst, d.mid, d.s1, d.s2) % 10000 <
+                    (uint64_t)op[2])
+                break;
+            return 0;
+        case PO_STRATEGIC:
+            if (hops <= 4 || (hops == 5 && h1 == op[1]))
+                break;
+            return 0;
+        case PO_ORDERED:
+            if (d.mid <= src || d.mid <= dst)
+                return 0;
+            if (op[1] < 0 ||
+                rc_mix((uint64_t)op[2], src, dst, d.mid, d.s1, d.s2) % 10000 <
+                    (uint64_t)op[1])
+                break;
+            return 0;
+        case PO_KEYS: {
+            const int64_t b = c->key_bound;
+            const int64_t key =
+                (((src * nsw + dst) * nsw + d.mid) * b + d.s1) * b + d.s2;
+            const int64_t *keys = c->keys + op[1];
+            int64_t lo = 0, hi = op[2];
+            while (lo < hi) {
+                const int64_t at = (lo + hi) >> 1;
+                if (keys[at] < key)
+                    lo = at + 1;
+                else
+                    hi = at;
+            }
+            if ((lo < op[2] && keys[lo] == key) != (op[3] != 0))
+                return 0;
+            break;
+        }
+        case PO_CHANNELS: {
+            const uint8_t *mask = c->mask + op[1];
+            const int32_t *ch = c->mi_chan + c->mi_rel[slot1];
+            for (int32_t h = 0; h < h1; h++)
+                if (mask[ch[h]])
+                    return 0;
+            ch = c->mi_chan + c->mi_rel[slot2];
+            for (int32_t h = 0; h < hops - h1; h++)
+                if (mask[ch[h]])
+                    return 0;
+            break;
+        }
+        default:
+            return 0;
+        }
+    }
+    return 1;
+}
+
+/* test hook for rc_contains: out[i] = membership of descriptor
+ * desc[i] = (src, dst, mid, slot1, slot2), which must name a path */
+void repro_contains_batch(const RouteCtx *c, int64_t n, const int32_t *desc,
+                          uint8_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t *d = desc + 5 * i;
+        const Desc probe = {d[2], d[3], d[4]};
+        out[i] = (uint8_t)rc_contains(c, d[0], d[1], probe);
+    }
+}
+
+/* one uniform descriptor draw of group-pair row gp; 0 when rejected */
+static int rc_attempt(RouteCtx *c, int32_t src, int32_t dst, int32_t gp,
+                      Desc *out)
+{
+    c->cnt[RC_ATTEMPTS]++;
+    const int32_t e = c->vr_first[gp] + (int32_t)rc_draw(c, c->vr_n[gp]);
+    const int32_t m1 = c->vr_in[e], m2 = c->vr_out[e];
+    if (m1 == 0 || m2 == 0)
+        return 0;
+    Desc d;
+    d.mid = c->grp_sw[c->vr_group[e] * c->a + rc_draw(c, c->a)];
+    d.s1 = (int32_t)rc_draw(c, m1);
+    d.s2 = (int32_t)rc_draw(c, m2);
+    if (c->status || !rc_contains(c, src, dst, d))
+        return 0;
+    c->cnt[RC_ACCEPTS]++;
+    *out = d;
+    return 1;
+}
+
+/* PathPolicy.sample / ExplicitPathSet.sample; 0 = no descriptor */
+static int rc_sample(RouteCtx *c, int32_t src, int32_t dst, Desc *out)
+{
+    const int64_t pair = src * c->nsw + dst;
+    if (c->by_index) {
+        const int64_t lo = c->ex_first[pair];
+        const int64_t n = c->ex_first[pair + 1] - lo;
+        if (!n)
+            return 0;
+        const int32_t *d = c->ex_desc + (lo + rc_draw(c, n)) * 3;
+        out->mid = d[0];
+        out->s1 = d[1];
+        out->s2 = d[2];
+        return 1;
+    }
+    const int32_t gp =
+        c->grp_of[src] * (int32_t)c->ngroups + c->grp_of[dst];
+    if (!c->vr_n[gp])
+        return 0;
+    for (int i = 0; i < SAMPLE_ATTEMPTS && !c->status; i++)
+        if (rc_attempt(c, src, dst, gp, out))
+            return 1;
+    /* sparse policy: a reservoir per pair, filled by a long rejection
+     * burst, or -- only when that finds nothing -- from the pair's
+     * enumeration, and reused by every later draw */
+    int32_t *ps = c->pair + pair * PS_STRIDE;
+    const int32_t *res;
+    int32_t rl;
+    if (ps[PS_FLAGS] & PF_RESERVOIR) {
+        res = c->pool + ps[PS_ROFF];
+        rl = ps[PS_RLEN];
+    } else {
+        if (c->pool_len + 3 * SPARSE_RESERVOIR > c->pool_cap) {
+            c->status = RS_POOL;
+            return 0;
+        }
+        int32_t *fill = c->pool + c->pool_len;
+        rl = 0;
+        for (int i = 0; i < SPARSE_BURST && !c->status; i++) {
+            Desc d;
+            if (rc_attempt(c, src, dst, gp, &d)) {
+                fill[3 * rl] = d.mid;
+                fill[3 * rl + 1] = d.s1;
+                fill[3 * rl + 2] = d.s2;
+                if (++rl >= SPARSE_RESERVOIR)
+                    break;
+            }
+        }
+        if (!rl && !c->status) {
+            if (!(ps[PS_FLAGS] & PF_ENUM)) {
+                c->status = RS_ENUM;
+                c->fail_a = pair;
+                return 0;
+            }
+            const int32_t *all = c->pool + ps[PS_EOFF];
+            for (int32_t seen = 1; seen <= ps[PS_ELEN]; seen++) {
+                int32_t at = rl;
+                if (rl < SPARSE_RESERVOIR)
+                    rl++;
+                else if ((at = (int32_t)rc_draw(c, seen)) >=
+                         SPARSE_RESERVOIR)
+                    continue;
+                memcpy(fill + 3 * at, all + 3 * (seen - 1),
+                       3 * sizeof(int32_t));
+            }
+        }
+        if (c->status)
+            return 0;
+        if (c->nres < SPARSE_MEMO_MAX) {
+            ps[PS_FLAGS] |= PF_RESERVOIR;
+            ps[PS_ROFF] = (int32_t)c->pool_len;
+            ps[PS_RLEN] = rl;
+            c->pool_len += 3 * rl;
+            c->nres++;
+        }
+        res = fill;
+    }
+    if (!rl)
+        return 0;
+    const int32_t *d = res + 3 * rc_draw(c, rl);
+    out->mid = d[0];
+    out->s1 = d[1];
+    out->s2 = d[2];
+    c->cnt[RC_FALLBACK]++;
+    return 1;
+}
+
+/* RoutingAlgorithm._candidate for a sampled descriptor: its route goes
+ * into the arena and, with the cache on, the candidate into the pair's
+ * block in draw order; 0 when something is missing (status) */
+static int rc_candidate(State *s, RouteCtx *c, int32_t src, int32_t dst,
+                        Desc d, int32_t *ps, Cand *out)
+{
+    const int64_t nsw = c->nsw;
+    const int64_t slot1 = c->mi_first[src * nsw + d.mid] + d.s1;
+    const int64_t slot2 = c->mi_first[d.mid * nsw + dst] + d.s2;
+    const int32_t combo =
+        c->mi_shape[slot1] * (int32_t)c->nshapes + c->mi_shape[slot2];
+    const int32_t ladder = c->combo_off[combo];
+    if (ladder < 0) {
+        c->status = RS_LADDER;
+        c->fail_a = combo;
+        c->fail_b = 0;
+        return 0;
+    }
+    const int32_t h1 = c->mi_hops[slot1], h2 = c->mi_hops[slot2];
+    if (c->arena_len + h1 + h2 > c->arena_cap) {
+        c->status = RS_ARENA;
+        return 0;
+    }
+    int32_t *chan = s->arena_chan + c->arena_len;
+    memcpy(chan, c->mi_chan + c->mi_rel[slot1], h1 * sizeof(int32_t));
+    memcpy(chan + h1, c->mi_chan + c->mi_rel[slot2], h2 * sizeof(int32_t));
+    memcpy(s->arena_vc + c->arena_len, c->combo_vc + ladder,
+           (h1 + h2) * sizeof(int32_t));
+    out->hops = h1 + h2;
+    out->off = (int32_t)c->arena_len;
+    out->vc0 = c->combo_vc[ladder];
+    out->aux = combo;
+    c->arena_len += h1 + h2;
+    const int64_t cap = c->cache_cap;
+    if (cap <= 0)
+        return 1;
+    const int32_t len = ps[PS_LEN];
+    if (len == ps[PS_CAP]) {
+        /* grow the pair's block by relocation (the pool only ever grows
+         * at its end) */
+        int64_t grown = len ? 2 * (int64_t)len : 8;
+        if (grown > cap)
+            grown = cap;
+        if (c->pool_len + 4 * grown > c->pool_cap) {
+            c->status = RS_POOL;
+            return 0;
+        }
+        memcpy(c->pool + c->pool_len, c->pool + ps[PS_OFF],
+               (size_t)len * sizeof(Cand));
+        ps[PS_OFF] = (int32_t)c->pool_len;
+        ps[PS_CAP] = (int32_t)grown;
+        c->pool_len += 4 * grown;
+    }
+    memcpy(c->pool + ps[PS_OFF] + 4 * len, out, sizeof(Cand));
+    ps[PS_LEN] = len + 1;
+    return 1;
+}
+
+/* RoutingAlgorithm.pick_vlb: one VLB candidate of the pair through its
+ * candidate cache -- the first cache_cap picks are genuine samples,
+ * later ones (and picks the policy cannot serve any more) reuse them
+ * uniformly; 0 when the policy offers the pair nothing */
+static int rc_pick_vlb(State *s, RouteCtx *c, int32_t src, int32_t dst,
+                       Cand *out)
+{
+    int32_t *ps = c->pair + (src * c->nsw + dst) * PS_STRIDE;
+    if (ps[PS_FLAGS] & PF_NO_VLB)
+        return 0;
+    if (c->cache_cap <= 0 || ps[PS_LEN] < c->cache_cap) {
+        Desc d;
+        if (rc_sample(c, src, dst, &d))
+            return rc_candidate(s, c, src, dst, d, ps, out);
+        if (!ps[PS_LEN]) {
+            ps[PS_FLAGS] |= PF_NO_VLB;
+            return 0;
+        }
+    }
+    memcpy(out, c->pool + ps[PS_OFF] + 4 * rc_draw(c, ps[PS_LEN]),
+           sizeof(Cand));
+    c->cnt[RC_REUSES]++;
+    return 1;
+}
+
+/* RoutingAlgorithm.pick_min, as a candidate */
+static inline Cand rc_pick_min(RouteCtx *c, int64_t pair)
+{
+    const int64_t slot = c->mi_first[pair] + rc_draw(c, c->mi_k[pair]);
+    Cand m;
+    m.hops = c->mi_hops[slot];
+    m.off = (int32_t)(c->image_base + c->mi_rel[slot]);
+    m.vc0 = c->mi_vcs0[slot];
+    m.aux = (int32_t)slot;
+    return m;
+}
+
+static inline int64_t rc_load(const State *s, const RouteCtx *c, int32_t ch)
+{
+    const int32_t *row = s->outrow + (int64_t)ch * s->outrow_stride;
+    return row[OR_LEN] + c->credit_cap - row[OR_CRED + s->cred_stride - 1];
+}
+
+/* the strategy's delay estimate of a candidate (UgalStrategy.cost) */
+static inline int64_t rc_cost(const State *s, const RouteCtx *c, Cand p)
+{
+    const int32_t *chan = s->arena_chan + p.off;
+    if (c->kind != RK_UGAL_G)
+        return rc_load(s, c, chan[0]) * p.hops;
+    int64_t total = 0;
+    for (int32_t h = 0; h < p.hops; h++)
+        total += rc_load(s, c, chan[h]);
+    return total;
+}
+
+/* what a decision may change, so that it can be undone */
+typedef struct {
+    int64_t wpos, arena_len, pool_len, nres, nout;
+    int64_t cnt[RC_LEN];
+    int32_t *ps;
+    int32_t row[PS_STRIDE];
+} Mark;
+
+static inline void rc_mark(const RouteCtx *c, int32_t *ps, Mark *m)
+{
+    m->wpos = c->wpos;
+    m->arena_len = c->arena_len;
+    m->pool_len = c->pool_len;
+    m->nres = c->nres;
+    m->nout = c->nout;
+    memcpy(m->cnt, c->cnt, sizeof m->cnt);
+    m->ps = ps;
+    memcpy(m->row, ps, sizeof m->row);
+}
+
+static inline void rc_rollback(RouteCtx *c, const Mark *m)
+{
+    c->wpos = m->wpos;
+    c->arena_len = m->arena_len;
+    c->pool_len = m->pool_len;
+    c->nres = m->nres;
+    c->nout = m->nout;
+    memcpy(c->cnt, m->cnt, sizeof m->cnt);
+    memcpy(m->ps, m->row, sizeof m->row);
+}
+
+/* Source decisions of one cycle: packets [start, n) of srcs/dsts (node
+ * ids, after the source-queue filter), strictly in order, each to one
+ * SE_* record of `records`.  Returns n when done, else the index of the
+ * decision that could not complete (status says why; nothing of it
+ * remains). */
+int64_t repro_route_batch(State *s, RouteCtx *c, int64_t start, int64_t n,
+                          const int64_t *srcs, const int64_t *dsts,
+                          int64_t cycle, int32_t *records)
+{
+    const int64_t nsw = c->nsw;
+    const int kind = (int)c->kind;
+    const int ugal = kind >= RK_UGAL_L;
+    const int64_t extra_min = ugal ? c->extra_min : 0;
+    const int64_t extra_vlb = ugal ? c->extra_vlb : 0;
+    c->status = RS_OK;
+    for (int64_t i = start; i < n; i++) {
+        const int32_t src = c->sw_of[srcs[i]];
+        const int32_t dst = c->sw_of[dsts[i]];
+        int32_t *rec = records + i * SE_STRIDE;
+        memset(rec, 0, SE_STRIDE * sizeof(int32_t));
+        rec[SE_DST] = (int32_t)dsts[i];
+        rec[SE_ICYC] = (int32_t)cycle;
+        if (src == dst)
+            continue; /* empty route, counted as a MIN choice */
+        const int64_t pair = src * nsw + dst;
+        Mark mark;
+        rc_mark(c, c->pair + pair * PS_STRIDE, &mark);
+        /* draws first, in the reference's order: MIN, VLB, extra MINs,
+         * extra VLBs; costs read channel state only, so comparing as
+         * the draws arrive equals comparing afterwards */
+        Cand pick = rc_pick_min(c, pair), vlb;
+        int use_vlb = 0;
+        const int contested =
+            kind != RK_MIN && rc_pick_vlb(s, c, src, dst, &vlb);
+        if (contested) {
+            if (!ugal)
+                use_vlb = 1;
+            else {
+                int64_t cost_min = rc_cost(s, c, pick);
+                int64_t cost_vlb = rc_cost(s, c, vlb);
+                for (int64_t e = 0; e < extra_min && !c->status; e++) {
+                    const Cand other = rc_pick_min(c, pair);
+                    const int64_t cost = rc_cost(s, c, other);
+                    if (cost < cost_min) {
+                        pick = other;
+                        cost_min = cost;
+                    }
+                }
+                for (int64_t e = 0; e < extra_vlb && !c->status; e++) {
+                    Cand other;
+                    if (!rc_pick_vlb(s, c, src, dst, &other))
+                        continue;
+                    const int64_t cost = rc_cost(s, c, other);
+                    if (cost < cost_vlb) {
+                        vlb = other;
+                        cost_vlb = cost;
+                    }
+                }
+                use_vlb = cost_min > cost_vlb + c->threshold;
+            }
+        }
+        if (c->status) {
+            rc_rollback(c, &mark);
+            return i;
+        }
+        if (use_vlb) {
+            pick = vlb;
+            rec[SE_VLB] = 1;
+            c->cnt[RC_VLB]++;
+        } else if (kind == RK_PAR && contested && pick.hops >= 2 &&
+                   c->shape_local[c->mi_shape[pick.aux]])
+            rec[SE_REV] = 1; /* may re-decide at the second switch */
+        rec[SE_PATH] = pick.hops;
+        rec[SE_VC0] = pick.vc0;
+        rec[SE_ROFF] = pick.off;
+    }
+    return n;
+}
+
+/* PAR's hop-1 revisions of delivery bucket idx (ParStrategy.revise), in
+ * delivery order from bucket position `start`: applies the bucket's
+ * credit returns first (revisions read post-credit loads; the step then
+ * runs with skip_credits), draws from the same candidate store as the
+ * source decisions, and appends one row (pool id, VLB candidate's arena
+ * offset, hops, shape pair) to `out` at RouteCtx.nout per packet that
+ * revises -- Python interns the spliced route and patches the record.
+ * Returns the bucket length when done, else the position to resume at. */
+int64_t repro_revise_batch(State *s, RouteCtx *c, int64_t idx, int64_t start,
+                           int32_t *out)
+{
+    apply_credits(s, (int32_t)idx);
+    const int32_t n = s->dw_n[idx];
+    const int32_t *dc = s->dw_chan + idx * s->dw_cap;
+    const int32_t *dp = s->dw_pid + idx * s->dw_cap;
+    const int64_t nsw = c->nsw;
+    const int64_t revised_row = c->nshapes * c->nshapes;
+    c->status = RS_OK;
+    for (int64_t i = start; i < n; i++) {
+        int32_t *rec = s->pkt + (int64_t)dp[i] * PK_STRIDE;
+        if (!rec[PK_REV] || rec[PK_HOP] != 1)
+            continue;
+        const int32_t here = s->ch_dst_router[dc[i]];
+        const int32_t dst = c->sw_of[rec[PK_DST]];
+        Cand vlb;
+        if (here != dst) {
+            Mark mark;
+            rc_mark(c, c->pair + (here * nsw + dst) * PS_STRIDE, &mark);
+            if (rc_pick_vlb(s, c, here, dst, &vlb)) {
+                /* the remaining MIN route against a fresh VLB path */
+                const int64_t cost_min =
+                    rc_load(s, c, s->arena_chan[rec[PK_ROFF] + 1]) *
+                    (rec[PK_PATH] - 1);
+                const int64_t cost_vlb =
+                    rc_load(s, c, s->arena_chan[vlb.off]) * vlb.hops;
+                if (cost_vlb + c->threshold < cost_min) {
+                    if (c->combo_off[revised_row + vlb.aux] < 0) {
+                        c->status = RS_LADDER;
+                        c->fail_a = vlb.aux;
+                        c->fail_b = 1;
+                    }
+                    int32_t *row = out + 4 * c->nout++;
+                    row[0] = dp[i];
+                    row[1] = vlb.off;
+                    row[2] = vlb.hops;
+                    row[3] = vlb.aux;
+                    c->cnt[RC_REVISED]++;
+                }
+            }
+            if (c->status) {
+                rc_rollback(c, &mark);
+                return i;
+            }
+        }
+        rec[PK_REV] = 0;
+        c->cnt[RC_CONSIDERED]++;
+    }
+    s->rev_n[idx] = 0;
+    return n;
 }

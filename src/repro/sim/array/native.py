@@ -15,10 +15,11 @@ Environment gate ``REPRO_ARRAYNET_NATIVE``:
 * ``require`` -- raise :class:`NativeKernelUnavailable` instead of
   falling back (CI perf gates use this to fail loudly).
 
-The :class:`CState` ctypes structure mirrors ``struct State`` in
-``kernel.c`` field for field; ``repro_abi()`` returns
-``version * 100000 + sizeof(State)`` and is checked before the first
-call so a layout drift between the two files fails fast instead of
+The :class:`CState` and :class:`CRouteCtx` ctypes structures mirror
+``State`` and ``RouteCtx`` in ``kernel.c`` field for field;
+``repro_abi()`` folds the version and both sizes into one number that is
+checked before the first call, so a layout drift between the two files
+-- or a cached ``.so`` built from other sources -- is refused instead of
 corrupting memory.
 """
 
@@ -35,6 +36,7 @@ from typing import List, Optional, Tuple
 from repro.obs.log import get_logger
 
 __all__ = [
+    "CRouteCtx",
     "CState",
     "NativeKernelUnavailable",
     "load_kernel",
@@ -59,7 +61,7 @@ __all__ = [
 
 _log = get_logger("sim.array.native")
 
-_ABI_VERSION = 11  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
+_ABI_VERSION = 12  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
 _KERNEL_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -87,7 +89,7 @@ PK_ROFF = 7
 PK_STRIDE = 8
 
 # field order MUST match struct State in kernel.c exactly; repro_abi()
-# only guards the total size, the parity test suite guards the semantics
+# only guards the total sizes, the parity test suite guards the semantics
 _POINTER_FIELDS: List[Tuple[str, object]] = [
     ("ch_latency", _I32P),
     ("ch_delay", _I32P),
@@ -169,6 +171,100 @@ class CState(ctypes.Structure):
     ]
 
 
+# --- routing decisions (RouteCtx in kernel.c) ---
+RS_WORDS = 1  # statuses: what an incomplete call needs before re-entry
+RS_POOL = 2
+RS_ARENA = 3
+RS_ENUM = 4
+RS_LADDER = 5
+
+# per-pair store row columns / flags
+PS_EOFF = 6
+PS_ELEN = 7
+PS_FLAGS = 3
+PS_STRIDE = 8
+PF_RESERVOIR = 2
+PF_ENUM = 4
+
+# decision counters (RouteCtx.cnt)
+RC_VLB = 0
+RC_ATTEMPTS = 1
+RC_ACCEPTS = 2
+RC_REUSES = 3
+RC_FALLBACK = 4
+RC_CONSIDERED = 5
+RC_REVISED = 6
+RC_LEN = 8
+
+ROUTE_POINTER_FIELDS: Tuple[str, ...] = (
+    "sw_of",
+    "grp_of",
+    "mi_k",
+    "mi_first",
+    "mi_hops",
+    "mi_vcs0",
+    "mi_rel",
+    "mi_chan",
+    "mi_shape",
+    "shape_local",
+    "combo_off",
+    "combo_vc",
+    "vr_first",
+    "vr_n",
+    "vr_group",
+    "vr_in",
+    "vr_out",
+    "grp_sw",
+    "ops",
+    "keys",
+    "mask",
+    "ex_first",
+    "ex_desc",
+    "pair",
+    "pool",
+    "words",
+)
+
+ROUTE_SCALAR_FIELDS: Tuple[str, ...] = (
+    "nsw",
+    "ngroups",
+    "a",
+    "nshapes",
+    "nops",
+    "by_index",
+    "key_bound",
+    "kind",
+    "threshold",
+    "extra_min",
+    "extra_vlb",
+    "cache_cap",
+    "credit_cap",
+    "image_base",
+    "pool_len",
+    "pool_cap",
+    "nres",
+    "arena_len",
+    "arena_cap",
+    "nwords",
+    "wpos",
+    "nout",
+    "status",
+    "fail_a",
+    "fail_b",
+)
+
+
+class CRouteCtx(ctypes.Structure):
+    """ctypes mirror of ``RouteCtx`` in kernel.c (pointers are set from
+    ``ndarray.ctypes.data``; their element types live in the C file)."""
+
+    _fields_ = (
+        [(name, ctypes.c_void_p) for name in ROUTE_POINTER_FIELDS]
+        + [(name, ctypes.c_int64) for name in ROUTE_SCALAR_FIELDS]
+        + [("cnt", ctypes.c_int64 * RC_LEN)]
+    )
+
+
 class NativeKernelUnavailable(RuntimeError):
     """The native kernel was required but could not be built/loaded."""
 
@@ -219,6 +315,17 @@ def _build(compiler: str, source: str, digest: str) -> str:
     return so_path
 
 
+def _source_digest() -> str:
+    """Cache identity of the kernel: its source and the build flags
+    (changing the flags must miss the cache, not silently reuse an
+    object built under the old ones)."""
+    with open(_KERNEL_SRC, "rb") as fh:
+        source_bytes = fh.read()
+    return hashlib.sha256(
+        source_bytes + "\0".join(_CFLAGS).encode()
+    ).hexdigest()[:16]
+
+
 def _load() -> ctypes.CDLL:
     if not os.path.exists(_KERNEL_SRC):
         raise NativeKernelUnavailable(f"kernel source missing: {_KERNEL_SRC}")
@@ -227,15 +334,8 @@ def _load() -> ctypes.CDLL:
         raise NativeKernelUnavailable(
             "no C compiler found (tried %s)" % ", ".join(_COMPILERS)
         )
-    with open(_KERNEL_SRC, "rb") as fh:
-        source_bytes = fh.read()
-    # flags are part of the .so identity: changing them must miss the
-    # cache, not silently reuse an object built under the old flags
-    digest = hashlib.sha256(
-        source_bytes + "\0".join(_CFLAGS).encode()
-    ).hexdigest()[:16]
     try:
-        so_path = _build(compiler, _KERNEL_SRC, digest)
+        so_path = _build(compiler, _KERNEL_SRC, _source_digest())
         lib = ctypes.CDLL(so_path)
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = ""
@@ -246,7 +346,9 @@ def _load() -> ctypes.CDLL:
         ) from exc
     lib.repro_abi.restype = ctypes.c_int64
     lib.repro_abi.argtypes = []
-    expected = _ABI_VERSION * 100000 + ctypes.sizeof(CState)
+    expected = (
+        _ABI_VERSION * 10000 + ctypes.sizeof(CRouteCtx)
+    ) * 10000 + ctypes.sizeof(CState)
     got = int(lib.repro_abi())
     if got != expected:
         raise NativeKernelUnavailable(
@@ -268,6 +370,42 @@ def _load() -> ctypes.CDLL:
         ctypes.c_int64,
         ctypes.c_int64,
         ctypes.POINTER(ctypes.c_int64),
+    ]
+    # routing decisions: array arguments are raw addresses
+    lib.repro_route_batch.restype = ctypes.c_int64
+    lib.repro_route_batch.argtypes = [
+        ctypes.POINTER(CState),
+        ctypes.POINTER(CRouteCtx),
+        ctypes.c_int64,  # start
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # int64 source nodes
+        ctypes.c_void_p,  # int64 destination nodes
+        ctypes.c_int64,  # cycle
+        ctypes.c_void_p,  # int32 SE_* records out
+    ]
+    lib.repro_revise_batch.restype = ctypes.c_int64
+    lib.repro_revise_batch.argtypes = [
+        ctypes.POINTER(CState),
+        ctypes.POINTER(CRouteCtx),
+        ctypes.c_int64,  # delivery bucket
+        ctypes.c_int64,  # start position
+        ctypes.c_void_p,  # int32 [.][4] revised rows out
+    ]
+    lib.repro_contains_batch.restype = None
+    lib.repro_contains_batch.argtypes = [
+        ctypes.POINTER(CRouteCtx),
+        ctypes.c_int64,
+        ctypes.c_void_p,  # int32 [n][5]: src, dst, mid, slot1, slot2
+        ctypes.c_void_p,  # uint8 [n] out
+    ]
+    lib.repro_draw_batch.restype = ctypes.c_int64
+    lib.repro_draw_batch.argtypes = [
+        ctypes.c_void_p,  # uint32 words
+        ctypes.c_int64,
+        ctypes.c_void_p,  # int64 bounds
+        ctypes.c_int64,
+        ctypes.c_void_p,  # int64 values out
+        ctypes.POINTER(ctypes.c_int64),  # words consumed
     ]
     return lib
 

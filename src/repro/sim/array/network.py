@@ -17,12 +17,14 @@ per-cycle phases are advanced for the whole network per call:
   drained as array batches (``StatsCollector.record_ejection_batch``),
   and every observability read (utilization, flit totals, VC occupancy,
   backlog) is a vectorized reduction over the same arrays;
-* the only order-sensitive randomness in a cycle -- PAR's ``on_arrival``
-  revision draws -- is handled in Python *before* the kernel runs, in
-  delivery-bucket order, which is exactly the wheel engine's call order
-  (this is the documented scalar path: exact RNG-order parity is
-  infeasible inside a blindly vectorized arbitration step, so arbitration
-  is kept scalar-exact and revisions stay in Python);
+* the only order-sensitive randomness in a cycle -- PAR's hop-1
+  revision draws -- is handled *before* the cycle's step runs, in
+  delivery-bucket order, which is exactly the wheel engine's call order:
+  by one ``repro_revise_batch`` call for the whole bucket when the
+  routing algorithm compiled (``on_arrival_batch``, see
+  :mod:`repro.sim.array.lane`), by ``on_arrival`` per packet otherwise
+  (arbitration itself is kept scalar-exact: exact RNG-order parity is
+  infeasible inside a blindly vectorized arbitration step);
 * when no C compiler is available (gate ``REPRO_ARRAYNET_NATIVE``), the
   engine transparently falls back to the inherited scalar wheel path --
   slower, logged once, and the reference the kernel is held to.
@@ -540,9 +542,8 @@ class ArrayNetwork(Network):
 
     def intern_route(self, chan_indices, vcs) -> int:
         """Append an image of routes given by raw channel indices to the
-        arena, now; returns its offset.  (``Run``'s MIN injection lane
-        interns the table's whole ``MinImage`` this way and memoizes
-        offsets by table slot.)
+        arena, now; returns its offset.  (The routing lane interns the
+        table's whole ``MinImage`` this way, once per run.)
         """
         self._commit_routes()
         S = self._S
@@ -626,14 +627,15 @@ class ArrayNetwork(Network):
         if S.counters[CNT_FREE] < self.topo.num_nodes:
             self._grow_pool()
         skip_credits = 0
-        if S.rev_n[idx] and self.on_arrival is not None:
+        if S.rev_n[idx] and (
+            self.on_arrival_batch is not None or self.on_arrival is not None
+        ):
             # the wheel applies this cycle's credit returns before the
             # delivery loop, so PAR revisions must see post-credit
-            # load_metric state; apply them here, run the revisions in
+            # load_metric state; apply them first, run the revisions in
             # delivery-bucket order (== the wheel's on_arrival call
             # order, pinning the RNG draw sequence), then let the kernel
             # run the rest of the cycle
-            self._apply_credit_bucket(idx)
             self._process_revisions(idx)
             skip_credits = 1
         self._commit_routes()
@@ -673,14 +675,25 @@ class ArrayNetwork(Network):
         S.counters[CNT_PC] -= n
 
     def _process_revisions(self, idx: int) -> None:
-        """Run PAR's on_arrival for this bucket's hop-1 revisable packets.
+        """Run PAR's revisions for this bucket's hop-1 revisable packets.
 
         Bucket order equals the wheel's delivery-loop order; ejections
         and buffer appends interleaved by the wheel cannot influence a
         revision (they never touch load_metric state), so running all
-        revisions up front is bit-identical.
+        revisions up front is bit-identical.  ``on_arrival_batch`` takes
+        the whole bucket in one call (credit returns included) and names
+        the packets it re-routed; ``on_arrival`` is asked per packet,
+        with a ``Packet`` to rewrite.
         """
         S = self._S
+        batch_hook = self.on_arrival_batch
+        if batch_hook is not None:
+            for pid, route_ref, path_hops in batch_hook(idx):
+                S.p_route_off[pid] = route_ref
+                S.p_path_hops[pid] = path_hops
+                S.pm_vlb[pid] = 1
+            return
+        self._apply_credit_bucket(idx)
         n = int(S.dw_n[idx])
         revisable = S.p_revisable
         hops = S.p_hop

@@ -27,6 +27,12 @@ snapshot/restore of ``bit_generator.state`` plus re-drawing exactly the
 consumed number of words reproduces the scalar end state.  The property
 test in ``tests/test_draw_stream.py`` pins all of this against the
 installed NumPy across bit generators.
+
+That snapshot / bulk-draw / restore-and-redraw protocol is
+:class:`WordSource`.  :class:`DrawStream` applies the bounded-integer
+rule to its words in Python; the routing kernel applies the same rule in
+C (``rc_draw`` in ``sim/array/kernel.c``) to a buffer taken from a
+``WordSource`` once per cycle.
 """
 
 from __future__ import annotations
@@ -36,10 +42,40 @@ from typing import List, Optional, Type
 
 import numpy as np
 
-__all__ = ["DrawStream"]
+__all__ = ["DrawStream", "WordSource"]
 
 _WORD = 1 << 32
 _MASK = _WORD - 1
+
+
+class WordSource:
+    """Raw 32-bit words ahead of their use, handed back on close.
+
+    :meth:`take` returns the generator's next ``count`` ``next_uint32``
+    words (successive takes continue the sequence); :meth:`close` leaves
+    the generator where consuming only the first ``consumed`` of them
+    would have.  Between the first take and close the generator must not
+    be used directly; a source that never took leaves it untouched.
+    """
+
+    __slots__ = ("_rng", "_state")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._state: Optional[dict] = None  # snapshot, once words are drawn
+
+    def take(self, count: int) -> np.ndarray:
+        if self._state is None:
+            self._state = self._rng.bit_generator.state
+        return self._rng.integers(0, _WORD, size=count, dtype=np.uint32)
+
+    def close(self, consumed: int) -> None:
+        if self._state is None:
+            return
+        self._rng.bit_generator.state = self._state
+        if consumed:
+            self._rng.integers(0, _WORD, size=consumed, dtype=np.uint32)
+        self._state = None
 
 
 class DrawStream:
@@ -50,24 +86,19 @@ class DrawStream:
     the generator is not touched -- until the first bounded draw.
     """
 
-    __slots__ = ("_rng", "_chunk", "_state", "_words", "_pos", "_spent")
+    __slots__ = ("_source", "_chunk", "_words", "_pos", "_spent")
 
     def __init__(self, rng: np.random.Generator, chunk: int = 256) -> None:
-        self._rng = rng
+        self._source = WordSource(rng)
         self._chunk = max(1, chunk)
-        self._state: Optional[dict] = None  # snapshot, once words are drawn
         self._words: List[int] = []
         self._pos = 0
         self._spent = 0  # words consumed from earlier chunks
 
     def _next_word(self) -> int:
         if self._pos == len(self._words):
-            if self._state is None:
-                self._state = self._rng.bit_generator.state
             self._spent += self._pos
-            self._words = self._rng.integers(
-                0, _WORD, size=self._chunk, dtype=np.uint32
-            ).tolist()
+            self._words = self._source.take(self._chunk).tolist()
             self._pos = 0
         word = self._words[self._pos]
         self._pos += 1
@@ -96,13 +127,7 @@ class DrawStream:
 
     def close(self) -> None:
         """Leave the generator where the scalar calls would have."""
-        if self._state is None:
-            return
-        consumed = self._spent + self._pos
-        self._rng.bit_generator.state = self._state
-        if consumed:
-            self._rng.integers(0, _WORD, size=consumed, dtype=np.uint32)
-        self._state = None
+        self._source.close(self._spent + self._pos)
         self._words = []
         self._pos = 0
         self._spent = 0

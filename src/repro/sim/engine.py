@@ -30,7 +30,6 @@ from repro.obs import (
 )
 from repro.obs.manifest import RunManifest
 from repro.routing.pathset import PathPolicy, swap_sample_memo
-from repro.routing.table import route_table
 from repro.sim.array import ArrayNetwork
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
@@ -141,27 +140,18 @@ class Run:
         self._inc_stalled = self.registry.counter("engine.inject_stalls").inc
         self._nodes = np.arange(topo.num_nodes)
         self._scheduled = getattr(pattern, "scheduled", False)
-        # MIN candidates are rng-free table rows, so with the native
-        # kernel a whole cycle's injection is array lookups (_inject_min)
-        # into the table's flattened image.  Filling that image is one
-        # Python step per switch pair (once per topology per process),
-        # which pays only for a run that routes at least as many packets
-        self._min_lane = (
-            base == "min"
-            and not self._scheduled
-            and net.backend == "native"
+        # Compiling fills the topology's flattened tables, one Python
+        # step per switch pair (once per topology per process), which
+        # pays only for a run that routes at least as many packets
+        self.lane = (
+            "array"
+            if not self._scheduled
             and self.total * topo.num_nodes * load >= topo.num_switches**2
+            and self.algo.compile()
+            else "packet"
         )
-        if self._min_lane:
-            image = route_table(topo).min_image(params.vc_scheme, net.num_vcs)
-            self._image = image
-            # the whole image, interned once: arena offset per table slot
-            self._offs = net.intern_route(image.chan, image.vc) + image.rel
-            self._sw_of = np.fromiter(
-                (topo.switch_of_node(n) for n in range(topo.num_nodes)),
-                np.int64,
-                topo.num_nodes,
-            )
+        if self.lane == "array":
+            net.on_arrival_batch = self.algo.revise_arrivals
         # repro: allow[DET104]: wall_seconds is runtime metadata on the
         # manifest, never part of result identity or cache keys
         self._wall_start = time.perf_counter()
@@ -205,8 +195,8 @@ class Run:
             srcs = self._nodes[draws]
             if srcs.size:
                 dests = self.pattern.sample_destinations(srcs, self.rng)
-                if self._min_lane:
-                    self._inject_min(cycle, srcs, np.asarray(dests))
+                if self.lane == "array":
+                    self._inject_arrays(cycle, srcs, np.asarray(dests))
                 else:
                     self._inject_routed(cycle, srcs, dests)
 
@@ -249,16 +239,11 @@ class Run:
             for packet in batch:
                 net.inject(packet)
 
-    def _inject_min(
+    def _inject_arrays(
         self, cycle: int, srcs: np.ndarray, dests: np.ndarray
     ) -> None:
-        """:meth:`_inject_routed` for MIN, as array operations.
-
-        The rng consumption is the routed lane's: one ``integers(k)``
-        per multi-candidate packet in packet order (single-candidate and
-        same-switch packets draw nothing, matching
-        ``RoutingAlgorithm.pick_min``).
-        """
+        """:meth:`_inject_routed` as array operations: filter, one
+        ``route_nodes`` call, one ``inject_batch``."""
         net = self.net
         live = dests != NO_TRAFFIC
         keep = live & (net._S.src_len[srcs] < self.max_source_queue)
@@ -267,29 +252,10 @@ class Run:
         if self.registry.enabled:
             self._inc_stalled(int(live.sum()) - m)
             self._inc_injected(m)
-        if not m:
-            return
-        dests = dests[keep]
-        ssw = self._sw_of[srcs]
-        dsw = self._sw_of[dests]
-        pairs = ssw * self.topo.num_switches + dsw
-        image = self._image
-        ks = np.where(ssw == dsw, 0, image.k[pairs])
-        slots = image.first[pairs]
-        multi = np.nonzero(ks > 1)[0]
-        if multi.size:
-            ints = self.rng.integers
-            for i in multi.tolist():
-                slots[i] += int(ints(int(ks[i])))
-        picked = ks > 0
-        records = np.zeros((m, 8), np.int32)  # kernel.c SE_* columns
-        records[:, 0] = np.where(picked, image.hops[slots], 0)
-        records[:, 1] = np.where(picked, image.vcs0[slots], 0)
-        records[:, 2] = dests
-        records[:, 4] = np.where(picked, self._offs[slots], 0)
-        records[:, 5] = cycle
-        self.algo.min_chosen += m
-        net.inject_batch(srcs, records)
+        if m:
+            net.inject_batch(
+                srcs, self.algo.route_nodes(cycle, srcs, dests[keep])
+            )
 
     # ------------------------------------------------------------------
     def finish(self) -> SimResult:
@@ -301,7 +267,7 @@ class Run:
         net.finalize()
         # the hook closes a network <-> routing reference cycle; without it
         # both are freed on return instead of piling up until a full GC
-        net.on_arrival = None
+        net.on_arrival = net.on_arrival_batch = None
         # repro: allow[DET104]: closes the wall_seconds runtime measurement
         wall_seconds = time.perf_counter() - self._wall_start
         measure_cycles = params.measure_windows * params.window_cycles
@@ -327,10 +293,16 @@ class Run:
         manifest.wall_seconds = wall_seconds
         manifest.engine_cycles = self.total
         if registry.enabled:
+            if self.algo.lane is not None:
+                # what the decisions did, from counts the kernel keeps
+                # anyway (sampling attempts per accept is the policy's
+                # "useful outcomes per attempt")
+                for name, value in self.algo.lane.counts().items():
+                    registry.counter(name).inc(value)
             manifest.metrics = registry.snapshot()
+            manifest.metrics["routing.lane"] = self.lane
         result.manifest = manifest
         return result
-
 
     def _manifest(self) -> RunManifest:
         """The provenance record of this run (identity fields only).

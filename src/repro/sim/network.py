@@ -347,6 +347,11 @@ class Network:
         # ejects packet-at-a-time through on_eject); the array engine
         # prefers it when set, falling back to per-packet on_eject calls
         self.on_eject_batch = None
+        # optional batched revision hook: callable(delivery bucket) ->
+        # (pool id, route handle, path hops) of the hop-1 arrivals PAR
+        # re-routes.  Same precedent: the wheel engine revises through
+        # on_arrival; the array engine's native path prefers this one
+        self.on_arrival_batch = None
 
     # ------------------------------------------------------------------
     # Route helpers
@@ -580,6 +585,11 @@ class Network:
 
     def source_queue_len(self, node: int) -> int:
         return len(self.inject_channels[node].out_queue)
+
+    @property
+    def backend(self) -> str:
+        """Which step implementation is live; here always the wheel."""
+        return "wheel"
 
     def route_handle(self, chans: Sequence[int], vcs: Sequence[int]) -> int:
         """Register a route (switch-channel indices + per-hop VCs) packets

@@ -20,8 +20,17 @@ ladder by slot shape) plus this network's channel objects for them; no
 ``route_packets`` call works in two phases: every random pick of the
 batch, strictly in packet order, from a
 :class:`~repro.sim.draws.DrawStream`; then the strategy's decision over
-the whole batch against one read of the channel loads.  See
-"Route tables and draw order" in ``docs/simulator.md``.
+the whole batch against one read of the channel loads.
+
+That per-packet procedure (``route_packet`` / ``route_packets`` /
+``revise_at``) is the definition.  Where the five built-in strategies
+meet a policy whose membership test exists as data,
+:meth:`RoutingAlgorithm.compile` moves the same procedure -- same draws,
+same order, same candidate cache -- into the native kernel
+(:class:`~repro.sim.array.lane.RouteLane`), behind the array-level
+entries ``route_nodes`` / ``revise_arrivals`` that
+:class:`~repro.sim.engine.Run` drives.  See "Route tables and draw
+order" in ``docs/simulator.md``.
 """
 
 from __future__ import annotations
@@ -39,11 +48,19 @@ from typing import (
 
 import numpy as np
 
-from repro.routing.pathset import AllVlbPolicy, PathPolicy
+from repro.routing.pathset import AllVlbPolicy, PathPolicy, policy_program
 from repro.routing.table import route_table
+from repro.sim.array.lane import RouteLane
 from repro.sim.draws import DrawStream
 from repro.sim.network import Network, SimChannel
 from repro.sim.packet import Packet
+from repro.sim.strategies import (
+    MinimalStrategy,
+    ParStrategy,
+    UgalGlobalStrategy,
+    UgalLocalStrategy,
+    ValiantStrategy,
+)
 
 __all__ = [
     "Candidate",
@@ -54,6 +71,16 @@ __all__ = [
 ]
 
 ROUTING_VARIANTS = ("min", "vlb", "ugal-l", "ugal-g", "par")
+
+# the decision procedures kernel.c implements (its RK_* ids), by exact
+# type: a subclass with its own cost or revision rule stays in Python
+_KERNEL_STRATEGIES = {
+    MinimalStrategy: 0,
+    ValiantStrategy: 1,
+    UgalLocalStrategy: 2,
+    UgalGlobalStrategy: 3,
+    ParStrategy: 4,
+}
 
 
 class Candidate(NamedTuple):
@@ -154,6 +181,8 @@ class RoutingAlgorithm:
         self._revised: Dict[
             Tuple[int, ...], Tuple[List[SimChannel], List[int], int]
         ] = {}
+        # kernel-side decisions, once compile() succeeded
+        self.lane: Optional[RouteLane] = None
 
     # ------------------------------------------------------------------
     # Candidate generation
@@ -224,16 +253,27 @@ class RoutingAlgorithm:
         its current hop, on the next VC level; interned per distinct
         row."""
         hop = packet.hop
-        taken = packet.route[:hop]
-        chans = tuple([ch.index for ch in taken]) + vlb.chans
+        chans = tuple([ch.index for ch in packet.route[:hop]]) + vlb.chans
+        return self._revised_entry(chans, packet.vcs[:hop], vlb.shape)
+
+    def _revised_entry(
+        self, chans: Tuple[int, ...], taken_vcs: List[int], shape: str
+    ) -> Tuple[List[SimChannel], List[int], int]:
+        """The interned revised route over channel row ``chans``: the
+        hops taken so far keep ``taken_vcs``, the VLB fragment of
+        ``shape`` rides PAR's revised ladder from there."""
         entry = self._revised.get(chans)
         if entry is None:
             ladders = self.table.ladders(
-                self.vc_scheme, self.num_vcs, revised=True, hop_offset=hop
+                self.vc_scheme,
+                self.num_vcs,
+                revised=True,
+                hop_offset=len(taken_vcs),
             )
-            vcs = packet.vcs[:hop] + ladders[vlb.shape]
+            vcs = taken_vcs + ladders[shape]
+            channels = self._channels
             entry = self._revised[chans] = (
-                taken + vlb.route,
+                [channels[c] for c in chans],
                 vcs,
                 self.network.route_handle(chans, vcs),
             )
@@ -326,6 +366,73 @@ class RoutingAlgorithm:
         """
         packet.revisable = False
         self.strategy.revise(self, packet, router_idx)
+
+    # ------------------------------------------------------------------
+    # The same decisions as kernel calls (array-level entries)
+    # ------------------------------------------------------------------
+    def compile(self) -> bool:
+        """Move this algorithm's decisions into the routing kernel.
+
+        True when ``route_nodes`` / ``revise_arrivals`` are available
+        from here on: the network runs natively, the strategy is one of
+        the five the kernel implements, and the policy's membership test
+        exists as data (:func:`~repro.routing.pathset.policy_program`).
+        Building the lane fills the topology's flattened tables, one
+        Python step per switch pair, once per topology and process.
+        """
+        if self.lane is not None:
+            return True
+        kind = _KERNEL_STRATEGIES.get(type(self.strategy))
+        if kind is None or self.network.backend != "native":
+            return False
+        program = policy_program(self.policy, self.table)
+        if program is None:
+            return False
+        try:
+            image = self.table.min_image(self.vc_scheme, self.num_vcs)
+        except ValueError:
+            # too few VCs for a MIN path: the per-packet procedure
+            # raises that where it always did
+            return False
+        self.lane = RouteLane(
+            self.network, self.table, image, self.policy, program, kind,
+            self.rng,
+        )
+        return True
+
+    def _compiled(self) -> RouteLane:
+        if self.lane is None:
+            raise RuntimeError(
+                "route_nodes / revise_arrivals need a successful compile()"
+            )
+        return self.lane
+
+    def route_nodes(
+        self, cycle: int, srcs: np.ndarray, dests: np.ndarray
+    ) -> np.ndarray:
+        """``route_packets`` over arrays: one cycle's (source node,
+        destination node) pairs in, their injection records
+        (``kernel.c`` ``SE_*`` columns, for ``inject_batch``) out.
+        Needs :meth:`compile`.  Draws, candidate-cache updates and the
+        generator's end state are the per-packet procedure's."""
+        records, vlb = self._compiled().route(cycle, srcs, dests)
+        self.vlb_chosen += vlb
+        self.min_chosen += len(srcs) - vlb
+        return records
+
+    def revise_arrivals(self, bucket: int) -> List[Tuple[int, int, int]]:
+        """``revise_at`` for every revisable hop-1 arrival of one
+        delivery bucket, in delivery order: ``(pool id, route handle,
+        path hops)`` of the packets PAR re-routes (the network's
+        ``on_arrival_batch`` hook)."""
+        revised = [
+            (pid, self._revised_entry(chans, [vc0], shape)[2], 1 + hops)
+            for pid, chans, vc0, shape, hops in self._compiled().revise(
+                bucket
+            )
+        ]
+        self.par_revised += len(revised)
+        return revised
 
     # ------------------------------------------------------------------
     def _apply(

@@ -1,11 +1,13 @@
 """One result per configuration, whatever runs it.
 
 Every path through the simulator must produce the same ``SimResult``
-for a fixed seed: the reference path (the timing-wheel ``Network`` code:
-scalar channel reads, immediate injection -- what a compiler-less host
-runs), the native kernel (one SoA load snapshot per batch, deferred
-batched injection, the vectorized MIN lane) and ``simulate_batch`` at
-B=1 (the same ``Run`` around a shared kernel call).  ``PINNED``
+for a fixed seed: the reference path (the timing-wheel ``Network`` code
+and the per-packet routing procedure: scalar channel reads, immediate
+injection -- what a compiler-less host runs), the native kernel with
+routing decisions as kernel calls (the array lane) and
+``simulate_batch`` at B=1 (the same ``Run`` around a shared kernel
+call).  Each case also asserts *which* lane ran it, so a run that
+silently declines the array lane cannot pass as parity.  ``PINNED``
 additionally holds the values each case produced before the code under
 it was replaced -- the routing cases at the commit before the route
 table; the ``oracle/`` cases (what the tests against the deleted
@@ -28,6 +30,7 @@ from repro.routing.pathset import (
 )
 from repro.routing.vlb import VlbDescriptor
 from repro.sim import SimParams, simulate
+from repro.sim.array import native_available
 from repro.sim.batch import simulate_batch
 from repro.sim.engine import Run
 from repro.spec import RunSpec
@@ -339,60 +342,155 @@ def _run(case):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+def _lane(case):
+    args, kwargs = _arguments(case)
+    return Run(*args, **kwargs).lane
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_wheel_array_and_batch_agree_with_the_pinned_result(
     case, reference_engine
 ):
     wheel = _run(case)
+    assert _lane(case) == "packet"
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
     array = _run(case)
     assert array == wheel
     assert _metrics(wheel) == PINNED[case]
     assert wheel.min_chosen + wheel.vlb_chosen > 0
     if CASES[case][3] is _trace:
+        assert _lane(case) == "packet"
         return  # scheduled traces have no RunSpec form to batch
+    if native_available():
+        assert _lane(case) == "array"
     args, kwargs = _arguments(case)
     spec = RunSpec.from_objects(*args, **kwargs)
     assert simulate_batch([spec]) == [array]
     assert simulate(spec) == array
 
 
-def test_min_lane_counts_injections_like_the_reference(reference_engine):
-    """With ``obs.metrics`` on, a MIN run's vectorized injection lane
-    reports the counters the reference path's per-packet loop does --
-    stalls included, under a source-queue cap low enough to bite."""
+def test_a_user_defined_policy_stays_on_the_packet_lane():
+    """A ``PathPolicy`` subclass the kernel knows nothing about -- even
+    one that inherits a built-in's membership program -- is asked in
+    Python, and a same-set policy routes exactly like the built-in."""
+
+    class Local(HopClassPolicy):
+        def contains(self, topo, src, dst, desc):
+            return super().contains(topo, src, dst, desc)
+
+    (args, kwargs) = _arguments("t-ugal-g")
+    kwargs["policy"] = Local(4, 0.5)
+    assert Run(*args, **kwargs).lane == "packet"
+    assert _metrics(simulate(*args, **kwargs)) == PINNED["t-ugal-g"]
+
+
+def test_a_run_too_small_to_pay_for_the_tables_stays_on_the_packet_lane():
+    """The size rule: compiling fills one table row per switch pair, so
+    a run expected to route fewer packets than that does not compile."""
+    args, kwargs = _arguments("ugal-l")
+    topo, pattern, _load = args
+    pairs = topo.num_switches**2
+    total = kwargs["params"].total_cycles
+    at = pairs / (total * topo.num_nodes)  # expected packets == pairs
+    lanes = {
+        load: Run(topo, pattern, load, **kwargs).lane
+        for load in (0.0, at * 0.99, at * 1.01)
+    }
+    expected = "array" if native_available() else "packet"
+    assert list(lanes.values()) == ["packet", "packet", expected]
+
+
+@pytest.mark.parametrize("routing", ["min", "ugal-l", "par"])
+def test_array_lane_counts_injections_like_the_reference(
+    routing, reference_engine
+):
+    """With ``obs.metrics`` on, the array lane reports the counters the
+    reference path's per-packet loop does -- stalls included, under a
+    source-queue cap low enough to bite -- and switching metrics on
+    changes no result."""
     from repro.obs import ObsConfig
 
-    def run():
-        params = SimParams(window_cycles=WINDOW, obs=ObsConfig(metrics=True))
+    def run(metrics=True):
+        obs = ObsConfig(metrics=True) if metrics else None
+        params = SimParams(window_cycles=WINDOW, obs=obs)
         return simulate(
-            TOPO, Shift(TOPO, 2, 0), 0.9, routing="min", params=params,
+            TOPO, Shift(TOPO, 2, 0), 0.9, routing=routing, params=params,
             seed=SEED, max_source_queue=3,
         )
 
     reference = run()
+    assert reference.manifest.metrics["routing.lane"] == "packet"
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
     native = run()
-    assert native == reference
+    assert native == reference == run(metrics=False)
     names = ("engine.packets_injected", "engine.inject_stalls")
     counted = [native.manifest.metrics[name] for name in names]
     assert counted == [reference.manifest.metrics[name] for name in names]
-    assert min(counted) > 0
+    # PAR spreads this load well enough that the cap never bites
+    assert counted[0] > 0 and (counted[1] > 0 or routing == "par")
+    if native_available():
+        metrics = native.manifest.metrics
+        assert metrics["routing.lane"] == "array"
+        sampled = routing != "min"
+        assert (metrics["routing.sample_attempts"] > 0) == sampled
+        assert (
+            metrics["routing.sample_attempts"]
+            >= metrics["routing.sample_accepts"]
+        )
+        assert (metrics["routing.revisions_considered"] > 0) == (
+            routing == "par"
+        )
+        assert metrics["routing.words_drawn"] > 0
 
 
-def test_sparse_case_reaches_the_reservoir_fallback():
+def test_array_lane_constructs_no_packet(monkeypatch):
+    """Decisions, injection, PAR revision and ejection statistics of a
+    lane run all stay in arrays: not one ``Packet`` object is made."""
+    if not native_available():
+        pytest.skip("needs the native kernel")
+    from repro.sim.packet import Packet
+
+    made = []
+    init = Packet.__init__
+
+    def counting(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Packet, "__init__", counting)
+    assert _metrics(_run("par")) == PINNED["par"]
+    assert not made
+    args, kwargs = _arguments("par/trace")
+    simulate(*args, **kwargs)
+    assert made  # the packet lane does make them
+
+
+def test_sparse_case_reaches_the_reservoir_fallback(reference_engine):
     """The matrix's sparse policy is only a fallback test if rejection
     sampling actually gives up for some pair -- and the reservoirs it
-    then builds land in the run's own memo, not the process-wide one."""
+    then builds land in the run's own store (the packet lane's memo,
+    the array lane's pool), not in the process-wide memo."""
     args, kwargs = _arguments("t-ugal-l/sparse")
     before = dict(pathset._sparse_memo)
-    run = Run(*args, **kwargs)
-    with run.sampling():
-        for cycle in range(run.total):
-            run.inject(cycle)
-            run.net.step()
+
+    def drive():
+        run = Run(*args, **kwargs)
+        with run.sampling():
+            for cycle in range(run.total):
+                run.inject(cycle)
+                run.net.step()
+        assert pathset._sparse_memo == before
+        return run
+
+    run = drive()
     assert run.memo
-    assert pathset._sparse_memo == before
     assert _metrics(run.finish()) == PINNED["t-ugal-l/sparse"]
+    reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
+    if native_available():
+        run = drive()
+        assert not run.memo
+        assert run.algo.lane.counts()["routing.fallback_picks"] > 0
+        assert _metrics(run.finish()) == PINNED["t-ugal-l/sparse"]
 
 
 def test_excluding_and_all_vlb_differ():
