@@ -108,7 +108,6 @@ def score_dest_maps(
     from repro.perf.executor import ModelTask
 
     policy = min_only_policy().build()
-    engine = getattr(topo, "default_model_engine", "fast")
     tasks = [
         ModelTask(
             topo,
@@ -117,7 +116,6 @@ def score_dest_maps(
             mode="free",
             max_descriptors=max_descriptors,
             seed=seed,
-            engine=engine,
         )
         for dest in dest_maps
     ]

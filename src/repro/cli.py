@@ -5,9 +5,9 @@ Commands:
 * ``topo``   -- build and validate a topology, print its parameters
 * ``paths``  -- MIN paths and the VLB hop-class histogram of a switch pair
 * ``bounds`` -- closed-form capacity bounds
-* ``model``  -- LP modeled throughput for a pattern and candidate set
-  (``--engine fast|legacy`` picks the factored fast path or the
-  original assembly; ``--jobs/--cache`` batch and memoize solves)
+* ``model``  -- LP modeled throughput for a pattern and candidate set,
+  on any registered topology (``--jobs/--cache`` batch and memoize
+  solves)
 * ``sim``    -- one simulation run at a fixed load
 * ``sweep``  -- a latency-vs-load ladder (``--jobs N`` fans the points
   out over worker processes; ``--cache`` reuses on-disk results)
@@ -224,13 +224,12 @@ def _cmd_model(args) -> int:
         mode=args.mode,
         monotonic=not args.no_monotonic,
         max_descriptors=args.max_descriptors,
-        engine=args.engine,
     )
     with _make_executor(args) as executor:
         res = executor.run_models([task])[0]
     print(
         f"{topo} {pattern.describe()} policy={policy.describe()} "
-        f"mode={args.mode} engine={args.engine}"
+        f"mode={args.mode}"
     )
     print(f"  modeled throughput : {res.throughput:.4f}")
     print(f"  MIN fraction       : {res.min_fraction:.4f}")
@@ -403,9 +402,6 @@ def _cmd_tvlb(args) -> int:
             sim_params=SimParams(window_cycles=args.window),
             seed=args.seed,
             executor=executor,
-            model_engine=(
-                None if args.model_engine == "auto" else args.model_engine
-            ),
         )
     print(f"T-VLB for {topo}: {res.label}")
     print(f"converged to conventional UGAL: {res.converged_to_ugal}")
@@ -586,9 +582,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--mode", default="free", choices=["free", "uniform"])
     p.add_argument("--no-monotonic", action="store_true")
     p.add_argument("--max-descriptors", type=int, default=None)
-    p.add_argument("--engine", default="fast", choices=["fast", "legacy"],
-                   help="LP assembly engine: factored fast path (default) "
-                        "or the original per-solve baseline")
     _exec_args(p)
     p.set_defaults(func=_cmd_model)
 
@@ -672,10 +665,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save", default=None,
                    help="write the chosen policy to this JSON file")
-    p.add_argument("--model-engine", default="auto",
-                   choices=["auto", "fast", "legacy"],
-                   help="LP engine for the Step-1 sweep (default auto = "
-                        "the topology's preferred engine)")
     _exec_args(p)
     p.set_defaults(func=_cmd_tvlb)
 

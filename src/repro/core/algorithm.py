@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.balance import BalanceReport, balance_adjust
-from repro.model.pathstats import PathStatsCache
 from repro.model.sweep import SweepPoint, candidate_vicinity, step1_sweep
 from repro.routing.pathset import (
     AllVlbPolicy,
@@ -111,10 +110,14 @@ def model_evaluator(
     therefore penalizes badly balanced restricted sets, though it cannot
     credit the queueing benefits of shorter paths the way simulation does.
     """
-    from repro.model.lp_model import model_throughput, weights_for_policy
+    from repro.model.fastpath import FastModel
+    from repro.model.lp_model import weights_for_policy
 
-    patterns = type_2_set(topo, count=num_patterns, seed=seed + 500)
-    cache = PathStatsCache(topo, max_descriptors=max_descriptors, seed=seed)
+    demands = [
+        pattern.demand_matrix()
+        for pattern in type_2_set(topo, count=num_patterns, seed=seed + 500)
+    ]
+    model = FastModel(topo, max_descriptors=max_descriptors, seed=seed)
 
     def evaluate(policy: PathPolicy, label: str) -> float:
         try:
@@ -125,14 +128,8 @@ def model_evaluator(
             return -1.0  # not representable in the class-weight model
         target = policy.base if hasattr(policy, "base") else policy
         scores = [
-            model_throughput(
-                topo,
-                pattern.demand_matrix(),
-                policy=target,
-                cache=cache,
-                mode="uniform",
-            ).throughput
-            for pattern in patterns
+            model.solve(demand, policy=target, mode="uniform").throughput
+            for demand in demands
         ]
         return float(np.mean(scores))
 
@@ -228,7 +225,6 @@ def compute_tvlb(
     seed: int = 0,
     datapoints: Optional[Sequence[PathPolicy]] = None,
     executor: Optional["SweepExecutor"] = None,
-    model_engine: Optional[str] = None,
     extra_adversaries: Optional[Sequence["TrafficPattern"]] = None,
 ) -> TvlbResult:
     """Run Algorithm 1 and return the T-VLB policy for ``topo``.
@@ -245,11 +241,9 @@ def compute_tvlb(
     path-set lint) before being returned; a failed verification raises
     ``RuntimeError`` so a broken set can never reach the simulator.
 
-    ``model_engine`` selects the Step-1 LP solver (``"fast"`` -- the
-    factored :class:`~repro.model.fastpath.FastModel` pipeline -- or
-    ``"legacy"``, the original per-solve assembly; ``None`` defers to
-    the topology's ``default_model_engine`` hook); an ``executor``
-    additionally fans both the Step-1 model solves and the Step-2
+    Step 1 solves the LP through the one
+    :class:`~repro.model.fastpath.FastModel` pipeline on every topology;
+    an ``executor`` fans both the Step-1 model solves and the Step-2
     simulation points out across its worker pool and result cache.
 
     The per-topology hooks of the :class:`~repro.topology.base.Topology`
@@ -264,8 +258,6 @@ def compute_tvlb(
     suite itself comes from the topology's ``adversary_suite`` hook.
     """
     rng = np.random.default_rng(seed)
-    if model_engine is None:
-        model_engine = getattr(topo, "default_model_engine", "fast")
 
     # ---- adversarial suites (Section 3.3.1, via the topology hook) ----
     suite = getattr(topo, "adversary_suite", None)
@@ -283,7 +275,6 @@ def compute_tvlb(
     # (the topology's `tvlb_datapoints` hook: Table 1 on dragonflies;
     # pass a custom `datapoints` grid for variations like
     # CascadeDragonfly where VLB paths reach `max_vlb_hops(topo)`)
-    cache = PathStatsCache(topo, max_descriptors=max_descriptors, seed=seed)
     grid = (
         list(datapoints)
         if datapoints is not None
@@ -293,10 +284,8 @@ def compute_tvlb(
         topo,
         patterns,
         grid,
-        cache=cache,
         max_descriptors=max_descriptors,
         mode="free",
-        engine=model_engine,
         executor=executor,
         seed=seed,
     )

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core import balance_adjust, compute_tvlb
 from repro.experiments.figures import run_suite
 from repro.experiments.report import FigureResult, render_table
-from repro.model import PathStatsCache, model_throughput
+from repro.model import FastModel
 from repro.routing.pathset import (
     AllVlbPolicy,
     HopClassPolicy,
@@ -133,7 +133,7 @@ def abl_balance() -> FigureResult:
 def abl_monotonic() -> FigureResult:
     """LP model: monotonicity fix vs unconstrained vs uniform split."""
     topo = default_dragonfly()
-    cache = PathStatsCache(topo)
+    model = FastModel(topo)
     demand = Shift(topo, 2, 0).demand_matrix()
     rows = []
     data: Dict[str, Dict[str, float]] = {}
@@ -143,16 +143,11 @@ def abl_monotonic() -> FigureResult:
         HopClassPolicy(5),
         AllVlbPolicy(),
     ):
-        free = model_throughput(
-            topo, demand, policy=pol, cache=cache, mode="free",
-            monotonic=False,
+        free = model.solve(
+            demand, policy=pol, mode="free", monotonic=False
         ).throughput
-        mono = model_throughput(
-            topo, demand, policy=pol, cache=cache, mode="free",
-        ).throughput
-        uniform = model_throughput(
-            topo, demand, policy=pol, cache=cache, mode="uniform"
-        ).throughput
+        mono = model.solve(demand, policy=pol, mode="free").throughput
+        uniform = model.solve(demand, policy=pol, mode="uniform").throughput
         rows.append([pol.describe(), free, mono, uniform])
         data[pol.describe()] = {
             "free": free, "monotonic": mono, "uniform": uniform

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.datapoints import table1_datapoints
 from repro.experiments.report import FigureResult, render_curves, render_table
-from repro.model.pathstats import PathStatsCache
 from repro.model.sweep import step1_sweep
 from repro.routing.pathset import (
     AllVlbPolicy,
@@ -288,9 +287,8 @@ def _model_sweep_figure(figure: str, topo: Dragonfly) -> FigureResult:
     if n_t1 < len(t1):
         t1 = [t1[i] for i in sorted(rng.choice(len(t1), n_t1, replace=False))]
     patterns = t1 + type_2_set(topo, count=n_t2)
-    cache = PathStatsCache(topo, max_descriptors=2000)
     points = step1_sweep(
-        topo, patterns, table1_datapoints(step=step), cache=cache, mode=mode
+        topo, patterns, table1_datapoints(step=step), mode=mode
     )
     rows = [
         [pt.label, pt.mean_throughput, pt.sem] for pt in points

@@ -15,12 +15,7 @@ paths (equal split) and its candidate VLB set (equal split).
 
 from repro.model.pathstats import PairPathStats, PathStatsCache
 from repro.model.lp_model import ModelResult, model_throughput
-from repro.model.fastpath import (
-    BlockCache,
-    FastModel,
-    PairBlock,
-    fast_model_throughput,
-)
+from repro.model.fastpath import BlockCache, FastModel, PairBlock
 from repro.model.symmetry import RotationSymmetry
 from repro.model.sweep import SweepPoint, step1_sweep
 
@@ -32,7 +27,6 @@ __all__ = [
     "PathStatsCache",
     "ModelResult",
     "RotationSymmetry",
-    "fast_model_throughput",
     "model_throughput",
     "SweepPoint",
     "step1_sweep",

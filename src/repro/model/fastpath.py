@@ -1,37 +1,49 @@
-"""Factored fast path for the LP throughput model.
+"""The LP throughput model's assembly pipeline.
 
-:func:`repro.model.lp_model.model_throughput` rebuilds everything per
-call: it re-enumerates every VLB path of every demand pair and re-creates
-the sparse constraint matrix entry by entry.  Profiling a Step-1 sweep on
-``dfly(4,8,4,9)`` shows ~85% of wall time in that per-pair path
-enumeration (~17 ms/pair) and most of the rest in Python-loop assembly.
+Every solve production code makes -- Step-1 sweeps, Algorithm 1, the
+adversary search, ``repro model`` -- goes through :class:`FastModel`, on
+every topology and for every modelable policy.  The reference assembly
+in :mod:`repro.model.lp_model` rebuilds everything per
+call (it re-enumerates every VLB path of every demand pair and re-creates
+the sparse constraint matrix entry by entry: ~85% of a Step-1 sweep on
+``dfly(4,8,4,9)`` in per-pair enumeration, most of the rest in
+Python-loop assembly); it is kept as the parity oracle the tests and the
+``bench_model`` baseline arm call directly.
 
 This module splits the solve into three layers, each cached at its own
 lifetime:
 
 * **Per topology** -- :class:`PairBlock` path statistics (MIN usage plus
-  per leg-split class VLB channel-usage vectors), built by a closed-form
-  vectorized enumerator (:func:`build_pair_block`) instead of
-  materializing paths one by one, memoized in :class:`BlockCache` and
-  folded over verified rotation symmetry
+  per leg-split class VLB channel-usage vectors) memoized in
+  :class:`BlockCache`.  The class axis is sized from the topology: a MIN
+  leg takes ``1 .. 2*max_local_hops + 1`` hops, so there are
+  ``(2*max_local_hops + 1)**2`` leg-split classes (9 on fully connected
+  groups, 25 on a Cascade grid).  Blocks come from a closed-form
+  vectorized enumerator (:func:`build_pair_block`) where groups are
+  fully connected and the pair is enumerated in full, and from
+  :func:`~repro.model.pathstats.compute_pair_stats` otherwise; fully
+  enumerated blocks are folded over verified rotation symmetry
   (:class:`~repro.model.symmetry.RotationSymmetry`): one orbit
   representative is computed, every other ordered pair of the orbit is a
-  channel-relabeling of it.
+  channel-relabeling of it.  A policy with no class-weight translation
+  (``OrderedVlbPolicy``) gets *policy blocks* instead: the same
+  statistics over exactly the descriptors the policy admits, keyed by
+  ``(policy, src, dst)``, solved with all-ones class weights.
 * **Per pattern** -- a stacked COO skeleton of the channel-capacity block
-  (channel / class / pair / value streams in the legacy first-touch
+  (channel / class / pair / value streams in the reference's first-touch
   order) plus injection/ejection rows, derived once per demand matrix.
 * **Per solve** -- a cheap patch: leg-split class weights from the
   policy, the first-touch row map for the induced class mask (memoized
   per mask), scaled values, equality rows, and the ``linprog`` call.
 
-Results match the legacy solver to tight numerical tolerance (see the
-parity suite in ``tests/test_model_fastpath.py``); the legacy path stays
-untouched as the baseline.
+Results match the reference assembly to 1e-9 on throughput (the parity
+suite in ``tests/test_model_fastpath.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -39,15 +51,10 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from repro.model.lp_model import (
-    ModelResult,
-    model_throughput,
-    weights_for_policy,
-)
+from repro.model.lp_model import ModelResult, weights_for_policy
 from repro.model.pathstats import (
     ClassStats,
     PairPathStats,
-    PathStatsCache,
     compute_pair_stats,
 )
 from repro.model.symmetry import RotationSymmetry
@@ -58,27 +65,35 @@ from repro.routing.pathset import PathPolicy
 from repro.routing.vlb import count_vlb_paths
 from repro.topology.dragonfly import Dragonfly
 
-__all__ = [
-    "PairBlock",
-    "BlockCache",
-    "FastModel",
-    "build_pair_block",
-    "fast_model_throughput",
-]
+__all__ = ["PairBlock", "BlockCache", "FastModel", "build_pair_block"]
 
 WeightFn = Callable[[int, int], float]
 
-NUM_CLASSES = 9  # leg splits (l1, l2), l1, l2 in 1..3
-# class id c <-> split (c // 3 + 1, c % 3 + 1); total hops per class:
-CLASS_HOPS = np.array([2, 3, 4, 3, 4, 5, 4, 5, 6], dtype=np.int64)
+# A FastModel keeps the skeletons of the last _PATTERNS_MAX distinct
+# demands (oldest evicted first): far above any Step-1 / Algorithm-1
+# pattern suite, while an adversary search streaming thousands of
+# permutations through one memoized model stays bounded (a skeleton is
+# ~1.2 MB on dfly(4,8,4,9)).
+_PATTERNS_MAX = 128
 
 
-def _class_split(cls: int) -> Tuple[int, int]:
-    return cls // 3 + 1, cls % 3 + 1
+def _leg_values(topo: Dragonfly) -> int:
+    """Hop counts a MIN leg can take: ``1 .. 2*max_local_hops + 1``."""
+    return 2 * topo.max_local_hops + 1
 
 
-def _split_class(l1: int, l2: int) -> int:
-    return (l1 - 1) * 3 + (l2 - 1)
+# With ``legs`` values per leg, class id c <-> split
+# (c // legs + 1, c % legs + 1): ascending ids are ascending splits.
+def _class_split(cls: int, legs: int) -> Tuple[int, int]:
+    return cls // legs + 1, cls % legs + 1
+
+
+def _split_class(l1: int, l2: int, legs: int) -> int:
+    return (l1 - 1) * legs + (l2 - 1)
+
+
+def _all_vlb(l1: int, l2: int) -> float:
+    return 1.0
 
 
 @dataclass
@@ -92,7 +107,7 @@ class PairBlock:
     class ``c``, with aggregate channel-usage entries
     ``(cls_idx[i], cls_val[i])`` for every ``i`` with ``cls_id[i] == c``.
     Counts and usages are whole path counts (integer-exact in float64),
-    scaled back up when the legacy enumerator subsampled.
+    scaled back up when the enumerator subsampled.
     """
 
     src: int
@@ -100,20 +115,21 @@ class PairBlock:
     min_count: int
     min_idx: np.ndarray
     min_val: np.ndarray
-    counts: np.ndarray  # (NUM_CLASSES,) effective path count per class
+    counts: np.ndarray  # (legs**2,) effective path count per class
     cls_id: np.ndarray  # (nnz,) int8, ascending
     cls_idx: np.ndarray  # (nnz,) channel indices
     cls_val: np.ndarray  # (nnz,) aggregate uses
 
     @staticmethod
-    def from_stats(stats: PairPathStats) -> "PairBlock":
-        """Convert legacy per-pair stats (the fallback enumerator)."""
-        counts = np.zeros(NUM_CLASSES, dtype=np.float64)
+    def from_stats(stats: PairPathStats, legs: int = 3) -> "PairBlock":
+        """Convert per-path enumerated stats (``legs`` hop values per
+        leg: 3 on fully connected groups)."""
+        counts = np.zeros(legs * legs, dtype=np.float64)
         ids: List[int] = []
         idxs: List[int] = []
         vals: List[float] = []
         for split, cs in sorted(stats.classes.items()):
-            c = _split_class(*split)
+            c = _split_class(*split, legs)
             counts[c] = float(cs.count)
             for idx in sorted(cs.usage):
                 ids.append(c)
@@ -142,9 +158,10 @@ class PairBlock:
         )
 
     def to_stats(self) -> PairPathStats:
-        """Back to the dict form consumed by the legacy solver."""
+        """Back to the dict form consumed by the reference assembly."""
+        legs = math.isqrt(len(self.counts))
         classes: Dict[Tuple[int, int], ClassStats] = {}
-        for c in range(NUM_CLASSES):
+        for c in range(len(self.counts)):
             if self.counts[c] <= 0:
                 continue
             sel = self.cls_id == c
@@ -153,7 +170,7 @@ class PairBlock:
                 for i, v in zip(self.cls_idx[sel], self.cls_val[sel])
             }
             cs = ClassStats(count=int(round(self.counts[c])), usage=usage)
-            classes[_class_split(c)] = cs
+            classes[_class_split(c, legs)] = cs
         min_usage = {
             int(i): float(v) for i, v in zip(self.min_idx, self.min_val)
         }
@@ -263,6 +280,8 @@ def build_pair_block(
     if tables is None:
         tables = _TopoTables(topo, chidx)
     num_chan = len(chidx)
+    legs = _leg_values(topo)
+    num_classes = legs * legs
 
     mins = min_paths(topo, src, dst)
     min_usage: Dict[int, float] = {}
@@ -273,8 +292,8 @@ def build_pair_block(
 
     gs, gd = topo.group_of(src), topo.group_of(dst)
     a = topo.a
-    counts = np.zeros(NUM_CLASSES, dtype=np.float64)
-    usage = np.zeros(NUM_CLASSES * num_chan, dtype=np.float64)
+    counts = np.zeros(num_classes, dtype=np.float64)
+    usage = np.zeros(num_classes * num_chan, dtype=np.float64)
     local_idx = tables.local_idx
     ldst = topo.local_index(dst)
 
@@ -297,8 +316,8 @@ def build_pair_block(
 
         l1 = cond1[None, :].astype(np.int64) + 1 + condy1  # (a, m1)
         l2 = condx2.astype(np.int64) + 1 + cond2[None, :]  # (a, m2)
-        cls = (l1[:, :, None] - 1) * 3 + (l2[:, None, :] - 1)  # (a, m1, m2)
-        counts += np.bincount(cls.ravel(), minlength=NUM_CLASSES)
+        cls = (l1[:, :, None] - 1) * legs + (l2[:, None, :] - 1)  # (a, m1, m2)
+        counts += np.bincount(cls.ravel(), minlength=num_classes)
 
         base = cls * num_chan
         keys: List[np.ndarray] = []
@@ -323,13 +342,13 @@ def build_pair_block(
         fam(loc_y2d[None, None, :], cond2[None, None, :])
 
         usage += np.bincount(
-            np.concatenate(keys), minlength=NUM_CLASSES * num_chan
+            np.concatenate(keys), minlength=num_classes * num_chan
         )
 
     ids: List[np.ndarray] = []
     idxs: List[np.ndarray] = []
     vals: List[np.ndarray] = []
-    for c in range(NUM_CLASSES):
+    for c in range(num_classes):
         if counts[c] <= 0:
             continue
         seg = usage[c * num_chan : (c + 1) * num_chan]
@@ -371,9 +390,15 @@ class BlockCache:
     computes path statistics only for one representative per rotation
     orbit, relabeling channels for the other members; ``"off"`` computes
     every ordered pair independently.  Folding and the vectorized builder
-    both require full enumeration, so any pair the legacy enumerator
-    would subsample (``count > max_descriptors``) falls back to
-    :func:`compute_pair_stats` with identical stride/offset semantics.
+    both require full enumeration, so any pair the enumerator would
+    subsample (``count > max_descriptors``) is built by
+    :func:`compute_pair_stats` with its stride/offset semantics, as is
+    every pair of a topology whose groups are not fully connected.
+
+    ``get(src, dst, policy)`` returns the *policy block* of the pair: the
+    statistics of exactly the descriptors ``policy`` admits (its own
+    ``iter_descriptors``), never folded -- a policy's selection (e.g. the
+    ordered-intermediate rule) need not be rotation-equivariant.
     """
 
     def __init__(
@@ -391,7 +416,8 @@ class BlockCache:
         self.max_descriptors = max_descriptors
         self.seed = seed
         self.symmetry = symmetry
-        self._blocks: Dict[Tuple[int, int], PairBlock] = {}
+        self.legs = _leg_values(topo)
+        self._blocks: Dict[Tuple, PairBlock] = {}
         self._tables: Optional[_TopoTables] = None
         self._rotsym: Optional[RotationSymmetry] = None
         self._vectorized_ok = topo.max_local_hops == 1
@@ -409,9 +435,15 @@ class BlockCache:
             return True
         return count_vlb_paths(self.topo, src, dst) <= self.max_descriptors
 
-    def _build(self, src: int, dst: int) -> PairBlock:
+    def _build(
+        self, src: int, dst: int, policy: Optional[PathPolicy]
+    ) -> PairBlock:
         self.built += 1
-        if self._vectorized_ok and self._full_enumeration(src, dst):
+        if (
+            policy is None
+            and self._vectorized_ok
+            and self._full_enumeration(src, dst)
+        ):
             if self._tables is None:
                 self._tables = _TopoTables(self.topo, self.chidx)
             return build_pair_block(
@@ -425,18 +457,26 @@ class BlockCache:
                 dst,
                 max_descriptors=self.max_descriptors,
                 seed=self.seed,
-            )
+                policy=policy,
+            ),
+            self.legs,
         )
 
-    def get(self, src: int, dst: int) -> PairBlock:
-        key = (src, dst)
+    def get(
+        self, src: int, dst: int, policy: Optional[PathPolicy] = None
+    ) -> PairBlock:
+        key = (src, dst) if policy is None else (policy, src, dst)
         block = self._blocks.get(key)
         if block is not None:
             return block
-        # Folding requires full enumeration: the legacy subsample offset
-        # is seeded per (seed, src, dst), so subsampled pairs are not
+        # Folding requires full enumeration: the subsample offset is
+        # seeded per (seed, src, dst), so subsampled pairs are not
         # rotation-equivariant and must be built directly.
-        if self.symmetry == "auto" and self._full_enumeration(src, dst):
+        if (
+            policy is None
+            and self.symmetry == "auto"
+            and self._full_enumeration(src, dst)
+        ):
             sym = self._rotation()
             if sym.fold_factor > 1:
                 rs, rd, t = sym.canonical_pair(src, dst)
@@ -446,7 +486,7 @@ class BlockCache:
                     self.folded += 1
                     self._blocks[key] = block
                     return block
-        block = self._build(src, dst)
+        block = self._build(src, dst, policy)
         self._blocks[key] = block
         return block
 
@@ -457,13 +497,18 @@ class BlockCache:
 class _PatternStruct:
     """Pattern-lifetime skeleton of the LP: everything except weights.
 
-    Streams are pair-major in the legacy solver's touch order (MIN
+    Streams are pair-major in the reference assembly's touch order (MIN
     entries of a pair, then its VLB entries by ascending class), so the
-    first-touch channel-row numbering reproduces the legacy row order.
+    first-touch channel-row numbering follows the reference row order.
+    ``policy`` selects policy blocks (see :meth:`BlockCache.get`).
     """
 
     def __init__(
-        self, topo: Dragonfly, demand: np.ndarray, blocks: BlockCache
+        self,
+        topo: Dragonfly,
+        demand: np.ndarray,
+        blocks: BlockCache,
+        policy: Optional[PathPolicy],
     ) -> None:
         self.pairs: List[Tuple[int, int, float]] = [
             (int(s), int(d), float(demand[s, d]))
@@ -472,14 +517,16 @@ class _PatternStruct:
         ]
         num_pairs = len(self.pairs)
         self.num_pairs = num_pairs
-        self.counts = np.zeros((num_pairs, NUM_CLASSES), dtype=np.float64)
+        self.counts = np.zeros(
+            (num_pairs, blocks.legs * blocks.legs), dtype=np.float64
+        )
 
         chan_parts: List[np.ndarray] = []
         cls_parts: List[np.ndarray] = []
         pair_parts: List[np.ndarray] = []
         val_parts: List[np.ndarray] = []
         for k, (s, d, _w) in enumerate(self.pairs):
-            blk = blocks.get(s, d)
+            blk = blocks.get(s, d, policy)
             self.counts[k] = blk.counts
             chan_parts.append(blk.min_idx)
             cls_parts.append(np.full(len(blk.min_idx), -1, dtype=np.int8))
@@ -519,7 +566,7 @@ class _PatternStruct:
         ]
 
         # injection/ejection rows: lambda * row_sum <= p, interleaved
-        # inj-then-ej per switch like the legacy loop
+        # inj-then-ej per switch like the reference loop
         inj = demand.sum(axis=1)
         ej = demand.sum(axis=0)
         ie: List[float] = []
@@ -536,22 +583,22 @@ class _PatternStruct:
         ] = {}
 
     def rowmap(
-        self, ok9: np.ndarray
+        self, ok: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """``(entry_mask, channel_rows, n_rows)`` for a class mask.
 
         ``entry_mask`` selects the stream entries alive under the mask
         (MIN always; VLB iff its class is included); ``channel_rows``
         aligns with the selected entries and numbers channels in
-        first-touch order, exactly like the legacy lazy row assignment.
+        first-touch order, like the reference's lazy row assignment.
         """
-        key = tuple(bool(b) for b in ok9)
+        key = tuple(bool(b) for b in ok)
         cached = self._rowmaps.get(key)
         if cached is not None:
             return cached
         incl = self.is_min.copy()
         vlb = ~self.is_min
-        incl[vlb] = ok9[self.cls[vlb].astype(np.int64)]
+        incl[vlb] = ok[self.cls[vlb].astype(np.int64)]
         chan_sel = self.chan[incl]
         uniq, first = np.unique(chan_sel, return_index=True)
         order = np.argsort(first, kind="stable")
@@ -560,6 +607,14 @@ class _PatternStruct:
         out = (incl, row_of[chan_sel], len(uniq))
         self._rowmaps[key] = out
         return out
+
+
+# what one _assemble_* returns: channel-block columns and values, the
+# variable count, VLB variables per pair, and the monotonicity rows
+_Assembly = Tuple[
+    np.ndarray, np.ndarray, int, np.ndarray,
+    np.ndarray, np.ndarray, np.ndarray,
+]
 
 
 class FastModel:
@@ -580,42 +635,41 @@ class FastModel:
         symmetry: str = "auto",
     ) -> None:
         self.topo = topo
-        # The factored layout assumes the 3x3 dragonfly leg-split space
-        # (fully connected groups, one local hop per leg).  Topologies
-        # with longer local transit (e.g. CascadeDragonfly) have classes
-        # outside that space; for them every solve delegates to the
-        # legacy assembly over a shared PathStatsCache, so the instance
-        # still amortizes path enumeration across a sweep.
-        self._fallback: Optional[PathStatsCache] = None
-        if getattr(topo, "max_local_hops", 1) != 1:
-            self._fallback = PathStatsCache(
-                topo,
-                chidx=chidx,
-                max_descriptors=max_descriptors,
-                seed=seed,
-            )
-        else:
-            self.blocks = BlockCache(
-                topo,
-                chidx=chidx,
-                max_descriptors=max_descriptors,
-                seed=seed,
-                symmetry=symmetry,
-            )
-        self._patterns: Dict[bytes, _PatternStruct] = {}
+        self.blocks = BlockCache(
+            topo,
+            chidx=chidx,
+            max_descriptors=max_descriptors,
+            seed=seed,
+            symmetry=symmetry,
+        )
+        legs = self.blocks.legs
+        self._splits = [
+            _class_split(c, legs) for c in range(legs * legs)
+        ]
+        self._class_hops = np.asarray(
+            [l1 + l2 for l1, l2 in self._splits], dtype=np.int64
+        )
+        self._patterns: Dict[
+            Tuple[bytes, Optional[PathPolicy]], _PatternStruct
+        ] = {}
 
     @property
     def chidx(self) -> ChannelIndex:
-        if self._fallback is not None:
-            return self._fallback.chidx
         return self.blocks.chidx
 
-    def _pattern(self, demand: np.ndarray) -> _PatternStruct:
+    def _pattern(
+        self, demand: np.ndarray, policy: Optional[PathPolicy]
+    ) -> _PatternStruct:
         demand = np.asarray(demand, dtype=np.float64)
-        key = hashlib.blake2b(demand.tobytes(), digest_size=16).digest()
+        key = (
+            hashlib.blake2b(demand.tobytes(), digest_size=16).digest(),
+            policy,
+        )
         struct = self._patterns.get(key)
         if struct is None:
-            struct = _PatternStruct(self.topo, demand, self.blocks)
+            if len(self._patterns) >= _PATTERNS_MAX:
+                del self._patterns[next(iter(self._patterns))]
+            struct = _PatternStruct(self.topo, demand, self.blocks, policy)
             self._patterns[key] = struct
         return struct
 
@@ -628,49 +682,35 @@ class FastModel:
         mode: str = "uniform",
         monotonic: bool = True,
     ) -> ModelResult:
-        """Drop-in equivalent of :func:`model_throughput`."""
+        """Same arguments and :class:`ModelResult` as the reference
+        assembly in :mod:`repro.model.lp_model`."""
         if mode not in ("uniform", "free"):
             raise ValueError(f"unknown mode {mode!r}")
-        if self._fallback is not None:
-            return model_throughput(
-                self.topo,
-                demand,
-                weight_fn,
-                policy=policy,
-                cache=self._fallback,
-                mode=mode,
-                monotonic=monotonic,
-            )
+        exact_policy: Optional[PathPolicy] = None
         if weight_fn is None:
-            if policy is None:
-                weight_fn = lambda l1, l2: 1.0  # noqa: E731 - all VLB
-            else:
+            weight_fn = _all_vlb
+            if policy is not None:
                 try:
                     weight_fn = weights_for_policy(policy)
                 except TypeError:
-                    # the factored pipeline only models class-weight
-                    # policies; unlike the legacy assembly it has no
-                    # exact per-pair enumeration fallback
-                    raise TypeError(
-                        f"policy {policy.describe()!r} has no class-weight "
-                        f"translation and is not supported by the fast "
-                        f"model engine; use engine='legacy' "
-                        f"(model_throughput), which enumerates the "
-                        f"policy's candidate set exactly"
-                    ) from None
+                    # no class-weight translation (e.g. OrderedVlbPolicy):
+                    # the policy's own blocks *are* the candidate set, so
+                    # all-ones weights are exact.  ValueError (policies
+                    # finer than leg-split classes) still propagates.
+                    exact_policy = policy
 
-        struct = self._pattern(demand)
+        struct = self._pattern(demand, exact_policy)
         num_pairs = struct.num_pairs
         if num_pairs == 0:
             return ModelResult(1.0, 1.0, "trivial", 0)
 
-        w9 = np.asarray(
-            [weight_fn(*_class_split(c)) for c in range(NUM_CLASSES)],
+        weights = np.asarray(
+            [weight_fn(l1, l2) for l1, l2 in self._splits],
             dtype=np.float64,
         )
-        ok9 = w9 > 1e-9
-        w9_eff = np.where(ok9, w9, 0.0)
-        incl, ch_rows, n_ch_rows = struct.rowmap(ok9)
+        ok = weights > 1e-9
+        w_eff = np.where(ok, weights, 0.0)
+        incl, ch_rows, n_ch_rows = struct.rowmap(ok)
 
         pair_sel = struct.pair[incl]
         cls_sel = struct.cls[incl].astype(np.int64)
@@ -678,14 +718,14 @@ class FastModel:
 
         if mode == "uniform":
             out = self._assemble_uniform(
-                struct, w9_eff, incl, pair_sel, cls_sel, is_min_sel
+                struct, w_eff, incl, pair_sel, cls_sel, is_min_sel
             )
         else:
             out = self._assemble_free(
-                struct, w9_eff, ok9, incl, pair_sel, cls_sel, is_min_sel,
+                struct, w_eff, ok, incl, pair_sel, cls_sel, is_min_sel,
                 monotonic,
             )
-        cols, vals, num_vars, mono_rows, mono_cols, mono_vals = out
+        cols, vals, num_vars, nvars_pair, mono_rows, mono_cols, mono_vals = out
 
         # rows: channel-capacity block, then inj/ej, then monotonic
         num_ie = len(struct.ie_vals)
@@ -715,7 +755,6 @@ class FastModel:
 
         # equality rows: x_k + sum(vlb vars of pair k) - w_k * lambda = 0
         pair_w = np.asarray([w for _s, _d, w in struct.pairs])
-        nvars_pair = self._nvars_pair
         e_rows = np.concatenate(
             [
                 np.arange(num_pairs),
@@ -765,19 +804,18 @@ class FastModel:
     def _assemble_uniform(
         self,
         struct: _PatternStruct,
-        w9_eff: np.ndarray,
+        w_eff: np.ndarray,
         incl: np.ndarray,
         pair_sel: np.ndarray,
         cls_sel: np.ndarray,
         is_min_sel: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> _Assembly:
         """One aggregate VLB variable per pair with nonempty weighted set."""
         num_pairs = struct.num_pairs
-        wtotal = struct.counts @ w9_eff  # (K,)
+        wtotal = struct.counts @ w_eff  # (K,)
         has_vlb = wtotal > 1e-9
         vlb_var = 1 + num_pairs + np.cumsum(has_vlb) - 1  # valid where has_vlb
         num_vars = 1 + num_pairs + int(has_vlb.sum())
-        self._nvars_pair = has_vlb.astype(np.int64)
 
         cols = np.where(
             is_min_sel, 1 + pair_sel, vlb_var[pair_sel]
@@ -786,25 +824,26 @@ class FastModel:
         vals = np.where(
             is_min_sel,
             struct.val[incl],
-            w9_eff[cls_sel] * struct.val[incl] / safe_total[pair_sel],
+            w_eff[cls_sel] * struct.val[incl] / safe_total[pair_sel],
         )
         empty_i = np.empty(0, dtype=np.int64)
-        return cols, vals, num_vars, empty_i, empty_i, np.empty(0)
+        nvars_pair = has_vlb.astype(np.int64)
+        return cols, vals, num_vars, nvars_pair, empty_i, empty_i, np.empty(0)
 
     def _assemble_free(
         self,
         struct: _PatternStruct,
-        w9_eff: np.ndarray,
-        ok9: np.ndarray,
+        w_eff: np.ndarray,
+        ok: np.ndarray,
         incl: np.ndarray,
         pair_sel: np.ndarray,
         cls_sel: np.ndarray,
         is_min_sel: np.ndarray,
         monotonic: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> _Assembly:
         """One variable per (pair, included leg-split class)."""
         num_pairs = struct.num_pairs
-        incl_mat = ok9[None, :] & (struct.counts > 0)  # (K, 9)
+        incl_mat = ok[None, :] & (struct.counts > 0)  # (K, C)
         nvars_pair = incl_mat.sum(axis=1).astype(np.int64)
         var_base = 1 + num_pairs + np.concatenate(
             [[0], np.cumsum(nvars_pair)[:-1]]
@@ -812,7 +851,6 @@ class FastModel:
         rank = np.cumsum(incl_mat, axis=1) - 1
         var_of = var_base[:, None] + rank  # valid where incl_mat
         num_vars = 1 + num_pairs + int(nvars_pair.sum())
-        self._nvars_pair = nvars_pair
 
         cols = np.where(
             is_min_sel, 1 + pair_sel, var_of[pair_sel, cls_sel]
@@ -823,13 +861,13 @@ class FastModel:
         mono_cols: List[int] = []
         mono_vals: List[float] = []
         if monotonic:
-            class_size = w9_eff[None, :] * struct.counts  # (K, 9)
+            class_size = w_eff[None, :] * struct.counts  # (K, C)
             row = 0
             for k in range(num_pairs):
                 classes = np.nonzero(incl_mat[k])[0]
                 if len(classes) < 2:
                     continue
-                hops = CLASS_HOPS[classes]
+                hops = self._class_hops[classes]
                 levels = np.unique(hops)
                 for lo, hi in zip(levels, levels[1:]):
                     for c_long in classes[hops == hi]:
@@ -848,31 +886,8 @@ class FastModel:
             cols,
             vals,
             num_vars,
+            nvars_pair,
             np.asarray(mono_rows, dtype=np.int64),
             np.asarray(mono_cols, dtype=np.int64),
             np.asarray(mono_vals, dtype=np.float64),
         )
-
-
-def fast_model_throughput(
-    topo: Dragonfly,
-    demand: np.ndarray,
-    weight_fn: Optional[WeightFn] = None,
-    *,
-    policy: Optional[PathPolicy] = None,
-    model: Optional[FastModel] = None,
-    mode: str = "uniform",
-    monotonic: bool = True,
-    max_descriptors: Optional[int] = None,
-) -> ModelResult:
-    """One-shot convenience mirroring :func:`model_throughput`.
-
-    Pass (and reuse) a :class:`FastModel` to amortize structural work
-    across calls; without one, a fresh model is built per call and only
-    the vectorized enumeration is faster than legacy.
-    """
-    if model is None:
-        model = FastModel(topo, max_descriptors=max_descriptors)
-    return model.solve(
-        demand, weight_fn, policy=policy, mode=mode, monotonic=monotonic
-    )

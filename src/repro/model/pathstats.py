@@ -16,7 +16,7 @@ correctness of the LP structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -25,18 +25,15 @@ from repro.routing.minimal import min_paths
 from repro.routing.paths import Path
 from repro.routing.pathset import PathPolicy
 from repro.routing.vlb import (
+    VlbDescriptor,
     count_vlb_paths,
     enumerate_vlb_descriptors,
+    vlb_leg_hops,
     vlb_path,
 )
 from repro.topology.dragonfly import Dragonfly
 
-__all__ = [
-    "ClassStats",
-    "PairPathStats",
-    "PathStatsCache",
-    "compute_policy_pair_stats",
-]
+__all__ = ["ClassStats", "PairPathStats", "PathStatsCache"]
 
 LegSplit = Tuple[int, int]
 
@@ -106,12 +103,31 @@ def compute_pair_stats(
     dst: int,
     max_descriptors: Optional[int] = None,
     seed: int = 0,
+    policy: Optional[PathPolicy] = None,
 ) -> PairPathStats:
-    """Enumerate (or subsample) the pair's paths and aggregate usage."""
-    min_count, min_usage = _min_stats(topo, chidx, src, dst)
+    """Enumerate (or subsample) the pair's paths and aggregate usage.
 
-    classes: Dict[LegSplit, ClassStats] = {}
-    total = count_vlb_paths(topo, src, dst)
+    Without ``policy`` every VLB descriptor of the pair is enumerated and
+    a candidate set is a weighting of the resulting classes.  With one,
+    the policy's own ``iter_descriptors`` drives enumeration -- for
+    policies that have no leg-split class-weight translation (e.g. the
+    ordered-intermediate family) -- so the class table *is* the candidate
+    set and the all-ones weight function is exact.
+    """
+    mins = min_paths(topo, src, dst)
+    min_usage: Dict[int, float] = {}
+    for p in mins:
+        for ch in p.channels():
+            idx = chidx.index(ch)
+            min_usage[idx] = min_usage.get(idx, 0.0) + 1.0 / len(mins)
+
+    descs: Iterable[VlbDescriptor]
+    if policy is None:
+        descs = enumerate_vlb_descriptors(topo, src, dst)
+        total = count_vlb_paths(topo, src, dst)
+    else:
+        descs = list(policy.iter_descriptors(topo, src, dst))
+        total = len(descs)
     stride = 1
     if max_descriptors is not None and total > max_descriptors:
         stride = -(-total // max_descriptors)  # ceil division
@@ -120,64 +136,6 @@ def compute_pair_stats(
         offset = int(
             np.random.default_rng((seed, src, dst)).integers(stride)
         )
-    from repro.routing.vlb import vlb_leg_hops
-
-    for i, desc in enumerate(enumerate_vlb_descriptors(topo, src, dst)):
-        if stride > 1 and (i - offset) % stride != 0:
-            continue
-        split = vlb_leg_hops(topo, src, dst, desc)
-        cs = classes.setdefault(split, ClassStats())
-        cs.add_path(chidx, vlb_path(topo, src, dst, desc))
-    if stride > 1:
-        # repro: allow[DET102]: per-value scaling of independent entries;
-        # no cross-element accumulation, so order cannot matter
-        for cs in classes.values():
-            cs.count *= stride
-            cs.usage = {k: v * stride for k, v in cs.usage.items()}
-    return PairPathStats(src, dst, min_count, min_usage, classes)
-
-
-def _min_stats(
-    topo: Dragonfly, chidx: ChannelIndex, src: int, dst: int
-) -> Tuple[int, Dict[int, float]]:
-    mins = min_paths(topo, src, dst)
-    min_usage: Dict[int, float] = {}
-    for p in mins:
-        for ch in p.channels():
-            idx = chidx.index(ch)
-            min_usage[idx] = min_usage.get(idx, 0.0) + 1.0 / len(mins)
-    return len(mins), min_usage
-
-
-def compute_policy_pair_stats(
-    topo: Dragonfly,
-    chidx: ChannelIndex,
-    policy: PathPolicy,
-    src: int,
-    dst: int,
-    max_descriptors: Optional[int] = None,
-    seed: int = 0,
-) -> PairPathStats:
-    """Pair stats over exactly the paths a policy admits.
-
-    The exact-enumeration sibling of :func:`compute_pair_stats` for
-    policies that have no leg-split class-weight translation (e.g. the
-    ordered-intermediate family): the policy's own ``iter_descriptors``
-    drives enumeration, so the class table *is* the candidate set and
-    downstream weighting with the all-ones weight function is exact.
-    """
-    min_count, min_usage = _min_stats(topo, chidx, src, dst)
-    descs = list(policy.iter_descriptors(topo, src, dst))
-    stride = 1
-    if max_descriptors is not None and len(descs) > max_descriptors:
-        stride = -(-len(descs) // max_descriptors)  # ceil division
-    offset = 0
-    if stride > 1:
-        offset = int(
-            np.random.default_rng((seed, src, dst)).integers(stride)
-        )
-    from repro.routing.vlb import vlb_leg_hops
-
     classes: Dict[LegSplit, ClassStats] = {}
     for i, desc in enumerate(descs):
         if stride > 1 and (i - offset) % stride != 0:
@@ -191,7 +149,7 @@ def compute_policy_pair_stats(
         for cs in classes.values():
             cs.count *= stride
             cs.usage = {k: v * stride for k, v in cs.usage.items()}
-    return PairPathStats(src, dst, min_count, min_usage, classes)
+    return PairPathStats(src, dst, len(mins), min_usage, classes)
 
 
 class PathStatsCache:
@@ -231,19 +189,20 @@ class PathStatsCache:
     def policy_pair_stats(
         self, policy: PathPolicy, src: int, dst: int
     ) -> PairPathStats:
-        """Memoized :func:`compute_policy_pair_stats` (policies are
-        frozen/hashable, so equal policies share entries)."""
+        """Memoized :func:`compute_pair_stats` over the policy's own
+        descriptors (policies are frozen/hashable, so equal policies
+        share entries)."""
         key = (policy, src, dst)
         stats = self._policy_cache.get(key)
         if stats is None:
-            stats = compute_policy_pair_stats(
+            stats = compute_pair_stats(
                 self.topo,
                 self.chidx,
-                policy,
                 src,
                 dst,
                 max_descriptors=self.max_descriptors,
                 seed=self.seed,
+                policy=policy,
             )
             self._policy_cache[key] = stats
         return stats

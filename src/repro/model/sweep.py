@@ -4,14 +4,12 @@ For every datapoint the LP model is solved for every pattern in the
 adversarial suite and the mean (with standard error) is recorded -- the
 data behind Figures 4 and 5 of the paper.
 
-Two solver engines are available: ``engine="fast"`` (default) routes
-every ``(datapoint, pattern)`` combination through
-:class:`~repro.perf.executor.SweepExecutor` as spec-fingerprinted
-:class:`~repro.perf.executor.ModelTask` batches -- structural work is
-factored and amortized by :class:`~repro.model.fastpath.FastModel`, and
-an executor-attached :class:`~repro.perf.cache.SimCache` serves repeated
-points from disk.  ``engine="legacy"`` is the original per-solve
-assembly loop, kept as the numerical parity baseline.
+Every ``(datapoint, pattern)`` combination goes through
+:class:`~repro.perf.executor.SweepExecutor` as a spec-fingerprinted
+:class:`~repro.perf.executor.ModelTask`: structural work is factored and
+amortized by :class:`~repro.model.fastpath.FastModel`, and an
+executor-attached :class:`~repro.perf.cache.SimCache` serves repeated
+points from disk.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.model.lp_model import model_throughput
-from repro.model.pathstats import PathStatsCache
 from repro.obs.log import get_logger
 from repro.routing.pathset import HopClassPolicy
 from repro.topology.dragonfly import Dragonfly
@@ -52,10 +48,8 @@ def step1_sweep(
     patterns: Sequence[TrafficPattern],
     datapoints: Sequence[HopClassPolicy],
     *,
-    cache: Optional[PathStatsCache] = None,
     max_descriptors: Optional[int] = None,
     mode: str = "uniform",
-    engine: str = "fast",
     executor: Optional["SweepExecutor"] = None,
     seed: int = 0,
 ) -> List[SweepPoint]:
@@ -63,32 +57,16 @@ def step1_sweep(
 
     ``executor`` (optional) fans the solves out across worker processes
     and consults its attached result cache; without one, solves run
-    serially in-process but still share per-topology structural state.
-    ``cache`` is only consulted by the legacy engine (it predates the
-    factored fast path, whose structural state lives in the executor's
-    per-process solver memo); ``seed`` steers descriptor subsampling
-    when ``max_descriptors`` caps enumeration.
+    serially in-process but still share per-topology structural state
+    (the executor module's per-process solver memo).  ``seed`` steers
+    descriptor subsampling when ``max_descriptors`` caps enumeration.
     """
-    if engine not in ("fast", "legacy"):
-        raise ValueError(f"unknown sweep engine {engine!r}")
-    if engine == "legacy" and executor is None:
-        return _legacy_sweep(
-            topo,
-            patterns,
-            datapoints,
-            cache=cache,
-            max_descriptors=max_descriptors,
-            mode=mode,
-            seed=seed,
-        )
-
     from repro.perf.executor import ModelTask, run_model_task
 
     _log.info(
-        "step1_sweep: %d datapoints x %d patterns (%s engine, %s)",
+        "step1_sweep: %d datapoints x %d patterns (%s)",
         len(datapoints),
         len(patterns),
-        engine,
         "executor" if executor is not None else "in-process",
     )
     tasks = [
@@ -99,7 +77,6 @@ def step1_sweep(
             mode=mode,
             max_descriptors=max_descriptors,
             seed=seed,
-            engine=engine,
         )
         for policy in datapoints
         for pattern in patterns
@@ -119,36 +96,6 @@ def step1_sweep(
         points.append(_make_point(policy, values))
     _log.info("step1_sweep: %d points done", len(points))
     return points
-
-
-def _legacy_sweep(
-    topo: Dragonfly,
-    patterns: Sequence[TrafficPattern],
-    datapoints: Sequence[HopClassPolicy],
-    *,
-    cache: Optional[PathStatsCache],
-    max_descriptors: Optional[int],
-    mode: str,
-    seed: int = 0,
-) -> List[SweepPoint]:
-    """The original per-solve loop (parity baseline for the fast path)."""
-    if cache is None:
-        cache = PathStatsCache(
-            topo, max_descriptors=max_descriptors, seed=seed
-        )
-    demands = [pat.demand_matrix() for pat in patterns]
-    return [
-        _make_point(
-            policy,
-            [
-                model_throughput(
-                    topo, demand, policy=policy, cache=cache, mode=mode
-                ).throughput
-                for demand in demands
-            ],
-        )
-        for policy in datapoints
-    ]
 
 
 def _make_point(

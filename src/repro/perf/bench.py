@@ -16,10 +16,10 @@ The benchmark families:
   serially, through a process pool (``--jobs``), and through a warm
   on-disk cache, asserting that all three return identical results.
 * **Model microbenchmark** -- a Step-1 LP sweep (Table-1 datapoints x
-  the adversarial pattern suite) solved by the legacy per-solve
-  assembly and by the factored fast path
-  (:class:`~repro.model.fastpath.FastModel`), cold and warm, asserting
-  per-datapoint throughputs agree to 1e-9.
+  the adversarial pattern suite) solved by the reference per-solve
+  assembly (``model_throughput``, called directly) and by the one
+  production pipeline (:class:`~repro.model.fastpath.FastModel`), cold
+  and warm, asserting per-datapoint throughputs agree to 1e-9.
 * **Adversary microbenchmark** -- a budget-8 ``repro.adversary`` search
   run cold and warm through one on-disk cache: candidates/second, the
   warm-cache hit rate, and the ``within_type1`` usefulness gate (the
@@ -425,7 +425,7 @@ def bench_model(
     seed: int = 0,
     cache_dir: Optional[str] = None,
 ) -> Dict:
-    """Step-1 LP sweep wall-clock: legacy assembly vs the fast path.
+    """Step-1 LP sweep wall-clock: reference assembly vs the pipeline.
 
     The workload is ``num_datapoints`` Table-1 policies x
     ``num_patterns`` adversarial patterns (a TYPE_1 subsample plus
@@ -434,11 +434,12 @@ def bench_model(
 
     Three timed executions:
 
-    * ``legacy`` -- the original per-solve constraint assembly
-      (``engine="legacy"``), one full enumeration + COO build per
-      ``(policy, pattern)``.
-    * ``fast cold`` -- the factored pipeline from an empty process
-      (structural factorization built once, then patched per solve).
+    * ``legacy`` -- the reference per-solve constraint assembly
+      (``model_throughput`` called directly over one shared
+      ``PathStatsCache``), one COO build per ``(policy, pattern)``.
+    * ``fast cold`` -- ``step1_sweep`` (the ``FastModel`` pipeline) from
+      an empty process: structural factorization built once, then
+      patched per solve.
     * ``fast warm`` -- same workload again with the per-process solver
       memo already populated, isolating the per-solve patch cost.
 
@@ -451,6 +452,8 @@ def bench_model(
     import numpy as np
 
     from repro.core.datapoints import table1_datapoints
+    from repro.model.lp_model import model_throughput
+    from repro.model.pathstats import PathStatsCache
     from repro.model.sweep import step1_sweep
     from repro.perf import executor as executor_module
     from repro.traffic.adversarial import type_1_set, type_2_set
@@ -469,22 +472,26 @@ def bench_model(
     )
 
     start = time.perf_counter()
-    legacy = step1_sweep(
-        topo, patterns, grid, mode=mode, engine="legacy", seed=seed
-    )
+    stats = PathStatsCache(topo, seed=seed)
+    demands = [pattern.demand_matrix() for pattern in patterns]
+    legacy = [
+        [
+            model_throughput(
+                topo, demand, policy=policy, cache=stats, mode=mode
+            ).throughput
+            for demand in demands
+        ]
+        for policy in grid
+    ]
     legacy_s = time.perf_counter() - start
 
     executor_module._SOLVER_MEMO.clear()  # a truly cold fast-path run
     start = time.perf_counter()
-    fast = step1_sweep(
-        topo, patterns, grid, mode=mode, engine="fast", seed=seed
-    )
+    fast = step1_sweep(topo, patterns, grid, mode=mode, seed=seed)
     fast_cold_s = time.perf_counter() - start
 
     start = time.perf_counter()  # memo now holds the factorization
-    warm = step1_sweep(
-        topo, patterns, grid, mode=mode, engine="fast", seed=seed
-    )
+    warm = step1_sweep(topo, patterns, grid, mode=mode, seed=seed)
     fast_warm_s = time.perf_counter() - start
 
     cached_s = None
@@ -493,29 +500,29 @@ def bench_model(
         with SweepExecutor(jobs=1, cache=cache) as executor:
             # first pass fills the cache, second pass times the hits
             step1_sweep(
-                topo, patterns, grid, mode=mode, engine="fast",
-                executor=executor, seed=seed,
+                topo, patterns, grid, mode=mode, executor=executor,
+                seed=seed,
             )
             start = time.perf_counter()
             cached = step1_sweep(
-                topo, patterns, grid, mode=mode, engine="fast",
-                executor=executor, seed=seed,
+                topo, patterns, grid, mode=mode, executor=executor,
+                seed=seed,
             )
             cached_s = time.perf_counter() - start
         for pt, ref in zip(cached, legacy):
             assert np.allclose(
-                pt.per_pattern, ref.per_pattern, rtol=0, atol=1e-9
+                pt.per_pattern, ref, rtol=0, atol=1e-9
             ), "cache changed sweep results"
 
     max_delta = max(
         abs(a - b)
         for f, l in zip(fast, legacy)
-        for a, b in zip(f.per_pattern, l.per_pattern)
+        for a, b in zip(f.per_pattern, l)
     )
     warm_delta = max(
         abs(a - b)
         for w, l in zip(warm, legacy)
-        for a, b in zip(w.per_pattern, l.per_pattern)
+        for a, b in zip(w.per_pattern, l)
     )
     return {
         "topology": str(topo),

@@ -74,6 +74,7 @@ __all__ = [
     "policy_fingerprint",
     "result_from_dict",
     "result_to_dict",
+    "spec_key",
     "topology_fingerprint",
 ]
 
@@ -105,14 +106,15 @@ def default_cache_dir() -> str:
 # Fingerprints
 # ---------------------------------------------------------------------------
 def topology_fingerprint(topo: Dragonfly) -> Dict:
-    """Identity of a topology: class, (p, a, h, g), arrangement."""
+    """Identity of a topology: its class and every constructor field
+    (``p, a, h, g, arrangement``, plus e.g. a Cascade's ``rows``/``cols``)."""
     return {
         "cls": type(topo).__name__,
-        "p": topo.p,
-        "a": topo.a,
-        "h": topo.h,
-        "g": topo.g,
-        "arrangement": topo.arrangement,
+        **{
+            f.name: getattr(topo, f.name)
+            for f in dataclasses.fields(topo)
+            if f.init
+        },
     }
 
 
@@ -200,12 +202,7 @@ def fingerprint(
     except SpecError:
         pass  # unregistered component: try the structural fallback
     else:
-        blob = json.dumps(
-            {"version": CACHE_VERSION, "spec": spec.fingerprint()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return spec_key(spec.fingerprint())
 
     pat_fp = pattern_fingerprint(pattern)
     if pat_fp is None:
@@ -225,8 +222,18 @@ def fingerprint(
         ).identity_dict(),
         "seed": int(seed),
     }
+    return _key(record)
+
+
+def _key(record: Dict) -> str:
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def spec_key(spec_fingerprint: str) -> str:
+    """:func:`fingerprint` of a point whose ``RunSpec.fingerprint()`` is
+    already in hand (no second derivation of the spec)."""
+    return _key({"version": CACHE_VERSION, "spec": spec_fingerprint})
 
 
 def model_fingerprint(spec: "ModelSpec") -> str:
@@ -236,16 +243,9 @@ def model_fingerprint(spec: "ModelSpec") -> str:
     in the hash input, so a model key can never collide with a sim key
     even for pathologically similar specs.
     """
-    blob = json.dumps(
-        {
-            "version": CACHE_VERSION,
-            "kind": "model",
-            "spec": spec.fingerprint(),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    return _key(
+        {"version": CACHE_VERSION, "kind": "model", "spec": spec.fingerprint()}
     )
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

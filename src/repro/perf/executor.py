@@ -34,12 +34,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.model.fastpath import FastModel
 from repro.model.lp_model import ModelResult
 from repro.obs import ProgressReporter, Tracer, active_capture
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
 from repro.perf.cache import SimCache, fingerprint, model_fingerprint
 from repro.routing.pathset import PathPolicy
+from repro.routing.table import topology_key
 from repro.sim.engine import simulate
 from repro.sim.params import SimParams
 from repro.sim.stats import SimResult
@@ -222,12 +224,9 @@ class ModelTask:
     monotonic: bool = True
     max_descriptors: Optional[int] = None
     seed: int = 0
-    engine: str = "fast"
     spec: Optional[ModelSpec] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "legacy"):
-            raise ValueError(f"unknown model engine {self.engine!r}")
         if self.spec is None:
             try:
                 self.spec = ModelSpec.from_objects(
@@ -238,7 +237,6 @@ class ModelTask:
                     monotonic=self.monotonic,
                     max_descriptors=self.max_descriptors,
                     seed=self.seed,
-                    engine=self.engine,
                 )
             except SpecError:
                 self.spec = None  # ad-hoc components: ship live objects
@@ -255,75 +253,39 @@ class ModelTask:
 
 
 # Per-process solver memo: a worker (or the serial path) reuses one
-# FastModel / PathStatsCache per (topology, enumeration options), so the
-# expensive structural factorization is paid once per process per
-# topology, not once per task.  Bounded to a handful of topologies.
-_SOLVER_MEMO: Dict[Tuple, object] = {}
+# FastModel per (topology, enumeration options), so the expensive
+# structural factorization is paid once per process per topology, not
+# once per task.  Bounded to a handful of topologies.
+_SOLVER_MEMO: Dict[Tuple, FastModel] = {}
 _SOLVER_MEMO_MAX = 4
 
 
 def _solver_for(
-    topo: Dragonfly,
-    engine: str,
-    max_descriptors: Optional[int],
-    seed: int,
-) -> object:
-    from repro.model.fastpath import FastModel
-    from repro.model.pathstats import PathStatsCache
-    from repro.perf.cache import topology_fingerprint
-
-    key = (
-        tuple(sorted(topology_fingerprint(topo).items())),
-        engine,
-        max_descriptors,
-        seed,
-    )
+    topo: Dragonfly, max_descriptors: Optional[int], seed: int
+) -> FastModel:
+    key = (topology_key(topo), max_descriptors, seed)
     solver = _SOLVER_MEMO.get(key)
     if solver is None:
         if len(_SOLVER_MEMO) >= _SOLVER_MEMO_MAX:
             _SOLVER_MEMO.pop(next(iter(_SOLVER_MEMO)))
-        if engine == "fast":
-            solver = FastModel(
-                topo, max_descriptors=max_descriptors, seed=seed
-            )
-        else:
-            solver = PathStatsCache(
-                topo, max_descriptors=max_descriptors, seed=seed
-            )
-        _SOLVER_MEMO[key] = solver
+        solver = _SOLVER_MEMO[key] = FastModel(
+            topo, max_descriptors=max_descriptors, seed=seed
+        )
     return solver
 
 
 def run_model_task(task: ModelTask) -> ModelResult:
     """Execute one model solve (also the serial path), memoizing the
     per-topology structural state across calls in this process."""
-    from repro.model.fastpath import FastModel
-    from repro.model.lp_model import model_throughput
-    from repro.model.pathstats import PathStatsCache
-
-    solver = _solver_for(
-        task.topo, task.engine, task.max_descriptors, task.seed
-    )
+    solver = _solver_for(task.topo, task.max_descriptors, task.seed)
     demand = task.pattern.demand_matrix()
     wall_start = time.perf_counter()
-    if task.engine == "fast":
-        assert isinstance(solver, FastModel)
-        result = solver.solve(
-            demand,
-            policy=task.policy,
-            mode=task.mode,
-            monotonic=task.monotonic,
-        )
-    else:
-        assert isinstance(solver, PathStatsCache)
-        result = model_throughput(
-            task.topo,
-            demand,
-            policy=task.policy,
-            cache=solver,
-            mode=task.mode,
-            monotonic=task.monotonic,
-        )
+    result = solver.solve(
+        demand,
+        policy=task.policy,
+        mode=task.mode,
+        monotonic=task.monotonic,
+    )
     result.manifest = RunManifest(
         kind="model",
         fingerprint=task.key(),
@@ -331,7 +293,7 @@ def run_model_task(task: ModelTask) -> ModelResult:
             task.spec.fingerprint() if task.spec is not None else None
         ),
         topology=str(task.topo),
-        routing=task.engine,  # the model's engine plays the variant role
+        routing="fast",  # format constant, like ModelSpec's "engine"
         load=None,
         seed=int(task.seed),
         wall_seconds=time.perf_counter() - wall_start,
@@ -352,7 +314,6 @@ def _run_model_payload(payload: Union[ModelSpec, ModelTask]) -> ModelResult:
                 monotonic=payload.monotonic,
                 max_descriptors=payload.max_descriptors,
                 seed=payload.seed,
-                engine=payload.engine,
                 spec=payload,
             )
         )
@@ -462,10 +423,7 @@ class SweepExecutor:
         load = getattr(task, "load", None)
         if load is not None:
             return f"{getattr(task, 'routing', '?')}@{load:g}"
-        return (
-            f"{getattr(task, 'engine', 'model')}:"
-            f"{getattr(task, 'mode', '?')}"
-        )
+        return f"model:{getattr(task, 'mode', '?')}"
 
     def _execute(
         self,

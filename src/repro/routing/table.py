@@ -45,7 +45,14 @@ from repro.routing.channels import ChannelIndex
 from repro.routing.minimal import min_paths
 from repro.routing.paths import LOCAL_SLOT, Path
 
-__all__ = ["Leg", "MinImage", "VlbImage", "RouteTable", "route_table"]
+__all__ = [
+    "Leg",
+    "MinImage",
+    "VlbImage",
+    "RouteTable",
+    "route_table",
+    "topology_key",
+]
 
 # (switch_id tuples of the eligible intermediate groups, link counts
 # src-group->mid-group, link counts mid-group->dst-group), index-aligned
@@ -420,11 +427,11 @@ _TABLES: Dict[Tuple, RouteTable] = {}
 _LAST: Tuple[object, Optional[RouteTable]] = (None, None)
 
 
-def _topology_key(topo) -> Tuple:
-    """Constructor identity of a topology: its class plus every
-    dataclass init field (``topology_fingerprint`` plus what that leaves
-    out, e.g. a Cascade's rows/cols).  Topologies that are not
-    dataclasses only ever equal themselves."""
+def topology_key(topo) -> Tuple:
+    """Constructor identity of a topology, for per-process memos: its
+    class plus every dataclass init field (so two Cascade grids over one
+    ``(p, a, h, g)`` never alias).  Topologies that are not dataclasses
+    only ever equal themselves."""
     cls = type(topo)
     if not dataclasses.is_dataclass(topo):
         return (cls.__module__, cls.__qualname__, id(topo))
@@ -442,7 +449,7 @@ def route_table(topo) -> RouteTable:
     global _LAST
     if topo is _LAST[0]:
         return _LAST[1]  # type: ignore[return-value]
-    key = _topology_key(topo)
+    key = topology_key(topo)
     table = _TABLES.get(key)
     if table is None:
         if len(_TABLES) >= _MAX_TABLES:

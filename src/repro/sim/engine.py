@@ -309,11 +309,11 @@ class Run:
 
         Fingerprint derivation mirrors the result cache: the declarative
         ``RunSpec`` identity when every component is a registered spec
-        type, the structural fallback otherwise, ``None`` for ad-hoc
-        components.  Lazy imports keep ``repro.sim`` importable without
-        ``repro.perf``.
+        type (derived once; both fingerprints come from it), the
+        structural fallback otherwise, ``None`` for ad-hoc components.
+        Lazy imports keep ``repro.sim`` importable without ``repro.perf``.
         """
-        from repro.perf.cache import fingerprint as cache_fingerprint
+        from repro.perf.cache import fingerprint as cache_fingerprint, spec_key
         from repro.spec import RunSpec, SpecError
 
         args = (self.topo, self.pattern, self.load)
@@ -329,10 +329,15 @@ class Run:
                 spec = RunSpec.from_objects(*args, **identity)
             except SpecError:
                 pass
+        spec_fp = spec.fingerprint() if spec is not None else None
         return RunManifest(
             kind="sim",
-            fingerprint=cache_fingerprint(*args, **identity),
-            spec_fingerprint=spec.fingerprint() if spec is not None else None,
+            fingerprint=(
+                spec_key(spec_fp)
+                if spec_fp is not None
+                else cache_fingerprint(*args, **identity)
+            ),
+            spec_fingerprint=spec_fp,
             topology=str(self.topo),
             routing=self.routing.lower(),
             load=float(self.load),

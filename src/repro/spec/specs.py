@@ -431,9 +431,9 @@ class ModelSpec:
 
     The model analogue of :class:`RunSpec`: topology + pattern (whose
     demand matrix is the LP's right-hand structure) + policy (translated
-    to leg-split class weights) + solver options.  ``engine`` is part of
-    the identity on purpose -- fast-path and legacy results agree only to
-    numerical tolerance, so they must never share a cache entry.
+    to leg-split class weights) + solver options.  The serialized form
+    carries the format constant ``"engine": "fast"`` from when a second
+    LP assembly was selectable; fingerprints hash it, so it stays.
     """
 
     topology: TopologySpec
@@ -443,13 +443,10 @@ class ModelSpec:
     monotonic: bool = True
     max_descriptors: Optional[int] = None
     seed: int = 0
-    engine: str = "fast"
 
     def __post_init__(self) -> None:
         if self.mode not in ("uniform", "free"):
             raise SpecError(f"unknown model mode {self.mode!r}")
-        if self.engine not in ("fast", "legacy"):
-            raise SpecError(f"unknown model engine {self.engine!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
@@ -463,7 +460,6 @@ class ModelSpec:
         monotonic: bool = True,
         max_descriptors: Optional[int] = None,
         seed: int = 0,
-        engine: str = "fast",
     ) -> "ModelSpec":
         """From live objects; :class:`SpecError` on unregistered types."""
         return cls(
@@ -474,7 +470,6 @@ class ModelSpec:
             monotonic=monotonic,
             max_descriptors=max_descriptors,
             seed=seed,
-            engine=engine,
         )
 
     def solve(self) -> Any:
@@ -486,29 +481,13 @@ class ModelSpec:
         memoizes per-topology solver state.
         """
         from repro.model.fastpath import FastModel
-        from repro.model.lp_model import model_throughput
 
         topo = self.topology.build()
-        demand = self.pattern.build(topo).demand_matrix()
-        policy = self.policy.build()
-        if self.engine == "fast":
-            return FastModel(
-                topo, max_descriptors=self.max_descriptors, seed=self.seed
-            ).solve(
-                demand,
-                policy=policy,
-                mode=self.mode,
-                monotonic=self.monotonic,
-            )
-        from repro.model.pathstats import PathStatsCache
-
-        return model_throughput(
-            topo,
-            demand,
-            policy=policy,
-            cache=PathStatsCache(
-                topo, max_descriptors=self.max_descriptors, seed=self.seed
-            ),
+        return FastModel(
+            topo, max_descriptors=self.max_descriptors, seed=self.seed
+        ).solve(
+            self.pattern.build(topo).demand_matrix(),
+            policy=self.policy.build(),
             mode=self.mode,
             monotonic=self.monotonic,
         )
@@ -526,11 +505,16 @@ class ModelSpec:
             "monotonic": self.monotonic,
             "max_descriptors": self.max_descriptors,
             "seed": self.seed,
-            "engine": self.engine,
+            "engine": "fast",
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ModelSpec":
+        if data.get("engine", "fast") != "fast":
+            raise SpecError(
+                f"model engine {data['engine']!r} was removed: every solve "
+                f"goes through the one FastModel pipeline"
+            )
         return cls(
             topology=TopologySpec.from_dict(data["topology"]),
             pattern=PatternSpec.from_dict(data["pattern"]),
@@ -539,7 +523,6 @@ class ModelSpec:
             monotonic=data.get("monotonic", True),
             max_descriptors=data.get("max_descriptors"),
             seed=data.get("seed", 0),
-            engine=data.get("engine", "fast"),
         )
 
     def fingerprint(self) -> str:

@@ -5,9 +5,9 @@ model (:mod:`repro.model`), the simulator (:mod:`repro.sim`), static
 verification (:mod:`repro.verify`) and Algorithm 1 (:mod:`repro.core`) --
 talks to topologies exclusively through this surface: flat switch/node
 identifiers, group structure, the ``local_*`` intra-group hooks, the global
-link tables, and the five *policy hooks* that make Algorithm 1
+link tables, and the four *policy hooks* that make Algorithm 1
 topology-custom (candidate grid, deadlock-certification VC scheme,
-preferred model engine, baseline policy, adversarial suite).
+baseline policy, adversarial suite).
 
 :class:`~repro.topology.dragonfly.Dragonfly` is the canonical
 implementation; :class:`~repro.topology.cascade.CascadeDragonfly` varies
@@ -100,9 +100,6 @@ class Topology(Protocol):
     # --- per-topology Algorithm-1 / verification hooks ---
     @property
     def deadlock_vc_scheme(self) -> Optional[str]: ...
-
-    @property
-    def default_model_engine(self) -> str: ...
 
     def tvlb_datapoints(
         self, step: float = 0.25, seed: int = 0

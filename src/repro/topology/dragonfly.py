@@ -248,11 +248,6 @@ class Dragonfly:
         """
         return None
 
-    @property
-    def default_model_engine(self) -> str:
-        """Preferred Step-1 LP engine (``"fast"`` or ``"legacy"``)."""
-        return "fast"
-
     def tvlb_datapoints(
         self, step: float = 0.25, seed: int = 0
     ) -> List["PathPolicy"]:

@@ -60,12 +60,6 @@ class FullMesh(Dragonfly):
         runs under the analysis-only ``"none"`` scheme."""
         return "none"
 
-    @property
-    def default_model_engine(self) -> str:
-        """The factored fast pipeline has no class weights for the
-        ordered policy family; Step 1 uses the legacy LP assembly."""
-        return "legacy"
-
     def tvlb_datapoints(
         self, step: float = 0.25, seed: int = 0
     ) -> List["PathPolicy"]:

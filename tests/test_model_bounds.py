@@ -1,10 +1,10 @@
 """Tests for the closed-form capacity bounds, cross-validated against the
 LP model (the LP should achieve the analytic bound exactly for symmetric
-shift demand)."""
+shift demand) -- on the production pipeline and, ``[reference]``, on the
+reference assembly (the ``lp_solve`` fixture)."""
 
 import pytest
 
-from repro.model import PathStatsCache, model_throughput
 from repro.model.bounds import (
     min_only_shift_bound,
     optimal_min_fraction,
@@ -55,13 +55,10 @@ class TestClosedForms:
 
 class TestLpAchievesBounds:
     @pytest.mark.parametrize("args", [(2, 4, 2, 9), (2, 4, 2, 3)])
-    def test_lp_matches_shift_bound(self, args):
+    def test_lp_matches_shift_bound(self, args, lp_solve):
         topo = Dragonfly(*args)
         demand = Shift(topo, 1, 0).demand_matrix()
-        res = model_throughput(
-            topo, demand, policy=AllVlbPolicy(),
-            cache=PathStatsCache(topo),
-        )
+        res = lp_solve(topo, demand, policy=AllVlbPolicy())
         assert res.throughput == pytest.approx(
             shift_saturation_bound(topo), rel=1e-3
         )
@@ -69,35 +66,28 @@ class TestLpAchievesBounds:
             optimal_min_fraction(topo), rel=0.05
         )
 
-    def test_lp_min_only_matches_bound(self):
+    def test_lp_min_only_matches_bound(self, lp_solve):
         topo = Dragonfly(2, 4, 2, 9)
         demand = Shift(topo, 1, 0).demand_matrix()
-        res = model_throughput(
-            topo, demand, weight_fn=lambda l1, l2: 0.0,
-            cache=PathStatsCache(topo),
-        )
+        res = lp_solve(topo, demand, weight_fn=lambda l1, l2: 0.0)
         assert res.throughput == pytest.approx(
             min_only_shift_bound(topo), rel=1e-3
         )
 
-    def test_lp_never_exceeds_bound(self):
+    def test_lp_never_exceeds_bound(self, lp_solve):
         # the bound is an upper bound for every candidate set
         from repro.routing.pathset import HopClassPolicy
 
         topo = Dragonfly(2, 4, 2, 3)
-        cache = PathStatsCache(topo)
         demand = Shift(topo, 1, 0).demand_matrix()
         bound = shift_saturation_bound(topo)
         for pol in (HopClassPolicy(3), HopClassPolicy(4), AllVlbPolicy()):
-            res = model_throughput(topo, demand, policy=pol, cache=cache)
+            res = lp_solve(topo, demand, policy=pol)
             assert res.throughput <= bound + 1e-6
 
-    def test_lp_ur_near_unity_balanced(self):
+    def test_lp_ur_near_unity_balanced(self, lp_solve):
         topo = Dragonfly(2, 4, 2, 9)
-        res = model_throughput(
-            topo,
-            UniformRandom(topo).demand_matrix(),
-            policy=AllVlbPolicy(),
-            cache=PathStatsCache(topo),
+        res = lp_solve(
+            topo, UniformRandom(topo).demand_matrix(), policy=AllVlbPolicy()
         )
         assert res.throughput > 0.9

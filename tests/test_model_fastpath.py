@@ -1,14 +1,16 @@
-"""Parity and structural tests for the factored LP fast path.
+"""Parity and structural tests for the one LP pipeline.
 
-The contract under test: ``FastModel`` / ``engine="fast"`` sweeps are a
-pure performance refactor of the legacy per-solve assembly -- same
-throughputs (to 1e-9) on the same inputs, plus the structural layers
-(vectorized block builder, symmetry folding, ModelResult caching) each
-verified against their slow reference.
+The contract under test: ``FastModel`` -- the assembly every production
+solve goes through, on every topology -- is a pure performance
+refactoring of the reference per-solve assembly ``model_throughput``:
+same throughputs (to 1e-9) on the same inputs, plus the structural
+layers (vectorized block builder, topology-sized class axis, policy
+blocks, symmetry folding, ModelResult caching) each verified against
+their slow reference.
 
 ``min_fraction`` parity is asserted at a documented looser tolerance:
 the MIN/VLB split at the throughput optimum is a degenerate LP vertex
-(many splits achieve the same lambda), and the fast path's permuted row
+(many splits achieve the same lambda), and the pipeline's permuted row
 order can land HiGHS on a different optimal vertex.  Throughput -- the
 objective, and the only field Step 1 consumes -- is tight.
 """
@@ -17,6 +19,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.datapoints import table1_datapoints
 from repro.model import (
@@ -36,8 +40,10 @@ from repro.routing.pathset import (
     ExcludingPolicy,
     ExplicitPathSet,
     HopClassPolicy,
+    OrderedVlbPolicy,
+    StrategicFiveHopPolicy,
 )
-from repro.topology import Dragonfly
+from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
 from repro.traffic import Shift, type_1_set, type_2_set
 
 SMALL = Dragonfly(2, 4, 2, 5)
@@ -153,20 +159,20 @@ class TestFastModelParity:
         topo = Dragonfly(4, 8, 4, 9)
         grid = table1_datapoints(step=0.1)  # all 31 datapoints
         patterns = [type_1_set(topo)[11]] + type_2_set(topo, count=1)
-        fast = step1_sweep(
-            topo, patterns, grid, mode="free", engine="fast"
-        )
-        legacy = step1_sweep(
-            topo, patterns, grid, mode="free", engine="legacy"
-        )
-        for f, l in zip(fast, legacy):
-            assert f.label == l.label
-            for a, b in zip(f.per_pattern, l.per_pattern):
-                assert a == pytest.approx(b, abs=1e-9)
+        sweep = step1_sweep(topo, patterns, grid, mode="free")
+        cache = PathStatsCache(topo)
+        demands = [pat.demand_matrix() for pat in patterns]
+        for point, policy in zip(sweep, grid):
+            assert point.label == policy.describe()
+            for got, demand in zip(point.per_pattern, demands):
+                ref = model_throughput(
+                    topo, demand, policy=policy, cache=cache, mode="free"
+                )
+                assert got == pytest.approx(ref.throughput, abs=1e-9)
 
     def test_monotonic_flag_respected(self):
         # free mode without the paper's monotonicity rows over-estimates
-        # (or matches) -- and the fast path must agree with legacy there
+        # (or matches) -- and the pipeline must agree with the reference
         cache = PathStatsCache(SMALL)
         fast = FastModel(SMALL)
         demand = Shift(SMALL, 1, 0).demand_matrix()
@@ -181,16 +187,119 @@ class TestFastModelParity:
             )
             assert got.throughput == pytest.approx(ref.throughput, abs=1e-9)
 
-    def test_cascade_falls_back_to_legacy(self):
-        from repro.topology.cascade import CascadeDragonfly
-
+    def test_cascade_matches_reference(self):
+        # two-hop local transit: 5 hop values per leg, a 25-class axis
         topo = CascadeDragonfly(p=2, a=6, h=2, g=3, rows=2, cols=3)
         fast = FastModel(topo)
-        assert fast._fallback is not None
+        assert fast.blocks.legs == 5
+        cache = PathStatsCache(topo)
         demand = Shift(topo, 1, 0).demand_matrix()
-        ref = model_throughput(topo, demand, mode="free")
-        got = fast.solve(demand, mode="free")
-        assert got.throughput == pytest.approx(ref.throughput, abs=1e-9)
+        for mode in ("uniform", "free"):
+            for policy in (AllVlbPolicy(), HopClassPolicy(6, 0.5)):
+                _assert_parity(
+                    fast, cache, demand, policy=policy, mode=mode
+                )
+        # classes past the 3x3 dragonfly space are populated
+        assert max(
+            l1 + l2 for l1, l2 in fast.blocks.get(0, 7).to_stats().classes
+        ) > 6
+
+    def test_subsampled_parity(self):
+        # capped enumeration: same stride/offset subsample on both sides
+        for topo, policy in (
+            (SMALL, HopClassPolicy(4, 0.5)),
+            (FullMesh(6, p=2), OrderedVlbPolicy()),
+        ):
+            fast = FastModel(topo, max_descriptors=3, seed=2)
+            cache = PathStatsCache(topo, max_descriptors=3, seed=2)
+            demand = Shift(topo, 1, 0).demand_matrix()
+            for mode in ("uniform", "free"):
+                _assert_parity(fast, cache, demand, policy=policy, mode=mode)
+
+    def test_sub_class_policies_still_rejected(self):
+        fast = FastModel(SMALL)
+        demand = Shift(SMALL, 1, 0).demand_matrix()
+        for policy in (ExcludingPolicy(base=AllVlbPolicy()), ExplicitPathSet()):
+            with pytest.raises(ValueError, match="class-weight"):
+                fast.solve(demand, policy=policy)
+
+    def test_pattern_memo_is_bounded(self):
+        from repro.model import fastpath
+
+        fast = FastModel(Dragonfly(1, 2, 1, 3))
+        first = Shift(fast.topo, 1, 0).demand_matrix()
+        fast.solve(first)
+        for k in range(2, fastpath._PATTERNS_MAX + 10):
+            fast.solve(k * first)  # a stream of distinct demands
+        assert len(fast._patterns) == fastpath._PATTERNS_MAX
+        # oldest first: the first demand's skeleton is gone, and a
+        # re-solve rebuilds it with the same result
+        assert fast.solve(first).throughput == pytest.approx(
+            fast.solve(2 * first).throughput * 2
+        )
+
+
+def _assert_parity(fast, cache, demand, **options):
+    """``fast.solve`` == reference assembly over ``cache``; returns it."""
+    ref = model_throughput(fast.topo, demand, cache=cache, **options)
+    got = fast.solve(demand, **options)
+    assert got.throughput == pytest.approx(ref.throughput, abs=1e-9)
+    assert got.num_pairs == ref.num_pairs
+    assert got.status == ref.status
+    return got
+
+
+# small shapes with (g - 1) | a * h, one constructor call each
+SHAPES = [
+    lambda arr: Dragonfly(1, 2, 1, 3, arrangement=arr),
+    lambda arr: Dragonfly(1, 2, 2, 5, arrangement=arr),
+    lambda arr: Dragonfly(2, 3, 2, 4, arrangement=arr),
+    lambda arr: CascadeDragonfly(1, 4, 1, 3, rows=2, cols=2, arrangement=arr),
+    lambda arr: CascadeDragonfly(1, 4, 1, 5, rows=2, cols=2, arrangement=arr),
+    lambda arr: CascadeDragonfly(2, 6, 1, 4, rows=3, cols=2, arrangement=arr),
+    lambda arr: FullMesh(4, p=2, arrangement=arr),
+    lambda arr: FullMesh(6, p=1, arrangement=arr),
+]
+
+
+class TestPropertyParity:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        arrangement=st.sampled_from(["absolute", "relative"]),
+        policy=st.one_of(
+            st.just(AllVlbPolicy()),
+            st.builds(
+                HopClassPolicy,
+                st.integers(min_value=2, max_value=9),
+                st.sampled_from([0.0, 0.3, 1.0]),
+            ),
+            st.builds(StrategicFiveHopPolicy, st.sampled_from(["2+3", "3+2"])),
+            st.builds(OrderedVlbPolicy, st.sampled_from([0.5, 1.0])),
+        ),
+        mode=st.sampled_from(["uniform", "free"]),
+        monotonic=st.booleans(),
+        max_descriptors=st.sampled_from([None, 2, 7]),
+        shift=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_fastmodel_equals_reference(
+        self, shape, arrangement, policy, mode, monotonic,
+        max_descriptors, shift, seed,
+    ):
+        topo = shape(arrangement)
+        fast = FastModel(topo, max_descriptors=max_descriptors, seed=seed)
+        cache = PathStatsCache(
+            topo, max_descriptors=max_descriptors, seed=seed
+        )
+        _assert_parity(
+            fast,
+            cache,
+            Shift(topo, shift, 0).demand_matrix(),
+            policy=policy,
+            mode=mode,
+            monotonic=monotonic,
+        )
 
 
 class TestWeightsForPolicyRejection:
@@ -291,7 +400,6 @@ class TestModelCache:
             monotonic=False,
             max_descriptors=100,
             seed=3,
-            engine="fast",
         )
         again = ModelSpec.from_dict(spec.to_dict())
         assert again == spec
@@ -300,20 +408,17 @@ class TestModelCache:
         res_b = again.solve()
         assert res_a.throughput == res_b.throughput
 
-    def test_engines_never_share_cache_entries(self):
-        from repro.perf import ModelTask
+    def test_removed_engine_knob_is_rejected_by_name(self):
+        from repro.spec import ModelSpec, SpecError
 
-        fast = ModelTask(
-            topo=SMALL, pattern=Shift(SMALL, 1, 0), policy=AllVlbPolicy()
-        )
-        legacy = ModelTask(
-            topo=SMALL,
-            pattern=Shift(SMALL, 1, 0),
-            policy=AllVlbPolicy(),
-            engine="legacy",
-        )
-        assert fast.key() is not None
-        assert fast.key() != legacy.key()
+        data = ModelSpec.from_objects(
+            SMALL, Shift(SMALL, 1, 0), policy=AllVlbPolicy()
+        ).to_dict()
+        # the format constant every existing fingerprint hashes
+        assert data["engine"] == "fast"
+        assert ModelSpec.from_dict(data).to_dict() == data
+        with pytest.raises(SpecError, match="removed"):
+            ModelSpec.from_dict({**data, "engine": "legacy"})
 
 
 class TestJobsClamp:

@@ -1,9 +1,14 @@
-"""Tests for the LP throughput model."""
+"""Tests for the LP throughput model.
+
+``TestModelBasics`` runs through the ``lp_solve`` fixture: once on the
+production ``FastModel`` pipeline and once (``[reference]``) on the
+reference assembly.
+"""
 
 import numpy as np
 import pytest
 
-from repro.model import PathStatsCache, model_throughput
+from repro.model import PathStatsCache
 from repro.model.lp_model import weights_for_policy
 from repro.routing.pathset import (
     AllVlbPolicy,
@@ -30,84 +35,72 @@ def adv_demand(topo):
 
 
 class TestModelBasics:
-    def test_all_vlb_matches_analytic_bound(self, topo, cache, adv_demand):
+    def test_all_vlb_matches_analytic_bound(self, topo, lp_solve, adv_demand):
         # For shift traffic on dfly(4,8,4,9) flow conservation gives
         # r <= 9/16: direct channels carry only MIN (r*f <= 1/8) and global
         # channel budget gives r*(2-f) <= 1; the optimum is r = 0.5625.
-        res = model_throughput(
-            topo, adv_demand, policy=AllVlbPolicy(), cache=cache
-        )
+        res = lp_solve(topo, adv_demand, policy=AllVlbPolicy())
         assert res.throughput == pytest.approx(9 / 16, rel=1e-3)
         assert res.min_fraction == pytest.approx(2 / 9, rel=1e-2)
 
-    def test_min_only_bound(self, topo, cache, adv_demand):
+    def test_min_only_bound(self, topo, lp_solve, adv_demand):
         # weight_fn 0 everywhere: no VLB allowed -> direct links only.
-        res = model_throughput(
-            topo, adv_demand, weight_fn=lambda l1, l2: 0.0, cache=cache
-        )
+        res = lp_solve(topo, adv_demand, weight_fn=lambda l1, l2: 0.0)
         # 32 packets/cycle demand per group pair over 4 direct links
         assert res.throughput == pytest.approx(4 / 32, rel=1e-3)
         assert res.min_fraction == pytest.approx(1.0)
 
-    def test_restricting_classes_reduces_capacity(self, topo, cache, adv_demand):
+    def test_restricting_classes_reduces_capacity(
+        self, topo, lp_solve, adv_demand
+    ):
         thr = [
-            model_throughput(
-                topo, adv_demand, policy=HopClassPolicy(h), cache=cache,
-                mode="free",
+            lp_solve(
+                topo, adv_demand, policy=HopClassPolicy(h), mode="free"
             ).throughput
             for h in (3, 4, 5, 6)
         ]
         assert thr == sorted(thr)
         assert thr[-1] == pytest.approx(9 / 16, rel=1e-3)
 
-    def test_uniform_mode_never_beats_free(self, topo, cache, adv_demand):
+    def test_uniform_mode_never_beats_free(self, topo, lp_solve, adv_demand):
         for pol in (HopClassPolicy(4), HopClassPolicy(5), AllVlbPolicy()):
-            uni = model_throughput(
-                topo, adv_demand, policy=pol, cache=cache, mode="uniform"
+            uni = lp_solve(
+                topo, adv_demand, policy=pol, mode="uniform"
             ).throughput
-            free = model_throughput(
-                topo, adv_demand, policy=pol, cache=cache, mode="free"
+            free = lp_solve(
+                topo, adv_demand, policy=pol, mode="free"
             ).throughput
             assert uni <= free + 1e-9
 
     def test_monotonic_constraint_reduces_partial_class_estimate(
-        self, topo, cache, adv_demand
+        self, topo, lp_solve, adv_demand
     ):
         # The paper's motivation for the fix: with a small share of 5-hop
         # paths the unconstrained model overestimates.
         pol = HopClassPolicy(4, 0.3)
-        with_fix = model_throughput(
-            topo, adv_demand, policy=pol, cache=cache, mode="free"
+        with_fix = lp_solve(
+            topo, adv_demand, policy=pol, mode="free"
         ).throughput
-        without = model_throughput(
-            topo,
-            adv_demand,
-            policy=pol,
-            cache=cache,
-            mode="free",
-            monotonic=False,
+        without = lp_solve(
+            topo, adv_demand, policy=pol, mode="free", monotonic=False
         ).throughput
         assert with_fix < without
 
-    def test_uniform_traffic_high_throughput(self, topo, cache):
+    def test_uniform_traffic_high_throughput(self, topo, lp_solve):
         demand = UniformRandom(topo).demand_matrix()
-        res = model_throughput(
-            topo, demand, policy=AllVlbPolicy(), cache=cache
-        )
+        res = lp_solve(topo, demand, policy=AllVlbPolicy())
         # UR is MIN-friendly: saturation near 1 packet/cycle/node
         assert res.throughput > 0.8
         assert res.min_fraction > 0.8
 
-    def test_empty_demand_trivial(self, topo, cache):
-        res = model_throughput(
-            topo, np.zeros((topo.num_switches,) * 2), cache=cache
-        )
+    def test_empty_demand_trivial(self, topo, lp_solve):
+        res = lp_solve(topo, np.zeros((topo.num_switches,) * 2))
         assert res.status == "trivial"
         assert res.throughput == 1.0
 
-    def test_mode_validation(self, topo, cache, adv_demand):
+    def test_mode_validation(self, topo, lp_solve, adv_demand):
         with pytest.raises(ValueError, match="unknown mode"):
-            model_throughput(topo, adv_demand, cache=cache, mode="magic")
+            lp_solve(topo, adv_demand, mode="magic")
 
 
 class TestWeightTranslation:

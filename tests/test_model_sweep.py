@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.datapoints import table1_datapoints
-from repro.model import PathStatsCache, step1_sweep
+from repro.model import step1_sweep
 from repro.model.sweep import best_point, candidate_vicinity
 from repro.topology import Dragonfly
 from repro.traffic import Shift, type_2_set
@@ -15,53 +15,38 @@ def topo():
     return Dragonfly(2, 4, 2, 3)
 
 
-@pytest.fixture(scope="module")
-def cache(topo):
-    return PathStatsCache(topo)
-
-
 class TestStep1Sweep:
-    def test_one_point_per_datapoint(self, topo, cache):
+    def test_one_point_per_datapoint(self, topo):
         grid = table1_datapoints(step=0.5)
-        points = step1_sweep(
-            topo, [Shift(topo, 1, 0)], grid, cache=cache
-        )
+        points = step1_sweep(topo, [Shift(topo, 1, 0)], grid)
         assert len(points) == len(grid)
         assert [pt.label for pt in points] == [p.describe() for p in grid]
 
-    def test_sem_zero_for_single_pattern(self, topo, cache):
+    def test_sem_zero_for_single_pattern(self, topo):
         points = step1_sweep(
-            topo, [Shift(topo, 1, 0)], table1_datapoints(step=0.5),
-            cache=cache,
+            topo, [Shift(topo, 1, 0)], table1_datapoints(step=0.5)
         )
         assert all(pt.sem == 0.0 for pt in points)
 
-    def test_sem_positive_across_patterns(self, topo, cache):
+    def test_sem_positive_across_patterns(self, topo):
         patterns = [Shift(topo, 1, 0)] + type_2_set(topo, count=2)
-        points = step1_sweep(
-            topo, patterns, table1_datapoints(step=0.5), cache=cache
-        )
+        points = step1_sweep(topo, patterns, table1_datapoints(step=0.5))
         assert all(len(pt.per_pattern) == 3 for pt in points)
         # at least one datapoint shows variation across patterns
         assert any(pt.sem > 0 for pt in points)
 
-    def test_uniform_mode_below_free_mode(self, topo, cache):
+    def test_uniform_mode_below_free_mode(self, topo):
         grid = table1_datapoints(step=0.5)
-        free = step1_sweep(
-            topo, [Shift(topo, 1, 0)], grid, cache=cache, mode="free"
-        )
-        uni = step1_sweep(
-            topo, [Shift(topo, 1, 0)], grid, cache=cache, mode="uniform"
-        )
+        free = step1_sweep(topo, [Shift(topo, 1, 0)], grid, mode="free")
+        uni = step1_sweep(topo, [Shift(topo, 1, 0)], grid, mode="uniform")
         for f, u in zip(free, uni):
             assert u.mean_throughput <= f.mean_throughput + 1e-9
 
-    def test_full_set_achieves_bound(self, topo, cache):
+    def test_full_set_achieves_bound(self, topo):
         from repro.model.bounds import shift_saturation_bound
 
         points = step1_sweep(
-            topo, [Shift(topo, 1, 0)], table1_datapoints(step=0.5),
-            cache=cache,
+            topo, [Shift(topo, 1, 0)], table1_datapoints(step=0.5)
         )
         assert points[-1].label == "all VLB"
         assert points[-1].mean_throughput == pytest.approx(
@@ -70,10 +55,9 @@ class TestStep1Sweep:
 
 
 class TestVicinity:
-    def test_best_and_vicinity(self, topo, cache):
+    def test_best_and_vicinity(self, topo):
         points = step1_sweep(
-            topo, [Shift(topo, 1, 0)], table1_datapoints(step=0.5),
-            cache=cache,
+            topo, [Shift(topo, 1, 0)], table1_datapoints(step=0.5)
         )
         best = best_point(points)
         assert best.mean_throughput == max(

@@ -13,11 +13,17 @@ from repro.perf.cache import (
     default_cache_dir,
     fingerprint,
     pattern_fingerprint,
+    topology_fingerprint,
 )
 from repro.perf.executor import SimTask, SweepExecutor, run_task
 from repro.sim import SimParams
-from repro.topology import Dragonfly
-from repro.traffic.patterns import Shift, TrafficPattern, UniformRandom
+from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
+from repro.traffic.patterns import (
+    Shift,
+    TrafficPattern,
+    UniformRandom,
+    _FixedPattern,
+)
 
 TOPO = Dragonfly(2, 4, 2, 5)
 PARAMS = SimParams(window_cycles=60)
@@ -166,3 +172,44 @@ def test_fingerprint_stable_across_instances():
         params=PARAMS,
         seed=1,
     ) == _task().key()
+
+
+class _Reverse(_FixedPattern):
+    """Ad-hoc fixed map (no registered spec: the structural fallback)."""
+
+    def _build_dest_map(self):
+        return np.arange(self.topo.num_nodes)[::-1].copy()
+
+    def describe(self):
+        return "reverse"
+
+
+def test_structural_fallback_tells_cascade_grids_apart():
+    # same (p, a, h, g), same destination map, another intra-group grid:
+    # a different network, so never the same key
+    wide = CascadeDragonfly(2, 6, 2, 3, rows=2, cols=3)
+    tall = CascadeDragonfly(2, 6, 2, 3, rows=3, cols=2)
+    keys = [
+        fingerprint(
+            topo,
+            _Reverse(topo),
+            0.2,
+            routing="min",
+            policy=None,
+            params=PARAMS,
+            seed=1,
+        )
+        for topo in (wide, tall)
+    ]
+    assert None not in keys
+    assert keys[0] != keys[1]
+    assert topology_fingerprint(tall)["rows"] == 3
+    # every constructor field, and nothing else, for the plain shapes
+    assert topology_fingerprint(TOPO) == {
+        "cls": "Dragonfly", "p": 2, "a": 4, "h": 2, "g": 5,
+        "arrangement": "absolute",
+    }
+    assert topology_fingerprint(FullMesh(6, p=2)) == {
+        "cls": "FullMesh", "p": 2, "a": 1, "h": 5, "g": 6,
+        "arrangement": "absolute",
+    }

@@ -1,11 +1,22 @@
 """Parallel sweep execution: bit-identical to serial, in task order."""
 
-from repro.perf.executor import SimTask, SweepExecutor, default_jobs, run_task
+import pytest
+
+from repro.model import FastModel
+from repro.perf.executor import (
+    ModelTask,
+    SimTask,
+    SweepExecutor,
+    default_jobs,
+    run_model_task,
+    run_task,
+)
+from repro.routing.pathset import AllVlbPolicy
 from repro.sim import SimParams
 from repro.sim.replication import replicate
 from repro.sim.sweep import latency_vs_load
-from repro.topology import Dragonfly
-from repro.traffic.patterns import UniformRandom
+from repro.topology import CascadeDragonfly, Dragonfly
+from repro.traffic.patterns import Shift, UniformRandom
 
 TOPO = Dragonfly(2, 4, 2, 5)
 PARAMS = SimParams(window_cycles=60)
@@ -114,3 +125,21 @@ def test_describe_smoke():
         executor.run(_tasks(loads=[0.1]))
         text = executor.describe()
     assert "serial" in text and "no cache" in text
+
+
+def test_solver_memo_tells_cascade_grids_apart():
+    # one process, two Cascade grids over the same (p, a, h, g): the
+    # second solve must not reuse the first topology's FastModel
+    wide = CascadeDragonfly(2, 6, 2, 3, rows=2, cols=3)
+    tall = CascadeDragonfly(2, 6, 2, 3, rows=3, cols=2)
+    results = [
+        run_model_task(
+            ModelTask(topo, Shift(topo, 1, 0), AllVlbPolicy(), mode="free")
+        ).throughput
+        for topo in (wide, tall)
+    ]
+    clean = FastModel(tall).solve(
+        Shift(tall, 1, 0).demand_matrix(), policy=AllVlbPolicy(), mode="free"
+    )
+    assert results[1] == pytest.approx(clean.throughput, abs=1e-9)
+    assert results[0] != pytest.approx(results[1], abs=1e-3)

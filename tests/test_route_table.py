@@ -163,8 +163,7 @@ def test_equal_topologies_share_one_table_and_distinct_ones_do_not():
     assert route_table(a) is route_table(b)
     assert route_table(a) is route_table(a)
     assert route_table(Dragonfly(2, 4, 2, 3)) is not route_table(a)
-    # same (p, a, h, g) but another grid: topology_fingerprint alone
-    # could not tell these apart
+    # same (p, a, h, g) but another grid: a different network
     wide = CascadeDragonfly(1, 6, 2, 5, rows=2, cols=3)
     tall = CascadeDragonfly(1, 6, 2, 5, rows=3, cols=2)
     assert route_table(wide) is not route_table(tall)

@@ -118,7 +118,6 @@ def test_default_dragonfly_constant():
 def test_dragonfly_hooks_defaults():
     topo = Dragonfly(2, 4, 2, 5)
     assert topo.deadlock_vc_scheme is None
-    assert topo.default_model_engine == "fast"
     assert isinstance(topo.baseline_policy(), AllVlbPolicy)
     from repro.core.datapoints import table1_datapoints
 
@@ -130,7 +129,6 @@ def test_dragonfly_hooks_defaults():
 def test_fullmesh_hooks():
     topo = FullMesh(6)
     assert topo.deadlock_vc_scheme == "none"
-    assert topo.default_model_engine == "legacy"
     assert topo.baseline_policy() is None
     ladder = topo.tvlb_datapoints(step=0.25)
     assert all(isinstance(p, OrderedVlbPolicy) for p in ladder)
@@ -250,27 +248,21 @@ def test_seeded_cycle_mutant_fails_certification():
 
 
 # ---------------------------------------------------------------------------
-# Model-engine dispatch
+# One LP pipeline on the second topology
 # ---------------------------------------------------------------------------
-def test_legacy_model_enumerates_ordered_policy_exactly():
-    topo = FullMesh(6, p=2)
-    demand = Shift(topo, 1, 0).demand_matrix()
-    res = model_throughput(topo, demand, policy=OrderedVlbPolicy())
-    assert res.status == "optimal"
-    assert 0.0 < res.throughput <= 1.0
-    # sanity: the ordered set helps over pure MIN on the shift pattern
-    res_half = model_throughput(
-        topo, demand, policy=OrderedVlbPolicy(fraction=0.5)
-    )
-    assert res_half.status == "optimal"
-
-
-def test_fast_model_rejects_ordered_policy_with_pointer():
+def test_ordered_policy_is_enumerated_exactly_by_both_assemblies():
     topo = FullMesh(6, p=2)
     demand = Shift(topo, 1, 0).demand_matrix()
     model = FastModel(topo)
-    with pytest.raises(TypeError, match="legacy"):
-        model.solve(demand, policy=OrderedVlbPolicy())
+    # no class-weight translation: FastModel solves over policy blocks
+    for fraction in (1.0, 0.5):
+        policy = OrderedVlbPolicy(fraction=fraction)
+        for mode in ("uniform", "free"):
+            res = model.solve(demand, policy=policy, mode=mode)
+            ref = model_throughput(topo, demand, policy=policy, mode=mode)
+            assert res.status == ref.status == "optimal"
+            assert 0.0 < res.throughput <= 1.0
+            assert res.throughput == pytest.approx(ref.throughput, abs=1e-9)
 
 
 def test_legacy_and_fast_agree_on_translatable_policy():
