@@ -1,7 +1,7 @@
 """repro.analyze: AST-based invariant checks for the repro tree.
 
 A pluggable rule registry (:data:`repro.analyze.registry.ANALYZE_RULES`,
-same idiom as the spec registries) over three rule families:
+same idiom as the spec registries) over four rule families:
 
 * **determinism** (DET1xx) -- unordered iteration feeding ordered
   output, unseeded RNGs, wallclock/hash-order values in sim paths;
@@ -9,7 +9,10 @@ same idiom as the spec registries) over three rule families:
   identity-bearing or identity-neutral, and the whole identity surface
   pinned against a committed snapshot;
 * **registry hygiene** (REG3xx) -- registered classes ship codecs and
-  are constructed through their registries.
+  are constructed through their registries;
+* **reference only** (REF4xx) -- the parity references
+  (``model_throughput``, a directly built ``Network``) stay out of
+  production modules.
 
 Run it as ``python -m repro analyze``; findings can be suppressed
 inline (``# repro: allow[RULE]: reason``, audited) or grandfathered in

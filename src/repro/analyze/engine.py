@@ -41,6 +41,7 @@ from repro.analyze.registry import ANALYZE_RULES, AnalyzeRule, rule
 # rule modules register themselves on import
 from repro.analyze import cacheid as _cacheid  # noqa: F401
 from repro.analyze import determinism as _determinism  # noqa: F401
+from repro.analyze import reference as _reference  # noqa: F401
 from repro.analyze import reghygiene as _reghygiene  # noqa: F401
 
 __all__ = ["analyze_tree", "build_context", "collect_units"]

@@ -1,0 +1,82 @@
+"""Reference-only rule (REF4xx): parity oracles stay out of production.
+
+Two names in the tree exist only so tests can hold production code to
+them: ``model_throughput`` (the LP reference assembly; production solves
+through :class:`~repro.model.fastpath.FastModel`) and a directly
+constructed timing-wheel ``Network`` (production builds
+:class:`~repro.sim.array.ArrayNetwork` through ``build_network``, which
+falls back to the inherited wheel path by itself on a compiler-less
+host).  ``docs/architecture.md`` says so in one place; this rule keeps
+the statement true: a new production import of the one or construction
+of the other is a second pipeline growing back.
+"""
+
+from __future__ import annotations
+
+import ast
+from typing import Iterator, List
+
+from repro.analyze.context import ModuleUnit, ProjectContext
+from repro.analyze.findings import Finding
+from repro.analyze.registry import ANALYZE_RULES, rule
+
+__all__: List[str] = []
+
+# the modules that define the references (and may name them freely)
+_HOME = {
+    "model_throughput": "repro.model.lp_model",
+    "Network": "repro.sim.network",
+}
+
+
+@rule(
+    "REF401",
+    "reference-only-in-production",
+    family="reference-only",
+    severity="warning",
+    summary=(
+        "a production module imports model_throughput or constructs "
+        "Network(...) directly: both are kept only as parity references "
+        "for FastModel and the ArrayNetwork kernel (docs/architecture.md)"
+    ),
+    hint=(
+        "solve through repro.model.FastModel / build networks with "
+        "repro.sim.build_network; a deliberate reference use (a parity "
+        "microbench, a re-export for tests) takes an allow-marker"
+    ),
+)
+def check_reference_only(
+    unit: ModuleUnit, ctx: ProjectContext
+) -> Iterator[Finding]:
+    assert unit.tree is not None
+    del ctx
+    entry = ANALYZE_RULES.get("REF401")
+    for node in ast.walk(unit.tree):
+        if (
+            isinstance(node, ast.ImportFrom)
+            and unit.module != _HOME["model_throughput"]
+            and any(name.name == "model_throughput" for name in node.names)
+        ):
+            yield entry.finding(
+                unit.path, node.lineno,
+                "model_throughput is the LP parity reference, not a "
+                "production entry point",
+                context=unit.line_text(node.lineno),
+            )
+        elif isinstance(node, ast.Call) and unit.module != _HOME["Network"]:
+            func = node.func
+            name = (
+                func.id
+                if isinstance(func, ast.Name)
+                else func.attr
+                if isinstance(func, ast.Attribute)
+                else None
+            )
+            if name == "Network":
+                yield entry.finding(
+                    unit.path, node.lineno,
+                    "Network(...) constructed directly: the timing-wheel "
+                    "engine is the parity reference, not a production "
+                    "engine",
+                    context=unit.line_text(node.lineno),
+                )

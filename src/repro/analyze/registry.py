@@ -49,7 +49,9 @@ class AnalyzeRule:
 
     code: str  # e.g. "DET101" (the finding code)
     name: str  # short kebab-case name, e.g. "set-iteration"
-    family: str  # "determinism" | "cache-identity" | "registry-hygiene"
+    # "determinism" | "cache-identity" | "registry-hygiene" |
+    # "reference-only" | "analyzer"
+    family: str
     severity: str  # default severity of its findings
     summary: str  # one-line description (rule catalog material)
     hint: str  # generic fix-it hint

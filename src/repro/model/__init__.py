@@ -14,6 +14,8 @@ paths (equal split) and its candidate VLB set (equal split).
 """
 
 from repro.model.pathstats import PairPathStats, PathStatsCache
+# repro: allow[REF401]: re-exported for the parity tests and for users
+# checking FastModel against the reference assembly
 from repro.model.lp_model import ModelResult, model_throughput
 from repro.model.fastpath import BlockCache, FastModel, PairBlock
 from repro.model.symmetry import RotationSymmetry

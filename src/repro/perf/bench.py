@@ -452,6 +452,7 @@ def bench_model(
     import numpy as np
 
     from repro.core.datapoints import table1_datapoints
+    # repro: allow[REF401]: this arm *is* the parity measurement
     from repro.model.lp_model import model_throughput
     from repro.model.pathstats import PathStatsCache
     from repro.model.sweep import step1_sweep

@@ -18,7 +18,10 @@ Guarantees:
   the spec layer cannot describe ship live objects.
 * **Graceful degradation.**  ``jobs=1``, a single-task batch, or a host
   where process pools cannot be created (sandboxes without fork/semaphore
-  support) all run serially in-process -- same results, no crash.
+  support) all run serially in-process -- same results, no crash.  A
+  worker process that dies mid-batch (killed, out of memory) costs the
+  batch its pool, not its results: the units that had not landed are
+  recomputed in-process and the next batch gets a fresh pool.
 
 The worker entry points are module-level (:func:`run_task`,
 :func:`_run_payload`), so both the ``fork`` and ``spawn`` multiprocessing
@@ -31,8 +34,18 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.model.fastpath import FastModel
 from repro.model.lp_model import ModelResult
@@ -502,16 +515,13 @@ class SweepExecutor:
                 if self.jobs > 1 and len(units) > 1
                 else None
             )
-            if pool is not None:
-                stream = pool.map(worker, unit_payloads)
-                mode = "parallel"
-                self.computed_parallel += len(pending)
-            else:
-                stream = map(worker, unit_payloads)
-                mode = "serial"
-                self.computed_serial += len(pending)
-            for unit, computed_unit in zip(units, stream):
+            stream = self._stream(worker, unit_payloads, pool, tracer, kind)
+            for unit, (mode, computed_unit) in zip(units, stream):
                 batched = len(unit) > 1
+                if mode == "parallel":
+                    self.computed_parallel += len(unit)
+                else:
+                    self.computed_serial += len(unit)
                 for j, computed in zip(unit, computed_unit):
                     i, key, task = pending[j]
                     result, worker_pid, started, duration = computed
@@ -569,6 +579,48 @@ class SweepExecutor:
         if progress is not None:
             progress.finish()
         return results
+
+    def _stream(
+        self,
+        worker: Callable,
+        unit_payloads: List[List],
+        pool: Optional[ProcessPoolExecutor],
+        tracer: Optional[Tracer],
+        kind: str,
+    ) -> Iterator[Tuple[str, List]]:
+        """``(mode, computed unit)`` per unit, in unit order, lazily.
+
+        Through ``pool`` while it lives.  When a worker process dies the
+        pool raises ``BrokenProcessPool`` for every unit still out, and
+        would for every later batch: it is discarded (the next batch
+        builds a new one) and the units that had not landed are computed
+        here -- a result is a pure function of its task, so which
+        process computes it cannot matter.
+        """
+        landed = 0
+        if pool is not None:
+            try:
+                for computed_unit in pool.map(worker, unit_payloads):
+                    yield "parallel", computed_unit
+                    landed += 1
+            except BrokenProcessPool:
+                self._pool = None
+                pool.shutdown(wait=False, cancel_futures=True)
+                _log.warning(
+                    "a worker process died; recomputing %d of %d unit(s) "
+                    "in-process",
+                    len(unit_payloads) - landed,
+                    len(unit_payloads),
+                )
+                if tracer is not None:
+                    tracer.record(
+                        "pool_broken",
+                        kind=kind,
+                        landed=landed,
+                        recomputed=len(unit_payloads) - landed,
+                    )
+        for payloads in unit_payloads[landed:]:
+            yield "serial", worker(payloads)
 
     def run(self, tasks: Sequence[SimTask]) -> List[SimResult]:
         """Execute a sim batch; results align index-for-index with

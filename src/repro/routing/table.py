@@ -20,7 +20,7 @@ group), each a :class:`Leg` ``(hops, chans, shape)``:
   ``ValueError`` and PAR's ``revised`` / ``hop_offset`` ladders included).
 
 A MIN candidate is one leg; a VLB candidate ``(mid, slot1, slot2)`` is
-two legs, its channels and shape their concatenation.  Everything is
+two legs, its channels and shape their concatenation.  These rows are
 filled lazily, per pair, on first touch; nothing here depends on an rng,
 a policy or a network instance, so one table serves every run, engine
 and model pass on an equal topology (see :func:`route_table`).
@@ -30,17 +30,36 @@ The same rows also exist flattened into numpy arrays --
 ladder of every ordered pair of shapes) and :class:`VlbImage` (the
 sampling rows of all group pairs) -- which is the form the simulator's
 routing kernel reads; a policy's membership test joins them as a
-:class:`~repro.routing.pathset.PolicyProgram`.
+:class:`~repro.routing.pathset.PolicyProgram`.  The images are not
+enumerated pair by pair: a MIN path is *local leg, global link, local
+leg*, so they are *composed* with numpy gathers from two small tables
+-- the local leg of every ordered switch pair of a group and the
+directed global links of every group pair -- whose Python fill is
+O(``nsw * a`` + links), milliseconds where the per-pair walk took
+seconds.  ``min_legs`` / ``vlb_row`` stay the per-pair definition the
+images are tested against.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+import time
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.hugepages import zeros
 from repro.routing.channels import ChannelIndex
 from repro.routing.minimal import min_paths
 from repro.routing.paths import LOCAL_SLOT, Path
@@ -122,6 +141,60 @@ class VlbImage(NamedTuple):
     slot_bound: int  # exclusive upper bound of every descriptor's slots
 
 
+class _LegParts(NamedTuple):
+    """What the images are composed from, as arrays.
+
+    Row ``u * a + q`` of ``local`` holds the channel indices of the
+    canonical intra-group route from ``u`` to the ``q``-th switch of its
+    group (``position``: a switch's ``q``), ``-1`` padded, ``local_hops``
+    of them (none for ``u`` itself).  Group pair ``gs * g + gd`` has
+    ``links[pair]`` global links in slot order; link ``r`` leaves through
+    the ``near_position[pair, r]``-th switch of ``gs``, arrives at the
+    switch whose ``local`` rows start at ``far_row[pair, r]``, and rides
+    channel ``link_chan[pair, r]``.
+    """
+
+    position: np.ndarray
+    local: np.ndarray  # [nsw * a, longest local route]
+    local_hops: np.ndarray
+    links: np.ndarray  # [g * g]
+    near_position: np.ndarray  # [g * g, most links of a pair]
+    far_row: np.ndarray
+    link_chan: np.ndarray
+
+
+class _MinSlots(NamedTuple):
+    """The part of a :class:`MinImage` no VC budget changes (fields as
+    there); every image of one table shares these arrays."""
+
+    k: np.ndarray
+    first: np.ndarray
+    hops: np.ndarray
+    rel: np.ndarray
+    chan: np.ndarray
+    shape: np.ndarray
+    shapes: Tuple[str, ...]
+
+
+# candidates composed per numpy pass: temporaries this size come from
+# reused heap memory instead of fresh pages
+_BLOCK = 1 << 18
+
+
+def _ragged(
+    rows: int, row: List[int], values: List[int], fill: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``values[i]`` appended to row ``row[i]`` (rows ascending), as one
+    int32 matrix padded with ``fill`` -- at least one column, so gathers
+    on an empty table stay legal -- plus the length of every row."""
+    owner = np.array(row, np.int64)
+    counts = np.bincount(owner, minlength=rows).astype(np.int32)
+    column = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    table = np.full((rows, max(1, counts.max(initial=0))), fill, np.int32)
+    table[owner, column] = values
+    return table, counts
+
+
 class _Ladders(Dict[str, List[int]]):
     """shape -> shared VC list under one (scheme, num_vcs, revised,
     hop_offset); a miss runs ``assign_vcs`` on a stand-in path of that
@@ -175,11 +248,19 @@ class RouteTable:
         self._legs: Dict[int, Tuple[Leg, ...]] = {}
         self._vlb_rows: Dict[int, Optional[VlbRow]] = {}
         self._ladders: Dict[Tuple[str, int, bool, int], _Ladders] = {}
+        # wall seconds spent composing images: provenance for run
+        # manifests (a run that found its images ready adds nothing)
+        self.fill_seconds = 0.0
+        self._parts: Optional[_LegParts] = None
+        self._slots: Optional[_MinSlots] = None
         self._images: Dict[Tuple[str, int], MinImage] = {}
         self._vlb_image: Optional[VlbImage] = None
         # compiled membership tests by (hashable) policy; see
         # repro.routing.pathset.policy_program
         self.programs: Dict[object, object] = {}
+        # static network structure by (VC count, latencies, packet
+        # size); see repro.sim.network.channel_layout
+        self.layouts: Dict[Tuple[int, ...], Any] = {}
 
     # ------------------------------------------------------------------
     # Legs
@@ -278,35 +359,43 @@ class RouteTable:
         """Exclusive upper bound of every VLB descriptor's link slots."""
         return self.vlb_image().slot_bound
 
+    @contextmanager
+    def _filling(self) -> Iterator[None]:
+        # repro: allow[DET104]: fill_seconds is runtime metadata for
+        # manifests, never part of a result or a cache key
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            # repro: allow[DET104]: closes the fill_seconds measurement
+            self.fill_seconds += time.perf_counter() - start
+
     def vlb_image(self) -> VlbImage:
         """:meth:`vlb_row` of all group pairs as flat arrays."""
         image = self._vlb_image
-        if image is not None:
-            return image
+        if image is None:
+            with self._filling():
+                image = self._vlb_image = self._compose_vlb_image()
+        return image
+
+    def _compose_vlb_image(self) -> VlbImage:
         g = self.g
-        first = np.zeros(g * g, np.int32)
-        n = np.zeros(g * g, np.int32)
-        group: List[int] = []
-        links_in: List[int] = []
-        links_out: List[int] = []
-        for gs in range(g):
-            for gd in range(g):
-                row = self.vlb_row(gs, gd)
-                first[gs * g + gd] = len(group)
-                if row is None:
-                    continue
-                mids, m_in, m_out = row
-                n[gs * g + gd] = len(mids)
-                group.extend(self.group[switches[0]] for switches in mids)
-                links_in.extend(m_in)
-                links_out.extend(m_out)
         topo = self.topo
-        image = self._vlb_image = VlbImage(
-            first,
+        links = self._leg_parts().links.reshape(g, g)
+        gs = np.repeat(np.arange(g), g)
+        gd = np.tile(np.arange(g), g)
+        mids = np.arange(g)
+        eligible = (mids != gs[:, None]) & (mids != gd[:, None])
+        n = eligible.sum(axis=1, dtype=np.int32)
+        pair, group = np.nonzero(eligible)  # row-major: mids ascending
+        links_in = links[gs[pair], group]
+        links_out = links[group, gd[pair]]
+        return VlbImage(
+            (np.cumsum(n) - n).astype(np.int32),
             n,
-            np.array(group, np.int32),
-            np.array(links_in, np.int32),
-            np.array(links_out, np.int32),
+            group.astype(np.int32),
+            links_in,
+            links_out,
             np.array(
                 [
                     [topo.switch_id(gm, k) for k in range(topo.a)]
@@ -319,9 +408,8 @@ class RouteTable:
                 [topo.switch_of_node(node) for node in range(topo.num_nodes)],
                 np.int32,
             ),
-            max([1, *links_in, *links_out]),
+            int(max(1, links_in.max(initial=0), links_out.max(initial=0))),
         )
-        return image
 
     # ------------------------------------------------------------------
     # VC ladders
@@ -345,45 +433,36 @@ class RouteTable:
     # Flattened MIN image (the routing kernel's candidate tables)
     # ------------------------------------------------------------------
     def min_image(self, scheme: str, num_vcs: int) -> MinImage:
-        """All MIN candidates as flat arrays; fills every MIN row.
+        """All MIN candidates as flat arrays, in :meth:`min_legs` order.
 
         Raises the ladders' ``ValueError`` when a MIN shape does not fit
         ``num_vcs``; a two-leg shape that does not fit is only marked
         (``combo_off == -1``).
         """
         image = self._images.get((scheme, num_vcs))
-        if image is not None:
-            return image
-        nsw = self.nsw
-        ladders = self.ladders(scheme, num_vcs)
-        k = np.zeros(nsw * nsw, np.int32)
-        first = np.zeros(nsw * nsw, np.int64)
-        hops: List[int] = []
-        vcs0: List[int] = []
-        rel: List[int] = []
-        chan: List[int] = []
-        vc: List[int] = []
-        shape: List[int] = []
-        shape_ids: Dict[str, int] = {}
-        for s in range(nsw):
-            for d in range(nsw):
-                if s == d:
-                    continue
-                legs = self.min_legs(s, d)
-                first[s * nsw + d] = len(hops)
-                k[s * nsw + d] = len(legs)
-                for leg in legs:
-                    vcs = ladders[leg.shape]
-                    rel.append(len(chan))
-                    hops.append(leg.hops)
-                    vcs0.append(vcs[0])
-                    chan.extend(leg.chans)
-                    vc.extend(vcs)
-                    shape.append(
-                        shape_ids.setdefault(leg.shape, len(shape_ids))
-                    )
-        shapes = tuple(shape_ids)
+        if image is None:
+            with self._filling():
+                image = self._compose_min_image(scheme, num_vcs)
+            self._images[(scheme, num_vcs)] = image
+        return image
+
+    def _compose_min_image(self, scheme: str, num_vcs: int) -> MinImage:
+        slots = self._min_slots()
+        shapes = slots.shapes
         count = len(shapes)
+        total = len(slots.hops)
+        ladders = self.ladders(scheme, num_vcs)
+        # per shape, then gathered per slot
+        longest = max(map(len, shapes), default=1)
+        ladder = np.zeros((count, longest), np.int32)
+        for i, name in enumerate(shapes):
+            ladder[i, : len(name)] = ladders[name]
+        hop = np.arange(ladder.shape[1], dtype=np.int32)
+        vc = zeros(len(slots.chan), np.int32)
+        for lo in range(0, total, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            vcs = ladder[slots.shape[block]][hop < slots.hops[block, None]]
+            vc[slots.rel[lo] : slots.rel[lo] + len(vcs)] = vcs
         combo_off = np.full((2, count * count), -1, np.int32)
         combo_vc: List[int] = []
         for revised in (0, 1):
@@ -400,21 +479,192 @@ class RouteTable:
                         continue  # too few VCs: marked, raised on use
                     combo_off[revised, i * count + j] = len(combo_vc)
                     combo_vc.extend(vcs)
-        image = self._images[(scheme, num_vcs)] = MinImage(
-            k,
-            first,
-            np.array(hops, np.int32),
-            np.array(vcs0, np.int32),
-            np.array(rel, np.int64),
-            np.array(chan, np.int32),
-            np.array(vc, np.int32),
-            np.array(shape, np.int32),
+        return MinImage(
+            slots.k,
+            slots.first,
+            slots.hops,
+            np.take(
+                ladder[:, 0],
+                slots.shape,
+                out=zeros(total, np.int32),
+                mode="clip",
+            ),
+            slots.rel,
+            slots.chan,
+            vc,
+            slots.shape,
             shapes,
             np.array([name.startswith("l") for name in shapes], np.int32),
             combo_off,
             np.array(combo_vc, np.int32),
         )
-        return image
+
+    def _leg_parts(self) -> _LegParts:
+        """The two tables every image is composed from: O(``nsw * a``)
+        ``local_route`` calls, one ``links_between_groups`` call per
+        ordered group pair."""
+        parts = self._parts
+        if parts is not None:
+            return parts
+        topo = self.topo
+        g, a = self.g, topo.a
+        index = self._index
+        position = np.zeros(self.nsw, np.int32)
+        # flat (row, value) lists: no per-row containers to allocate
+        row: List[int] = []
+        chans: List[int] = []
+        for group in range(g):
+            members = [topo.switch_id(group, q) for q in range(a)]
+            position[members] = range(a)
+            for u in members:
+                for q, v in enumerate(members):
+                    if u != v:
+                        walk = [u, *topo.local_route(u, v), v]
+                        for here, there in zip(walk, walk[1:]):
+                            row.append(u * a + q)
+                            chans.append(index[(here, there, LOCAL_SLOT)])
+        local, local_hops = _ragged(self.nsw * a, row, chans, -1)
+        row, chans = [], []
+        near: List[int] = []
+        far: List[int] = []
+        for gs in range(g):
+            for gd in range(g):
+                if gs == gd:
+                    continue
+                for link in topo.links_between_groups(gs, gd):
+                    x, y = link.endpoint_in(gs), link.endpoint_in(gd)
+                    row.append(gs * g + gd)
+                    near.append(x)
+                    far.append(y)
+                    chans.append(index[(x, y, link.slot)])
+        parts = self._parts = _LegParts(
+            position,
+            local,
+            local_hops,
+            _ragged(g * g, row, row, 0)[1],
+            _ragged(g * g, row, position[near], 0)[0],
+            _ragged(g * g, row, np.array(far, np.int32) * a, 0)[0],
+            _ragged(g * g, row, chans, 0)[0],
+        )
+        return parts
+
+    def _min_slots(self) -> _MinSlots:
+        """Every MIN candidate, composed: a pair of two groups has one
+        candidate per global link ``x -> y`` of its group pair -- the
+        legs ``s -> x`` and ``y -> d`` around the link's channel; a
+        pair ``(s, d)`` of one group has the local leg ``s -> d``."""
+        slots = self._slots
+        if slots is not None:
+            return slots
+        parts = self._leg_parts()
+        nsw, g = self.nsw, self.g
+        group = np.array(self.group, np.int32)
+        src = np.repeat(np.arange(nsw, dtype=np.int32), nsw)
+        dst = np.tile(np.arange(nsw, dtype=np.int32), nsw)
+        inside = group[src] == group[dst]
+        group_pair = group[src] * g + group[dst]
+        k = np.where(inside, src != dst, parts.links[group_pair]).astype(
+            np.int32
+        )
+        first = np.cumsum(k, dtype=np.int64) - k
+        total = int(k.sum())
+        reach = parts.local.shape[1]  # longest local route
+        width = reach + 1
+        # a shape is (head hops, crossing or not, tail hops), as a code
+        code = zeros(total, np.int16)
+        chan = zeros(total * (2 * reach + 1), np.int32)  # upper bound
+        filled = 0
+        # whole source switches at a time, _BLOCK slots or so
+        step = nsw * max(1, _BLOCK * nsw // max(1, total))
+        for lo in range(0, nsw * nsw, step):
+            rows = slice(lo, lo + step)
+            walk, block = self._compose(
+                src[rows],
+                dst[rows],
+                inside[rows],
+                group_pair[rows],
+                k[rows],
+                first[rows] - first[lo],
+            )
+            code[first[lo] : first[lo] + len(block)] = block
+            walk = walk[walk >= 0]
+            chan[filled : filled + len(walk)] = walk
+            filled += len(walk)
+        first[src == dst] = 0  # a switch has no MIN row to itself
+        # shapes are numbered in order of first appearance, like the rows
+        seen: Dict[int, int] = {}  # code -> its first slot
+        for c in range(2 * width * width if total else 0):
+            slot = int(np.argmax(code == c))
+            if code[slot] == c:
+                seen[c] = slot
+        codes = sorted(seen, key=seen.__getitem__)
+        parse = [(c // width // 2, c // width % 2, c % width) for c in codes]
+        shape_of = np.zeros(2 * width * width, np.int32)
+        shape_of[codes] = range(len(codes))
+        hops_of = np.zeros_like(shape_of)
+        hops_of[codes] = [sum(lengths) for lengths in parse]
+        # (clip: codes are in range, and "raise" would buffer the output)
+        hops = np.take(hops_of, code, out=zeros(total, np.int32), mode="clip")
+        rel = zeros(total, np.int64)
+        np.cumsum(hops[:-1], out=rel[1:])
+        slots = self._slots = _MinSlots(
+            k,
+            first,
+            hops,
+            rel,
+            chan[:filled],
+            np.take(shape_of, code, out=zeros(total, np.int32), mode="clip"),
+            tuple(
+                sys.intern("l" * before + "g" * link + "l" * after)
+                for before, link, after in parse
+            ),
+        )
+        return slots
+
+    def _compose(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        inside: np.ndarray,
+        group_pair: np.ndarray,
+        k: np.ndarray,
+        first: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The candidates of some switch pairs (``first``: where each
+        pair's start among them): per candidate its channels, ``-1``
+        padded, and its shape code."""
+        parts = self._leg_parts()
+        a = self.topo.a
+        most = parts.link_chan.shape[1]
+        # every slot as a link slot (row ``group_pair`` of the link
+        # tables, column = rank within the pair) ...
+        link = np.repeat((group_pair * most - first).astype(np.int32), k)
+        link += np.arange(len(link), dtype=np.int32)
+        head = np.repeat(src * a, k)
+        head += parts.near_position.reshape(-1)[link]
+        tail = np.repeat(parts.position[dst], k)
+        tail += parts.far_row.reshape(-1)[link]
+        crossing = parts.link_chan.reshape(-1)[link]
+        # ... then the few slots inside a group: the head leg is the
+        # whole path, there is no link and the tail leg d -> d is empty
+        local = np.flatnonzero(inside & (src != dst))
+        at = first[local]
+        head[at] = src[local] * a + parts.position[dst[local]]
+        tail[at] = dst[local] * a + parts.position[dst[local]]
+        crossing[at] = -1
+        reach = parts.local.shape[1]
+        walk = np.empty((len(link), 2 * reach + 1), np.int32)
+        for hop in range(reach):
+            column = parts.local[:, hop]
+            walk[:, hop] = column[head]
+            walk[:, reach + 1 + hop] = column[tail]
+        walk[:, reach] = crossing
+        width = reach + 1
+        code = (parts.local_hops * (2 * width)).astype(np.int16)[head]
+        code += parts.local_hops.astype(np.int16)[tail]
+        code += width
+        code[at] -= width
+        return walk, code
 
 
 # ----------------------------------------------------------------------

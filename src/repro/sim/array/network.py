@@ -45,12 +45,12 @@ entries and spec fingerprints.
 from __future__ import annotations
 
 import ctypes
-import mmap
 from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.hugepages import zeros as _alloc
 from repro.sim.network import Network, SimChannel
 from repro.sim.packet import Packet
 from repro.sim.array.native import (
@@ -69,6 +69,12 @@ from repro.sim.array.native import (
 
 __all__ = ["ArrayChannel", "ArrayNetwork"]
 
+# what Network._build_objects provides that code outside the wheel
+# engine's own step path reads
+_OBJECTS = frozenset(
+    {"routers", "channels", "inject_channels", "eject_channels"}
+)
+
 _PTR_OF_DTYPE = {
     np.dtype(np.int32): ctypes.POINTER(ctypes.c_int32),
     np.dtype(np.int64): ctypes.POINTER(ctypes.c_int64),
@@ -79,43 +85,12 @@ _INITIAL_ARENA_CAP = 4096
 _INITIAL_SRC_CAP = 32
 _EJ_BATCH_CYCLES = 16  # ejection-buffer capacity in worst-case cycles
 
-_HUGE = 2 * 1024 * 1024  # transparent-hugepage granule
-_HUGE_MIN = 128 * 1024  # route allocations this large through hugepages
-
-
-def _alloc(shape, dtype) -> np.ndarray:
-    """Zeroed array; hugepage-backed when large.
-
-    The kernel's per-packet and per-buffer touches are scattered over
-    arrays that reach many megabytes at saturation, so with 4K pages the
-    TLB misses dominate -- and hardware drops prefetches that miss the
-    TLB, defeating the kernel's software-prefetch passes.  Backing the
-    big arrays with 2MB transparent hugepages (anonymous mmap, 2MB-aligned
-    slice, MADV_HUGEPAGE) keeps them a handful of TLB entries.  Purely an
-    allocation detail: contents and layout are identical to np.zeros.
-    """
-    dt = np.dtype(dtype)
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-    if nbytes < _HUGE_MIN or not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.zeros(shape, dt)
-    mm = mmap.mmap(-1, nbytes + _HUGE)
-    addr = ctypes.addressof(ctypes.c_char.from_buffer(mm))
-    off = (-addr) % _HUGE
-    try:
-        mm.madvise(mmap.MADV_HUGEPAGE, off, nbytes)
-    except OSError:  # pragma: no cover - advisory only
-        pass
-    arr = np.frombuffer(mm, dtype=dt, count=nbytes // dt.itemsize, offset=off)
-    return arr.reshape(shape)
-
 
 class ArrayChannel(SimChannel):
     """A SimChannel whose live state may reside in the SoA arrays.
 
-    Construction is identical to :class:`SimChannel` (ArrayNetwork reuses
-    the whole inherited topology build, including each channel's dense
-    ``index``, which is its row in the arrays); in native mode the
+    Construction is identical to :class:`SimChannel` (each channel's
+    dense ``index`` is its row in the arrays); in native mode the
     network hands every routable channel the array bag so
     :meth:`load_metric` -- the UGAL congestion estimate of a single
     routing decision -- answers from the arrays the kernel updates.  (The
@@ -155,88 +130,87 @@ class _SoA:
 
 class ArrayNetwork(Network):
     """Struct-of-arrays engine behind the Network interface (native
-    kernel, or the inherited reference path when ``backend`` says so)."""
+    kernel, or the inherited reference path when ``backend`` says so).
+
+    A native network steps, injects and reports from its arrays alone,
+    so it does not build the inherited channel and router objects until
+    something asks for them (the per-packet routing procedure, a test):
+    ``channels`` / ``inject_channels`` / ``eject_channels`` / ``routers``
+    appear on first access, as views of the same
+    :class:`~repro.sim.network.ChannelLayout` rows.
+    """
 
     channel_cls = ArrayChannel
 
     def __init__(self, topo, params, num_vcs: int) -> None:
-        super().__init__(topo, params, num_vcs)
         self._S: Optional[_SoA] = None
         self._kernel = load_kernel()
-        # array order is the inherited ``channel.index`` order; the SoA
-        # is built only in native mode (fallback keeps the inherited
-        # wheel structures live)
-        # repro: allow[DET102]: self.channels is insertion-ordered by the
-        # deterministic topology construction
-        ordered = list(self.channels.values())
-        self._num_switch_channels = len(ordered)
-        ordered += self.inject_channels
-        ordered += self.eject_channels
-        for channel in ordered:
-            channel._soa = None
+        # the SoA is built only in native mode (fallback keeps the
+        # inherited wheel structures live, and needs them now)
+        super().__init__(topo, params, num_vcs, objects=self._kernel is None)
+        self._num_switch_channels = len(self.layout.keys)
         # routed packets handed to inject() since the last flush
         self._pending: List[Packet] = []
-        if self._kernel is None:
-            return
-        self._build_soa(ordered)
-        for channel in ordered[: self._num_switch_channels]:
-            channel._soa = self._S
+        if self._kernel is not None:
+            self._build_soa()
+
+    def __getattr__(self, name: str):
+        # reached only for a name not set yet
+        if name in _OBJECTS and "routers" not in self.__dict__:
+            self._build_objects()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def _build_objects(self) -> None:
+        super()._build_objects()
+        # array order is ``channel.index`` order; a node's injection
+        # queue is not routable and keeps answering for itself
+        soa = self._S
+        for channel in self.inject_channels:
+            channel._soa = None
+        for channel in self.channels.values():
+            channel._soa = soa
         for channel in self.eject_channels:
-            channel._soa = self._S
+            channel._soa = soa
 
     # ------------------------------------------------------------------
     # SoA construction (native mode only)
     # ------------------------------------------------------------------
-    def _build_soa(self, ordered: List[SimChannel]) -> None:
+    def _build_soa(self) -> None:
         topo = self.topo
         params = self.params
+        layout = self.layout
         nV = self.num_vcs
         nR = topo.num_switches
         radix = topo.radix
         nSr = radix * nV
         nNodes = topo.num_nodes
         nSw = self._num_switch_channels
-        nC = len(ordered)
+        nC = len(layout.kind)
         ws = self._wheel_size
         psize = params.packet_size
 
         S = _SoA()
         self._S = S
-        # --- static per-channel tables (array order = insertion order) ---
-        S.ch_latency = np.array([c.latency for c in ordered], np.int32)
-        S.ch_delay = np.array([c.delivery_delay for c in ordered], np.int32)
-        S.ch_dst_router = np.array(
-            [-1 if c.dst_router is None else c.dst_router for c in ordered],
-            np.int32,
-        )
-        S.ch_gslot = np.array(
-            [
-                0
-                if c.dst_router is None
-                else c.dst_router * nSr + c.dst_slot_base
-                for c in ordered
-            ],
-            np.int32,
-        )
-        S.ch_kind = np.array(
-            [
-                1 if c.is_injection else (2 if c.is_ejection else 0)
-                for c in ordered
-            ],
-            np.int32,
-        )
-        S.is_global = np.array(
-            [bool(c.is_global_link) for c in ordered], bool
-        )
+        # --- static per-channel tables: the layout's columns, shared
+        # with every network on it (the kernel only reads them) ---
+        S.ch_latency = layout.latency
+        S.ch_delay = layout.delay
+        S.ch_dst_router = layout.dst_router
+        S.ch_gslot = layout.gslot
+        S.ch_kind = layout.kind
+        S.is_global = layout.is_global
         # --- dynamic channel state.  The grant-time output side of a
         # channel (ring head/len + per-VC credits + credit total, then
         # an 8-byte-aligned int64 tail: output budget stamp/count,
         # busy_until, flits_sent) packs into one line-padded row, so the
         # crossbar's hottest random accesses per grant collapse into a
         # single cache line.  Output ports map 1:1 onto non-injection
-        # channels (asserted below), so the per-port output budget
-        # legally lives per channel.  Python keeps named strided views
-        # into the rows (kernel.c OR_* columns) ---
+        # channels (checked by channel_layout), so the per-port output
+        # budget legally lives per channel.  Python keeps named strided
+        # views into the rows (kernel.c OR_* columns) ---
         cred_stride = nV + 1
         or_bud = (2 + cred_stride + 1) & ~1  # even: int64-aligned tail
         outrow_stride = -(-(or_bud + 8) // 16) * 16
@@ -251,12 +225,6 @@ class ArrayNetwork(Network):
         outrow64[:, or_bud // 2] = -1  # budget stamp: no cycle yet
         S.busy_until = outrow64[:, or_bud // 2 + 2]
         S.flits = outrow64[:, or_bud // 2 + 3]
-        pidx = [
-            0 if c.src_router is None else c.src_router * radix + c.src_port
-            for c in ordered
-            if not c.is_injection
-        ]
-        assert len(set(pidx)) == len(pidx), "output port shared by channels"
         out_cap = params.output_queue_size
         S.out_buf = _alloc((nC, out_cap, 2), np.int32)
         self._src_cap = _INITIAL_SRC_CAP

@@ -47,16 +47,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.routing.paths import LOCAL_SLOT, Path
+from repro.routing.table import route_table
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
 from repro.topology.dragonfly import Dragonfly
 
-__all__ = ["SimChannel", "Router", "Network"]
+__all__ = ["SimChannel", "Router", "ChannelLayout", "channel_layout", "Network"]
 
 
 class SimChannel:
@@ -173,12 +174,143 @@ class Router:
         return port * self.num_vcs + vc
 
 
-class Network:
-    """Builds the simulation network for a topology and runs cycles.
+class ChannelLayout(NamedTuple):
+    """The static structure of a network, one row per channel.
+
+    Rows are in ``SimChannel.index`` order: switch-to-switch channels in
+    route-table order (``keys``), then one injection and one ejection
+    channel per node.  Nothing here changes while a network runs, and
+    nothing depends on more than the topology, the latencies, the
+    packet size and the VC count -- so it is computed once per such
+    combination (:func:`channel_layout`) and every network built on it,
+    object or array form, reads the same columns.
+    """
+
+    keys: List[Tuple[int, int, int]]  # (src, dst, slot) per switch channel
+    src_router: np.ndarray  # -1: the channel leaves a node
+    dst_router: np.ndarray  # -1: the channel enters a node
+    src_port: np.ndarray  # output port at src_router (0 if none)
+    dst_port: np.ndarray
+    latency: np.ndarray
+    delay: np.ndarray  # transmission start -> tail-flit delivery
+    is_global: np.ndarray
+    kind: np.ndarray  # 0 switch-to-switch, 1 injection, 2 ejection
+    gslot: np.ndarray  # flattened (dst_router, dst_port, vc=0) input slot
+    max_latency: int
+    wheel_size: int
+
+
+_MAX_LAYOUTS = 8  # per topology
+
+
+def channel_layout(
+    topo: Dragonfly, params: SimParams, num_vcs: int
+) -> ChannelLayout:
+    """The :class:`ChannelLayout` of ``topo`` under ``params``, memoized
+    next to the topology's route table.
 
     Port layout per router: ``0..p-1`` terminal, then one local port per
     intra-group neighbor (``topo.local_neighbors`` order), then global
     ports in the order of ``topo.global_links_of_switch``.
+    """
+    table = route_table(topo)
+    key = (
+        num_vcs,
+        params.local_latency,
+        params.global_latency,
+        params.injection_latency,
+        params.router_latency,
+        params.packet_size,
+    )
+    layout = table.layouts.get(key)
+    if layout is not None:
+        return layout
+    p = topo.p
+    local_degree = topo.local_degree
+    # local port of neighbor v at router u: p + rank of v among group
+    local_port: Dict[Tuple[int, int], int] = {}
+    for u in range(topo.num_switches):
+        for rank, v in enumerate(topo.local_neighbors(u)):
+            local_port[(u, v)] = p + rank
+    global_port: Dict[Tuple[int, int, int], int] = {}
+    for u in range(topo.num_switches):
+        for rank, link in enumerate(topo.global_links_of_switch(u)):
+            global_port[(link.other_end(u), u, link.slot)] = (
+                p + local_degree + rank
+            )
+    # (src_router, dst_router, src_port, dst_port, latency, kind): the
+    # switch channels in the route table's order, then the terminals
+    keys = table.channel_keys
+    rows: List[Tuple[int, int, int, int, int, int]] = [
+        (u, v, local_port[(u, v)], local_port[(v, u)],
+         params.local_latency, 0)
+        if slot == LOCAL_SLOT
+        else (u, v, global_port[(v, u, slot)], global_port[(u, v, slot)],
+              params.global_latency, 0)
+        for u, v, slot in keys
+    ]
+    nodes = range(topo.num_nodes)
+    rows += [
+        (-1, topo.switch_of_node(node), 0, node % p,
+         params.injection_latency, 1)
+        for node in nodes
+    ]
+    rows += [
+        (topo.switch_of_node(node), -1, node % p, 0,
+         params.injection_latency, 2)
+        for node in nodes
+    ]
+    src_router, dst_router, src_port, dst_port, latency, kind = (
+        np.array(column, np.int32) for column in zip(*rows)
+    )
+    is_global = np.zeros(len(rows), bool)
+    is_global[: len(keys)] = [slot != LOCAL_SLOT for _u, _v, slot in keys]
+    # output ports map 1:1 onto non-injection channels, so per-port
+    # state may legally live per channel
+    out_ports = (src_router * topo.radix + src_port)[kind != 1]
+    assert len(np.unique(out_ports)) == len(out_ports), (
+        "output port shared by channels"
+    )
+    max_latency = max(
+        params.local_latency, params.global_latency, params.injection_latency
+    )
+    # wire latency + serialization (+ downstream router pipeline)
+    delay = latency + (params.packet_size - 1)
+    delay[kind == 0] += params.router_latency
+    layout = ChannelLayout(
+        keys,
+        src_router,
+        dst_router,
+        src_port,
+        dst_port,
+        latency,
+        delay,
+        is_global,
+        kind,
+        np.where(
+            dst_router < 0,
+            0,
+            (dst_router * topo.radix + dst_port) * num_vcs,
+        ).astype(np.int32),
+        max_latency,
+        # the farthest any event is scheduled ahead is a delivery:
+        # channel latency + router pipeline + packet serialization
+        max_latency + params.router_latency + params.packet_size + 1,
+    )
+    for column in layout:
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False  # shared by every network
+    if len(table.layouts) >= _MAX_LAYOUTS:
+        del table.layouts[next(iter(table.layouts))]
+    table.layouts[key] = layout
+    return layout
+
+
+class Network:
+    """Builds the simulation network for a topology and runs cycles.
+
+    What is where is :func:`channel_layout`'s; this class materializes
+    it as channel and router objects and steps them.
     """
 
     # overridable: ArrayNetwork's channels answer load_metric from the
@@ -186,127 +318,91 @@ class Network:
     channel_cls = SimChannel
 
     def __init__(
-        self, topo: Dragonfly, params: SimParams, num_vcs: int
+        self,
+        topo: Dragonfly,
+        params: SimParams,
+        num_vcs: int,
+        *,
+        objects: bool = True,
     ) -> None:
         self.topo = topo
         self.params = params
         self.num_vcs = num_vcs
         self.cycle = 0
+        self.layout = layout = channel_layout(topo, params, num_vcs)
+        self._max_latency = layout.max_latency
+        self._wheel_size = layout.wheel_size
 
-        p = topo.p
-        local_degree = topo.local_degree
-        num_ports = topo.radix
+        # hooks filled by the engine
+        self.on_eject = None  # callable(packet, cycle)
+        self.on_arrival = None  # callable(packet, router_idx) for PAR
+        # optional batched ejection hook: callable(latencies, hops,
+        # used_vlb, cycle) over numpy arrays for every packet ejected in
+        # one cycle, in ejection order.  The wheel engine ignores it (it
+        # ejects packet-at-a-time through on_eject); the array engine
+        # prefers it when set, falling back to per-packet on_eject calls
+        self.on_eject_batch = None
+        # optional batched revision hook: callable(delivery bucket) ->
+        # (pool id, route handle, path hops) of the hop-1 arrivals PAR
+        # re-routes.  Same precedent: the wheel engine revises through
+        # on_arrival; the array engine's native path prefers this one
+        self.on_arrival_batch = None
+        if objects:
+            self._build_objects()
+
+    def _build_objects(self) -> None:
+        """The layout as channel and router objects, plus the event
+        wheels that step them."""
+        layout = self.layout
+        params = self.params
+        num_vcs = self.num_vcs
+        num_ports = self.topo.radix
         channel_cls = self.channel_cls
         self.routers = [
             Router(i, num_ports, num_vcs)
-            for i in range(topo.num_switches)
+            for i in range(self.topo.num_switches)
         ]
-
-        # --- switch-to-switch channels, keyed by (src, dst, slot) ---
-        self.channels: Dict[Tuple[int, int, int], SimChannel] = {}
-        # local port of neighbor v at router u: p + rank of v among group
-        self._local_port: Dict[Tuple[int, int], int] = {}
-        for u in range(topo.num_switches):
-            for rank, v in enumerate(topo.local_neighbors(u)):
-                self._local_port[(u, v)] = p + rank
-        for u in range(topo.num_switches):
-            for v in topo.local_neighbors(u):
-                self.channels[(u, v, LOCAL_SLOT)] = channel_cls(
-                    u,
-                    v,
-                    self._local_port[(v, u)],
-                    params.local_latency,
-                    num_vcs,
-                    params.buffer_size,
-                    params.output_queue_size,
-                    src_port=self._local_port[(u, v)],
-                )
-        self._global_port: Dict[Tuple[int, int, int], int] = {}
-        for u in range(topo.num_switches):
-            for rank, link in enumerate(topo.global_links_of_switch(u)):
-                v = link.other_end(u)
-                key_in = (v, u, link.slot)
-                self._global_port[key_in] = p + local_degree + rank
-        for link in topo.global_links:
-            for u, v in (
-                (link.switch_a, link.switch_b),
-                (link.switch_b, link.switch_a),
-            ):
-                self.channels[(u, v, link.slot)] = channel_cls(
-                    u,
-                    v,
-                    self._global_port[(u, v, link.slot)],
-                    params.global_latency,
-                    num_vcs,
-                    params.buffer_size,
-                    params.output_queue_size,
-                    is_global_link=True,
-                    src_port=self._global_port[(v, u, link.slot)],
-                )
-
-        # --- terminal channels ---
-        self.inject_channels: List[SimChannel] = []
-        self.eject_channels: List[SimChannel] = []
-        for node in range(topo.num_nodes):
-            sw = topo.switch_of_node(node)
-            term_port = node % p
-            self.inject_channels.append(
-                channel_cls(
-                    None,
-                    sw,
-                    term_port,
-                    params.injection_latency,
-                    num_vcs,
-                    params.buffer_size,
-                    out_capacity=1 << 30,  # the node source queue, unbounded
-                )
+        ordered: List[SimChannel] = []
+        for index, (src, dst, src_port, dst_port, latency, delay, is_global,
+                    kind) in enumerate(
+            zip(
+                layout.src_router.tolist(),
+                layout.dst_router.tolist(),
+                layout.src_port.tolist(),
+                layout.dst_port.tolist(),
+                layout.latency.tolist(),
+                layout.delay.tolist(),
+                layout.is_global.tolist(),
+                layout.kind.tolist(),
             )
-            self.eject_channels.append(
-                channel_cls(
-                    sw,
-                    None,
-                    0,
-                    params.injection_latency,
-                    num_vcs,
-                    params.buffer_size,
-                    out_capacity=params.output_queue_size,
-                    is_ejection=True,
-                    src_port=term_port,
-                )
+        ):
+            channel = channel_cls(
+                None if src < 0 else src,
+                None if dst < 0 else dst,
+                dst_port,
+                latency,
+                num_vcs,
+                params.buffer_size,
+                # an injection channel's queue is the node's source
+                # queue, unbounded
+                1 << 30 if kind == 1 else params.output_queue_size,
+                is_global_link=is_global,
+                is_ejection=kind == 2,
+                src_port=src_port,
             )
-
-        # repro: allow[DET102]: self.channels is insertion-ordered by the
-        # deterministic topology construction; index order is part of the
-        # route-table and SoA layout contract
-        ordered = list(self.channels.values())
-        ordered += self.inject_channels
-        ordered += self.eject_channels
-        for i, channel in enumerate(ordered):
-            channel.index = i
+            channel.index = index
+            channel.delivery_delay = delay
+            ordered.append(channel)
+        switch_channels = len(layout.keys)
+        nodes = self.topo.num_nodes
+        # keyed by (src, dst, slot), in index order
+        self.channels: Dict[Tuple[int, int, int], SimChannel] = dict(
+            zip(layout.keys, ordered)
+        )
+        self.inject_channels = ordered[switch_channels:][:nodes]
+        self.eject_channels = ordered[switch_channels + nodes :]
 
         # --- event timing wheels: slot (cycle % size) -> work items ---
-        # The farthest any event is scheduled ahead is a delivery:
-        # channel latency + router pipeline + packet serialization.
-        max_latency = max(
-            params.local_latency,
-            params.global_latency,
-            params.injection_latency,
-        )
-        self._max_latency = max_latency
-        self._wheel_size = (
-            max_latency + params.router_latency + params.packet_size + 1
-        )
-        # transmission-start -> tail-flit-delivery delay, fixed per channel
-        # (wire latency + serialization + downstream router pipeline)
-        tail_delay = params.packet_size - 1
-        for channel in self.channels.values():
-            channel.delivery_delay = (
-                channel.latency + tail_delay + params.router_latency
-            )
-        for channel in self.inject_channels:
-            channel.delivery_delay = channel.latency + tail_delay
-        for channel in self.eject_channels:
-            channel.delivery_delay = channel.latency + tail_delay
         self._delivery_wheel: List[List[Tuple[SimChannel, Packet]]] = [
             [] for _ in range(self._wheel_size)
         ]
@@ -337,21 +433,6 @@ class Network:
         # for id()-hashed objects would make results depend on memory
         # layout instead of only on the seed
         self._active_routers: Dict[int, None] = {}
-
-        # hooks filled by the engine
-        self.on_eject = None  # callable(packet, cycle)
-        self.on_arrival = None  # callable(packet, router_idx) for PAR
-        # optional batched ejection hook: callable(latencies, hops,
-        # used_vlb, cycle) over numpy arrays for every packet ejected in
-        # one cycle, in ejection order.  The wheel engine ignores it (it
-        # ejects packet-at-a-time through on_eject); the array engine
-        # prefers it when set, falling back to per-packet on_eject calls
-        self.on_eject_batch = None
-        # optional batched revision hook: callable(delivery bucket) ->
-        # (pool id, route handle, path hops) of the hop-1 arrivals PAR
-        # re-routes.  Same precedent: the wheel engine revises through
-        # on_arrival; the array engine's native path prefers this one
-        self.on_arrival_batch = None
 
     # ------------------------------------------------------------------
     # Route helpers

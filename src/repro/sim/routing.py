@@ -35,6 +35,7 @@ order" in ``docs/simulator.md``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -152,22 +153,8 @@ class RoutingAlgorithm:
         self.par_revised = 0
 
         self.table = route_table(self.topo)
-        # table channel index -> this network's channel; the table's
-        # indices double as rows of the engine's load snapshot
-        self._channels: List[SimChannel] = [
-            network.channels[key] for key in self.table.channel_keys
-        ]
-        if len(self._channels) != len(network.channels) or any(
-            channel.index != i for i, channel in enumerate(self._channels)
-        ):
-            raise RuntimeError(
-                "network channel order differs from the route table's"
-            )
         self._ladders = self.table.ladders(self.vc_scheme, self.num_vcs)
         self._nsw = self.topo.num_switches
-        self._switch_of = [
-            self.topo.switch_of_node(n) for n in range(self.topo.num_nodes)
-        ]
         self._same_switch = Candidate(0, (), "", [], [], 0)
         # per-pair MIN candidates, keyed src * num_switches + dst
         self._min_cache: Dict[int, List[Candidate]] = {}
@@ -187,6 +174,21 @@ class RoutingAlgorithm:
     # ------------------------------------------------------------------
     # Candidate generation
     # ------------------------------------------------------------------
+    @cached_property
+    def _channels(self) -> List[SimChannel]:
+        """Table channel index -> this network's channel object, for
+        the per-packet procedure (networks lay their channels out in the
+        table's order, so the table's indices double as rows of the
+        engine's load snapshot)."""
+        channels = self.network.channels
+        return [channels[key] for key in self.table.channel_keys]
+
+    @cached_property
+    def _switch_of(self) -> List[int]:
+        """Node -> its switch, for the per-packet procedure."""
+        topo = self.topo
+        return [topo.switch_of_node(n) for n in range(topo.num_nodes)]
+
     def _candidate(self, chans: Tuple[int, ...], shape: str) -> Candidate:
         channels = self._channels
         vcs = self._ladders[shape]
@@ -377,8 +379,8 @@ class RoutingAlgorithm:
         from here on: the network runs natively, the strategy is one of
         the five the kernel implements, and the policy's membership test
         exists as data (:func:`~repro.routing.pathset.policy_program`).
-        Building the lane fills the topology's flattened tables, one
-        Python step per switch pair, once per topology and process.
+        Building the lane composes the topology's flattened tables
+        (milliseconds, once per topology and process).
         """
         if self.lane is not None:
             return True

@@ -57,14 +57,14 @@ def test_rule_catalog_complete():
     assert {
         "DET101", "DET102", "DET103", "DET104", "DET105",
         "CACHE201", "CACHE202", "CACHE203",
-        "REG301", "REG302", "ANA001", "ANA002",
+        "REG301", "REG302", "REF401", "ANA001", "ANA002",
     } <= codes
     for entry in ANALYZE_RULES:
         assert entry.summary and entry.hint, entry.code
         assert entry.severity in ("warning", "error")
         assert entry.family in (
             "determinism", "cache-identity", "registry-hygiene",
-            "analyzer",
+            "reference-only", "analyzer",
         )
 
 

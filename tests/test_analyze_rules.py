@@ -55,6 +55,8 @@ CASES = [
      "clean/cache202_spec_fields.py"),
     ("REG302", "bad/reg302_codec.py", 1, "clean/reg302_codec.py"),
     ("REG303", "bad/reg303_topology.py", 1, "clean/reg303_topology.py"),
+    ("REF401", "bad/ref401_reference_only.py", 2,
+     "clean/ref401_reference_only.py"),
 ]
 
 

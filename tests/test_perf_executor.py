@@ -1,8 +1,12 @@
 """Parallel sweep execution: bit-identical to serial, in task order."""
 
+import os
+import signal
+
 import pytest
 
 from repro.model import FastModel
+from repro.obs import Tracer
 from repro.perf.executor import (
     ModelTask,
     SimTask,
@@ -125,6 +129,54 @@ def test_describe_smoke():
         executor.run(_tasks(loads=[0.1]))
         text = executor.describe()
     assert "serial" in text and "no cache" in text
+
+
+class _KillsItsWorker(UniformRandom):
+    """Uniform traffic that kills the process sampling it, unless that
+    is the process that built it: a worker dies at its first injection,
+    the parent computes the same run normally."""
+
+    def __init__(self, topo):
+        super().__init__(topo)
+        self.home = os.getpid()
+
+    def sample_destinations(self, srcs, rng):
+        if os.getpid() != self.home:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().sample_destinations(srcs, rng)
+
+
+def test_a_worker_killed_mid_run_costs_the_pool_not_the_results():
+    """``BrokenProcessPool`` out of ``pool.map`` is caught: the units
+    that had not landed are recomputed in-process, the counters say so,
+    a ``pool_broken`` event is traced -- and the executor is not left
+    holding the broken pool."""
+    deadly = SimTask(
+        TOPO, _KillsItsWorker(TOPO), 0.2, routing="min", params=PARAMS, seed=1
+    )
+    assert deadly.spec is None  # ships the live pattern, pid and all
+    tasks = _tasks() + [deadly]
+    expected = [run_task(t) for t in tasks]
+    tracer = Tracer()
+    # batch=1: one unit per task, so units do land before the pool breaks
+    with SweepExecutor(jobs=2, tracer=tracer, batch=1) as executor:
+        assert executor.run(tasks) == expected
+        assert executor._pool is None  # discarded, not kept broken
+        landed = executor.computed_parallel
+        assert executor.computed_serial == len(tasks) - landed >= 1
+        (broken,) = [e for e in tracer.events if e["type"] == "pool_broken"]
+        assert broken["landed"] == landed
+        assert broken["recomputed"] == len(tasks) - landed
+        modes = [
+            e["mode"] for e in tracer.events if e["type"] == "task_finished"
+        ]
+        assert modes == ["parallel"] * landed + ["serial"] * (
+            len(tasks) - landed
+        )
+        # the next batch gets a fresh pool and runs in it
+        assert executor.run(_tasks()) == expected[: len(LOADS)]
+        assert executor._pool is not None and executor.parallel
+        assert executor.computed_parallel == landed + len(LOADS)
 
 
 def test_solver_memo_tells_cascade_grids_apart():

@@ -384,20 +384,41 @@ def test_a_user_defined_policy_stays_on_the_packet_lane():
     assert _metrics(simulate(*args, **kwargs)) == PINNED["t-ugal-g"]
 
 
-def test_a_run_too_small_to_pay_for_the_tables_stays_on_the_packet_lane():
-    """The size rule: compiling fills one table row per switch pair, so
-    a run expected to route fewer packets than that does not compile."""
-    args, kwargs = _arguments("ugal-l")
-    topo, pattern, _load = args
-    pairs = topo.num_switches**2
-    total = kwargs["params"].total_cycles
-    at = pairs / (total * topo.num_nodes)  # expected packets == pairs
-    lanes = {
-        load: Run(topo, pattern, load, **kwargs).lane
-        for load in (0.0, at * 0.99, at * 1.01)
+def test_one_rule_picks_the_lane(reference_engine):
+    """Not a scheduled trace, and ``RoutingAlgorithm.compile()``
+    succeeds: nothing else decides the lane -- no run is too small, too
+    short or too idle for the array lane, and the per-packet procedure
+    runs only where the kernel cannot (see also the user-defined policy
+    above and the lane asserted per ``PINNED`` case)."""
+    policies = {
+        "t-ugal-l": StrategicFiveHopPolicy("2+3"),
+        "t-ugal-g": HopClassPolicy(4, 0.5),
+        "t-par": StrategicFiveHopPolicy("3+2"),
     }
+
+    def lane(load=LOAD, window=WINDOW, routing="ugal-l", pattern=None):
+        return Run(
+            TOPO,
+            pattern or Shift(TOPO, 2, 0),
+            load,
+            routing=routing,
+            policy=policies.get(routing),
+            params=SimParams(window_cycles=window),
+            seed=SEED,
+        ).lane
+
+    assert lane() == "packet"  # the host without the kernel
+    reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
     expected = "array" if native_available() else "packet"
-    assert list(lanes.values()) == ["packet", "packet", expected]
+    total = SimParams(window_cycles=WINDOW).total_cycles
+    under_one_packet = 0.5 / (total * TOPO.num_nodes)
+    for load in (0.0, under_one_packet, LOAD, 1.0):
+        assert lane(load=load) == expected
+    assert lane(window=1) == expected
+    assert lane(load=0.0, window=1) == expected
+    for routing in ("min", "vlb", "ugal-l", "ugal-g", "par", *policies):
+        assert lane(routing=routing) == expected
+    assert lane(pattern=_trace()) == "packet"
 
 
 @pytest.mark.parametrize("routing", ["min", "ugal-l", "par"])
@@ -406,8 +427,10 @@ def test_array_lane_counts_injections_like_the_reference(
 ):
     """With ``obs.metrics`` on, the array lane reports the counters the
     reference path's per-packet loop does -- stalls included, under a
-    source-queue cap low enough to bite -- and switching metrics on
-    changes no result."""
+    source-queue cap low enough to bite -- and both lanes report the
+    run's set-up split next to ``routing.lane``; switching metrics on
+    changes no result and no fingerprint."""
+    import repro.routing.table as table_module
     from repro.obs import ObsConfig
 
     def run(metrics=True):
@@ -422,7 +445,28 @@ def test_array_lane_counts_injections_like_the_reference(
     assert reference.manifest.metrics["routing.lane"] == "packet"
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
     native = run()
-    assert native == reference == run(metrics=False)
+    plain = run(metrics=False)
+    assert native == reference == plain
+    assert not plain.manifest.metrics
+    for name in ("fingerprint", "spec_fingerprint"):
+        assert (
+            getattr(native.manifest, name)
+            == getattr(reference.manifest, name)
+            == getattr(plain.manifest, name)
+        )
+    split = (
+        "engine.setup.build_network_seconds",
+        "engine.setup.compile_seconds",
+        "routing.table_fill_seconds",
+    )
+    for result in (reference, native):
+        for name in split:
+            assert isinstance(result.manifest.metrics[name], float)
+            assert result.manifest.metrics[name] >= 0.0
+    # these runs found the topology's images composed (or, on the
+    # packet lane, never asked for them): a table hit reads exactly 0
+    assert native.manifest.metrics["routing.table_fill_seconds"] == 0.0
+    assert reference.manifest.metrics["routing.table_fill_seconds"] == 0.0
     names = ("engine.packets_injected", "engine.inject_stalls")
     counted = [native.manifest.metrics[name] for name in names]
     assert counted == [reference.manifest.metrics[name] for name in names]
@@ -441,6 +485,15 @@ def test_array_lane_counts_injections_like_the_reference(
             routing == "par"
         )
         assert metrics["routing.words_drawn"] > 0
+        # the first run of a process on a topology composes them
+        reference_engine.setattr(table_module, "_TABLES", {})
+        reference_engine.setattr(table_module, "_LAST", (None, None))
+        cold = run()
+        assert cold == native
+        fill = cold.manifest.metrics["routing.table_fill_seconds"]
+        assert 0.0 < fill <= cold.manifest.metrics[
+            "engine.setup.compile_seconds"
+        ]
 
 
 def test_array_lane_constructs_no_packet(monkeypatch):
