@@ -1,32 +1,28 @@
-"""Batch planning: group compatible sweep payloads into batched units.
+"""Batch planning: size the executor's work units.
 
 :class:`BatchPlanner` sits between :class:`~repro.perf.executor.
 SweepExecutor`'s cache-miss list and its worker fan-out.  It partitions
 the pending payloads into *units* -- either a single payload executed by
 the ordinary single-run path, or a group of compatible
 :class:`~repro.spec.RunSpec` payloads executed by one
-:func:`~repro.sim.batch.simulate_batch` call, which advances all of them
-through shared kernel invocations.
+:func:`~repro.sim.batch.simulate_batch` call, which runs them one after
+another on one shared topology.
 
-Batching is a pure scheduling decision: every run in a batched unit is
-bit-identical to its single-run result (the batch parity suite pins
-this), keeps its own RunSpec fingerprint and cache entry, and emits its
-own trace/progress events.  The planner therefore only has to decide
-where batching is *profitable*:
+Batching is unit sizing for the executor, not a kernel path.  A batched
+unit is one task, one topology build and one worker round trip for B
+runs; every run in it is the same ``Run`` as on the single-run path --
+bit-identical results (the batch parity suite pins this), its own
+RunSpec fingerprint and cache entry, its own trace/progress events.
+The policy:
 
 * eligible payloads are declarative ``RunSpec``s (live-object tasks
   cannot cross ``simulate_batch``'s validation), uninstrumented
   (``params.obs is None``), not opted out via ``params.batch == 1``,
-  and MIN-routed.  What made MIN batches fast when this policy was
-  written (~2.4x end-to-end per run at batch 8 against the then
-  single-run driver) was vectorized MIN injection, and that now
-  belongs to every native run (``Run``'s array lane), batched or
-  not; the lockstep itself measures 0.8-0.9x of the same runs executed
-  one after another (``docs/performance.md``), as it always did for the
-  adaptive variants (0.87-1.03x), which keep the single-run path.  The
-  policy is kept as it was because the repo's benchmark drives it
-  (``min_ur_batch_g9``); removing the lockstep is scheduled behind a
-  benchmark change, see ROADMAP;
+  and MIN-routed.  The MIN rule, ``DEFAULT_MAX_BATCH`` and the ``batch``
+  knobs are kept because the repo's benchmark imports and drives them
+  (``min_ur_batch_g9``); their removal rides with the benchmark-side
+  change ROADMAP schedules (history: ``docs/performance.md``, "What the
+  lockstep was worth");
 * eligible payloads group by :func:`repro.sim.batch.compatibility_key`
   (topology, routing, policy); seed, load, pattern and measurement
   windows may differ within a group (ragged completion);

@@ -19,8 +19,8 @@
  *   - credits are applied before deliveries, deliveries before the
  *     crossbar, the crossbar before transmissions.
  * Grant order pins the RNG draw order of PAR's hop-1 revisions (run before
- * the step: repro_revise_batch, or Python's on_arrival per packet), which
- * is the only order-sensitive randomness in a cycle.
+ * the step: revise_span, or Python's on_arrival per packet), which is the
+ * only order-sensitive randomness inside a step.
  *
  * Performance notes (the step is memory-bound: thousands of scattered
  * accesses per cycle at saturation):
@@ -52,16 +52,24 @@
  *   - input rings hold at most buffer_size/packet_size packets (credit
  *     flow control);
  *   - the ejection buffer (drained lazily by Python, many cycles per
- *     drain) holds at most nNodes packets per cycle and Python flushes
- *     it before fewer than nNodes slots remain.
+ *     drain) holds at most nNodes packets per cycle and is drained
+ *     before fewer than nNodes slots remain; an ejected packet's pool id
+ *     goes back on the free stack at once, so the pool is sized by what
+ *     is inside the network, never by what waits to be drained.
  *
- * Routing decisions live here too (second half of the file):
- * repro_route_batch decides one cycle's injections and repro_revise_batch
- * one delivery bucket's PAR revisions, both from flat tables (RouteCtx)
- * and a buffer of pre-drawn random words, in exactly the order and with
- * exactly the draws of the per-packet Python procedure in
- * repro/sim/routing.py + repro/routing/pathset.py, which stays the
- * reference they are tested against.
+ * Routing decisions live here too (second half of the file): route_span
+ * decides one cycle's injections and revise_span one delivery bucket's
+ * PAR revisions, both from flat tables (RouteCtx) and the run's own
+ * generator, in exactly the order and with exactly the draws of the
+ * per-packet Python procedure in repro/sim/routing.py +
+ * repro/routing/pathset.py, which stays the reference they are tested
+ * against.
+ *
+ * And so does the cycle loop (end of the file): repro_run advances a run
+ * over a whole window -- Bernoulli injection, destinations, source-queue
+ * cap, decisions, queueing, revisions, step -- and comes back only when
+ * Python has to act (a buffer to grow or drain, destinations of a
+ * pattern that is not data, the end of the caller's segment).
  *
  * The kernel is built on demand by repro.sim.array.native with the system
  * C compiler; repro_abi() guards both struct layouts against drift
@@ -71,7 +79,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define REPRO_ARRAYNET_ABI_VERSION 12
+#define REPRO_ARRAYNET_ABI_VERSION 13
 
 /* counters[] indices (shared with Python) */
 #define CNT_ACT 0 /* active routers in act_list */
@@ -109,6 +117,13 @@
 #define PM_VLB 2
 #define PM_SPID 3
 #define PM_STRIDE 4
+
+/* ej_who columns */
+#define EW_SPID 0 /* staging id (0 = never revisable) */
+#define EW_SRC 1
+#define EW_DST 2
+#define EW_CVC 3 /* VC of the last hop */
+#define EW_STRIDE 4
 
 /* packed per-packet record columns (stride PK_STRIDE int32) */
 #define PK_HOP 0
@@ -198,15 +213,17 @@ typedef struct {
     int32_t *cw_n;
     int32_t *tw_chan; /* transmission starts */
     int32_t *tw_n;
-    int32_t *ej_pid;   /* [ej_cap] ejection buffer (append-only) */
-    int32_t *ej_cycle; /* [ej_cap] matching ejection cycles */
-    /* ejection payloads, gathered here (from prefetched lines) so the
-     * Python drain consumes flat slices instead of doing scattered
-     * fancy-index gathers over the pool */
-    int32_t *ej_lat;  /* [ej_cap] cycle - inject_cycle */
-    int32_t *ej_hops; /* [ej_cap] path_hops */
-    int32_t *ej_vlb;  /* [ej_cap] used_vlb */
-    int32_t *ej_spid; /* [ej_cap] staging id (0 = never revisable) */
+    /* ejection buffer (append-only, count CNT_EJ): the payloads are
+     * gathered here (from prefetched lines) so the Python drain consumes
+     * flat slices, and nothing of an ejected packet is read from the
+     * pool afterwards -- its id is free again the moment it ejects */
+    int32_t *ej_cycle; /* [ej_cap] ejection cycle */
+    int32_t *ej_lat;   /* [ej_cap] cycle - inject_cycle */
+    int32_t *ej_hops;  /* [ej_cap] path_hops */
+    int32_t *ej_vlb;   /* [ej_cap] used_vlb */
+    /* [ej_cap][EW_STRIDE]: what only the per-packet on_eject hook and
+     * the revisable-Packet staging read (see EW_* columns) */
+    int32_t *ej_who;
     /* --- packet records + route arena --- */
     int32_t *pkt;        /* [cap][PK_STRIDE] */
     int32_t *pmeta;      /* [cap][PM_STRIDE] */
@@ -346,12 +363,12 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
     int32_t *const act_lenp = s->act_len;
     int32_t *const act_list = s->act_list;
     int32_t *const act_pos = s->act_pos;
-    int32_t *const ej_pid = s->ej_pid;
     int32_t *const ej_cycle = s->ej_cycle;
     int32_t *const ej_lat = s->ej_lat;
     int32_t *const ej_hops = s->ej_hops;
     int32_t *const ej_vlb = s->ej_vlb;
-    int32_t *const ej_spid = s->ej_spid;
+    int32_t *const ej_who = s->ej_who;
+    int32_t *const free_stack = s->free_stack;
     int32_t *const pkt = s->pkt;
     int32_t *const pmeta = s->pmeta;
     const int32_t ej_base = (int32_t)s->ej_base;
@@ -359,6 +376,7 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
     const int32_t *const arena_vc = s->arena_vc;
     int64_t nact = s->counters[CNT_ACT];
     int64_t nej = s->counters[CNT_EJ];
+    int64_t nfree = s->counters[CNT_FREE];
     /* overlap the scattered packet-record and queue-meta misses before
      * the serial pass; the wire VC rides the wheel, so the target slot
      * is known without touching the packet record first */
@@ -377,13 +395,18 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
             if (nej >= ej_cap)
                 return -1;
             const int32_t *const pm = pmeta + (int64_t)pid * PM_STRIDE;
-            ej_pid[nej] = pid;
+            const int32_t *const rec = pkt + (int64_t)pid * PK_STRIDE;
+            int32_t *const who = ej_who + nej * EW_STRIDE;
             ej_cycle[nej] = (int32_t)cycle;
             ej_lat[nej] = (int32_t)cycle - pm[PM_ICYC];
-            ej_hops[nej] = pkt[(int64_t)pid * PK_STRIDE + PK_PATH];
+            ej_hops[nej] = rec[PK_PATH];
             ej_vlb[nej] = pm[PM_VLB];
-            ej_spid[nej] = pm[PM_SPID];
+            who[EW_SPID] = pm[PM_SPID];
+            who[EW_SRC] = pm[PM_SRC];
+            who[EW_DST] = rec[PK_DST];
+            who[EW_CVC] = rec[PK_CVC];
             nej++;
+            free_stack[nfree++] = pid;
             continue;
         }
         /* any PAR revision for this bucket already ran (pre-step) */
@@ -440,6 +463,7 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
     s->counters[CNT_PD] -= nd;
     s->counters[CNT_ACT] = nact;
     s->counters[CNT_EJ] = nej;
+    s->counters[CNT_FREE] = nfree;
     return 0;
 }
 
@@ -873,35 +897,6 @@ int64_t repro_step_cycle(State *s, int64_t cycle, int64_t skip_credits)
     return transmit(s, cycle, idx);
 }
 
-/* Batched multi-run entry point: advance `n` independent simulations by
- * one cycle in a single call.  Runs are processed run-major -- each
- * run's whole deliver -> crossbar -> transmit sequence completes before
- * the next run's begins -- so per-run memory behavior is identical to
- * `repro_step_cycle` and results are bit-identical by construction (the
- * runs share no state).  The win lives in the Python driver above: the
- * per-cycle interpreter work (revision pre-passes, growth checks,
- * ejection-drain checks, the ctypes boundary) is paid once per batch
- * instead of once per run.
- *
- * A phase-major variant with one-run-ahead prefetch priming was
- * prototyped and measured SLOWER on the 1-CPU bench host (interleaving
- * the runs' working sets evicts the per-run L2 reuse that run-major
- * order preserves), so the simple loop is the deliberate final form.
- *
- * On a kernel invariant violation the failing run is encoded into the
- * return code as `rc * 1000 + run_index` (codes are small positive
- * ints, batches are far below 1000 runs). */
-int64_t repro_step_batch(State **ss, int64_t n, int64_t cycle,
-                         const int64_t *skip_credits)
-{
-    for (int64_t r = 0; r < n; r++) {
-        int64_t rc = repro_step_cycle(ss[r], cycle, skip_credits[r]);
-        if (rc)
-            return rc * 1000 + r;
-    }
-    return 0;
-}
-
 /* ======================================================================
  * Routing decisions
  *
@@ -917,21 +912,33 @@ int64_t repro_step_batch(State **ss, int64_t n, int64_t cycle,
  *   - the run's candidate store: per switch pair a row of `pair` plus
  *     blocks of `pool` (cached candidates, sparse-policy reservoir,
  *     enumeration handed in by Python);
- *   - `words`: raw 32-bit generator output, consumed exactly as
- *     numpy.random.Generator.integers(n) would consume it.
+ *   - the run's generator, through NumPy's bitgen_t interface: every
+ *     draw is the call numpy.random.Generator itself would make
+ *     (next_double for random(), next_uint32 under the Lemire rule for
+ *     integers(n)), on the same state, so C and Python draws interleave
+ *     and the generator ends where the reference leaves it.
  * Python owns every buffer.  A decision that needs more than there is
- * -- words, pool or arena space, a pair's enumeration, a VC ladder that
- * does not exist -- is rolled back completely and the call returns its
- * index with RouteCtx.status saying what to provide, so re-entering at
- * that index reproduces it from the same word.
+ * -- pool or arena space, a pair's enumeration, a VC ladder that does
+ * not exist -- is rolled back completely and the call returns its index
+ * with RouteCtx.status saying what to provide.  The generator cannot be
+ * rolled back, so the words a decision draws are kept in a replay ring
+ * until the decision completes: re-entering at that index reads them
+ * again before it draws anything new.
  * ====================================================================== */
 
-#define RS_OK 0
-#define RS_WORDS 1  /* word buffer ran dry */
-#define RS_POOL 2   /* candidate-store pool full */
-#define RS_ARENA 3  /* route arena full */
-#define RS_ENUM 4   /* need iter_descriptors of pair fail_a */
-#define RS_LADDER 5 /* combo fail_a has no (fail_b: revised) VC ladder */
+/* what a call came back for (RouteCtx.status; repro_run returns it) */
+#define RS_OK 0      /* done: the batch, the bucket, the segment */
+#define RS_POOL 2    /* candidate-store pool full */
+#define RS_ARENA 3   /* route arena full */
+#define RS_ENUM 4    /* need iter_descriptors of pair fail_a */
+#define RS_LADDER 5  /* combo fail_a has no (fail_b: revised) VC ladder */
+#define RS_REPLAY 6  /* replay ring full */
+#define RS_DRAIN 7   /* ejection buffer needs draining */
+#define RS_PACKETS 8 /* packet-record pool may run out this cycle */
+#define RS_SOURCE 9  /* a source-queue ring is full */
+#define RS_DESTS 10  /* need sample_destinations of srcs[0..nsrc) */
+
+#define NO_TRAFFIC (-1) /* repro.traffic.patterns.NO_TRAFFIC */
 
 /* strategies (repro.sim.strategies) */
 #define RK_MIN 0
@@ -975,7 +982,28 @@ int64_t repro_step_batch(State **ss, int64_t n, int64_t cycle,
 #define RC_FALLBACK 4   /* picks served from a sparse-policy reservoir */
 #define RC_CONSIDERED 5 /* hop-1 arrivals PAR looked at */
 #define RC_REVISED 6    /* ... and re-routed */
-#define RC_LEN 8
+#define RC_MIN 7        /* decisions that kept the MIN candidate */
+#define RC_WORDS 8      /* 32-bit words the decisions consumed */
+#define RC_INJECTED 9   /* packets repro_run queued */
+#define RC_STALLED 10   /* ... and dropped at a full source queue */
+#define RC_LEN 16
+
+/* NumPy's bit generator interface (numpy/random/bitgen.h), as handed
+ * out by Generator.bit_generator.ctypes */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* where repro_run is inside RouteCtx.cycle */
+#define PH_NEW 0    /* nothing of it done */
+#define PH_FILTER 1 /* srcs/dsts hold what was generated */
+#define PH_ROUTE 2  /* decisions, from pos */
+#define PH_QUEUE 3  /* source-ring appends, from pos */
+#define PH_REVISE 4 /* PAR revisions from bucket position pos, then step */
 
 typedef struct {
     /* --- topology + MinImage --- */
@@ -1007,7 +1035,16 @@ typedef struct {
     /* --- candidate store --- */
     int32_t *pair; /* [nsw * nsw][PS_STRIDE] */
     int32_t *pool;
-    const uint32_t *words;
+    int32_t *rv_head; /* [rv_mask + 1] revised-route chains, -1 = empty */
+    /* --- the generator and the current decision's words --- */
+    bitgen_t *gen;
+    uint32_t *replay; /* [replay_cap] */
+    /* --- the run loop: traffic as data, one cycle's scratch --- */
+    const int64_t *dest_map; /* [nNodes] fixed destinations, or NULL */
+    const uint8_t *ur_mask;  /* [nNodes] nodes that send uniformly, or NULL */
+    int64_t *srcs;           /* [nNodes] */
+    int64_t *dsts;           /* [nNodes] */
+    int32_t *records;        /* [nNodes][SE_STRIDE] */
     /* --- scalars --- */
     int64_t nsw;
     int64_t ngroups;
@@ -1028,12 +1065,21 @@ typedef struct {
     int64_t nres; /* reservoirs memoized (SPARSE_MEMO_MAX) */
     int64_t arena_len;
     int64_t arena_cap;
-    int64_t nwords;
-    int64_t wpos; /* words consumed */
-    int64_t nout; /* repro_revise_batch: rows written */
+    int64_t rv_mask;    /* chains - 1 (a power of two) */
+    int64_t replay_cap;
+    int64_t rlen; /* words in the replay ring */
+    int64_t rpos; /* ... of which re-read */
+    int64_t has_program; /* dest_map / ur_mask / ur_prob say it all */
+    int64_t max_queue;   /* source-queue cap */
+    int64_t cycle;       /* next cycle to run (repro_run) */
+    int64_t phase;       /* PH_* within it */
+    int64_t pos;
+    int64_t nsrc; /* packets of this cycle in srcs/dsts */
     int64_t status;
     int64_t fail_a;
     int64_t fail_b;
+    double load;    /* per-node injection probability */
+    double ur_prob; /* per-packet uniform-role probability, < 0: no coin */
     int64_t cnt[RC_LEN];
 } RouteCtx;
 
@@ -1047,54 +1093,69 @@ int64_t repro_abi(void)
 }
 
 /* numpy's bounded integer below n <= 2**32 (Lemire multiply-shift over
- * next_uint32 words); n == 1 consumes nothing.  On a dry buffer: RS_WORDS
- * and 0, which is in range for every n. */
-static inline uint32_t rc_draw(RouteCtx *c, uint64_t n)
+ * next_uint32 words; buffered_bounded_lemire_uint32 in distributions.c);
+ * n == 1 consumes nothing.  A source that cannot deliver answers
+ * 0xFFFFFFFF, which every bound accepts at once (result n - 1). */
+static inline uint32_t bounded(uint64_t n, uint32_t (*word)(void *),
+                               void *from)
 {
     if (n <= 1)
         return 0;
-    if (c->wpos >= c->nwords) {
-        c->status = RS_WORDS;
-        return 0;
-    }
-    uint64_t m = (uint64_t)c->words[c->wpos++] * n;
+    uint64_t m = (uint64_t)word(from) * n;
     uint64_t left = m & 0xffffffffu;
     if (left < n) {
         const uint64_t threshold = (((uint64_t)1 << 32) - n) % n;
         while (left < threshold) {
-            if (c->wpos >= c->nwords) {
-                c->status = RS_WORDS;
-                return 0;
-            }
-            m = (uint64_t)c->words[c->wpos++] * n;
+            m = (uint64_t)word(from) * n;
             left = m & 0xffffffffu;
         }
     }
     return (uint32_t)(m >> 32);
 }
 
-/* test hook for rc_draw: one draw per bound until done or dry; returns
- * the draws completed, *consumed the words they used */
-int64_t repro_draw_batch(const uint32_t *words, int64_t nwords,
-                         const int64_t *bounds, int64_t n, int64_t *out,
-                         int64_t *consumed)
+/* words straight from the generator (destination draws: never undone) */
+static uint32_t gen_word(void *from)
 {
-    RouteCtx c;
-    memset(&c, 0, sizeof c);
-    c.words = words;
-    c.nwords = nwords;
-    int64_t i = 0;
-    for (; i < n; i++) {
-        const int64_t before = c.wpos;
-        const uint32_t value = rc_draw(&c, (uint64_t)bounds[i]);
-        if (c.status) {
-            c.wpos = before;
-            break;
-        }
-        out[i] = value;
+    bitgen_t *g = (bitgen_t *)from;
+    return g->next_uint32(g->state);
+}
+
+/* a decision's words: those of its rolled-back attempt first, then new
+ * ones, each kept until the decision completes (rc_mark).  On a full
+ * ring: RS_REPLAY and the word every bound accepts. */
+static uint32_t rc_word(void *from)
+{
+    RouteCtx *c = (RouteCtx *)from;
+    c->cnt[RC_WORDS]++;
+    if (c->rpos < c->rlen)
+        return c->replay[c->rpos++];
+    if (c->rlen >= c->replay_cap) {
+        c->status = RS_REPLAY;
+        return 0xffffffffu;
     }
-    *consumed = c.wpos;
-    return i;
+    const uint32_t w = c->gen->next_uint32(c->gen->state);
+    c->replay[c->rlen++] = w;
+    c->rpos = c->rlen;
+    return w;
+}
+
+#define rc_draw(c, n) bounded((uint64_t)(n), rc_word, (c))
+
+/* test hook for rc_draw: bounds[0..n) as one decision.  Returns n, or
+ * -1 with the ring rewound when it filled up (RouteCtx.status); `undo`
+ * rewinds a completed one too, as a failed decision would, so that the
+ * next call reads the same words again. */
+int64_t repro_draw_batch(RouteCtx *c, const int64_t *bounds, int64_t n,
+                         int64_t *out, int64_t undo)
+{
+    if (c->rpos >= c->rlen)
+        c->rpos = c->rlen = 0;
+    c->status = RS_OK;
+    for (int64_t i = 0; i < n && !c->status; i++)
+        out[i] = rc_draw(c, bounds[i]);
+    if (c->status || undo)
+        c->rpos = 0;
+    return c->status ? -1 : n;
 }
 
 /* repro.routing.pathset._mix, in wrapping 64-bit arithmetic */
@@ -1243,6 +1304,8 @@ static int rc_sample(RouteCtx *c, int32_t src, int32_t dst, Desc *out)
     for (int i = 0; i < SAMPLE_ATTEMPTS && !c->status; i++)
         if (rc_attempt(c, src, dst, gp, out))
             return 1;
+    if (c->status)
+        return 0;
     /* sparse policy: a reservoir per pair, filled by a long rejection
      * burst, or -- only when that finds nothing -- from the pair's
      * enumeration, and reused by every later draw */
@@ -1369,7 +1432,9 @@ static int rc_candidate(State *s, RouteCtx *c, int32_t src, int32_t dst,
 /* RoutingAlgorithm.pick_vlb: one VLB candidate of the pair through its
  * candidate cache -- the first cache_cap picks are genuine samples,
  * later ones (and picks the policy cannot serve any more) reuse them
- * uniformly; 0 when the policy offers the pair nothing */
+ * uniformly; 0 when the policy offers the pair nothing, and whenever the
+ * pick could not complete (status): callers act on a candidate only when
+ * it is the one the reference draws */
 static int rc_pick_vlb(State *s, RouteCtx *c, int32_t src, int32_t dst,
                        Cand *out)
 {
@@ -1378,7 +1443,10 @@ static int rc_pick_vlb(State *s, RouteCtx *c, int32_t src, int32_t dst,
         return 0;
     if (c->cache_cap <= 0 || ps[PS_LEN] < c->cache_cap) {
         Desc d;
-        if (rc_sample(c, src, dst, &d))
+        const int sampled = rc_sample(c, src, dst, &d);
+        if (c->status)
+            return 0;
+        if (sampled)
             return rc_candidate(s, c, src, dst, d, ps, out);
         if (!ps[PS_LEN]) {
             ps[PS_FLAGS] |= PF_NO_VLB;
@@ -1388,7 +1456,7 @@ static int rc_pick_vlb(State *s, RouteCtx *c, int32_t src, int32_t dst,
     memcpy(out, c->pool + ps[PS_OFF] + 4 * rc_draw(c, ps[PS_LEN]),
            sizeof(Cand));
     c->cnt[RC_REUSES]++;
-    return 1;
+    return !c->status;
 }
 
 /* RoutingAlgorithm.pick_min, as a candidate */
@@ -1423,19 +1491,21 @@ static inline int64_t rc_cost(const State *s, const RouteCtx *c, Cand p)
 
 /* what a decision may change, so that it can be undone */
 typedef struct {
-    int64_t wpos, arena_len, pool_len, nres, nout;
+    int64_t arena_len, pool_len, nres;
     int64_t cnt[RC_LEN];
     int32_t *ps;
     int32_t row[PS_STRIDE];
 } Mark;
 
-static inline void rc_mark(const RouteCtx *c, int32_t *ps, Mark *m)
+/* a decision starts: the previous one's words are spent, unless this is
+ * the re-entry of one that was rolled back (rpos == 0 < rlen) */
+static inline void rc_mark(RouteCtx *c, int32_t *ps, Mark *m)
 {
-    m->wpos = c->wpos;
+    if (c->rpos >= c->rlen)
+        c->rpos = c->rlen = 0;
     m->arena_len = c->arena_len;
     m->pool_len = c->pool_len;
     m->nres = c->nres;
-    m->nout = c->nout;
     memcpy(m->cnt, c->cnt, sizeof m->cnt);
     m->ps = ps;
     memcpy(m->row, ps, sizeof m->row);
@@ -1443,11 +1513,10 @@ static inline void rc_mark(const RouteCtx *c, int32_t *ps, Mark *m)
 
 static inline void rc_rollback(RouteCtx *c, const Mark *m)
 {
-    c->wpos = m->wpos;
+    c->rpos = 0;
     c->arena_len = m->arena_len;
     c->pool_len = m->pool_len;
     c->nres = m->nres;
-    c->nout = m->nout;
     memcpy(c->cnt, m->cnt, sizeof m->cnt);
     memcpy(m->ps, m->row, sizeof m->row);
 }
@@ -1456,8 +1525,8 @@ static inline void rc_rollback(RouteCtx *c, const Mark *m)
  * ids, after the source-queue filter), strictly in order, each to one
  * SE_* record of `records`.  Returns n when done, else the index of the
  * decision that could not complete (status says why; nothing of it
- * remains). */
-int64_t repro_route_batch(State *s, RouteCtx *c, int64_t start, int64_t n,
+ * remains but its words in the replay ring). */
+static int64_t route_span(State *s, RouteCtx *c, int64_t start, int64_t n,
                           const int64_t *srcs, const int64_t *dsts,
                           int64_t cycle, int32_t *records)
 {
@@ -1474,8 +1543,10 @@ int64_t repro_route_batch(State *s, RouteCtx *c, int64_t start, int64_t n,
         memset(rec, 0, SE_STRIDE * sizeof(int32_t));
         rec[SE_DST] = (int32_t)dsts[i];
         rec[SE_ICYC] = (int32_t)cycle;
-        if (src == dst)
-            continue; /* empty route, counted as a MIN choice */
+        if (src == dst) {
+            c->cnt[RC_MIN]++; /* empty route, counted as a MIN choice */
+            continue;
+        }
         const int64_t pair = src * nsw + dst;
         Mark mark;
         rc_mark(c, c->pair + pair * PS_STRIDE, &mark);
@@ -1520,10 +1591,10 @@ int64_t repro_route_batch(State *s, RouteCtx *c, int64_t start, int64_t n,
         if (use_vlb) {
             pick = vlb;
             rec[SE_VLB] = 1;
-            c->cnt[RC_VLB]++;
         } else if (kind == RK_PAR && contested && pick.hops >= 2 &&
                    c->shape_local[c->mi_shape[pick.aux]])
             rec[SE_REV] = 1; /* may re-decide at the second switch */
+        c->cnt[use_vlb ? RC_VLB : RC_MIN]++;
         rec[SE_PATH] = pick.hops;
         rec[SE_VC0] = pick.vc0;
         rec[SE_ROFF] = pick.off;
@@ -1531,23 +1602,100 @@ int64_t repro_route_batch(State *s, RouteCtx *c, int64_t start, int64_t n,
     return n;
 }
 
+/* what is left of a span after a call that got to `at` of `n`, in the
+ * entry points' protocol: RS_OK, or the status to serve before calling
+ * again with the same arguments (RouteCtx.pos is where that resumes) */
+static inline int64_t span_status(RouteCtx *c, int64_t at, int64_t n)
+{
+    c->pos = at < n ? at : 0;
+    return at < n ? c->status : RS_OK;
+}
+
+/* route_span as an entry point (RoutingAlgorithm.route_nodes) */
+int64_t repro_route_batch(State *s, RouteCtx *c, int64_t n,
+                          const int64_t *srcs, const int64_t *dsts,
+                          int64_t cycle, int32_t *records)
+{
+    return span_status(
+        c, route_span(s, c, c->pos, n, srcs, dsts, cycle, records), n);
+}
+
+static inline uint32_t rv_chain(const RouteCtx *c, int32_t taken, int32_t off)
+{
+    const uint64_t key =
+        ((uint64_t)(uint32_t)taken << 32 | (uint32_t)off) *
+        0x9E3779B97F4A7C15ull;
+    return (uint32_t)(key >> 32) & (uint32_t)c->rv_mask;
+}
+
+/* RoutingAlgorithm.revised_route: the arena offset of the hop the packet
+ * of record `rec` took followed by candidate `vlb` on PAR's revised
+ * ladder.  One route per (hop taken, cached candidate), remembered in
+ * chains of 4-entry pool blocks (next, taken, candidate offset, route
+ * offset), so the arena grows with distinct revisions, not with
+ * packets; without a candidate cache every pick is a fresh arena row
+ * and nothing is remembered.  -1 when something is missing (status),
+ * before anything was written. */
+static int32_t rc_revised_route(State *s, RouteCtx *c, const int32_t *rec,
+                                Cand vlb)
+{
+    const int32_t ladder =
+        c->combo_off[c->nshapes * c->nshapes + vlb.aux];
+    if (ladder < 0) {
+        c->status = RS_LADDER;
+        c->fail_a = vlb.aux;
+        c->fail_b = 1;
+        return -1;
+    }
+    const int32_t taken = s->arena_chan[rec[PK_ROFF]];
+    const int remember = c->cache_cap > 0;
+    int32_t *head = c->rv_head + (remember ? rv_chain(c, taken, vlb.off) : 0);
+    if (remember)
+        for (int32_t e = *head; e >= 0; e = c->pool[e])
+            if (c->pool[e + 1] == taken && c->pool[e + 2] == vlb.off)
+                return c->pool[e + 3];
+    if (c->arena_len + 1 + vlb.hops > c->arena_cap) {
+        c->status = RS_ARENA;
+        return -1;
+    }
+    if (remember && c->pool_len + 4 > c->pool_cap) {
+        c->status = RS_POOL;
+        return -1;
+    }
+    const int32_t off = (int32_t)c->arena_len;
+    s->arena_chan[off] = taken;
+    s->arena_vc[off] = rec[PK_VC0];
+    memcpy(s->arena_chan + off + 1, s->arena_chan + vlb.off,
+           vlb.hops * sizeof(int32_t));
+    memcpy(s->arena_vc + off + 1, c->combo_vc + ladder,
+           vlb.hops * sizeof(int32_t));
+    c->arena_len += 1 + vlb.hops;
+    if (remember) {
+        int32_t *e = c->pool + c->pool_len;
+        e[0] = *head;
+        e[1] = taken;
+        e[2] = vlb.off;
+        e[3] = off;
+        *head = (int32_t)c->pool_len;
+        c->pool_len += 4;
+    }
+    return off;
+}
+
 /* PAR's hop-1 revisions of delivery bucket idx (ParStrategy.revise), in
  * delivery order from bucket position `start`: applies the bucket's
  * credit returns first (revisions read post-credit loads; the step then
  * runs with skip_credits), draws from the same candidate store as the
- * source decisions, and appends one row (pool id, VLB candidate's arena
- * offset, hops, shape pair) to `out` at RouteCtx.nout per packet that
- * revises -- Python interns the spliced route and patches the record.
- * Returns the bucket length when done, else the position to resume at. */
-int64_t repro_revise_batch(State *s, RouteCtx *c, int64_t idx, int64_t start,
-                           int32_t *out)
+ * source decisions, and moves each packet that revises onto its spliced
+ * route.  Returns the bucket length when done, else the position to
+ * resume at. */
+static int64_t revise_span(State *s, RouteCtx *c, int64_t idx, int64_t start)
 {
     apply_credits(s, (int32_t)idx);
     const int32_t n = s->dw_n[idx];
     const int32_t *dc = s->dw_chan + idx * s->dw_cap;
     const int32_t *dp = s->dw_pid + idx * s->dw_cap;
     const int64_t nsw = c->nsw;
-    const int64_t revised_row = c->nshapes * c->nshapes;
     c->status = RS_OK;
     for (int64_t i = start; i < n; i++) {
         int32_t *rec = s->pkt + (int64_t)dp[i] * PK_STRIDE;
@@ -1567,17 +1715,13 @@ int64_t repro_revise_batch(State *s, RouteCtx *c, int64_t idx, int64_t start,
                 const int64_t cost_vlb =
                     rc_load(s, c, s->arena_chan[vlb.off]) * vlb.hops;
                 if (cost_vlb + c->threshold < cost_min) {
-                    if (c->combo_off[revised_row + vlb.aux] < 0) {
-                        c->status = RS_LADDER;
-                        c->fail_a = vlb.aux;
-                        c->fail_b = 1;
+                    const int32_t off = rc_revised_route(s, c, rec, vlb);
+                    if (off >= 0) {
+                        rec[PK_ROFF] = off;
+                        rec[PK_PATH] = 1 + vlb.hops;
+                        s->pmeta[(int64_t)dp[i] * PM_STRIDE + PM_VLB] = 1;
+                        c->cnt[RC_REVISED]++;
                     }
-                    int32_t *row = out + 4 * c->nout++;
-                    row[0] = dp[i];
-                    row[1] = vlb.off;
-                    row[2] = vlb.hops;
-                    row[3] = vlb.aux;
-                    c->cnt[RC_REVISED]++;
                 }
             }
             if (c->status) {
@@ -1590,4 +1734,185 @@ int64_t repro_revise_batch(State *s, RouteCtx *c, int64_t idx, int64_t start,
     }
     s->rev_n[idx] = 0;
     return n;
+}
+
+/* revise_span as an entry point (RoutingAlgorithm.revise_arrivals) */
+int64_t repro_revise_batch(State *s, RouteCtx *c, int64_t idx)
+{
+    return span_status(c, revise_span(s, c, idx, c->pos), s->dw_n[idx]);
+}
+
+/* Network.inject over arrays: entries [start, n) of `records` (SE_*
+ * rows) join the source queues of `nodes`, in order; a queue that was
+ * empty goes on the transmit wheel.  Returns n, else the index of the
+ * entry whose ring is full (Python doubles the rings), else an
+ * invariant code. */
+int64_t repro_enqueue(State *s, int64_t start, int64_t n,
+                      const int64_t *nodes, const int32_t *records,
+                      int64_t cycle)
+{
+    const int32_t ws = (int32_t)s->ws;
+    const int32_t idx = (int32_t)(cycle % ws);
+    const int32_t src_cap = (int32_t)s->src_cap;
+    const int32_t ors = (int32_t)s->outrow_stride;
+    const int32_t orb = OR_BUD((int32_t)s->cred_stride);
+    const int64_t tw_cap = s->tw_cap;
+    int64_t i = start, pt = 0;
+    for (; i < n; i++) {
+        const int64_t node = nodes[i];
+        int32_t *const meta = s->src_meta + node * 2;
+        const int32_t len = meta[1];
+        if (len >= src_cap)
+            break;
+        if (!len) {
+            const int64_t ch = s->inj_base + node;
+            int64_t when = ((const int64_t *)(s->outrow + ch * ors + orb))[2];
+            if (when < cycle)
+                when = cycle; /* busy_until, or now */
+            int32_t b = idx + (int32_t)(when - cycle);
+            if (b >= ws)
+                b -= ws;
+            const int32_t m = s->tw_n[b];
+            if (m >= tw_cap)
+                return -4;
+            s->tw_chan[b * tw_cap + m] = (int32_t)ch;
+            s->tw_n[b] = m + 1;
+            pt++;
+        }
+        int32_t at = meta[0] + len;
+        if (at >= src_cap)
+            at -= src_cap;
+        memcpy(s->src_buf + (node * src_cap + at) * SE_STRIDE,
+               records + i * SE_STRIDE, SE_STRIDE * sizeof(int32_t));
+        meta[1] = len + 1;
+    }
+    s->counters[CNT_PT] += pt;
+    return i;
+}
+
+/* ======================================================================
+ * The cycle loop
+ *
+ * What repro.sim.engine.Run does per cycle on the per-packet reference
+ * path -- rng.random(nodes) < load, sample_destinations, the source-
+ * queue cap, route_packets, inject, step -- statement for statement and
+ * draw for draw, for every cycle of [RouteCtx.cycle, until).
+ * ====================================================================== */
+
+/* TrafficPattern.destination_program for srcs[0..nsrc), into dsts:
+ * dest_map[src], then the nodes of ur_mask, then -- one coin per packet,
+ * all coins before any draw -- those a coin below ur_prob picks, send to
+ * a uniform other node.  (UniformRandom / Mixed / TimeMixed
+ * .sample_destinations, in their order of draws.  Exported for
+ * RouteLane.destinations, which checks programs against samplers.) */
+void repro_destinations(RouteCtx *c, int64_t nodes)
+{
+    enum { UNIFORM = NO_TRAFFIC - 1 };
+    bitgen_t *const g = c->gen;
+    const int64_t n = c->nsrc;
+    const int64_t *const srcs = c->srcs;
+    int64_t *const dsts = c->dsts;
+    for (int64_t i = 0; i < n; i++) {
+        if (c->ur_mask && c->ur_mask[srcs[i]])
+            dsts[i] = UNIFORM;
+        else
+            dsts[i] = c->dest_map ? c->dest_map[srcs[i]] : NO_TRAFFIC;
+    }
+    if (c->ur_prob >= 0.0)
+        for (int64_t i = 0; i < n; i++)
+            if (g->next_double(g->state) < c->ur_prob)
+                dsts[i] = UNIFORM;
+    for (int64_t i = 0; i < n; i++)
+        if (dsts[i] == UNIFORM) {
+            /* uniform over the other nodes: skip the source itself */
+            const int64_t d = bounded((uint64_t)(nodes - 1), gen_word, g);
+            dsts[i] = d + (d >= srcs[i]);
+        }
+}
+
+/* Advance the run to cycle `until`.  Returns RS_OK there, an invariant
+ * code (< 0), or what Python must do before calling again with the same
+ * arguments (RS_*); RouteCtx.cycle / phase / pos say where it stopped,
+ * and the call resumes exactly there. */
+int64_t repro_run(State *s, RouteCtx *c, int64_t until)
+{
+    bitgen_t *const g = c->gen;
+    const int64_t nodes = s->nNodes;
+    int64_t *const srcs = c->srcs;
+    int64_t *const dsts = c->dsts;
+    while (c->cycle < until) {
+        const int64_t cycle = c->cycle;
+        int64_t at, rc;
+        switch (c->phase) {
+        case PH_NEW:
+            /* at most one packet per node ejects, and one enters the
+             * network, per cycle */
+            if (s->counters[CNT_EJ] + nodes > s->ej_cap)
+                return RS_DRAIN;
+            if (s->counters[CNT_FREE] < nodes)
+                return RS_PACKETS;
+            at = 0;
+            if (c->load > 0.0)
+                for (int64_t node = 0; node < nodes; node++)
+                    if (g->next_double(g->state) < c->load)
+                        srcs[at++] = node;
+            c->nsrc = at;
+            c->phase = PH_FILTER;
+            if (c->nsrc) {
+                if (!c->has_program)
+                    return RS_DESTS;
+                repro_destinations(c, nodes);
+            }
+            /* fall through */
+        case PH_FILTER: {
+            /* the cap applies after the destination draws */
+            int64_t kept = 0, live = 0;
+            for (int64_t i = 0; i < c->nsrc; i++) {
+                if (dsts[i] == NO_TRAFFIC)
+                    continue;
+                live++;
+                if (s->src_meta[srcs[i] * 2 + 1] >= c->max_queue)
+                    continue;
+                srcs[kept] = srcs[i];
+                dsts[kept++] = dsts[i];
+            }
+            c->nsrc = kept;
+            c->cnt[RC_INJECTED] += kept;
+            c->cnt[RC_STALLED] += live - kept;
+            c->pos = 0;
+            c->phase = PH_ROUTE;
+        }
+            /* fall through */
+        case PH_ROUTE:
+            rc = repro_route_batch(s, c, c->nsrc, srcs, dsts, cycle,
+                                   c->records);
+            if (rc)
+                return rc;
+            c->phase = PH_QUEUE;
+            /* fall through */
+        case PH_QUEUE:
+            at = repro_enqueue(s, c->pos, c->nsrc, srcs, c->records, cycle);
+            if (at < 0)
+                return at;
+            if (at < c->nsrc) {
+                c->pos = at;
+                return RS_SOURCE;
+            }
+            c->pos = 0;
+            c->phase = PH_REVISE;
+            /* fall through */
+        default: { /* PH_REVISE */
+            const int64_t idx = cycle % s->ws;
+            /* rev_n stays set until the bucket's last revision is in */
+            const int64_t revising = s->rev_n[idx] != 0;
+            if (revising && (rc = repro_revise_batch(s, c, idx)))
+                return rc;
+            if ((rc = repro_step_cycle(s, cycle, revising)))
+                return rc;
+            c->phase = PH_NEW;
+            c->cycle = cycle + 1;
+        }
+        }
+    }
+    return RS_OK;
 }

@@ -61,7 +61,7 @@ __all__ = [
 
 _log = get_logger("sim.array.native")
 
-_ABI_VERSION = 12  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
+_ABI_VERSION = 13  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
 _KERNEL_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -123,12 +123,11 @@ _POINTER_FIELDS: List[Tuple[str, object]] = [
     ("cw_n", _I32P),
     ("tw_chan", _I32P),
     ("tw_n", _I32P),
-    ("ej_pid", _I32P),
     ("ej_cycle", _I32P),
     ("ej_lat", _I32P),
     ("ej_hops", _I32P),
     ("ej_vlb", _I32P),
-    ("ej_spid", _I32P),
+    ("ej_who", _I32P),
     ("pkt", _I32P),
     ("pmeta", _I32P),
     ("free_stack", _I32P),
@@ -171,12 +170,27 @@ class CState(ctypes.Structure):
     ]
 
 
-# --- routing decisions (RouteCtx in kernel.c) ---
-RS_WORDS = 1  # statuses: what an incomplete call needs before re-entry
+# ej_who columns (kernel.c EW_*)
+EW_SPID = 0
+EW_SRC = 1
+EW_DST = 2
+EW_CVC = 3
+EW_STRIDE = 4
+
+# --- routing decisions and the cycle loop (RouteCtx in kernel.c) ---
+# statuses: what an incomplete call needs before re-entry
+RS_OK = 0
 RS_POOL = 2
 RS_ARENA = 3
 RS_ENUM = 4
 RS_LADDER = 5
+RS_REPLAY = 6
+RS_DRAIN = 7
+RS_PACKETS = 8
+RS_SOURCE = 9
+RS_DESTS = 10
+
+RK_PAR = 4  # RouteCtx.kind of ParStrategy (kernel.c RK_*)
 
 # per-pair store row columns / flags
 PS_EOFF = 6
@@ -194,7 +208,11 @@ RC_REUSES = 3
 RC_FALLBACK = 4
 RC_CONSIDERED = 5
 RC_REVISED = 6
-RC_LEN = 8
+RC_MIN = 7
+RC_WORDS = 8
+RC_INJECTED = 9
+RC_STALLED = 10
+RC_LEN = 16
 
 ROUTE_POINTER_FIELDS: Tuple[str, ...] = (
     "sw_of",
@@ -222,7 +240,14 @@ ROUTE_POINTER_FIELDS: Tuple[str, ...] = (
     "ex_desc",
     "pair",
     "pool",
-    "words",
+    "rv_head",
+    "gen",
+    "replay",
+    "dest_map",
+    "ur_mask",
+    "srcs",
+    "dsts",
+    "records",
 )
 
 ROUTE_SCALAR_FIELDS: Tuple[str, ...] = (
@@ -245,13 +270,22 @@ ROUTE_SCALAR_FIELDS: Tuple[str, ...] = (
     "nres",
     "arena_len",
     "arena_cap",
-    "nwords",
-    "wpos",
-    "nout",
+    "rv_mask",
+    "replay_cap",
+    "rlen",
+    "rpos",
+    "has_program",
+    "max_queue",
+    "cycle",
+    "phase",
+    "pos",
+    "nsrc",
     "status",
     "fail_a",
     "fail_b",
 )
+
+ROUTE_DOUBLE_FIELDS: Tuple[str, ...] = ("load", "ur_prob")
 
 
 class CRouteCtx(ctypes.Structure):
@@ -261,6 +295,7 @@ class CRouteCtx(ctypes.Structure):
     _fields_ = (
         [(name, ctypes.c_void_p) for name in ROUTE_POINTER_FIELDS]
         + [(name, ctypes.c_int64) for name in ROUTE_SCALAR_FIELDS]
+        + [(name, ctypes.c_double) for name in ROUTE_DOUBLE_FIELDS]
         + [("cnt", ctypes.c_int64 * RC_LEN)]
     )
 
@@ -362,21 +397,27 @@ def _load() -> ctypes.CDLL:
         ctypes.c_int64,
         ctypes.c_int64,
     ]
-    # batched entry point: one call advances n independent runs one
-    # cycle (run-major; bit-identical per run to repro_step_cycle)
-    lib.repro_step_batch.restype = ctypes.c_int64
-    lib.repro_step_batch.argtypes = [
-        ctypes.POINTER(ctypes.POINTER(CState)),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_int64),
+    # the cycle loop: everything else it needs is in the two structs
+    lib.repro_run.restype = ctypes.c_int64
+    lib.repro_run.argtypes = [
+        ctypes.POINTER(CState),
+        ctypes.POINTER(CRouteCtx),
+        ctypes.c_int64,  # until
+    ]
+    lib.repro_enqueue.restype = ctypes.c_int64
+    lib.repro_enqueue.argtypes = [
+        ctypes.POINTER(CState),
+        ctypes.c_int64,  # start
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # int64 nodes
+        ctypes.c_void_p,  # int32 SE_* records
+        ctypes.c_int64,  # cycle
     ]
     # routing decisions: array arguments are raw addresses
     lib.repro_route_batch.restype = ctypes.c_int64
     lib.repro_route_batch.argtypes = [
         ctypes.POINTER(CState),
         ctypes.POINTER(CRouteCtx),
-        ctypes.c_int64,  # start
         ctypes.c_int64,  # n
         ctypes.c_void_p,  # int64 source nodes
         ctypes.c_void_p,  # int64 destination nodes
@@ -388,8 +429,6 @@ def _load() -> ctypes.CDLL:
         ctypes.POINTER(CState),
         ctypes.POINTER(CRouteCtx),
         ctypes.c_int64,  # delivery bucket
-        ctypes.c_int64,  # start position
-        ctypes.c_void_p,  # int32 [.][4] revised rows out
     ]
     lib.repro_contains_batch.restype = None
     lib.repro_contains_batch.argtypes = [
@@ -398,14 +437,18 @@ def _load() -> ctypes.CDLL:
         ctypes.c_void_p,  # int32 [n][5]: src, dst, mid, slot1, slot2
         ctypes.c_void_p,  # uint8 [n] out
     ]
+    lib.repro_destinations.restype = None
+    lib.repro_destinations.argtypes = [
+        ctypes.POINTER(CRouteCtx),
+        ctypes.c_int64,  # nodes of the topology
+    ]
     lib.repro_draw_batch.restype = ctypes.c_int64
     lib.repro_draw_batch.argtypes = [
-        ctypes.c_void_p,  # uint32 words
-        ctypes.c_int64,
+        ctypes.POINTER(CRouteCtx),
         ctypes.c_void_p,  # int64 bounds
         ctypes.c_int64,
         ctypes.c_void_p,  # int64 values out
-        ctypes.POINTER(ctypes.c_int64),  # words consumed
+        ctypes.c_int64,  # undo
     ]
     return lib
 

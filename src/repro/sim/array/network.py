@@ -17,14 +17,20 @@ per-cycle phases are advanced for the whole network per call:
   drained as array batches (``StatsCollector.record_ejection_batch``),
   and every observability read (utilization, flit totals, VC occupancy,
   backlog) is a vectorized reduction over the same arrays;
-* the only order-sensitive randomness in a cycle -- PAR's hop-1
+* the only order-sensitive randomness inside a step -- PAR's hop-1
   revision draws -- is handled *before* the cycle's step runs, in
   delivery-bucket order, which is exactly the wheel engine's call order:
-  by one ``repro_revise_batch`` call for the whole bucket when the
-  routing algorithm compiled (``on_arrival_batch``, see
-  :mod:`repro.sim.array.lane`), by ``on_arrival`` per packet otherwise
-  (arbitration itself is kept scalar-exact: exact RNG-order parity is
-  infeasible inside a blindly vectorized arbitration step);
+  in the kernel for the whole bucket when the routing algorithm compiled
+  (``on_arrival_batch``, see :mod:`repro.sim.array.lane`), by
+  ``on_arrival`` per packet otherwise (arbitration itself is kept
+  scalar-exact: exact RNG-order parity is infeasible inside a blindly
+  vectorized arbitration step);
+* :meth:`ArrayNetwork.step` / :meth:`ArrayNetwork.inject` are the
+  one-cycle forms (the per-packet lane, tests, the benchmark's mirror
+  driver); a compiled run advances whole windows per kernel call
+  (``repro_run``, driven by :meth:`repro.sim.array.lane.RouteLane.run`),
+  which this module serves only when the kernel comes back for a buffer
+  to grow or the ejection buffer to drain;
 * when no C compiler is available (gate ``REPRO_ARRAYNET_NATIVE``), the
   engine transparently falls back to the inherited scalar wheel path --
   slower, logged once, and the reference the kernel is held to.
@@ -60,6 +66,11 @@ from repro.sim.array.native import (
     CNT_PD,
     CNT_PT,
     COUNTERS_LEN,
+    EW_CVC,
+    EW_DST,
+    EW_SPID,
+    EW_SRC,
+    EW_STRIDE,
     PK_STRIDE,
     CState,
     POINTER_FIELD_NAMES,
@@ -83,7 +94,10 @@ _PTR_OF_DTYPE = {
 _INITIAL_PACKET_CAP = 1024
 _INITIAL_ARENA_CAP = 4096
 _INITIAL_SRC_CAP = 32
-_EJ_BATCH_CYCLES = 16  # ejection-buffer capacity in worst-case cycles
+# ejection-buffer entries (never fewer than two worst-case cycles' worth):
+# hundreds of cycles between drains on the paper's topologies, and small
+# enough that the kernel's appends stay in cache
+_EJ_ENTRIES = 1 << 14
 
 
 class ArrayChannel(SimChannel):
@@ -270,19 +284,19 @@ class ArrayNetwork(Network):
         S.tw_chan = _alloc((ws, tw_cap), np.int32)
         S.tw_n = np.zeros(ws, np.int32)
         # lazily drained ejection buffer: worst case nNodes per cycle;
-        # Python flushes whenever fewer than nNodes slots remain
-        ej_cap = nNodes * _EJ_BATCH_CYCLES
+        # drained whenever fewer than nNodes slots remain
+        ej_cap = max(_EJ_ENTRIES, 2 * nNodes)
         self._ej_flush = ej_cap - nNodes
-        S.ej_pid = np.zeros(ej_cap, np.int32)
         S.ej_cycle = np.zeros(ej_cap, np.int32)
         S.ej_lat = np.zeros(ej_cap, np.int32)
         S.ej_hops = np.zeros(ej_cap, np.int32)
         S.ej_vlb = np.zeros(ej_cap, np.int32)
-        S.ej_spid = np.zeros(ej_cap, np.int32)
+        S.ej_who = np.zeros((ej_cap, EW_STRIDE), np.int32)
         # --- packed per-packet record pool (one cache line per packet).
-        # Sized by in-network + ejection-buffer occupancy, NOT by the
-        # source backlog: the kernel pops pool ids from the free stack at
-        # injection-transmit and the ejection drain pushes them back ---
+        # Sized by in-network occupancy, NOT by the source backlog or by
+        # what waits in the ejection buffer: the kernel pops pool ids
+        # from the free stack at injection-transmit and pushes them back
+        # at ejection ---
         cap = _INITIAL_PACKET_CAP
         self._packet_cap = cap
         S.pkt = _alloc((cap, PK_STRIDE), np.int32)
@@ -332,6 +346,7 @@ class ArrayNetwork(Network):
         self._cstate = CState()
         self._sync_struct()
         self._step_native = self._kernel.repro_step_cycle
+        self._enqueue = self._kernel.repro_enqueue
         self._cstate_ref = ctypes.byref(self._cstate)
 
     def _refresh_pkt_views(self) -> None:
@@ -352,11 +367,12 @@ class ArrayNetwork(Network):
         S.pm_vlb = pm[:, 2]
         S.pm_spid = pm[:, 3]
 
-    def _sync_struct(self) -> None:
-        """Point the C struct at the current arrays (re-run after growth)."""
+    def _sync_struct(self, grown=POINTER_FIELD_NAMES) -> None:
+        """Point the C struct at the current arrays (after growth: at
+        the ``grown`` ones)."""
         st = self._cstate
         S = self._S
-        for name in POINTER_FIELD_NAMES:
+        for name in grown:
             arr = getattr(S, name)
             setattr(st, name, arr.ctypes.data_as(_PTR_OF_DTYPE[arr.dtype]))
         self._scalars["src_cap"] = self._src_cap
@@ -392,7 +408,7 @@ class ArrayNetwork(Network):
         S.counters[CNT_FREE] = nfree + old_cap
         self._refresh_pkt_views()
         self._packet_cap = new_cap
-        self._sync_struct()
+        self._sync_struct(("pkt", "pmeta", "free_stack"))
 
     def _grow_arena(self, need: int) -> None:
         S = self._S
@@ -405,7 +421,7 @@ class ArrayNetwork(Network):
             grown[: self._arena_len] = old[: self._arena_len]
             setattr(S, name, grown)
         self._arena_cap = new_cap
-        self._sync_struct()
+        self._sync_struct(("arena_chan", "arena_vc"))
 
     def _grow_src(self) -> None:
         """Double source-queue ring capacity, unwrapping each ring."""
@@ -422,7 +438,7 @@ class ArrayNetwork(Network):
         S.src_buf = grown
         S.src_head[:] = 0
         self._src_cap = new_cap
-        self._sync_struct()
+        self._sync_struct(("src_buf",))
 
     # ------------------------------------------------------------------
     # Injection (native) -- mirrors Network.inject over the arrays
@@ -454,7 +470,7 @@ class ArrayNetwork(Network):
         """Queue a routed packet at its node's source queue.
 
         Natively the packet only joins ``_pending``; the cycle's
-        injections land as one :meth:`inject_batch` scatter when
+        injections land through one :meth:`inject_batch` when
         :meth:`step` starts (or earlier, the moment anything reads
         source-queue state -- the clock does not move in between, so
         deferring is invisible).  Queue entries are packed value records
@@ -501,12 +517,7 @@ class ArrayNetwork(Network):
                 )
             )
         rows = np.frombuffer(buf, np.intc).reshape(len(pending), 9)
-        nodes = rows[:, 0]
-        # inject_batch wants strictly ascending nodes (every Bernoulli
-        # cycle is one such run; trace replays may repeat a node)
-        cuts = (np.flatnonzero(nodes[1:] <= nodes[:-1]) + 1).tolist()
-        for lo, hi in zip([0] + cuts, cuts + [len(pending)]):
-            self.inject_batch(nodes[lo:hi], rows[lo:hi, 1:])
+        self.inject_batch(rows[:, 0], rows[:, 1:])
 
     def intern_route(self, chan_indices, vcs) -> int:
         """Append an image of routes given by raw channel indices to the
@@ -525,39 +536,39 @@ class ArrayNetwork(Network):
         return off
 
     def inject_batch(self, src_nodes: np.ndarray, records: np.ndarray) -> None:
-        """Vectorized injection of already-routed packets at this cycle.
+        """Queue already-routed packets at this cycle, in order.
 
-        ``src_nodes`` must be strictly ascending (at most one packet per
-        node -- what one Bernoulli cycle produces); ``records`` holds one
-        row per packet in kernel.c ``SE_*`` column order: path hops,
-        injection VC, destination node, revisable flag, route arena
-        offset (:meth:`intern_route`), inject cycle, ``_live`` staging
-        id, used-VLB flag.  The caller has applied the source-queue cap
-        filter.  The queue entries written, the timing-wheel appends for
-        previously-empty queues (per bucket, in ascending node order)
-        and the counter updates are what a per-packet loop over the
-        wheel engine's ``inject`` produces.
+        ``records`` holds one row per packet in kernel.c ``SE_*`` column
+        order: path hops, injection VC, destination node, revisable
+        flag, route arena offset (:meth:`intern_route`), inject cycle,
+        ``_live`` staging id, used-VLB flag.  The caller has applied the
+        source-queue cap.  The queue entries written, the timing-wheel
+        appends for previously-empty queues and the counter updates are
+        what a per-packet loop over the wheel engine's ``inject``
+        produces (``repro_enqueue``, the function the kernel's own cycle
+        loop queues with).
         """
-        S = self._S
-        lens = S.src_len[src_nodes]
-        while int(lens.max()) >= self._src_cap:
-            self._grow_src()
-        empties = src_nodes[lens == 0]
-        if empties.size:
-            channels = empties + self._inj_base
-            buckets = (
-                np.maximum(S.busy_until[channels], self.cycle)
-                % self._wheel_size
+        nodes = np.ascontiguousarray(src_nodes, np.int64)
+        records = np.ascontiguousarray(records, np.int32)
+        count = len(nodes)
+        done = 0
+        while True:
+            done = self._enqueue(
+                self._cstate_ref,
+                done,
+                count,
+                nodes.ctypes.data,
+                records.ctypes.data,
+                self.cycle,
             )
-            for bucket in sorted(set(buckets.tolist())):
-                due = channels[buckets == bucket]
-                m = int(S.tw_n[bucket])
-                S.tw_chan[bucket, m : m + due.size] = due
-                S.tw_n[bucket] = m + due.size
-            S.counters[CNT_PT] += int(empties.size)
-        pos = (S.src_head[src_nodes] + lens) % self._src_cap
-        S.src_buf[src_nodes, pos] = records
-        S.src_len[src_nodes] = lens + 1
+            if done == count:
+                return
+            if done < 0:
+                raise RuntimeError(
+                    f"array kernel invariant violation (code {done}) "
+                    f"queueing at cycle {self.cycle}"
+                )
+            self._grow_src()
 
     # ------------------------------------------------------------------
     # Per-cycle step (native)
@@ -568,27 +579,7 @@ class ArrayNetwork(Network):
         if S is None:
             super().step()
             return
-        cycle = self.cycle
-        skip_credits = self.pre_step()
-        rc = self._step_native(self._cstate_ref, cycle, skip_credits)
-        if rc:
-            raise RuntimeError(
-                f"array kernel invariant violation (code {rc}) at "
-                f"cycle {cycle}"
-            )
-        self.post_step()
-
-    def pre_step(self) -> int:
-        """Per-cycle Python work that must run *before* the kernel.
-
-        Returns the kernel's ``skip_credits`` flag.  Split out of
-        :meth:`step` so the batched driver (:mod:`repro.sim.batch`) can
-        run every run's pre-pass, make one ``repro_step_batch`` call for
-        the whole batch, then run every run's :meth:`post_step` -- the
-        exact sequence ``step()`` performs for a single run.
-        """
         self._flush_pending()
-        S = self._S
         cycle = self.cycle
         idx = cycle % self._wheel_size
         # at most one packet per node can enter the network per cycle
@@ -607,14 +598,15 @@ class ArrayNetwork(Network):
             self._process_revisions(idx)
             skip_credits = 1
         self._commit_routes()
-        return skip_credits
-
-    def post_step(self) -> None:
-        """Per-cycle Python work after the kernel: drain checks, clock."""
-        S = self._S
+        rc = self._step_native(self._cstate_ref, cycle, skip_credits)
+        if rc:
+            raise RuntimeError(
+                f"array kernel invariant violation (code {rc}) at "
+                f"cycle {cycle}"
+            )
         # ejections accumulate in-kernel and drain in large batches; the
         # buffer must be flushed before the next cycle could overflow it
-        if S.counters[CNT_EJ] >= self._ej_flush:
+        if S.counters[CNT_EJ] > self._ej_flush:
             self._flush_ejections()
         self.cycle += 1
 
@@ -649,17 +641,13 @@ class ArrayNetwork(Network):
         and buffer appends interleaved by the wheel cannot influence a
         revision (they never touch load_metric state), so running all
         revisions up front is bit-identical.  ``on_arrival_batch`` takes
-        the whole bucket in one call (credit returns included) and names
-        the packets it re-routed; ``on_arrival`` is asked per packet,
-        with a ``Packet`` to rewrite.
+        the whole bucket in one call (credit returns included) and
+        re-routes in the arrays; ``on_arrival`` is asked per packet, with
+        a ``Packet`` to rewrite.
         """
         S = self._S
-        batch_hook = self.on_arrival_batch
-        if batch_hook is not None:
-            for pid, route_ref, path_hops in batch_hook(idx):
-                S.p_route_off[pid] = route_ref
-                S.p_path_hops[pid] = path_hops
-                S.pm_vlb[pid] = 1
+        if self.on_arrival_batch is not None:
+            self.on_arrival_batch(idx)
             return
         self._apply_credit_bucket(idx)
         n = int(S.dw_n[idx])
@@ -684,61 +672,53 @@ class ArrayNetwork(Network):
         S.rev_n[idx] = 0
 
     def _flush_ejections(self) -> None:
+        """Hand the buffered ejections to the hooks, in ejection order.
+        (Their pool ids went back on the free stack as they ejected;
+        everything a hook may ask about them is in the buffer.)"""
         S = self._S
         count = int(S.counters[CNT_EJ])
         if not count:
             return
         S.counters[CNT_EJ] = 0
-        pids = S.ej_pid[:count]
         cycles = S.ej_cycle[:count]
+        who = S.ej_who[:count]
         batch_hook = self.on_eject_batch
+        scalar_hook = self.on_eject
+        live = self._live
         if batch_hook is not None:
             # hook order and per-packet eject cycles match the wheel's
-            # per-cycle on_eject sequence exactly; the payloads were
-            # gathered by the kernel at eject time (the deliver pass has
-            # the records in cache), so the drain passes flat slices --
-            # views into reused buffers that must be consumed in-call
+            # per-cycle on_eject sequence exactly; the drain passes flat
+            # slices -- views into reused buffers that must be consumed
+            # in-call
             batch_hook(
                 S.ej_lat[:count],
                 S.ej_hops[:count],
                 S.ej_vlb[:count],
                 cycles,
             )
-            if self._live:
-                spids = S.ej_spid[:count]
-                for spid in spids[spids > 0].tolist():
-                    self._live.pop(spid, None)
-            self._recycle(pids, count)
-            return
-        scalar_hook = self.on_eject
-        pid_list = pids.tolist()
-        if scalar_hook is not None:
-            cycle_list = cycles.tolist()
-            for i, pid in enumerate(pid_list):
-                packet = self._live.pop(int(S.pm_spid[pid]), None)
+        elif scalar_hook is not None:
+            rows = zip(
+                who.tolist(),
+                cycles.tolist(),
+                S.ej_lat[:count].tolist(),
+                S.ej_hops[:count].tolist(),
+                S.ej_vlb[:count].tolist(),
+            )
+            for row, cycle, latency, hops, vlb in rows:
+                packet = live.pop(row[EW_SPID], None)
                 if packet is None:
                     packet = Packet(
-                        int(S.pm_src[pid]),
-                        int(S.p_dst[pid]),
-                        int(S.pm_icyc[pid]),
+                        row[EW_SRC], row[EW_DST], cycle - latency
                     )
-                packet.path_hops = int(S.p_path_hops[pid])
-                packet.used_vlb = bool(S.pm_vlb[pid])
-                packet.hop = int(S.p_hop[pid])
-                packet.current_vc = int(S.p_current_vc[pid])
-                scalar_hook(packet, cycle_list[i])
-        elif self._live:
-            spids = S.ej_spid[:count]
+                packet.path_hops = packet.hop = hops
+                packet.used_vlb = bool(vlb)
+                packet.current_vc = row[EW_CVC]
+                scalar_hook(packet, cycle)
+            return
+        if live:
+            spids = who[:, EW_SPID]
             for spid in spids[spids > 0].tolist():
-                self._live.pop(spid, None)
-        self._recycle(pids, count)
-
-    def _recycle(self, pids: np.ndarray, count: int) -> None:
-        """Push drained pool ids back onto the kernel's free stack."""
-        S = self._S
-        nfree = int(S.counters[CNT_FREE])
-        S.free_stack[nfree : nfree + count] = pids
-        S.counters[CNT_FREE] = nfree + count
+                live.pop(spid, None)
 
     # ------------------------------------------------------------------
     # Introspection / observability (vectorized over the arrays)

@@ -1,34 +1,29 @@
-"""Batched multi-run driver: advance B independent runs in lockstep.
+"""Batched multi-run driver: B compatible runs as one unit of work.
 
 ``simulate_batch([spec, ...])`` produces, for every :class:`RunSpec` in
 the batch, a result **bit-identical** to ``simulate(spec)`` -- batching
 is a scheduling change, never an algorithm change.  Each member is the
 same :class:`~repro.sim.engine.Run` that ``simulate()`` drives (set-up,
-injection lanes, result packaging: one definition); the only thing this
-driver does differently is replace the members' per-cycle ``step()``
-calls by their ``pre_step`` / ``post_step`` halves around one
-``repro_step_batch`` kernel call (run-major: each run's struct-of-arrays
-state stays contiguous, so per-run cache behavior matches the single-run
-kernel).  Runs are interleaved in one process, so each routes against
-its own sparse-sampling memo (:meth:`Run.sampling`) for the slices in
-which it injects and revises.
+``Run.advance``, result packaging: one definition), and the members run
+one after another on one shared topology, one network alive at a time.
+A batch is the unit the :class:`~repro.perf.planner.BatchPlanner` sizes
+for the executor -- one task, one topology build, one worker round trip
+for B runs -- not a kernel path (``docs/performance.md``, "What the
+lockstep was worth", has the history).
 
-Runs may differ in seed, load, pattern, and measurement params; runs
-with fewer total cycles finish early and are compacted out of the batch
-(ragged completion) while the rest keep advancing.  Each run gets its
-own :class:`RunManifest`, is cached individually under its own RunSpec
-fingerprint by the executor, and is announced through ``on_result`` /
-tracer events as it completes.
+Runs may differ in seed, load, pattern, and measurement params.  Each
+run gets its own :class:`RunManifest`, is cached individually under its
+own RunSpec fingerprint by the executor, and is announced through
+``on_result`` / tracer events as it completes.
 """
 
 from __future__ import annotations
 
-import ctypes
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs import Tracer
-from repro.sim.array.native import CState
+from repro.sim.array import load_kernel
 from repro.sim.engine import Run
 from repro.sim.stats import SimResult
 
@@ -71,102 +66,66 @@ def _check_compatible(specs) -> None:
         )
 
 
-def _state_pointers(active):
-    """The kernel's view of the active runs: State* array + skip flags."""
-    ptrs = (ctypes.POINTER(CState) * len(active))(
-        *[ctypes.pointer(run.net._cstate) for _slot, run in active]
-    )
-    return ptrs, (ctypes.c_int64 * len(active))()
-
-
 def simulate_batch(
     specs: Sequence,
     *,
     tracer: Optional[Tracer] = None,
     on_result: Optional[Callable[[int, SimResult], None]] = None,
 ) -> List[SimResult]:
-    """Run every ``RunSpec`` in ``specs`` lockstep on the native kernel.
+    """Run every ``RunSpec`` in ``specs`` on the native kernel.
 
     Returns results in spec order, each bit-identical to
     ``simulate(spec)``.  Raises :class:`BatchUnsupported` when the batch
     cannot take this path (non-spec payloads, mixed topology/routing,
     observability-instrumented runs, or no native kernel); callers fall
     back to per-run ``simulate()`` and lose nothing but the shared
-    kernel call.
-    ``on_result(index, result)`` fires as each run completes (ragged
-    batches complete out of spec order).
+    set-up.
+    ``on_result(index, result)`` fires as each run completes.
     """
     specs = list(specs)
     if not specs:
         return []
     _check_compatible(specs)
-    topo = specs[0].topology.build()
-    # repro: allow[DET104]: trace timing is runtime metadata
-    wall_start = time.perf_counter()
-    runs = [Run.from_spec(spec, topo) for spec in specs]
-    if any(run.net.backend != "native" for run in runs):
+    if load_kernel() is None:
         raise BatchUnsupported(
             "native array kernel unavailable on this host"
         )
-    batch_step = runs[0].net._kernel.repro_step_batch
-
+    topo = specs[0].topology.build()
+    # repro: allow[DET104]: trace timing is runtime metadata
+    wall_start = time.perf_counter()
     if tracer is not None:
         tracer.record(
             "batch_start",
             kind="sim-batch",
-            runs=len(runs),
+            runs=len(specs),
             routing=specs[0].routing,
             topology=str(topo),
         )
-
-    active = list(enumerate(runs))  # (slot, run) of the unfinished runs
-    ptrs, skips = _state_pointers(active)
-    results: List[Optional[SimResult]] = [None] * len(runs)
-
-    for cycle in range(max(run.total for run in runs)):
-        for i, (_slot, run) in enumerate(active):
-            with run.sampling():
-                if cycle == run.warmup:
-                    run.net.reset_channel_counters()
-                run.inject(cycle)
-                skips[i] = run.net.pre_step()
-        rc = int(batch_step(ptrs, len(active), cycle, skips))
-        if rc:
-            _slot, run = active[rc % 1000]
-            raise RuntimeError(
-                f"array kernel invariant violation (code {rc // 1000}) "
-                f"at cycle {cycle} in batched run seed={run.seed} "
-                f"load={run.load:g}"
+    results: List[SimResult] = []
+    for slot, spec in enumerate(specs):
+        run = Run.from_spec(spec, topo)
+        run.advance(run.total)
+        result = run.finish()
+        run.manifest.batch_size = len(specs)
+        run.manifest.batch_slot = slot
+        if tracer is not None:
+            tracer.record(
+                "run_end",
+                kind="sim-batch",
+                slot=slot,
+                seed=run.seed,
+                load=float(run.load),
+                cycles=run.total,
             )
-        finished = False
-        for slot, run in active:
-            run.net.post_step()
-            if cycle + 1 == run.total:
-                result = results[slot] = run.finish()
-                run.manifest.batch_size = len(runs)
-                run.manifest.batch_slot = slot
-                if tracer is not None:
-                    tracer.record(
-                        "run_end",
-                        kind="sim-batch",
-                        slot=slot,
-                        seed=run.seed,
-                        load=float(run.load),
-                        cycles=run.total,
-                    )
-                if on_result is not None:
-                    on_result(slot, result)
-                finished = True
-        if finished:
-            active = [sr for sr in active if cycle + 1 != sr[1].total]
-            if active:
-                ptrs, skips = _state_pointers(active)
+        if on_result is not None:
+            on_result(slot, result)
+        results.append(result)
     if tracer is not None:
         tracer.record(
             "batch_end",
             kind="sim-batch",
-            runs=len(runs),
+            runs=len(specs),
             # repro: allow[DET104]: trace timing is runtime metadata
             wall_seconds=time.perf_counter() - wall_start,
         )
-    return results  # type: ignore[return-value]
+    return results

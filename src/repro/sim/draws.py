@@ -30,9 +30,10 @@ installed NumPy across bit generators.
 
 That snapshot / bulk-draw / restore-and-redraw protocol is
 :class:`WordSource`.  :class:`DrawStream` applies the bounded-integer
-rule to its words in Python; the routing kernel applies the same rule in
-C (``rc_draw`` in ``sim/array/kernel.c``) to a buffer taken from a
-``WordSource`` once per cycle.
+rule to its words in Python, for the per-packet reference procedure.
+The routing kernel applies the same rule in C (``bounded`` in
+``sim/array/kernel.c``) but needs no such protocol: it calls the bit
+generator's own ``next_uint32`` through NumPy's ``bitgen_t`` interface.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 ``simulate(...)`` builds the network, wires a routing algorithm and a
 traffic pattern to it, runs warmup + measurement windows, and returns a
 :class:`~repro.sim.stats.SimResult`.  What a run *is* -- its set-up, its
-per-cycle injection, its result -- is :class:`Run`, shared with the
-lockstep driver in :mod:`repro.sim.batch`.
+cycle loop, its result -- is :class:`Run`, shared with
+:func:`repro.sim.batch.simulate_batch`.
 
 Injection follows BookSim's Bernoulli process: each node independently
 generates a packet with probability ``load`` per cycle; packets wait in an
@@ -36,7 +36,11 @@ from repro.sim.params import SimParams
 from repro.sim.routing import make_routing
 from repro.sim.stats import SimResult, StatsCollector
 from repro.topology.dragonfly import Dragonfly
-from repro.traffic.patterns import NO_TRAFFIC, TrafficPattern
+from repro.traffic.patterns import (
+    NO_TRAFFIC,
+    TrafficPattern,
+    destination_program,
+)
 
 __all__ = ["Run", "simulate", "build_network"]
 
@@ -62,14 +66,16 @@ def build_network(
 
 
 class Run:
-    """One simulation run: set-up, per-cycle injection, result.
+    """One simulation run: set-up, the cycle loop, result.
 
-    Both drivers are built from it.  ``simulate()`` makes one, then per
-    cycle ``run.inject(cycle); run.net.step()``; ``simulate_batch``
-    makes B and replaces the B ``step()`` calls by their ``pre_step`` /
-    ``post_step`` halves around one batched kernel call.  Everything
+    ``simulate()`` and ``simulate_batch`` are both built from it: make
+    one, :meth:`advance` it to ``total``, :meth:`finish`.  Everything
     that decides a result -- the rng, the draw order, the routing
-    algorithm, the statistics -- lives here once.
+    algorithm, the statistics -- lives here once.  On the array lane
+    :meth:`advance` is the native kernel's cycle loop, entered once per
+    segment (warm-up end, sampler tick, ``until``) and coming back in
+    between only for a buffer to grow or drain; on the packet lane it is
+    ``inject(cycle); net.step()`` per cycle, the reference.
     """
 
     def __init__(
@@ -145,6 +151,9 @@ class Run:
         self._inc_stalled = self.registry.counter("engine.inject_stalls").inc
         self._nodes = np.arange(topo.num_nodes)
         self._scheduled = getattr(pattern, "scheduled", False)
+        # simulate()'s periodic state sampler, ticked by advance()
+        self.sampler: Optional[EngineSampler] = None
+        self.sample_every = 0
         # one rule: decisions are kernel calls wherever they can be --
         # the per-packet procedure routes explicit event lists, policies
         # without a membership program and hosts without the kernel
@@ -159,6 +168,13 @@ class Run:
         )
         if self.lane == "array":
             net.on_arrival_batch = self.algo.revise_arrivals
+            rng = self.rng
+            self.algo.lane.traffic(
+                load,
+                max_source_queue,
+                destination_program(pattern),
+                lambda srcs: pattern.sample_destinations(srcs, rng),
+            )
         # repro: allow[DET104]: closes the compile measurement
         compile_seconds = time.perf_counter() - compile_start
         gauge = self.registry.gauge
@@ -198,10 +214,53 @@ class Run:
             swap_sample_memo(previous)
 
     # ------------------------------------------------------------------
-    # Injection: trace events, or one Bernoulli draw per node
+    # The cycle loop
+    # ------------------------------------------------------------------
+    def advance(self, until: int) -> None:
+        """Run cycles ``[net.cycle, until)``.
+
+        Split where Python has something to do between two cycles: the
+        channel counters restart when the warm-up ends, the sampler (if
+        ``simulate()`` attached one) ticks every ``sample_every`` cycles.
+        Calling it once for the whole run or once per cycle gives the
+        same run.
+        """
+        net = self.net
+        every = self.sample_every if self.sampler is not None else 0
+        step = (
+            self.algo.advance
+            if self.lane == "array"
+            else self._advance_packets
+        )
+        with self.sampling():
+            while net.cycle < until:
+                cycle = net.cycle
+                if cycle == self.warmup:
+                    net.reset_channel_counters()
+                    if self.sampler is not None:
+                        self.sampler.rebase()
+                stop = until
+                if cycle < self.warmup < stop:
+                    stop = self.warmup
+                if every:
+                    stop = min(stop, cycle - cycle % every + every)
+                step(stop)
+                if every and stop % every == 0:
+                    self.sampler.sample()
+
+    def _advance_packets(self, until: int) -> None:
+        """The packet lane: route and queue in Python, step per cycle."""
+        net = self.net
+        for cycle in range(net.cycle, until):
+            self.inject(cycle)
+            net.step()
+
+    # ------------------------------------------------------------------
+    # Packet-lane injection: trace events, or one Bernoulli draw per node
     # ------------------------------------------------------------------
     def inject(self, cycle: int) -> None:
-        """Generate, route and queue the packets of ``cycle``."""
+        """Generate, route and queue the packets of ``cycle``, packet by
+        packet (the reference of the kernel loop's injection phases)."""
         if self._scheduled:
             self._inject_scheduled(cycle)
         elif self.load > 0.0:
@@ -209,10 +268,7 @@ class Run:
             srcs = self._nodes[draws]
             if srcs.size:
                 dests = self.pattern.sample_destinations(srcs, self.rng)
-                if self.lane == "array":
-                    self._inject_arrays(cycle, srcs, np.asarray(dests))
-                else:
-                    self._inject_routed(cycle, srcs, dests)
+                self._inject_routed(cycle, srcs, dests)
 
     def _inject_scheduled(self, cycle: int) -> None:
         net = self.net
@@ -253,24 +309,6 @@ class Run:
             for packet in batch:
                 net.inject(packet)
 
-    def _inject_arrays(
-        self, cycle: int, srcs: np.ndarray, dests: np.ndarray
-    ) -> None:
-        """:meth:`_inject_routed` as array operations: filter, one
-        ``route_nodes`` call, one ``inject_batch``."""
-        net = self.net
-        live = dests != NO_TRAFFIC
-        keep = live & (net._S.src_len[srcs] < self.max_source_queue)
-        srcs = srcs[keep]
-        m = srcs.size
-        if self.registry.enabled:
-            self._inc_stalled(int(live.sum()) - m)
-            self._inc_injected(m)
-        if m:
-            net.inject_batch(
-                srcs, self.algo.route_nodes(cycle, srcs, dests[keep])
-            )
-
     # ------------------------------------------------------------------
     def finish(self) -> SimResult:
         """Drain the network and package the run's :class:`SimResult`."""
@@ -308,9 +346,9 @@ class Run:
         manifest.engine_cycles = self.total
         if registry.enabled:
             if self.algo.lane is not None:
-                # what the decisions did, from counts the kernel keeps
-                # anyway (sampling attempts per accept is the policy's
-                # "useful outcomes per attempt")
+                # what the decisions and the loop did, from counts the
+                # kernel keeps anyway (sampling attempts per accept is
+                # the policy's "useful outcomes per attempt")
                 for name, value in self.algo.lane.counts().items():
                     registry.counter(name).inc(value)
             manifest.metrics = registry.snapshot()
@@ -411,20 +449,17 @@ def simulate(
             seed=seed,
             max_source_queue=max_source_queue,
         )
-    network = run.net
     total_cycles = run.total
 
     # --- observability wiring (repro.obs; identity-neutral) ---
-    # The disabled default keeps the hot loop untouched beyond one
-    # ``sampler is not None`` check per cycle and no-op counter calls
-    # per injected packet (the <2% budget asserted in the bench smoke).
+    # The disabled default leaves the loop untouched: a sampler only
+    # adds segment ends to ``run.advance`` (the <2% budget asserted in
+    # the bench smoke).
     obs = run.params.obs
     tracer: Optional[Tracer] = None
-    sampler: Optional[EngineSampler] = None
-    sample_every = 0
     run_label = ""
     if obs is not None and obs.sample_every > 0:
-        sample_every = obs.sample_every
+        run.sample_every = sample_every = obs.sample_every
         run_label = f"seed{run.seed}-load{run.load:g}"
         tracer = Tracer()
         tracer.record(
@@ -438,18 +473,9 @@ def simulate(
             seed=int(run.seed),
             sample_every=sample_every,
         )
-        sampler = EngineSampler(tracer, network, run_label)
+        run.sampler = EngineSampler(tracer, run.net, run_label)
 
-    with run.sampling():
-        for cycle in range(total_cycles):
-            if cycle == run.warmup:
-                network.reset_channel_counters()
-                if sampler is not None:
-                    sampler.rebase()
-            run.inject(cycle)
-            network.step()
-            if sampler is not None and network.cycle % sample_every == 0:
-                sampler.sample()
+    run.advance(total_cycles)
     result = run.finish()
 
     if tracer is not None:

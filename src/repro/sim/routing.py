@@ -27,10 +27,11 @@ That per-packet procedure (``route_packet`` / ``route_packets`` /
 meet a policy whose membership test exists as data,
 :meth:`RoutingAlgorithm.compile` moves the same procedure -- same draws,
 same order, same candidate cache -- into the native kernel
-(:class:`~repro.sim.array.lane.RouteLane`), behind the array-level
-entries ``route_nodes`` / ``revise_arrivals`` that
-:class:`~repro.sim.engine.Run` drives.  See "Route tables and draw
-order" in ``docs/simulator.md``.
+(:class:`~repro.sim.array.lane.RouteLane`), where
+:class:`~repro.sim.engine.Run` drives it whole windows at a time
+(``advance``); ``route_nodes`` / ``revise_arrivals`` are the one-cycle
+forms of the same calls.  See "Route tables and draw order" and "The run
+loop" in ``docs/simulator.md``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import numpy as np
 from repro.routing.pathset import AllVlbPolicy, PathPolicy, policy_program
 from repro.routing.table import route_table
 from repro.sim.array.lane import RouteLane
+from repro.sim.array.native import RC_MIN, RC_REVISED, RC_VLB, RK_PAR
 from repro.sim.draws import DrawStream
 from repro.sim.network import Network, SimChannel
 from repro.sim.packet import Packet
@@ -80,7 +82,7 @@ _KERNEL_STRATEGIES = {
     ValiantStrategy: 1,
     UgalLocalStrategy: 2,
     UgalGlobalStrategy: 3,
-    ParStrategy: 4,
+    ParStrategy: RK_PAR,
 }
 
 
@@ -375,8 +377,9 @@ class RoutingAlgorithm:
     def compile(self) -> bool:
         """Move this algorithm's decisions into the routing kernel.
 
-        True when ``route_nodes`` / ``revise_arrivals`` are available
-        from here on: the network runs natively, the strategy is one of
+        True when ``advance`` / ``route_nodes`` / ``revise_arrivals``
+        are available from here on: the network runs natively, the
+        strategy is one of
         the five the kernel implements, and the policy's membership test
         exists as data (:func:`~repro.routing.pathset.policy_program`).
         Building the lane composes the topology's flattened tables
@@ -405,9 +408,28 @@ class RoutingAlgorithm:
     def _compiled(self) -> RouteLane:
         if self.lane is None:
             raise RuntimeError(
-                "route_nodes / revise_arrivals need a successful compile()"
+                "advance / route_nodes / revise_arrivals need a "
+                "successful compile()"
             )
         return self.lane
+
+    def _absorb(self) -> None:
+        """Move the kernel's decision counts since the last call into
+        ``min_chosen`` / ``vlb_chosen`` / ``par_revised``."""
+        cnt = self._compiled().ctx.cnt
+        self.min_chosen += cnt[RC_MIN]
+        self.vlb_chosen += cnt[RC_VLB]
+        self.par_revised += cnt[RC_REVISED]
+        cnt[RC_MIN] = cnt[RC_VLB] = cnt[RC_REVISED] = 0
+
+    def advance(self, until: int) -> None:
+        """Run the network to cycle ``until`` in the kernel: each cycle's
+        injection (the traffic given to ``lane.traffic``), decisions,
+        queueing, PAR revisions and step.  Needs :meth:`compile`.  Draws,
+        candidate-cache updates and the generator's end state are those
+        of the per-packet procedure driven cycle by cycle."""
+        self._compiled().run(until)
+        self._absorb()
 
     def route_nodes(
         self, cycle: int, srcs: np.ndarray, dests: np.ndarray
@@ -415,26 +437,18 @@ class RoutingAlgorithm:
         """``route_packets`` over arrays: one cycle's (source node,
         destination node) pairs in, their injection records
         (``kernel.c`` ``SE_*`` columns, for ``inject_batch``) out.
-        Needs :meth:`compile`.  Draws, candidate-cache updates and the
-        generator's end state are the per-packet procedure's."""
-        records, vlb = self._compiled().route(cycle, srcs, dests)
-        self.vlb_chosen += vlb
-        self.min_chosen += len(srcs) - vlb
+        The one-cycle form of :meth:`advance`'s decisions."""
+        records = self._compiled().route(cycle, srcs, dests)
+        self._absorb()
         return records
 
-    def revise_arrivals(self, bucket: int) -> List[Tuple[int, int, int]]:
+    def revise_arrivals(self, bucket: int) -> None:
         """``revise_at`` for every revisable hop-1 arrival of one
-        delivery bucket, in delivery order: ``(pool id, route handle,
-        path hops)`` of the packets PAR re-routes (the network's
-        ``on_arrival_batch`` hook)."""
-        revised = [
-            (pid, self._revised_entry(chans, [vc0], shape)[2], 1 + hops)
-            for pid, chans, vc0, shape, hops in self._compiled().revise(
-                bucket
-            )
-        ]
-        self.par_revised += len(revised)
-        return revised
+        delivery bucket, in delivery order, re-routing in the network's
+        arrays (its ``on_arrival_batch`` hook).  The one-cycle form of
+        :meth:`advance`'s revisions."""
+        self._compiled().revise(bucket)
+        self._absorb()
 
     # ------------------------------------------------------------------
     def _apply(

@@ -15,7 +15,7 @@ implementation drew them, so same-seed simulations are bit-identical to
 the pre-split code (its values are the ``PINNED`` entries of
 ``tests/test_routing_parity_matrix.py``).  The five strategies here are
 also implemented, draw for draw, by the routing kernel
-(``repro_route_batch`` / ``repro_revise_batch`` in
+(``route_span`` / ``revise_span`` in
 ``sim/array/kernel.c``); the classes below are the definition the kernel
 is tested against, and a subclass that changes a rule is routed by its
 Python.

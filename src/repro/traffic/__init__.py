@@ -18,16 +18,21 @@ switch-level permutations).
 Every pattern exposes per-packet destination sampling (vectorized, for the
 simulator) and a switch-level demand matrix (for the LP model).  A
 destination of ``-1`` (``NO_TRAFFIC``) means "this node does not inject".
+The built-in families also describe their sampler as data
+(:class:`DestinationProgram`), which the simulator's native cycle loop
+draws from directly.
 """
 
 from repro.traffic.patterns import (
     NO_TRAFFIC,
+    DestinationProgram,
     DiscoveredPermutation,
     GroupSwitchPermutation,
     RandomPermutation,
     Shift,
     TrafficPattern,
     UniformRandom,
+    destination_program,
     permutation_matrix,
 )
 from repro.traffic.mixed import Mixed, TimeMixed
@@ -47,6 +52,8 @@ __all__ = [
     "RandomPermutation",
     "GroupSwitchPermutation",
     "DiscoveredPermutation",
+    "DestinationProgram",
+    "destination_program",
     "permutation_matrix",
     "Mixed",
     "TimeMixed",

@@ -17,12 +17,32 @@ import numpy as np
 from repro.topology.dragonfly import Dragonfly
 from repro.traffic.patterns import (
     NO_TRAFFIC,
+    DestinationProgram,
     Shift,
     TrafficPattern,
     UniformRandom,
+    destination_program,
 )
 
 __all__ = ["Mixed", "TimeMixed"]
+
+
+def _fixed_part(mix: "Mixed | TimeMixed") -> Optional[np.ndarray]:
+    """The destination map of ``mix.adv`` when a program can describe the
+    mix: ``adv`` is that map and nothing else (the mix draws after it, so
+    only a draw-free ``adv`` keeps the order of draws data) and ``ur`` is
+    the uniform sampler, with somebody to draw."""
+    program = destination_program(mix.adv)
+    if (
+        program is None
+        or program.fixed is None
+        or program.ur_mask is not None
+        or program.ur_probability is not None
+        or type(mix.ur) is not UniformRandom
+        or destination_program(mix.ur) is None
+    ):
+        return None
+    return program.fixed
 
 
 def _check_percentages(ur_percent: float, adv_percent: float) -> None:
@@ -66,6 +86,12 @@ class Mixed(TrafficPattern):
             dests = dests.copy()
             dests[mask] = self.ur.sample_destinations(srcs[mask], rng)
         return dests
+
+    def destination_program(self) -> Optional[DestinationProgram]:
+        fixed = _fixed_part(self)
+        if fixed is None:
+            return None
+        return DestinationProgram(fixed=fixed, ur_mask=self.is_ur)
 
     def demand_matrix(self) -> np.ndarray:
         topo = self.topo
@@ -122,6 +148,14 @@ class TimeMixed(TrafficPattern):
             dests = dests.copy()
             dests[mask] = self.ur.sample_destinations(srcs[mask], rng)
         return dests
+
+    def destination_program(self) -> Optional[DestinationProgram]:
+        fixed = _fixed_part(self)
+        if fixed is None:
+            return None
+        return DestinationProgram(
+            fixed=fixed, ur_probability=self.ur_percent / 100.0
+        )
 
     def demand_matrix(self) -> np.ndarray:
         f_ur = self.ur_percent / 100.0

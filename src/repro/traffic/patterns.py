@@ -7,12 +7,18 @@ methods are:
   destination draw for a batch of source nodes (simulator hot path);
 * :meth:`TrafficPattern.demand_matrix` -- expected switch-to-switch traffic
   per unit node injection rate (LP model input).
+
+A pattern whose ``sample_destinations`` is a fixed map, uniform draws, or
+a mix of the two also says so as data
+(:meth:`TrafficPattern.destination_program`), which lets the simulator's
+cycle loop draw its destinations inside the native kernel.
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -21,7 +27,9 @@ from repro.topology.base import Topology
 
 __all__ = [
     "NO_TRAFFIC",
+    "DestinationProgram",
     "TrafficPattern",
+    "destination_program",
     "UniformRandom",
     "Shift",
     "RandomPermutation",
@@ -51,6 +59,44 @@ def permutation_matrix(topo: Topology, dest: np.ndarray) -> np.ndarray:
     return demand
 
 
+class DestinationProgram(NamedTuple):
+    """``sample_destinations`` as data, draw for draw.
+
+    For source nodes ``srcs`` (ascending) the destinations are
+    ``fixed[srcs]`` (:data:`NO_TRAFFIC` everywhere when ``fixed`` is
+    ``None``); then one ``rng.random()`` coin per source, when
+    ``ur_probability`` is not ``None``; then, for every source that
+    ``ur_mask`` names or whose coin fell below ``ur_probability``, in
+    order, a uniform draw among the *other* nodes
+    (``d = rng.integers(0, n - 1)``, ``d + (d >= src)``).
+    """
+
+    fixed: Optional[np.ndarray] = None  # [num_nodes] node or NO_TRAFFIC
+    ur_mask: Optional[np.ndarray] = None  # [num_nodes] bool
+    ur_probability: Optional[float] = None
+
+
+def destination_program(
+    pattern: "TrafficPattern",
+) -> Optional[DestinationProgram]:
+    """``pattern``'s destination program, or ``None`` when its
+    destinations only exist as Python.
+
+    A program is trusted only if the class that supplies
+    ``destination_program`` is also the one whose ``sample_destinations``
+    the pattern actually runs: a subclass that overrides the sampler
+    without describing it again is asked in Python, every cycle, instead
+    of being silently replaced by its parent's program.
+    """
+    cls = type(pattern)
+    owner = next(
+        c for c in cls.__mro__ if "destination_program" in vars(c)
+    )
+    if cls.sample_destinations is not owner.sample_destinations:
+        return None
+    return pattern.destination_program()
+
+
 class TrafficPattern(abc.ABC):
     """Destination distribution for every source compute node."""
 
@@ -70,6 +116,17 @@ class TrafficPattern(abc.ABC):
     @abc.abstractmethod
     def describe(self) -> str:
         """Short label used in reports (e.g. ``shift(2,0)``)."""
+
+    def destination_program(self) -> Optional[DestinationProgram]:
+        """:meth:`sample_destinations` as data for the simulator's
+        native cycle loop, or ``None`` (the default) when it can only be
+        asked in Python -- the loop then comes back for it every cycle,
+        with the same results.
+
+        Read through :func:`destination_program`, which also checks that
+        the program still describes the class it is asked of.
+        """
+        return None
 
     def demand_matrix(self) -> np.ndarray:
         """Switch-to-switch expected packets/cycle at unit injection rate.
@@ -111,6 +168,9 @@ class _FixedPattern(TrafficPattern):
     def sample_destinations(self, srcs, rng):
         return self._dest[srcs]
 
+    def destination_program(self) -> Optional[DestinationProgram]:
+        return DestinationProgram(fixed=self._dest)
+
     def live_fraction(self) -> float:
         return float(np.mean(self._dest != NO_TRAFFIC))
 
@@ -127,6 +187,12 @@ class UniformRandom(TrafficPattern):
         # shift up to skip the source itself (uniform over the other n-1)
         dests = dests + (dests >= srcs)
         return dests
+
+    def destination_program(self) -> Optional[DestinationProgram]:
+        n = self.topo.num_nodes
+        if n < 2:
+            return None  # nobody else to send to: the sampler raises
+        return DestinationProgram(ur_mask=np.ones(n, dtype=bool))
 
     def demand_matrix(self) -> np.ndarray:
         topo = self.topo

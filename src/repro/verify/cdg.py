@@ -458,12 +458,23 @@ def _emit(
     ch_b: np.ndarray,
     vc_b: np.ndarray,
 ) -> None:
+    """Collect the encoded edges (a, vc_a) -> (b, vc_b) of the selected
+    rows, duplicates and all: :func:`_flush` dedups a whole block of
+    transitions at once."""
     if not sel.any():
         return
     lv = graph.num_levels
     n1 = ch_a[sel] * lv + vc_a[sel]
     n2 = ch_b[sel] * lv + vc_b[sel]
-    collected.append(np.unique(n1 * graph.num_node_ids + n2))
+    collected.append(n1 * graph.num_node_ids + n2)
+
+
+def _flush(graph: ChannelDependencyGraph, collected: List[np.ndarray]) -> None:
+    """Add what :func:`_emit` collected to the graph (one dedup for the
+    block, inside ``add_encoded_edges``) and start the next block."""
+    if collected:
+        graph.add_encoded_edges(np.concatenate(collected))
+        collected.clear()
 
 
 def _won_vlb_vcs(
@@ -578,6 +589,7 @@ def _build_fast(
         _emit(graph, collected, h0, ch0, v0, G, v1)
         _emit(graph, collected, h2, G, v1, ch2, v2)
         graph.num_paths += int(SRC.size)
+    _flush(graph, collected)
 
     # ---- VLB candidates per (source group, dest group, mid group) ----
     for gs in range(topo.g):
@@ -670,8 +682,9 @@ def _build_fast(
                         _emit(
                             graph, collected, ok, pre, zeros, f_all, zeros + 1
                         )
-    for arr in collected:
-        graph.add_encoded_edges(arr)
+                # the triple's eight transitions (twice under PAR, plus
+                # its revision block) dedup together
+                _flush(graph, collected)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ PUBLIC_MODULES = [
     "repro.sim.strategies",
     "repro.sim.vc",
     "repro.sim.engine",
+    "repro.sim.batch",
+    "repro.sim.array.lane",
     "repro.sim.stats",
     "repro.sim.sweep",
     "repro.sim.replication",
@@ -98,3 +100,50 @@ def test_public_callables_documented(name):
             assert obj.__doc__ and obj.__doc__.strip(), (
                 f"{name}.{symbol} lacks a docstring"
             )
+
+
+def test_the_run_loop_surface():
+    """One way to advance a native run: ``Run.advance`` (which both
+    drivers call) over ``RoutingAlgorithm.advance`` / ``RouteLane.run``,
+    patterns describing themselves through ``destination_program`` --
+    and nothing left of the lockstep or the word buffers."""
+    from repro.sim.array.lane import RouteLane
+    from repro.sim.array.network import ArrayNetwork
+    from repro.sim.engine import Run
+    from repro.sim.routing import RoutingAlgorithm
+    from repro.traffic import (
+        DestinationProgram,
+        TrafficPattern,
+        destination_program,
+    )
+
+    for owner, name in (
+        (Run, "advance"),
+        (Run, "inject"),
+        (Run, "finish"),
+        (RoutingAlgorithm, "advance"),
+        (RoutingAlgorithm, "route_nodes"),
+        (RoutingAlgorithm, "revise_arrivals"),
+        (RouteLane, "run"),
+        (RouteLane, "traffic"),
+        (RouteLane, "destinations"),
+        (ArrayNetwork, "step"),
+        (ArrayNetwork, "inject_batch"),
+        (TrafficPattern, "destination_program"),
+    ):
+        doc = getattr(owner, name).__doc__
+        assert doc and doc.strip(), f"{owner.__name__}.{name} lacks a docstring"
+    assert destination_program.__doc__ and DestinationProgram.__doc__
+    assert DestinationProgram._fields == ("fixed", "ur_mask", "ur_probability")
+    for owner, name in (
+        (Run, "_inject_arrays"),
+        (ArrayNetwork, "pre_step"),
+        (ArrayNetwork, "post_step"),
+        (RouteLane, "words_drawn"),
+    ):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
+    import repro.sim.array.lane as lane
+    import repro.sim.batch as batch
+
+    assert not hasattr(lane, "WordSource")
+    assert not hasattr(batch, "_state_pointers")

@@ -9,11 +9,12 @@ that agreement rests on, independently:
   the compiled membership test equals ``policy.contains`` for every
   built-in policy, and the table's ``(hops, channels, VCs)`` equal
   ``vlb_legs`` + ``ladders`` (normal and PAR-revised);
-* the C bounded draw -- word for word ``DrawStream.integers`` /
-  ``int(rng.integers(n))``, generator end state included, with buffers
-  that run dry mid-batch;
-* the requests -- a lane starved of words, pool and arena space still
-  produces the pinned results, a pair whose set sampling cannot find is
+* the C bounded draw -- drawn from the generator itself, word for word
+  ``DrawStream.integers`` / ``int(rng.integers(n))``, generator end
+  state included, with a rolled-back decision re-reading its words and
+  replay rings that fill up mid-batch;
+* the requests -- a lane starved of replay, pool and arena space still
+  produces the same results, a pair whose set sampling cannot find is
   enumerated, too few VCs raise the reference's error;
 * the ABI guard -- a cached ``.so`` built from other sources is refused.
 """
@@ -43,7 +44,7 @@ from repro.routing.vlb import VlbDescriptor, enumerate_vlb_descriptors
 from repro.sim import SimParams, simulate
 from repro.sim.array import ArrayNetwork, native_available
 from repro.sim.array.lane import RouteLane
-from repro.sim.draws import DrawStream, WordSource
+from repro.sim.draws import DrawStream
 from repro.sim.engine import Run
 from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
 from repro.traffic.patterns import Shift, UniformRandom
@@ -274,32 +275,43 @@ def test_a_policy_only_compiles_while_its_program_still_describes_it():
 # ----------------------------------------------------------------------
 # The C bounded draw
 # ----------------------------------------------------------------------
-def _kernel_draws(rng, ns, first_take):
-    """``ns`` through ``repro_draw_batch`` under the lane's protocol:
-    take, call, top up from the resume point while dry, close."""
-    draw = native.load_kernel().repro_draw_batch
-    wanted = np.array(ns, np.int64)
-    values = np.zeros(len(ns), np.int64)
-    used = ctypes.c_int64()
-    source = WordSource(rng)
-    words = source.take(first_take) if first_take else np.zeros(0, np.uint32)
-    spent = done = refills = 0
-    while True:
-        done += draw(
-            words.ctypes.data,
-            len(words),
-            wanted[done:].ctypes.data,
-            len(ns) - done,
-            values[done:].ctypes.data,
-            ctypes.byref(used),
-        )
-        if done == len(ns):
-            break
-        spent += used.value
-        words = np.concatenate([words[used.value :], source.take(1 + refills)])
-        refills += 1
-    source.close(spent + used.value)
-    return values.tolist(), refills
+class _Decision:
+    """A bare ``RouteCtx`` -- ``rng``'s bit generator and a replay ring
+    of ``ring`` words -- for ``repro_draw_batch``, which draws a batch
+    of bounds the way one routing decision does."""
+
+    def __init__(self, rng, ring):
+        self.ctx = native.CRouteCtx()
+        self._bitgen = rng.bit_generator.ctypes
+        self.ctx.gen = self._bitgen.bit_generator.value
+        self._ring(np.zeros(ring, np.uint32))
+        self.grown = 0
+
+    def _ring(self, words):
+        self.words = words
+        self.ctx.replay = words.ctypes.data
+        self.ctx.replay_cap = len(words)
+
+    def draw(self, ns, undo=False):
+        """The draws of ``ns``; with ``undo`` they are rolled back
+        afterwards, as those of a decision that could not complete."""
+        draw = native.load_kernel().repro_draw_batch
+        wanted = np.array(ns, np.int64)
+        values = np.zeros(len(ns), np.int64)
+        while draw(
+            ctypes.byref(self.ctx),
+            wanted.ctypes.data,
+            len(ns),
+            values.ctypes.data,
+            int(undo),
+        ) != len(ns):
+            # a full ring: the lane doubles it and re-enters
+            assert self.ctx.status == native.RS_REPLAY
+            grown = np.zeros(max(1, 2 * len(self.words)), np.uint32)
+            grown[: self.ctx.rlen] = self.words[: self.ctx.rlen]
+            self._ring(grown)
+            self.grown += 1
+        return values.tolist()
 
 
 @needs_kernel
@@ -309,13 +321,14 @@ def _kernel_draws(rng, ns, first_take):
     seed=st.integers(0, 2**32 - 1),
     odd_start=st.booleans(),
     batches=st.lists(
-        st.tuples(st.lists(bounds, max_size=30), st.integers(0, 9)),
+        st.tuples(st.lists(bounds, max_size=30), st.booleans()),
         min_size=1,
         max_size=4,
     ),
+    ring=st.integers(0, 9),
 )
 def test_kernel_draw_equals_scalar_draws_and_end_state(
-    name, seed, odd_start, batches
+    name, seed, odd_start, batches, ring
 ):
     scalar = np.random.Generator(BIT_GENERATORS[name](seed))
     streamed = np.random.Generator(BIT_GENERATORS[name](seed))
@@ -323,26 +336,30 @@ def test_kernel_draw_equals_scalar_draws_and_end_state(
     if odd_start:  # start on the buffered half of a 64-bit step
         for rng in (scalar, streamed, kernel):
             rng.integers(0, 2**32, dtype=np.uint32)
-    for ns, first_take in batches:
+    decision = _Decision(kernel, ring)
+    for ns, rolled_back in batches:
         want = [int(scalar.integers(n)) for n in ns]
-        with DrawStream(streamed, chunk=first_take + 1) as draws:
+        with DrawStream(streamed, chunk=ring + 1) as draws:
             assert [draws.integers(n) for n in ns] == want
-        got, _refills = _kernel_draws(kernel, ns, first_take)
-        assert got == want
+        if rolled_back:  # the second attempt reads the same words
+            assert decision.draw(ns, undo=True) == want
+        assert decision.draw(ns) == want
         assert _same_state(
             scalar.bit_generator.state, kernel.bit_generator.state
         )
-    assert scalar.random() == kernel.random()
+        # Python draws in between continue the same sequence
+        assert scalar.random() == streamed.random() == kernel.random()
 
 
 @needs_kernel
-def test_kernel_draw_resumes_after_a_dry_buffer():
+def test_kernel_draw_resumes_after_a_full_replay_ring():
     rng = np.random.default_rng(9)
     scalar = np.random.default_rng(9)
     ns = [7, 1, 2**31 + 1, 3, 3, 1, 1000]  # the big bound rejects words
-    got, refills = _kernel_draws(rng, ns, first_take=2)
-    assert got == [int(scalar.integers(n)) for n in ns]
-    assert refills >= 2
+    decision = _Decision(rng, ring=2)
+    assert decision.draw(ns) == [int(scalar.integers(n)) for n in ns]
+    assert decision.grown >= 2
+    assert decision.ctx.cnt[native.RC_WORDS] > len(ns) - 2
     assert scalar.random() == rng.random()
 
 
@@ -364,6 +381,21 @@ def _simulate(routing, policy=None, **params):
     )
 
 
+def _returns(routing, policy=None, **params):
+    """(result, what the kernel came back for) of the same run."""
+    run = Run(
+        TOPO,
+        Shift(TOPO, 2, 0),
+        0.3,
+        routing=routing,
+        policy=policy,
+        params=SimParams(window_cycles=20, **params),
+        seed=4,
+    )
+    run.advance(run.total)
+    return run.finish(), run.algo.lane.returns
+
+
 @needs_kernel
 @pytest.mark.parametrize(
     "routing, policy, params",
@@ -375,38 +407,24 @@ def _simulate(routing, policy=None, **params):
     ],
 )
 def test_a_starved_lane_asks_and_resumes(routing, policy, params, monkeypatch):
-    """No reserve, a 32-word buffer and a 16-entry pool: every kind of
-    request is made (and counted), and nothing changes."""
+    """A 2-word replay ring, a 16-entry pool and a small arena: every
+    kind of routing request is made (and counted), and nothing
+    changes."""
     want = _simulate(routing, policy, **params)
-    asked = {}
-    drive = RouteLane._drive
-
-    def starved(self, end, decisions, call):
-        self._rate = 1e-9  # 32 words per call, whatever the last one used
-
-        def counted(start):
-            resume = call(start)
-            if resume != end:
-                status = self.ctx.status
-                asked[status] = asked.get(status, 0) + 1
-            return resume
-
-        drive(self, end, decisions, counted)
-
-    def no_reserve(self, picks):
-        self.ctx.arena_cap = self.network._arena_cap
-
-    monkeypatch.setattr(RouteLane, "_drive", starved)
-    monkeypatch.setattr(RouteLane, "_reserve", no_reserve)
+    monkeypatch.setattr("repro.sim.array.lane._INITIAL_REPLAY", 2)
     monkeypatch.setattr("repro.sim.array.lane._INITIAL_POOL", 16)
     monkeypatch.setattr("repro.sim.array.network._INITIAL_ARENA_CAP", 512)
-    assert _simulate(routing, policy, **params) == want
-    assert asked.get(native.RS_WORDS, 0) > 10
-    assert asked.get(native.RS_POOL, 0) > 0
+    got, asked = _returns(routing, policy, **params)
+    assert got == want
+    assert asked["ring"] > 0
     if params.get("vlb_cache_per_pair") == 0:
-        assert asked.get(native.RS_ARENA, 0) > 0  # a route per sample
+        assert asked["arena"] > 0  # a route per sample
+        assert asked["pool"] == 0  # and nothing remembered
+    else:
+        assert asked["pool"] > 0
     if routing == "t-ugal-l":
-        assert asked.get(native.RS_ENUM, 0) > 0
+        assert asked["enum"] > 0
+        assert asked["ring"] > 10  # a 16384-attempt burst, kept for replay
 
 
 @needs_kernel
@@ -425,9 +443,7 @@ def test_an_unfindable_set_is_enumerated_once_per_pair(reference_engine):
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
     run = Run(*args, **kwargs)
     assert run.lane == "array"
-    for cycle in range(run.total):
-        run.inject(cycle)
-        run.net.step()
+    run.advance(run.total)
     pairs = run.algo.lane._arrays["pair"]
     enumerated = pairs[:, native.PS_FLAGS] & native.PF_ENUM != 0
     assert enumerated.any()

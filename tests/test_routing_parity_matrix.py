@@ -428,7 +428,8 @@ def test_array_lane_counts_injections_like_the_reference(
     """With ``obs.metrics`` on, the array lane reports the counters the
     reference path's per-packet loop does -- stalls included, under a
     source-queue cap low enough to bite -- and both lanes report the
-    run's set-up split next to ``routing.lane``; switching metrics on
+    run's set-up split next to ``routing.lane``, the array lane also
+    what its kernel loop came back to Python for; switching metrics on
     changes no result and no fingerprint."""
     import repro.routing.table as table_module
     from repro.obs import ObsConfig
@@ -485,6 +486,27 @@ def test_array_lane_counts_injections_like_the_reference(
             routing == "par"
         )
         assert metrics["routing.words_drawn"] > 0
+        # the loop explains itself: how often the kernel was entered and
+        # what each entry came back for -- far fewer entries than cycles
+        # (a run that fell back to cycle-by-cycle driving would show
+        # here), two of them segment ends (warm-up, total)
+        reasons = (
+            "segment", "drain", "pool", "arena", "ring", "enum",
+            "destinations",
+        )
+        returns = {
+            reason: metrics[f"engine.loop.returns.{reason}"]
+            for reason in reasons
+        }
+        calls = metrics["engine.loop.kernel_calls"]
+        assert calls == sum(returns.values())
+        assert returns["segment"] == 2
+        assert returns["destinations"] == returns["enum"] == 0
+        assert calls <= metrics["engine.cycles"] // 8 + 8
+        assert not any(
+            name.startswith("engine.loop.")
+            for name in reference.manifest.metrics
+        )
         # the first run of a process on a topology composes them
         reference_engine.setattr(table_module, "_TABLES", {})
         reference_engine.setattr(table_module, "_LAST", (None, None))
@@ -528,10 +550,7 @@ def test_sparse_case_reaches_the_reservoir_fallback(reference_engine):
 
     def drive():
         run = Run(*args, **kwargs)
-        with run.sampling():
-            for cycle in range(run.total):
-                run.inject(cycle)
-                run.net.step()
+        run.advance(run.total)
         assert pathset._sparse_memo == before
         return run
 
