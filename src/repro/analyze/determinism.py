@@ -61,12 +61,10 @@ _WALLCLOCK = {
     "os.urandom", "uuid.uuid1", "uuid.uuid4",
 }
 # modules where wall-clock reads are the point: the identity-neutral
-# observability/benchmark layers (their timings never feed results or
-# fingerprints -- asserted by the obs-parity tests)
+# observability layer and the executor's task timings (they never feed
+# results or fingerprints -- asserted by the obs-parity tests)
 _WALLCLOCK_ALLOWED_PREFIXES = ("repro.obs.",)
-_WALLCLOCK_ALLOWED_MODULES = {
-    "repro.obs", "repro.perf.executor", "repro.perf.bench",
-}
+_WALLCLOCK_ALLOWED_MODULES = {"repro.obs", "repro.perf.executor"}
 
 _SET_ANNOTATIONS = ("set", "Set", "frozenset", "FrozenSet")
 

@@ -41,8 +41,8 @@ _HOME = {
     ),
     hint=(
         "solve through repro.model.FastModel / build networks with "
-        "repro.sim.build_network; a deliberate reference use (a parity "
-        "microbench, a re-export for tests) takes an allow-marker"
+        "repro.sim.build_network; a deliberate reference use (a "
+        "re-export for the parity tests) takes an allow-marker"
     ),
 )
 def check_reference_only(

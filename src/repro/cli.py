@@ -20,7 +20,6 @@ Commands:
   determinism, cache-identity, and registry-hygiene rules
   (``--baseline``, ``--fail-on``, ``--update-snapshot``)
 * ``figure`` -- regenerate one of the paper's tables/figures
-* ``bench``  -- engine/sweep performance benchmarks (``BENCH_sim.json``)
 * ``obs``    -- summarize or export recorded traces (``repro.obs``):
   ``obs summarize trace.jsonl`` prints task/cache/engine aggregates,
   ``obs export trace.jsonl --out trace.json`` writes a Chrome
@@ -339,20 +338,6 @@ def _cmd_sweep(args) -> int:
         print(render_summary(tracer.summary()))
         print(f"[saved trace to {args.trace}]")
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.perf.bench import main as bench_main
-
-    argv = ["--out", args.out, "--topology", args.topology,
-            "--window", str(args.window), "--points", str(args.points)]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.quick:
-        argv.append("--quick")
-    return bench_main(argv)
 
 
 def _cmd_adversary(args) -> int:
@@ -756,19 +741,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--json", default=None,
                    help="also save a JSON record to this path")
     p.set_defaults(func=_cmd_figure)
-
-    p = sub.add_parser(
-        "bench", help="performance benchmarks -> BENCH_sim.json"
-    )
-    p.add_argument("--topology", "-t", default="4,8,4,9")
-    p.add_argument("--out", default="BENCH_sim.json")
-    p.add_argument("--window", type=int, default=300)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: the host's CPU count)")
-    p.add_argument("--points", type=int, default=8)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--quick", action="store_true")
-    p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
     if args.verbose:

@@ -7,8 +7,8 @@ in :mod:`repro.model.lp_model` rebuilds everything per
 call (it re-enumerates every VLB path of every demand pair and re-creates
 the sparse constraint matrix entry by entry: ~85% of a Step-1 sweep on
 ``dfly(4,8,4,9)`` in per-pair enumeration, most of the rest in
-Python-loop assembly); it is kept as the parity oracle the tests and the
-``bench_model`` baseline arm call directly.
+Python-loop assembly); it is kept as the parity oracle the tests call
+directly.
 
 This module splits the solve into three layers, each cached at its own
 lifetime:

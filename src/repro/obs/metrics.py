@@ -8,7 +8,9 @@ Two registry flavours share one interface:
   returns a shared null instrument whose mutators do nothing, so
   instrumented code can bind ``registry.counter(...).inc`` once and call
   it unconditionally; the disabled path costs one no-op method call per
-  event, which the bench smoke holds to a <2% engine-overhead budget.
+  event on the packet lane and nothing on the array lane
+  (``tests/test_obs_parity.py`` asserts which instruments a disabled
+  run binds).
 
 Instruments are process-local and deliberately not thread-safe: the
 engine is single-threaded and sweep workers are separate processes, each

@@ -1,4 +1,4 @@
-"""Execution-performance layer: parallel sweeps, result cache, benchmarks.
+"""Execution-performance layer: parallel sweeps and the result cache.
 
 * :mod:`repro.perf.executor` -- :class:`SweepExecutor`, a process-pool
   fan-out for batches of independent ``simulate()`` points with a serial
@@ -7,9 +7,10 @@
   compatible cache-miss payloads into multi-run ``simulate_batch``
   units (bit-identical per run; purely a scheduling decision);
 * :mod:`repro.perf.cache` -- :class:`SimCache`, the content-addressed
-  on-disk ``SimResult`` store with versioned invalidation;
-* :mod:`repro.perf.bench` -- the benchmark harness behind
-  ``python -m repro bench`` and ``BENCH_sim.json``.
+  on-disk ``SimResult`` store with versioned invalidation.
+
+Speed itself is measured outside the package, by ``python3 bench/run.py``
+(the workloads and metrics ``BENCHMARK.json`` declares).
 """
 
 from repro.perf.cache import (

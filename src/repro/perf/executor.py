@@ -78,9 +78,9 @@ def default_jobs() -> int:
     """``$REPRO_JOBS`` if set (clamped to the CPU count), else 1.
 
     Oversubscribing a small host is strictly counterproductive for these
-    CPU-bound workers (BENCH_sim.json once recorded a 0.72x "speedup"
-    from jobs=8 on a 1-CPU host), so the environment default can never
-    exceed ``os.cpu_count()``.  An explicit ``jobs=`` argument may still
+    CPU-bound workers (jobs=8 on a 1-CPU host once measured a 0.72x
+    "speedup"), so the environment default can never exceed
+    ``os.cpu_count()``.  An explicit ``jobs=`` argument may still
     force a larger pool, with a warning.
     """
     cap = os.cpu_count() or 1

@@ -452,9 +452,10 @@ def simulate(
     total_cycles = run.total
 
     # --- observability wiring (repro.obs; identity-neutral) ---
-    # The disabled default leaves the loop untouched: a sampler only
-    # adds segment ends to ``run.advance`` (the <2% budget asserted in
-    # the bench smoke).
+    # The disabled default leaves the loop untouched: only a sampler
+    # adds segment ends to ``run.advance`` (tests/test_obs_parity.py
+    # asserts ``ObsConfig()`` attaches none and enters the kernel as
+    # often as ``obs=None``).
     obs = run.params.obs
     tracer: Optional[Tracer] = None
     run_label = ""

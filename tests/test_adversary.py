@@ -14,6 +14,7 @@ from repro.adversary import (
     run_search,
 )
 from repro.cli import main
+from repro.perf import SimCache, SweepExecutor
 from repro.spec import PatternSpec, SpecError
 from repro.topology import Dragonfly, FullMesh
 from repro.traffic import DiscoveredPermutation, NO_TRAFFIC
@@ -107,6 +108,29 @@ class TestRunSearch:
         a = run_search(SMALL, **kwargs)
         b = run_search(SMALL, **kwargs)
         assert a.to_json() == b.to_json()
+
+    def test_warm_cache_finds_the_same_winner_from_hits(self, tmp_path):
+        """The result cache is identity-neutral to the search, and the
+        search's MIN-only solves do reach it: the same search again
+        through one cache directory reports the cold search's winner,
+        score and ranking, most of it from cache hits."""
+
+        def search():
+            cache = SimCache(tmp_path)
+            with SweepExecutor(jobs=1, cache=cache) as executor:
+                return run_search(
+                    SMALL, budget=8, num_type1=3, num_type2=2,
+                    executor=executor,
+                )
+
+        cold, warm = search(), search()
+        assert warm.pattern_fingerprint == cold.pattern_fingerprint
+        assert warm.best_score == cold.best_score
+        assert warm.ranked == cold.ranked
+        # duplicate maps dedup inside a batch, so hits can undershoot
+        # the solve count; a warm pass still sits near all of them
+        solves = warm.candidates_scored + len(warm.suite)
+        assert warm.cache_hits / solves >= 0.5
 
     def test_greedy_strategy_runs(self):
         report = run_search(

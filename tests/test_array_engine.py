@@ -154,8 +154,8 @@ def test_fallback_without_native_kernel(reference_engine):
 
 
 def test_native_kernel_builds_here():
-    """CI images ship a C compiler; if this fails the perf numbers in
-    BENCH_sim.json silently degrade to the fallback."""
+    """CI images ship a C compiler; if this fails every run there
+    silently steps on the >10x slower fallback path."""
     assert native_available()
 
 

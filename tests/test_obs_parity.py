@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
-from repro.obs import ObsConfig, capture
+from repro.obs import NULL_REGISTRY, ObsConfig, capture
 from repro.perf import SimTask
 from repro.sim import SimParams, simulate
+from repro.sim.array import native_available
+from repro.sim.engine import Run
 from repro.spec import RunSpec
 from repro.topology import Dragonfly
 from repro.traffic.patterns import Shift, UniformRandom
@@ -56,6 +58,61 @@ class TestEngineParity:
             params=SimParams(**SMALL, obs=FULL_OBS), seed=11,
         )
         assert _measurement_fields(base) == _measurement_fields(traced)
+
+
+class TestDisabledDefaultWiresNothing:
+    """``ObsConfig()`` with every switch off is the uninstrumented run:
+    what it costs is structural (which registry, whether a sampler
+    splits ``advance``, how often the kernel is entered), so it is
+    asserted exactly rather than timed."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The ``Run`` of every ``simulate()`` call, as it finishes."""
+        seen = []
+        finish = Run.finish
+
+        def recording(run):
+            seen.append(run)
+            return finish(run)
+
+        monkeypatch.setattr(Run, "finish", recording)
+        return seen
+
+    def _simulate_both(self, topo, runs):
+        plain, noop = (
+            simulate(
+                topo, UniformRandom(topo), 0.15, routing="ugal-l",
+                params=SimParams(**SMALL, obs=obs), seed=7,
+            )
+            for obs in (None, ObsConfig())
+        )
+        assert _measurement_fields(plain) == _measurement_fields(noop)
+        for name in ("fingerprint", "spec_fingerprint"):
+            assert getattr(plain.manifest, name) == getattr(
+                noop.manifest, name
+            )
+        for run in runs:
+            assert run.registry is NULL_REGISTRY
+            assert run.sampler is None and run.sample_every == 0
+            assert not run.manifest.metrics
+        return runs
+
+    def test_array_lane_enters_the_kernel_equally_often(self, topo, runs):
+        if not native_available():
+            pytest.skip("needs the native kernel")
+        plain, noop = self._simulate_both(topo, runs)
+        assert plain.lane == noop.lane == "array"
+        assert plain.algo.lane.kernel_calls == noop.algo.lane.kernel_calls > 0
+        assert plain.algo.lane.returns == noop.algo.lane.returns
+
+    def test_packet_lane_binds_the_null_instruments(
+        self, topo, runs, reference_engine
+    ):
+        null_inc = NULL_REGISTRY.counter("any").inc
+        for run in self._simulate_both(topo, runs):
+            assert run.lane == "packet"
+            assert run._inc_injected == run._inc_stalled == null_inc
 
 
 class TestFingerprintNeutrality:

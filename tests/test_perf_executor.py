@@ -117,8 +117,8 @@ def test_default_jobs_env(monkeypatch):
     assert default_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "6")
     # $REPRO_JOBS is honoured up to the host's core count: oversubscribing
-    # a sweep slows it down (BENCH_sim.json parallel_speedup < 1 on a
-    # 1-CPU host), so the default never exceeds os.cpu_count().
+    # a sweep slows it down (a pool wider than the host measured a
+    # parallel speedup < 1), so the default never exceeds os.cpu_count().
     assert default_jobs() == min(6, cap)
     monkeypatch.setenv("REPRO_JOBS", "not-a-number")
     assert default_jobs() == 1

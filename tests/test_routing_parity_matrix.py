@@ -445,6 +445,7 @@ def test_array_lane_counts_injections_like_the_reference(
     reference = run()
     assert reference.manifest.metrics["routing.lane"] == "packet"
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
+    run()  # composes TOPO's images where no earlier test has
     native = run()
     plain = run(metrics=False)
     assert native == reference == plain
@@ -464,8 +465,9 @@ def test_array_lane_counts_injections_like_the_reference(
         for name in split:
             assert isinstance(result.manifest.metrics[name], float)
             assert result.manifest.metrics[name] >= 0.0
-    # these runs found the topology's images composed (or, on the
-    # packet lane, never asked for them): a table hit reads exactly 0
+    # these runs found the topology's images composed (by the run
+    # before ``native``; the packet lane never asks for them): a table
+    # hit reads exactly 0
     assert native.manifest.metrics["routing.table_fill_seconds"] == 0.0
     assert reference.manifest.metrics["routing.table_fill_seconds"] == 0.0
     names = ("engine.packets_injected", "engine.inject_stalls")
