@@ -21,16 +21,20 @@ a :class:`~repro.sim.draws.DrawStream` in place of the generator.
 
 The membership test is also available as *data*
 (:meth:`PathPolicy.membership_program`, :func:`policy_program`): a few
-integer rows the simulator's routing kernel evaluates against the
-topology's flattened route tables, so that sampling from a built-in
-policy needs no Python per attempt.  ``contains`` stays the definition;
-the program is tested equal to it descriptor by descriptor.
+integer rows evaluated against the topology's flattened route tables.
+A program has two evaluators, both tested equal to ``contains`` -- which
+stays the definition -- descriptor by descriptor: ``rc_contains`` in
+``sim/array/kernel.c``, one descriptor at a time, so that sampling from
+a built-in policy needs no Python per attempt, and :func:`program_mask`
+here, whole candidate arrays at a time, for the static verifier
+(:mod:`repro.verify.cdg`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -55,6 +59,7 @@ __all__ = [
     "ExplicitPathSet",
     "PolicyProgram",
     "policy_program",
+    "program_mask",
     "reset_sample_memo",
     "swap_sample_memo",
 ]
@@ -119,6 +124,34 @@ def _mix(seed: int, src: int, dst: int, desc: VlbDescriptor) -> int:
     return x
 
 
+def _mix_rows(
+    seed: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    mid: np.ndarray,
+    slot1: np.ndarray,
+    slot2: np.ndarray,
+) -> np.ndarray:
+    """:func:`_mix` of whole descriptor arrays, as uint64 (whose wrapping
+    arithmetic is the scalar version's ``& 0xFFF...F`` masking)."""
+    u = np.uint64
+    x = (
+        src.astype(u) * u(0xBF58476D1CE4E5B9)
+        + dst.astype(u) * u(0x94D049BB133111EB)
+        + mid.astype(u) * u(0xD6E8FEB86659FD93)
+        + slot1.astype(u) * u(0xA5A5A5A5A5A5A5A5)
+        + slot2.astype(u) * u(0x0123456789ABCDEF)
+        # folded in Python ints: a numpy scalar product would warn
+        + u((seed & 0xFFFFFFFFFFFFFFFF) * 0x9E3779B97F4A7C15 % (1 << 64))
+    )
+    x ^= x >> u(30)
+    x *= u(0xBF58476D1CE4E5B9)
+    x ^= x >> u(27)
+    x *= u(0x94D049BB133111EB)
+    x ^= x >> u(31)
+    return x
+
+
 # membership-program opcodes (``PO_*`` in sim/array/kernel.c)
 OP_HOP_CLASS = 1  # p0 full_hops, p1 quota of the next class, p2 seed
 OP_STRATEGIC = 2  # p0 first-leg hops a 5-hop path must have
@@ -147,6 +180,12 @@ class PolicyProgram:
     mask: bytearray = field(default_factory=bytearray)
     lists: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
+    @cached_property
+    def key_array(self) -> np.ndarray:
+        """``keys`` as an int64 array (taken once: a program is not
+        changed after it is compiled)."""
+        return np.array(self.keys, np.int64)
+
     @staticmethod
     def descriptor_key(
         table: RouteTable, src: int, dst: int, mid: int, slot1: int, slot2: int
@@ -156,6 +195,65 @@ class PolicyProgram:
         return (
             ((src * table.nsw + dst) * table.nsw + mid) * bound + slot1
         ) * bound + slot2
+
+
+def program_mask(
+    program: PolicyProgram,
+    table: RouteTable,
+    src: np.ndarray,
+    dst: np.ndarray,
+    mid: np.ndarray,
+    slot1: np.ndarray,
+    slot2: np.ndarray,
+) -> np.ndarray:
+    """``policy.contains`` of whole descriptor arrays, which must name
+    paths: the numpy twin of ``rc_contains`` in sim/array/kernel.c,
+    row for row."""
+    slots = table.min_slots()
+    nsw = table.nsw
+    leg1 = slots.first[src * nsw + mid] + slot1
+    leg2 = slots.first[mid * nsw + dst] + slot2
+    head = slots.hops[leg1]
+    hops = head + slots.hops[leg2]
+
+    def in_quota(seed: int, quota: int) -> np.ndarray:
+        mixed = _mix_rows(seed, src, dst, mid, slot1, slot2)
+        return mixed % np.uint64(10_000) < np.uint64(quota)
+
+    accepted = np.ones(len(src), bool)
+    for op, p0, p1, p2 in program.ops:
+        if op == OP_HOP_CLASS:
+            row = hops <= p0
+            if p1 > 0:
+                row |= (hops == p0 + 1) & in_quota(p2, p1)
+        elif op == OP_STRATEGIC:
+            row = (hops <= 4) | ((hops == 5) & (head == p0))
+        elif op == OP_ORDERED:
+            row = (mid > src) & (mid > dst)
+            if p0 >= 0:
+                row &= in_quota(p1, p0)
+        elif op == OP_KEYS:
+            key = PolicyProgram.descriptor_key(
+                table, src.astype(np.int64), dst, mid, slot1, slot2
+            )
+            run = program.key_array[p0 : p0 + p1]  # sorted
+            at = np.searchsorted(run, key)
+            inside = at < p1
+            found = np.zeros(len(key), bool)
+            found[inside] = run[at[inside]] == key[inside]
+            row = found == bool(p2)
+        elif op == OP_CHANNELS:
+            marked = np.frombuffer(program.mask, np.uint8)[p0:]
+            row = np.ones(len(src), bool)
+            for leg in (leg1, leg2):
+                for hop in range(int(slots.hops[leg].max(initial=0))):
+                    on = np.flatnonzero(slots.hops[leg] > hop)
+                    at = slots.chan[slots.rel[leg[on]] + hop]
+                    row[on[marked[at] > 0]] = False
+        else:
+            raise ValueError(f"unknown membership opcode {op}")
+        accepted &= row
+    return accepted
 
 
 def _as_int64(seed: int) -> int:

@@ -67,6 +67,7 @@ from repro.routing.paths import LOCAL_SLOT, Path
 __all__ = [
     "Leg",
     "MinImage",
+    "MinSlots",
     "VlbImage",
     "RouteTable",
     "route_table",
@@ -163,9 +164,11 @@ class _LegParts(NamedTuple):
     link_chan: np.ndarray
 
 
-class _MinSlots(NamedTuple):
+class MinSlots(NamedTuple):
     """The part of a :class:`MinImage` no VC budget changes (fields as
-    there); every image of one table shares these arrays."""
+    there); every image of one table shares these arrays, and the
+    static verifier (:mod:`repro.verify.cdg`) reads its dependencies
+    from them."""
 
     k: np.ndarray
     first: np.ndarray
@@ -252,7 +255,7 @@ class RouteTable:
         # manifests (a run that found its images ready adds nothing)
         self.fill_seconds = 0.0
         self._parts: Optional[_LegParts] = None
-        self._slots: Optional[_MinSlots] = None
+        self._slots: Optional[MinSlots] = None
         self._images: Dict[Tuple[str, int], MinImage] = {}
         self._vlb_image: Optional[VlbImage] = None
         # compiled membership tests by (hashable) policy; see
@@ -447,7 +450,7 @@ class RouteTable:
         return image
 
     def _compose_min_image(self, scheme: str, num_vcs: int) -> MinImage:
-        slots = self._min_slots()
+        slots = self.min_slots()
         shapes = slots.shapes
         count = len(shapes)
         total = len(slots.hops)
@@ -548,7 +551,7 @@ class RouteTable:
         )
         return parts
 
-    def _min_slots(self) -> _MinSlots:
+    def min_slots(self) -> MinSlots:
         """Every MIN candidate, composed: a pair of two groups has one
         candidate per global link ``x -> y`` of its group pair -- the
         legs ``s -> x`` and ``y -> d`` around the link's channel; a
@@ -607,7 +610,7 @@ class RouteTable:
         hops = np.take(hops_of, code, out=zeros(total, np.int32), mode="clip")
         rel = zeros(total, np.int64)
         np.cumsum(hops[:-1], out=rel[1:])
-        slots = self._slots = _MinSlots(
+        slots = self._slots = MinSlots(
             k,
             first,
             hops,

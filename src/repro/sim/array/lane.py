@@ -123,7 +123,7 @@ class RouteLane:
             "vr_out": rows.links_out,
             "grp_sw": rows.switches,
             "ops": np.array(program.ops, np.int64).reshape(-1, 4),
-            "keys": np.array(program.keys, np.int64),
+            "keys": program.key_array,
             "mask": np.frombuffer(bytes(program.mask), np.uint8),
             "ex_first": first,
             "ex_desc": descriptors,

@@ -9,20 +9,26 @@ can create (MIN paths, the policy's VLB paths, and PAR-revised fragments
 with their shifted VC levels) and runs cycle detection, reporting a
 concrete dependency cycle as a counterexample on failure.
 
-Two builders produce identical graphs (a property the tests assert):
+The **array builder** certifies the tables the simulator routes from.  A
+VLB candidate ``(src, dst, mid, slot1, slot2)`` is two MIN slots of
+:meth:`RouteTable.min_slots() <repro.routing.table.RouteTable.min_slots>`;
+its hop channels are those slots' ``chan`` rows, its VC levels the
+``table.ladders`` (:func:`~repro.sim.vc.assign_vcs` itself) of the two
+slots' shapes, and whether the policy admits it is
+:func:`~repro.routing.pathset.program_mask` over the policy's compiled
+:class:`~repro.routing.pathset.PolicyProgram`.  Paths are never
+materialized and nothing is specific to a hop template or a topology
+class, so fully connected groups, Cascade and the full mesh take the
+same code; the paper's ``dfly(4,8,4,9)`` full-VLB set (~4.6M paths)
+certifies in about a second.
 
-* a **vectorized builder** for fully connected groups: paths are never
-  materialized; all ``(src, dst, mid, slot1, slot2)`` candidates of a
-  group triple are expanded as flat numpy arrays, policy membership is
-  evaluated as a vectorized mask (including the exact splitmix64 subset
-  hash of :class:`~repro.routing.pathset.HopClassPolicy`), and the edge
-  list is deduplicated per triple.  This certifies the paper's
-  ``dfly(4,8,4,9)`` full-VLB set (~4.6M paths) in seconds.
-* a **generic builder** that walks ``policy.iter_descriptors`` pair by
-  pair and materializes paths -- required for sparse intra-group
-  topologies (Cascade), :class:`ExplicitPathSet`, or unknown policy types,
-  and optionally sampled (``max_pairs`` / ``max_descriptors``), in which
-  case the result is only a bounded check, not a certificate.
+The **generic builder** walks ``policy.iter_descriptors`` pair by pair and
+materializes every path.  It is the oracle the array builder is tested
+against edge for edge, the only builder for a policy that exists only as
+Python (no program), and the one that can be sampled (``max_pairs`` /
+``max_descriptors``, and by default on topologies whose candidate space
+is too large to enumerate), in which case the result is only a bounded
+check, not a certificate.
 
 Injection and ejection channels are not modeled: terminal channels are
 pure sources/sinks and cannot participate in a cycle.
@@ -31,19 +37,20 @@ pure sources/sinks and cannot participate in a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.routing.minimal import min_paths
-from repro.routing.paths import Channel, Path
+from repro.routing.paths import LOCAL_SLOT, Channel, Path
 from repro.routing.pathset import (
     AllVlbPolicy,
-    ExcludingPolicy,
-    HopClassPolicy,
     PathPolicy,
-    StrategicFiveHopPolicy,
+    PolicyProgram,
+    policy_program,
+    program_mask,
 )
+from repro.routing.table import RouteTable, route_table
 from repro.routing.vlb import max_vlb_hops, vlb_path
 from repro.sim.vc import assign_vcs
 from repro.topology.dragonfly import Dragonfly
@@ -58,16 +65,19 @@ __all__ = [
 
 VC_SCHEMES = ("won", "perhop", "none")
 
-# beyond this many (src, dst, mid, slot1, slot2) candidates the vectorized
-# builder is considered too expensive and `method="auto"` falls back to the
-# generic (sampled) builder
-_FAST_ROW_LIMIT = 50_000_000
+# beyond this many (src, dst, mid, slot1, slot2) candidates `method="auto"`
+# stops enumerating and runs the generic builder on a sample of this size
+_ROW_LIMIT = 50_000_000
+_SAMPLED_PAIRS = 200
+_SAMPLED_DESCRIPTORS = 512
+
+# candidates the array builder expands per numpy pass
+_CHUNK_ROWS = 1 << 14
+
+# the analysis has no VC budget: ladders are asked for without a limit
+_NO_VC_LIMIT = 1 << 30
 
 VcNode = Tuple[Channel, int]
-
-
-class _UnsupportedPolicy(Exception):
-    """Raised when a policy has no vectorized membership mask."""
 
 
 def _vcs_for(path: Path, scheme: str, revised: bool = False) -> List[int]:
@@ -75,16 +85,23 @@ def _vcs_for(path: Path, scheme: str, revised: bool = False) -> List[int]:
     ``none`` scheme (a single shared VC level -- no VC protection)."""
     if scheme == "none":
         return [0] * path.num_hops
-    if scheme == "perhop":
-        return assign_vcs(
-            path, scheme, hop_offset=1 if revised else 0, num_vcs=1 << 30
-        )
-    return assign_vcs(path, scheme, revised=revised, num_vcs=1 << 30)
+    # a revised fragment starts one hop in: `perhop` reads the offset,
+    # `won` the flag (the call `_levels` makes through `table.ladders`)
+    return assign_vcs(
+        path, scheme, hop_offset=int(revised), revised=revised, num_vcs=_NO_VC_LIMIT
+    )
 
 
 @dataclass
 class CdgResult:
-    """Outcome of one deadlock-freedom analysis."""
+    """Outcome of one deadlock-freedom analysis.
+
+    ``num_paths`` counts the distinct admissible paths a packet chooses
+    among: the MIN paths between different groups plus the policy's VLB
+    paths.  PAR's revised fragments are those same VLB paths again and
+    intra-group MIN routes offer no choice, so neither is counted
+    (both contribute their dependencies).
+    """
 
     scheme: str
     routing: str
@@ -122,10 +139,10 @@ class CdgResult:
 class ChannelDependencyGraph:
     """The CDG of one configuration, with integer-encoded nodes.
 
-    A node is a ``(channel, vc)`` pair encoded as
-    ``channel_id * num_levels + vc``; local channel ids are ``u * S + v``
-    and global channel ids index ``topo.global_links`` twice (once per
-    direction), so parallel links between one switch pair stay distinct.
+    A node is a ``(channel, vc)`` pair encoded as ``channel * num_levels
+    + vc``, with channels numbered as everywhere else: the route table's
+    :class:`~repro.routing.channels.ChannelIndex` order, in which
+    parallel links between one switch pair stay distinct.
     """
 
     def __init__(self, topo: Dragonfly, scheme: str) -> None:
@@ -135,20 +152,10 @@ class ChannelDependencyGraph:
             )
         self.topo = topo
         self.scheme = scheme
-        self._S = topo.num_switches
+        self.table: RouteTable = route_table(topo)
         # enough VC levels for any scheme incl. PAR offsets on this topo
         self.num_levels = max_vlb_hops(topo) + 2
-        self._global_base = self._S * self._S
-        self.num_channel_ids = self._global_base + 2 * len(topo.global_links)
-        self.num_node_ids = self.num_channel_ids * self.num_levels
-        self._link_pos: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        for pos, link in enumerate(topo.global_links):
-            key = (
-                min(link.group_a, link.group_b),
-                max(link.group_a, link.group_b),
-                link.slot,
-            )
-            self._link_pos[key] = (pos, link.switch_a)
+        self.num_node_ids = len(self.table.channel_keys) * self.num_levels
         self._edges: Set[int] = set()
         self.exhaustive = True
         self.num_paths = 0
@@ -156,31 +163,16 @@ class ChannelDependencyGraph:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def encode_channel(self, ch: Channel) -> int:
-        """Integer id of a directed channel (see class docstring)."""
-        if not ch.is_global:
-            return ch.src * self._S + ch.dst
-        ga = self.topo.group_of(ch.src)
-        gb = self.topo.group_of(ch.dst)
-        key = (min(ga, gb), max(ga, gb), ch.slot)
-        pos, switch_a = self._link_pos[key]
-        direction = 0 if ch.src == switch_a else 1
-        return self._global_base + 2 * pos + direction
-
-    def decode_channel(self, cid: int) -> Channel:
-        """Inverse of :meth:`encode_channel`."""
-        if cid < self._global_base:
-            return Channel(cid // self._S, cid % self._S)
-        pos, direction = divmod(cid - self._global_base, 2)
-        link = self.topo.global_links[pos]
-        if direction == 0:
-            return Channel(link.switch_a, link.switch_b, link.slot)
-        return Channel(link.switch_b, link.switch_a, link.slot)
+    def _node(self, ch: Channel, vc: int) -> int:
+        index = self.table.channel_index(ch.src, ch.dst, ch.slot)
+        if index is None:
+            raise ValueError(f"{ch} is not a channel of {self.topo}")
+        return index * self.num_levels + vc
 
     def decode_node(self, node: int) -> VcNode:
         """Map an encoded node id back to its ``(channel, vc)`` pair."""
-        cid, vc = divmod(node, self.num_levels)
-        return self.decode_channel(cid), vc
+        index, vc = divmod(node, self.num_levels)
+        return Channel(*self.table.channel_keys[index]), vc
 
     # ------------------------------------------------------------------
     # Construction
@@ -188,12 +180,11 @@ class ChannelDependencyGraph:
     def add_dependency(self, ch1: Channel, vc1: int, ch2: Channel, vc2: int) -> None:
         """Record that a packet may hold ``(ch1, vc1)`` while waiting for
         ``(ch2, vc2)`` (public: tests hand-build cyclic fixtures with it)."""
-        n1 = self.encode_channel(ch1) * self.num_levels + vc1
-        n2 = self.encode_channel(ch2) * self.num_levels + vc2
-        self._edges.add(n1 * self.num_node_ids + n2)
+        self._edges.add(
+            self._node(ch1, vc1) * self.num_node_ids + self._node(ch2, vc2)
+        )
 
-    def add_path(self, path: Path, vcs: Sequence[int]) -> None:
-        """Add the consecutive-hop dependencies of one routed path."""
+    def _add_hops(self, path: Path, vcs: Sequence[int]) -> None:
         if len(vcs) != path.num_hops:
             raise ValueError(
                 f"{path.num_hops}-hop path got {len(vcs)} VC assignments"
@@ -203,12 +194,23 @@ class ChannelDependencyGraph:
             self.add_dependency(
                 channels[i], vcs[i], channels[i + 1], vcs[i + 1]
             )
+
+    def add_path(self, path: Path, vcs: Sequence[int]) -> None:
+        """Add the consecutive-hop dependencies of one routed path."""
+        self._add_hops(path, vcs)
         self.num_paths += 1
 
-    def add_encoded_edges(self, edges: np.ndarray) -> None:
-        """Bulk-add edges already encoded as ``n1 * num_node_ids + n2``."""
-        if edges.size:
-            self._edges.update(np.unique(edges).tolist())
+    def add_dependencies(
+        self,
+        ch1: np.ndarray,
+        vc1: np.ndarray,
+        ch2: np.ndarray,
+        vc2: np.ndarray,
+    ) -> None:
+        """:meth:`add_dependency` of whole arrays, channels by index."""
+        lv = self.num_levels
+        edges = (ch1 * lv + vc1) * np.int64(self.num_node_ids) + ch2 * lv + vc2
+        self._edges.update(np.unique(edges).tolist())
 
     # ------------------------------------------------------------------
     # Queries
@@ -239,12 +241,12 @@ class ChannelDependencyGraph:
 
         The returned list is the cycle in traversal order: each element
         depends on the next, and the last depends on the first.  A single
-        three-color iterative DFS, O(nodes + edges).
+        three-color iterative DFS over the dependencies in node order, so
+        the counterexample reported is the same whatever order they were
+        added in.
         """
         adj: Dict[int, List[int]] = {}
-        # repro: allow[DET101]: int elements hash to themselves, so set
-        # order is value-determined and PYTHONHASHSEED-independent
-        for e in self._edges:
+        for e in sorted(self._edges):
             n1, n2 = divmod(e, self.num_node_ids)
             adj.setdefault(n1, []).append(n2)
         white, gray, black = 0, 1, 2
@@ -275,416 +277,184 @@ class ChannelDependencyGraph:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized policy membership
+# Array builder: dependencies read from the route table
 # ---------------------------------------------------------------------------
-_U = np.uint64
-
-
-def _mix_vec(
-    seed: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    mid: np.ndarray,
-    s1: np.ndarray,
-    s2: np.ndarray,
+def _levels(
+    table: RouteTable, scheme: str, shapes: Sequence[str], revised: bool
 ) -> np.ndarray:
-    """Vectorized replica of ``repro.routing.pathset._mix`` (uint64 wrap
-    arithmetic is exactly the scalar version's ``& 0xFFF...F`` masking)."""
-    # the seed term is folded in exact Python arithmetic (numpy *scalar*
-    # overflow would warn); array x scalar products wrap silently mod 2**64,
-    # matching the scalar version's explicit masking
-    seed_term = ((seed & 0xFFFFFFFFFFFFFFFF) * 0x9E3779B97F4A7C15) & (
-        0xFFFFFFFFFFFFFFFF
-    )
-    x = (
-        src.astype(np.uint64) * _U(0xBF58476D1CE4E5B9)
-        + dst.astype(np.uint64) * _U(0x94D049BB133111EB)
-        + mid.astype(np.uint64) * _U(0xD6E8FEB86659FD93)
-        + s1.astype(np.uint64) * _U(0xA5A5A5A5A5A5A5A5)
-        + s2.astype(np.uint64) * _U(0x0123456789ABCDEF)
-        + _U(seed_term)
-    )
-    x ^= x >> _U(30)
-    x *= _U(0xBF58476D1CE4E5B9)
-    x ^= x >> _U(27)
-    x *= _U(0x94D049BB133111EB)
-    x ^= x >> _U(31)
-    return x
-
-
-_DESC_SLOT_BITS = 10  # slots per group pair < 1024 in any realistic dfly
-
-
-def _encode_desc(
-    S: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    mid: np.ndarray,
-    s1: np.ndarray,
-    s2: np.ndarray,
-) -> np.ndarray:
-    base = (src.astype(np.int64) * S + dst) * S + mid
-    return ((base << _DESC_SLOT_BITS) | s1) << _DESC_SLOT_BITS | s2
-
-
-def _policy_mask(
-    topo: Dragonfly, policy: PathPolicy, R: Dict[str, np.ndarray]
-) -> Optional[np.ndarray]:
-    """Vectorized ``policy.contains`` over candidate rows ``R``.
-
-    ``R`` holds flat int arrays ``src, dst, mid, s1, s2`` and bool arrays
-    ``h0, h2, h3, h5`` (presence of the four optional local hops).
-    Returns ``None`` for "all rows".  Raises :class:`_UnsupportedPolicy`
-    for policy types without a closed-form mask.
-    """
-    if isinstance(policy, AllVlbPolicy):
-        return None
-    hops = 2 + R["h0"] + R["h2"] + R["h3"] + R["h5"]
-    if isinstance(policy, HopClassPolicy):
-        mask = hops <= policy.full_hops
-        if policy.extra_fraction > 0.0:
-            quota = int(round(policy.extra_fraction * 10_000))
-            mixed = _mix_vec(
-                policy.seed, R["src"], R["dst"], R["mid"], R["s1"], R["s2"]
-            )
-            in_quota = (mixed % _U(10_000)).astype(np.int64) < quota
-            mask |= (hops == policy.full_hops + 1) & in_quota
-        return mask
-    if isinstance(policy, StrategicFiveHopPolicy):
-        leg1 = 1 + R["h0"] + R["h2"]
-        leg2 = 1 + R["h3"] + R["h5"]
-        want1, want2 = (2, 3) if policy.order == "2+3" else (3, 2)
-        return (leg1 + leg2 <= 4) | (
-            (leg1 == want1) & (leg2 == want2)
+    """Row ``i``: the VC level of every hop of ``shapes[i]`` -- the
+    table's own ladders (PAR's ``revised=True, hop_offset=1`` ones for a
+    revised fragment), or all zero under the analysis-only ``none``."""
+    levels = np.zeros((len(shapes), max(map(len, shapes), default=1)), np.int64)
+    if scheme != "none":
+        ladders = table.ladders(
+            scheme, _NO_VC_LIMIT, revised=revised, hop_offset=int(revised)
         )
-    if isinstance(policy, ExcludingPolicy):
-        base = _policy_mask(topo, policy.base, R)
-        mask = (
-            np.ones(R["src"].shape, dtype=bool) if base is None else base.copy()
-        )
-        if policy.excluded_descriptors:
-            S = topo.num_switches
-            if any(
-                d.slot1 >= (1 << _DESC_SLOT_BITS)
-                or d.slot2 >= (1 << _DESC_SLOT_BITS)
-                for _s, _d, d in policy.excluded_descriptors
-            ):
-                raise _UnsupportedPolicy("slot out of encodable range")
-            excl = np.fromiter(
-                (
-                    int(
-                        _encode_desc(
-                            S,
-                            np.int64(s),
-                            np.int64(d),
-                            np.int64(desc.mid),
-                            np.int64(desc.slot1),
-                            np.int64(desc.slot2),
-                        )
-                    )
-                    for s, d, desc in policy.excluded_descriptors
-                ),
-                dtype=np.int64,
-            )
-            enc = _encode_desc(
-                S, R["src"], R["dst"], R["mid"], R["s1"], R["s2"]
-            )
-            mask &= ~np.isin(enc, excl)
-        if policy.excluded_channels:
-            # a path is excluded when any of its (present) hops uses an
-            # excluded channel; graph construction knows the hop channel
-            # ids, so the caller passes them through R
-            cids = np.fromiter(
-                (R["encode"](ch) for ch in policy.excluded_channels),
-                dtype=np.int64,
-            )
-            hit = np.zeros(R["src"].shape, dtype=bool)
-            for col, present in (
-                ("ch0", R["h0"]),
-                ("ch1", None),
-                ("ch2", R["h2"]),
-                ("ch3", R["h3"]),
-                ("ch4", None),
-                ("ch5", R["h5"]),
-            ):
-                on = np.isin(R[col], cids)
-                hit |= on if present is None else (on & present)
-            mask &= ~hit
-        return mask
-    raise _UnsupportedPolicy(type(policy).__name__)
+        for i, shape in enumerate(shapes):
+            levels[i, : len(shape)] = ladders[shape]
+    return levels
 
 
-# ---------------------------------------------------------------------------
-# Vectorized builder (fully connected groups)
-# ---------------------------------------------------------------------------
-def _pair_tables(
-    topo: Dragonfly, graph: ChannelDependencyGraph
-) -> Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per ordered group pair: slot-indexed endpoint and channel-id arrays
-    ``(xs, ys, cids)`` for traversing each global link from ``ga`` side."""
-    tables: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for ga in range(topo.g):
-        for gb in range(topo.g):
-            if ga == gb:
-                continue
-            links = topo.links_between_groups(ga, gb)
-            if not links:
-                continue
-            xs = np.fromiter(
-                (ln.endpoint_in(ga) for ln in links), dtype=np.int64
-            )
-            ys = np.fromiter(
-                (ln.endpoint_in(gb) for ln in links), dtype=np.int64
-            )
-            cids = np.fromiter(
-                (
-                    graph.encode_channel(
-                        Channel(ln.endpoint_in(ga), ln.endpoint_in(gb), ln.slot)
-                    )
-                    for ln in links
-                ),
-                dtype=np.int64,
-            )
-            tables[(ga, gb)] = (xs, ys, cids)
-    return tables
+def _local_arrivals(table: RouteTable) -> np.ndarray:
+    """Row ``r``: the channels of the local hops ``s -> r`` a packet can
+    reach switch ``r`` over, ``-1`` padded."""
+    rows = [
+        [
+            table.channel_index(s, r, LOCAL_SLOT)
+            for s in table.topo.local_neighbors(r)
+        ]
+        for r in range(table.nsw)
+    ]
+    arrivals = np.full((table.nsw, max(1, *map(len, rows))), -1, np.int64)
+    for r, row in enumerate(rows):
+        arrivals[r, : len(row)] = row
+    return arrivals
 
 
-def _emit(
+def _add_leg_hops(
     graph: ChannelDependencyGraph,
-    collected: List[np.ndarray],
-    sel: np.ndarray,
-    ch_a: np.ndarray,
-    vc_a: np.ndarray,
-    ch_b: np.ndarray,
-    vc_b: np.ndarray,
+    slot: np.ndarray,
+    levels: np.ndarray,
+    start: np.ndarray,
 ) -> None:
-    """Collect the encoded edges (a, vc_a) -> (b, vc_b) of the selected
-    rows, duplicates and all: :func:`_flush` dedups a whole block of
-    transitions at once."""
-    if not sel.any():
+    """The consecutive-hop dependencies inside MIN slots ``slot``, hop
+    ``h`` of ``slot[r]`` riding VC level ``levels[r, start[r] + h]``."""
+    slots = graph.table.min_slots()
+    hops = slots.hops[slot]
+    for hop in range(int(hops.max(initial=1)) - 1):
+        on = np.flatnonzero(hops > hop + 1)
+        at = slots.rel[slot[on]] + hop
+        level = start[on] + hop
+        graph.add_dependencies(
+            slots.chan[at],
+            levels[on, level],
+            slots.chan[at + 1],
+            levels[on, level + 1],
+        )
+
+
+def _candidates(table: RouteTable, gm: int) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Every VLB candidate through intermediate group ``gm`` as columns
+    ``(src, dst, mid, slot1, slot2, fragment)``, about ``_CHUNK_ROWS``
+    at a time.  ``fragment``: the candidate is also a PAR-revised
+    fragment, its source being a switch some first MIN hop lands on --
+    always for another group's destination, inside a group only where
+    local routes have a second hop (revision fires at hop 1)."""
+    slots = table.min_slots()
+    image = table.vlb_image()
+    n = table.nsw
+    group = image.switch_group
+    mids = image.switches[gm].astype(np.int64)
+    # second legs: every mid offers the same (dst, slot2) list
+    dsts = np.flatnonzero(group != gm)
+    count = slots.k[mids[0] * n + dsts]
+    dst2 = np.repeat(dsts, count)
+    slot2 = np.arange(len(dst2)) - np.repeat(np.cumsum(count) - count, count)
+    if not len(dst2):
         return
-    lv = graph.num_levels
-    n1 = ch_a[sel] * lv + vc_a[sel]
-    n2 = ch_b[sel] * lv + vc_b[sel]
-    collected.append(n1 * graph.num_node_ids + n2)
+    for gs in range(table.g):
+        srcs = image.switches[gs].astype(np.int64)
+        links = int(slots.k[srcs[0] * n + mids[0]])
+        if gs == gm or not links:
+            continue
+        firsts = [
+            column.ravel()
+            for column in np.meshgrid(srcs, mids, np.arange(links), indexing="ij")
+        ]
+        fragment2 = (group[dst2] != gs) | (table.topo.max_local_hops > 1)
+        step = max(1, _CHUNK_ROWS // len(dst2))
+        for lo in range(0, len(firsts[0]), step):
+            src, mid, slot1 = (
+                np.repeat(column[lo : lo + step], len(dst2)) for column in firsts
+            )
+            dst, s2, fragment = (
+                np.tile(column, len(src) // len(dst2))
+                for column in (dst2, slot2, fragment2)
+            )
+            yield src, dst, mid, slot1, s2, fragment
 
 
-def _flush(graph: ChannelDependencyGraph, collected: List[np.ndarray]) -> None:
-    """Add what :func:`_emit` collected to the graph (one dedup for the
-    block, inside ``add_encoded_edges``) and start the next block."""
-    if collected:
-        graph.add_encoded_edges(np.concatenate(collected))
-        collected.clear()
-
-
-def _won_vlb_vcs(
-    h2: np.ndarray, h3: np.ndarray, offset: int
-) -> Tuple[np.ndarray, ...]:
-    c = (h2 & h3).astype(np.int64)
-    zero = np.zeros(h2.shape, dtype=np.int64) + offset
-    return (
-        zero,
-        zero,
-        zero + 1,
-        offset + 1 + c,
-        offset + 1 + c,
-        offset + 2 + c,
-    )
-
-
-def _perhop_vlb_vcs(
-    h0: np.ndarray, h2: np.ndarray, h3: np.ndarray, offset: int
-) -> Tuple[np.ndarray, ...]:
-    p0 = np.zeros(h0.shape, dtype=np.int64) + offset
-    p1 = p0 + h0
-    p2 = p1 + 1
-    p3 = p1 + h2 + 1
-    p4 = p3 + h3
-    return p0, p1, p2, p3, p4, p4 + 1
-
-
-def _none_vlb_vcs(h0: np.ndarray) -> Tuple[np.ndarray, ...]:
-    z = np.zeros(h0.shape, dtype=np.int64)
-    return z, z, z, z, z, z
-
-
-def _vlb_vcs(
-    scheme: str,
-    h0: np.ndarray,
-    h2: np.ndarray,
-    h3: np.ndarray,
-    offset: int,
-) -> Tuple[np.ndarray, ...]:
-    if scheme == "won":
-        return _won_vlb_vcs(h2, h3, offset)
-    if scheme == "perhop":
-        return _perhop_vlb_vcs(h0, h2, h3, offset)
-    return _none_vlb_vcs(h0)
-
-
-def _emit_vlb_rows(
-    graph: ChannelDependencyGraph,
-    collected: List[np.ndarray],
-    R: Dict[str, np.ndarray],
-    include: Optional[np.ndarray],
-    scheme: str,
-    offset: int,
-) -> None:
-    """Emit the consecutive-hop edges of all (masked) candidate rows.
-
-    The 6-hop template is ``l g l l g l`` with optional hops h0/h2/h3/h5;
-    edges join each present hop to the next present hop.
-    """
-    h0, h2, h3, h5 = R["h0"], R["h2"], R["h3"], R["h5"]
-    base = R["valid"] if include is None else (R["valid"] & include)
-    v = _vlb_vcs(scheme, h0, h2, h3, offset)
-    ch = (R["ch0"], R["ch1"], R["ch2"], R["ch3"], R["ch4"], R["ch5"])
-    transitions = (
-        (0, 1, h0),
-        (1, 2, h2),
-        (1, 3, ~h2 & h3),
-        (1, 4, ~h2 & ~h3),
-        (2, 3, h2 & h3),
-        (2, 4, h2 & ~h3),
-        (3, 4, h3),
-        (4, 5, h5),
-    )
-    for i, j, cond in transitions:
-        _emit(graph, collected, base & cond, ch[i], v[i], ch[j], v[j])
-
-
-def _build_fast(
-    topo: Dragonfly,
-    policy: PathPolicy,
+def _build_array(
+    program: PolicyProgram,
     scheme: str,
     include_par: bool,
     graph: ChannelDependencyGraph,
 ) -> None:
-    S = topo.num_switches
-    a = topo.a
-    tables = _pair_tables(topo, graph)
-    collected: List[np.ndarray] = []
+    table = graph.table
+    slots = table.min_slots()
+    n, nchan = table.nsw, len(table.channel_keys)
+    group = table.vlb_image().switch_group
+    shapes = slots.shapes
+    shape = slots.shape.astype(np.int64)
+    first_chan = slots.chan[slots.rel].astype(np.int64)
+    last_chan = slots.chan[slots.rel + slots.hops - 1].astype(np.int64)
 
-    # ---- MIN paths: one canonical l g l (with collapses) per link ----
-    for (ga, gb), (xs, ys, cids) in tables.items():
-        srcs = np.arange(ga * a, (ga + 1) * a, dtype=np.int64)
-        dsts = np.arange(gb * a, (gb + 1) * a, dtype=np.int64)
-        SRC, DST, K = np.meshgrid(srcs, dsts, np.arange(len(xs)), indexing="ij")
-        SRC, DST, K = SRC.ravel(), DST.ravel(), K.ravel()
-        X, Y, G = xs[K], ys[K], cids[K]
-        h0 = SRC != X
-        h2 = Y != DST
-        ch0 = SRC * S + X
-        ch2 = Y * S + DST
-        if scheme == "won":
-            v0 = np.zeros(SRC.shape, dtype=np.int64)
-            v1 = v0
-            v2 = v0 + 1
-        elif scheme == "perhop":
-            v0 = np.zeros(SRC.shape, dtype=np.int64)
-            v1 = h0.astype(np.int64)
-            v2 = v1 + 1
-        else:
-            v0 = v1 = v2 = np.zeros(SRC.shape, dtype=np.int64)
-        _emit(graph, collected, h0, ch0, v0, G, v1)
-        _emit(graph, collected, h2, G, v1, ch2, v2)
-        graph.num_paths += int(SRC.size)
-    _flush(graph, collected)
+    # ---- MIN paths: every slot once ----
+    _add_leg_hops(
+        graph,
+        np.arange(len(shape)),
+        _levels(table, scheme, shapes, False)[shape],
+        np.zeros(len(shape), np.int64),
+    )
+    between_groups = group[:, None] != group[None, :]
+    graph.num_paths += int(slots.k.reshape(n, n)[between_groups].sum())
 
-    # ---- VLB candidates per (source group, dest group, mid group) ----
-    for gs in range(topo.g):
-        for gd in range(topo.g):
-            for gm in range(topo.g):
-                if gm == gs or gm == gd:
-                    continue
-                t1 = tables.get((gs, gm))
-                t2 = tables.get((gm, gd))
-                if t1 is None or t2 is None:
-                    continue
-                xs1, ys1, g1 = t1
-                xs2, ys2, g2 = t2
-                srcs = np.arange(gs * a, (gs + 1) * a, dtype=np.int64)
-                dsts = np.arange(gd * a, (gd + 1) * a, dtype=np.int64)
-                mids = np.arange(gm * a, (gm + 1) * a, dtype=np.int64)
-                s1 = np.arange(len(xs1), dtype=np.int64)
-                s2 = np.arange(len(xs2), dtype=np.int64)
-                SRC, DST, MID, K1, K2 = (
-                    arr.ravel()
-                    for arr in np.meshgrid(
-                        srcs, dsts, mids, s1, s2, indexing="ij"
-                    )
+    # ---- VLB paths: two slots back to back, on the ladder of their
+    # shape pair; under PAR once more, as fragments, on the revised one
+    pair_shapes = [head + tail for head in shapes for tail in shapes]
+    pairs = len(pair_shapes)
+    head_hops = np.repeat([len(name) for name in shapes], len(shapes))
+    ladders = [_levels(table, scheme, pair_shapes, False)]
+    if include_par and scheme != "none":
+        ladders.append(_levels(table, scheme, pair_shapes, True))
+        arrivals = _local_arrivals(table)
+        channel_source = np.array(table.channel_keys)[:, 0]
+    for gm in range(table.g):
+        # what the candidates' dependencies hang on -- a first-leg slot,
+        # a second-leg slot, the two channels of a junction -- each as
+        # ``(what * pairs + shape pair) * 2 + fragment``, deduplicated
+        found: Tuple[List[np.ndarray], ...] = ([], [], [])
+        for columns in _candidates(table, gm):
+            src, dst, mid, slot1, slot2, fragment = columns
+            keep = src != dst
+            if program.ops:
+                keep &= program_mask(program, table, *columns[:5])
+            src, dst, mid, slot1, slot2, fragment = (
+                column[keep] for column in columns
+            )
+            graph.num_paths += len(src)
+            leg1 = slots.first[src * n + mid] + slot1
+            leg2 = slots.first[mid * n + dst] + slot2
+            joint = last_chan[leg1] * nchan + first_chan[leg2]
+            tag = (shape[leg1] * len(shapes) + shape[leg2]) * 2 + fragment
+            for keys, what in zip(found, (leg1, leg2, joint)):
+                keys.append(np.unique(what * (2 * pairs) + tag))
+        if not found[0]:
+            continue
+        merged = [np.unique(np.concatenate(keys)) for keys in found]
+        for revised, levels in enumerate(ladders):
+            (leg1, pair1), (leg2, pair2), (joint, pair) = (
+                np.divmod(key[key & 1 > 0] >> 1 if revised else key >> 1, pairs)
+                for key in merged
+            )
+            _add_leg_hops(graph, leg1, levels[pair1], np.zeros_like(pair1))
+            _add_leg_hops(graph, leg2, levels[pair2], head_hops[pair2])
+            graph.add_dependencies(
+                joint // nchan,
+                levels[pair, head_hops[pair] - 1],
+                joint % nchan,
+                levels[pair, head_hops[pair]],
+            )
+            if revised:
+                # the hop that brought the packet to the revision switch
+                # is held, at level 0, while the fragment's first hop is
+                # awaited: one dependency per local neighbour
+                head = first_chan[leg1]
+                held = arrivals[channel_source[head]]
+                row, column = np.nonzero(held >= 0)
+                graph.add_dependencies(
+                    held[row, column], 0, head[row], levels[pair1[row], 0]
                 )
-                X1, Y1, G1 = xs1[K1], ys1[K1], g1[K1]
-                X2, Y2, G2 = xs2[K2], ys2[K2], g2[K2]
-                R: Dict[str, np.ndarray] = {
-                    "src": SRC,
-                    "dst": DST,
-                    "mid": MID,
-                    "s1": K1,
-                    "s2": K2,
-                    "h0": SRC != X1,
-                    "h2": Y1 != MID,
-                    "h3": MID != X2,
-                    "h5": Y2 != DST,
-                    "ch0": SRC * S + X1,
-                    "ch1": G1,
-                    "ch2": Y1 * S + MID,
-                    "ch3": MID * S + X2,
-                    "ch4": G2,
-                    "ch5": Y2 * S + DST,
-                    "valid": (
-                        SRC != DST
-                        if gs == gd
-                        else np.ones(SRC.shape, dtype=bool)
-                    ),
-                    "encode": graph.encode_channel,  # type: ignore[dict-item]
-                }
-                include = _policy_mask(topo, policy, R)
-                n_inc = (
-                    int(R["valid"].sum())
-                    if include is None
-                    else int((R["valid"] & include).sum())
-                )
-                graph.num_paths += n_inc
-                _emit_vlb_rows(graph, collected, R, include, scheme, 0)
-                if include_par and gs != gd and scheme != "none":
-                    # PAR revision: the same VLB candidates re-routed from
-                    # a second source-group switch, one VC level up, plus
-                    # the dependency from the pre-revision first hop
-                    _emit_vlb_rows(graph, collected, R, include, scheme, 1)
-                    sel = (
-                        R["valid"]
-                        if include is None
-                        else (R["valid"] & include)
-                    )
-                    if sel.any():
-                        # the revised first hop always sits one VC level up
-                        # (level 1) in both schemes
-                        first_ch = np.where(R["h0"], R["ch0"], R["ch1"])
-                        combo = np.unique(
-                            SRC[sel] * np.int64(graph.num_channel_ids)
-                            + first_ch[sel]
-                        )
-                        u_src = combo // graph.num_channel_ids
-                        u_fch = combo % graph.num_channel_ids
-                        # every other switch s of the source group may be
-                        # the original injection point: (s -> r)@0 is held
-                        # while the revised first hop is awaited
-                        group_sw = np.arange(gs * a, (gs + 1) * a, dtype=np.int64)
-                        s_all = np.repeat(
-                            group_sw[None, :], len(combo), axis=0
-                        ).ravel()
-                        r_all = np.repeat(u_src, a)
-                        f_all = np.repeat(u_fch, a)
-                        ok = s_all != r_all
-                        pre = s_all * S + r_all
-                        zeros = np.zeros(pre.shape, dtype=np.int64)
-                        _emit(
-                            graph, collected, ok, pre, zeros, f_all, zeros + 1
-                        )
-                # the triple's eight transitions (twice under PAR, plus
-                # its revision block) dedup together
-                _flush(graph, collected)
 
 
 # ---------------------------------------------------------------------------
@@ -712,22 +482,24 @@ def _build_generic(
         pairs = [pairs[i] for i in sorted(idx)]
         graph.exhaustive = False
     for src, dst in pairs:
-        for p in min_paths(topo, src, dst):
-            graph.add_path(p, _vcs_for(p, scheme))
         # this pair can be the (revision switch, dst) of a PAR re-route
         # when some packet's first MIN hop lands on `src`: always possible
         # for inter-group traffic, and for intra-group traffic only on
         # topologies with multi-hop local routes (revision fires at hop 1)
-        fragment_pair = topo.group_of(src) != topo.group_of(dst) or (
-            topo.max_local_hops > 1
-        )
+        inter_group = topo.group_of(src) != topo.group_of(dst)
+        fragment_pair = inter_group or topo.max_local_hops > 1
         neighbors = topo.local_neighbors(src) if fragment_pair else []
-        count = 0
+        for p in min_paths(topo, src, dst):
+            graph._add_hops(p, _vcs_for(p, scheme))
+            graph.num_paths += inter_group  # see CdgResult
+        seen: Set[Tuple[int, int, int]] = set()
         for desc in policy.iter_descriptors(topo, src, dst):
-            if max_descriptors is not None and count >= max_descriptors:
+            if max_descriptors is not None and len(seen) >= max_descriptors:
                 graph.exhaustive = False
                 break
-            count += 1
+            if tuple(desc) in seen:
+                continue  # listed twice: one path
+            seen.add(tuple(desc))
             try:
                 p = vlb_path(topo, src, dst, desc)
             except (ValueError, IndexError):
@@ -738,7 +510,7 @@ def _build_generic(
                 # a PAR re-route: same path, VC levels shifted up one,
                 # held while the pre-revision source-group hop drains
                 vcs = _vcs_for(p, scheme, revised=True)
-                graph.add_path(p, vcs)
+                graph._add_hops(p, vcs)
                 first = next(p.channels())
                 for s in neighbors:
                     graph.add_dependency(
@@ -769,10 +541,14 @@ def build_cdg(
 
     ``routing`` decides which dependencies exist: any ``par`` variant adds
     the PAR-revised path fragments (one VC level up) on top of the MIN and
-    VLB dependencies every UGAL variant creates.  ``method`` is ``auto``
-    (vectorized when the topology/policy allow it and the candidate space
-    is tractable), ``fast``, or ``generic``; sampling caps only apply to
-    the generic builder and clear the graph's ``exhaustive`` flag.
+    VLB dependencies every UGAL variant creates.  ``method`` is ``fast``
+    (the array builder, which needs the policy to compile to a program),
+    ``generic``, or ``auto``: the array builder when the policy has a
+    program, no sampling cap is given and the candidate space is
+    tractable; otherwise the generic builder -- sampled, when the caller
+    gave no caps, on a candidate space too large to enumerate.  Sampling
+    caps only apply to the generic builder and clear the graph's
+    ``exhaustive`` flag.
     """
     policy = policy if policy is not None else AllVlbPolicy()
     base = routing.lower()
@@ -781,39 +557,30 @@ def build_cdg(
     graph = ChannelDependencyGraph(topo, scheme)
     if method not in ("auto", "fast", "generic"):
         raise ValueError(f"unknown method {method!r}")
-    use_fast = method == "fast"
-    if method == "auto":
-        use_fast = (
-            topo.max_local_hops == 1
-            and max_pairs is None
-            and max_descriptors is None
-            and _estimated_rows(topo) <= _FAST_ROW_LIMIT
+    program = policy_program(policy, graph.table)
+    if method == "auto" and max_pairs is None and max_descriptors is None:
+        if _estimated_rows(topo) > _ROW_LIMIT:
+            max_pairs, max_descriptors = _SAMPLED_PAIRS, _SAMPLED_DESCRIPTORS
+        elif program is not None:
+            method = "fast"
+    if method != "fast":
+        _build_generic(
+            topo,
+            policy,
+            scheme,
+            include_par,
+            graph,
+            max_pairs,
+            max_descriptors,
+            seed,
         )
-    if use_fast:
-        if topo.max_local_hops != 1:
-            raise ValueError(
-                "the vectorized builder requires fully connected groups"
-            )
-        try:
-            _build_fast(topo, policy, scheme, include_par, graph)
-            return graph
-        except _UnsupportedPolicy:
-            if method == "fast":
-                raise ValueError(
-                    f"policy {policy.describe()!r} has no vectorized "
-                    f"membership mask; use method='generic'"
-                )
-            graph = ChannelDependencyGraph(topo, scheme)
-    _build_generic(
-        topo,
-        policy,
-        scheme,
-        include_par,
-        graph,
-        max_pairs,
-        max_descriptors,
-        seed,
-    )
+    elif program is None:
+        raise ValueError(
+            f"policy {policy.describe()!r} has no membership program; "
+            f"use method='generic'"
+        )
+    else:
+        _build_array(program, scheme, include_par, graph)
     return graph
 
 

@@ -17,22 +17,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.routing.pathset import AllVlbPolicy, PathPolicy
 from repro.sim.params import SimParams
 from repro.topology.dragonfly import Dragonfly
-from repro.verify.cdg import (
-    _FAST_ROW_LIMIT,
-    _estimated_rows,
-    CdgResult,
-    certify_deadlock_freedom,
-)
+from repro.verify.cdg import CdgResult, certify_deadlock_freedom
 from repro.verify.lint import Finding, lint_pathset
 
 __all__ = ["VerifyReport", "verify_config"]
 
-# bounds applied when the topology is too large for exhaustive analysis
-_SAMPLED_CDG_PAIRS = 200
-_SAMPLED_CDG_DESCRIPTORS = 512
-# the generic builder materializes paths one by one, ~100x the per-row
-# cost of the vectorized builder: cap its exhaustive use much lower
-_GENERIC_ROW_LIMIT = 2_000_000
 # a broken config can produce tens of thousands of findings; keep the
 # text rendering readable (to_dict/to_json always carry everything)
 _MAX_RENDERED_FINDINGS = 25
@@ -183,18 +172,8 @@ def verify_config(
     )
     cdg: Optional[CdgResult] = None
     if run_cdg:
-        limit = (
-            _FAST_ROW_LIMIT if topo.max_local_hops == 1 else _GENERIC_ROW_LIMIT
-        )
-        exhaustive_ok = _estimated_rows(topo) <= limit
         cdg = certify_deadlock_freedom(
-            topo,
-            policy,
-            scheme=scheme,
-            routing=base,
-            seed=seed,
-            max_pairs=None if exhaustive_ok else _SAMPLED_CDG_PAIRS,
-            max_descriptors=None if exhaustive_ok else _SAMPLED_CDG_DESCRIPTORS,
+            topo, policy, scheme=scheme, routing=base, seed=seed
         )
     findings: List[Finding] = []
     if run_lint:

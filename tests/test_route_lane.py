@@ -7,7 +7,8 @@ that agreement rests on, independently:
 
 * the flattened tables -- every (pair, descriptor) of four small shapes:
   the compiled membership test equals ``policy.contains`` for every
-  built-in policy, and the table's ``(hops, channels, VCs)`` equal
+  built-in policy under both of its evaluators (``program_mask`` in
+  numpy, ``rc_contains`` in the kernel), and the table's ``(hops, channels, VCs)`` equal
   ``vlb_legs`` + ``ladders`` (normal and PAR-revised);
 * the C bounded draw -- drawn from the generator itself, word for word
   ``DrawStream.integers`` / ``int(rng.integers(n))``, generator end
@@ -37,7 +38,11 @@ from repro.routing.pathset import (
     OrderedVlbPolicy,
     PathPolicy,
     StrategicFiveHopPolicy,
+    _as_int64,
+    _mix,
+    _mix_rows,
     policy_program,
+    program_mask,
 )
 from repro.routing.table import route_table
 from repro.routing.vlb import VlbDescriptor, enumerate_vlb_descriptors
@@ -126,21 +131,39 @@ def _lane(topo, policy, **params):
     )
 
 
-@needs_kernel
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_compiled_membership_equals_contains(shape):
     topo = SHAPES[shape]()
+    table = route_table(topo)
     rows = _descriptors(topo)
+    columns = np.array(rows).T
     for name, policy in _policies(topo, rows).items():
         want = [
             policy.contains(topo, s, d, VlbDescriptor(m, a, b))
             for s, d, m, a, b in rows
         ]
-        got = _lane(topo, policy).contains(np.array(rows)).tolist()
-        assert got == want, name
+        program = policy_program(policy, table)
+        assert program_mask(program, table, *columns).tolist() == want, name
+        if native_available():
+            got = _lane(topo, policy).contains(np.array(rows)).tolist()
+            assert got == want, name
         # the parameters above are only a test if they split the set
         if name not in ("all", "hopclass-min-only") and shape != "full-mesh-8":
             assert 0 < sum(want) < len(want), name
+
+
+def test_mix_rows_matches_scalar():
+    rng = np.random.default_rng(0)
+    cols = [rng.integers(0, 500, size=64) for _ in range(5)]
+    # -5 and 2**63 + 11 as programs carry them (the _as_int64 round trip)
+    for seed in (0, 7, 123456789, -5, 2**63 + 11, _as_int64(2**63 + 11)):
+        want = [
+            _mix(seed, s, d, VlbDescriptor(m, a, b))
+            for s, d, m, a, b in zip(*(c.tolist() for c in cols))
+        ]
+        assert _mix_rows(seed, *cols).tolist() == want
+    assert _as_int64(-5) == -5
+    assert _as_int64(2**63 + 11) == 11 - 2**63
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -1,26 +1,26 @@
 """Tests for the channel-dependency-graph builder and deadlock certifier."""
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.routing.channels import ChannelIndex
 from repro.routing.paths import Channel, Path
 from repro.routing.pathset import (
     AllVlbPolicy,
     ExcludingPolicy,
     ExplicitPathSet,
     HopClassPolicy,
+    OrderedVlbPolicy,
     StrategicFiveHopPolicy,
-    _mix,
 )
-from repro.routing.vlb import VlbDescriptor
-from repro.topology import Dragonfly
-from repro.topology.cascade import CascadeDragonfly
+from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
 from repro.verify import (
     ChannelDependencyGraph,
     build_cdg,
     certify_deadlock_freedom,
 )
-from repro.verify.cdg import VC_SCHEMES, _mix_vec
+from repro.verify.cdg import VC_SCHEMES
 
 
 @pytest.fixture(scope="module")
@@ -39,32 +39,41 @@ def small_topo():
 # ---------------------------------------------------------------------------
 class TestGraphPrimitives:
     def test_channel_roundtrip(self, small_topo):
+        # nodes are numbered in ChannelIndex order, like every other array
         g = ChannelDependencyGraph(small_topo, "won")
-        channels = [Channel(0, 1)]
-        for link in small_topo.global_links[:6]:
-            channels.append(Channel(link.switch_a, link.switch_b, link.slot))
-            channels.append(Channel(link.switch_b, link.switch_a, link.slot))
-        for ch in channels:
-            assert g.decode_channel(g.encode_channel(ch)) == ch
+        chidx = ChannelIndex(small_topo)
+        assert g.num_node_ids == len(chidx) * g.num_levels
+        for index in range(len(chidx)):
+            for vc in (0, g.num_levels - 1):
+                node = index * g.num_levels + vc
+                assert g.decode_node(node) == (chidx.channel(index), vc)
 
     def test_parallel_links_stay_distinct(self, small_topo):
         # dfly(2,4,2,5) has 2 links per group pair; both directions of both
-        # must encode to four distinct ids
+        # must be four distinct nodes
         g = ChannelDependencyGraph(small_topo, "won")
         links = small_topo.links_between_groups(0, 1)
         assert len(links) == 2
-        ids = {
-            g.encode_channel(Channel(ln.endpoint_in(a), ln.endpoint_in(b), ln.slot))
-            for ln in links
-            for a, b in ((0, 1), (1, 0))
-        }
-        assert len(ids) == 4
+        for ln in links:
+            for a, b in ((0, 1), (1, 0)):
+                g.add_dependency(
+                    Channel(ln.endpoint_in(a), ln.endpoint_in(b), ln.slot), 0,
+                    Channel(0, 1), 1,
+                )
+        assert g.num_edges == 4
+        assert g.num_nodes == 5
 
     def test_node_roundtrip(self, small_topo):
         g = ChannelDependencyGraph(small_topo, "won")
-        ch = Channel(2, 3)
-        node = g.encode_channel(ch) * g.num_levels + 3
-        assert g.decode_node(node) == (ch, 3)
+        g.add_dependency(Channel(2, 3), 3, Channel(3, 1), 4)
+        assert list(g.iter_dependencies()) == [
+            ((Channel(2, 3), 3), (Channel(3, 1), 4))
+        ]
+
+    def test_unknown_channel_rejected(self, small_topo):
+        g = ChannelDependencyGraph(small_topo, "won")
+        with pytest.raises(ValueError, match="not a channel"):
+            g.add_dependency(Channel(0, 1), 0, Channel(0, 4), 0)
 
     def test_unknown_scheme_rejected(self, small_topo):
         with pytest.raises(ValueError, match="unknown vc scheme"):
@@ -171,6 +180,60 @@ class TestPaperCertification:
             assert ch.dst == nxt.src or ch.is_global or nxt.is_global
 
 
+def _same_graph(topo, policy, scheme, routing):
+    """Array and generic builder agree edge for edge and on the count."""
+    fast = build_cdg(topo, policy, scheme=scheme, routing=routing, method="fast")
+    generic = build_cdg(
+        topo, policy, scheme=scheme, routing=routing, method="generic"
+    )
+    assert fast._edges == generic._edges
+    assert fast.num_paths == generic.num_paths
+    assert fast.exhaustive and generic.exhaustive
+    return fast
+
+
+def _excluding(topo):
+    """A balanced-looking policy: two channels and one path removed."""
+    last = topo.num_switches - 1
+    excluded_desc = next(AllVlbPolicy().iter_descriptors(topo, 0, last))
+    link = topo.links_between_groups(0, 1)[0]
+    return ExcludingPolicy(
+        base=HopClassPolicy(5, 1.0),
+        excluded_channels=frozenset(
+            {
+                Channel(0, 1),
+                Channel(link.endpoint_in(0), link.endpoint_in(1), link.slot),
+            }
+        ),
+        excluded_descriptors=frozenset({(0, last, excluded_desc)}),
+    )
+
+
+def _matrix(topo):
+    """Policies beyond the hop-class family, by the topology's kind."""
+    if topo.a == 1:  # full mesh: no local hop, hop classes do not split
+        return [AllVlbPolicy(), OrderedVlbPolicy(), OrderedVlbPolicy(0.4, 2**63 + 11)]
+    excluding = _excluding(topo)
+    explicit = ExplicitPathSet.from_policy(topo, HopClassPolicy(3, 0.3))
+    return [
+        AllVlbPolicy(),
+        HopClassPolicy(4, 0.37, seed=-5),
+        StrategicFiveHopPolicy("3+2"),
+        OrderedVlbPolicy(0.4, seed=2**63 + 11),
+        excluding,
+        ExcludingPolicy(excluding, excluded_channels=frozenset({Channel(1, 0)})),
+        explicit,
+        ExcludingPolicy(explicit, excluded_channels=frozenset({Channel(0, 1)})),
+    ]
+
+
+TOPOLOGIES = {
+    "dfly": lambda: Dragonfly(2, 4, 2, 5),
+    "cascade": lambda: CascadeDragonfly(1, 4, 1, 3, rows=2, cols=2),
+    "full-mesh": lambda: FullMesh(8),
+}
+
+
 class TestBuilderEquivalence:
     POLICIES = [
         AllVlbPolicy(),
@@ -184,53 +247,66 @@ class TestBuilderEquivalence:
     @pytest.mark.parametrize("scheme", ["won", "perhop", "none"])
     @pytest.mark.parametrize("routing", ["ugal-l", "par"])
     def test_fast_matches_generic_all_vlb(self, small_topo, scheme, routing):
-        fast = build_cdg(
-            small_topo, scheme=scheme, routing=routing, method="fast"
-        )
-        generic = build_cdg(
-            small_topo, scheme=scheme, routing=routing, method="generic"
-        )
-        assert fast._edges == generic._edges
+        _same_graph(small_topo, AllVlbPolicy(), scheme, routing)
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
     def test_fast_matches_generic_policies(self, small_topo, policy):
-        fast = build_cdg(small_topo, policy, scheme="won", method="fast")
-        generic = build_cdg(small_topo, policy, scheme="won", method="generic")
-        assert fast._edges == generic._edges
+        _same_graph(small_topo, policy, "won", "par")
 
     def test_fast_matches_generic_excluding(self, small_topo):
-        excluded_desc = next(
-            AllVlbPolicy().iter_descriptors(small_topo, 0, 8)
+        _same_graph(small_topo, _excluding(small_topo), "won", "par")
+
+    @pytest.mark.parametrize("scheme", ["won", "perhop"])
+    @pytest.mark.parametrize("routing", ["ugal-l", "par"])
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+    def test_fast_matches_generic_matrix(self, kind, scheme, routing):
+        # nested exclusions, explicit lists, ordered VLB; sparse groups
+        # (Cascade) and no groups at all (full mesh)
+        topo = TOPOLOGIES[kind]()
+        for policy in _matrix(topo):
+            _same_graph(topo, policy, scheme, routing)
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_fast_matches_generic_property(self, data):
+        topo = data.draw(
+            st.sampled_from(
+                [
+                    Dragonfly(1, 2, 1, 3),
+                    Dragonfly(2, 4, 2, 3),
+                    Dragonfly(1, 3, 2, 4),
+                    CascadeDragonfly(1, 4, 1, 3, rows=2, cols=2),
+                    FullMesh(5),
+                    FullMesh(8),
+                ]
+            )
         )
-        link = small_topo.links_between_groups(0, 1)[0]
-        policy = ExcludingPolicy(
-            base=HopClassPolicy(5, 1.0),
-            excluded_channels=frozenset(
-                {
-                    Channel(0, 1),
-                    Channel(link.endpoint_in(0), link.endpoint_in(1), link.slot),
-                }
-            ),
-            excluded_descriptors=frozenset({(0, 8, excluded_desc)}),
-        )
-        fast = build_cdg(small_topo, policy, scheme="won", method="fast")
-        generic = build_cdg(small_topo, policy, scheme="won", method="generic")
-        assert fast._edges == generic._edges
+        policy = data.draw(st.sampled_from(_matrix(topo)))
+        scheme = data.draw(st.sampled_from(VC_SCHEMES))
+        routing = data.draw(st.sampled_from(["ugal-l", "par", "t-par"]))
+        _same_graph(topo, policy, scheme, routing)
 
     def test_par_adds_fragment_dependencies(self, small_topo):
         ugal = build_cdg(small_topo, scheme="won", routing="ugal-l")
         par = build_cdg(small_topo, scheme="won", routing="par")
         assert ugal._edges < par._edges  # strict superset
+        assert ugal.num_paths == par.num_paths  # fragments are not new paths
 
-    def test_mix_vec_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        cols = [rng.integers(0, 500, size=64) for _ in range(5)]
-        for seed in (0, 7, 123456789):
-            vec = _mix_vec(seed, *[c.astype(np.int64) for c in cols])
-            for i in range(64):
-                src, dst, mid, s1, s2 = (int(c[i]) for c in cols)
-                scalar = _mix(seed, src, dst, VlbDescriptor(mid, s1, s2))
-                assert int(vec[i]) == scalar
+    def test_num_paths_counts_choices(self, small_topo):
+        # one MIN path per link of a pair of groups, every VLB descriptor
+        # of every pair, whichever builder ran
+        a, g, m = 4, 5, 2
+        inter = g * (g - 1) * a * a
+        intra = g * a * (a - 1)
+        want = inter * m + inter * (g - 2) * a * m * m + intra * (g - 1) * a * m * m
+        for method in ("fast", "generic"):
+            assert build_cdg(small_topo, method=method).num_paths == want
+        listed_twice = ExplicitPathSet(
+            {(0, 19): 2 * list(AllVlbPolicy().iter_descriptors(small_topo, 0, 19))[:3]}
+        )
+        assert _same_graph(small_topo, listed_twice, "won", "par").num_paths == (
+            inter * m + 3
+        )
 
 
 class TestBuilderModes:
@@ -240,30 +316,57 @@ class TestBuilderModes:
         assert not res.exhaustive and not res.certified
         assert "sampled" in res.describe()
 
-    def test_explicit_pathset_uses_generic(self, small_topo):
+    def test_large_topology_is_sampled_by_default(self, monkeypatch, small_topo):
+        # one place decides exhaustive vs sampled: past the row limit
+        # method="auto" runs the bounded check and says so
+        monkeypatch.setattr("repro.verify.cdg._ROW_LIMIT", 1000)
+        monkeypatch.setattr("repro.verify.cdg._SAMPLED_PAIRS", 10)
+        res = certify_deadlock_freedom(small_topo)
+        assert res.deadlock_free and not res.exhaustive
+        assert certify_deadlock_freedom(small_topo, method="fast").certified
+
+    def test_explicit_pathset_certifies_from_its_program(self, small_topo):
         policy = ExplicitPathSet.from_policy(
             small_topo, HopClassPolicy(4, 0.0), pairs=[(0, 8), (8, 0)]
         )
         res = certify_deadlock_freedom(small_topo, policy, scheme="won")
         assert res.deadlock_free and res.exhaustive
+        _same_graph(small_topo, policy, "won", "par")
 
-    def test_fast_method_rejects_explicit_pathset(self, small_topo):
-        with pytest.raises(ValueError, match="vectorized"):
-            build_cdg(small_topo, ExplicitPathSet(), method="fast")
+    def test_fast_method_builds_an_empty_pathset(self, small_topo):
+        # no VLB path at all: what is left is the MIN dependencies
+        graph = _same_graph(small_topo, ExplicitPathSet(), "won", "par")
+        assert graph._edges == build_cdg(small_topo, HopClassPolicy(0))._edges
 
-    def test_fast_method_rejects_sparse_groups(self):
+    def test_fast_method_builds_sparse_groups(self):
         casc = CascadeDragonfly(1, 4, 1, 3, rows=2, cols=2)
-        with pytest.raises(ValueError, match="fully connected"):
-            build_cdg(casc, method="fast")
+        for scheme in ("won", "perhop"):
+            _same_graph(casc, AllVlbPolicy(), scheme, "par")
+
+    def test_python_only_policy_takes_the_generic_builder(self, small_topo):
+        class Narrowed(HopClassPolicy):
+            def contains(self, topo, src, dst, desc):
+                return desc.mid % 2 == 0 and super().contains(topo, src, dst, desc)
+
+        policy = Narrowed(4)
+        res = certify_deadlock_freedom(small_topo, policy)
+        assert res.certified
+        wider = certify_deadlock_freedom(small_topo, HopClassPolicy(4))
+        assert 0 < res.num_paths < wider.num_paths
+        with pytest.raises(ValueError, match="has no membership program"):
+            build_cdg(small_topo, policy, method="fast")
 
     def test_unknown_method_rejected(self, small_topo):
         with pytest.raises(ValueError, match="unknown method"):
             build_cdg(small_topo, method="telepathy")
 
     def test_cascade_certified_via_generic(self):
-        # sparse intra-group topology: auto mode must pick the generic
-        # builder and still certify both schemes under PAR
+        # sparse intra-group topology: both schemes certify under PAR,
+        # by the default builder and by the oracle alike
         casc = CascadeDragonfly(1, 4, 1, 3, rows=2, cols=2)
         for scheme in ("won", "perhop"):
-            res = certify_deadlock_freedom(casc, scheme=scheme, routing="par")
-            assert res.certified, res.describe()
+            for method in ("auto", "generic"):
+                res = certify_deadlock_freedom(
+                    casc, scheme=scheme, routing="par", method=method
+                )
+                assert res.certified, res.describe()
