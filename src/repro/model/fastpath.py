@@ -33,11 +33,17 @@ lifetime:
   (channel / class / pair / value streams in the reference's first-touch
   order) plus injection/ejection rows, derived once per demand matrix.
 * **Per solve** -- a cheap patch: leg-split class weights from the
-  policy, the first-touch row map for the induced class mask (memoized
-  per mask), scaled values, equality rows, and the ``linprog`` call.
+  policy, the first-touch row map and the monotonicity class pairs of
+  the induced class mask (both memoized per mask), scaled values,
+  equality rows, and the ``linprog`` call -- on the *dual*: the LP as
+  modelled has 3-7x more rows than columns and HiGHS's simplex basis is
+  row-sized, so the COO streams go in transposed.  The primal point
+  comes back as the row duals and is checked against every primal
+  constraint before a result is returned; a failed or uncertified solve
+  raises.
 
-Results match the reference assembly to 1e-9 on throughput (the parity
-suite in ``tests/test_model_fastpath.py``).
+Results match the reference assembly, which solves the primal, to 1e-9
+on throughput (the parity suite in ``tests/test_model_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -581,6 +587,13 @@ class _PatternStruct:
         self._rowmaps: Dict[
             Tuple[bool, ...], Tuple[np.ndarray, np.ndarray, int]
         ] = {}
+        legs = blocks.legs
+        self._class_hops = np.asarray(
+            [sum(_class_split(c, legs)) for c in range(legs * legs)]
+        )
+        self._monopairs: Dict[
+            Tuple[bool, ...], Tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
 
     def rowmap(
         self, ok: np.ndarray
@@ -608,12 +621,37 @@ class _PatternStruct:
         self._rowmaps[key] = out
         return out
 
+    def monopairs(
+        self, ok: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pair, long_class, short_class)`` of every monotonicity row
+        under a class mask: each included class of a pair against each
+        included class one populated hop level below, in the reference's
+        row order."""
+        key = tuple(bool(b) for b in ok)
+        cached = self._monopairs.get(key)
+        if cached is None:
+            trip: List[Tuple[int, int, int]] = []
+            for k, row in enumerate(ok[None, :] & (self.counts > 0)):
+                classes = np.nonzero(row)[0]
+                hops = self._class_hops[classes]
+                levels = np.unique(hops)
+                for lo, hi in zip(levels, levels[1:]):
+                    trip.extend(
+                        (k, c_long, c_short)
+                        for c_long in classes[hops == hi]
+                        for c_short in classes[hops == lo]
+                    )
+            arr = np.asarray(trip, dtype=np.int64).reshape(-1, 3)
+            cached = self._monopairs[key] = (arr[:, 0], arr[:, 1], arr[:, 2])
+        return cached
+
 
 # what one _assemble_* returns: channel-block columns and values, the
 # variable count, VLB variables per pair, and the monotonicity rows
+# (two consecutive entries each: long class, short class)
 _Assembly = Tuple[
-    np.ndarray, np.ndarray, int, np.ndarray,
-    np.ndarray, np.ndarray, np.ndarray,
+    np.ndarray, np.ndarray, int, np.ndarray, np.ndarray, np.ndarray
 ]
 
 
@@ -646,9 +684,6 @@ class FastModel:
         self._splits = [
             _class_split(c, legs) for c in range(legs * legs)
         ]
-        self._class_hops = np.asarray(
-            [l1 + l2 for l1, l2 in self._splits], dtype=np.int64
-        )
         self._patterns: Dict[
             Tuple[bytes, Optional[PathPolicy]], _PatternStruct
         ] = {}
@@ -725,33 +760,31 @@ class FastModel:
                 struct, w_eff, ok, incl, pair_sel, cls_sel, is_min_sel,
                 monotonic,
             )
-        cols, vals, num_vars, nvars_pair, mono_rows, mono_cols, mono_vals = out
+        cols, vals, num_vars, nvars_pair, mono_cols, mono_vals = out
 
         # rows: channel-capacity block, then inj/ej, then monotonic
         num_ie = len(struct.ie_vals)
-        r0 = n_ch_rows
+        num_mono = len(mono_cols) // 2
+        r0 = n_ch_rows + num_ie
+        num_rows = r0 + num_mono
         rows = np.concatenate(
             [
                 ch_rows,
-                np.arange(r0, r0 + num_ie, dtype=np.int64),
-                mono_rows + r0 + num_ie,
+                np.arange(n_ch_rows, r0, dtype=np.int64),
+                r0 + np.repeat(np.arange(num_mono, dtype=np.int64), 2),
             ]
         )
         cols = np.concatenate(
             [cols, np.zeros(num_ie, dtype=np.int64), mono_cols]
         )
         vals = np.concatenate([vals, struct.ie_vals, mono_vals])
-        num_rows = r0 + num_ie + (
-            int(mono_rows.max()) + 1 if len(mono_rows) else 0
-        )
         b_ub = np.concatenate(
             [
                 np.ones(n_ch_rows),
                 np.full(num_ie, float(self.topo.p)),
-                np.zeros(num_rows - n_ch_rows - num_ie),
+                np.zeros(num_mono),
             ]
         )
-        a_ub = coo_matrix((vals, (rows, cols)), shape=(num_rows, num_vars))
 
         # equality rows: x_k + sum(vlb vars of pair k) - w_k * lambda = 0
         pair_w = np.asarray([w for _s, _d, w in struct.pairs])
@@ -776,26 +809,58 @@ class FastModel:
                 -pair_w,
             ]
         )
-        a_eq = coo_matrix(
-            (e_vals, (e_rows, e_cols)), shape=(num_pairs, num_vars)
-        )
 
+        # HiGHS's simplex basis is row-sized and the LP as modelled (max
+        # lambda s.t. A_ub x <= b_ub, A_eq x = 0, x >= 0, lambda <= 1) has
+        # several times more rows than columns, so HiGHS gets the dual: a
+        # column u >= 0 per inequality row, t >= 0 for the bound on
+        # lambda, a free v per equality row,
+        #   min b_ub.u + t   s.t.   -(A_ub'u + t e_0 + A_eq'v) <= -e_0.
+        # Its optimum is lambda*; the primal point is minus its row duals.
+        num_dual = num_rows + 1 + num_pairs
+        cost = np.concatenate([b_ub, [1.0], np.zeros(num_pairs)])
+        a_dual = coo_matrix(
+            (
+                -np.concatenate([vals, [1.0], e_vals]),
+                (
+                    np.concatenate([cols, [0], e_cols]),
+                    np.concatenate([rows, [num_rows], num_rows + 1 + e_rows]),
+                ),
+            ),
+            shape=(num_vars, num_dual),
+        ).tocsr()
+        bounds = np.zeros((num_dual, 2))
+        bounds[:, 1] = np.inf
+        bounds[num_rows + 1 :, 0] = -np.inf
         c = np.zeros(num_vars)
         c[0] = -1.0
-        bounds = [(0.0, 1.0)] + [(0.0, None)] * (num_vars - 1)
         res = linprog(
-            c,
-            A_ub=a_ub.tocsr(),
-            b_ub=b_ub,
-            A_eq=a_eq.tocsr(),
-            b_eq=np.zeros(num_pairs),
-            bounds=bounds,
-            method="highs",
+            cost, A_ub=a_dual, b_ub=c, bounds=bounds, method="highs"
         )
-        if not res.success:  # pragma: no cover - defensive
-            return ModelResult(0.0, 0.0, res.message, num_pairs)
-        lam = float(res.x[0])
-        x_total = float(res.x[1 : 1 + num_pairs].sum())
+        failed = lambda why: RuntimeError(  # noqa: E731
+            f"LP solve failed ({why}) on {self.topo!r}, "
+            f"{num_pairs} demand pairs, mode {mode!r}, policy "
+            f"{policy.describe() if policy is not None else 'weight_fn'}"
+        )
+        if not res.success:
+            raise failed(f"status {res.status}: {res.message}")
+        # both sides of the optimum are in hand, so the primal point is
+        # checked rather than the status flag trusted:
+        # lhs = [A_ub x, x_0, A_eq x] against cost = [b_ub, 1, 0]
+        x = -res.ineqlin.marginals
+        lhs = -(a_dual.T @ x)
+        if not (
+            x.min() >= -1e-9
+            and np.all(lhs <= cost + 1e-9 * (1.0 + cost))
+            and lhs[num_rows + 1 :].min() >= -1e-9
+            and abs(x[0] - res.fun) <= 1e-9
+        ):
+            raise failed(
+                "the point recovered from the row duals is not "
+                "primal-feasible at the optimum"
+            )
+        lam = float(x[0])
+        x_total = float(x[1 : 1 + num_pairs].sum())
         served = float(lam * pair_w.sum())
         min_frac = x_total / served if served > 0 else 1.0
         return ModelResult(lam, min_frac, "optimal", num_pairs)
@@ -826,9 +891,11 @@ class FastModel:
             struct.val[incl],
             w_eff[cls_sel] * struct.val[incl] / safe_total[pair_sel],
         )
-        empty_i = np.empty(0, dtype=np.int64)
         nvars_pair = has_vlb.astype(np.int64)
-        return cols, vals, num_vars, nvars_pair, empty_i, empty_i, np.empty(0)
+        return (
+            cols, vals, num_vars, nvars_pair,
+            np.empty(0, dtype=np.int64), np.empty(0),
+        )
 
     def _assemble_free(
         self,
@@ -857,37 +924,17 @@ class FastModel:
         )
         vals = np.where(is_min_sel, struct.val[incl], struct.val_norm[incl])
 
-        mono_rows: List[int] = []
-        mono_cols: List[int] = []
-        mono_vals: List[float] = []
+        mono_cols = np.empty(0, dtype=np.int64)
+        mono_vals = np.empty(0)
         if monotonic:
+            # y_long / N_long - y_short / N_short <= 0
+            k, c_long, c_short = struct.monopairs(ok)
             class_size = w_eff[None, :] * struct.counts  # (K, C)
-            row = 0
-            for k in range(num_pairs):
-                classes = np.nonzero(incl_mat[k])[0]
-                if len(classes) < 2:
-                    continue
-                hops = self._class_hops[classes]
-                levels = np.unique(hops)
-                for lo, hi in zip(levels, levels[1:]):
-                    for c_long in classes[hops == hi]:
-                        for c_short in classes[hops == lo]:
-                            mono_rows.extend((row, row))
-                            mono_cols.append(int(var_of[k, c_long]))
-                            mono_cols.append(int(var_of[k, c_short]))
-                            mono_vals.append(
-                                1.0 / float(class_size[k, c_long])
-                            )
-                            mono_vals.append(
-                                -1.0 / float(class_size[k, c_short])
-                            )
-                            row += 1
-        return (
-            cols,
-            vals,
-            num_vars,
-            nvars_pair,
-            np.asarray(mono_rows, dtype=np.int64),
-            np.asarray(mono_cols, dtype=np.int64),
-            np.asarray(mono_vals, dtype=np.float64),
-        )
+            mono_cols = np.stack(
+                [var_of[k, c_long], var_of[k, c_short]], axis=1
+            ).ravel()
+            mono_vals = np.stack(
+                [1.0 / class_size[k, c_long], -1.0 / class_size[k, c_short]],
+                axis=1,
+            ).ravel()
+        return cols, vals, num_vars, nvars_pair, mono_cols, mono_vals

@@ -293,12 +293,17 @@ def run_model_task(task: ModelTask) -> ModelResult:
     solver = _solver_for(task.topo, task.max_descriptors, task.seed)
     demand = task.pattern.demand_matrix()
     wall_start = time.perf_counter()
-    result = solver.solve(
-        demand,
-        policy=task.policy,
-        mode=task.mode,
-        monotonic=task.monotonic,
-    )
+    try:
+        result = solver.solve(
+            demand,
+            policy=task.policy,
+            mode=task.mode,
+            monotonic=task.monotonic,
+        )
+    except RuntimeError as exc:  # a failed solve: name the pattern too
+        raise RuntimeError(
+            f"{exc}, pattern {task.pattern.describe()}"
+        ) from exc
     result.manifest = RunManifest(
         kind="model",
         fingerprint=task.key(),

@@ -5,6 +5,7 @@ reference assembly (the ``lp_solve`` fixture)."""
 
 import pytest
 
+from repro.model import FastModel
 from repro.model.bounds import (
     min_only_shift_bound,
     optimal_min_fraction,
@@ -65,6 +66,35 @@ class TestLpAchievesBounds:
         assert res.min_fraction == pytest.approx(
             optimal_min_fraction(topo), rel=0.05
         )
+
+    @pytest.mark.parametrize("g", [17, 33])
+    def test_lp_matches_shift_bound_on_more_groups(self, g):
+        # production pipeline only: the reference assembly re-enumerates
+        # every VLB path of these per solve
+        topo = Dragonfly(4, 8, 4, g)
+        demand = Shift(topo, 1, 0).demand_matrix()
+        model = FastModel(topo)
+        for mode in ("free", "uniform"):
+            res = model.solve(demand, policy=AllVlbPolicy(), mode=mode)
+            # 17/32 and 33/64; the MIN share there is unique, 2/g
+            assert res.throughput == pytest.approx(
+                shift_saturation_bound(topo), abs=1e-9
+            )
+            assert res.min_fraction == pytest.approx(2 / g, abs=1e-6)
+
+    @pytest.mark.slow
+    def test_lp_matches_shift_bound_on_the_large_topology(self):
+        # 702 demand pairs, full enumeration: a 32 236 x 4835 LP (~1 min)
+        from repro.routing.pathset import HopClassPolicy
+
+        topo = Dragonfly(13, 26, 13, 27)
+        res = FastModel(topo, max_descriptors=None).solve(
+            Shift(topo, 1, 0).demand_matrix(),
+            policy=HopClassPolicy(5, 0.5),
+            mode="free",
+        )
+        assert res.throughput == pytest.approx(351 / 676, abs=1e-9)
+        assert res.throughput == pytest.approx(shift_saturation_bound(topo))
 
     def test_lp_min_only_matches_bound(self, lp_solve):
         topo = Dragonfly(2, 4, 2, 9)
