@@ -95,7 +95,6 @@ def score_dest_maps(
     dest_maps: Sequence[np.ndarray],
     executor: "SweepExecutor",
     *,
-    max_descriptors: Optional[int] = 2000,
     seed: int = 0,
 ) -> List[float]:
     """MIN-only modeled throughput of each destination map (one batch).
@@ -114,7 +113,6 @@ def score_dest_maps(
             DiscoveredPermutation(topo, dest),
             policy,
             mode="free",
-            max_descriptors=max_descriptors,
             seed=seed,
         )
         for dest in dest_maps
@@ -352,7 +350,6 @@ def run_search(
     executor: Optional["SweepExecutor"] = None,
     num_type1: Optional[int] = 6,
     num_type2: int = 4,
-    max_descriptors: Optional[int] = 2000,
 ) -> AdversaryReport:
     """The whole pipeline: score the suite, search past it, report.
 
@@ -395,7 +392,6 @@ def run_search(
             topo,
             suite_maps,
             executor,
-            max_descriptors=max_descriptors,
             seed=seed,
         )
         suite_rows: List[Dict[str, Any]] = [
@@ -411,13 +407,7 @@ def run_search(
 
         # ---- search ----
         def score_batch(maps: Sequence[np.ndarray]) -> List[float]:
-            return score_dest_maps(
-                topo,
-                maps,
-                executor,
-                max_descriptors=max_descriptors,
-                seed=seed,
-            )
+            return score_dest_maps(topo, maps, executor, seed=seed)
 
         outcome = strat.search(
             topo,

@@ -1,14 +1,16 @@
 """Reference-only rule (REF4xx): parity oracles stay out of production.
 
-Two names in the tree exist only so tests can hold production code to
+Some names in the tree exist only so tests can hold production code to
 them: ``model_throughput`` (the LP reference assembly; production solves
-through :class:`~repro.model.fastpath.FastModel`) and a directly
+through :class:`~repro.model.fastpath.FastModel`), the per-path
+enumerator behind it (``compute_pair_stats`` / ``PathStatsCache``;
+production reads its pair blocks from the route table) and a directly
 constructed timing-wheel ``Network`` (production builds
 :class:`~repro.sim.array.ArrayNetwork` through ``build_network``, which
 falls back to the inherited wheel path by itself on a compiler-less
 host).  ``docs/architecture.md`` says so in one place; this rule keeps
-the statement true: a new production import of the one or construction
-of the other is a second pipeline growing back.
+the statement true: a new production import of one of the former or
+construction of the latter is a second pipeline growing back.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from repro.analyze.registry import ANALYZE_RULES, rule
 
 __all__: List[str] = []
 
-# the modules that define the references (and may name them freely)
-_HOME = {
-    "model_throughput": "repro.model.lp_model",
-    "Network": "repro.sim.network",
+# the modules that may import each reference name: its home, and for
+# the enumerator the reference assembly it feeds
+_IMPORT_HOMES = {
+    "model_throughput": ("repro.model.lp_model",),
+    "compute_pair_stats": ("repro.model.pathstats", "repro.model.lp_model"),
+    "PathStatsCache": ("repro.model.pathstats", "repro.model.lp_model"),
 }
+_NETWORK_HOME = "repro.sim.network"
 
 
 @rule(
@@ -35,14 +40,16 @@ _HOME = {
     family="reference-only",
     severity="warning",
     summary=(
-        "a production module imports model_throughput or constructs "
-        "Network(...) directly: both are kept only as parity references "
-        "for FastModel and the ArrayNetwork kernel (docs/architecture.md)"
+        "a production module imports model_throughput, compute_pair_stats "
+        "or PathStatsCache, or constructs Network(...) directly: all are "
+        "kept only as parity references for FastModel and the "
+        "ArrayNetwork kernel (docs/architecture.md)"
     ),
     hint=(
-        "solve through repro.model.FastModel / build networks with "
-        "repro.sim.build_network; a deliberate reference use (a "
-        "re-export for the parity tests) takes an allow-marker"
+        "solve through repro.model.FastModel (pair statistics: its "
+        "BlockCache) / build networks with repro.sim.build_network; a "
+        "deliberate reference use (a re-export for the parity tests) "
+        "takes an allow-marker"
     ),
 )
 def check_reference_only(
@@ -52,18 +59,18 @@ def check_reference_only(
     del ctx
     entry = ANALYZE_RULES.get("REF401")
     for node in ast.walk(unit.tree):
-        if (
-            isinstance(node, ast.ImportFrom)
-            and unit.module != _HOME["model_throughput"]
-            and any(name.name == "model_throughput" for name in node.names)
-        ):
-            yield entry.finding(
-                unit.path, node.lineno,
-                "model_throughput is the LP parity reference, not a "
-                "production entry point",
-                context=unit.line_text(node.lineno),
-            )
-        elif isinstance(node, ast.Call) and unit.module != _HOME["Network"]:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                homes = _IMPORT_HOMES.get(alias.name)
+                if homes is None or unit.module in homes:
+                    continue
+                yield entry.finding(
+                    unit.path, node.lineno,
+                    f"{alias.name} belongs to the LP parity reference, not "
+                    f"to a production pipeline",
+                    context=unit.line_text(node.lineno),
+                )
+        elif isinstance(node, ast.Call) and unit.module != _NETWORK_HOME:
             func = node.func
             name = (
                 func.id

@@ -222,7 +222,6 @@ def _cmd_model(args) -> int:
         policy=policy,
         mode=args.mode,
         monotonic=not args.no_monotonic,
-        max_descriptors=args.max_descriptors,
     )
     with _make_executor(args) as executor:
         res = executor.run_models([task])[0]
@@ -360,7 +359,6 @@ def _cmd_adversary(args) -> int:
                     None if args.num_type1 <= 0 else args.num_type1
                 ),
                 num_type2=args.num_type2,
-                max_descriptors=args.max_descriptors,
             )
         except SpecError as exc:
             raise SystemExit(str(exc)) from None
@@ -566,7 +564,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--policy", default="all")
     p.add_argument("--mode", default="free", choices=["free", "uniform"])
     p.add_argument("--no-monotonic", action="store_true")
-    p.add_argument("--max-descriptors", type=int, default=None)
     _exec_args(p)
     p.set_defaults(func=_cmd_model)
 
@@ -631,7 +628,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--num-type2", type=int, default=4,
                    help="TYPE_2 suite seeds in the baseline pool "
                         "(default 4)")
-    p.add_argument("--max-descriptors", type=int, default=2000)
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the report JSON here; the file doubles as "
                         "a pattern spec (--pattern @FILE)")

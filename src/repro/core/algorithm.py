@@ -100,7 +100,6 @@ def model_evaluator(
     topo: Dragonfly,
     *,
     num_patterns: int = 3,
-    max_descriptors: Optional[int] = 2000,
     seed: int = 0,
 ) -> Evaluator:
     """Cheap Step-2 scoring via the uniform-selection LP.
@@ -111,26 +110,22 @@ def model_evaluator(
     credit the queueing benefits of shorter paths the way simulation does.
     """
     from repro.model.fastpath import FastModel
-    from repro.model.lp_model import weights_for_policy
 
     demands = [
         pattern.demand_matrix()
         for pattern in type_2_set(topo, count=num_patterns, seed=seed + 500)
     ]
-    model = FastModel(topo, max_descriptors=max_descriptors, seed=seed)
+    model = FastModel(topo)
 
     def evaluate(policy: PathPolicy, label: str) -> float:
-        try:
-            weights_for_policy(
-                policy.base if hasattr(policy, "base") else policy
-            )
-        except (TypeError, ValueError):
-            return -1.0  # not representable in the class-weight model
         target = policy.base if hasattr(policy, "base") else policy
-        scores = [
-            model.solve(demand, policy=target, mode="uniform").throughput
-            for demand in demands
-        ]
+        try:
+            scores = [
+                model.solve(demand, policy=target, mode="uniform").throughput
+                for demand in demands
+            ]
+        except ValueError:
+            return -1.0  # finer than the LP's classes (ExplicitPathSet)
         return float(np.mean(scores))
 
     return evaluate
@@ -219,7 +214,6 @@ def compute_tvlb(
     max_candidates: int = 3,
     evaluator: Optional[Evaluator] = None,
     sim_params: Optional[SimParams] = None,
-    max_descriptors: Optional[int] = 2000,
     balance: bool = True,
     verify: bool = True,
     seed: int = 0,
@@ -284,7 +278,6 @@ def compute_tvlb(
         topo,
         patterns,
         grid,
-        max_descriptors=max_descriptors,
         mode="free",
         executor=executor,
         seed=seed,

@@ -13,12 +13,13 @@ channel capacities, with each demand pair free to split between its MIN
 paths (equal split) and its candidate VLB set (equal split).
 """
 
+# repro: allow[REF401]: re-exported for the parity tests and for users
+# checking FastModel against the reference assembly
 from repro.model.pathstats import PairPathStats, PathStatsCache
 # repro: allow[REF401]: re-exported for the parity tests and for users
 # checking FastModel against the reference assembly
 from repro.model.lp_model import ModelResult, model_throughput
 from repro.model.fastpath import BlockCache, FastModel, PairBlock
-from repro.model.symmetry import RotationSymmetry
 from repro.model.sweep import SweepPoint, step1_sweep
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "PairPathStats",
     "PathStatsCache",
     "ModelResult",
-    "RotationSymmetry",
     "model_throughput",
     "SweepPoint",
     "step1_sweep",

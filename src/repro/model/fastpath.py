@@ -3,12 +3,10 @@
 Every solve production code makes -- Step-1 sweeps, Algorithm 1, the
 adversary search, ``repro model`` -- goes through :class:`FastModel`, on
 every topology and for every modelable policy.  The reference assembly
-in :mod:`repro.model.lp_model` rebuilds everything per
-call (it re-enumerates every VLB path of every demand pair and re-creates
-the sparse constraint matrix entry by entry: ~85% of a Step-1 sweep on
-``dfly(4,8,4,9)`` in per-pair enumeration, most of the rest in
-Python-loop assembly); it is kept as the parity oracle the tests call
-directly.
+in :mod:`repro.model.lp_model` rebuilds everything per call (it
+re-enumerates every VLB path of every demand pair in Python and
+re-creates the sparse constraint matrix entry by entry); it is kept as
+the parity oracle the tests call directly.
 
 This module splits the solve into three layers, each cached at its own
 lifetime:
@@ -18,17 +16,18 @@ lifetime:
   :class:`BlockCache`.  The class axis is sized from the topology: a MIN
   leg takes ``1 .. 2*max_local_hops + 1`` hops, so there are
   ``(2*max_local_hops + 1)**2`` leg-split classes (9 on fully connected
-  groups, 25 on a Cascade grid).  Blocks come from a closed-form
-  vectorized enumerator (:func:`build_pair_block`) where groups are
-  fully connected and the pair is enumerated in full, and from
-  :func:`~repro.model.pathstats.compute_pair_stats` otherwise; fully
-  enumerated blocks are folded over verified rotation symmetry
-  (:class:`~repro.model.symmetry.RotationSymmetry`): one orbit
-  representative is computed, every other ordered pair of the orbit is a
-  channel-relabeling of it.  A policy with no class-weight translation
-  (``OrderedVlbPolicy``) gets *policy blocks* instead: the same
-  statistics over exactly the descriptors the policy admits, keyed by
-  ``(policy, src, dst)``, solved with all-ones class weights.
+  groups, 25 on a Cascade grid).  Every block is read from the route
+  table the simulator and the verifier use
+  (:func:`~repro.routing.table.route_table`): a VLB candidate ``(mid,
+  slot1, slot2)`` is two slots of ``min_slots()``, the candidates of a
+  pair are expanded from ``vlb_image()``, counted per (class, leg slot)
+  and spread onto channels with one weighted ``bincount`` -- one
+  builder on every topology, no path is ever materialized.  A policy
+  with no class-weight translation (``OrderedVlbPolicy``) gets *policy
+  blocks* instead: the same statistics over exactly the candidates the
+  policy admits (its compiled membership program, or its own
+  ``iter_descriptors`` when it has none), keyed by ``(policy, src,
+  dst)``, solved with all-ones class weights.
 * **Per pattern** -- a stacked COO skeleton of the channel-capacity block
   (channel / class / pair / value streams in the reference's first-touch
   order) plus injection/ejection rows, derived once per demand matrix.
@@ -49,29 +48,22 @@ on throughput (the parity suite in ``tests/test_model_fastpath.py``).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from repro.model.lp_model import ModelResult, weights_for_policy
-from repro.model.pathstats import (
-    ClassStats,
-    PairPathStats,
-    compute_pair_stats,
-)
-from repro.model.symmetry import RotationSymmetry
-from repro.routing.channels import ChannelIndex
-from repro.routing.minimal import min_paths
-from repro.routing.paths import Channel
-from repro.routing.pathset import PathPolicy
-from repro.routing.vlb import count_vlb_paths
+from repro.routing.pathset import PathPolicy, policy_program, program_mask
+from repro.routing.table import route_table
 from repro.topology.dragonfly import Dragonfly
 
-__all__ = ["PairBlock", "BlockCache", "FastModel", "build_pair_block"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.pathstats import PairPathStats
+
+__all__ = ["PairBlock", "BlockCache", "FastModel"]
 
 WeightFn = Callable[[int, int], float]
 
@@ -102,18 +94,24 @@ def _all_vlb(l1: int, l2: int) -> float:
     return 1.0
 
 
+def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``start[i] .. start[i] + count[i] - 1`` for every ``i``, concatenated."""
+    offset = np.cumsum(count) - count
+    return np.repeat(start - offset, count) + np.arange(count.sum())
+
+
 @dataclass
 class PairBlock:
     """Array-form path statistics of one ordered switch pair.
 
     The flat-array equivalent of
     :class:`~repro.model.pathstats.PairPathStats`: ``min_idx/min_val``
-    hold the per-packet MIN channel usage, and the VLB side is grouped by
-    leg-split class id (``cls_id`` ascending): ``counts[c]`` paths in
-    class ``c``, with aggregate channel-usage entries
-    ``(cls_idx[i], cls_val[i])`` for every ``i`` with ``cls_id[i] == c``.
-    Counts and usages are whole path counts (integer-exact in float64),
-    scaled back up when the enumerator subsampled.
+    hold the per-packet MIN channel usage in first-touch order, and the
+    VLB side is grouped by leg-split class id (``cls_id`` ascending):
+    ``counts[c]`` paths in class ``c``, with aggregate channel-usage
+    entries ``(cls_idx[i], cls_val[i])`` (channels ascending) for every
+    ``i`` with ``cls_id[i] == c``.  Counts and usages are whole path
+    counts, integer-exact in float64.
     """
 
     src: int
@@ -121,15 +119,15 @@ class PairBlock:
     min_count: int
     min_idx: np.ndarray
     min_val: np.ndarray
-    counts: np.ndarray  # (legs**2,) effective path count per class
+    counts: np.ndarray  # (legs**2,) path count per class
     cls_id: np.ndarray  # (nnz,) int8, ascending
     cls_idx: np.ndarray  # (nnz,) channel indices
     cls_val: np.ndarray  # (nnz,) aggregate uses
 
     @staticmethod
-    def from_stats(stats: PairPathStats, legs: int = 3) -> "PairBlock":
-        """Convert per-path enumerated stats (``legs`` hop values per
-        leg: 3 on fully connected groups)."""
+    def from_stats(stats: "PairPathStats", legs: int = 3) -> "PairBlock":
+        """Convert the reference's per-path enumerated stats (``legs``
+        hop values per leg: 3 on fully connected groups)."""
         counts = np.zeros(legs * legs, dtype=np.float64)
         ids: List[int] = []
         idxs: List[int] = []
@@ -163,341 +161,133 @@ class PairBlock:
             cls_val=np.asarray(vals, dtype=np.float64),
         )
 
-    def to_stats(self) -> PairPathStats:
-        """Back to the dict form consumed by the reference assembly."""
-        legs = math.isqrt(len(self.counts))
-        classes: Dict[Tuple[int, int], ClassStats] = {}
-        for c in range(len(self.counts)):
-            if self.counts[c] <= 0:
-                continue
-            sel = self.cls_id == c
-            usage = {
-                int(i): float(v)
-                for i, v in zip(self.cls_idx[sel], self.cls_val[sel])
-            }
-            cs = ClassStats(count=int(round(self.counts[c])), usage=usage)
-            classes[_class_split(c, legs)] = cs
-        min_usage = {
-            int(i): float(v) for i, v in zip(self.min_idx, self.min_val)
-        }
-        return PairPathStats(
-            self.src, self.dst, self.min_count, min_usage, classes
-        )
-
-    def permuted(
-        self, perm: np.ndarray, src: int, dst: int
-    ) -> "PairBlock":
-        """Relabel channel indices through an automorphism's permutation.
-
-        Counts and values are untouched -- only channel identities move --
-        so the result is the exact statistics of the rotated pair.  VLB
-        entries are re-sorted to restore the ascending-per-class channel
-        order every direct build produces (``min_idx`` keeps its stream
-        order: rotations preserve global-link slot order, so the mapped
-        MIN entries already arrive in the rotated pair's own order).
-        """
-        cls_idx = perm[self.cls_idx]
-        order = np.lexsort((cls_idx, self.cls_id))
-        return PairBlock(
-            src=src,
-            dst=dst,
-            min_count=self.min_count,
-            min_idx=perm[self.min_idx],
-            min_val=self.min_val,
-            counts=self.counts,
-            cls_id=self.cls_id[order],
-            cls_idx=cls_idx[order],
-            cls_val=self.cls_val[order],
-        )
-
-
-class _TopoTables:
-    """Per-topology lookup tables shared by all vectorized pair builds."""
-
-    def __init__(self, topo: Dragonfly, chidx: ChannelIndex) -> None:
-        self.topo = topo
-        self.chidx = chidx
-        n, a = topo.num_switches, topo.a
-        local_idx = np.full((n, a), -1, dtype=np.int64)
-        for u in range(n):
-            for v in topo.local_neighbors(u):
-                local_idx[u, topo.local_index(v)] = chidx.index(Channel(u, v))
-        self.local_idx = local_idx
-        self._legs: Dict[
-            Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
-
-    def legs(
-        self, gfrom: int, gto: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-slot arrays ``(x, y, chan)`` of the directed group hop.
-
-        ``x[r]``/``y[r]`` are the endpoint switches of slot ``r`` on the
-        from/to side; ``chan[r]`` the directed channel index.
-        """
-        key = (gfrom, gto)
-        out = self._legs.get(key)
-        if out is None:
-            links = self.topo.links_between_groups(gfrom, gto)
-            x = np.asarray(
-                [ln.endpoint_in(gfrom) for ln in links], dtype=np.int64
-            )
-            y = np.asarray(
-                [ln.endpoint_in(gto) for ln in links], dtype=np.int64
-            )
-            chan = np.asarray(
-                [
-                    self.chidx.index(
-                        Channel(ln.endpoint_in(gfrom), ln.endpoint_in(gto), ln.slot)
-                    )
-                    for ln in links
-                ],
-                dtype=np.int64,
-            )
-            out = (x, y, chan)
-            self._legs[key] = out
-        return out
-
-
-def build_pair_block(
-    topo: Dragonfly,
-    chidx: ChannelIndex,
-    src: int,
-    dst: int,
-    tables: Optional[_TopoTables] = None,
-) -> PairBlock:
-    """Closed-form vectorized pair statistics (full enumeration).
-
-    Equivalent to :func:`~repro.model.pathstats.compute_pair_stats` with
-    ``max_descriptors=None`` on topologies with fully connected groups,
-    but never materializes a path: for each intermediate group it
-    broadcasts the six channel families of the canonical VLB path
-    (``src->x1`` local, ``x1->y1`` global, ``y1->mid`` local,
-    ``mid->x2`` local, ``x2->y2`` global, ``y2->dst`` local) over the
-    ``(mid, slot1, slot2)`` descriptor grid and aggregates with one
-    ``bincount`` keyed by ``class * n_channels + channel``.  All counts
-    are integer-exact in float64.
-    """
-    if topo.max_local_hops != 1:
-        raise ValueError(
-            "vectorized pair builder requires fully connected groups "
-            "(max_local_hops == 1); use compute_pair_stats"
-        )
-    if tables is None:
-        tables = _TopoTables(topo, chidx)
-    num_chan = len(chidx)
-    legs = _leg_values(topo)
-    num_classes = legs * legs
-
-    mins = min_paths(topo, src, dst)
-    min_usage: Dict[int, float] = {}
-    for p in mins:
-        for ch in p.channels():
-            idx = chidx.index(ch)
-            min_usage[idx] = min_usage.get(idx, 0.0) + 1.0 / len(mins)
-
-    gs, gd = topo.group_of(src), topo.group_of(dst)
-    a = topo.a
-    counts = np.zeros(num_classes, dtype=np.float64)
-    usage = np.zeros(num_classes * num_chan, dtype=np.float64)
-    local_idx = tables.local_idx
-    ldst = topo.local_index(dst)
-
-    for gm in range(topo.g):
-        if gm == gs or gm == gd:
-            continue
-        x1, y1, gc1 = tables.legs(gs, gm)
-        x2, y2, gc2 = tables.legs(gm, gd)
-        m1, m2 = len(x1), len(x2)
-        if m1 == 0 or m2 == 0:
-            continue
-        mid = np.arange(gm * a, (gm + 1) * a, dtype=np.int64)
-        lmid = np.arange(a, dtype=np.int64)
-        shape = (a, m1, m2)
-
-        cond1 = x1 != src  # (m1,) src -> x1 local hop exists
-        condy1 = y1[None, :] != mid[:, None]  # (a, m1) y1 -> mid
-        condx2 = mid[:, None] != x2[None, :]  # (a, m2) mid -> x2
-        cond2 = y2 != dst  # (m2,) y2 -> dst
-
-        l1 = cond1[None, :].astype(np.int64) + 1 + condy1  # (a, m1)
-        l2 = condx2.astype(np.int64) + 1 + cond2[None, :]  # (a, m2)
-        cls = (l1[:, :, None] - 1) * legs + (l2[:, None, :] - 1)  # (a, m1, m2)
-        counts += np.bincount(cls.ravel(), minlength=num_classes)
-
-        base = cls * num_chan
-        keys: List[np.ndarray] = []
-
-        def fam(chan: np.ndarray, mask: Optional[np.ndarray]) -> None:
-            k = base + np.broadcast_to(chan, shape)
-            if mask is None:
-                keys.append(k.ravel())
-            else:
-                keys.append(k[np.broadcast_to(mask, shape)])
-
-        loc_sx1 = local_idx[src, x1 % a]  # (m1,) valid where cond1
-        loc_y1m = local_idx[y1[None, :], lmid[:, None]]  # (a, m1)
-        loc_mx2 = local_idx[mid[:, None], x2[None, :] % a]  # (a, m2)
-        loc_y2d = local_idx[y2, ldst]  # (m2,) valid where cond2
-
-        fam(loc_sx1[None, :, None], cond1[None, :, None])
-        fam(gc1[None, :, None], None)
-        fam(loc_y1m[:, :, None], condy1[:, :, None])
-        fam(loc_mx2[:, None, :], condx2[:, None, :])
-        fam(gc2[None, None, :], None)
-        fam(loc_y2d[None, None, :], cond2[None, None, :])
-
-        usage += np.bincount(
-            np.concatenate(keys), minlength=num_classes * num_chan
-        )
-
-    ids: List[np.ndarray] = []
-    idxs: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-    for c in range(num_classes):
-        if counts[c] <= 0:
-            continue
-        seg = usage[c * num_chan : (c + 1) * num_chan]
-        nz = np.nonzero(seg)[0]
-        ids.append(np.full(len(nz), c, dtype=np.int8))
-        idxs.append(nz)
-        vals.append(seg[nz])
-
-    empty_i = np.empty(0, dtype=np.int64)
-    return PairBlock(
-        src=src,
-        dst=dst,
-        min_count=len(mins),
-        # repro: allow[DET102]: min_usage insertion order is the
-        # deterministic path-enumeration order of this builder
-        min_idx=np.fromiter(
-            min_usage.keys(), dtype=np.int64, count=len(min_usage)
-        ),
-        # repro: allow[DET102]: values() drawn from the same dict as
-        # keys() above; pairs stay aligned, order deterministic
-        min_val=np.fromiter(
-            min_usage.values(), dtype=np.float64, count=len(min_usage)
-        ),
-        counts=counts,
-        cls_id=(
-            np.concatenate(ids) if ids else np.empty(0, dtype=np.int8)
-        ),
-        cls_idx=np.concatenate(idxs) if idxs else empty_i,
-        cls_val=(
-            np.concatenate(vals) if vals else np.empty(0, dtype=np.float64)
-        ),
-    )
-
 
 class BlockCache:
-    """Memoized :class:`PairBlock` store with symmetry folding.
+    """Memoized :class:`PairBlock` store over the topology's route table.
 
-    ``symmetry="auto"`` verifies the topology's group rotations once and
-    computes path statistics only for one representative per rotation
-    orbit, relabeling channels for the other members; ``"off"`` computes
-    every ordered pair independently.  Folding and the vectorized builder
-    both require full enumeration, so any pair the enumerator would
-    subsample (``count > max_descriptors``) is built by
-    :func:`compute_pair_stats` with its stride/offset semantics, as is
-    every pair of a topology whose groups are not fully connected.
-
-    ``get(src, dst, policy)`` returns the *policy block* of the pair: the
-    statistics of exactly the descriptors ``policy`` admits (its own
-    ``iter_descriptors``), never folded -- a policy's selection (e.g. the
-    ordered-intermediate rule) need not be rotation-equivariant.
+    ``get(src, dst)`` is the block of every VLB candidate of the pair;
+    ``get(src, dst, policy)`` the *policy block*: the candidates
+    ``policy`` admits -- its compiled membership program
+    (:func:`~repro.routing.pathset.program_mask`, the test the routing
+    kernel and the verifier evaluate), or membership in its own
+    ``iter_descriptors`` when it only exists as Python.
     """
 
-    def __init__(
-        self,
-        topo: Dragonfly,
-        chidx: Optional[ChannelIndex] = None,
-        max_descriptors: Optional[int] = None,
-        seed: int = 0,
-        symmetry: str = "auto",
-    ) -> None:
-        if symmetry not in ("auto", "off"):
-            raise ValueError(f"unknown symmetry mode {symmetry!r}")
+    def __init__(self, topo: Dragonfly) -> None:
         self.topo = topo
-        self.chidx = chidx if chidx is not None else ChannelIndex(topo)
-        self.max_descriptors = max_descriptors
-        self.seed = seed
-        self.symmetry = symmetry
+        self.table = route_table(topo)
+        self.num_channels = len(self.table.channel_keys)
         self.legs = _leg_values(topo)
         self._blocks: Dict[Tuple, PairBlock] = {}
-        self._tables: Optional[_TopoTables] = None
-        self._rotsym: Optional[RotationSymmetry] = None
-        self._vectorized_ok = topo.max_local_hops == 1
-        # instrumentation for benchmarks and tests
-        self.built = 0
-        self.folded = 0
-
-    def _rotation(self) -> RotationSymmetry:
-        if self._rotsym is None:
-            self._rotsym = RotationSymmetry(self.topo, self.chidx)
-        return self._rotsym
-
-    def _full_enumeration(self, src: int, dst: int) -> bool:
-        if self.max_descriptors is None:
-            return True
-        return count_vlb_paths(self.topo, src, dst) <= self.max_descriptors
-
-    def _build(
-        self, src: int, dst: int, policy: Optional[PathPolicy]
-    ) -> PairBlock:
-        self.built += 1
-        if (
-            policy is None
-            and self._vectorized_ok
-            and self._full_enumeration(src, dst)
-        ):
-            if self._tables is None:
-                self._tables = _TopoTables(self.topo, self.chidx)
-            return build_pair_block(
-                self.topo, self.chidx, src, dst, self._tables
-            )
-        return PairBlock.from_stats(
-            compute_pair_stats(
-                self.topo,
-                self.chidx,
-                src,
-                dst,
-                max_descriptors=self.max_descriptors,
-                seed=self.seed,
-                policy=policy,
-            ),
-            self.legs,
-        )
 
     def get(
         self, src: int, dst: int, policy: Optional[PathPolicy] = None
     ) -> PairBlock:
         key = (src, dst) if policy is None else (policy, src, dst)
         block = self._blocks.get(key)
-        if block is not None:
-            return block
-        # Folding requires full enumeration: the subsample offset is
-        # seeded per (seed, src, dst), so subsampled pairs are not
-        # rotation-equivariant and must be built directly.
-        if (
-            policy is None
-            and self.symmetry == "auto"
-            and self._full_enumeration(src, dst)
-        ):
-            sym = self._rotation()
-            if sym.fold_factor > 1:
-                rs, rd, t = sym.canonical_pair(src, dst)
-                if (rs, rd) != (src, dst):
-                    rep = self.get(rs, rd)
-                    block = rep.permuted(sym.channel_perm(t), src, dst)
-                    self.folded += 1
-                    self._blocks[key] = block
-                    return block
-        block = self._build(src, dst, policy)
-        self._blocks[key] = block
+        if block is None:
+            block = self._blocks[key] = self._build(src, dst, policy)
         return block
 
     def __len__(self) -> int:
         return len(self._blocks)
+
+    def _build(
+        self, src: int, dst: int, policy: Optional[PathPolicy]
+    ) -> PairBlock:
+        table = self.table
+        slots = table.min_slots()
+        image = table.vlb_image()
+        n, nchan, legs = table.nsw, self.num_channels, self.legs
+
+        # MIN: the pair's slots in link-slot order, each packet split
+        # evenly; a channel's share accumulates one 1/k at a time, in
+        # first-touch order, like the reference's dict
+        k = int(slots.k[src * n + dst])
+        first = slots.first[src * n + dst] + np.arange(k)
+        chans = slots.chan[_spans(slots.rel[first], slots.hops[first])]
+        touched, at, uses = np.unique(
+            chans, return_index=True, return_counts=True
+        )
+        order = np.argsort(at)
+        share = np.cumsum(np.full(int(uses.max(initial=0)), 1.0 / max(k, 1)))
+
+        # VLB candidates: through every intermediate switch, each leg
+        # row (one MIN slot) of the first leg times each of the second;
+        # rows number the first legs of all mids, then the second legs
+        pair = image.switch_group[src] * table.g + image.switch_group[dst]
+        groups = image.group[image.first[pair] : image.first[pair] + image.n[pair]]
+        mids = image.switches[groups].ravel().astype(np.int64)
+        k1 = slots.k[src * n + mids].astype(np.int64)
+        k2 = slots.k[mids * n + dst].astype(np.int64)
+        rows1 = int(k1.sum())
+        row_slot = np.concatenate(
+            [
+                _spans(slots.first[src * n + mids], k1),
+                _spans(slots.first[mids * n + dst], k2),
+            ]
+        )
+        row_mid = np.repeat(np.arange(len(mids)), k1)  # of the first legs
+        reps = k2[row_mid]
+        row1 = np.repeat(np.arange(rows1), reps)
+        row2 = rows1 + _spans((np.cumsum(k2) - k2)[row_mid], reps)
+        if policy is not None:
+            mid = mids[row_mid[row1]]
+            slot1 = row_slot[row1] - slots.first[src * n + mid]
+            slot2 = row_slot[row2] - slots.first[mid * n + dst]
+            program = policy_program(policy, table)
+            if program is not None:
+                ends = np.full(len(mid), src, np.int64)
+                keep = program_mask(
+                    program, table, ends, np.full_like(ends, dst), mid, slot1, slot2
+                )
+            else:
+                listed = set(policy.iter_descriptors(self.topo, src, dst))
+                keep = np.fromiter(
+                    (
+                        desc in listed
+                        for desc in zip(
+                            mid.tolist(), slot1.tolist(), slot2.tolist()
+                        )
+                    ),
+                    bool,
+                    len(mid),
+                )
+            row1, row2 = row1[keep], row2[keep]
+
+        row_hops = slots.hops[row_slot].astype(np.int64)
+        cls = (row_hops[row1] - 1) * legs + row_hops[row2] - 1
+        # candidates per (class, leg row) ...
+        rows = len(row_slot)
+        base = cls * rows
+        per_row = np.bincount(
+            np.concatenate([base + row1, base + row2]),
+            minlength=legs * legs * rows,
+        )
+        entry = np.flatnonzero(per_row)
+        leg = row_slot[entry % rows]
+        hops = slots.hops[leg]
+        # ... spread onto the legs' channels
+        spread = np.repeat(np.arange(len(entry)), hops)
+        usage = np.bincount(
+            (entry // rows)[spread] * nchan
+            + slots.chan[_spans(slots.rel[leg], hops)],
+            weights=per_row[entry][spread].astype(np.float64),
+            minlength=legs * legs * nchan,
+        )
+        used = np.flatnonzero(usage)
+        return PairBlock(
+            src=src,
+            dst=dst,
+            min_count=k,
+            min_idx=touched[order].astype(np.int64),
+            min_val=share[uses[order] - 1],
+            counts=np.bincount(cls, minlength=legs * legs).astype(np.float64),
+            cls_id=(used // nchan).astype(np.int8),
+            cls_idx=used % nchan,
+            # (a bincount of no entries is integer even with weights)
+            cls_val=usage[used].astype(np.float64),
+        )
 
 
 class _PatternStruct:
@@ -583,7 +373,7 @@ class _PatternStruct:
                 ie.append(float(ej[s]))
         self.ie_vals = np.asarray(ie, dtype=np.float64)
 
-        self.num_channels = len(blocks.chidx)
+        self.num_channels = blocks.num_channels
         self._rowmaps: Dict[
             Tuple[bool, ...], Tuple[np.ndarray, np.ndarray, int]
         ] = {}
@@ -667,19 +457,19 @@ class FastModel:
     def __init__(
         self,
         topo: Dragonfly,
-        chidx: Optional[ChannelIndex] = None,
         max_descriptors: Optional[int] = None,
         seed: int = 0,
-        symmetry: str = "auto",
     ) -> None:
+        # ``seed`` and a ``None`` cap are still accepted from callers
+        # written when blocks could be subsampled; neither changes a block
+        if max_descriptors is not None:
+            raise ValueError(
+                "max_descriptors was removed: FastModel builds every pair "
+                "block exactly from the route table"
+            )
+        del seed
         self.topo = topo
-        self.blocks = BlockCache(
-            topo,
-            chidx=chidx,
-            max_descriptors=max_descriptors,
-            seed=seed,
-            symmetry=symmetry,
-        )
+        self.blocks = BlockCache(topo)
         legs = self.blocks.legs
         self._splits = [
             _class_split(c, legs) for c in range(legs * legs)
@@ -687,10 +477,6 @@ class FastModel:
         self._patterns: Dict[
             Tuple[bytes, Optional[PathPolicy]], _PatternStruct
         ] = {}
-
-    @property
-    def chidx(self) -> ChannelIndex:
-        return self.blocks.chidx
 
     def _pattern(
         self, demand: np.ndarray, policy: Optional[PathPolicy]

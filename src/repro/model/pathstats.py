@@ -1,16 +1,20 @@
-"""Per-switch-pair path statistics for the LP model.
+"""Per-switch-pair path statistics of the LP reference assembly.
 
 For an ordered switch pair we record, for the MIN paths and for every VLB
 *leg-split subclass* ``(l1, l2)`` (hop counts of the two MIN legs, each
-1..3), the number of paths and the total channel-usage counts.  Any
-Table-1 datapoint or strategic policy is then a set of subclass weights,
-and its expected channel usage is a weighted recombination -- no
-re-enumeration per datapoint.
+``1 .. 2*max_local_hops + 1``), the number of paths and the total
+channel-usage counts.  Any Table-1 datapoint or strategic policy is then
+a set of subclass weights, and its expected channel usage is a weighted
+recombination -- no re-enumeration per datapoint.
 
-Enumerating all VLB paths of a pair is ``(g-2)*a*m^2`` path builds; for
-large topologies a deterministic subsample bounds the work
-(``max_descriptors``), which only affects the usage *estimate*, not
-correctness of the LP structure.
+This is the per-path enumerator behind
+:func:`~repro.model.lp_model.model_throughput`, kept as the oracle the
+production blocks (:class:`~repro.model.fastpath.BlockCache`, read from
+the route table) are tested against; rule REF401 keeps it out of
+production.  Enumerating all VLB paths of a pair is ``(g-2)*a*m^2``
+path builds; the reference can bound that with a deterministic
+subsample (``max_descriptors``), which only affects the usage
+*estimate*, not correctness of the LP structure.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ def step1_sweep(
     patterns: Sequence[TrafficPattern],
     datapoints: Sequence[HopClassPolicy],
     *,
-    max_descriptors: Optional[int] = None,
     mode: str = "uniform",
     executor: Optional["SweepExecutor"] = None,
     seed: int = 0,
@@ -58,8 +57,9 @@ def step1_sweep(
     ``executor`` (optional) fans the solves out across worker processes
     and consults its attached result cache; without one, solves run
     serially in-process but still share per-topology structural state
-    (the executor module's per-process solver memo).  ``seed`` steers
-    descriptor subsampling when ``max_descriptors`` caps enumeration.
+    (the executor module's per-process solver memo).  ``seed`` is part
+    of every task's spec, and so of its cache key; no modeled value
+    depends on it.
     """
     from repro.perf.executor import ModelTask, run_model_task
 
@@ -75,7 +75,6 @@ def step1_sweep(
             pattern=pattern,
             policy=policy,
             mode=mode,
-            max_descriptors=max_descriptors,
             seed=seed,
         )
         for policy in datapoints

@@ -235,7 +235,6 @@ class ModelTask:
     policy: PathPolicy
     mode: str = "uniform"
     monotonic: bool = True
-    max_descriptors: Optional[int] = None
     seed: int = 0
     spec: Optional[ModelSpec] = field(default=None, compare=False)
 
@@ -248,7 +247,6 @@ class ModelTask:
                     self.policy,
                     mode=self.mode,
                     monotonic=self.monotonic,
-                    max_descriptors=self.max_descriptors,
                     seed=self.seed,
                 )
             except SpecError:
@@ -266,31 +264,27 @@ class ModelTask:
 
 
 # Per-process solver memo: a worker (or the serial path) reuses one
-# FastModel per (topology, enumeration options), so the expensive
-# structural factorization is paid once per process per topology, not
-# once per task.  Bounded to a handful of topologies.
+# FastModel per topology, so the expensive structural factorization is
+# paid once per process per topology, not once per task.  Bounded to a
+# handful of topologies.
 _SOLVER_MEMO: Dict[Tuple, FastModel] = {}
 _SOLVER_MEMO_MAX = 4
 
 
-def _solver_for(
-    topo: Dragonfly, max_descriptors: Optional[int], seed: int
-) -> FastModel:
-    key = (topology_key(topo), max_descriptors, seed)
+def _solver_for(topo: Dragonfly) -> FastModel:
+    key = topology_key(topo)
     solver = _SOLVER_MEMO.get(key)
     if solver is None:
         if len(_SOLVER_MEMO) >= _SOLVER_MEMO_MAX:
             _SOLVER_MEMO.pop(next(iter(_SOLVER_MEMO)))
-        solver = _SOLVER_MEMO[key] = FastModel(
-            topo, max_descriptors=max_descriptors, seed=seed
-        )
+        solver = _SOLVER_MEMO[key] = FastModel(topo)
     return solver
 
 
 def run_model_task(task: ModelTask) -> ModelResult:
     """Execute one model solve (also the serial path), memoizing the
     per-topology structural state across calls in this process."""
-    solver = _solver_for(task.topo, task.max_descriptors, task.seed)
+    solver = _solver_for(task.topo)
     demand = task.pattern.demand_matrix()
     wall_start = time.perf_counter()
     try:
@@ -330,7 +324,6 @@ def _run_model_payload(payload: Union[ModelSpec, ModelTask]) -> ModelResult:
                 policy=payload.policy.build(),
                 mode=payload.mode,
                 monotonic=payload.monotonic,
-                max_descriptors=payload.max_descriptors,
                 seed=payload.seed,
                 spec=payload,
             )

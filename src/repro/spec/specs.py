@@ -432,8 +432,10 @@ class ModelSpec:
     The model analogue of :class:`RunSpec`: topology + pattern (whose
     demand matrix is the LP's right-hand structure) + policy (translated
     to leg-split class weights) + solver options.  The serialized form
-    carries the format constant ``"engine": "fast"`` from when a second
-    LP assembly was selectable; fingerprints hash it, so it stays.
+    carries two format constants -- ``"engine": "fast"`` from when a
+    second LP assembly was selectable, ``"max_descriptors": None`` from
+    when pair blocks could be subsampled; fingerprints hash both, so
+    they stay.
     """
 
     topology: TopologySpec
@@ -441,7 +443,6 @@ class ModelSpec:
     policy: PolicySpec
     mode: str = "uniform"
     monotonic: bool = True
-    max_descriptors: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -458,7 +459,6 @@ class ModelSpec:
         *,
         mode: str = "uniform",
         monotonic: bool = True,
-        max_descriptors: Optional[int] = None,
         seed: int = 0,
     ) -> "ModelSpec":
         """From live objects; :class:`SpecError` on unregistered types."""
@@ -468,7 +468,6 @@ class ModelSpec:
             policy=PolicySpec.of(policy),
             mode=mode,
             monotonic=monotonic,
-            max_descriptors=max_descriptors,
             seed=seed,
         )
 
@@ -483,9 +482,7 @@ class ModelSpec:
         from repro.model.fastpath import FastModel
 
         topo = self.topology.build()
-        return FastModel(
-            topo, max_descriptors=self.max_descriptors, seed=self.seed
-        ).solve(
+        return FastModel(topo).solve(
             self.pattern.build(topo).demand_matrix(),
             policy=self.policy.build(),
             mode=self.mode,
@@ -503,7 +500,7 @@ class ModelSpec:
             "policy": self.policy.to_dict(),
             "mode": self.mode,
             "monotonic": self.monotonic,
-            "max_descriptors": self.max_descriptors,
+            "max_descriptors": None,
             "seed": self.seed,
             "engine": "fast",
         }
@@ -515,13 +512,17 @@ class ModelSpec:
                 f"model engine {data['engine']!r} was removed: every solve "
                 f"goes through the one FastModel pipeline"
             )
+        if data.get("max_descriptors") is not None:
+            raise SpecError(
+                f"max_descriptors={data['max_descriptors']!r} was removed: "
+                f"every pair block is built exactly"
+            )
         return cls(
             topology=TopologySpec.from_dict(data["topology"]),
             pattern=PatternSpec.from_dict(data["pattern"]),
             policy=PolicySpec.from_dict(data["policy"]),
             mode=data.get("mode", "uniform"),
             monotonic=data.get("monotonic", True),
-            max_descriptors=data.get("max_descriptors"),
             seed=data.get("seed", 0),
         )
 

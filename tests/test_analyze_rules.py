@@ -76,6 +76,17 @@ def test_rule_silent_on_clean_fixture(rule, bad, count, clean):
     assert firing_lines(report, rule) == [], report.to_text()
 
 
+def test_ref401_covers_the_per_path_enumerator():
+    """compute_pair_stats / PathStatsCache feed only the reference: a
+    production import fires, a FastModel solve (and its blocks) does
+    not."""
+    bad = run_rule("REF401", "bad/ref401_per_path_enumerator.py")
+    (finding,) = bad.findings
+    assert "compute_pair_stats" in finding.context
+    clean = run_rule("REF401", "clean/ref401_per_path_enumerator.py")
+    assert clean.findings == []
+
+
 def test_det101_catches_the_busy_channels_shape():
     """The exact PR-2 bug: a set work list scanned in _transmit."""
     report = run_rule("DET101", "bad/det101_set_iteration.py")

@@ -29,7 +29,6 @@ PUBLIC_MODULES = [
     "repro.model.lp_model",
     "repro.model.pathstats",
     "repro.model.fastpath",
-    "repro.model.symmetry",
     "repro.model.sweep",
     "repro.model.bounds",
     "repro.core",

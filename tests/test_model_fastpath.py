@@ -4,9 +4,9 @@ The contract under test: ``FastModel`` -- the assembly every production
 solve goes through, on every topology -- is a pure performance
 refactoring of the reference per-solve assembly ``model_throughput``:
 same throughputs (to 1e-9) on the same inputs, plus the structural
-layers (vectorized block builder, topology-sized class axis, policy
-blocks, symmetry folding, ModelResult caching) each verified against
-their slow reference.  The two sides do not solve the same LP: the
+layers (the route-table block builder, topology-sized class axis,
+policy blocks, ModelResult caching) each verified against their slow
+reference.  The two sides do not solve the same LP: the
 reference hands HiGHS the primal as modelled, ``FastModel`` its dual, so
 throughput parity is strong duality, and ``TestDualSolve`` checks the
 production point in the reference's own constraint matrix.
@@ -19,8 +19,10 @@ of MIN shares attainable at lambda*.  Throughput -- the objective, and
 the only field Step 1 consumes -- is tight.
 """
 
+import sys
 import warnings
 from contextlib import contextmanager
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -35,13 +37,12 @@ from repro.model import (
     FastModel,
     PairBlock,
     PathStatsCache,
-    RotationSymmetry,
     model_throughput,
     step1_sweep,
 )
-from repro.model import fastpath, lp_model
-from repro.model.fastpath import build_pair_block
+from repro.model import fastpath, lp_model, pathstats
 from repro.model.pathstats import compute_pair_stats
+from repro.routing import minimal, vlb
 from repro.routing.channels import ChannelIndex
 from repro.routing.pathset import (
     AllVlbPolicy,
@@ -49,12 +50,25 @@ from repro.routing.pathset import (
     ExplicitPathSet,
     HopClassPolicy,
     OrderedVlbPolicy,
+    PathPolicy,
     StrategicFiveHopPolicy,
 )
 from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
 from repro.traffic import Shift, type_1_set, type_2_set
 
 SMALL = Dragonfly(2, 4, 2, 5)
+
+# small shapes with (g - 1) | a * h, one constructor call each
+SHAPES = [
+    lambda arr: Dragonfly(1, 2, 1, 3, arrangement=arr),
+    lambda arr: Dragonfly(1, 2, 2, 5, arrangement=arr),
+    lambda arr: Dragonfly(2, 3, 2, 4, arrangement=arr),
+    lambda arr: CascadeDragonfly(1, 4, 1, 3, rows=2, cols=2, arrangement=arr),
+    lambda arr: CascadeDragonfly(1, 4, 1, 5, rows=2, cols=2, arrangement=arr),
+    lambda arr: CascadeDragonfly(2, 6, 1, 4, rows=3, cols=2, arrangement=arr),
+    lambda arr: FullMesh(4, p=2, arrangement=arr),
+    lambda arr: FullMesh(6, p=1, arrangement=arr),
+]
 
 
 @contextmanager
@@ -91,76 +105,76 @@ def _min_share_range(primal, lam, num_pairs, total):
 
 def _assert_blocks_equal(a: PairBlock, b: PairBlock) -> None:
     assert a.min_count == b.min_count
-    np.testing.assert_array_equal(a.min_idx, b.min_idx)
-    np.testing.assert_array_equal(a.min_val, b.min_val)
-    np.testing.assert_array_equal(a.counts, b.counts)
-    np.testing.assert_array_equal(a.cls_id, b.cls_id)
-    np.testing.assert_array_equal(a.cls_idx, b.cls_idx)
-    np.testing.assert_array_equal(a.cls_val, b.cls_val)
+    for name in ("min_idx", "min_val", "counts", "cls_id", "cls_idx", "cls_val"):
+        got, want = getattr(a, name), getattr(b, name)
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert got.dtype == want.dtype, name
+
+
+@dataclass(frozen=True)
+class _EvenMids(PathPolicy):
+    """A policy that exists only as Python: no membership program, so
+    its blocks come from its own ``iter_descriptors``."""
+
+    def contains(self, topo, src, dst, desc):
+        return desc.mid % 2 == 0
+
+    def describe(self):
+        return "even intermediates"
 
 
 class TestBlockBuilder:
-    def test_vectorized_matches_enumeration(self):
-        """The closed-form builder is bit-exact vs per-path enumeration."""
-        chidx = ChannelIndex(SMALL)
-        pairs = [(0, 5), (0, 4), (1, 18), (3, 12), (0, 2), (7, 6)]
-        for src, dst in pairs:
-            fast = build_pair_block(SMALL, chidx, src, dst)
-            slow = PairBlock.from_stats(
-                compute_pair_stats(SMALL, chidx, src, dst)
-            )
-            _assert_blocks_equal(fast, slow)
-
-    def test_roundtrip_through_stats(self):
-        chidx = ChannelIndex(SMALL)
-        block = build_pair_block(SMALL, chidx, 0, 9)
-        again = PairBlock.from_stats(block.to_stats())
-        _assert_blocks_equal(block, again)
-
-
-class TestSymmetry:
-    def test_absolute_arrangement_has_no_rotations(self):
-        # absolute global-link arrangement is not invariant under group
-        # rotation; only the identity may be accepted
-        topo = Dragonfly(2, 4, 2, 5, arrangement="absolute")
-        sym = RotationSymmetry(topo, ChannelIndex(topo))
-        assert sym.rotations == [0]
-        assert sym.fold_factor == 1
-
-    @pytest.mark.parametrize("arrangement", ["relative", "circulant"])
-    def test_rotation_invariant_arrangements(self, arrangement):
-        topo = Dragonfly(2, 4, 2, 5, arrangement=arrangement)
-        sym = RotationSymmetry(topo, ChannelIndex(topo))
-        assert sym.rotations == list(range(topo.g))
-
-    @pytest.mark.parametrize("arrangement", ["relative", "circulant"])
-    def test_folded_blocks_bit_exact(self, arrangement):
-        topo = Dragonfly(2, 4, 2, 5, arrangement=arrangement)
-        chidx = ChannelIndex(topo)
-        folded = BlockCache(topo, chidx=chidx, symmetry="auto")
-        direct = BlockCache(topo, chidx=chidx, symmetry="off")
-        rng = np.random.default_rng(7)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        arrangement=st.sampled_from(["absolute", "relative"]),
+        policy=st.sampled_from(
+            [None, OrderedVlbPolicy(0.5), OrderedVlbPolicy(1.0), _EvenMids()]
+        ),
+        src=st.integers(min_value=0, max_value=10**6),
+        hop=st.integers(min_value=1, max_value=10**6),
+    )
+    def test_equals_per_path_enumeration(
+        self, shape, arrangement, policy, src, hop
+    ):
+        """The route-table builder is bit-exact (values, order, dtypes)
+        against the reference's per-path enumeration."""
+        topo = shape(arrangement)
         n = topo.num_switches
-        for _ in range(25):
-            src, dst = rng.integers(0, n, size=2)
-            if src == dst:
-                continue
-            _assert_blocks_equal(
-                folded.get(int(src), int(dst)),
-                direct.get(int(src), int(dst)),
-            )
-        # folding must actually have happened for the test to mean much
-        assert folded.folded > 0
-        assert folded.built < direct.built
+        src %= n
+        dst = (src + 1 + hop % (n - 1)) % n
+        cache = BlockCache(topo)
+        want = PairBlock.from_stats(
+            compute_pair_stats(topo, ChannelIndex(topo), src, dst, policy=policy),
+            cache.legs,
+        )
+        _assert_blocks_equal(cache.get(src, dst, policy), want)
 
-    def test_subsampled_pairs_never_folded(self):
-        # descriptor subsampling is seeded per (seed, src, dst): an
-        # orbit representative's subsample is NOT the pair's subsample
-        topo = Dragonfly(2, 4, 2, 5, arrangement="relative")
-        cache = BlockCache(topo, max_descriptors=10, symmetry="auto")
-        cache.get(0, 9)
-        cache.get(4, 13)  # same orbit as (0, 9) under rotation
-        assert cache.folded == 0
+    def test_reads_only_the_route_table(self, monkeypatch):
+        """No per-path enumerator runs in a production solve, on fully
+        connected groups or on a Cascade grid."""
+        originals = [
+            pathstats.compute_pair_stats,
+            minimal.min_paths,
+            vlb.enumerate_vlb_descriptors,
+            vlb.count_vlb_paths,
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-path enumeration in a FastModel solve")
+
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("repro"):
+                continue
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, attr, forbidden)
+        for topo in (
+            Dragonfly(4, 8, 4, 9),
+            CascadeDragonfly(p=2, a=6, h=2, g=3, rows=2, cols=3),
+        ):
+            demand = Shift(topo, 1, 0).demand_matrix()
+            assert FastModel(topo).solve(demand, mode="free").throughput > 0
 
 
 class TestFastModelParity:
@@ -253,20 +267,9 @@ class TestFastModelParity:
                 )
         # classes past the 3x3 dragonfly space are populated
         assert max(
-            l1 + l2 for l1, l2 in fast.blocks.get(0, 7).to_stats().classes
+            sum(fastpath._class_split(int(c), 5))
+            for c in np.flatnonzero(fast.blocks.get(0, 7).counts)
         ) > 6
-
-    def test_subsampled_parity(self):
-        # capped enumeration: same stride/offset subsample on both sides
-        for topo, policy in (
-            (SMALL, HopClassPolicy(4, 0.5)),
-            (FullMesh(6, p=2), OrderedVlbPolicy()),
-        ):
-            fast = FastModel(topo, max_descriptors=3, seed=2)
-            cache = PathStatsCache(topo, max_descriptors=3, seed=2)
-            demand = Shift(topo, 1, 0).demand_matrix()
-            for mode in ("uniform", "free"):
-                _assert_parity(fast, cache, demand, policy=policy, mode=mode)
 
     def test_sub_class_policies_still_rejected(self):
         fast = FastModel(SMALL)
@@ -299,19 +302,6 @@ def _assert_parity(fast, cache, demand, **options):
     return got
 
 
-# small shapes with (g - 1) | a * h, one constructor call each
-SHAPES = [
-    lambda arr: Dragonfly(1, 2, 1, 3, arrangement=arr),
-    lambda arr: Dragonfly(1, 2, 2, 5, arrangement=arr),
-    lambda arr: Dragonfly(2, 3, 2, 4, arrangement=arr),
-    lambda arr: CascadeDragonfly(1, 4, 1, 3, rows=2, cols=2, arrangement=arr),
-    lambda arr: CascadeDragonfly(1, 4, 1, 5, rows=2, cols=2, arrangement=arr),
-    lambda arr: CascadeDragonfly(2, 6, 1, 4, rows=3, cols=2, arrangement=arr),
-    lambda arr: FullMesh(4, p=2, arrangement=arr),
-    lambda arr: FullMesh(6, p=1, arrangement=arr),
-]
-
-
 # one drawn (shape, policy, mode, pattern) space for every property
 _drawn_solves = given(
     shape=st.sampled_from(SHAPES),
@@ -328,9 +318,7 @@ _drawn_solves = given(
     ),
     mode=st.sampled_from(["uniform", "free"]),
     monotonic=st.booleans(),
-    max_descriptors=st.sampled_from([None, 2, 7]),
     shift=st.integers(min_value=1, max_value=2),
-    seed=st.integers(min_value=0, max_value=3),
 )
 
 
@@ -338,14 +326,11 @@ class TestPropertyParity:
     @settings(max_examples=30, deadline=None)
     @_drawn_solves
     def test_fastmodel_equals_reference(
-        self, shape, arrangement, policy, mode, monotonic,
-        max_descriptors, shift, seed,
+        self, shape, arrangement, policy, mode, monotonic, shift
     ):
         topo = shape(arrangement)
-        fast = FastModel(topo, max_descriptors=max_descriptors, seed=seed)
-        cache = PathStatsCache(
-            topo, max_descriptors=max_descriptors, seed=seed
-        )
+        fast = FastModel(topo)
+        cache = PathStatsCache(topo)
         _assert_parity(
             fast,
             cache,
@@ -358,23 +343,20 @@ class TestPropertyParity:
     @settings(max_examples=30, deadline=None)
     @_drawn_solves
     def test_strong_duality(
-        self, shape, arrangement, policy, mode, monotonic,
-        max_descriptors, shift, seed,
+        self, shape, arrangement, policy, mode, monotonic, shift
     ):
         """Production's optimum is a dual objective, the reference's a
         primal one; and the point production recovers from the row duals
         is feasible in the reference's own constraint matrix."""
         topo = shape(arrangement)
-        fast = FastModel(topo, max_descriptors=max_descriptors, seed=seed)
+        fast = FastModel(topo)
         demand = Shift(topo, shift, 0).demand_matrix()
         options = dict(policy=policy, mode=mode, monotonic=monotonic)
         with _linprog_calls(lp_model) as primal:
             ref = model_throughput(
                 topo,
                 demand,
-                cache=PathStatsCache(
-                    topo, max_descriptors=max_descriptors, seed=seed
-                ),
+                cache=PathStatsCache(topo),
                 **options,
             )
         with _linprog_calls(fastpath) as dual:
@@ -502,6 +484,27 @@ class TestWeightsForPolicyRejection:
         evaluate = model_evaluator(SMALL, num_patterns=1)
         assert evaluate(ExplicitPathSet(), "explicit") == -1.0
 
+    def test_model_evaluator_scores_ordered_policy_exactly(self):
+        # no class-weight translation is no obstacle: FastModel solves
+        # the policy's own blocks, so every ordered-VLB candidate of a
+        # full mesh gets its real score instead of tying at -1
+        from repro.core.algorithm import model_evaluator
+
+        topo = FullMesh(8, p=2)
+        policy = OrderedVlbPolicy(0.5)
+        score = model_evaluator(topo, num_patterns=2)(policy, "ordered:0.5")
+        fast = FastModel(topo)
+        expected = np.mean(
+            [
+                fast.solve(
+                    pattern.demand_matrix(), policy=policy, mode="uniform"
+                ).throughput
+                for pattern in type_2_set(topo, count=2, seed=500)
+            ]
+        )
+        assert score == pytest.approx(expected, abs=1e-12)
+        assert score > 0
+
 
 class TestModelCache:
     def test_warm_cache_serves_model_results(self, tmp_path):
@@ -561,7 +564,6 @@ class TestModelCache:
             policy=HopClassPolicy(4, 0.5),
             mode="free",
             monotonic=False,
-            max_descriptors=100,
             seed=3,
         )
         again = ModelSpec.from_dict(spec.to_dict())
@@ -582,6 +584,24 @@ class TestModelCache:
         assert ModelSpec.from_dict(data).to_dict() == data
         with pytest.raises(SpecError, match="removed"):
             ModelSpec.from_dict({**data, "engine": "legacy"})
+
+    def test_removed_subsampling_is_rejected_by_name(self, capsys):
+        from repro.cli import main
+        from repro.spec import ModelSpec, SpecError
+
+        data = ModelSpec.from_objects(
+            SMALL, Shift(SMALL, 1, 0), policy=AllVlbPolicy()
+        ).to_dict()
+        # a format constant, like "engine"
+        assert data["max_descriptors"] is None
+        with pytest.raises(SpecError, match="max_descriptors.*removed"):
+            ModelSpec.from_dict({**data, "max_descriptors": 5})
+        with pytest.raises(ValueError, match="max_descriptors was removed"):
+            FastModel(SMALL, max_descriptors=5)
+        with pytest.raises(SystemExit) as exit_:
+            main(["model", "-t", "2,4,2,5", "--max-descriptors", "5"])
+        assert exit_.value.code == 2
+        assert "--max-descriptors" in capsys.readouterr().err
 
 
 class TestJobsClamp:
