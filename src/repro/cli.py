@@ -375,7 +375,7 @@ def _cmd_adversary(args) -> int:
 
 def _cmd_tvlb(args) -> int:
     from repro.core import compute_tvlb
-    from repro.routing.serialization import save_policy
+    from repro.spec import save_policy
     from repro.sim import SimParams
 
     topo = parse_topology(args.topology, args.arrangement)

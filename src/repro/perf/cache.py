@@ -9,18 +9,18 @@ file read instead of a cycle-accurate simulation.
 
 Key design points:
 
-* **Content addressing.**  The primary key is
-  ``RunSpec.fingerprint()`` -- a SHA-256 over the canonical JSON form of
-  the declarative run spec (``repro.spec``), covering the topology,
-  pattern (kind + args, seeds included), routing variant, policy, every
-  ``SimParams`` field, the seed, and the offered load.  Any run whose
-  components are exactly registered types -- including ``perm``,
-  ``mixed``/``tmixed``, and ``@file.json`` policies -- is cacheable.
-* **Legacy fallback.**  Runs the spec layer cannot describe (ad-hoc
-  ``_FixedPattern`` subclasses, pattern compositions with unregistered
-  parts) fall back to the pre-spec structural fingerprint: any fixed
-  pattern is exactly its destination map.  Only what neither path can
-  identify is uncacheable (``None`` key) -- never a false hit.
+* **Content addressing.**  The key is ``RunSpec.fingerprint()`` -- a
+  SHA-256 over the canonical JSON form of the declarative run spec
+  (``repro.spec``), covering the topology, pattern (kind + args, seeds
+  included), routing variant, policy, every ``SimParams`` field, the
+  seed, and the offered load.  Any run whose components are exactly
+  registered types -- including ``perm``, ``mixed``/``tmixed``, and
+  ``@file.json`` policies -- is cacheable.
+* **Not describable means uncacheable.**  A run the spec registries
+  cannot describe (an ad-hoc pattern or policy subclass, a composition
+  with an unregistered part) has no trustworthy identity: its key is
+  ``None`` and it is simulated every time -- never a false hit.  It
+  still runs; the executor ships its live objects.
 * **Versioned invalidation.**  ``CACHE_VERSION`` is part of both the hash
   input and the on-disk directory layout (``<root>/v<N>/``); bump it
   whenever the simulator's observable behaviour changes and every stale
@@ -43,24 +43,15 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.lp_model import ModelResult
+    from repro.routing.pathset import PathPolicy
     from repro.spec.specs import ModelSpec
+    from repro.topology.dragonfly import Dragonfly
+    from repro.traffic.patterns import TrafficPattern
 
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
-from repro.routing.pathset import PathPolicy
-from repro.routing.serialization import policy_to_dict
 from repro.sim.params import SimParams
 from repro.sim.stats import SimResult
-from repro.topology.dragonfly import Dragonfly
-from repro.traffic.mixed import Mixed, TimeMixed
-from repro.traffic.patterns import (
-    GroupSwitchPermutation,
-    RandomPermutation,
-    Shift,
-    TrafficPattern,
-    UniformRandom,
-    _FixedPattern,
-)
 
 __all__ = [
     "CACHE_VERSION",
@@ -70,12 +61,9 @@ __all__ = [
     "model_fingerprint",
     "model_result_from_dict",
     "model_result_to_dict",
-    "pattern_fingerprint",
-    "policy_fingerprint",
     "result_from_dict",
     "result_to_dict",
     "spec_key",
-    "topology_fingerprint",
 ]
 
 # Bump when simulate()'s observable behaviour changes (engine semantics,
@@ -105,87 +93,20 @@ def default_cache_dir() -> str:
 # ---------------------------------------------------------------------------
 # Fingerprints
 # ---------------------------------------------------------------------------
-def topology_fingerprint(topo: Dragonfly) -> Dict:
-    """Identity of a topology: its class and every constructor field
-    (``p, a, h, g, arrangement``, plus e.g. a Cascade's ``rows``/``cols``)."""
-    return {
-        "cls": type(topo).__name__,
-        **{
-            f.name: getattr(topo, f.name)
-            for f in dataclasses.fields(topo)
-            if f.init
-        },
-    }
-
-
-def pattern_fingerprint(pattern: TrafficPattern) -> Optional[Dict]:
-    """Structural identity of a pattern, or ``None`` (not fingerprintable).
-
-    This is the *fallback* identity used when ``repro.spec`` has no
-    registered spec for the pattern's exact type: seed-bearing patterns
-    are identified by their frozen random state (the dest map / node-role
-    assignment), so two instances built with the same seed share a
-    fingerprint while different seeds never collide.
-    """
-    if isinstance(pattern, UniformRandom):
-        return {"kind": "ur"}
-    if isinstance(pattern, Shift):
-        return {"kind": "shift", "dg": pattern.dg, "ds": pattern.ds}
-    if isinstance(pattern, RandomPermutation):
-        return {"kind": "perm", "seed": pattern.seed}
-    if isinstance(pattern, GroupSwitchPermutation):
-        return {"kind": "type2", "seed": pattern.seed}
-    if isinstance(pattern, (Mixed, TimeMixed)):
-        adv = pattern_fingerprint(pattern.adv)
-        if adv is None:
-            return None
-        fp: Dict = {
-            "kind": "mixed" if isinstance(pattern, Mixed) else "tmixed",
-            "ur": pattern.ur_percent,
-            "adv_pct": pattern.adv_percent,
-            "adv": adv,
-        }
-        if isinstance(pattern, Mixed):
-            # the fixed node-role assignment (captures the seed)
-            fp["roles"] = hashlib.sha256(
-                pattern.is_ur.tobytes()
-            ).hexdigest()[:16]
-        return fp
-    if isinstance(pattern, _FixedPattern):
-        # any fixed pattern is exactly its destination map
-        return {
-            "kind": "fixed",
-            "cls": type(pattern).__name__,
-            "dest": hashlib.sha256(pattern.dest_map.tobytes()).hexdigest(),
-        }
-    return None  # scheduled traces, ad-hoc subclasses: do not cache
-
-
-def policy_fingerprint(policy: Optional[PathPolicy]) -> Optional[Dict]:
-    """Identity of a path policy (``{}`` for no policy), or ``None``."""
-    if policy is None:
-        return {}
-    try:
-        return policy_to_dict(policy)
-    except TypeError:
-        return None  # unknown policy type: do not cache
-
-
 def fingerprint(
-    topo: Dragonfly,
-    pattern: TrafficPattern,
+    topo: "Dragonfly",
+    pattern: "TrafficPattern",
     load: float,
     *,
     routing: str,
-    policy: Optional[PathPolicy],
+    policy: Optional["PathPolicy"],
     params: Optional[SimParams],
     seed: int,
 ) -> Optional[str]:
     """SHA-256 key of one ``simulate()`` point, or ``None`` (uncacheable).
 
-    Prefers the declarative identity -- ``RunSpec.fingerprint()`` keyed
-    under ``CACHE_VERSION`` -- and falls back to the structural
-    fingerprint for components the spec registries do not cover.
+    The key is ``RunSpec.fingerprint()`` under ``CACHE_VERSION``; a point
+    with a component the spec registries do not cover has none.
     """
     from repro.spec import RunSpec, SpecError
 
@@ -200,29 +121,8 @@ def fingerprint(
             seed=seed,
         )
     except SpecError:
-        pass  # unregistered component: try the structural fallback
-    else:
-        return spec_key(spec.fingerprint())
-
-    pat_fp = pattern_fingerprint(pattern)
-    if pat_fp is None:
         return None
-    pol_fp = policy_fingerprint(policy)
-    if pol_fp is None:
-        return None
-    record = {
-        "version": CACHE_VERSION,
-        "topology": topology_fingerprint(topo),
-        "pattern": pat_fp,
-        "load": float(load),
-        "routing": routing.lower(),
-        "policy": pol_fp,
-        "params": (
-            params if params is not None else SimParams()
-        ).identity_dict(),
-        "seed": int(seed),
-    }
-    return _key(record)
+    return spec_key(spec.fingerprint())
 
 
 def _key(record: Dict) -> str:
@@ -311,8 +211,11 @@ class SimCache:
         except OSError:
             return None  # plain miss: no entry on disk
         except ValueError:
-            # torn/corrupt entry: fall back to recomputation, but say so
-            # (repro.obs.log; silent by default, visible with -v)
+            data = None
+        if not isinstance(data, dict):
+            # torn/corrupt entry (or valid JSON that is no record): fall
+            # back to recomputation, but say so (repro.obs.log; silent by
+            # default, visible with -v)
             _log.warning("discarding corrupt cache entry %s", path)
             return None
         if data.get("version") != CACHE_VERSION:

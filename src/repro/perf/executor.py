@@ -52,7 +52,7 @@ from repro.model.lp_model import ModelResult
 from repro.obs import ProgressReporter, Tracer, active_capture
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
-from repro.perf.cache import SimCache, fingerprint, model_fingerprint
+from repro.perf.cache import SimCache, model_fingerprint, spec_key
 from repro.routing.pathset import PathPolicy
 from repro.routing.table import topology_key
 from repro.sim.engine import simulate
@@ -129,15 +129,9 @@ class SimTask:
 
     def key(self) -> Optional[str]:
         """Content-address of this task (``None`` = uncacheable)."""
-        return fingerprint(
-            self.topo,
-            self.pattern,
-            self.load,
-            routing=self.routing,
-            policy=self.policy,
-            params=self.params,
-            seed=self.seed,
-        )
+        if self.spec is None:
+            return None
+        return spec_key(self.spec.fingerprint())
 
     def payload(self) -> Union[RunSpec, "SimTask"]:
         """What to ship to a worker: the spec when one exists."""

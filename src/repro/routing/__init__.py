@@ -14,7 +14,9 @@ links-per-group-pair and infeasible to store for large topologies.
 
 :class:`PathPolicy` subclasses define *which* VLB paths a routing scheme may
 use; they are the object Algorithm 1 (``repro.core``) produces and the
-simulator and LP model consume.
+simulator and LP model consume.  A policy's JSON form is its
+``repro.spec`` registry entry: ``repro.spec.save_policy`` writes a set to a
+file and ``PolicySpec.parse("@file.json").build()`` loads it back.
 """
 
 from repro.routing.paths import Channel, Path
@@ -41,12 +43,6 @@ from repro.routing.analysis import (
     vlb_length_distribution,
 )
 from repro.routing.channels import ChannelIndex
-from repro.routing.serialization import (
-    load_policy,
-    policy_from_dict,
-    policy_to_dict,
-    save_policy,
-)
 
 __all__ = [
     "Channel",
@@ -69,8 +65,4 @@ __all__ = [
     "mean_min_hops",
     "expected_packet_hops",
     "ChannelIndex",
-    "policy_to_dict",
-    "policy_from_dict",
-    "save_policy",
-    "load_policy",
 ]

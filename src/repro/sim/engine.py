@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -359,36 +359,33 @@ class Run:
     def _manifest(self) -> RunManifest:
         """The provenance record of this run (identity fields only).
 
-        Fingerprint derivation mirrors the result cache: the declarative
-        ``RunSpec`` identity when every component is a registered spec
-        type (derived once; both fingerprints come from it), the
-        structural fallback otherwise, ``None`` for ad-hoc components.
+        Both fingerprints come from the run's declarative ``RunSpec``
+        (derived once from the live objects when the run was not built
+        from one), so the key is the result cache's; a run with a
+        component the spec registries cannot describe has neither.
         Lazy imports keep ``repro.sim`` importable without ``repro.perf``.
         """
-        from repro.perf.cache import fingerprint as cache_fingerprint, spec_key
+        from repro.perf.cache import spec_key
         from repro.spec import RunSpec, SpecError
 
-        args = (self.topo, self.pattern, self.load)
-        identity: Dict[str, Any] = dict(
-            routing=self.routing,
-            policy=self.policy,
-            params=self.params,
-            seed=self.seed,
-        )
         spec = self.spec
         if spec is None:
             try:
-                spec = RunSpec.from_objects(*args, **identity)
+                spec = RunSpec.from_objects(
+                    self.topo,
+                    self.pattern,
+                    self.load,
+                    routing=self.routing,
+                    policy=self.policy,
+                    params=self.params,
+                    seed=self.seed,
+                )
             except SpecError:
                 pass
         spec_fp = spec.fingerprint() if spec is not None else None
         return RunManifest(
             kind="sim",
-            fingerprint=(
-                spec_key(spec_fp)
-                if spec_fp is not None
-                else cache_fingerprint(*args, **identity)
-            ),
+            fingerprint=spec_key(spec_fp) if spec_fp is not None else None,
             spec_fingerprint=spec_fp,
             topology=str(self.topo),
             routing=self.routing.lower(),

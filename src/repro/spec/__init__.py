@@ -39,6 +39,7 @@ from repro.spec.specs import (
     SweepSpec,
     TopologySpec,
     canonical_json,
+    save_policy,
 )
 
 __all__ = [
@@ -59,5 +60,6 @@ __all__ = [
     "TRAFFIC_REGISTRY",
     "canonical_json",
     "resolve_routing",
+    "save_policy",
     "strategy_for",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.routing.paths import Channel
 from repro.routing.pathset import (
     AllVlbPolicy,
     ExcludingPolicy,
@@ -25,7 +26,7 @@ from repro.routing.pathset import (
     OrderedVlbPolicy,
     StrategicFiveHopPolicy,
 )
-from repro.routing.serialization import policy_from_dict, policy_to_dict
+from repro.routing.vlb import VlbDescriptor
 from repro.sim.strategies import (
     MinimalStrategy,
     ParStrategy,
@@ -232,21 +233,60 @@ def _parse_hopclass(args: str, spec: str) -> Dict[str, Any]:
     return {"full_hops": full, "extra_fraction": frac, "seed": seed}
 
 
-def _dict_only_policy(kind: str):
-    """Entry codecs for policies with no mini-language (dict/JSON only)."""
-    def build(args: Dict[str, Any]) -> Any:
-        return policy_from_dict({"kind": kind, **args})
+# An ExcludingPolicy's base is encoded as {"kind": ..., **args} through
+# this same registry, so it dispatches on its exact type like any policy.
+def _build_excluding(args: Dict[str, Any]) -> ExcludingPolicy:
+    base = dict(args["base"])
+    return ExcludingPolicy(
+        base=POLICY_REGISTRY.build(base.pop("kind"), base),
+        excluded_channels=frozenset(
+            Channel(src, dst, slot)
+            for src, dst, slot in args["excluded_channels"]
+        ),
+        excluded_descriptors=frozenset(
+            (src, dst, VlbDescriptor(*desc))
+            for src, dst, desc in args["excluded_descriptors"]
+        ),
+    )
 
-    def to_dict(policy: Any) -> Dict[str, Any]:
-        data = policy_to_dict(policy)
-        data.pop("kind")
-        return data
 
-    return build, to_dict
+def _excluding_to_dict(policy: ExcludingPolicy) -> Dict[str, Any]:
+    base_kind, base_args = POLICY_REGISTRY.spec_of(policy.base)
+    return {
+        "base": {"kind": base_kind, **base_args},
+        "excluded_channels": [
+            [int(ch.src), int(ch.dst), int(ch.slot)]
+            for ch in sorted(
+                policy.excluded_channels,
+                key=lambda c: (c.src, c.dst, c.slot),
+            )
+        ],
+        "excluded_descriptors": [
+            [int(src), int(dst), [int(x) for x in desc]]
+            for src, dst, desc in sorted(policy.excluded_descriptors)
+        ],
+    }
 
 
-_build_excluding, _excluding_to_dict = _dict_only_policy("excluding")
-_build_explicit, _explicit_to_dict = _dict_only_policy("explicit")
+def _build_explicit(args: Dict[str, Any]) -> ExplicitPathSet:
+    return ExplicitPathSet(
+        paths={
+            (src, dst): [VlbDescriptor(*d) for d in descs]
+            for src, dst, descs in args["paths"]
+        },
+        label=args.get("label", "explicit"),
+    )
+
+
+def _explicit_to_dict(policy: ExplicitPathSet) -> Dict[str, Any]:
+    return {
+        "label": policy.label,
+        "paths": [
+            [int(src), int(dst), [[int(x) for x in d] for d in descs]]
+            for (src, dst), descs in sorted(policy.paths.items())
+        ],
+    }
+
 
 POLICY_REGISTRY.register(RegistryEntry(
     kind="all",

@@ -46,6 +46,7 @@ __all__ = [
     "SweepSpec",
     "TopologySpec",
     "canonical_json",
+    "save_policy",
 ]
 
 # Part of every fingerprint.  Bump when the *meaning* of a spec changes
@@ -157,9 +158,12 @@ class PolicySpec:
     def parse(cls, spec: str) -> "PolicySpec":
         """From a mini-language string or ``@file.json``.
 
-        ``@file.json`` (a policy saved by ``tvlb --save``) is read
-        immediately and its *content* embedded in the spec, so the spec
-        stays self-contained (and cacheable) even if the file changes.
+        ``@file.json`` (a policy written by :func:`save_policy`, e.g. by
+        ``tvlb --save``) is read immediately and the policy it describes
+        embedded in the spec, so the spec stays self-contained (and
+        cacheable) even if the file changes.  The spec is that of the
+        built policy, so a file that omits a defaulted argument
+        fingerprints like the same policy from an object or a string.
         """
         if spec.startswith("@"):
             try:
@@ -173,9 +177,8 @@ class PolicySpec:
                 raise SpecError(
                     f"policy file {spec[1:]!r} has no 'kind' field"
                 )
-            return cls.from_dict({"kind": data["kind"], "args": {
-                k: v for k, v in data.items() if k != "kind"
-            }})
+            args = {k: v for k, v in data.items() if k != "kind"}
+            return cls.of(POLICY_REGISTRY.build(data["kind"], args))
         kind, args = POLICY_REGISTRY.parse(spec)
         return cls(kind, canonical_json(args))
 
@@ -200,6 +203,20 @@ class PolicySpec:
 
     def fingerprint(self) -> str:
         return _digest({"version": SPEC_VERSION, **self.to_dict()})
+
+
+def save_policy(policy: Any, path: str) -> None:
+    """Write a policy as the JSON file ``PolicySpec.parse("@" + path)``
+    reads back: ``{"kind": ..., **args}`` (exact registered types only).
+
+    The paper computes a T-VLB set once, "during network designing";
+    this is how a set computed by Algorithm 1 is stored next to the
+    network configuration and loaded at boot.
+    """
+    spec = PolicySpec.of(policy)
+    with open(path, "w") as fh:
+        json.dump({"kind": spec.kind, **spec.args}, fh, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

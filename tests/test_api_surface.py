@@ -19,7 +19,6 @@ PUBLIC_MODULES = [
     "repro.routing.pathset",
     "repro.routing.channels",
     "repro.routing.analysis",
-    "repro.routing.serialization",
     "repro.traffic",
     "repro.traffic.patterns",
     "repro.traffic.mixed",

@@ -53,7 +53,7 @@ class TestParsers:
             parse_policy("hopclass")
 
     def test_parse_policy_from_file(self, tmp_path):
-        from repro.routing.serialization import save_policy
+        from repro.spec import save_policy
 
         path = tmp_path / "pol.json"
         save_policy(StrategicFiveHopPolicy("3+2"), str(path))
@@ -95,7 +95,7 @@ class TestCommands:
 
         from repro.core.balance import balance_adjust
         from repro.routing.pathset import ExcludingPolicy
-        from repro.routing.serialization import save_policy
+        from repro.spec import save_policy
         from repro.traffic import Shift
 
         topo = Dragonfly(3, 6, 3, 7)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import compute_tvlb
-from repro.routing.serialization import policy_to_dict
+from repro.spec import PolicySpec
 from repro.topology import Dragonfly
 
 
@@ -28,7 +28,7 @@ class TestDeterminism:
         a = compute_tvlb(topo, evaluator=ev, seed=7)
         b = compute_tvlb(topo, evaluator=ev, seed=7)
         assert a.label == b.label
-        assert policy_to_dict(a.policy) == policy_to_dict(b.policy)
+        assert PolicySpec.of(a.policy) == PolicySpec.of(b.policy)
         assert [pt.mean_throughput for pt in a.sweep] == [
             pt.mean_throughput for pt in b.sweep
         ]

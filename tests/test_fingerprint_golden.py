@@ -43,6 +43,15 @@ GOLDEN_MODEL = (
 GOLDEN_PARAMS = (
     "2553a071cd339900e4b6fe62154ed7cd5d479797691139b125b05f5acdb59afc"
 )
+# the balanced T-VLB set the CI saves (Algorithm 1 Step 2 over
+# HopClassPolicy(5, 0.5) on dfly(4,8,4,9)) and an explicit set that lists
+# one path twice: the two dict-only policy kinds, nested base included
+GOLDEN_BALANCED_G9 = (
+    "575fb995074f4e6a0c708c0e074e61c95c3f64955f9339906be8f7a38fedcb74"
+)
+GOLDEN_EXPLICIT = (
+    "9bf135ab565128a3fc084bfa82e024a6cd2c3fa9540565ad91083fd250373844"
+)
 GOLDEN_PARAMS_KEYS = [
     "buffer_size", "global_latency", "injection_latency",
     "local_latency", "measure_windows", "min_candidates", "num_vcs",
@@ -74,6 +83,37 @@ def test_modelspec_fingerprint_pinned():
         policy=PolicySpec.make("all"),
     )
     assert spec.fingerprint() == GOLDEN_MODEL, BUMP_MSG
+
+
+def test_balanced_policy_fingerprint_pinned():
+    import numpy as np
+
+    from repro.core.balance import balance_adjust
+    from repro.routing.pathset import HopClassPolicy
+    from repro.topology import Dragonfly
+    from repro.traffic import Shift
+
+    topo = Dragonfly(4, 8, 4, 9)
+    pairs = list(zip(*np.nonzero(Shift(topo, 1, 0).demand_matrix())))[:4]
+    policy, report = balance_adjust(topo, HopClassPolicy(5, 0.5), pairs)
+    assert report.adjusted
+    assert PolicySpec.of(policy).fingerprint() == GOLDEN_BALANCED_G9, (
+        BUMP_MSG
+    )
+
+
+def test_explicit_policy_fingerprint_pinned():
+    from repro.routing.pathset import ExplicitPathSet
+    from repro.routing.vlb import VlbDescriptor as D
+
+    policy = ExplicitPathSet(
+        paths={
+            (0, 8): [D(4, 0, 0), D(4, 0, 1), D(4, 0, 0)],
+            (3, 10): [D(4, 0, 0), D(4, 0, 1)],
+        },
+        label="dup",
+    )
+    assert PolicySpec.of(policy).fingerprint() == GOLDEN_EXPLICIT, BUMP_MSG
 
 
 def test_simparams_identity_pinned():

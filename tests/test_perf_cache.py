@@ -12,12 +12,12 @@ from repro.perf.cache import (
     SimCache,
     default_cache_dir,
     fingerprint,
-    pattern_fingerprint,
-    topology_fingerprint,
 )
-from repro.perf.executor import SimTask, SweepExecutor, run_task
-from repro.sim import SimParams
-from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
+from repro.perf.executor import ModelTask, SimTask, SweepExecutor, run_task
+from repro.routing.pathset import ExcludingPolicy, HopClassPolicy
+from repro.sim import SimParams, simulate
+from repro.spec import PolicySpec, SpecError
+from repro.topology import CascadeDragonfly, Dragonfly
 from repro.traffic.patterns import (
     Shift,
     TrafficPattern,
@@ -103,7 +103,15 @@ class _Opaque(TrafficPattern):
 
 
 def test_unfingerprintable_pattern_is_uncacheable():
-    assert pattern_fingerprint(_Opaque(TOPO)) is None
+    assert fingerprint(
+        TOPO,
+        _Opaque(TOPO),
+        0.2,
+        routing="min",
+        policy=None,
+        params=PARAMS,
+        seed=1,
+    ) is None
     assert _task(pattern=_Opaque(TOPO)).key() is None
 
 
@@ -141,6 +149,35 @@ def test_corrupt_entry_is_a_miss(tmp_path):
     assert cache.misses == 1
 
 
+def _write_entry(cache, key, text):
+    path = cache.path_for(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"v3"', "null"])
+def test_non_object_entry_is_a_miss(tmp_path, caplog, text):
+    cache = SimCache(str(tmp_path))
+    key = _task().key()
+    _write_entry(cache, key, text)
+    with caplog.at_level("WARNING", logger="repro.perf.cache"):
+        assert cache.get(key) is None
+    assert cache.misses == 1
+    assert "corrupt cache entry" in caplog.text
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"v3"', "null"])
+def test_non_object_model_entry_is_a_miss(tmp_path, caplog, text):
+    cache = SimCache(str(tmp_path))
+    key = ModelTask(TOPO, UniformRandom(TOPO), HopClassPolicy(4)).key()
+    _write_entry(cache, key, text)
+    with caplog.at_level("WARNING", logger="repro.perf.cache"):
+        assert cache.get_model(key) is None
+    assert cache.misses == 1
+    assert "corrupt cache entry" in caplog.text
+
+
 def test_clear(tmp_path):
     cache = SimCache(str(tmp_path))
     task = _task()
@@ -175,7 +212,7 @@ def test_fingerprint_stable_across_instances():
 
 
 class _Reverse(_FixedPattern):
-    """Ad-hoc fixed map (no registered spec: the structural fallback)."""
+    """Ad-hoc fixed map: no registered spec, so no cache identity."""
 
     def _build_dest_map(self):
         return np.arange(self.topo.num_nodes)[::-1].copy()
@@ -184,15 +221,15 @@ class _Reverse(_FixedPattern):
         return "reverse"
 
 
-def test_structural_fallback_tells_cascade_grids_apart():
-    # same (p, a, h, g), same destination map, another intra-group grid:
-    # a different network, so never the same key
+def test_cascade_grids_get_different_keys():
+    # same (p, a, h, g), same pattern, another intra-group grid: a
+    # different network, so never the same key
     wide = CascadeDragonfly(2, 6, 2, 3, rows=2, cols=3)
     tall = CascadeDragonfly(2, 6, 2, 3, rows=3, cols=2)
     keys = [
         fingerprint(
             topo,
-            _Reverse(topo),
+            Shift(topo, dg=1),
             0.2,
             routing="min",
             policy=None,
@@ -203,13 +240,75 @@ def test_structural_fallback_tells_cascade_grids_apart():
     ]
     assert None not in keys
     assert keys[0] != keys[1]
-    assert topology_fingerprint(tall)["rows"] == 3
-    # every constructor field, and nothing else, for the plain shapes
-    assert topology_fingerprint(TOPO) == {
-        "cls": "Dragonfly", "p": 2, "a": 4, "h": 2, "g": 5,
-        "arrangement": "absolute",
-    }
-    assert topology_fingerprint(FullMesh(6, p=2)) == {
-        "cls": "FullMesh", "p": 2, "a": 1, "h": 5, "g": 6,
-        "arrangement": "absolute",
-    }
+    # an unregistered pattern has no key on either grid
+    assert _task(topo=wide, pattern=_Reverse(wide)).key() is None
+
+
+# ---------------------------------------------------------------------------
+# Ad-hoc subclasses: no identity, so never a false hit and never the
+# wrong policy in a worker
+# ---------------------------------------------------------------------------
+class _NoVlb(HopClassPolicy):
+    """Admits no VLB path, whatever its (registered) fields say."""
+
+    def contains(self, topo, src, dst, desc):
+        return False
+
+    def membership_program(self, table):
+        return None
+
+
+class _PlainHopClass(HopClassPolicy):
+    """Behaves exactly like its base, but is still not the base type."""
+
+
+class _SelfUR(UniformRandom):
+    """Sends every packet to its own source."""
+
+    def sample_destinations(self, srcs, rng):
+        return np.asarray(srcs)
+
+    def destination_program(self):
+        return None
+
+
+class _PlainUR(UniformRandom):
+    pass
+
+
+SMALL = Dragonfly(2, 4, 2, 3)
+
+
+def test_adhoc_subclasses_are_uncacheable():
+    for policy in (_NoVlb(4, 0.5), _PlainHopClass(4, 0.5)):
+        task = _task(
+            topo=SMALL, pattern=Shift(SMALL, dg=1), routing="t-ugal-l",
+            policy=policy,
+        )
+        assert task.key() is None
+        assert fingerprint(
+            SMALL, Shift(SMALL, dg=1), 0.2, routing="t-ugal-l",
+            policy=policy, params=PARAMS, seed=1,
+        ) is None
+    for pattern in (_SelfUR(SMALL), _PlainUR(SMALL)):
+        assert _task(topo=SMALL, pattern=pattern).key() is None
+
+
+def test_executor_runs_the_live_adhoc_base():
+    """An ExcludingPolicy over an ad-hoc base has no spec, so the
+    executor ships the live objects and simulates *that* policy."""
+    topo = TOPO
+    policy = ExcludingPolicy(_NoVlb(4, 0.5))
+    kwargs = dict(
+        routing="t-ugal-l", policy=policy, params=PARAMS, seed=1,
+    )
+    direct = simulate(topo, Shift(topo, 1, 0), 0.3, **kwargs)
+    assert direct.vlb_fraction == 0.0
+    task = SimTask(topo, Shift(topo, 1, 0), 0.3, **kwargs)
+    with SweepExecutor(jobs=1) as executor:
+        (via_executor,) = executor.run([task])
+    assert via_executor.vlb_fraction == 0.0
+    assert via_executor == direct
+    assert task.spec is None and task.key() is None
+    with pytest.raises(SpecError):
+        PolicySpec.of(policy)

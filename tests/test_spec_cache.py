@@ -1,11 +1,11 @@
-"""Cache keys via RunSpec fingerprints: seeded patterns are cacheable now.
+"""Cache keys are RunSpec fingerprints: seeded patterns are cacheable.
 
-Before the spec layer, the cache fingerprinted patterns structurally and
-``perm``/``mixed``/``tmixed`` (and ``@file.json`` policies) were
-unkeyable -- every sweep re-simulated them.  Keys now come from
-``RunSpec.fingerprint()``, so these hit the warm cache like everything
-else.  These tests monkeypatch the executor's ``run_task`` with a bomb on
-the second pass: any cache miss fails loudly.
+A key is ``RunSpec.fingerprint()`` under ``CACHE_VERSION``, so every run
+whose components are registered types -- ``perm``/``mixed``/``tmixed``
+patterns and ``@file.json`` policies included -- hits the warm cache,
+and a run the registries cannot describe has no key at all.  These tests
+monkeypatch the executor's ``run_task`` with a bomb on the second pass:
+any cache miss fails loudly.
 """
 
 import json
