@@ -11,9 +11,10 @@ h_links / p`` while uniform random sits near 1.0, and a good search
 drives the score to (or below) the worst suite pattern.
 
 Scoring runs through :meth:`repro.perf.executor.SweepExecutor.run_models`
-so candidate batches fan out across worker processes and repeated maps
-(restarts, plateau revisits) come from the
-:class:`~repro.perf.cache.SimCache` result cache.
+so candidate batches fan out across the executor's threads, all solving
+through one shared model of the topology, and repeated maps (restarts,
+plateau revisits) come from the :class:`~repro.perf.cache.SimCache`
+result cache.
 
 Strategies register in :data:`SEARCH_REGISTRY` (the same
 :class:`~repro.spec.registry.RegistryEntry` idiom as patterns and
@@ -102,7 +103,7 @@ def score_dest_maps(
     Maps are wrapped in :class:`DiscoveredPermutation` (registered, so
     the solves are spec-addressable and cacheable) and submitted as one
     ``run_models`` batch -- the executor dedups repeats, consults its
-    cache, and fans misses across its worker pool.
+    cache, and fans misses across its threads.
     """
     from repro.perf.executor import ModelTask
 
@@ -221,8 +222,8 @@ class HillClimb:
     then repeatedly scores a batch of ``batch`` mutants of the current
     best -- each mutant swaps the destinations of two seeded-random
     nodes (swaps preserve the partial-permutation invariant) -- keeping
-    any strict improvement.  Batching keeps the executor's worker pool
-    and cache busy; the climb is a pure function of ``(topo, budget,
+    any strict improvement.  Batching keeps the executor's threads and
+    cache busy; the climb is a pure function of ``(topo, budget,
     seed, pool)``.
     """
 

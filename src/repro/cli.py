@@ -147,7 +147,8 @@ def _exec_args(p, jobs_default=None):
     """Attach the shared --jobs/--cache/--cache-dir flags to a parser."""
     p.add_argument("--jobs", type=int, default=jobs_default,
                    help="worker processes for independent simulation "
-                        "points (default: $REPRO_JOBS or 1)")
+                        "points, threads for LP solves (default: "
+                        "$REPRO_JOBS or 1)")
     p.add_argument("--batch", type=int, default=None, metavar="B",
                    help="MIN-routed runs advanced per kernel call where "
                         "compatible: 1 disables batching, N>1 caps the "

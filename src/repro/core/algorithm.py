@@ -109,15 +109,17 @@ def model_evaluator(
     therefore penalizes badly balanced restricted sets, though it cannot
     credit the queueing benefits of shorter paths the way simulation does.
     A balanced candidate is scored on its exact set (its policy blocks);
-    an unadjusted Table-1 candidate on its class expectation.
+    an unadjusted Table-1 candidate on its class expectation.  Solves go
+    through the process's shared solver of ``topo``, so the pair blocks
+    and pattern skeletons Step 1 built are reused, not rebuilt.
     """
-    from repro.model.fastpath import FastModel
+    from repro.perf.executor import solver_for
 
     demands = [
         pattern.demand_matrix()
         for pattern in type_2_set(topo, count=num_patterns, seed=seed + 500)
     ]
-    model = FastModel(topo)
+    model = solver_for(topo)
 
     def evaluate(policy: PathPolicy, label: str) -> float:
         scores = [
@@ -234,9 +236,11 @@ def compute_tvlb(
     ``RuntimeError`` so a broken set can never reach the simulator.
 
     Step 1 solves the LP through the one
-    :class:`~repro.model.fastpath.FastModel` pipeline on every topology;
-    an ``executor`` fans both the Step-1 model solves and the Step-2
-    simulation points out across its worker pool and result cache.
+    :class:`~repro.model.fastpath.FastModel` pipeline on every topology,
+    on threads of this process sharing one solver; an ``executor`` sets
+    their number (its ``jobs``; without one, one thread per available
+    CPU), fans the Step-2 simulation points out across its worker
+    processes, and serves both from its result cache.
     Step 2's balance check reads the same pair blocks
     (:mod:`repro.core.balance`) over 4 ``shift(1,0)`` pairs drawn from
     ``seed``.

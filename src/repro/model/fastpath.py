@@ -41,6 +41,12 @@ lifetime:
   constraint before a result is returned; a failed or uncertified solve
   raises.
 
+One :class:`FastModel` may be shared by threads: a lock per instance
+guards the memo fills (pattern skeletons, pair blocks, row maps and
+monotonicity pairs), while assembly -- which only reads arrays that are
+immutable once built -- the ``linprog`` call, which releases the GIL,
+and the certification run unlocked in the solving thread.
+
 Results match the reference assembly, which solves the primal, to 1e-9
 on throughput (the parity suite in ``tests/test_model_fastpath.py``).
 """
@@ -48,6 +54,7 @@ on throughput (the parity suite in ``tests/test_model_fastpath.py``).
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -231,7 +238,8 @@ class BlockCache:
     ``get(src, dst)`` is the block of every VLB candidate of the pair;
     ``get(src, dst, policy)`` the *policy block*: the candidates
     ``policy`` admits, weighted as :func:`pair_candidates` draws them
-    (built per use for an unhashable policy).
+    (built per use for an unhashable policy).  Not locked itself: a
+    :class:`FastModel` only calls it under its own lock.
     """
 
     def __init__(self, topo: Dragonfly) -> None:
@@ -474,7 +482,8 @@ class FastModel:
     Construct once per topology; call :meth:`solve` per
     ``(demand, policy)`` point.  Structural state (pair blocks, pattern
     skeletons, row maps) accumulates across calls and is shared by every
-    subsequent solve.
+    subsequent solve, from any thread: concurrent solves on one instance
+    return exactly what the same solves return one after another.
     """
 
     def __init__(
@@ -500,10 +509,12 @@ class FastModel:
         self._patterns: Dict[
             Tuple[bytes, Optional[PathPolicy]], _PatternStruct
         ] = {}
+        self._lock = threading.Lock()
 
     def _pattern(
         self, demand: np.ndarray, policy: Optional[PathPolicy]
     ) -> _PatternStruct:
+        """The memoized skeleton of ``demand`` (call with the lock held)."""
         demand = np.asarray(demand, dtype=np.float64)
         key = (
             hashlib.blake2b(demand.tobytes(), digest_size=16).digest(),
@@ -544,18 +555,21 @@ class FastModel:
                     # *are* the candidate set, so all-ones weights are exact
                     exact_policy = policy
 
-        struct = self._pattern(demand, exact_policy)
-        num_pairs = struct.num_pairs
-        if num_pairs == 0:
-            return ModelResult(1.0, 1.0, "trivial", 0)
-
         weights = np.asarray(
             [weight_fn(l1, l2) for l1, l2 in self._splits],
             dtype=np.float64,
         )
         ok = weights > 1e-9
         w_eff = np.where(ok, weights, 0.0)
-        incl, ch_rows, n_ch_rows = struct.rowmap(ok)
+        with self._lock:  # memo fills only; the rest runs unlocked
+            struct = self._pattern(demand, exact_policy)
+            if struct.num_pairs == 0:
+                return ModelResult(1.0, 1.0, "trivial", 0)
+            incl, ch_rows, n_ch_rows = struct.rowmap(ok)
+            mono = (
+                struct.monopairs(ok) if mode == "free" and monotonic else None
+            )
+        num_pairs = struct.num_pairs
 
         pair_sel = struct.pair[incl]
         cls_sel = struct.cls[incl].astype(np.int64)
@@ -567,8 +581,7 @@ class FastModel:
             )
         else:
             out = self._assemble_free(
-                struct, w_eff, ok, incl, pair_sel, cls_sel, is_min_sel,
-                monotonic,
+                struct, w_eff, ok, incl, pair_sel, cls_sel, is_min_sel, mono
             )
         cols, vals, num_vars, nvars_pair, mono_cols, mono_vals = out
 
@@ -716,9 +729,10 @@ class FastModel:
         pair_sel: np.ndarray,
         cls_sel: np.ndarray,
         is_min_sel: np.ndarray,
-        monotonic: bool,
+        mono: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     ) -> _Assembly:
-        """One variable per (pair, included leg-split class)."""
+        """One variable per (pair, included leg-split class); ``mono``
+        the monotonicity pairs, ``None`` when there are no such rows."""
         num_pairs = struct.num_pairs
         incl_mat = ok[None, :] & (struct.counts > 0)  # (K, C)
         nvars_pair = incl_mat.sum(axis=1).astype(np.int64)
@@ -736,9 +750,9 @@ class FastModel:
 
         mono_cols = np.empty(0, dtype=np.int64)
         mono_vals = np.empty(0)
-        if monotonic:
+        if mono is not None:
             # y_long / N_long - y_short / N_short <= 0
-            k, c_long, c_short = struct.monopairs(ok)
+            k, c_long, c_short = mono
             class_size = w_eff[None, :] * struct.counts  # (K, C)
             mono_cols = np.stack(
                 [var_of[k, c_long], var_of[k, c_short]], axis=1

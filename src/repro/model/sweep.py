@@ -7,13 +7,14 @@ data behind Figures 4 and 5 of the paper.
 Every ``(datapoint, pattern)`` combination goes through
 :class:`~repro.perf.executor.SweepExecutor` as a spec-fingerprinted
 :class:`~repro.perf.executor.ModelTask`: structural work is factored and
-amortized by :class:`~repro.model.fastpath.FastModel`, and an
-executor-attached :class:`~repro.perf.cache.SimCache` serves repeated
-points from disk.
+amortized by one :class:`~repro.model.fastpath.FastModel` that every
+solving thread shares, and an executor-attached
+:class:`~repro.perf.cache.SimCache` serves repeated points from disk.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -54,20 +55,21 @@ def step1_sweep(
 ) -> List[SweepPoint]:
     """Model every (datapoint, pattern) combination; one row per datapoint.
 
-    ``executor`` (optional) fans the solves out across worker processes
-    and consults its attached result cache; without one, solves run
-    serially in-process but still share per-topology structural state
-    (the executor module's per-process solver memo).  ``seed`` is part
-    of every task's spec, and so of its cache key; no modeled value
-    depends on it.
+    ``executor`` (optional) solves on its ``jobs`` threads and consults
+    its attached result cache; without one, solves run on one thread per
+    available CPU, uncached.  Either way every thread shares the
+    per-topology structural state of the executor module's per-process
+    solver memo, and the values do not depend on the thread count.
+    ``seed`` is part of every task's spec, and so of its cache key; no
+    modeled value depends on it.
     """
-    from repro.perf.executor import ModelTask, run_model_task
+    from repro.perf.executor import ModelTask, SweepExecutor
 
     _log.info(
         "step1_sweep: %d datapoints x %d patterns (%s)",
         len(datapoints),
         len(patterns),
-        "executor" if executor is not None else "in-process",
+        "executor" if executor is not None else "one thread per CPU",
     )
     tasks = [
         ModelTask(
@@ -83,7 +85,8 @@ def step1_sweep(
     if executor is not None:
         results = executor.run_models(tasks)
     else:
-        results = [run_model_task(t) for t in tasks]
+        with SweepExecutor(jobs=min(_usable_cpus(), len(tasks))) as transient:
+            results = transient.run_models(tasks)
 
     points: List[SweepPoint] = []
     num_patterns = len(patterns)
@@ -95,6 +98,13 @@ def step1_sweep(
         points.append(_make_point(policy, values))
     _log.info("step1_sweep: %d points done", len(points))
     return points
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity API
 
 
 def _make_point(

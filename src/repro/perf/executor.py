@@ -1,4 +1,4 @@
-"""Process-pool execution of independent ``simulate()`` points.
+"""Parallel execution of independent ``simulate()`` points and LP solves.
 
 Every experiment in the paper -- a latency-vs-load ladder, a saturation
 bisection frontier, a multi-seed replication, Algorithm 1 Step 2's
@@ -6,16 +6,21 @@ bisection frontier, a multi-seed replication, Algorithm 1 Step 2's
 points.  :class:`SweepExecutor` fans such a batch out across worker
 processes and returns results in task order, optionally short-circuiting
 each point through the on-disk :class:`~repro.perf.cache.SimCache`.
+Batches of LP-model solves (Algorithm 1 Step 1, the adversary search)
+fan out over threads of the calling process instead: HiGHS releases the
+GIL, and every thread solves through the one memoized
+:class:`~repro.model.fastpath.FastModel` of its topology.
 
 Guarantees:
 
 * **Determinism.**  A task is fully described by picklable inputs and
   ``simulate()`` is a pure function of them, so the parallel path returns
   bit-identical results to the serial path and result order never depends
-  on completion order.  Tasks whose components are registered spec types
-  ship their compact :class:`~repro.spec.RunSpec` to workers (the worker
-  rebuilds topology and pattern from the declarative form); only tasks
-  the spec layer cannot describe ship live objects.
+  on completion order.  Sim tasks whose components are registered spec
+  types ship their compact :class:`~repro.spec.RunSpec` to workers (the
+  worker rebuilds topology and pattern from the declarative form); only
+  tasks the spec layer cannot describe ship live objects.  Model tasks
+  are never pickled.
 * **Graceful degradation.**  ``jobs=1``, a single-task batch, or a host
   where process pools cannot be created (sandboxes without fork/semaphore
   support) all run serially in-process -- same results, no crash.  A
@@ -32,9 +37,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -71,17 +78,22 @@ __all__ = [
     "default_jobs",
     "run_model_task",
     "run_task",
+    "solver_for",
 ]
 
 
 def default_jobs() -> int:
-    """``$REPRO_JOBS`` if set (clamped to the CPU count), else 1.
+    """``$REPRO_JOBS`` if set (clamped to the CPU count), else 1: the
+    ``jobs`` of a :class:`SweepExecutor` built without one.
 
     Oversubscribing a small host is strictly counterproductive for these
     CPU-bound workers (jobs=8 on a 1-CPU host once measured a 0.72x
     "speedup"), so the environment default can never exceed
     ``os.cpu_count()``.  An explicit ``jobs=`` argument may still
-    force a larger pool, with a warning.
+    force a larger pool, with a warning.  The default is conservative
+    because a worker process costs a whole interpreter; a thread solving
+    LPs costs about 2 MB, so ``step1_sweep`` without an executor takes
+    every CPU this process may use instead.
     """
     cap = os.cpu_count() or 1
     env = os.environ.get("REPRO_JOBS")
@@ -216,12 +228,13 @@ def _run_unit_timed(
 
 @dataclass
 class ModelTask:
-    """One independent LP-model solve (picklable).
+    """One independent LP-model solve.
 
     The model analogue of :class:`SimTask`: on construction the task
     derives its :class:`ModelSpec` (``None`` when a component is not a
-    registered spec type); the spec is the cross-process payload and the
-    model-cache key material.
+    registered spec type), the model-cache key material.  A model task
+    never leaves its process: it is solved on a thread of the caller,
+    through :func:`solver_for`.
     """
 
     topo: Dragonfly
@@ -244,7 +257,7 @@ class ModelTask:
                     seed=self.seed,
                 )
             except SpecError:
-                self.spec = None  # ad-hoc components: ship live objects
+                self.spec = None  # ad-hoc components: uncacheable
 
     def key(self) -> Optional[str]:
         """Content-address of this solve (``None`` = uncacheable)."""
@@ -252,33 +265,32 @@ class ModelTask:
             return None
         return model_fingerprint(self.spec)
 
-    def payload(self) -> Union[ModelSpec, "ModelTask"]:
-        """What to ship to a worker: the spec when one exists."""
-        return self.spec if self.spec is not None else self
 
-
-# Per-process solver memo: a worker (or the serial path) reuses one
-# FastModel per topology, so the expensive structural factorization is
-# paid once per process per topology, not once per task.  Bounded to a
-# handful of topologies.
+# Per-process solver memo: every solve in this process, whichever thread
+# runs it, reuses one FastModel per topology, so the expensive structural
+# factorization is paid once per topology, not once per task.  Bounded to
+# a handful of topologies; the lock makes fill and eviction atomic.
 _SOLVER_MEMO: Dict[Tuple, FastModel] = {}
 _SOLVER_MEMO_MAX = 4
+_SOLVER_LOCK = threading.Lock()
 
 
-def _solver_for(topo: Dragonfly) -> FastModel:
+def solver_for(topo: Dragonfly) -> FastModel:
+    """This process's shared :class:`FastModel` of ``topo``."""
     key = topology_key(topo)
-    solver = _SOLVER_MEMO.get(key)
-    if solver is None:
-        if len(_SOLVER_MEMO) >= _SOLVER_MEMO_MAX:
-            _SOLVER_MEMO.pop(next(iter(_SOLVER_MEMO)))
-        solver = _SOLVER_MEMO[key] = FastModel(topo)
+    with _SOLVER_LOCK:
+        solver = _SOLVER_MEMO.get(key)
+        if solver is None:
+            if len(_SOLVER_MEMO) >= _SOLVER_MEMO_MAX:
+                _SOLVER_MEMO.pop(next(iter(_SOLVER_MEMO)))
+            solver = _SOLVER_MEMO[key] = FastModel(topo)
     return solver
 
 
 def run_model_task(task: ModelTask) -> ModelResult:
-    """Execute one model solve (also the serial path), memoizing the
-    per-topology structural state across calls in this process."""
-    solver = _solver_for(task.topo)
+    """Execute one model solve through :func:`solver_for`, from any
+    thread."""
+    solver = solver_for(task.topo)
     demand = task.pattern.demand_matrix()
     wall_start = time.perf_counter()
     try:
@@ -307,47 +319,27 @@ def run_model_task(task: ModelTask) -> ModelResult:
     return result
 
 
-def _run_model_payload(payload: Union[ModelSpec, ModelTask]) -> ModelResult:
-    """Worker entry point for model solves."""
-    if isinstance(payload, ModelSpec):
-        topo = payload.topology.build()
-        return run_model_task(
-            ModelTask(
-                topo=topo,
-                pattern=payload.pattern.build(topo),
-                policy=payload.policy.build(),
-                mode=payload.mode,
-                monotonic=payload.monotonic,
-                seed=payload.seed,
-                spec=payload,
-            )
-        )
-    return run_model_task(payload)
-
-
-def _run_model_payload_timed(
-    payload: Union[ModelSpec, ModelTask],
-) -> Tuple[ModelResult, int, float, float]:
-    """Model analogue of :func:`_run_payload_timed`."""
+def _run_model_timed(task: ModelTask) -> Tuple[ModelResult, int, float, float]:
+    """Model analogue of :func:`_run_payload_timed`; the worker id is the
+    solving thread's native id (on Linux the calling thread's is the
+    pid)."""
     started = time.time()
-    result = _run_model_payload(payload)
-    return result, os.getpid(), started, time.time() - started
-
-
-def _run_model_unit_timed(
-    payloads: Sequence[Union[ModelSpec, ModelTask]],
-) -> List[Tuple[ModelResult, int, float, float]]:
-    """Model unit worker: solves are never batched, just mapped."""
-    return [_run_model_payload_timed(payload) for payload in payloads]
+    result = run_model_task(task)
+    return result, threading.get_native_id(), started, time.time() - started
 
 
 class SweepExecutor:
-    """Runs batches of :class:`SimTask` with optional pool and cache.
+    """Runs batches of :class:`SimTask` / :class:`ModelTask` with optional
+    parallelism and cache.
 
-    ``jobs`` is the worker-process count (default: ``$REPRO_JOBS`` or 1);
-    ``cache`` an optional :class:`SimCache` consulted before simulating
-    and filled afterwards.  The executor is reusable across batches (the
-    pool persists until :meth:`close`) and usable as a context manager.
+    ``jobs`` (default: ``$REPRO_JOBS`` or 1) is the worker-process count
+    for simulations and the thread count for LP solves: :meth:`run_models`
+    solves its cache misses on ``jobs - 1`` helper threads plus the
+    calling thread.  ``cache`` is an optional :class:`SimCache` consulted
+    before computing and filled afterwards.  The executor is reusable
+    across batches (the process pool persists until :meth:`close`; a
+    thread pool lives for one model batch) and usable as a context
+    manager.
 
     ``batch`` controls the :class:`~repro.perf.planner.BatchPlanner`
     grouping of cache-miss sim payloads into multi-run
@@ -433,25 +425,21 @@ class SweepExecutor:
     def _execute(
         self,
         tasks: Sequence,
-        worker: Callable,
         cache_get: Optional[Callable],
         cache_put: Optional[Callable],
-        kind: str = "sim",
-        plan: bool = False,
+        kind: str,
     ) -> List:
-        """Shared batch machinery: cache consult -> pool/serial -> fill.
+        """Shared batch machinery: cache consult -> compute -> fill.
 
-        ``worker`` is a *timed unit* entry point taking a list of
-        payloads and returning one ``(result, pid, started, duration)``
-        per payload; results stream back in unit order (both
-        ``pool.map`` and the serial ``map`` are order-preserving and
-        lazy), so progress heartbeats and trace events fire as each
-        unit lands, not at batch end.  With ``plan=True`` the pending
-        cache misses are grouped into multi-run units by the
+        Misses are computed as units, each yielding one ``(result,
+        worker, started, duration)`` per task; results stream back in
+        unit order, lazily, so progress heartbeats and trace events fire
+        as each unit lands, not at batch end -- and always in this
+        thread, like every cache consult and fill.  Sim misses are
+        grouped into multi-run units by the
         :class:`~repro.perf.planner.BatchPlanner` (see the ``batch``
-        constructor knob); otherwise every payload is its own unit and
-        the stream degenerates to the historical one-task-at-a-time
-        behavior.
+        constructor knob) and run in the process pool; model misses are
+        one unit each, solved on threads (:meth:`_threads`).
         """
         tasks = list(tasks)
         tracer = self.tracer if self.tracer is not None else active_capture()
@@ -485,81 +473,89 @@ class SweepExecutor:
             pending.append((i, key, task))
 
         if pending:
-            payloads = [t.payload() for _i, _k, t in pending]
-            if plan and self.batch != 1 and len(pending) > 1:
-                from repro.perf.planner import (
-                    DEFAULT_MAX_BATCH,
-                    BatchPlanner,
-                )
-
-                planner = BatchPlanner(
-                    max_batch=(
-                        self.batch if self.batch > 1 else DEFAULT_MAX_BATCH
-                    ),
-                    jobs=self.jobs,
-                )
-                units = [u.indices for u in planner.plan(payloads)]
+            if kind == "model":
+                units = [[j] for j in range(len(pending))]
+                stream = self._threads([t for _i, _k, t in pending])
             else:
-                units = [[j] for j in range(len(payloads))]
-            unit_payloads = [[payloads[j] for j in unit] for unit in units]
-            pool = (
-                self._ensure_pool()
-                if self.jobs > 1 and len(units) > 1
-                else None
-            )
-            stream = self._stream(worker, unit_payloads, pool, tracer, kind)
-            for unit, (mode, computed_unit) in zip(units, stream):
-                batched = len(unit) > 1
-                if mode == "parallel":
-                    self.computed_parallel += len(unit)
+                payloads = [t.payload() for _i, _k, t in pending]
+                if self.batch != 1 and len(pending) > 1:
+                    from repro.perf.planner import (
+                        DEFAULT_MAX_BATCH,
+                        BatchPlanner,
+                    )
+
+                    planner = BatchPlanner(
+                        max_batch=(
+                            self.batch if self.batch > 1 else DEFAULT_MAX_BATCH
+                        ),
+                        jobs=self.jobs,
+                    )
+                    units = [u.indices for u in planner.plan(payloads)]
                 else:
-                    self.computed_serial += len(unit)
-                for j, computed in zip(unit, computed_unit):
-                    i, key, task = pending[j]
-                    result, worker_pid, started, duration = computed
-                    results[i] = result
-                    if tracer is not None:
-                        label = self._task_label(task)
-                        tracer.extend(
-                            [
-                                {
-                                    "type": "task_submitted",
-                                    "t": wall_start,
-                                    "kind": kind,
-                                    "index": i,
-                                    "label": label,
-                                },
-                                {
-                                    "type": "task_started",
-                                    "t": started,
-                                    "kind": kind,
-                                    "index": i,
-                                    "label": label,
-                                    "worker": worker_pid,
-                                },
-                            ]
-                        )
-                        tracer.record(
-                            "task_finished",
-                            kind=kind,
-                            index=i,
-                            label=label,
-                            worker=worker_pid,
-                            started=started,
-                            duration=duration,
-                            mode=mode,
-                            batched=batched,
-                        )
-                    if progress is not None:
-                        progress.advance()
-                    manifest = getattr(result, "manifest", None)
-                    if cache_put is not None and key is not None:
-                        if manifest is not None:
-                            manifest.cache = "stored"
-                        cache_put(key, result)
-                    elif cache_get is not None and manifest is not None:
-                        # a cache was consulted but this point has no key
-                        manifest.cache = "uncacheable"
+                    units = [[j] for j in range(len(payloads))]
+                pool = (
+                    self._ensure_pool()
+                    if self.jobs > 1 and len(units) > 1
+                    else None
+                )
+                stream = self._stream(
+                    [[payloads[j] for j in unit] for unit in units],
+                    pool,
+                    tracer,
+                )
+            with closing(stream):
+                for unit, (mode, computed_unit) in zip(units, stream):
+                    batched = len(unit) > 1
+                    if mode == "parallel":
+                        self.computed_parallel += len(unit)
+                    else:
+                        self.computed_serial += len(unit)
+                    for j, computed in zip(unit, computed_unit):
+                        i, key, task = pending[j]
+                        result, worker_pid, started, duration = computed
+                        results[i] = result
+                        if tracer is not None:
+                            label = self._task_label(task)
+                            tracer.extend(
+                                [
+                                    {
+                                        "type": "task_submitted",
+                                        "t": wall_start,
+                                        "kind": kind,
+                                        "index": i,
+                                        "label": label,
+                                    },
+                                    {
+                                        "type": "task_started",
+                                        "t": started,
+                                        "kind": kind,
+                                        "index": i,
+                                        "label": label,
+                                        "worker": worker_pid,
+                                    },
+                                ]
+                            )
+                            tracer.record(
+                                "task_finished",
+                                kind=kind,
+                                index=i,
+                                label=label,
+                                worker=worker_pid,
+                                started=started,
+                                duration=duration,
+                                mode=mode,
+                                batched=batched,
+                            )
+                        if progress is not None:
+                            progress.advance()
+                        manifest = getattr(result, "manifest", None)
+                        if cache_put is not None and key is not None:
+                            if manifest is not None:
+                                manifest.cache = "stored"
+                            cache_put(key, result)
+                        elif cache_get is not None and manifest is not None:
+                            # a cache was consulted but this point has no key
+                            manifest.cache = "uncacheable"
         if tracer is not None:
             tracer.record(
                 "batch_end",
@@ -574,13 +570,11 @@ class SweepExecutor:
 
     def _stream(
         self,
-        worker: Callable,
         unit_payloads: List[List],
         pool: Optional[ProcessPoolExecutor],
         tracer: Optional[Tracer],
-        kind: str,
     ) -> Iterator[Tuple[str, List]]:
-        """``(mode, computed unit)`` per unit, in unit order, lazily.
+        """``(mode, computed unit)`` per sim unit, in unit order, lazily.
 
         Through ``pool`` while it lives.  When a worker process dies the
         pool raises ``BrokenProcessPool`` for every unit still out, and
@@ -592,7 +586,7 @@ class SweepExecutor:
         landed = 0
         if pool is not None:
             try:
-                for computed_unit in pool.map(worker, unit_payloads):
+                for computed_unit in pool.map(_run_unit_timed, unit_payloads):
                     yield "parallel", computed_unit
                     landed += 1
             except BrokenProcessPool:
@@ -607,12 +601,55 @@ class SweepExecutor:
                 if tracer is not None:
                     tracer.record(
                         "pool_broken",
-                        kind=kind,
+                        kind="sim",
                         landed=landed,
                         recomputed=len(unit_payloads) - landed,
                     )
         for payloads in unit_payloads[landed:]:
-            yield "serial", worker(payloads)
+            yield "serial", _run_unit_timed(payloads)
+
+    def _threads(self, tasks: List[ModelTask]) -> Iterator[Tuple[str, List]]:
+        """``(mode, [computed])`` per model task, in task order, lazily.
+
+        Every task goes to a per-batch pool of ``jobs - 1`` helper
+        threads; the calling thread works too.  Walking the tasks in
+        order, it solves inline a task no helper has started yet
+        (``cancel()`` succeeded), and while a helper is still busy with
+        the next task due it takes over the last task nobody has started,
+        keeping that result until its turn -- only waiting would leave it
+        idle, as a helper that finishes claims the next task before the
+        woken caller gets the GIL.  A result is a pure function
+        of its task and every thread solves through the same shared
+        :class:`~repro.model.fastpath.FastModel`, so which thread solved
+        what cannot matter.  The pool is shut down -- pending tasks
+        cancelled, running ones awaited -- before the stream ends, also
+        when a solve raises, so no thread outlives the batch into a later
+        fork of the process pool.
+        """
+        helpers = min(self.jobs, len(tasks)) - 1
+        if helpers < 1:
+            for task in tasks:
+                yield "serial", [_run_model_timed(task)]
+            return
+        pool = ThreadPoolExecutor(helpers, thread_name_prefix="repro-lp")
+        try:
+            futures = [pool.submit(_run_model_timed, task) for task in tasks]
+            taken: Dict[int, Tuple[ModelResult, int, float, float]] = {}
+            back = len(tasks) - 1
+            for i, (task, future) in enumerate(zip(tasks, futures)):
+                if i in taken:
+                    yield "serial", [taken.pop(i)]
+                    continue
+                if future.cancel():
+                    yield "serial", [_run_model_timed(task)]
+                    continue
+                while back > i and not future.done():
+                    if futures[back].cancel():
+                        taken[back] = _run_model_timed(tasks[back])
+                    back -= 1
+                yield "parallel", [future.result()]
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def run(self, tasks: Sequence[SimTask]) -> List[SimResult]:
         """Execute a sim batch; results align index-for-index with
@@ -620,22 +657,20 @@ class SweepExecutor:
         cache = self.cache
         return self._execute(
             tasks,
-            _run_unit_timed,
             cache.get if cache is not None else None,
             cache.put if cache is not None else None,
             kind="sim",
-            plan=True,
         )
 
     def run_models(self, tasks: Sequence[ModelTask]) -> List[ModelResult]:
         """Execute a batch of LP-model solves, with the same cache
-        consult / pool fan-out / deterministic ordering as :meth:`run`
-        (model results live in the same :class:`SimCache` under their
-        own record kind)."""
+        consult and deterministic ordering as :meth:`run` (model results
+        live in the same :class:`SimCache` under their own record kind);
+        the misses are solved on ``jobs`` threads of this process, the
+        calling one included."""
         cache = self.cache
         return self._execute(
             tasks,
-            _run_model_unit_timed,
             cache.get_model if cache is not None else None,
             cache.put_model if cache is not None else None,
             kind="model",

@@ -489,12 +489,12 @@ class ModelSpec:
         )
 
     def solve(self) -> Any:
-        """Execute this solve from scratch (the worker entry point).
+        """Execute this solve from scratch.
 
         Builds every component fresh; callers that amortize structural
         state across solves should go through
-        :class:`repro.perf.executor.SweepExecutor` instead, whose worker
-        memoizes per-topology solver state.
+        :meth:`repro.perf.executor.SweepExecutor.run_models` instead,
+        whose threads share the process's memoized per-topology solver.
         """
         from repro.model.fastpath import FastModel
 
