@@ -9,7 +9,10 @@ each point through the on-disk :class:`~repro.perf.cache.SimCache`.
 Batches of LP-model solves (Algorithm 1 Step 1, the adversary search)
 fan out over threads of the calling process instead: HiGHS releases the
 GIL, and every thread solves through the one memoized
-:class:`~repro.model.fastpath.FastModel` of its topology.
+:class:`~repro.model.fastpath.FastModel` of its topology.  The LP stack
+(``repro.model``, and with it scipy) loads at the first model task:
+importing this module, running simulation batches and forking their
+workers never pay for it.
 
 Guarantees:
 
@@ -44,6 +47,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -54,8 +58,6 @@ from typing import (
     Union,
 )
 
-from repro.model.fastpath import FastModel
-from repro.model.lp_model import ModelResult
 from repro.obs import ProgressReporter, Tracer, active_capture
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
@@ -68,6 +70,10 @@ from repro.sim.stats import SimResult
 from repro.spec import ModelSpec, RunSpec, SpecError
 from repro.topology.dragonfly import Dragonfly
 from repro.traffic.patterns import TrafficPattern
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.fastpath import FastModel
+    from repro.model.lp_model import ModelResult
 
 _log = get_logger("perf.executor")
 
@@ -277,6 +283,10 @@ _SOLVER_LOCK = threading.Lock()
 
 def solver_for(topo: Dragonfly) -> FastModel:
     """This process's shared :class:`FastModel` of ``topo``."""
+    # lazy import: the LP stack (scipy) loads at the first model task,
+    # never in a process that only simulates
+    from repro.model.fastpath import FastModel
+
     key = topology_key(topo)
     with _SOLVER_LOCK:
         solver = _SOLVER_MEMO.get(key)

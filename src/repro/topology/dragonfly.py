@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.topology.arrangements import ARRANGEMENTS, GlobalLinkSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
     from repro.routing.pathset import PathPolicy
     from repro.traffic.patterns import TrafficPattern
 
@@ -295,6 +295,8 @@ class Dragonfly:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """Switch-level graph with ``kind`` edge attributes (local/global)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_switches))
         for u in range(self.num_switches):

@@ -374,6 +374,16 @@ def _candidates(table: RouteTable, gm: int) -> Iterator[Tuple[np.ndarray, ...]]:
             yield src, dst, mid, slot1, s2, fragment
 
 
+def _ports(switch: np.ndarray) -> np.ndarray:
+    """Per channel, its position among the channels at the same switch
+    (``switch[c]``: the channel's source or target), in channel order."""
+    order = np.argsort(switch, kind="stable")
+    ranked = switch[order]
+    port = np.empty_like(switch)
+    port[order] = np.arange(len(switch)) - np.searchsorted(ranked, ranked)
+    return port
+
+
 def _build_array(
     program: PolicyProgram,
     scheme: str,
@@ -403,35 +413,57 @@ def _build_array(
     # shape pair; under PAR once more, as fragments, on the revised one
     pair_shapes = [head + tail for head in shapes for tail in shapes]
     pairs = len(pair_shapes)
+    width = 2 * pairs
     head_hops = np.repeat([len(name) for name in shapes], len(shapes))
+    source, target = np.array(table.channel_keys, np.int64).reshape(-1, 3).T[:2]
     ladders = [_levels(table, scheme, pair_shapes, False)]
     if include_par and scheme != "none":
         ladders.append(_levels(table, scheme, pair_shapes, True))
         arrivals = _local_arrivals(table)
-        channel_source = np.array(table.channel_keys)[:, 0]
+    # a junction -- the leg-1 channel into mid, the leg-2 channel out --
+    # as ``(mid * deg + in-port) * deg + out-port``: dense, unlike the
+    # channel pair, so it can index a bitmap
+    out_port, in_port = _ports(source), _ports(target)
+    deg = int(max(out_port.max(initial=0), in_port.max(initial=0))) + 1
+    into = target * deg + in_port
+    entering = np.zeros(n * deg, np.int64)
+    entering[into] = np.arange(nchan)
+    leaving = np.zeros((n, deg), np.int64)
+    leaving[source, out_port] = np.arange(nchan)
+    arrive, depart = into[last_chan], out_port[first_chan]
+    # what the candidates' dependencies hang on -- a first-leg slot, a
+    # second-leg slot, a junction -- each marked as ``what * width +
+    # (shape pair * 2 + fragment)``, one intermediate group at a time
+    marks = (
+        np.zeros(len(shape) * width, bool),
+        np.zeros(len(shape) * width, bool),
+        np.zeros(n * deg * deg * width, bool),
+    )
     for gm in range(table.g):
-        # what the candidates' dependencies hang on -- a first-leg slot,
-        # a second-leg slot, the two channels of a junction -- each as
-        # ``(what * pairs + shape pair) * 2 + fragment``, deduplicated
-        found: Tuple[List[np.ndarray], ...] = ([], [], [])
         for columns in _candidates(table, gm):
             src, dst, mid, slot1, slot2, fragment = columns
             keep = src != dst
             if program.ops:
                 keep &= program_mask(program, table, *columns[:5])
-            src, dst, mid, slot1, slot2, fragment = (
-                column[keep] for column in columns
-            )
-            graph.num_paths += len(src)
-            leg1 = slots.first[src * n + mid] + slot1
-            leg2 = slots.first[mid * n + dst] + slot2
-            joint = last_chan[leg1] * nchan + first_chan[leg2]
-            tag = (shape[leg1] * len(shapes) + shape[leg2]) * 2 + fragment
-            for keys, what in zip(found, (leg1, leg2, joint)):
-                keys.append(np.unique(what * (2 * pairs) + tag))
-        if not found[0]:
+            graph.num_paths += int(keep.sum())
+            leg1 = (slots.first[src * n + mid] + slot1)[keep]
+            leg2 = (slots.first[mid * n + dst] + slot2)[keep]
+            tag = (shape[leg1] * len(shapes) + shape[leg2]) * 2 + fragment[keep]
+            junction = arrive[leg1] * deg + depart[leg2]
+            for mark, what in zip(marks, (leg1, leg2, junction)):
+                mark[what * width + tag] = True
+        merged = []
+        for mark in marks:
+            keys = np.flatnonzero(mark)
+            mark[keys] = False
+            merged.append(keys)
+        if not len(merged[0]):
             continue
-        merged = [np.unique(np.concatenate(keys)) for keys in found]
+        # junctions back to ``leg-1 last channel * nchan + leg-2 first``
+        junction, tag = np.divmod(merged[2], width)
+        arrival, out = np.divmod(junction, deg)
+        joint = entering[arrival] * nchan + leaving[arrival // deg, out]
+        merged[2] = joint * width + tag
         for revised, levels in enumerate(ladders):
             (leg1, pair1), (leg2, pair2), (joint, pair) = (
                 np.divmod(key[key & 1 > 0] >> 1 if revised else key >> 1, pairs)
@@ -450,7 +482,7 @@ def _build_array(
                 # is held, at level 0, while the fragment's first hop is
                 # awaited: one dependency per local neighbour
                 head = first_chan[leg1]
-                held = arrivals[channel_source[head]]
+                held = arrivals[source[head]]
                 row, column = np.nonzero(held >= 0)
                 graph.add_dependencies(
                     held[row, column], 0, head[row], levels[pair1[row], 0]

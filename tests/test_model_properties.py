@@ -1,14 +1,18 @@
 """Property-based tests of the LP model, on the production pipeline and,
 ``[reference]``, on the reference assembly (the ``lp_solve`` fixture)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.datapoints import table1_datapoints
 from repro.model.bounds import shift_saturation_bound
+from repro.model.fastpath import FastModel
 from repro.topology import Dragonfly
-from repro.traffic import Shift
+from repro.traffic import GroupSwitchPermutation, Shift
 
 TOPO = Dragonfly(2, 4, 2, 3)
 DEMAND = Shift(TOPO, 1, 0).demand_matrix()
@@ -73,3 +77,40 @@ class TestLpProperties:
         res1 = lp_solve(TOPO, DEMAND, weight_fn=lambda a, b: 1.0)
         res2 = lp_solve(TOPO, 2.0 * DEMAND, weight_fn=lambda a, b: 1.0)
         assert res2.throughput == pytest.approx(res1.throughput / 2, rel=1e-3)
+
+
+@lru_cache(maxsize=None)
+def _fast_model(shape):
+    return FastModel(Dragonfly(*shape))
+
+
+class TestTable1GridMonotone:
+    """``mode="free"`` throughput never falls along the Table-1 grid:
+    each datapoint's candidate set contains the previous one's, as a
+    class-weight policy whose top level only gains weight, so any
+    feasible point of one datapoint, padded with zeros, is feasible for
+    the next (``docs/model.md``, "Monotone along the Table-1 grid")."""
+
+    GRID = table1_datapoints(step=0.1)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        shape=st.sampled_from(
+            [(2, 4, 2, 3), (2, 4, 2, 5), (1, 4, 1, 5), (2, 6, 3, 7)]
+        ),
+        pattern=st.sampled_from(["shift(1,0)", "shift(1,1)", "type2"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_free_throughput_non_decreasing(self, shape, pattern, seed):
+        model = _fast_model(shape)
+        if pattern == "type2":
+            traffic = GroupSwitchPermutation(model.topo, seed=seed)
+        else:
+            traffic = Shift(model.topo, 1, int(pattern == "shift(1,1)"))
+        demand = traffic.demand_matrix()
+        curve = [
+            model.solve(demand, policy=policy, mode="free").throughput
+            for policy in self.GRID
+        ]
+        assert len(curve) == 31
+        assert min(np.diff(curve)) >= -1e-7, curve

@@ -253,6 +253,23 @@ class TestBuilderEquivalence:
     def test_fast_matches_generic_policies(self, small_topo, policy):
         _same_graph(small_topo, policy, "won", "par")
 
+    @pytest.mark.parametrize("scheme", ["won", "perhop"])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            HopClassPolicy(5, 0.5),
+            AllVlbPolicy(),
+            StrategicFiveHopPolicy("2+3"),
+            HopClassPolicy(4, 0.3),
+        ],
+        ids=lambda p: p.describe(),
+    )
+    def test_fast_matches_generic_par_schemes(self, small_topo, policy, scheme):
+        # the array builder marks leg slots and junctions in bitmaps and
+        # decodes them back to channels: under `perhop` every hop has its
+        # own level, so a misdecoded junction changes the edge set
+        _same_graph(small_topo, policy, scheme, "par")
+
     def test_fast_matches_generic_excluding(self, small_topo):
         _same_graph(small_topo, _excluding(small_topo), "won", "par")
 
