@@ -138,8 +138,7 @@ def _make_executor(args, progress=None):
     if getattr(args, "cache", False):
         cache = SimCache(getattr(args, "cache_dir", None))
     return SweepExecutor(
-        jobs=getattr(args, "jobs", None), cache=cache, progress=progress,
-        batch=getattr(args, "batch", None),
+        jobs=getattr(args, "jobs", None), cache=cache, progress=progress
     )
 
 
@@ -149,12 +148,6 @@ def _exec_args(p, jobs_default=None):
                    help="worker processes for independent simulation "
                         "points, threads for LP solves (default: "
                         "$REPRO_JOBS or 1)")
-    p.add_argument("--batch", type=int, default=None, metavar="B",
-                   help="MIN-routed runs advanced per kernel call where "
-                        "compatible: 1 disables batching, N>1 caps the "
-                        "batch, 0 lets the planner pick (default: "
-                        "$REPRO_BATCH or planner default; results are "
-                        "bit-identical either way)")
     p.add_argument("--cache", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="reuse simulation results from the on-disk cache "

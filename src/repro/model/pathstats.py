@@ -71,9 +71,6 @@ class PairPathStats:
     min_usage: Dict[int, float]  # per packet routed MIN (already normalized)
     classes: Dict[LegSplit, ClassStats]
 
-    def class_sizes(self) -> Dict[LegSplit, int]:
-        return {split: cs.count for split, cs in self.classes.items()}
-
     def weighted_vlb_usage(
         self, weight_fn: Callable[[int, int], float]
     ) -> Tuple[float, Dict[int, float]]:

@@ -5,7 +5,8 @@
   fallback and deterministic result ordering;
 * :mod:`repro.perf.planner` -- :class:`BatchPlanner`, which groups
   compatible cache-miss payloads into multi-run ``simulate_batch``
-  units (bit-identical per run; purely a scheduling decision);
+  units (bit-identical per run; the executor's ``jobs`` is its only
+  input besides the payloads);
 * :mod:`repro.perf.cache` -- :class:`SimCache`, the content-addressed
   on-disk ``SimResult`` store with versioned invalidation.
 

@@ -196,7 +196,7 @@ def _run_unit_timed(
     """Worker entry point for one planner unit (one or many payloads).
 
     Multi-payload units run through :func:`repro.sim.batch.
-    simulate_batch` -- one batched engine advancing every run, each
+    simulate_batch` -- its runs one after another on one topology, each
     result bit-identical to its single-run form.  A batch the host
     cannot execute (no native kernel, incompatible members the planner
     could not see) degrades to per-payload execution *inside the
@@ -351,13 +351,11 @@ class SweepExecutor:
     thread pool lives for one model batch) and usable as a context
     manager.
 
-    ``batch`` controls the :class:`~repro.perf.planner.BatchPlanner`
-    grouping of cache-miss sim payloads into multi-run
-    ``simulate_batch`` units (default: ``$REPRO_BATCH`` or the planner
-    default of 16): ``1`` disables batching, ``N > 1`` caps batch size
-    at ``N``.  Purely a scheduling knob -- batched results are
-    bit-identical to single-run results and cache/trace/progress stay
-    per-task -- so the serial ``jobs=1`` path batches too.
+    Cache-miss sim payloads are grouped into work units by the
+    :class:`~repro.perf.planner.BatchPlanner`; a unit's runs execute one
+    after another, each result bit-identical to its single-run form and
+    cache/trace/progress per task, so the serial ``jobs=1`` path groups
+    too.
     """
 
     def __init__(
@@ -366,7 +364,6 @@ class SweepExecutor:
         cache: Optional[SimCache] = None,
         tracer: Optional[Tracer] = None,
         progress: Optional[ProgressReporter] = None,
-        batch: Optional[int] = None,
     ) -> None:
         if jobs is None:
             self.jobs = default_jobs()
@@ -382,13 +379,6 @@ class SweepExecutor:
                     cap,
                     "s" if cap != 1 else "",
                 )
-        if batch is None:
-            env = os.environ.get("REPRO_BATCH", "").strip()
-            try:
-                batch = int(env) if env else 0
-            except ValueError:
-                batch = 0
-        self.batch = max(0, int(batch))  # 0 = planner default
         self.cache = cache
         # explicit tracer wins; otherwise each batch picks up the
         # innermost capture() tracer active at call time (if any)
@@ -447,9 +437,9 @@ class SweepExecutor:
         as each unit lands, not at batch end -- and always in this
         thread, like every cache consult and fill.  Sim misses are
         grouped into multi-run units by the
-        :class:`~repro.perf.planner.BatchPlanner` (see the ``batch``
-        constructor knob) and run in the process pool; model misses are
-        one unit each, solved on threads (:meth:`_threads`).
+        :class:`~repro.perf.planner.BatchPlanner` and run in the process
+        pool; model misses are one unit each, solved on threads
+        (:meth:`_threads`).
         """
         tasks = list(tasks)
         tracer = self.tracer if self.tracer is not None else active_capture()
@@ -488,18 +478,10 @@ class SweepExecutor:
                 stream = self._threads([t for _i, _k, t in pending])
             else:
                 payloads = [t.payload() for _i, _k, t in pending]
-                if self.batch != 1 and len(pending) > 1:
-                    from repro.perf.planner import (
-                        DEFAULT_MAX_BATCH,
-                        BatchPlanner,
-                    )
+                if len(pending) > 1:
+                    from repro.perf.planner import BatchPlanner
 
-                    planner = BatchPlanner(
-                        max_batch=(
-                            self.batch if self.batch > 1 else DEFAULT_MAX_BATCH
-                        ),
-                        jobs=self.jobs,
-                    )
+                    planner = BatchPlanner(jobs=self.jobs)
                     units = [u.indices for u in planner.plan(payloads)]
                 else:
                     units = [[j] for j in range(len(payloads))]

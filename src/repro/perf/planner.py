@@ -17,19 +17,16 @@ The policy:
 
 * eligible payloads are declarative ``RunSpec``s (live-object tasks
   cannot cross ``simulate_batch``'s validation), uninstrumented
-  (``params.obs is None``), not opted out via ``params.batch == 1``,
-  and MIN-routed.  The MIN rule, ``DEFAULT_MAX_BATCH`` and the ``batch``
-  knobs are kept because the repo's benchmark imports and drives them
-  (``min_ur_batch_g9``); their removal rides with the benchmark-side
-  change ROADMAP schedules (history: ``docs/performance.md``, "What the
-  lockstep was worth");
+  (``params.obs is None``) and MIN-routed.  The MIN rule and
+  ``DEFAULT_MAX_BATCH`` are kept because the repo's benchmark imports
+  and drives them (``min_ur_batch_g9``); their removal rides with the
+  benchmark-side change ROADMAP schedules;
 * eligible payloads group by :func:`repro.sim.batch.compatibility_key`
   (topology, routing, policy); seed, load, pattern and measurement
   windows may differ within a group (ragged completion);
-* groups chunk to ``max_batch`` (default 16), lowered by any member's
-  ``params.batch`` hint, and -- when the executor runs a process pool --
-  spread so every worker gets work instead of one worker hoarding a
-  giant batch.
+* groups chunk to ``max_batch`` (default 16) and -- when the executor
+  runs a process pool -- spread so every worker gets work instead of
+  one worker hoarding a giant batch.
 
 The native-kernel check lives in ``simulate_batch`` itself (workers may
 see a different toolchain than the parent); a unit that raises
@@ -75,8 +72,7 @@ class BatchPlanner:
         """Can (and should) this payload join a batched unit?"""
         if not isinstance(payload, RunSpec):
             return False
-        params = payload.params
-        if params.obs is not None or params.batch == 1:
+        if payload.params.obs is not None:
             return False
         base = payload.routing.lower()
         base = base[2:] if base.startswith("t-") else base
@@ -101,10 +97,6 @@ class BatchPlanner:
         # first index regardless of grouping order
         for indices in groups.values():
             cap = self.max_batch
-            for i in indices:
-                hint = payloads[i].params.batch
-                if hint > 1:
-                    cap = min(cap, hint)
             if self.jobs > 1:
                 # spread the group across the pool: a single giant unit
                 # would serialize on one worker while the rest idle

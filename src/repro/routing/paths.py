@@ -76,10 +76,6 @@ class Path:
     def num_global_hops(self) -> int:
         return sum(1 for s in self.slots if s != LOCAL_SLOT)
 
-    @property
-    def num_local_hops(self) -> int:
-        return self.num_hops - self.num_global_hops
-
     def channels(self) -> Iterator[Channel]:
         """Directed channels traversed, in order."""
         for i in range(self.num_hops):

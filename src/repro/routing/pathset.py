@@ -91,12 +91,11 @@ def reset_sample_memo() -> None:
 def swap_sample_memo(memo: dict) -> dict:
     """Install ``memo`` as the live reservoir memo, returning the old one.
 
-    The batched driver (:mod:`repro.sim.batch`) interleaves several
-    runs in one process; because reservoir contents depend on the rng
-    that populated them, each run owns a private memo dict and swaps it
-    in around its injection/revision slices -- the batched equivalent of
-    the fresh-memo-per-run guarantee :func:`reset_sample_memo` gives
-    ``simulate()``.
+    Reservoir contents depend on the rng that populated them, so every
+    :class:`~repro.sim.engine.Run` owns a private memo dict and swaps it
+    in around its own sampling (``Run.sampling()``): a run's result is a
+    pure function of its arguments, whatever ran before it in the
+    process.
     """
     global _sparse_memo
     old = _sparse_memo

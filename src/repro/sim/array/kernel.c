@@ -228,7 +228,7 @@ typedef struct {
     int32_t *pkt;        /* [cap][PK_STRIDE] */
     int32_t *pmeta;      /* [cap][PM_STRIDE] */
     int32_t *free_stack; /* [cap] LIFO of free pids (count CNT_FREE) */
-    int32_t *arena_chan; /* appended to by the routing entry points */
+    int32_t *arena_chan; /* appended to by the routing phases */
     int32_t *arena_vc;
     int64_t *counters; /* CNT_* above */
     /* --- scalars --- */
@@ -1603,7 +1603,7 @@ static int64_t route_span(State *s, RouteCtx *c, int64_t start, int64_t n,
 }
 
 /* what is left of a span after a call that got to `at` of `n`, in the
- * entry points' protocol: RS_OK, or the status to serve before calling
+ * resumable protocol: RS_OK, or the status to serve before calling
  * again with the same arguments (RouteCtx.pos is where that resumes) */
 static inline int64_t span_status(RouteCtx *c, int64_t at, int64_t n)
 {
@@ -1611,10 +1611,10 @@ static inline int64_t span_status(RouteCtx *c, int64_t at, int64_t n)
     return at < n ? c->status : RS_OK;
 }
 
-/* route_span as an entry point (RoutingAlgorithm.route_nodes) */
-int64_t repro_route_batch(State *s, RouteCtx *c, int64_t n,
-                          const int64_t *srcs, const int64_t *dsts,
-                          int64_t cycle, int32_t *records)
+/* route_span in the resumable protocol: repro_run's decision phase */
+static int64_t repro_route_batch(State *s, RouteCtx *c, int64_t n,
+                                 const int64_t *srcs, const int64_t *dsts,
+                                 int64_t cycle, int32_t *records)
 {
     return span_status(
         c, route_span(s, c, c->pos, n, srcs, dsts, cycle, records), n);
@@ -1736,8 +1736,8 @@ static int64_t revise_span(State *s, RouteCtx *c, int64_t idx, int64_t start)
     return n;
 }
 
-/* revise_span as an entry point (RoutingAlgorithm.revise_arrivals) */
-int64_t repro_revise_batch(State *s, RouteCtx *c, int64_t idx)
+/* revise_span in the resumable protocol: repro_run's revision phase */
+static int64_t repro_revise_batch(State *s, RouteCtx *c, int64_t idx)
 {
     return span_status(c, revise_span(s, c, idx, c->pos), s->dw_n[idx]);
 }

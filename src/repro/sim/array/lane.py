@@ -20,10 +20,9 @@ state, so the draws of C and of Python (``sample_destinations`` of a
 pattern without a program) interleave and the generator ends where the
 per-packet procedure's scalar draws would have left it.
 
-Three entries, one protocol: :meth:`RouteLane.run` advances whole windows
-(``repro_run``: injection, destinations, decisions, queueing, PAR
-revisions and the step of every cycle); :meth:`route` and :meth:`revise`
-are the one-cycle forms of its two routing phases.
+One entry: :meth:`RouteLane.run` advances whole windows (``repro_run``:
+injection, destinations, decisions, queueing, PAR revisions and the step
+of every cycle).
 :class:`~repro.sim.routing.RoutingAlgorithm` builds a lane when its
 strategy and policy compile (``RoutingAlgorithm.compile``); the
 per-packet procedure there stays the reference this is tested against.
@@ -163,13 +162,10 @@ class RouteLane:
         ctx.replay_cap = _INITIAL_REPLAY
         ctx.ur_prob = -1.0
         self._ctx_ref = ctypes.byref(ctx)
-        kernel = network._kernel
-        self._route = kernel.repro_route_batch
-        self._revise = kernel.repro_revise_batch
-        self._run = kernel.repro_run
+        self._run = network._kernel.repro_run
 
     # ------------------------------------------------------------------
-    # The three calls
+    # The loop
     # ------------------------------------------------------------------
     def traffic(
         self,
@@ -221,57 +217,22 @@ class RouteLane:
     def run(self, until: int) -> None:
         """Advance the network to cycle ``until`` (needs :meth:`traffic`):
         every cycle's injection, decisions, queueing, revisions and step
-        in the kernel."""
+        in the kernel.  The kernel is entered, with the same arguments,
+        until it reports ``RS_OK``; whatever an incomplete call came back
+        for is provided in between (the context remembers where to
+        resume)."""
         network = self.network
         if until <= network.cycle:
             return
-        self.ctx.cycle = network.cycle
-        state = network._cstate_ref
-        self._drive(lambda: self._run(state, self._ctx_ref, until))
-        network.cycle = until
-
-    def route(
-        self, cycle: int, srcs: np.ndarray, dests: np.ndarray
-    ) -> np.ndarray:
-        """Decide one cycle's packets, in order: their ``SE_*`` records
-        (a reused buffer: consume before the next call)."""
-        count = srcs.size
-        records = self._arrays["records"][:count]
-        srcs = np.ascontiguousarray(srcs, np.int64)
-        dests = np.ascontiguousarray(dests, np.int64)
-        state = self.network._cstate_ref
-        self._drive(
-            lambda: self._route(
-                state,
-                self._ctx_ref,
-                count,
-                srcs.ctypes.data,
-                dests.ctypes.data,
-                cycle,
-                records.ctypes.data,
-            )
-        )
-        return records
-
-    def revise(self, bucket: int) -> None:
-        """PAR's re-decisions for delivery bucket ``bucket`` (its credit
-        returns applied first); the packets that re-route are moved onto
-        their spliced routes in the arrays."""
-        state = self.network._cstate_ref
-        self._drive(lambda: self._revise(state, self._ctx_ref, bucket))
-
-    def _drive(self, call: Callable[[], int]) -> None:
-        """Enter the kernel, with the same arguments, until it reports
-        ``RS_OK``, providing whatever an incomplete call came back for
-        (the context remembers where to resume)."""
-        network = self.network
         ctx = self.ctx
+        ctx.cycle = network.cycle
+        state = network._cstate_ref
         returns = self.returns
         network._commit_routes()  # the kernel appends at the arena's end
         ctx.arena_len = network._arena_len
         ctx.arena_cap = network._arena_cap
         while True:
-            status = call()
+            status = self._run(state, self._ctx_ref, until)
             self.kernel_calls += 1
             network._arena_len = ctx.arena_len
             if status < 0:
@@ -283,7 +244,7 @@ class RouteLane:
                 self._raise_ladder(ctx.fail_a, bool(ctx.fail_b))
             returns[REASONS[status]] += 1
             if status == native.RS_OK:
-                return
+                break
             if status == native.RS_DRAIN:
                 network._flush_ejections()
             elif status == native.RS_DESTS:
@@ -304,6 +265,7 @@ class RouteLane:
                 ctx.arena_cap = network._arena_cap
             else:
                 self._enumerate(ctx.fail_a)
+        network.cycle = until
 
     # ------------------------------------------------------------------
     # What the kernel may ask for

@@ -413,23 +413,7 @@ def _load() -> ctypes.CDLL:
         ctypes.c_void_p,  # int32 SE_* records
         ctypes.c_int64,  # cycle
     ]
-    # routing decisions: array arguments are raw addresses
-    lib.repro_route_batch.restype = ctypes.c_int64
-    lib.repro_route_batch.argtypes = [
-        ctypes.POINTER(CState),
-        ctypes.POINTER(CRouteCtx),
-        ctypes.c_int64,  # n
-        ctypes.c_void_p,  # int64 source nodes
-        ctypes.c_void_p,  # int64 destination nodes
-        ctypes.c_int64,  # cycle
-        ctypes.c_void_p,  # int32 SE_* records out
-    ]
-    lib.repro_revise_batch.restype = ctypes.c_int64
-    lib.repro_revise_batch.argtypes = [
-        ctypes.POINTER(CState),
-        ctypes.POINTER(CRouteCtx),
-        ctypes.c_int64,  # delivery bucket
-    ]
+    # probes of the routing context: array arguments are raw addresses
     lib.repro_contains_batch.restype = None
     lib.repro_contains_batch.argtypes = [
         ctypes.POINTER(CRouteCtx),

@@ -20,11 +20,11 @@ per-cycle phases are advanced for the whole network per call:
 * the only order-sensitive randomness inside a step -- PAR's hop-1
   revision draws -- is handled *before* the cycle's step runs, in
   delivery-bucket order, which is exactly the wheel engine's call order:
-  in the kernel for the whole bucket when the routing algorithm compiled
-  (``on_arrival_batch``, see :mod:`repro.sim.array.lane`), by
-  ``on_arrival`` per packet otherwise (arbitration itself is kept
-  scalar-exact: exact RNG-order parity is infeasible inside a blindly
-  vectorized arbitration step);
+  inside ``repro_run`` when the routing algorithm compiled (see
+  :mod:`repro.sim.array.lane`), by ``on_arrival`` per packet in
+  :meth:`ArrayNetwork.step` (arbitration itself is kept scalar-exact:
+  exact RNG-order parity is infeasible inside a blindly vectorized
+  arbitration step);
 * :meth:`ArrayNetwork.step` / :meth:`ArrayNetwork.inject` are the
   one-cycle forms (the per-packet lane, tests, the benchmark's mirror
   driver); a compiled run advances whole windows per kernel call
@@ -586,9 +586,7 @@ class ArrayNetwork(Network):
         if S.counters[CNT_FREE] < self.topo.num_nodes:
             self._grow_pool()
         skip_credits = 0
-        if S.rev_n[idx] and (
-            self.on_arrival_batch is not None or self.on_arrival is not None
-        ):
+        if S.rev_n[idx] and self.on_arrival is not None:
             # the wheel applies this cycle's credit returns before the
             # delivery loop, so PAR revisions must see post-credit
             # load_metric state; apply them first, run the revisions in
@@ -640,15 +638,10 @@ class ArrayNetwork(Network):
         Bucket order equals the wheel's delivery-loop order; ejections
         and buffer appends interleaved by the wheel cannot influence a
         revision (they never touch load_metric state), so running all
-        revisions up front is bit-identical.  ``on_arrival_batch`` takes
-        the whole bucket in one call (credit returns included) and
-        re-routes in the arrays; ``on_arrival`` is asked per packet, with
-        a ``Packet`` to rewrite.
+        revisions up front is bit-identical.  ``on_arrival`` is asked per
+        packet, with a ``Packet`` to rewrite.
         """
         S = self._S
-        if self.on_arrival_batch is not None:
-            self.on_arrival_batch(idx)
-            return
         self._apply_credit_bucket(idx)
         n = int(S.dw_n[idx])
         revisable = S.p_revisable

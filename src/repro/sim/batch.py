@@ -8,8 +8,8 @@ same :class:`~repro.sim.engine.Run` that ``simulate()`` drives (set-up,
 one after another on one shared topology, one network alive at a time.
 A batch is the unit the :class:`~repro.perf.planner.BatchPlanner` sizes
 for the executor -- one task, one topology build, one worker round trip
-for B runs -- not a kernel path (``docs/performance.md``, "What the
-lockstep was worth", has the history).
+for B runs -- not a kernel path (``docs/performance.md``, "Executor
+work units").
 
 Runs may differ in seed, load, pattern, and measurement params.  Each
 run gets its own :class:`RunManifest`, is cached individually under its

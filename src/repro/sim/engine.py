@@ -167,7 +167,6 @@ class Run:
             else "packet"
         )
         if self.lane == "array":
-            net.on_arrival_batch = self.algo.revise_arrivals
             rng = self.rng
             self.algo.lane.traffic(
                 load,
@@ -319,7 +318,7 @@ class Run:
         net.finalize()
         # the hook closes a network <-> routing reference cycle; without it
         # both are freed on return instead of piling up until a full GC
-        net.on_arrival = net.on_arrival_batch = None
+        net.on_arrival = None
         # repro: allow[DET104]: closes the wall_seconds runtime measurement
         wall_seconds = time.perf_counter() - self._wall_start
         measure_cycles = params.measure_windows * params.window_cycles

@@ -342,11 +342,6 @@ class Network:
         # ejects packet-at-a-time through on_eject); the array engine
         # prefers it when set, falling back to per-packet on_eject calls
         self.on_eject_batch = None
-        # optional batched revision hook: callable(delivery bucket) ->
-        # (pool id, route handle, path hops) of the hop-1 arrivals PAR
-        # re-routes.  Same precedent: the wheel engine revises through
-        # on_arrival; the array engine's native path prefers this one
-        self.on_arrival_batch = None
         if objects:
             self._build_objects()
 

@@ -47,10 +47,6 @@ class Packet:
         self.current_vc = 0  # VC of the buffer slot currently held
 
     @property
-    def next_channel(self):
-        return self.route[self.hop]
-
-    @property
     def next_vc(self) -> int:
         return self.vcs[self.hop]
 

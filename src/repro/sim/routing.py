@@ -29,9 +29,8 @@ meet a policy whose membership test exists as data,
 same order, same candidate cache -- into the native kernel
 (:class:`~repro.sim.array.lane.RouteLane`), where
 :class:`~repro.sim.engine.Run` drives it whole windows at a time
-(``advance``); ``route_nodes`` / ``revise_arrivals`` are the one-cycle
-forms of the same calls.  See "Route tables and draw order" and "The run
-loop" in ``docs/simulator.md``.
+(``advance``).  See "Route tables and draw order" and "The run loop"
+in ``docs/simulator.md``.
 """
 
 from __future__ import annotations
@@ -377,10 +376,9 @@ class RoutingAlgorithm:
     def compile(self) -> bool:
         """Move this algorithm's decisions into the routing kernel.
 
-        True when ``advance`` / ``route_nodes`` / ``revise_arrivals``
-        are available from here on: the network runs natively, the
-        strategy is one of
-        the five the kernel implements, and the policy's membership test
+        True when ``advance`` is available from here on: the network
+        runs natively, the strategy is one of the five the kernel
+        implements, and the policy's membership test
         exists as data (:func:`~repro.routing.pathset.policy_program`).
         Building the lane composes the topology's flattened tables
         (milliseconds, once per topology and process).
@@ -407,10 +405,7 @@ class RoutingAlgorithm:
 
     def _compiled(self) -> RouteLane:
         if self.lane is None:
-            raise RuntimeError(
-                "advance / route_nodes / revise_arrivals need a "
-                "successful compile()"
-            )
+            raise RuntimeError("advance needs a successful compile()")
         return self.lane
 
     def _absorb(self) -> None:
@@ -429,25 +424,6 @@ class RoutingAlgorithm:
         candidate-cache updates and the generator's end state are those
         of the per-packet procedure driven cycle by cycle."""
         self._compiled().run(until)
-        self._absorb()
-
-    def route_nodes(
-        self, cycle: int, srcs: np.ndarray, dests: np.ndarray
-    ) -> np.ndarray:
-        """``route_packets`` over arrays: one cycle's (source node,
-        destination node) pairs in, their injection records
-        (``kernel.c`` ``SE_*`` columns, for ``inject_batch``) out.
-        The one-cycle form of :meth:`advance`'s decisions."""
-        records = self._compiled().route(cycle, srcs, dests)
-        self._absorb()
-        return records
-
-    def revise_arrivals(self, bucket: int) -> None:
-        """``revise_at`` for every revisable hop-1 arrival of one
-        delivery bucket, in delivery order, re-routing in the network's
-        arrays (its ``on_arrival_batch`` hook).  The one-cycle form of
-        :meth:`advance`'s revisions."""
-        self._compiled().revise(bucket)
         self._absorb()
 
     # ------------------------------------------------------------------

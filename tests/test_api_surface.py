@@ -104,7 +104,8 @@ def test_the_run_loop_surface():
     """One way to advance a native run: ``Run.advance`` (which both
     drivers call) over ``RoutingAlgorithm.advance`` / ``RouteLane.run``,
     patterns describing themselves through ``destination_program`` --
-    and nothing left of the lockstep or the word buffers."""
+    and nothing left of the lockstep, the word buffers or the one-cycle
+    forms of the compiled routing calls."""
     from repro.sim.array.lane import RouteLane
     from repro.sim.array.network import ArrayNetwork
     from repro.sim.engine import Run
@@ -120,8 +121,6 @@ def test_the_run_loop_surface():
         (Run, "inject"),
         (Run, "finish"),
         (RoutingAlgorithm, "advance"),
-        (RoutingAlgorithm, "route_nodes"),
-        (RoutingAlgorithm, "revise_arrivals"),
         (RouteLane, "run"),
         (RouteLane, "traffic"),
         (RouteLane, "destinations"),
@@ -138,6 +137,10 @@ def test_the_run_loop_surface():
         (ArrayNetwork, "pre_step"),
         (ArrayNetwork, "post_step"),
         (RouteLane, "words_drawn"),
+        (RoutingAlgorithm, "route_nodes"),
+        (RoutingAlgorithm, "revise_arrivals"),
+        (RouteLane, "route"),
+        (RouteLane, "revise"),
     ):
         assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
     import repro.sim.array.lane as lane
@@ -145,3 +148,29 @@ def test_the_run_loop_surface():
 
     assert not hasattr(lane, "WordSource")
     assert not hasattr(batch, "_state_pointers")
+
+
+# a sweep is scheduled by ``jobs`` alone: no per-run batch hint on
+# ``SimParams``, no ``batch`` on ``SweepExecutor``, no ``--batch``
+def test_sim_params_has_no_batch_hint():
+    import dataclasses
+
+    from repro.sim.params import SimParams
+
+    assert "batch" not in {f.name for f in dataclasses.fields(SimParams)}
+
+
+def test_sweep_executor_takes_only_jobs_cache_tracer_progress():
+    from repro.perf import SweepExecutor
+
+    assert list(inspect.signature(SweepExecutor).parameters) == [
+        "jobs", "cache", "tracer", "progress"
+    ]
+
+
+def test_sweep_has_no_batch_flag():
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--batch", "2"])
+    assert err.value.code == 2

@@ -15,7 +15,7 @@ executor's fallback when the native kernel is unavailable.
 
 import pytest
 
-from repro.perf.cache import SimCache, fingerprint
+from repro.perf.cache import SimCache
 from repro.perf.executor import SimTask, SweepExecutor
 from repro.perf.planner import BatchPlanner
 from repro.sim import SimParams
@@ -28,13 +28,13 @@ TOPO = Dragonfly(2, 4, 2, 5)
 ROUTINGS = ["min", "vlb", "ugal-l", "ugal-g", "par"]
 
 
-def _spec(routing, *, seed=0, load=0.2, window=80, batch=0):
+def _spec(routing, *, seed=0, load=0.2, window=80):
     return RunSpec.from_objects(
         TOPO,
         UniformRandom(TOPO),
         load,
         routing=routing,
-        params=SimParams(window_cycles=window, batch=batch),
+        params=SimParams(window_cycles=window),
         seed=seed,
     )
 
@@ -104,30 +104,10 @@ def test_unsupported_without_native_kernel(reference_engine):
         simulate_batch([_spec("min", seed=0), _spec("min", seed=1)])
 
 
-# ---------------------------------------------------------------------------
-# Identity: the batch knob never reaches fingerprints or cache keys
-# ---------------------------------------------------------------------------
-def test_fingerprint_ignores_batch_knob():
-    fps = {_spec("min", batch=batch).fingerprint() for batch in (0, 1, 8)}
-    assert len(fps) == 1
-    cache_keys = {
-        fingerprint(
-            TOPO,
-            UniformRandom(TOPO),
-            0.2,
-            routing="min",
-            policy=None,
-            params=SimParams(window_cycles=80, batch=b),
-            seed=0,
-        )
-        for b in (0, 1, 8)
-    }
-    assert len(cache_keys) == 1
-
-
 def test_cache_sharing_batched_and_single(tmp_path):
     """A batched run warms the cache for the single-run path and vice
-    versa: both sides key each run by its own RunSpec fingerprint."""
+    versa: both sides key each run by its own RunSpec fingerprint.  (A
+    one-task ``run`` never plans, so it takes the single-run path.)"""
 
     def tasks(seeds):
         return [
@@ -148,14 +128,15 @@ def test_cache_sharing_batched_and_single(tmp_path):
         assert batched_exec.cache_hits == 0
     assert all(r.manifest.batch_size == 3 for r in stored)
 
-    with SweepExecutor(jobs=1, cache=cache, batch=1) as single_exec:
-        hits = single_exec.run(tasks(range(3)))
+    with SweepExecutor(jobs=1, cache=cache) as single_exec:
+        hits = [single_exec.run([t])[0] for t in tasks(range(3))]
         assert single_exec.cache_hits == 3
     assert hits == stored
 
     # and the reverse direction: single-run entries feed a batched sweep
-    with SweepExecutor(jobs=1, cache=cache, batch=1) as single_exec:
-        fresh = single_exec.run(tasks(range(3, 5)))
+    with SweepExecutor(jobs=1, cache=cache) as single_exec:
+        fresh = [single_exec.run([t])[0] for t in tasks(range(3, 5))]
+    assert all(r.manifest.batch_size is None for r in fresh)
     with SweepExecutor(jobs=1, cache=cache) as batched_exec:
         again = batched_exec.run(tasks(range(3, 5)))
         assert batched_exec.cache_hits == 2
@@ -170,8 +151,6 @@ def test_planner_eligibility():
     # adaptive variants keep the single-run path (measured neutral to
     # negative under batching -- see the planner docstring)
     assert not BatchPlanner.eligible(_spec("ugal-l"))
-    # per-spec opt-out
-    assert not BatchPlanner.eligible(_spec("min", batch=1))
     # live-object tasks cannot cross simulate_batch's validation
     assert not BatchPlanner.eligible(object())
 
@@ -197,13 +176,10 @@ def test_planner_groups_compatible_specs_only():
     assert [u.batched for u in units] == [True, False, False]
 
 
-def test_planner_chunks_and_honours_hints():
-    # a member's params.batch hint lowers the whole group's cap
-    payloads = [
-        _spec("min", seed=seed, batch=2 if seed == 0 else 0)
-        for seed in range(5)
-    ]
-    units = BatchPlanner().plan(payloads)
+def test_planner_chunks():
+    # a group chunks to max_batch, in first-appearance order
+    payloads = [_spec("min", seed=seed) for seed in range(5)]
+    units = BatchPlanner(max_batch=2).plan(payloads)
     assert [u.indices for u in units] == [[0, 1], [2, 3], [4]]
 
     # a process pool spreads one big group across the workers
@@ -275,18 +251,6 @@ def test_executor_trace_marks_batched_units():
     finished = [e for e in tracer.events if e["type"] == "task_finished"]
     assert [e["batched"] for e in sorted(finished, key=lambda e: e["index"])] \
         == [True, True, True, False]
-
-
-def test_executor_batch_knob_disables(monkeypatch):
-    tasks = _min_tasks(range(3))
-    with SweepExecutor(jobs=1, batch=1) as executor:
-        results = executor.run(tasks)
-    assert all(r.manifest.batch_size is None for r in results)
-    # the environment default wires through the same knob
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    with SweepExecutor(jobs=1) as executor:
-        results = executor.run(_min_tasks(range(2)))
-    assert all(r.manifest.batch_size is None for r in results)
 
 
 def test_executor_falls_back_without_native(reference_engine):

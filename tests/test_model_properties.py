@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.datapoints import table1_datapoints
@@ -34,6 +34,10 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 class TestLpProperties:
     @settings(max_examples=25, deadline=None)
     @given(w3=unit, w4=unit, w5=unit, w6=unit)
+    # HiGHS returns this optimum's row duals only to 1e-7: the first
+    # solve misses the 1e-9 primal certificate on a correct 0.75, and
+    # FastModel.solve must retry at a tighter dual feasibility tolerance
+    @example(w3=1.0, w4=1.0, w5=0.7447737331096332, w6=0.232421875)
     def test_throughput_in_valid_range(self, lp_solve, w3, w4, w5, w6):
         for mode in ("uniform", "free"):
             res = lp_solve(

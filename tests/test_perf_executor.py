@@ -155,11 +155,13 @@ def test_a_worker_killed_mid_run_costs_the_pool_not_the_results():
         TOPO, _KillsItsWorker(TOPO), 0.2, routing="min", params=PARAMS, seed=1
     )
     assert deadly.spec is None  # ships the live pattern, pid and all
-    tasks = _tasks() + [deadly]
+    # adaptive runs (and live-object tasks) are never grouped: one unit
+    # per task, so units do land before the pool breaks
+    adaptive = _tasks(routing="ugal-l")
+    tasks = adaptive + [deadly]
     expected = [run_task(t) for t in tasks]
     tracer = Tracer()
-    # batch=1: one unit per task, so units do land before the pool breaks
-    with SweepExecutor(jobs=2, tracer=tracer, batch=1) as executor:
+    with SweepExecutor(jobs=2, tracer=tracer) as executor:
         assert executor.run(tasks) == expected
         assert executor._pool is None  # discarded, not kept broken
         landed = executor.computed_parallel
@@ -174,7 +176,7 @@ def test_a_worker_killed_mid_run_costs_the_pool_not_the_results():
             len(tasks) - landed
         )
         # the next batch gets a fresh pool and runs in it
-        assert executor.run(_tasks()) == expected[: len(LOADS)]
+        assert executor.run(adaptive) == expected[: len(LOADS)]
         assert executor._pool is not None and executor.parallel
         assert executor.computed_parallel == landed + len(LOADS)
 

@@ -18,9 +18,7 @@ checked against what defines it:
 * destination programs -- for every registered pattern the program draws
   what ``sample_destinations`` draws, value for value and word for word;
   patterns without one are asked in Python each cycle and still run on
-  the array lane;
-* the one-cycle forms (``route_nodes`` + ``inject_batch`` + ``step``)
-  still compose to the same run.
+  the array lane.
 
 Kernel-only cases skip themselves where the kernel is unavailable (the
 ``REPRO_ARRAYNET_NATIVE=0`` CI re-run).
@@ -308,38 +306,6 @@ def test_a_run_enters_the_kernel_a_few_times_per_window():
     assert metrics["engine.loop.returns.destinations"] == 0
     assert metrics["engine.cycles"] == params.total_cycles
     assert not plain.manifest.metrics
-
-
-@needs_kernel
-@pytest.mark.parametrize("routing", ["ugal-l", "par"])
-def test_the_one_cycle_forms_compose_to_the_same_run(routing):
-    """``route_nodes`` + ``inject_batch`` + ``step()`` per cycle -- what
-    drivers outside ``Run`` are built from -- against ``advance``."""
-    topo = TOPOLOGIES["dfly-g5"]
-    pattern = Shift(topo, 2, 0)
-    kwargs = dict(
-        routing=routing, params=SimParams(window_cycles=30), seed=5
-    )
-    want = Run(topo, pattern, 0.6, **kwargs)
-    want.advance(want.total)
-    expected = want.finish()
-    run = Run(topo, pattern, 0.6, **kwargs)
-    net, algo, rng = run.net, run.algo, run.rng
-    nodes = np.arange(topo.num_nodes)
-    for cycle in range(run.total):
-        if cycle == run.warmup:
-            net.reset_channel_counters()
-        srcs = nodes[rng.random(topo.num_nodes) < 0.6]
-        if srcs.size:
-            dests = pattern.sample_destinations(srcs, rng)
-            net.inject_batch(srcs, algo.route_nodes(cycle, srcs, dests))
-        net.step()
-    assert run.finish() == expected
-    assert algo.par_revised == want.algo.par_revised
-    assert (algo.par_revised > 0) == (routing == "par")
-    assert _same_state(
-        rng.bit_generator.state, want.rng.bit_generator.state
-    )
 
 
 # ----------------------------------------------------------------------
