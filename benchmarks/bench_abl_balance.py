@@ -3,8 +3,10 @@
 from repro.experiments.ablations import abl_balance
 
 
-def test_abl_balance(benchmark):
-    result = benchmark.pedantic(abl_balance, rounds=1, iterations=1)
+def test_abl_balance(benchmark, scale):
+    result = benchmark.pedantic(
+        abl_balance, kwargs={"scale": scale}, rounds=1, iterations=1
+    )
     print()
     print(result)
     # adjustment never cripples the set

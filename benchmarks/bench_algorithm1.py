@@ -13,8 +13,10 @@ the assertion checks competitiveness rather than the exact winner; see
 from repro.experiments.ablations import algorithm1
 
 
-def test_algorithm1_end_to_end(benchmark):
-    result = benchmark.pedantic(algorithm1, rounds=1, iterations=1)
+def test_algorithm1_end_to_end(benchmark, scale):
+    result = benchmark.pedantic(
+        algorithm1, kwargs={"scale": scale}, rounds=1, iterations=1
+    )
     print()
     print(result)
     assert result.data["num_candidates"] >= 2

@@ -11,8 +11,8 @@ EXPERIMENTS.md).
 from conftest import regen
 
 
-def test_fig04_model_sweep_g9(benchmark):
-    result = regen(benchmark, "fig04")
+def test_fig04_model_sweep_g9(benchmark, scale):
+    result = regen(benchmark, "fig04", scale)
     points = dict(result.data["points"])
     # diversity starved at 3-hop, near the bound with all VLB
     assert points["3-hop"] < 0.3

@@ -8,8 +8,8 @@ model far below the full set.
 from conftest import regen
 
 
-def test_fig05_model_sweep_g33(benchmark):
-    result = regen(benchmark, "fig05")
+def test_fig05_model_sweep_g33(benchmark, scale):
+    result = regen(benchmark, "fig05", scale)
     points = dict(result.data["points"])
     assert points["all VLB"] == max(points.values())
     # restricting to <=4 hops costs real capacity at g=33

@@ -8,8 +8,8 @@ T-PAR 12.9% lower latency at 0.2, saturation 0.38 vs 0.29.
 from conftest import regen
 
 
-def test_fig06_adv_ugall_par_g9(benchmark):
-    result = regen(benchmark, "fig06")
+def test_fig06_adv_ugall_par_g9(benchmark, scale):
+    result = regen(benchmark, "fig06", scale)
     sat = result.data["saturation"]
     # T- variants keep (or beat) the conventional saturation throughput
     assert sat["T-UGAL-L"] >= 0.9 * sat["UGAL-L"]

@@ -7,8 +7,8 @@ Paper: 12.9% lower latency at 0.1 load; saturation 0.30 vs 0.23 (+30%).
 from conftest import regen
 
 
-def test_fig07_adv_ugalg_g9(benchmark):
-    result = regen(benchmark, "fig07")
+def test_fig07_adv_ugalg_g9(benchmark, scale):
+    result = regen(benchmark, "fig07", scale)
     sat = result.data["saturation"]
     assert sat["T-UGAL-G"] >= 0.95 * sat["UGAL-G"]
     curves = result.data["curves"]

@@ -7,8 +7,8 @@ VLB-routed): T-UGAL-L saturation 0.68 vs 0.63.
 from conftest import regen
 
 
-def test_fig08_perm_ugall_par_g9(benchmark):
-    result = regen(benchmark, "fig08")
+def test_fig08_perm_ugall_par_g9(benchmark, scale):
+    result = regen(benchmark, "fig08", scale)
     sat = result.data["saturation"]
     assert sat["T-UGAL-L"] >= 0.9 * sat["UGAL-L"]
     # permutation saturates much higher than adversarial traffic

@@ -7,8 +7,8 @@ shorter paths reduce overall network load even with perfect information.
 from conftest import regen
 
 
-def test_fig09_perm_ugalg_g9(benchmark):
-    result = regen(benchmark, "fig09")
+def test_fig09_perm_ugalg_g9(benchmark, scale):
+    result = regen(benchmark, "fig09", scale)
     sat = result.data["saturation"]
     assert sat["T-UGAL-G"] >= 0.9 * sat["UGAL-G"]
     assert sat["UGAL-G"] > 0.3

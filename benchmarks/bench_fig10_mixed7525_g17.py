@@ -7,8 +7,8 @@ Paper: T-PAR saturation 0.46 vs PAR 0.40 (+15%).
 from conftest import regen
 
 
-def test_fig10_mixed7525_g17(benchmark):
-    result = regen(benchmark, "fig10")
+def test_fig10_mixed7525_g17(benchmark, scale):
+    result = regen(benchmark, "fig10", scale)
     sat = result.data["saturation"]
     assert sat["T-PAR"] >= 0.9 * sat["PAR"]
     assert sat["T-UGAL-L"] >= 0.9 * sat["UGAL-L"]

@@ -8,8 +8,8 @@ T-PAR saturation 0.30 vs PAR 0.25 (+20%).
 from conftest import regen
 
 
-def test_fig11_mixed2575_g17(benchmark):
-    result = regen(benchmark, "fig11")
+def test_fig11_mixed2575_g17(benchmark, scale):
+    result = regen(benchmark, "fig11", scale)
     sat = result.data["saturation"]
     assert sat["T-PAR"] >= 0.9 * sat["PAR"]
     # more adversarial -> lower absolute saturation than MIXED(75,25)

@@ -8,8 +8,8 @@ adversarial destinations packet by packet.
 from conftest import regen
 
 
-def test_fig12_tmixed5050_g17(benchmark):
-    result = regen(benchmark, "fig12")
+def test_fig12_tmixed5050_g17(benchmark, scale):
+    result = regen(benchmark, "fig12", scale)
     sat = result.data["saturation"]
     assert sat["T-UGAL-L"] >= 0.9 * sat["UGAL-L"]
     assert sat["T-PAR"] >= 0.9 * sat["PAR"]

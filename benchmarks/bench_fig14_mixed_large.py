@@ -7,8 +7,8 @@ counterparts on the large topology.
 from conftest import regen
 
 
-def test_fig14_mixed_large(benchmark):
-    result = regen(benchmark, "fig14")
+def test_fig14_mixed_large(benchmark, scale):
+    result = regen(benchmark, "fig14", scale)
     curves = result.data["curves"]
     # latency comparison at the common low load (see fig13 note)
     for base in ("UGAL-L", "PAR"):

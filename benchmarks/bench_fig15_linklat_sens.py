@@ -8,8 +8,8 @@ advantage over UGAL-G persists in both settings.
 from conftest import regen
 
 
-def test_fig15_linklat_sens(benchmark):
-    result = regen(benchmark, "fig15")
+def test_fig15_linklat_sens(benchmark, scale):
+    result = regen(benchmark, "fig15", scale)
     sat = result.data["saturation"]
     assert sat["T-UGAL-G(10,15)"] >= 0.9 * sat["UGAL-G(10,15)"]
     assert sat["T-UGAL-G(40,60)"] >= 0.9 * sat["UGAL-G(40,60)"]

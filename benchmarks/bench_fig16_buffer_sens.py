@@ -8,8 +8,8 @@ lower throughput, but T-UGAL-L keeps its edge at both sizes.
 from conftest import regen
 
 
-def test_fig16_buffer_sens(benchmark):
-    result = regen(benchmark, "fig16")
+def test_fig16_buffer_sens(benchmark, scale):
+    result = regen(benchmark, "fig16", scale)
     sat = result.data["saturation"]
     assert sat["T-UGAL-L(8)"] >= 0.9 * sat["UGAL-L(8)"]
     assert sat["T-UGAL-L(32)"] >= 0.9 * sat["UGAL-L(32)"]

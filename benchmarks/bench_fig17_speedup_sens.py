@@ -8,8 +8,8 @@ at both speedups.
 from conftest import regen
 
 
-def test_fig17_speedup_sens(benchmark):
-    result = regen(benchmark, "fig17")
+def test_fig17_speedup_sens(benchmark, scale):
+    result = regen(benchmark, "fig17", scale)
     sat = result.data["saturation"]
     assert sat["T-PAR(1)"] >= 0.9 * sat["PAR(1)"]
     assert sat["T-PAR(2)"] >= 0.9 * sat["PAR(2)"]

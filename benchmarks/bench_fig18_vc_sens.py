@@ -9,8 +9,8 @@ the T- variant consistently out-performs its counterpart under both.
 from conftest import regen
 
 
-def test_fig18_vc_sens(benchmark):
-    result = regen(benchmark, "fig18")
+def test_fig18_vc_sens(benchmark, scale):
+    result = regen(benchmark, "fig18", scale)
     sat = result.data["saturation"]
     assert sat["T-UGAL-G(4)"] >= 0.9 * sat["UGAL-G(4)"]
     assert sat["T-UGAL-G(6)"] >= 0.9 * sat["UGAL-G(6)"]

@@ -3,6 +3,6 @@
 from conftest import regen
 
 
-def test_table1_datapoints(benchmark):
-    result = regen(benchmark, "table1")
+def test_table1_datapoints(benchmark, scale):
+    result = regen(benchmark, "table1", scale)
     assert result.data["count"] == 31

@@ -3,8 +3,8 @@
 from conftest import regen
 
 
-def test_table3_defaults(benchmark):
-    result = regen(benchmark, "table3")
+def test_table3_defaults(benchmark, scale):
+    result = regen(benchmark, "table3", scale)
     params = dict(result.data["params"])
     assert params["buffer size"] == 32
     assert params["link latency (local)"] == 10

@@ -5,8 +5,10 @@ maximum-size balanced dragonfly."""
 from repro.experiments.validation import validate_adversarial, validate_uniform
 
 
-def test_validation_uniform(benchmark):
-    result = benchmark.pedantic(validate_uniform, rounds=1, iterations=1)
+def test_validation_uniform(benchmark, scale):
+    result = benchmark.pedantic(
+        validate_uniform, kwargs={"scale": scale}, rounds=1, iterations=1
+    )
     print()
     print(result)
     d = result.data
@@ -17,9 +19,9 @@ def test_validation_uniform(benchmark):
     assert d["ugal-l"]["saturation"] > 0.8 * d["min"]["saturation"]
 
 
-def test_validation_adversarial(benchmark):
+def test_validation_adversarial(benchmark, scale):
     result = benchmark.pedantic(
-        validate_adversarial, rounds=1, iterations=1
+        validate_adversarial, kwargs={"scale": scale}, rounds=1, iterations=1
     )
     print()
     print(result)

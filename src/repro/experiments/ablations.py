@@ -15,13 +15,14 @@ reproduction:
 
 from __future__ import annotations
 
-import os
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core import balance_adjust, compute_tvlb
-from repro.experiments.figures import run_suite
+from repro.experiments.figures import (
+    DEFAULT_SCALE, Scale, Variant, curve_suite, run_suite,
+)
 from repro.experiments.report import FigureResult, render_table
 from repro.model import FastModel
 from repro.routing.pathset import (
@@ -30,92 +31,77 @@ from repro.routing.pathset import (
     StrategicFiveHopPolicy,
 )
 from repro.sim import SimParams
-from repro.spec import PatternSpec, PolicySpec, SuiteSpec, SweepSpec, TopologySpec
 from repro.topology import Dragonfly, default_dragonfly
 from repro.traffic import Shift
 
 __all__ = ["abl_strategic", "abl_balance", "abl_monotonic", "algorithm1"]
 
 
-def _window() -> int:
-    return int(os.environ.get("REPRO_WINDOW", "300"))
+def _policy_rows(
+    name: str, topo: Dragonfly, pattern: object, loads: Sequence[float],
+    variants: List[Variant], scale: Scale,
+) -> List[list]:
+    """[label, latency at the first load, saturation] of each variant,
+    averaged over ``scale.seeds`` seeds of the one fixed ``pattern``."""
+    suite = curve_suite(
+        name, topo, lambda t, seed: pattern, loads, variants,
+        seeds=range(scale.seeds),
+    )
+    return [
+        [
+            label,
+            float(np.mean([s.results[0].avg_latency for s in per_seed])),
+            float(np.mean([s.saturation_throughput() for s in per_seed])),
+        ]
+        for label, per_seed in run_suite(suite).items()
+    ]
 
 
-def abl_strategic() -> FigureResult:
+def abl_strategic(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     """Strategic 2+3 vs 3+2 vs random 50% 5-hop on dfly(4,8,4,9)."""
     topo = default_dragonfly()
-    params = SimParams(window_cycles=_window())
-    pattern = Shift(topo, 2, 0)
-    loads = (0.1, 0.2, 0.3, 0.4)
-    policies = [
-        ("strategic 2+3", StrategicFiveHopPolicy("2+3")),
-        ("strategic 3+2", StrategicFiveHopPolicy("3+2")),
-        ("random 50% 5-hop", HopClassPolicy(4, 0.5)),
-    ]
-    suite = SuiteSpec("abl_strategic", tuple(
-        SweepSpec(
-            topology=TopologySpec.of(topo),
-            pattern=PatternSpec.of(pattern),
-            loads=loads,
-            routing="t-ugal-l",
-            policy=PolicySpec.of(pol),
-            params=params,
-            seed=0,
-            label=label,
-        )
-        for label, pol in policies
-    ))
-    rows = []
-    data: Dict[str, float] = {}
-    for label, sweeps in run_suite(suite).items():
-        sweep = sweeps[0]
-        sat = sweep.saturation_throughput()
-        low = sweep.results[0].avg_latency
-        rows.append([label, low, sat])
-        data[label] = sat
+    params = SimParams(window_cycles=scale.window)
+    rows = _policy_rows(
+        "abl_strategic", topo, Shift(topo, 2, 0), (0.1, 0.2, 0.3, 0.4),
+        [
+            ("strategic 2+3", "t-ugal-l", StrategicFiveHopPolicy("2+3"), params),
+            ("strategic 3+2", "t-ugal-l", StrategicFiveHopPolicy("3+2"), params),
+            ("random 50% 5-hop", "t-ugal-l", HopClassPolicy(4, 0.5), params),
+        ],
+        scale,
+    )
     return FigureResult(
         "abl_strategic",
         "strategic vs random 5-hop selection (T-UGAL-L, shift(2,0), g=9)",
         render_table(["policy", "latency@0.1", "saturation"], rows),
-        data=data,
+        data={label: sat for label, _, sat in rows},
     )
 
 
-def abl_balance() -> FigureResult:
+def abl_balance(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     """Effect of the Step-2 load-balance adjustment on dfly(4,8,4,9)."""
     topo = default_dragonfly()
-    params = SimParams(window_cycles=_window())
+    params = SimParams(window_cycles=scale.window)
     pattern = Shift(topo, 1, 0)
-    loads = (0.1, 0.25, 0.4)
     base = StrategicFiveHopPolicy("2+3")
     pairs = [
         (s, d) for s, d in zip(*np.nonzero(pattern.demand_matrix()))
     ][: topo.a * 2]
     adjusted, report = balance_adjust(topo, base, pairs)
-    rows = []
     data: Dict[str, float] = {
         "removed_descriptors": float(report.removed_descriptors),
         "global_hot_channels": float(len(report.global_hot_channels)),
         "max_over_mean_local": report.max_over_mean_local,
     }
-    suite = SuiteSpec("abl_balance", tuple(
-        SweepSpec(
-            topology=TopologySpec.of(topo),
-            pattern=PatternSpec.of(pattern),
-            loads=loads,
-            routing="t-ugal-l",
-            policy=PolicySpec.of(pol),
-            params=params,
-            seed=0,
-            label=label,
-        )
-        for label, pol in (("unadjusted", base), ("balanced", adjusted))
-    ))
-    for label, sweeps in run_suite(suite).items():
-        sweep = sweeps[0]
-        sat = sweep.saturation_throughput()
-        rows.append([label, sweep.results[0].avg_latency, sat])
-        data[label] = sat
+    rows = _policy_rows(
+        "abl_balance", topo, pattern, (0.1, 0.25, 0.4),
+        [
+            ("unadjusted", "t-ugal-l", base, params),
+            ("balanced", "t-ugal-l", adjusted, params),
+        ],
+        scale,
+    )
+    data.update((label, sat) for label, _, sat in rows)
     text = render_table(["policy", "latency@0.1", "saturation"], rows)
     text += (
         f"\n\nbalance report: {report.removed_descriptors} descriptors "
@@ -164,12 +150,12 @@ def abl_monotonic() -> FigureResult:
     )
 
 
-def algorithm1() -> FigureResult:
+def algorithm1(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     """Full Algorithm-1 pipeline on dfly(2,4,2,3) with audit trail."""
     topo = Dragonfly(2, 4, 2, 3)
     res = compute_tvlb(
         topo,
-        sim_params=SimParams(window_cycles=max(150, _window() // 2)),
+        sim_params=SimParams(window_cycles=max(150, scale.window // 2)),
         seed=1,
     )
     sweep_rows = [

@@ -14,15 +14,14 @@ Fig 13/14 shift(1,0) and MIXED(50,50) on dfly(13,26,13,27), all six schemes
 Fig 15-18 sensitivity: link latency, buffer size, speedup, VC scheme
 ========  =====================================================================
 
-All simulation figures run at scaled-down windows controlled by
-``REPRO_WINDOW`` (vs the paper's 10000-cycle windows) -- trends, not
-absolute numbers, are the reproduction target.
+Simulation figures run at the :class:`Scale` they are given, by default
+windows far shorter than the paper's 10000 cycles -- trends, not absolute
+numbers, are the reproduction target.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +46,9 @@ from repro.topology import Dragonfly, default_dragonfly
 from repro.traffic import Shift, type_1_set, type_2_set
 
 __all__ = [
+    "DEFAULT_SCALE",
     "FIGURES",
+    "Scale",
     "curve_suite",
     "run_figure",
     "run_suite",
@@ -56,23 +57,27 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Scaling knobs
+# Scale
 # ---------------------------------------------------------------------------
-def _window() -> int:
-    return int(os.environ.get("REPRO_WINDOW", "300"))
+@dataclasses.dataclass(frozen=True)
+class Scale:
+    """How much a figure simulates: ``window`` cycles (paper 10000) and
+    ``seeds`` seeds (paper 8-20) per point; ``window_large`` and
+    ``large_loads`` are the window and load ladder of Figs 13-14's
+    9126-node topology."""
+
+    window: int = 300
+    window_large: int = 120
+    seeds: int = 1
+    large_loads: Tuple[float, ...] = (0.05, 0.15, 0.3)
 
 
-def _window_large() -> int:
-    return int(os.environ.get("REPRO_WINDOW_LARGE", "120"))
+DEFAULT_SCALE = Scale()
 
 
-def _seeds() -> int:
-    return int(os.environ.get("REPRO_SEEDS", "1"))
-
-
-def _params(**overrides) -> SimParams:
+def _params(scale: Scale, **overrides) -> SimParams:
     return dataclasses.replace(
-        SimParams(window_cycles=_window()), **overrides
+        SimParams(window_cycles=scale.window), **overrides
     )
 
 
@@ -115,42 +120,43 @@ def tvlb_policy_for(topo: Dragonfly) -> PathPolicy:
 # ---------------------------------------------------------------------------
 # Generic latency-curve figure (declared as SuiteSpec data, then run)
 # ---------------------------------------------------------------------------
+#: One curve of a figure: (label, routing, path policy or None, params).
+Variant = Tuple[str, str, Optional[PathPolicy], SimParams]
+
+
 def curve_suite(
     name: str,
     topo: Dragonfly,
     pattern_factory: Callable[[Dragonfly, int], object],
     loads: Sequence[float],
-    schemes: Sequence[str],
+    variants: Sequence[Variant],
     *,
-    params: SimParams,
-    policy: PathPolicy,
     seeds: Sequence[int],
 ) -> SuiteSpec:
     """The declarative scenario suite of one latency-curve figure.
 
-    One :class:`SweepSpec` per (variant, seed); the sweep ``label`` is the
-    curve key.  Each base scheme is paired with its T- variant carrying
-    the topology's T-VLB policy, except when that policy is the full VLB
-    set (T-UGAL == UGAL there, so the T- curve would duplicate the base).
+    One :class:`SweepSpec` per (variant, seed), in that order; the sweep
+    ``label`` is the curve key.  A variant whose policy is the full VLB
+    set is left out: T-UGAL == UGAL there, so its curve would duplicate
+    the base one.
     """
     topo_spec = TopologySpec.of(topo)
-    pol_spec = PolicySpec.of(policy)
     sweeps: List[SweepSpec] = []
-    for base in schemes:
-        for variant, pol in ((base, None), (f"t-{base}", pol_spec)):
-            if pol is not None and pol.kind == "all":
-                continue  # T-UGAL == UGAL on this topology
-            for seed in seeds:
-                sweeps.append(SweepSpec(
-                    topology=topo_spec,
-                    pattern=PatternSpec.of(pattern_factory(topo, seed)),
-                    loads=tuple(loads),
-                    routing=variant,
-                    policy=pol,
-                    params=params,
-                    seed=seed,
-                    label=variant.upper(),
-                ))
+    for label, routing, policy, params in variants:
+        pol = None if policy is None else PolicySpec.of(policy)
+        if pol is not None and pol.kind == "all":
+            continue  # T-UGAL == UGAL on this topology
+        for seed in seeds:
+            sweeps.append(SweepSpec(
+                topology=topo_spec,
+                pattern=PatternSpec.of(pattern_factory(topo, seed)),
+                loads=tuple(loads),
+                routing=routing,
+                policy=pol,
+                params=params,
+                seed=seed,
+                label=label,
+            ))
     return SuiteSpec(name, tuple(sweeps))
 
 
@@ -171,20 +177,25 @@ def _curve_figure(
     pattern_factory: Callable[[Dragonfly, int], object],
     loads: Sequence[float],
     schemes: Sequence[str],
-    params: Optional[SimParams] = None,
-    policy: Optional[PathPolicy] = None,
+    scale: Scale,
+    settings: Sequence[Tuple[str, Dict]] = (("", {}),),
 ) -> FigureResult:
-    """Latency-vs-load curves for base and T- routing variants.
-
-    ``schemes`` lists base variants (e.g. ``["ugal-l", "par"]``); each is
-    run both conventionally and as its T- variant with the topology's
-    T-VLB policy.  Results are averaged over ``REPRO_SEEDS`` seeds.
+    """Latency-vs-load curves of base schemes (e.g. ``["ugal-l", "par"]``)
+    and their T- variants with the topology's T-VLB policy, under each
+    (tag, SimParams overrides) setting -- a tag labels a sensitivity
+    study's curves, e.g. ``T-UGAL-G(4)`` -- averaged over ``scale.seeds``.
     """
-    params = params if params is not None else _params()
-    policy = policy if policy is not None else tvlb_policy_for(topo)
+    policy = tvlb_policy_for(topo)
+    variants = [
+        (routing.upper() + (f"({tag})" if tag else ""), routing, pol,
+         _params(scale, **overrides))
+        for tag, overrides in settings
+        for base in schemes
+        for routing, pol in ((base, None), (f"t-{base}", policy))
+    ]
     suite = curve_suite(
-        figure, topo, pattern_factory, loads, schemes,
-        params=params, policy=policy, seeds=range(_seeds()),
+        figure, topo, pattern_factory, loads, variants,
+        seeds=range(scale.seeds),
     )
     curves: Dict[str, List[Tuple[float, float]]] = {}
     sat_rows = []
@@ -217,7 +228,7 @@ def _curve_figure(
 # ---------------------------------------------------------------------------
 # Tables
 # ---------------------------------------------------------------------------
-def table1() -> FigureResult:
+def table1(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     rows = [[p.describe()] for p in table1_datapoints(step=0.1)]
     return FigureResult(
         "table1",
@@ -227,7 +238,7 @@ def table1() -> FigureResult:
     )
 
 
-def table2() -> FigureResult:
+def table2(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     topologies = [
         Dragonfly(4, 8, 4, 33),
         Dragonfly(4, 8, 4, 17),
@@ -251,7 +262,7 @@ def table2() -> FigureResult:
     )
 
 
-def table3() -> FigureResult:
+def table3(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     p = SimParams.paper()
     rows = [
         ["# virtual channels", "4 UGAL-L/UGAL-G, 5 PAR (auto)"],
@@ -260,7 +271,7 @@ def table3() -> FigureResult:
         ["link latency (global)", p.global_latency],
         ["switch speed-up", p.speedup],
         ["window cycles (paper)", p.window_cycles],
-        ["window cycles (bench)", _window()],
+        ["window cycles (bench)", scale.window],
     ]
     return FigureResult(
         "table3",
@@ -274,21 +285,18 @@ def table3() -> FigureResult:
 # Figures 4 & 5: Step-1 model sweeps
 # ---------------------------------------------------------------------------
 def _model_sweep_figure(figure: str, topo: Dragonfly) -> FigureResult:
-    step = float(os.environ.get("REPRO_MODEL_STEP", "0.25"))
-    n_t1 = int(os.environ.get("REPRO_MODEL_T1", "5"))
-    n_t2 = int(os.environ.get("REPRO_MODEL_T2", "3"))
+    # a fixed sample of 5 TYPE_1 patterns plus 3 TYPE_2, 0.25-step grid
+    rng = np.random.default_rng(0)
+    t1 = type_1_set(topo)
+    if len(t1) > 5:
+        t1 = [t1[i] for i in sorted(rng.choice(len(t1), 5, replace=False))]
+    patterns = t1 + type_2_set(topo, count=3)
     # "uniform" models UGAL's uniform random candidate selection -- the
     # treatment whose sweep shape is closest to the paper's Figures 4/5
     # ("free" is the optimistic Model-3-style allocation; see
     # bench_abl_monotonic for the comparison)
-    mode = os.environ.get("REPRO_MODEL_MODE", "uniform")
-    rng = np.random.default_rng(0)
-    t1 = type_1_set(topo)
-    if n_t1 < len(t1):
-        t1 = [t1[i] for i in sorted(rng.choice(len(t1), n_t1, replace=False))]
-    patterns = t1 + type_2_set(topo, count=n_t2)
     points = step1_sweep(
-        topo, patterns, table1_datapoints(step=step), mode=mode
+        topo, patterns, table1_datapoints(step=0.25), mode="uniform"
     )
     rows = [
         [pt.label, pt.mean_throughput, pt.sem] for pt in points
@@ -301,11 +309,11 @@ def _model_sweep_figure(figure: str, topo: Dragonfly) -> FigureResult:
     )
 
 
-def fig04() -> FigureResult:
+def fig04(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _model_sweep_figure("fig04", default_dragonfly())
 
 
-def fig05() -> FigureResult:
+def fig05(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _model_sweep_figure("fig05", Dragonfly(4, 8, 4, 33))
 
 
@@ -316,7 +324,7 @@ ADV_LOADS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
 PERM_LOADS = (0.1, 0.3, 0.5, 0.6, 0.7, 0.8)
 
 
-def fig06() -> FigureResult:
+def fig06(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig06",
         "adversarial shift(2,0), UGAL-L & PAR on dfly(4,8,4,9)",
@@ -324,10 +332,11 @@ def fig06() -> FigureResult:
         lambda t, seed: Shift(t, 2, 0),
         ADV_LOADS,
         ["ugal-l", "par"],
+        scale,
     )
 
 
-def fig07() -> FigureResult:
+def fig07(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig07",
         "adversarial shift(2,0), UGAL-G on dfly(4,8,4,9)",
@@ -335,10 +344,11 @@ def fig07() -> FigureResult:
         lambda t, seed: Shift(t, 2, 0),
         ADV_LOADS,
         ["ugal-g"],
+        scale,
     )
 
 
-def fig08() -> FigureResult:
+def fig08(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig08",
         "random permutation, UGAL-L & PAR on dfly(4,8,4,9)",
@@ -346,10 +356,11 @@ def fig08() -> FigureResult:
         _perm_factory(11),
         PERM_LOADS,
         ["ugal-l", "par"],
+        scale,
     )
 
 
-def fig09() -> FigureResult:
+def fig09(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig09",
         "random permutation, UGAL-G on dfly(4,8,4,9)",
@@ -357,6 +368,7 @@ def fig09() -> FigureResult:
         _perm_factory(11),
         PERM_LOADS,
         ["ugal-g"],
+        scale,
     )
 
 
@@ -366,7 +378,7 @@ def fig09() -> FigureResult:
 MIX_LOADS = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55)
 
 
-def fig10() -> FigureResult:
+def fig10(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig10",
         "MIXED(75,25), UGAL-L & PAR on dfly(4,8,4,17)",
@@ -374,10 +386,11 @@ def fig10() -> FigureResult:
         _mix_factory("mixed", 75, 25),
         MIX_LOADS,
         ["ugal-l", "par"],
+        scale,
     )
 
 
-def fig11() -> FigureResult:
+def fig11(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig11",
         "MIXED(25,75), UGAL-L & PAR on dfly(4,8,4,17)",
@@ -385,10 +398,11 @@ def fig11() -> FigureResult:
         _mix_factory("mixed", 25, 75),
         MIX_LOADS,
         ["ugal-l", "par"],
+        scale,
     )
 
 
-def fig12() -> FigureResult:
+def fig12(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig12",
         "TMIXED(50,50), UGAL-L & PAR on dfly(4,8,4,17)",
@@ -396,157 +410,96 @@ def fig12() -> FigureResult:
         _mix_factory("tmixed", 50, 50),
         MIX_LOADS,
         ["ugal-l", "par"],
+        scale,
     )
 
 
 # ---------------------------------------------------------------------------
 # Figures 13-14: the large topology
 # ---------------------------------------------------------------------------
-def _large_loads() -> Tuple[float, ...]:
-    """Load ladder for the 9126-node topology.
-
-    Saturated points on the large network are very slow in pure Python
-    (per-cycle cost scales with flits in flight), so the ladder is
-    env-tunable: ``REPRO_LARGE_LOADS=0.05,0.15,0.3`` restores the full
-    ladder used for trend checks.
-    """
-    spec = os.environ.get("REPRO_LARGE_LOADS", "0.05,0.15,0.3")
-    return tuple(float(x) for x in spec.split(","))
-
-
-def fig13() -> FigureResult:
+def fig13(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig13",
         "adversarial shift(1,0) on dfly(13,26,13,27)",
         Dragonfly(13, 26, 13, 27),
         lambda t, seed: Shift(t, 1, 0),
-        _large_loads(),
+        scale.large_loads,
         ["ugal-l", "par", "ugal-g"],
-        params=_params(window_cycles=_window_large()),
+        dataclasses.replace(scale, window=scale.window_large),
     )
 
 
-def fig14() -> FigureResult:
+def fig14(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     return _curve_figure(
         "fig14",
         "MIXED(50,50) on dfly(13,26,13,27)",
         Dragonfly(13, 26, 13, 27),
         _mix_factory("mixed", 50, 50),
-        _large_loads(),
+        scale.large_loads,
         ["ugal-l", "par", "ugal-g"],
-        params=_params(window_cycles=_window_large()),
+        dataclasses.replace(scale, window=scale.window_large),
     )
 
 
 # ---------------------------------------------------------------------------
 # Figures 15-18: sensitivity studies on dfly(4,8,4,17) / dfly(4,8,4,9)
 # ---------------------------------------------------------------------------
-def _sensitivity_figure(
-    figure: str,
-    title: str,
-    topo: Dragonfly,
-    pattern_factory,
-    loads: Sequence[float],
-    scheme: str,
-    settings: Sequence[Tuple[str, SimParams]],
-) -> FigureResult:
-    topo_spec = TopologySpec.of(topo)
-    pol_spec = PolicySpec.of(tvlb_policy_for(topo))
-    pattern_spec = PatternSpec.of(pattern_factory(topo, 0))
-    suite = SuiteSpec(figure, tuple(
-        SweepSpec(
-            topology=topo_spec,
-            pattern=pattern_spec,
-            loads=tuple(loads),
-            routing=variant,
-            policy=pol,
-            params=params,
-            seed=0,
-            label=f"{variant.upper()}({setting_label})",
-        )
-        for setting_label, params in settings
-        for variant, pol in ((scheme, None), (f"t-{scheme}", pol_spec))
-    ))
-    curves: Dict[str, List[Tuple[float, float]]] = {}
-    sat_rows = []
-    for label, sweeps in run_suite(suite).items():
-        sweep = sweeps[0]
-        curves[label] = [
-            (r.offered_load, r.avg_latency)
-            for r in sweep.results
-            if not r.saturated
-        ]
-        sat_rows.append([label, sweep.saturation_throughput()])
-    text = render_curves("offered load", curves)
-    text += "\n\nsaturation throughput:\n"
-    text += render_table(["scheme", "throughput"], sat_rows)
-    return FigureResult(
-        figure, title, text,
-        data={"curves": curves, "saturation": dict(map(tuple, sat_rows))},
-    )
-
-
-def fig15() -> FigureResult:
-    return _sensitivity_figure(
+def fig15(scale: Scale = DEFAULT_SCALE) -> FigureResult:
+    return _curve_figure(
         "fig15",
         "link-latency sensitivity, UGAL-G, permutation on dfly(4,8,4,17)",
         Dragonfly(4, 8, 4, 17),
         _perm_factory(21),
         PERM_LOADS,
-        "ugal-g",
-        [
-            ("10,15", _params(local_latency=10, global_latency=15)),
-            ("40,60", _params(local_latency=40, global_latency=60)),
+        ["ugal-g"],
+        scale,
+        settings=[
+            ("10,15", {"local_latency": 10, "global_latency": 15}),
+            ("40,60", {"local_latency": 40, "global_latency": 60}),
         ],
     )
 
 
-def fig16() -> FigureResult:
-    return _sensitivity_figure(
+def fig16(scale: Scale = DEFAULT_SCALE) -> FigureResult:
+    return _curve_figure(
         "fig16",
         "buffer-size sensitivity, UGAL-L, MIXED(50,50) on dfly(4,8,4,17)",
         Dragonfly(4, 8, 4, 17),
         _mix_factory("mixed", 50, 50),
         MIX_LOADS,
-        "ugal-l",
-        [
-            ("8", _params(buffer_size=8)),
-            ("32", _params(buffer_size=32)),
-        ],
+        ["ugal-l"],
+        scale,
+        settings=[("8", {"buffer_size": 8}), ("32", {"buffer_size": 32})],
     )
 
 
-def fig17() -> FigureResult:
-    return _sensitivity_figure(
+def fig17(scale: Scale = DEFAULT_SCALE) -> FigureResult:
+    return _curve_figure(
         "fig17",
         "switch-speedup sensitivity, PAR, MIXED(25,75) on dfly(4,8,4,17)",
         Dragonfly(4, 8, 4, 17),
         _mix_factory("mixed", 25, 75),
         MIX_LOADS,
-        "par",
-        [
-            ("1", _params(speedup=1)),
-            ("2", _params(speedup=2)),
-        ],
+        ["par"],
+        scale,
+        settings=[("1", {"speedup": 1}), ("2", {"speedup": 2})],
     )
 
 
-def fig18() -> FigureResult:
-    return _sensitivity_figure(
+def fig18(scale: Scale = DEFAULT_SCALE) -> FigureResult:
+    return _curve_figure(
         "fig18",
         "VC-scheme sensitivity, UGAL-G, shift(1,0) on dfly(4,8,4,9)",
         default_dragonfly(),
         lambda t, seed: Shift(t, 1, 0),
         ADV_LOADS,
-        "ugal-g",
-        [
-            ("4", _params(vc_scheme="won")),
-            ("6", _params(vc_scheme="perhop")),
-        ],
+        ["ugal-g"],
+        scale,
+        settings=[("4", {"vc_scheme": "won"}), ("6", {"vc_scheme": "perhop"})],
     )
 
 
-def adv_discovered() -> FigureResult:
+def adv_discovered(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     """Beyond-the-paper arm: a *searched* adversary on dfly(4,8,4,9).
 
     Runs a small ``repro.adversary`` hill climb per seed (seeded by the
@@ -583,10 +536,11 @@ def adv_discovered() -> FigureResult:
         factory,
         ADV_LOADS,
         ["ugal-l", "par"],
+        scale,
     )
 
 
-FIGURES: Dict[str, Callable[[], FigureResult]] = {
+FIGURES: Dict[str, Callable[[Scale], FigureResult]] = {
     "table1": table1,
     "table2": table2,
     "table3": table3,
@@ -609,12 +563,12 @@ FIGURES: Dict[str, Callable[[], FigureResult]] = {
 }
 
 
-def run_figure(name: str) -> FigureResult:
-    """Run one experiment by id (e.g. ``fig06`` or ``table2``)."""
+def run_figure(name: str, scale: Scale = DEFAULT_SCALE) -> FigureResult:
+    """Run one experiment by id (e.g. ``fig06`` or ``table2``) at ``scale``."""
     try:
         runner = FIGURES[name]
     except KeyError:
         raise ValueError(
             f"unknown figure {name!r}; choose from {sorted(FIGURES)}"
         ) from None
-    return runner()
+    return runner(scale)

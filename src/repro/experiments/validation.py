@@ -15,9 +15,9 @@ maximum-size balanced dragonfly (one global link per group pair, a=2p=2h):
 
 from __future__ import annotations
 
-import os
 from typing import Dict
 
+from repro.experiments.figures import DEFAULT_SCALE, Scale
 from repro.experiments.report import FigureResult, render_table
 from repro.model.bounds import min_only_shift_bound
 from repro.sim import SimParams, latency_vs_load
@@ -27,15 +27,10 @@ from repro.traffic import Shift, UniformRandom
 __all__ = ["validate_uniform", "validate_adversarial"]
 
 
-def _params() -> SimParams:
-    return SimParams(
-        window_cycles=int(os.environ.get("REPRO_WINDOW", "300"))
-    )
-
-
-def _run(topo, pattern, loads, routing) -> Dict:
+def _run(topo, pattern, loads, routing, scale: Scale) -> Dict:
     sweep = latency_vs_load(
-        topo, pattern, loads, routing=routing, params=_params(), seed=3
+        topo, pattern, loads, routing=routing,
+        params=SimParams(window_cycles=scale.window), seed=3,
     )
     first = sweep.results[0]
     return {
@@ -44,7 +39,9 @@ def _run(topo, pattern, loads, routing) -> Dict:
     }
 
 
-def validate_uniform(topo: Dragonfly = None) -> FigureResult:
+def validate_uniform(
+    topo: Dragonfly = None, scale: Scale = DEFAULT_SCALE
+) -> FigureResult:
     """MIN / VLB / UGAL-L under uniform random traffic (Kim et al. Fig 7)."""
     topo = topo or Dragonfly(2, 4, 2, 9)
     pattern = UniformRandom(topo)
@@ -52,7 +49,7 @@ def validate_uniform(topo: Dragonfly = None) -> FigureResult:
     rows = []
     data = {}
     for routing in ("min", "ugal-l", "vlb"):
-        res = _run(topo, pattern, loads, routing)
+        res = _run(topo, pattern, loads, routing, scale)
         rows.append([routing.upper(), res["low_load_latency"],
                      res["saturation"]])
         data[routing] = res
@@ -64,7 +61,9 @@ def validate_uniform(topo: Dragonfly = None) -> FigureResult:
     )
 
 
-def validate_adversarial(topo: Dragonfly = None) -> FigureResult:
+def validate_adversarial(
+    topo: Dragonfly = None, scale: Scale = DEFAULT_SCALE
+) -> FigureResult:
     """MIN / VLB / UGAL-L under adversarial shift (Kim et al. Fig 8)."""
     topo = topo or Dragonfly(2, 4, 2, 9)
     pattern = Shift(topo, 1, 0)
@@ -72,7 +71,7 @@ def validate_adversarial(topo: Dragonfly = None) -> FigureResult:
     rows = []
     data = {"min_bound": min_only_shift_bound(topo)}
     for routing in ("min", "ugal-l", "vlb"):
-        res = _run(topo, pattern, loads, routing)
+        res = _run(topo, pattern, loads, routing, scale)
         rows.append([routing.upper(), res["low_load_latency"],
                      res["saturation"]])
         data[routing] = res

@@ -107,7 +107,9 @@ def default_jobs() -> int:
         try:
             return min(cap, max(1, int(env)))
         except ValueError:
-            pass
+            _log.warning(
+                "ignoring REPRO_JOBS=%r: not an integer; using 1 job", env
+            )
     return 1
 
 

@@ -114,10 +114,10 @@ def replicate(
     if executor is not None:
         results: List[SimResult] = executor.run(tasks)
     else:
-        # transient in-process executor: no pool, no cache, but the runs
-        # route through the BatchPlanner, so compatible seeds advance in
-        # one batched engine (bit-identical to the per-seed simulate()
-        # loop this path used to be)
+        # transient in-process executor: no pool, no cache; the runs go
+        # through the BatchPlanner, which groups only MIN runs into one
+        # unit, and a unit runs its members one after another
+        # (bit-identical to a per-seed simulate() loop)
         with SweepExecutor(jobs=1) as transient:
             results = transient.run(tasks)
     finite = [r for r in results if np.isfinite(r.avg_latency)]

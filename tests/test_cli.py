@@ -134,8 +134,40 @@ class TestCommands:
         assert "9126" in out
 
     def test_figure_unknown(self):
-        with pytest.raises(ValueError):
+        # a usage message, not a traceback
+        with pytest.raises(SystemExit, match="unknown figure 'fig99'"):
             main(["figure", "fig99"])
+
+    def test_figure_scale_flags(self, monkeypatch):
+        from repro import experiments
+        from repro.experiments import DEFAULT_SCALE, Scale
+
+        got = []
+
+        def run_figure(name, scale):
+            got.append(scale)
+            return experiments.FIGURES["table1"](scale)
+
+        # the flags' defaults are DEFAULT_SCALE, and each sets its field
+        monkeypatch.setattr(experiments, "run_figure", run_figure)
+        assert main(["figure", "table3"]) == 0
+        assert main([
+            "figure", "fig13", "--window", "200", "--window-large", "60",
+            "--seeds", "8", "--large-loads", "0.05,0.15",
+        ]) == 0
+        assert got == [
+            DEFAULT_SCALE,
+            Scale(window=200, window_large=60, seeds=8,
+                  large_loads=(0.05, 0.15)),
+        ]
+
+    def test_figure_table3_window(self, capsys):
+        assert main(["figure", "table3", "--window", "200"]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("window cycles (bench)")
+        )
+        assert row.split()[-1] == "200"
 
 
 class TestVerifyCommand:

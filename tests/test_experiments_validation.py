@@ -2,13 +2,11 @@
 
 import pytest
 
+from repro.experiments import Scale
 from repro.experiments.validation import validate_adversarial, validate_uniform
 from repro.topology import Dragonfly
 
-
-@pytest.fixture(autouse=True)
-def tiny(monkeypatch):
-    monkeypatch.setenv("REPRO_WINDOW", "60")
+TINY = Scale(window=60)
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +17,7 @@ def topo():
 @pytest.mark.slow
 class TestValidationRunners:
     def test_uniform_structure(self, topo):
-        result = validate_uniform(topo)
+        result = validate_uniform(topo, TINY)
         assert set(result.data) == {"min", "ugal-l", "vlb"}
         for row in result.data.values():
             assert row["saturation"] >= 0.0
@@ -30,7 +28,7 @@ class TestValidationRunners:
         )
 
     def test_adversarial_structure(self, topo):
-        result = validate_adversarial(topo)
+        result = validate_adversarial(topo, TINY)
         assert result.data["min_bound"] == pytest.approx(
             topo.links_per_group_pair / (topo.a * topo.p)
         )

@@ -124,6 +124,16 @@ def test_default_jobs_env(monkeypatch):
     assert default_jobs() == 1
 
 
+def test_default_jobs_reports_a_malformed_env(monkeypatch, caplog):
+    # a typo in $REPRO_JOBS must not silently turn a sweep serial
+    monkeypatch.setenv("REPRO_JOBS", "two")
+    with caplog.at_level("WARNING", logger="repro.perf.executor"):
+        assert default_jobs() == 1
+    [record] = caplog.records
+    assert record.levelname == "WARNING"
+    assert "REPRO_JOBS='two'" in record.getMessage()
+
+
 def test_describe_smoke():
     with SweepExecutor(jobs=1) as executor:
         executor.run(_tasks(loads=[0.1]))
