@@ -125,6 +125,16 @@ def parse_loads(spec: str) -> List[float]:
         )
 
 
+def _sim_params(**fields):
+    """``SimParams(**fields)``; a value it rejects exits with its message."""
+    from repro.sim import SimParams
+
+    try:
+        return SimParams(**fields)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _make_executor(args, progress=None):
     """A SweepExecutor from common --jobs/--cache/--cache-dir flags.
 
@@ -230,7 +240,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    from repro.sim import SimParams, simulate
+    from repro.sim import simulate
 
     topo = parse_topology(args.topology, args.arrangement)
     pattern = parse_pattern(topo, args.pattern)
@@ -240,7 +250,7 @@ def _cmd_sim(args) -> int:
         if routing.startswith("t-") or args.policy
         else None
     )
-    params = SimParams(window_cycles=args.window, verify=args.verify)
+    params = _sim_params(window_cycles=args.window, verify=args.verify)
     res = simulate(
         topo,
         pattern,
@@ -270,7 +280,6 @@ def _cmd_sweep(args) -> int:
         capture,
         render_summary,
     )
-    from repro.sim import SimParams
     from repro.sim.sweep import latency_vs_load
 
     topo = parse_topology(args.topology, args.arrangement)
@@ -282,7 +291,7 @@ def _cmd_sweep(args) -> int:
         else None
     )
     loads = parse_loads(args.loads)
-    params = SimParams(window_cycles=args.window, verify=args.verify)
+    params = _sim_params(window_cycles=args.window, verify=args.verify)
     if args.sample_every or args.trace_dir:
         # identity-neutral: traced points still share cache entries with
         # untraced runs of the same spec.  A traced run also keeps the
@@ -370,13 +379,12 @@ def _cmd_adversary(args) -> int:
 def _cmd_tvlb(args) -> int:
     from repro.core import compute_tvlb
     from repro.spec import save_policy
-    from repro.sim import SimParams
 
     topo = parse_topology(args.topology, args.arrangement)
     with _make_executor(args) as executor:
         res = compute_tvlb(
             topo,
-            sim_params=SimParams(window_cycles=args.window),
+            sim_params=_sim_params(window_cycles=args.window),
             seed=args.seed,
             executor=executor,
         )
@@ -514,8 +522,11 @@ def _cmd_figure(args) -> int:
     if args.name not in FIGURES:
         raise SystemExit(f"repro figure: unknown figure {args.name!r}; "
                          f"choose from {', '.join(sorted(FIGURES))}")
-    scale = Scale(args.window, args.window_large, args.seeds,
-                  tuple(args.large_loads))
+    try:
+        scale = Scale(args.window, args.window_large, args.seeds,
+                      tuple(args.large_loads))
+    except ValueError as exc:
+        raise SystemExit(f"repro figure: {exc}") from None
     result = run_figure(args.name, scale)
     print(result)
     if args.json:

@@ -71,6 +71,12 @@ class Scale:
     seeds: int = 1
     large_loads: Tuple[float, ...] = (0.05, 0.15, 0.3)
 
+    def __post_init__(self) -> None:
+        if min(self.window, self.window_large, self.seeds) < 1:
+            raise ValueError("window, window_large and seeds must be >= 1")
+        if not self.large_loads or not all(0 < x <= 1 for x in self.large_loads):
+            raise ValueError("large_loads must be non-empty loads in (0, 1]")
+
 
 DEFAULT_SCALE = Scale()
 

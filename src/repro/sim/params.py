@@ -78,6 +78,10 @@ class SimParams:
             raise ValueError("candidate counts must be >= 1")
         if self.packet_size < 1:
             raise ValueError("packet_size must be >= 1")
+        if min(self.window_cycles, self.measure_windows, self.warmup_windows + 1) < 1:
+            raise ValueError(
+                "window_cycles and measure_windows must be >= 1, warmup_windows >= 0"
+            )
         if self.packet_size > self.buffer_size:
             raise ValueError(
                 "packet_size cannot exceed buffer_size (virtual cut-through "

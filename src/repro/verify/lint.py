@@ -1,55 +1,51 @@
 """Path-set linter: structural invariants a routed configuration must hold.
 
-Each rule inspects a sampled set of switch pairs (MIN paths plus the
-policy's VLB paths) and yields structured :class:`Finding` records -- rule
-id, severity, location, message -- instead of raising, so one run reports
-every violation at once.  Rules are registered in :data:`LINT_RULES` and
-individually toggleable via the ``rules`` argument of
-:func:`lint_pathset`.
+Each rule yields structured :class:`Finding` records -- rule id,
+severity, location, message -- instead of raising, so one run reports
+every violation at once; rules are registered in :data:`LINT_RULES` and
+selected with the ``rules`` argument of :func:`lint_pathset`.
 
-Rules (severity in parentheses):
+Lint reads the tables the simulator samples from and the CDG certifies,
+and builds no path.  A sampled pair's MIN candidates are its rows of
+:meth:`RouteTable.min_slots() <repro.routing.table.RouteTable.min_slots>`,
+its VLB candidates every ``(mid, slot1, slot2)`` the table offers (two
+MIN slots back to back), which the policy *admits* by ``program_mask``
+-- or by ``contains`` without a program.  The *routed slots* are the
+pairs' own MIN slots and both legs of every candidate.
 
-* ``hop-validity`` (error): every hop of every path is a real channel of
-  the topology, and VLB descriptors materialize without raising.
-* ``slot-range`` (error): global-link slot indices stay within the group
-  pair's link table (``topo.links_between_groups``) and match the actual
-  link endpoints at that slot.
-* ``min-minimality`` (error): MIN paths really are shortest -- hop counts
-  equal BFS distances on the switch graph.
-* ``hop-class`` (error): the VLB taxonomy holds -- descriptor hop counts
-  lie in ``[2, max_vlb_hops]``, materialized paths have exactly two global
-  hops and the predicted length, and every descriptor the policy
-  *enumerates* is also one it *contains* (the LP model and the simulator
-  assume this consistency).
-* ``vc-overflow`` (error): every path -- and, under PAR, every revised
-  fragment -- fits in the configured VC count per ``assign_vcs``.
+* ``hop-validity`` (error): routed slots chain from their pair's source
+  to its destination; every descriptor the policy lists names a candidate.
+* ``slot-range`` (error): a global hop's slot indexes its group pair's
+  links and that link joins the hop's switches; so do listed descriptors.
+* ``min-minimality`` (error): a routed slot takes one global hop between
+  groups, none inside one, and local runs as long as the intra-group
+  distance (a BFS over the local channels).
+* ``hop-class`` (error): an admitted candidate has ``[2, max_vlb_hops]``
+  hops, two of them global; every listed descriptor is admitted, and the
+  program agrees with ``contains`` (as the LP model and simulator assume).
+* ``vc-overflow`` (error): every MIN slot and admitted candidate -- and,
+  under PAR, every revised fragment -- fits in the configured VC count,
+  per ``table.ladders`` (:func:`~repro.sim.vc.assign_vcs` of its shape).
 * ``balance`` (warning): the load-balance ratios of ``core/balance.py``
   stay under the adjustment factor (3.0) -- a hotter channel would have
   been removed by Algorithm 1's balance step.
-* ``vlb-reachability`` (warning): no sampled pair is left without any VLB
-  candidate by the policy while the topology offers some.
+* ``vlb-reachability`` (warning): no sampled pair with candidates is left
+  without an admitted one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.balance import global_usage_probability, pair_usage_probability
-from repro.routing.minimal import min_paths
-from repro.routing.paths import LOCAL_SLOT, Channel, Path
-from repro.routing.pathset import AllVlbPolicy, PathPolicy
-from repro.routing.table import route_table
-from repro.routing.vlb import (
-    VlbDescriptor,
-    count_vlb_paths,
-    max_vlb_hops,
-    vlb_hops,
-    vlb_path,
-)
-from repro.sim.vc import assign_vcs
+from repro.routing.paths import LOCAL_SLOT, Channel
+from repro.routing.pathset import AllVlbPolicy, PathPolicy, policy_program, program_mask
+from repro.routing.table import RouteTable, route_table
+from repro.routing.vlb import VlbDescriptor, max_vlb_hops
 from repro.topology.dragonfly import Dragonfly
 
 __all__ = ["Finding", "LINT_RULES", "lint_pathset"]
@@ -57,6 +53,8 @@ __all__ = ["Finding", "LINT_RULES", "lint_pathset"]
 BALANCE_FACTOR = 3.0  # mirrors core.balance.balance_adjust defaults
 # the pairs the global ratio averages over: the first 8 checked pairs
 _BALANCE_MAX_PAIRS = 8
+# candidates per pair the Python ``contains`` pass reads
+_CONTAINS_ROWS = 200
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,76 @@ class Finding:
         return f"[{self.severity}] {self.rule} @ {self.location}: {self.message}"
 
 
-def _loc(src: int, dst: int, desc: Optional[VlbDescriptor] = None) -> str:
+def _loc(src: int, dst: int, desc: Optional[Sequence[int]] = None) -> str:
     base = f"pair ({src}->{dst})"
     if desc is None:
         return base
-    return f"{base} desc (mid={desc.mid},{desc.slot1},{desc.slot2})"
+    mid, slot1, slot2 = desc
+    return f"{base} desc (mid={mid},{slot1},{slot2})"
+
+
+def _expand(count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` repeated ``count[i]`` times, and each copy's rank."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+
+
+class _Candidates(NamedTuple):
+    """The sampled pairs' VLB candidates, group-major per pair."""
+
+    pair: np.ndarray  # index into the sampled pairs
+    src: np.ndarray
+    dst: np.ndarray
+    mid: np.ndarray
+    slot1: np.ndarray
+    slot2: np.ndarray
+    leg1: np.ndarray  # MIN slot src -> mid
+    leg2: np.ndarray  # MIN slot mid -> dst
+
+    def desc(self, row: int) -> VlbDescriptor:
+        return VlbDescriptor(*(int(x[row]) for x in (self.mid, self.slot1, self.slot2)))
+
+    def loc(self, row: int) -> str:
+        return _loc(self.src[row], self.dst[row], self.desc(row))
+
+
+def _candidates(table: RouteTable, src: np.ndarray, dst: np.ndarray) -> _Candidates:
+    """Every ``(mid, slot1, slot2)`` the table offers pair ``(src[i],
+    dst[i])``: a mid outside both end groups and a slot of each MIN leg."""
+    slots, image, n = table.min_slots(), table.vlb_image(), table.nsw
+    group = image.switch_group
+    mids = image.switches.reshape(-1).astype(np.int64)
+    pair, at = np.nonzero(
+        (group[mids] != group[src][:, None]) & (group[mids] != group[dst][:, None])
+    )
+    mid = mids[at]
+    into, out = src[pair] * n + mid, mid * n + dst[pair]
+    row, rank = _expand(slots.k[into] * slots.k[out])
+    slot1, slot2 = np.divmod(rank, slots.k[out][row])
+    return _Candidates(
+        pair[row], src[pair][row], dst[pair][row], mid[row], slot1, slot2,
+        slots.first[into][row] + slot1, slots.first[out][row] + slot2,
+    )
+
+
+def _spread(group: np.ndarray, limit: int) -> np.ndarray:
+    """``limit`` of a pair's candidate rows (``group``: their mid groups,
+    ascending): every group's first row, the rest evenly spaced."""
+    if len(group) <= limit:
+        return np.arange(len(group))
+    starts = np.flatnonzero(np.diff(group, prepend=-1))[:limit]
+    rest = np.setdiff1d(np.arange(len(group)), starts)
+    fill = np.linspace(0, len(rest) - 1, limit - len(starts)).astype(np.int64)
+    return np.union1d(starts, rest[fill])
+
+
+def _overflow(ladders: Dict[str, List[int]], shape: str) -> Optional[str]:
+    """``assign_vcs``'s overflow message for ``shape``, if it has one."""
+    try:
+        ladders[shape]
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass
@@ -89,343 +152,273 @@ class _LintContext:
     routing: str
     num_vcs: int
     pairs: List[Tuple[int, int]]
-    max_descriptors: Optional[int]
-    _desc_cache: Dict[Tuple[int, int], List[VlbDescriptor]] = field(
-        default_factory=dict, repr=False
-    )
-    _path_cache: Dict[
-        Tuple[int, int],
-        List[Tuple[VlbDescriptor, Optional[Path], Optional[Exception]]],
-    ] = field(default_factory=dict, repr=False)
 
-    def descriptors(self, src: int, dst: int) -> List[VlbDescriptor]:
-        """The pair's policy descriptors, capped at ``max_descriptors``."""
-        key = (src, dst)
-        cached = self._desc_cache.get(key)
-        if cached is None:
-            cached = []
-            for desc in self.policy.iter_descriptors(self.topo, src, dst):
-                cached.append(desc)
-                if (
-                    self.max_descriptors is not None
-                    and len(cached) >= self.max_descriptors
-                ):
-                    break
-            self._desc_cache[key] = cached
-        return cached
+    def __post_init__(self) -> None:
+        self.table = route_table(self.topo)
+        self.slots = self.table.min_slots()
+        self.group = self.table.vlb_image().switch_group
+        # (src, dst, slot) per channel index
+        self.keys = np.array(self.table.channel_keys, np.int64).reshape(-1, 3)
+        self.src, self.dst = np.array(self.pairs, np.int64).reshape(-1, 2).T
+        self.candidates = _candidates(self.table, self.src, self.dst)
+        # the pairs' own MIN slots, as (pair index, slot)
+        at = self.src * self.table.nsw + self.dst
+        pair, rank = _expand(self.slots.k[at])
+        self.own_slots = pair, self.slots.first[at][pair] + rank
+        self.program = policy_program(self.policy, self.table)
+        self.admitted = self.admits(*self.candidates[1:6])
 
-    def vlb_paths(
-        self, src: int, dst: int
-    ) -> List[Tuple[VlbDescriptor, Optional[Path], Optional[Exception]]]:
-        """Materialized (descriptor, path, error) triples for a pair."""
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            cached = []
-            for desc in self.descriptors(src, dst):
-                try:
-                    cached.append((desc, vlb_path(self.topo, src, dst, desc), None))
-                except (ValueError, IndexError) as exc:
-                    cached.append((desc, None, exc))
-            self._path_cache[key] = cached
-        return cached
+    def contains(self, *columns: np.ndarray) -> np.ndarray:
+        """``policy.contains`` of candidates ``(src, dst, mid, slot1, slot2)``."""
+        contains, topo = self.policy.contains, self.topo
+        rows = zip(*(column.tolist() for column in columns))
+        said = [contains(topo, s, d, VlbDescriptor(*m)) for s, d, *m in rows]
+        return np.array(said, bool)
 
-    @property
-    def par(self) -> bool:
-        return self.routing in ("par", "t-par")
+    def admits(self, *columns: np.ndarray) -> np.ndarray:
+        if self.program is None:
+            return self.contains(*columns)
+        return program_mask(self.program, self.table, *columns)
 
-    def fragment_pair(self, src: int, dst: int) -> bool:
-        """Can (src, dst) be the (revision switch, dst) of a PAR re-route?"""
-        return self.topo.group_of(src) != self.topo.group_of(dst) or (
-            self.topo.max_local_hops > 1
-        )
+    @cached_property
+    def routed(self) -> Tuple[np.ndarray, ...]:
+        """Every routed slot once: the pair it routes (``src``, ``dst``)
+        and its hops' channels (``chans``, valid where ``on``)."""
+        (pair, own), c = self.own_slots, self.candidates
+        ids, first = np.unique(np.concatenate([own, c.leg1, c.leg2]), return_index=True)
+        hops = self.slots.hops[ids]
+        on = np.arange(int(hops.max(initial=1))) < hops[:, None]
+        at = np.where(on, self.slots.rel[ids][:, None] + np.arange(on.shape[1]), 0)
+        src = np.concatenate([self.src[pair], c.src, c.mid])[first]
+        dst = np.concatenate([self.dst[pair], c.mid, c.dst])[first]
+        return src, dst, np.where(on, self.slots.chan[at], -1), on
 
+    def misnamed(self, s: int, d: int, desc: VlbDescriptor) -> List[Finding]:
+        """Why ``desc`` names no candidate of ``(s, d)`` (empty if it does)."""
+        group, n, loc = self.table.group, self.table.nsw, _loc(s, d, desc)
+        found = []
+        if 0 <= desc.mid < n and group[desc.mid] not in (group[s], group[d]):
+            for slot, a, b in ((desc.slot1, s, desc.mid), (desc.slot2, desc.mid, d)):
+                links = self.slots.k[a * n + b]
+                if not 0 <= slot < links:
+                    found.append(Finding(
+                        "slot-range", "error", loc, f"slot {slot} out of range for "
+                        f"groups {group[a]}<->{group[b]} ({links} links)",
+                    ))
+            if not found:
+                return found
+        try:
+            self.table.vlb_legs(s, d, desc)
+        except ValueError as exc:
+            found.append(Finding("hop-validity", "error", loc, str(exc)))
+        except IndexError as exc:
+            past = "descriptor slot indexes past the group pair's links"
+            found.append(Finding(
+                "slot-range", "error", loc, past if 0 <= desc.mid < n else str(exc)
+            ))
+        return found
 
-RuleFn = Callable[[_LintContext], Iterator[Finding]]
+    @cached_property
+    def policy_findings(self) -> List[Finding]:
+        """Every descriptor ``iter_descriptors`` lists names a candidate
+        and is admitted (the inherited one lists what ``contains`` admits,
+        so it is not walked); a program agrees with ``contains``."""
+        policy, topo = self.policy, self.topo
+        found: List[Finding] = []
+        named = []
+        if type(policy).iter_descriptors is not PathPolicy.iter_descriptors:
+            for s, d in self.pairs:
+                for desc in policy.iter_descriptors(topo, s, d):
+                    wrong = self.misnamed(s, d, VlbDescriptor(*desc))
+                    found += wrong
+                    if not wrong:
+                        named.append((s, d, *desc))
+        columns = np.array(named, np.int64).reshape(-1, 5).T
+        for (s, d, *desc), ok in zip(named, self.admits(*columns)):
+            if not ok:
+                found.append(Finding(
+                    "hop-class", "error", _loc(s, d, desc),
+                    "policy enumerates a descriptor its own contains() rejects",
+                ))
+        if self.program is None:
+            return found
+        c = self.candidates
+        starts = np.searchsorted(c.pair, np.arange(len(self.pairs) + 1))
+        rows = np.concatenate([
+            lo + _spread(self.group[c.mid[lo:hi]], _CONTAINS_ROWS)
+            for lo, hi in zip(starts[:-1], starts[1:])
+        ])
+        said = self.contains(*(column[rows] for column in c[1:6]))
+        for r in rows[said != self.admitted[rows]].tolist():
+            admitted = bool(self.admitted[r])
+            found.append(Finding(
+                "hop-class", "error", c.loc(r), "the compiled membership program "
+                f"{'admits' if admitted else 'rejects'} a candidate contains() "
+                f"{'rejects' if admitted else 'admits'}",
+            ))
+        return found
 
 
 def _rule_hop_validity(ctx: _LintContext) -> Iterator[Finding]:
-    for src, dst in ctx.pairs:
-        for p in min_paths(ctx.topo, src, dst):
-            try:
-                p.validate(ctx.topo)
-            except ValueError as exc:
-                yield Finding("hop-validity", "error", _loc(src, dst), str(exc))
-        for desc, p, exc in ctx.vlb_paths(src, dst):
-            if exc is not None and isinstance(exc, ValueError):
-                yield Finding(
-                    "hop-validity", "error", _loc(src, dst, desc), str(exc)
-                )
-                continue
-            if p is None:
-                continue
-            try:
-                p.validate(ctx.topo)
-            except ValueError as e:
-                yield Finding(
-                    "hop-validity", "error", _loc(src, dst, desc), str(e)
-                )
-            else:
-                if p.src != src or p.dst != dst:
-                    yield Finding(
-                        "hop-validity",
-                        "error",
-                        _loc(src, dst, desc),
-                        f"path runs {p.src}->{p.dst}, not {src}->{dst}",
-                    )
+    src, dst, chans, on = ctx.routed
+    begin, end = ctx.keys[chans, 0], ctx.keys[chans, 1]
+    # hop j leaves where hop j-1 arrived (hop 0: the source), and the
+    # last hop arrives at the destination
+    arrived = np.column_stack([src, end[:, :-1]])
+    last = end[np.arange(len(end)), on.sum(axis=1) - 1]
+    for i in np.flatnonzero((on & (begin != arrived)).any(axis=1) | (last != dst)):
+        walk = "->".join(map(str, [begin[i, 0], *end[i, on[i]]]))
+        yield Finding("hop-validity", "error", _loc(src[i], dst[i]), "runs " + walk)
+    yield from (f for f in ctx.policy_findings if f.rule == "hop-validity")
 
 
 def _rule_slot_range(ctx: _LintContext) -> Iterator[Finding]:
-    topo = ctx.topo
-    for src, dst in ctx.pairs:
-        gs, gd = topo.group_of(src), topo.group_of(dst)
-        for desc, p, exc in ctx.vlb_paths(src, dst):
-            gm = topo.group_of(desc.mid)
-            if gm != gs and gm != gd:
-                for slot, ga, gb in (
-                    (desc.slot1, gs, gm),
-                    (desc.slot2, gm, gd),
-                ):
-                    n = len(topo.links_between_groups(ga, gb))
-                    if not 0 <= slot < n:
-                        yield Finding(
-                            "slot-range",
-                            "error",
-                            _loc(src, dst, desc),
-                            f"slot {slot} out of range for groups "
-                            f"{ga}<->{gb} ({n} links)",
-                        )
-            if isinstance(exc, IndexError):
-                yield Finding(
-                    "slot-range",
-                    "error",
-                    _loc(src, dst, desc),
-                    "descriptor slot indexes past the group pair's links",
-                )
-            if p is None:
-                continue
-            for ch in p.channels():
-                if ch.slot == LOCAL_SLOT:
-                    continue
-                links = topo.links_between_groups(
-                    topo.group_of(ch.src), topo.group_of(ch.dst)
-                )
-                if not 0 <= ch.slot < len(links):
-                    yield Finding(
-                        "slot-range",
-                        "error",
-                        _loc(src, dst, desc),
-                        f"{ch}: slot outside the {len(links)}-link table",
-                    )
-                elif {links[ch.slot].switch_a, links[ch.slot].switch_b} != {
-                    ch.src,
-                    ch.dst,
-                }:
-                    yield Finding(
-                        "slot-range",
-                        "error",
-                        _loc(src, dst, desc),
-                        f"{ch}: slot {ch.slot} joins different switches",
-                    )
+    src, dst, chans, on = ctx.routed
+    used, group = np.unique(chans[on]), ctx.table.group
+    wrong: Dict[int, str] = {}
+    for index in used[ctx.keys[used, 2] != LOCAL_SLOT].tolist():
+        ch = Channel(*ctx.keys[index].tolist())
+        links = ctx.topo.links_between_groups(group[ch.src], group[ch.dst])
+        if not 0 <= ch.slot < len(links):
+            wrong[index] = f"{ch}: slot outside the {len(links)}-link table"
+        elif {links[ch.slot].switch_a, links[ch.slot].switch_b} != {ch.src, ch.dst}:
+            wrong[index] = f"{ch}: slot {ch.slot} joins different switches"
+    for i, hop in zip(*np.nonzero(on & np.isin(chans, list(wrong)))):
+        message = wrong[int(chans[i, hop])]
+        yield Finding("slot-range", "error", _loc(src[i], dst[i]), message)
+    yield from (f for f in ctx.policy_findings if f.rule == "slot-range")
+
+
+def _local_distance(ctx: _LintContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Intra-group hop distance from switches ``x`` to ``y`` (``-1``: no
+    local route), by a BFS of every group at once over local channels."""
+    members = ctx.table.vlb_image().switches.astype(np.int64)
+    g, a = members.shape
+    position, group = np.zeros(ctx.table.nsw, np.int64), ctx.group
+    position[members] = np.arange(a)
+    u, v, slot = ctx.keys.T
+    local = (slot == LOCAL_SLOT) & (group[u] == group[v])
+    step = np.zeros((g, a, a), np.int64)
+    step[group[u[local]], position[u[local]], position[v[local]]] = 1
+    reached = np.broadcast_to(np.eye(a, dtype=bool), (g, a, a)).copy()
+    dist = np.where(reached, 0, -1)
+    for hops in range(1, a):
+        frontier = ((reached.astype(np.int64) @ step) > 0) & ~reached
+        dist[frontier] = hops
+        reached |= frontier
+    return np.where(group[x] == group[y], dist[group[x], position[x], position[y]], -1)
 
 
 def _rule_min_minimality(ctx: _LintContext) -> Iterator[Finding]:
     # A dragonfly MIN path is one canonical route *per direct global link*
-    # (not the graph-wide shortest), so the checkable invariants are: the
-    # path takes exactly one global hop between distinct groups (zero
-    # within a group), and every local segment is a shortest route of the
-    # intra-group subgraph (BFS over local links as ground truth).
-    import networkx as nx
-
-    topo = ctx.topo
-    local = nx.Graph()
-    local.add_nodes_from(range(topo.num_switches))
-    for u in range(topo.num_switches):
-        for v in topo.local_neighbors(u):
-            if u < v:
-                local.add_edge(u, v)
-    bfs_cache: Dict[int, Dict[int, int]] = {}
-
-    def local_distance(u: int, v: int) -> Optional[int]:
-        dists = bfs_cache.get(u)
-        if dists is None:
-            dists = nx.single_source_shortest_path_length(local, u)
-            bfs_cache[u] = dists
-        return dists.get(v)
-
-    for src, dst in ctx.pairs:
-        expected_globals = (
-            0 if topo.group_of(src) == topo.group_of(dst) else 1
+    # (not the graph-wide shortest): it takes exactly one global hop
+    # between distinct groups (none within a group), and the local runs
+    # around it are shortest routes of the intra-group subgraph.
+    src, dst, chans, on = ctx.routed
+    crossing = on & (ctx.keys[chans, 2] != LOCAL_SLOT)
+    taken = crossing.sum(axis=1)
+    expected = (ctx.group[src] != ctx.group[dst]).astype(np.int64)
+    for i in np.flatnonzero(taken != expected):
+        yield Finding(
+            "min-minimality", "error", _loc(src[i], dst[i]),
+            f"MIN path takes {taken[i]} global hops, expected {expected[i]}",
         )
-        for p in min_paths(topo, src, dst):
-            if p.num_global_hops != expected_globals:
-                yield Finding(
-                    "min-minimality",
-                    "error",
-                    _loc(src, dst),
-                    f"MIN path takes {p.num_global_hops} global hops, "
-                    f"expected {expected_globals}",
-                )
-            # maximal runs of consecutive local hops
-            run_start, run_len = p.switches[0], 0
-            segments = []
-            for i, slot in enumerate(p.slots):
-                if slot == LOCAL_SLOT:
-                    run_len += 1
-                else:
-                    if run_len:
-                        segments.append((run_start, p.switches[i], run_len))
-                    run_start, run_len = p.switches[i + 1], 0
-            if run_len:
-                segments.append((run_start, p.switches[-1], run_len))
-            for u, v, hops in segments:
-                dist = local_distance(u, v)
-                if dist is None:
-                    yield Finding(
-                        "min-minimality",
-                        "error",
-                        _loc(src, dst),
-                        f"local segment {u}->{v} crosses disconnected "
-                        f"switches",
-                    )
-                elif hops != dist:
-                    yield Finding(
-                        "min-minimality",
-                        "error",
-                        _loc(src, dst),
-                        f"local segment {u}->{v} takes {hops} hops, "
-                        f"intra-group distance is {dist}",
-                    )
+    # every slot's local runs before and after its global hop (inside a
+    # group: the whole path, then an empty run), all heads then all tails
+    hops = on.sum(axis=1)
+    cross = np.where(taken > 0, crossing.argmax(axis=1), hops)
+    link = chans[np.arange(len(chans)), np.minimum(cross, hops - 1)]
+    near, far = (np.where(taken > 0, ctx.keys[link, end], dst) for end in (0, 1))
+    u, v = np.concatenate([src, far]), np.concatenate([near, dst])
+    length = np.concatenate([cross, np.maximum(hops - cross - 1, 0)])
+    dist = _local_distance(ctx, u, v)
+    for i in np.flatnonzero((dist != length) & np.tile(taken <= 1, 2)):
+        s, d = src[i % len(src)], dst[i % len(src)]
+        yield Finding(
+            "min-minimality", "error", _loc(s, d),
+            f"local segment {u[i]}->{v[i]} takes {length[i]} hops, intra-group "
+            f"distance is {dist[i] if dist[i] >= 0 else 'none (disconnected)'}",
+        )
 
 
 def _rule_hop_class(ctx: _LintContext) -> Iterator[Finding]:
-    topo = ctx.topo
-    cap = max_vlb_hops(topo)
-    for src, dst in ctx.pairs:
-        for desc, p, _exc in ctx.vlb_paths(src, dst):
-            if not ctx.policy.contains(topo, src, dst, desc):
-                yield Finding(
-                    "hop-class",
-                    "error",
-                    _loc(src, dst, desc),
-                    "policy enumerates a descriptor its own contains() "
-                    "rejects",
-                )
-            if p is None:
-                continue
-            hops = vlb_hops(topo, src, dst, desc)
-            if not 2 <= hops <= cap:
-                yield Finding(
-                    "hop-class",
-                    "error",
-                    _loc(src, dst, desc),
-                    f"VLB path has {hops} hops, outside [2, {cap}]",
-                )
-            if p.num_global_hops != 2:
-                yield Finding(
-                    "hop-class",
-                    "error",
-                    _loc(src, dst, desc),
-                    f"VLB path takes {p.num_global_hops} global hops, "
-                    f"expected exactly 2",
-                )
-            if p.num_hops != hops:
-                yield Finding(
-                    "hop-class",
-                    "error",
-                    _loc(src, dst, desc),
-                    f"materialized path has {p.num_hops} hops but the "
-                    f"descriptor taxonomy predicts {hops}",
-                )
+    c, slots, cap = ctx.candidates, ctx.slots, max_vlb_hops(ctx.topo)
+    globals_of = np.array([shape.count("g") for shape in slots.shapes])
+    rows = np.flatnonzero(ctx.admitted)
+    legs = c.leg1[rows], c.leg2[rows]
+    hops = sum(slots.hops[leg] for leg in legs)
+    taken = sum(globals_of[slots.shape[leg]] for leg in legs)
+    odd = (hops < 2) | (hops > cap) | (taken != 2)
+    for r, n, g in zip(rows[odd], hops[odd], taken[odd]):
+        yield Finding(
+            "hop-class", "error", c.loc(r), f"VLB path has {n} hops, {g} of them "
+            f"global; a VLB path has [2, {cap}] hops, exactly 2 of them global",
+        )
+    yield from (f for f in ctx.policy_findings if f.rule == "hop-class")
 
 
 def _rule_vc_overflow(ctx: _LintContext) -> Iterator[Finding]:
     if ctx.scheme == "none":
         return
-    for src, dst in ctx.pairs:
-        paths: List[Tuple[Optional[VlbDescriptor], Path]] = [
-            (None, p) for p in min_paths(ctx.topo, src, dst)
-        ]
-        paths.extend(
-            (desc, p) for desc, p, _e in ctx.vlb_paths(src, dst) if p is not None
-        )
-        for desc, p in paths:
-            try:
-                assign_vcs(p, ctx.scheme, num_vcs=ctx.num_vcs)
-            except ValueError as exc:
-                yield Finding(
-                    "vc-overflow", "error", _loc(src, dst, desc), str(exc)
-                )
-        if ctx.par and ctx.fragment_pair(src, dst):
-            for desc, p, _e in ctx.vlb_paths(src, dst):
-                if p is None:
-                    continue
-                try:
-                    assign_vcs(
-                        p,
-                        ctx.scheme,
-                        hop_offset=1,
-                        revised=True,
-                        num_vcs=ctx.num_vcs,
-                    )
-                except ValueError as exc:
-                    yield Finding(
-                        "vc-overflow",
-                        "error",
-                        _loc(src, dst, desc),
-                        f"PAR-revised fragment: {exc}",
-                    )
+    shapes, shape = ctx.slots.shapes, ctx.slots.shape
+    plain = ctx.table.ladders(ctx.scheme, ctx.num_vcs)
+    pair, own = ctx.own_slots
+    for p, name in zip(pair.tolist(), shape[own].tolist()):
+        message = _overflow(plain, shapes[name])
+        if message:
+            yield Finding("vc-overflow", "error", _loc(*ctx.pairs[p]), message)
+    c, rows = ctx.candidates, np.flatnonzero(ctx.admitted)
+    combo = shape[c.leg1[rows]] * len(shapes) + shape[c.leg2[rows]]
+    checks = [(plain, "", np.ones(len(rows), bool))]
+    if ctx.routing == "par":
+        # a PAR re-route's (revision switch, dst) pair: always between
+        # groups, inside one only where local routes have a second hop
+        revised = ctx.table.ladders(ctx.scheme, ctx.num_vcs, revised=True, hop_offset=1)
+        fragment = ctx.group[c.src[rows]] != ctx.group[c.dst[rows]]
+        fragment |= ctx.topo.max_local_hops > 1
+        checks.append((revised, "PAR-revised fragment: ", fragment))
+    for ladder, prefix, applies in checks:
+        for code in np.unique(combo[applies]).tolist():
+            head, tail = divmod(code, len(shapes))
+            message = _overflow(ladder, shapes[head] + shapes[tail])
+            for r in rows[applies & (combo == code)] if message else ():
+                yield Finding("vc-overflow", "error", c.loc(r), prefix + message)
 
 
 def _rule_balance(ctx: _LintContext) -> Iterator[Finding]:
-    keys = route_table(ctx.topo).channel_keys
-    checked = list(ctx.pairs)[:_BALANCE_MAX_PAIRS]
-    for src, dst in checked:
-        probs = pair_usage_probability(ctx.topo, ctx.policy, src, dst)
+    topo, policy, keys = ctx.topo, ctx.policy, ctx.table.channel_keys
+    checked = ctx.pairs[:_BALANCE_MAX_PAIRS]
+    usage = [
+        (_loc(s, d), "the pair's", pair_usage_probability(topo, policy, s, d))
+        for s, d in checked
+    ]
+    usage.append((
+        f"{len(checked)} sampled pairs", "the global",
+        global_usage_probability(topo, policy, checked),
+    ))
+    for loc, scope, probs in usage:
         used = probs[probs > 0]
-        if used.size == 0:
-            continue
-        ratio = float(probs.max() / used.mean())
+        ratio = float(probs.max() / used.mean()) if used.size else 0.0
         if ratio > BALANCE_FACTOR:
             hot = Channel(*keys[int(probs.argmax())])
             yield Finding(
-                "balance",
-                "warning",
-                _loc(src, dst),
-                f"channel {hot} is {ratio:.1f}x the pair's mean usage "
-                f"(adjustment factor {BALANCE_FACTOR})",
-            )
-    # no pairs: all-zero usage, nothing to report
-    gprobs = global_usage_probability(ctx.topo, ctx.policy, checked)
-    used = gprobs[gprobs > 0]
-    if used.size:
-        ratio = float(gprobs.max() / used.mean())
-        if ratio > BALANCE_FACTOR:
-            hot = Channel(*keys[int(gprobs.argmax())])
-            yield Finding(
-                "balance",
-                "warning",
-                f"{len(checked)} sampled pairs",
-                f"channel {hot} is {ratio:.1f}x the global mean usage "
-                f"(adjustment factor {BALANCE_FACTOR})",
+                "balance", "warning", loc, f"channel {hot} is {ratio:.1f}x "
+                f"{scope} mean usage (adjustment factor {BALANCE_FACTOR})",
             )
 
 
 def _rule_vlb_reachability(ctx: _LintContext) -> Iterator[Finding]:
-    for src, dst in ctx.pairs:
-        if ctx.descriptors(src, dst):
-            continue
-        if count_vlb_paths(ctx.topo, src, dst) > 0:
-            yield Finding(
-                "vlb-reachability",
-                "warning",
-                _loc(src, dst),
-                "policy leaves this pair without any VLB candidate "
-                "(UGAL degenerates to MIN here)",
-            )
+    offered = np.bincount(ctx.candidates.pair, minlength=len(ctx.pairs))
+    kept = np.bincount(ctx.candidates.pair[ctx.admitted], minlength=len(ctx.pairs))
+    for p in np.flatnonzero((offered > 0) & (kept == 0)):
+        yield Finding(
+            "vlb-reachability", "warning", _loc(*ctx.pairs[p]),
+            "policy leaves this pair without any VLB candidate "
+            "(UGAL degenerates to MIN here)",
+        )
 
 
-LINT_RULES: Dict[str, RuleFn] = {
+LINT_RULES: Dict[str, Callable[[_LintContext], Iterator[Finding]]] = {
     "hop-validity": _rule_hop_validity,
     "slot-range": _rule_slot_range,
     "min-minimality": _rule_min_minimality,
@@ -439,16 +432,11 @@ LINT_RULES: Dict[str, RuleFn] = {
 def _sample_pairs(
     topo: Dragonfly, max_pairs: Optional[int], seed: int
 ) -> List[Tuple[int, int]]:
-    pairs = [
-        (s, d)
-        for s in range(topo.num_switches)
-        for d in range(topo.num_switches)
-        if s != d
-    ]
+    n = topo.num_switches
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     if max_pairs is None or max_pairs >= len(pairs):
         return pairs
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+    idx = np.random.default_rng(seed).choice(len(pairs), max_pairs, replace=False)
     return [pairs[i] for i in sorted(idx)]
 
 
@@ -461,37 +449,27 @@ def lint_pathset(
     num_vcs: int = 8,
     rules: Optional[Sequence[str]] = None,
     max_pairs: Optional[int] = 40,
-    max_descriptors: Optional[int] = 200,
     seed: int = 0,
 ) -> List[Finding]:
     """Run the (selected) lint rules over a sampled set of switch pairs.
 
     ``rules`` selects a subset of :data:`LINT_RULES` (default: all);
-    unknown names raise ``ValueError``.  ``max_pairs`` / ``max_descriptors``
-    bound the sample (``None`` = no cap).  Findings come back sorted with
-    errors first.
+    unknown names raise ``ValueError``.  ``max_pairs`` bounds the sample
+    (``None``: every pair); a sampled pair is linted over all of its
+    candidates.  Findings come back sorted with errors first.
     """
-    if rules is None:
-        selected = list(LINT_RULES)
-    else:
-        unknown = [r for r in rules if r not in LINT_RULES]
-        if unknown:
-            raise ValueError(
-                f"unknown lint rule(s) {unknown}; "
-                f"available: {sorted(LINT_RULES)}"
-            )
-        selected = list(rules)
-    ctx = _LintContext(
-        topo=topo,
-        policy=policy if policy is not None else AllVlbPolicy(),
-        scheme=scheme,
-        routing=routing.lower().removeprefix("t-"),
-        num_vcs=num_vcs,
-        pairs=_sample_pairs(topo, max_pairs, seed),
-        max_descriptors=max_descriptors,
-    )
-    findings: List[Finding] = []
-    for name in selected:
-        findings.extend(LINT_RULES[name](ctx))
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError(f"max_pairs must be None or >= 1, got {max_pairs}")
+    selected = list(LINT_RULES) if rules is None else list(rules)
+    unknown = [r for r in selected if r not in LINT_RULES]
+    if unknown:
+        raise ValueError(
+            f"unknown lint rule(s) {unknown}; available: {sorted(LINT_RULES)}"
+        )
+    policy = policy if policy is not None else AllVlbPolicy()
+    pairs = _sample_pairs(topo, max_pairs, seed)
+    base = routing.lower().removeprefix("t-")
+    ctx = _LintContext(topo, policy, scheme, base, num_vcs, pairs)
+    findings = [f for name in selected for f in LINT_RULES[name](ctx)]
     findings.sort(key=lambda f: (f.severity != "error", f.rule, f.location))
     return findings

@@ -152,7 +152,6 @@ def verify_config(
     run_cdg: bool = True,
     run_lint: bool = True,
     max_pairs: Optional[int] = 40,
-    max_descriptors: Optional[int] = 200,
 ) -> VerifyReport:
     """Statically verify a ``(topology, path set, VC scheme)`` configuration.
 
@@ -185,7 +184,6 @@ def verify_config(
             num_vcs=vcs,
             rules=rules,
             max_pairs=max_pairs,
-            max_descriptors=max_descriptors,
             seed=seed,
         )
     return VerifyReport(

@@ -174,3 +174,12 @@ def test_sweep_has_no_batch_flag():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--batch", "2"])
     assert err.value.code == 2
+
+
+def test_lint_has_no_descriptor_cap():
+    """Lint reads every candidate of a sampled pair: neither entry point
+    takes ``max_descriptors``."""
+    from repro.verify import lint_pathset, verify_config
+
+    for entry in (lint_pathset, verify_config):
+        assert "max_descriptors" not in inspect.signature(entry).parameters

@@ -161,6 +161,24 @@ class TestCommands:
                   large_loads=(0.05, 0.15)),
         ]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sim", "-t", "2,4,2,3", "--window", "0"], "window_cycles"),
+            (["sweep", "-t", "2,4,2,3", "--window", "0"], "window_cycles"),
+            (["tvlb", "-t", "2,4,2,3", "--window", "0"], "window_cycles"),
+            (["figure", "fig18", "--seeds", "0"], "seeds must be >= 1"),
+            (["figure", "fig18", "--window", "0"], "window"),
+            (["figure", "fig13", "--large-loads", "1.5"], "large_loads"),
+            (["verify", "-t", "2,4,2,3", "--pairs", "0"], "max_pairs"),
+        ],
+    )
+    def test_degenerate_scale_exits(self, argv, message):
+        # a one-line usage error, not a traceback or a vacuous result
+        with pytest.raises(SystemExit, match=message) as err:
+            main(argv)
+        assert "\n" not in str(err.value.code)
+
     def test_figure_table3_window(self, capsys):
         assert main(["figure", "table3", "--window", "200"]) == 0
         row = next(

@@ -4,8 +4,9 @@ Every latency-vs-load point runs in a fresh process or a forked pool
 worker, so whatever the simulator's import closure drags in is paid per
 point: scipy (the LP's ``linprog``) and networkx (graph export) together
 cost about half a second and half the process's memory.  The LP
-(``repro.model``), graph export and lint's min-minimality rule load
-them on first use instead.
+(``repro.model``) and graph export load them on first use instead.
+Static verification (the CDG and every lint rule) reads the route
+table and never loads networkx.
 
 Each case runs in a fresh interpreter, because this pytest process has
 long since imported both.
@@ -82,16 +83,30 @@ assert "scipy.optimize" in sys.modules
 """
 
 
-def _heavy_modules(code: str, *args: str) -> str:
+_NETWORKX = """
+import sys
+print("NETWORKX", sorted(k for k in sys.modules if k.split(".")[0] == "networkx"))
+"""
+
+_VERIFY = """
+from repro.topology import Dragonfly
+from repro.verify import verify_config
+
+report = verify_config(Dragonfly(2, 4, 2, 3))
+assert report.passed and report.cdg.certified, report.to_text()
+"""
+
+
+def _heavy_modules(code: str, *args: str, probe: str = _HEAVY) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src")
     proc = subprocess.run(
-        [sys.executable, "-c", code + _HEAVY, *args],
+        [sys.executable, "-c", code + probe, *args],
         capture_output=True, text=True, env=env, cwd=REPO, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     line = proc.stdout.strip().splitlines()[-1]
-    assert line.startswith("HEAVY "), proc.stdout
+    assert line.startswith(("HEAVY ", "NETWORKX ")), proc.stdout
     return line
 
 
@@ -108,3 +123,7 @@ def test_executor_sim_batches_load_no_lp_stack(tmp_path):
 
 def test_model_solve_loads_lp_stack_on_first_use():
     assert _heavy_modules(_MODEL) != "HEAVY 0 []"
+
+
+def test_verification_loads_no_networkx():
+    assert _heavy_modules(_VERIFY, probe=_NETWORKX) == "NETWORKX []"

@@ -48,6 +48,16 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             simulate(topo, UniformRandom(topo), 1.5, params=fast_params)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("window_cycles", 0), ("measure_windows", 0), ("warmup_windows", -1)],
+    )
+    def test_degenerate_windows_rejected(self, field, value):
+        # a zero-cycle measurement would divide by zero after the run
+        with pytest.raises(ValueError, match=field):
+            SimParams(**{field: value})
+        SimParams(window_cycles=1, warmup_windows=0)  # the bench's prime
+
     def test_latency_grows_with_load(self, topo, fast_params):
         pattern = Shift(topo, 2, 0)
         low = simulate(topo, pattern, 0.05, params=fast_params, seed=1)

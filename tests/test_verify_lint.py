@@ -329,3 +329,11 @@ class TestAlgorithmFinalization:
             verify=False, seed=0,
         )
         assert result.verify_report is None
+
+
+class TestSampleSize:
+    @pytest.mark.parametrize("max_pairs", [0, -3])
+    def test_empty_sample_rejected(self, topo, max_pairs):
+        # linting no pair would pass vacuously
+        with pytest.raises(ValueError, match="max_pairs"):
+            lint_pathset(topo, max_pairs=max_pairs)
