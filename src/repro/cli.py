@@ -216,6 +216,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_model(args) -> int:
     from repro.perf import ModelTask
+    from repro.perf.executor import solver_for
 
     topo = parse_topology(args.topology, args.arrangement)
     pattern = parse_pattern(topo, args.pattern)
@@ -229,6 +230,10 @@ def _cmd_model(args) -> int:
     )
     with _make_executor(args) as executor:
         res = executor.run_models([task])[0]
+    (rows, cols), (q_rows, q_cols) = solver_for(topo).shape(
+        pattern.demand_matrix(), policy=policy, mode=task.mode,
+        monotonic=task.monotonic,
+    )
     print(
         f"{topo} {pattern.describe()} policy={policy.describe()} "
         f"mode={args.mode}"
@@ -236,6 +241,7 @@ def _cmd_model(args) -> int:
     print(f"  modeled throughput : {res.throughput:.4f}")
     print(f"  MIN fraction       : {res.min_fraction:.4f}")
     print(f"  demand pairs       : {res.num_pairs}")
+    print(f"  LP: {rows}×{cols}, solved as {q_rows}×{q_cols}")
     return 0
 
 

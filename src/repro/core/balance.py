@@ -25,7 +25,7 @@ numbers them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.routing.pathset import (
     ExcludingPolicy,
     PathPolicy,
     PolicyProgram,
+    policy_program,
     program_mask,
 )
 from repro.routing.vlb import VlbDescriptor
@@ -67,13 +68,19 @@ class BalanceReport:
 
 
 def _usage(
-    blocks: BlockCache, policy: PathPolicy, pairs: Sequence[Pair]
+    blocks: BlockCache,
+    policy: PathPolicy,
+    pairs: Sequence[Pair],
+    program: Optional[PolicyProgram] = None,
 ) -> np.ndarray:
     """Mean over ``pairs`` of P(channel is on the drawn path): a pair's
-    policy block's per-channel uses over its candidate count."""
+    policy block's per-channel uses over its candidate count.
+    ``program`` as in :func:`~repro.model.fastpath.pair_candidates`."""
+    if program is None:
+        program = policy_program(policy, blocks.table)
     total = np.zeros(blocks.num_channels)
     for src, dst in pairs:
-        block = blocks.get(src, dst, policy)
+        block = blocks.get(src, dst, policy, program)
         count = block.counts.sum()
         if count:
             total += np.bincount(block.cls_idx, block.cls_val, len(total)) / count
@@ -83,17 +90,26 @@ def _usage(
 
 
 def pair_usage_probability(
-    topo: Dragonfly, policy: PathPolicy, src: int, dst: int
+    topo: Dragonfly,
+    policy: PathPolicy,
+    src: int,
+    dst: int,
+    program: Optional[PolicyProgram] = None,
 ) -> np.ndarray:
-    """P(channel is on the chosen path) for a pair under the policy's draw."""
-    return _usage(BlockCache(topo), policy, [(src, dst)])
+    """P(channel is on the chosen path) for a pair under the policy's draw
+    (``program``: the policy's compiled program, if the caller holds it)."""
+    return _usage(BlockCache(topo), policy, [(src, dst)], program)
 
 
 def global_usage_probability(
-    topo: Dragonfly, policy: PathPolicy, pairs: Sequence[Pair]
+    topo: Dragonfly,
+    policy: PathPolicy,
+    pairs: Sequence[Pair],
+    program: Optional[PolicyProgram] = None,
 ) -> np.ndarray:
-    """Mean per-pair usage probability over ``pairs`` (uniform pair choice)."""
-    return _usage(BlockCache(topo), policy, pairs)
+    """Mean per-pair usage probability over ``pairs`` (uniform pair choice;
+    ``program`` as in :func:`pair_usage_probability`)."""
+    return _usage(BlockCache(topo), policy, pairs, program)
 
 
 def _hot(probs: np.ndarray, factor: float) -> np.ndarray:
@@ -130,8 +146,9 @@ def balance_adjust(
 
     # ---- local level: per-pair hot channels -> remove that pair's paths
     excluded_descs: Set[Tuple[int, int, VlbDescriptor]] = set()
+    program = policy_program(policy, table)
     for src, dst in pairs:
-        probs = _usage(blocks, policy, [(src, dst)])
+        probs = _usage(blocks, policy, [(src, dst)], program)
         used = probs[probs > 0]
         if used.size == 0:
             continue
@@ -143,7 +160,7 @@ def balance_adjust(
         # the admitted candidates a one-row program over the hot
         # channels rejects are the pair's paths through them
         avoids_hot = PolicyProgram(ops=[(OP_CHANNELS, 0, 0, 0)], mask=bytearray(hot))
-        cand = pair_candidates(table, src, dst, policy)
+        cand = pair_candidates(table, src, dst, policy, program)
         ends = np.full(len(cand.mid), src, np.int64)
         clear = program_mask(
             avoids_hot, table, ends, np.full_like(ends, dst),

@@ -34,18 +34,25 @@ lifetime:
 * **Per solve** -- a cheap patch: leg-split class weights from the
   policy, the first-touch row map and the monotonicity class pairs of
   the induced class mask (both memoized per mask), scaled values,
-  equality rows, and the ``linprog`` call -- on the *dual*: the LP as
-  modelled has 3-7x more rows than columns and HiGHS's simplex basis is
-  row-sized, so the COO streams go in transposed.  The primal point
-  comes back as the row duals and is checked against every primal
-  constraint before a result is returned; a failed or uncertified solve
+  equality rows; then the LP's *equitable quotient*
+  (:mod:`repro.model.quotient`): rows and columns the demand and the
+  topology make interchangeable are merged into classes, refined once
+  per skeleton and set of weight ties from labels that do not read the
+  weights, and checked against this solve's values (the trivial
+  partition -- the LP itself -- where the check fails).  HiGHS solves
+  the quotient's *dual*: the LP as modelled has 3-7x more rows than
+  columns and HiGHS's simplex basis is row-sized.  The quotient's
+  primal point comes back as the row duals, is copied onto every
+  column of each class, and is checked against every constraint of the
+  *full* LP before a result is returned; a failed or uncertified solve
   raises.
 
 One :class:`FastModel` may be shared by threads: a lock per instance
-guards the memo fills (pattern skeletons, pair blocks, row maps and
-monotonicity pairs), while assembly -- which only reads arrays that are
-immutable once built -- the ``linprog`` call, which releases the GIL,
-and the certification run unlocked in the solving thread.
+guards the memo fills (pattern skeletons, pair blocks, row maps,
+monotonicity pairs and partitions), while assembly -- which only reads
+arrays that are immutable once built -- the equitability check, the
+``linprog`` call, which releases the GIL, and the certification run
+unlocked in the solving thread.
 
 Results match the reference assembly, which solves the primal, to 1e-9
 on throughput (the parity suite in ``tests/test_model_fastpath.py``).
@@ -63,8 +70,15 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
+from repro.model import quotient
 from repro.model.lp_model import ModelResult, weights_for_policy
-from repro.routing.pathset import PathPolicy, policy_program, program_mask
+from repro.model.quotient import Partition, Quotient
+from repro.routing.pathset import (
+    PathPolicy,
+    PolicyProgram,
+    policy_program,
+    program_mask,
+)
 from repro.routing.table import RouteTable, route_table
 from repro.topology.dragonfly import Dragonfly
 
@@ -123,13 +137,20 @@ class Candidates(NamedTuple):
 
 
 def pair_candidates(
-    table: RouteTable, src: int, dst: int, policy: Optional[PathPolicy] = None
+    table: RouteTable,
+    src: int,
+    dst: int,
+    policy: Optional[PathPolicy] = None,
+    program: Optional[PolicyProgram] = None,
 ) -> Candidates:
     """Every VLB candidate of ``src -> dst`` in the route table, or those
     ``policy`` admits: weight 1 each under a membership program without
     lists (:func:`~repro.routing.pathset.program_mask`), else the
     multiplicity in ``iter_descriptors`` (``ExplicitPathSet`` draws by
-    index from its lists; a Python-only policy has nothing else)."""
+    index from its lists; a Python-only policy has nothing else).
+    ``program`` is the policy's compiled program when the caller holds
+    it (an unhashable policy compiles anew on every call), else it is
+    compiled here."""
     slots = table.min_slots()
     image = table.vlb_image()
     n = table.nsw
@@ -154,7 +175,8 @@ def pair_candidates(
     slot2 = row_slot[row2] - slots.first[mid * n + dst]
     weight = np.ones(len(mid))
     if policy is not None:
-        program = policy_program(policy, table)
+        if program is None:
+            program = policy_program(policy, table)
         if program is not None and program.lists is None:
             ends = np.full(len(mid), src, np.int64)
             weight = program_mask(
@@ -238,8 +260,9 @@ class BlockCache:
     ``get(src, dst)`` is the block of every VLB candidate of the pair;
     ``get(src, dst, policy)`` the *policy block*: the candidates
     ``policy`` admits, weighted as :func:`pair_candidates` draws them
-    (built per use for an unhashable policy).  Not locked itself: a
-    :class:`FastModel` only calls it under its own lock.
+    (built per use for an unhashable policy; ``program`` as there).
+    Not locked itself: a :class:`FastModel` only calls it under its own
+    lock.
     """
 
     def __init__(self, topo: Dragonfly) -> None:
@@ -250,22 +273,30 @@ class BlockCache:
         self._blocks: Dict[Tuple, PairBlock] = {}
 
     def get(
-        self, src: int, dst: int, policy: Optional[PathPolicy] = None
+        self,
+        src: int,
+        dst: int,
+        policy: Optional[PathPolicy] = None,
+        program: Optional[PolicyProgram] = None,
     ) -> PairBlock:
         key = (src, dst) if policy is None else (policy, src, dst)
         try:
             block = self._blocks.get(key)
         except TypeError:  # unhashable (mutable) policy: build per use
-            return self._build(src, dst, policy)
+            return self._build(src, dst, policy, program)
         if block is None:
-            block = self._blocks[key] = self._build(src, dst, policy)
+            block = self._blocks[key] = self._build(src, dst, policy, program)
         return block
 
     def __len__(self) -> int:
         return len(self._blocks)
 
     def _build(
-        self, src: int, dst: int, policy: Optional[PathPolicy]
+        self,
+        src: int,
+        dst: int,
+        policy: Optional[PathPolicy],
+        program: Optional[PolicyProgram],
     ) -> PairBlock:
         table = self.table
         slots = table.min_slots()
@@ -283,7 +314,7 @@ class BlockCache:
         order = np.argsort(at)
         share = np.cumsum(np.full(int(uses.max(initial=0)), 1.0 / max(k, 1)))
 
-        cand = pair_candidates(table, src, dst, policy)
+        cand = pair_candidates(table, src, dst, policy, program)
         row_slot, row1, row2 = cand.row_slot, cand.row1, cand.row2
         row_hops = slots.hops[row_slot].astype(np.int64)
         cls = (row_hops[row1] - 1) * legs + row_hops[row2] - 1
@@ -352,8 +383,10 @@ class _PatternStruct:
         cls_parts: List[np.ndarray] = []
         pair_parts: List[np.ndarray] = []
         val_parts: List[np.ndarray] = []
+        # compiled once here, not once per pair block
+        program = None if policy is None else policy_program(policy, blocks.table)
         for k, (s, d, _w) in enumerate(self.pairs):
-            blk = blocks.get(s, d, policy)
+            blk = blocks.get(s, d, policy, program)
             self.counts[k] = blk.counts
             chan_parts.append(blk.min_idx)
             cls_parts.append(np.full(len(blk.min_idx), -1, dtype=np.int8))
@@ -415,6 +448,8 @@ class _PatternStruct:
         self._monopairs: Dict[
             Tuple[bool, ...], Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
+        self._partitions: Dict[Tuple[Tuple[int, ...], str, bool], Partition] = {}
+        self._plan: Optional[Tuple[Tuple[Tuple[int, ...], str, bool], Quotient]] = None
 
     def rowmap(
         self, ok: np.ndarray
@@ -467,6 +502,26 @@ class _PatternStruct:
             cached = self._monopairs[key] = (arr[:, 0], arr[:, 1], arr[:, 2])
         return cached
 
+    def quotient(
+        self,
+        key: Tuple[Tuple[int, ...], str, bool],
+        refine: Callable[[], Partition],
+        plan: Callable[[Partition], Quotient],
+    ) -> Quotient:
+        """The quotient of the LP under ``key`` -- which classes are
+        included and which share a weight, the mode, monotonicity rows or
+        not.  Its partition is refined once per key (by ``refine``) and
+        kept: it is refined from labels that do not read the weights
+        (:meth:`FastModel._labels`), so one serves every solve with the
+        same ties.  Its tables (``plan``), which hold a few arrays per
+        LP entry, are kept for the last key asked only."""
+        if self._plan is None or self._plan[0] != key:
+            part = self._partitions.get(key)
+            if part is None:
+                part = self._partitions[key] = refine()
+            self._plan = (key, plan(part))
+        return self._plan[1]
+
 
 # what one _assemble_* returns: channel-block columns and values, the
 # variable count, VLB variables per pair, and the monotonicity rows
@@ -476,14 +531,33 @@ _Assembly = Tuple[
 ]
 
 
+class _Lp(NamedTuple):
+    """One solve's LP as modelled, entry by entry: ``max x[0]`` s.t. rows
+    ``[0, num_ub)`` of ``A x`` are ``<= b`` and the rest ``= 0``, ``x >=
+    0``; ``quotient`` over an equitable partition of it, with entries
+    ``q_vals``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    b: np.ndarray  # (num rows,) 0 on the equality rows
+    num_ub: int
+    num_vars: int
+    num_pairs: int
+    pair_w: np.ndarray
+    quotient: Quotient
+    q_vals: np.ndarray
+
+
 class FastModel:
     """Reusable factored solver: one instance amortizes a whole sweep.
 
     Construct once per topology; call :meth:`solve` per
     ``(demand, policy)`` point.  Structural state (pair blocks, pattern
-    skeletons, row maps) accumulates across calls and is shared by every
-    subsequent solve, from any thread: concurrent solves on one instance
-    return exactly what the same solves return one after another.
+    skeletons, row maps, partitions) accumulates across calls and is
+    shared by every subsequent solve, from any thread: concurrent solves
+    on one instance return exactly what the same solves return one after
+    another.
     """
 
     def __init__(
@@ -542,6 +616,39 @@ class FastModel:
     ) -> ModelResult:
         """Same arguments and :class:`ModelResult` as the reference
         assembly in :mod:`repro.model.lp_model`."""
+        return self._solve(demand, weight_fn, policy, mode, monotonic)[0]
+
+    def shape(
+        self,
+        demand: np.ndarray,
+        weight_fn: Optional[WeightFn] = None,
+        *,
+        policy: Optional[PathPolicy] = None,
+        mode: str = "uniform",
+        monotonic: bool = True,
+    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """HiGHS's matrix for :meth:`solve` with these arguments, as
+        ``(rows, columns)``: the full LP's and that of its equitable
+        quotient, the one HiGHS is given."""
+        lp = self._lp(demand, weight_fn, policy, mode, monotonic)
+        if lp is None:
+            return (0, 0), (0, 0)
+        # a row per variable (class), a column per constraint row (class)
+        part = lp.quotient.part
+        return (lp.num_vars, len(lp.b)), (
+            part.num_col_classes, part.num_row_classes
+        )
+
+    def _lp(
+        self,
+        demand: np.ndarray,
+        weight_fn: Optional[WeightFn],
+        policy: Optional[PathPolicy],
+        mode: str,
+        monotonic: bool,
+    ) -> Optional[_Lp]:
+        """The LP of one solve with a verified equitable partition, or
+        ``None`` when the demand has no pair to serve."""
         if mode not in ("uniform", "free"):
             raise ValueError(f"unknown mode {mode!r}")
         exact_policy: Optional[PathPolicy] = None
@@ -564,7 +671,7 @@ class FastModel:
         with self._lock:  # memo fills only; the rest runs unlocked
             struct = self._pattern(demand, exact_policy)
             if struct.num_pairs == 0:
-                return ModelResult(1.0, 1.0, "trivial", 0)
+                return None
             incl, ch_rows, n_ch_rows = struct.rowmap(ok)
             mono = (
                 struct.monopairs(ok) if mode == "free" and monotonic else None
@@ -583,80 +690,126 @@ class FastModel:
             out = self._assemble_free(
                 struct, w_eff, ok, incl, pair_sel, cls_sel, is_min_sel, mono
             )
-        cols, vals, num_vars, nvars_pair, mono_cols, mono_vals = out
+        ch_cols, ch_vals, num_vars, nvars_pair, mono_cols, mono_vals = out
 
-        # rows: channel-capacity block, then inj/ej, then monotonic
+        # rows: the inequalities -- channel-capacity block, inj/ej,
+        # monotonicity, lambda <= 1 -- then the equality rows of the pairs
+        #   x_k + sum(vlb vars of pair k) - w_k * lambda = 0
         num_ie = len(struct.ie_vals)
         num_mono = len(mono_cols) // 2
         r0 = n_ch_rows + num_ie
-        num_rows = r0 + num_mono
+        num_ub = r0 + num_mono + 1
+        pair_w = np.asarray([w for _s, _d, w in struct.pairs])
         rows = np.concatenate(
             [
                 ch_rows,
                 np.arange(n_ch_rows, r0, dtype=np.int64),
                 r0 + np.repeat(np.arange(num_mono, dtype=np.int64), 2),
+                [num_ub - 1],
+                num_ub + np.arange(num_pairs),
+                num_ub + np.repeat(np.arange(num_pairs), nvars_pair),
+                num_ub + np.arange(num_pairs),
             ]
         )
         cols = np.concatenate(
-            [cols, np.zeros(num_ie, dtype=np.int64), mono_cols]
-        )
-        vals = np.concatenate([vals, struct.ie_vals, mono_vals])
-        b_ub = np.concatenate(
             [
-                np.ones(n_ch_rows),
-                np.full(num_ie, float(self.topo.p)),
-                np.zeros(num_mono),
-            ]
-        )
-
-        # equality rows: x_k + sum(vlb vars of pair k) - w_k * lambda = 0
-        pair_w = np.asarray([w for _s, _d, w in struct.pairs])
-        e_rows = np.concatenate(
-            [
-                np.arange(num_pairs),
-                np.repeat(np.arange(num_pairs), nvars_pair),
-                np.arange(num_pairs),
-            ]
-        )
-        e_cols = np.concatenate(
-            [
+                ch_cols,
+                np.zeros(num_ie, dtype=np.int64),
+                mono_cols,
+                [0],
                 1 + np.arange(num_pairs),
                 np.arange(1 + num_pairs, num_vars),
                 np.zeros(num_pairs, dtype=np.int64),
             ]
         )
-        e_vals = np.concatenate(
+        vals = np.concatenate(
             [
+                ch_vals,
+                struct.ie_vals,
+                mono_vals,
+                [1.0],
                 np.ones(num_pairs),
                 np.ones(num_vars - 1 - num_pairs),
                 -pair_w,
             ]
         )
+        b = np.concatenate(
+            [
+                np.ones(n_ch_rows),
+                np.full(num_ie, float(self.topo.p)),
+                np.zeros(num_mono),
+                [1.0],
+                np.zeros(num_pairs),
+            ]
+        )
+        kinds = np.repeat(
+            np.arange(5), [n_ch_rows, num_ie, num_mono, 1, num_pairs]
+        )
+        cost = np.zeros(num_vars)
+        cost[0] = 1.0
+
+        # classes of one weight are interchangeable in every coefficient
+        ties = np.full(len(ok), -1, np.int64)
+        ties[ok] = quotient.classes([w_eff[ok]])
+
+        def refined() -> Partition:
+            labels, col_colour = self._labels(
+                struct, mode, ties, incl, ch_vals, mono, vals, num_vars
+            )
+            return quotient.refine(rows, cols, labels, kinds, col_colour)
+
+        def plan(part: Partition) -> Quotient:
+            return Quotient(part, rows, cols, len(b), num_vars)
+
+        key = (tuple(ties.tolist()), mode, mono is not None)
+        with self._lock:
+            q = struct.quotient(key, refined, plan)
+        # the memo is a candidate: the LP is solved on it only if these
+        # values make it equitable (the trivial partition always is)
+        q_vals = q.matrix(vals, (b, kinds), (cost,))
+        if q_vals is None:
+            q = plan(quotient.trivial(len(b), num_vars))
+            q_vals = q.matrix(vals, (b, kinds), (cost,))
+        return _Lp(
+            rows, cols, vals, b, num_ub, num_vars, num_pairs, pair_w, q, q_vals
+        )
+
+    def _solve(
+        self,
+        demand: np.ndarray,
+        weight_fn: Optional[WeightFn],
+        policy: Optional[PathPolicy],
+        mode: str,
+        monotonic: bool,
+    ) -> Tuple[ModelResult, Optional[np.ndarray]]:
+        """:meth:`solve`, plus the full-size primal point it certified
+        (``None`` for a demand with no pair)."""
+        lp = self._lp(demand, weight_fn, policy, mode, monotonic)
+        if lp is None:
+            return ModelResult(1.0, 1.0, "trivial", 0), None
+        q, num_pairs, num_ub = lp.quotient, lp.num_pairs, lp.num_ub
+        part = q.part
 
         # HiGHS's simplex basis is row-sized and the LP as modelled (max
-        # lambda s.t. A_ub x <= b_ub, A_eq x = 0, x >= 0, lambda <= 1) has
-        # several times more rows than columns, so HiGHS gets the dual: a
-        # column u >= 0 per inequality row, t >= 0 for the bound on
-        # lambda, a free v per equality row,
-        #   min b_ub.u + t   s.t.   -(A_ub'u + t e_0 + A_eq'v) <= -e_0.
-        # Its optimum is lambda*; the primal point is minus its row duals.
-        num_dual = num_rows + 1 + num_pairs
-        cost = np.concatenate([b_ub, [1.0], np.zeros(num_pairs)])
+        # lambda s.t. A_ub x <= b_ub, A_eq x = 0, x >= 0) has several
+        # times more rows than columns, so HiGHS gets the dual of its
+        # quotient Q: a column u >= 0 per inequality row class and a free
+        # v per equality row class,
+        #   min b_ub.u   s.t.   -(Q_ub'u + Q_eq'v) <= -e_lambda.
+        # Its optimum is lambda*; the quotient's primal point is minus its
+        # row duals, and copied onto every column of each class it is a
+        # point of the full LP.
+        q_b = np.zeros(part.num_row_classes)
+        q_b[part.rows] = lp.b
         a_dual = coo_matrix(
-            (
-                -np.concatenate([vals, [1.0], e_vals]),
-                (
-                    np.concatenate([cols, [0], e_cols]),
-                    np.concatenate([rows, [num_rows], num_rows + 1 + e_rows]),
-                ),
-            ),
-            shape=(num_vars, num_dual),
+            (-lp.q_vals, (q.q_cols, q.q_rows)),
+            shape=(part.num_col_classes, part.num_row_classes),
         ).tocsr()
-        bounds = np.zeros((num_dual, 2))
+        bounds = np.zeros((part.num_row_classes, 2))
         bounds[:, 1] = np.inf
-        bounds[num_rows + 1 :, 0] = -np.inf
-        c = np.zeros(num_vars)
-        c[0] = -1.0
+        bounds[part.rows[num_ub:], 0] = -np.inf
+        c = np.zeros(part.num_col_classes)
+        c[part.cols[0]] = -1.0
         failed = lambda why: RuntimeError(  # noqa: E731
             f"LP solve failed ({why}) on {self.topo!r}, "
             f"{num_pairs} demand pairs, mode {mode!r}, policy "
@@ -665,20 +818,20 @@ class FastModel:
 
         def certified(options: Optional[dict]) -> Tuple[bool, np.ndarray]:
             res = linprog(
-                cost, A_ub=a_dual, b_ub=c, bounds=bounds, method="highs",
+                q_b, A_ub=a_dual, b_ub=c, bounds=bounds, method="highs",
                 options=options,
             )
             if not res.success:
                 raise failed(f"status {res.status}: {res.message}")
             # both sides of the optimum are in hand, so the primal point
-            # is checked rather than the status flag trusted:
-            # lhs = [A_ub x, x_0, A_eq x] against cost = [b_ub, 1, 0]
-            x = -res.ineqlin.marginals
-            lhs = -(a_dual.T @ x)
+            # is checked, on the full LP, rather than the status flag
+            # trusted: lhs = [A_ub x, A_eq x] against b = [b_ub, 0]
+            x = -res.ineqlin.marginals[part.cols]
+            lhs = np.bincount(lp.rows, lp.vals * x[lp.cols], len(lp.b))
             return bool(
                 x.min() >= -1e-9
-                and np.all(lhs <= cost + 1e-9 * (1.0 + cost))
-                and lhs[num_rows + 1 :].min() >= -1e-9
+                and np.all(lhs <= lp.b + 1e-9 * (1.0 + lp.b))
+                and lhs[num_ub:].min() >= -1e-9
                 and abs(x[0] - res.fun) <= 1e-9
             ), x
 
@@ -694,13 +847,69 @@ class FastModel:
                 "the point recovered from the row duals is not "
                 "primal-feasible at the optimum"
             )
-        lam = float(x[0])
+        lam_opt = float(x[0])
         x_total = float(x[1 : 1 + num_pairs].sum())
-        served = float(lam * pair_w.sum())
+        served = float(lam_opt * lp.pair_w.sum())
         min_frac = x_total / served if served > 0 else 1.0
-        return ModelResult(lam, min_frac, "optimal", num_pairs)
+        return ModelResult(lam_opt, min_frac, "optimal", num_pairs), x
 
     # ------------------------------------------------------------------
+    def _labels(
+        self,
+        struct: _PatternStruct,
+        mode: str,
+        ties: np.ndarray,
+        incl: np.ndarray,
+        ch_vals: np.ndarray,
+        mono: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        vals: np.ndarray,
+        num_vars: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Weight-independent ``(entry labels, column colours)`` of an
+        assembled LP, entries in :meth:`_lp`'s order.
+
+        ``ties[c]`` numbers the distinct weights of the included classes
+        (-1: class ``c`` is masked out).  Every entry's value is a
+        function of its label, of the weights and of its column's
+        colour: a pattern-only value labels itself; a uniform-mode VLB
+        entry ``w_c * val / (counts_k . w)`` is labelled ``(ties[c],
+        val)`` and its column coloured by the pair's counts summed per
+        tie; a monotonicity entry ``+-1 / (w_c * counts[k, c])`` is
+        labelled ``(sign, ties[c], counts[k, c])``.  So a partition
+        refined from these is equitable for every weight vector with
+        these ties, where one refined from the values could hold for one
+        vector only.
+        """
+        num_pairs = struct.num_pairs
+        kind = np.zeros(len(vals), np.int64)  # 0: value is pattern-only
+        tie = np.full(len(vals), -1, np.int64)
+        value = vals.copy()
+        col_colour = np.ones(num_vars, np.int64)
+        col_colour[0] = 0  # lambda: the cost and the bound are its own
+        if mode == "uniform":
+            vlb = np.flatnonzero(~struct.is_min[incl])
+            kind[vlb] = 1
+            tie[vlb] = ties[struct.cls[incl][vlb]]
+            value[vlb] = struct.val[incl][vlb]
+            # counts_k . w, the divisor, is a function of these
+            per_tie = struct.counts[:, ties >= 0] @ (
+                ties[ties >= 0, None] == np.arange(ties.max() + 1)
+            )
+            has_vlb = per_tie.any(axis=1)
+            if has_vlb.any():
+                col_colour[1 + num_pairs :] = 2 + quotient.classes(
+                    list(per_tie[has_vlb].T)
+                )
+        if mono is not None:
+            k, c_long, c_short = mono
+            start = len(ch_vals) + len(struct.ie_vals)
+            at = slice(start, start + 2 * len(k))
+            cls = np.stack([c_long, c_short], axis=1).ravel()
+            kind[at] = np.tile([2, 3], len(k))
+            tie[at] = ties[cls]
+            value[at] = struct.counts[np.repeat(k, 2), cls]
+        return quotient.classes([kind, tie, value]), col_colour
+
     def _assemble_uniform(
         self,
         struct: _PatternStruct,

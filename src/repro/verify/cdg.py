@@ -568,6 +568,7 @@ def build_cdg(
     max_pairs: Optional[int] = None,
     max_descriptors: Optional[int] = None,
     seed: int = 0,
+    program: Optional[PolicyProgram] = None,
 ) -> ChannelDependencyGraph:
     """Build the CDG of a ``(topo, policy, scheme, routing)`` configuration.
 
@@ -580,7 +581,8 @@ def build_cdg(
     tractable; otherwise the generic builder -- sampled, when the caller
     gave no caps, on a candidate space too large to enumerate.  Sampling
     caps only apply to the generic builder and clear the graph's
-    ``exhaustive`` flag.
+    ``exhaustive`` flag.  ``program`` is the policy's compiled membership
+    program when the caller holds it, else it is compiled here.
     """
     policy = policy if policy is not None else AllVlbPolicy()
     base = routing.lower()
@@ -589,7 +591,8 @@ def build_cdg(
     graph = ChannelDependencyGraph(topo, scheme)
     if method not in ("auto", "fast", "generic"):
         raise ValueError(f"unknown method {method!r}")
-    program = policy_program(policy, graph.table)
+    if program is None:
+        program = policy_program(policy, graph.table)
     if method == "auto" and max_pairs is None and max_descriptors is None:
         if _estimated_rows(topo) > _ROW_LIMIT:
             max_pairs, max_descriptors = _SAMPLED_PAIRS, _SAMPLED_DESCRIPTORS
@@ -626,6 +629,7 @@ def certify_deadlock_freedom(
     max_pairs: Optional[int] = None,
     max_descriptors: Optional[int] = None,
     seed: int = 0,
+    program: Optional[PolicyProgram] = None,
 ) -> CdgResult:
     """Build the CDG and run cycle detection; see :class:`CdgResult`."""
     graph = build_cdg(
@@ -637,6 +641,7 @@ def certify_deadlock_freedom(
         max_pairs=max_pairs,
         max_descriptors=max_descriptors,
         seed=seed,
+        program=program,
     )
     cycle = graph.find_cycle()
     return CdgResult(

@@ -43,7 +43,13 @@ import numpy as np
 
 from repro.core.balance import global_usage_probability, pair_usage_probability
 from repro.routing.paths import LOCAL_SLOT, Channel
-from repro.routing.pathset import AllVlbPolicy, PathPolicy, policy_program, program_mask
+from repro.routing.pathset import (
+    AllVlbPolicy,
+    PathPolicy,
+    PolicyProgram,
+    policy_program,
+    program_mask,
+)
 from repro.routing.table import RouteTable, route_table
 from repro.routing.vlb import VlbDescriptor, max_vlb_hops
 from repro.topology.dragonfly import Dragonfly
@@ -152,6 +158,7 @@ class _LintContext:
     routing: str
     num_vcs: int
     pairs: List[Tuple[int, int]]
+    program: Optional[PolicyProgram] = None
 
     def __post_init__(self) -> None:
         self.table = route_table(self.topo)
@@ -165,7 +172,8 @@ class _LintContext:
         at = self.src * self.table.nsw + self.dst
         pair, rank = _expand(self.slots.k[at])
         self.own_slots = pair, self.slots.first[at][pair] + rank
-        self.program = policy_program(self.policy, self.table)
+        if self.program is None:
+            self.program = policy_program(self.policy, self.table)
         self.admitted = self.admits(*self.candidates[1:6])
 
     def contains(self, *columns: np.ndarray) -> np.ndarray:
@@ -389,12 +397,15 @@ def _rule_balance(ctx: _LintContext) -> Iterator[Finding]:
     topo, policy, keys = ctx.topo, ctx.policy, ctx.table.channel_keys
     checked = ctx.pairs[:_BALANCE_MAX_PAIRS]
     usage = [
-        (_loc(s, d), "the pair's", pair_usage_probability(topo, policy, s, d))
+        (
+            _loc(s, d), "the pair's",
+            pair_usage_probability(topo, policy, s, d, ctx.program),
+        )
         for s, d in checked
     ]
     usage.append((
         f"{len(checked)} sampled pairs", "the global",
-        global_usage_probability(topo, policy, checked),
+        global_usage_probability(topo, policy, checked, ctx.program),
     ))
     for loc, scope, probs in usage:
         used = probs[probs > 0]
@@ -450,13 +461,16 @@ def lint_pathset(
     rules: Optional[Sequence[str]] = None,
     max_pairs: Optional[int] = 40,
     seed: int = 0,
+    program: Optional[PolicyProgram] = None,
 ) -> List[Finding]:
     """Run the (selected) lint rules over a sampled set of switch pairs.
 
     ``rules`` selects a subset of :data:`LINT_RULES` (default: all);
     unknown names raise ``ValueError``.  ``max_pairs`` bounds the sample
     (``None``: every pair); a sampled pair is linted over all of its
-    candidates.  Findings come back sorted with errors first.
+    candidates.  ``program`` is the policy's compiled membership program
+    when the caller holds it, else it is compiled here.  Findings come
+    back sorted with errors first.
     """
     if max_pairs is not None and max_pairs < 1:
         raise ValueError(f"max_pairs must be None or >= 1, got {max_pairs}")
@@ -469,7 +483,7 @@ def lint_pathset(
     policy = policy if policy is not None else AllVlbPolicy()
     pairs = _sample_pairs(topo, max_pairs, seed)
     base = routing.lower().removeprefix("t-")
-    ctx = _LintContext(topo, policy, scheme, base, num_vcs, pairs)
+    ctx = _LintContext(topo, policy, scheme, base, num_vcs, pairs, program)
     findings = [f for name in selected for f in LINT_RULES[name](ctx)]
     findings.sort(key=lambda f: (f.severity != "error", f.rule, f.location))
     return findings

@@ -40,7 +40,8 @@ from repro.model import (
     model_throughput,
     step1_sweep,
 )
-from repro.model import fastpath, lp_model, pathstats
+from repro.model import fastpath, lp_model, pathstats, quotient
+from repro.model.bounds import shift_saturation_bound
 from repro.model.pathstats import compute_pair_stats
 from repro.routing import minimal, vlb
 from repro.routing.channels import ChannelIndex
@@ -57,6 +58,7 @@ from repro.routing.pathset import (
 from repro.routing.table import route_table
 from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
 from repro.traffic import Shift, type_1_set, type_2_set
+from repro.verify import verify_config
 
 SMALL = Dragonfly(2, 4, 2, 5)
 
@@ -385,7 +387,7 @@ def _assert_parity(fast, cache, demand, **options):
 # one drawn (shape, policy, mode, pattern) space for every property
 _drawn_solves = given(
     shape=st.sampled_from(SHAPES),
-    arrangement=st.sampled_from(["absolute", "relative"]),
+    arrangement=st.sampled_from(["absolute", "relative", "circulant"]),
     policy=st.one_of(
         st.just(AllVlbPolicy()),
         st.builds(
@@ -431,9 +433,11 @@ class TestPropertyParity:
     def test_strong_duality(
         self, shape, arrangement, policy, mode, monotonic, shift
     ):
-        """Production's optimum is a dual objective, the reference's a
-        primal one; and the point production recovers from the row duals
-        is feasible in the reference's own constraint matrix."""
+        """Production's optimum is a dual objective (of the LP's
+        equitable quotient), the reference's a primal one; and the
+        full-size point production lifts from the quotient's row duals
+        and certifies is feasible in the reference's own constraint
+        matrix."""
         topo = shape(arrangement)
         fast = FastModel(topo)
         demand = Shift(topo, shift, 0).demand_matrix()
@@ -450,13 +454,14 @@ class TestPropertyParity:
                 **options,
             )
         with _linprog_calls(fastpath) as dual:
-            got = fast.solve(demand, **options)
+            got, x = fast._solve(
+                demand, None, options["policy"], mode, monotonic
+            )
         (((c,), lp, primal_res),) = primal
         ((_args, _kwargs, dual_res),) = dual
         # the reference minimises -lambda, production the dual's cost
         assert dual_res.fun == pytest.approx(-primal_res.fun, abs=1e-9)
         assert got.throughput == pytest.approx(ref.throughput, abs=1e-9)
-        x = -dual_res.ineqlin.marginals
         assert x.shape == c.shape
         assert x.min() >= -1e-9 and x[0] <= 1.0 + 1e-9
         assert np.all(lp["A_ub"] @ x <= lp["b_ub"] + 1e-9)
@@ -535,6 +540,142 @@ class TestDualSolve:
         assert len(struct._monopairs) == 2
         fast.solve(demand, policy=HopClassPolicy(3, 0.0), mode="uniform")
         assert len(struct._monopairs) == 2  # uniform has no such rows
+
+
+@contextmanager
+def _returns(module, name):
+    """Record ``(args, result)`` of every call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    with mock.patch.object(module, name, spy):
+        yield calls
+
+
+def _lp_cost(lp):
+    cost = np.zeros(lp.num_vars)
+    cost[0] = 1.0
+    return cost
+
+
+class TestQuotient:
+    """Every solve runs on the equitable quotient of its LP (see
+    :mod:`repro.model.quotient`), refined once per skeleton and set of
+    weight ties, and checked against the values of each solve."""
+
+    @settings(max_examples=30, deadline=None)
+    @_drawn_solves
+    def test_refined_partition_is_equitable_and_stable(
+        self, shape, arrangement, policy, mode, monotonic, shift
+    ):
+        topo = shape(arrangement)
+        fast = FastModel(topo)
+        demand = Shift(topo, shift, 0).demand_matrix()
+        policy = _drawn_policy(policy, topo, demand)
+        with _returns(quotient, "refine") as refined:
+            lp = fast._lp(demand, None, policy, mode, monotonic)
+        ((args, part),) = refined
+        assert lp.quotient.part is part  # the refinement, not the fallback
+        assert quotient.Quotient(
+            part, lp.rows, lp.cols, len(lp.b), lp.num_vars
+        ).matrix(lp.vals, (lp.b,), (_lp_cost(lp),)) is not None
+        rows, cols, labels, _kinds, _colours = args
+        again = quotient.refine(rows, cols, labels, part.rows, part.cols)
+        np.testing.assert_array_equal(again.rows, part.rows)
+        np.testing.assert_array_equal(again.cols, part.cols)
+        # and the solve on it is certified, with a row per class
+        with _linprog_calls(fastpath) as calls:
+            fast.solve(demand, policy=policy, mode=mode, monotonic=monotonic)
+        ((_, kwargs, _),) = calls
+        assert kwargs["A_ub"].shape == (part.num_col_classes, part.num_row_classes)
+
+    @pytest.mark.parametrize(
+        "topo, collapsed",
+        [
+            (Dragonfly(4, 8, 4, 9, arrangement="circulant"), (9, 21)),
+            (Dragonfly(4, 8, 4, 33, arrangement="relative"), (32, 88)),
+        ],
+        ids=["circulant-g9", "relative-g33"],
+    )
+    def test_collapse_is_pinned(self, topo, collapsed):
+        fast = FastModel(topo)
+        demand = Shift(topo, 1, 0).demand_matrix()
+        full, solved = fast.shape(demand, mode="free")
+        assert solved == collapsed
+        assert full[0] > 10 * solved[0] and full[1] > 10 * solved[1]
+        # at the flow bound, as the full LP is
+        assert fast.solve(demand, mode="free").throughput == pytest.approx(
+            shift_saturation_bound(topo), abs=1e-9
+        )
+
+    def test_memoized_partitions_hold_for_every_weight(self):
+        """One model solving Table-1 sweeps in both modes: every weight
+        of a mask solves on the partition its first solve refined (a
+        partition refined from one weight's values would not hold for
+        the next), and matches the reference."""
+        topo = Dragonfly(2, 4, 2, 3)
+        fast = FastModel(topo)
+        cache = PathStatsCache(topo)
+        grid = table1_datapoints(step=0.1)
+        demands = [
+            pat.demand_matrix()
+            for pat in [Shift(topo, 1, 0)] + type_2_set(topo, count=1)
+        ]
+        for mode in ("uniform", "free"):
+            with _returns(quotient.Quotient, "matrix") as checks:
+                for demand in demands:
+                    for policy in grid:
+                        _assert_parity(
+                            fast, cache, demand, policy=policy, mode=mode
+                        )
+            assert len(checks) == len(grid) * len(demands)
+            assert all(q_vals is not None for _args, q_vals in checks)
+        for struct in fast._patterns.values():
+            assert len(struct._partitions) < len(grid)
+
+    def test_tampered_partition_is_rejected_before_the_solve(self):
+        demand = Shift(SMALL, 1, 0).demand_matrix()
+        fast = FastModel(SMALL)
+        want = fast.solve(demand, mode="free")
+        (struct,) = fast._patterns.values()
+        (key,) = struct._partitions
+        part = struct._partitions[key]
+        # every variable but lambda in one class: not equitable
+        struct._partitions[key] = part._replace(
+            cols=np.minimum(part.cols, 1), num_col_classes=2
+        )
+        struct._plan = None
+        full, _solved = fast.shape(demand, mode="free")
+        with _linprog_calls(fastpath) as calls:
+            got = fast.solve(demand, mode="free")
+        ((_, kwargs, _),) = calls
+        assert kwargs["A_ub"].shape == full
+        assert got.throughput == pytest.approx(want.throughput, abs=1e-9)
+
+
+class TestCompileOnce:
+    def test_unhashable_policy_compiles_once_per_call(self):
+        """An ``ExplicitPathSet`` (unhashable: no program memo) is compiled
+        once per solve and once per ``verify_config``, not per pair."""
+        demand = Shift(SMALL, 1, 0).demand_matrix()
+        src, dst = np.nonzero(demand)
+        policy = ExplicitPathSet.from_policy(
+            SMALL, HopClassPolicy(4, 0.5),
+            pairs=list(zip(src.tolist(), dst.tolist())),
+        )
+        with mock.patch.object(
+            ExplicitPathSet, "membership_program", autospec=True,
+            side_effect=ExplicitPathSet.membership_program,
+        ) as compile_:
+            FastModel(SMALL).solve(demand, policy=policy)
+            assert compile_.call_count == 1
+            verify_config(SMALL, policy)
+            assert compile_.call_count == 2
 
 
 class TestWeightsForPolicyRejection:
