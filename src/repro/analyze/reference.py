@@ -2,15 +2,16 @@
 
 Some names in the tree exist only so tests can hold production code to
 them: ``model_throughput`` (the LP reference assembly; production solves
-through :class:`~repro.model.fastpath.FastModel`), the per-path
+through :class:`~repro.model.fastpath.FastModel`) and the per-path
 enumerator behind it (``compute_pair_stats`` / ``PathStatsCache``;
-production reads its pair blocks from the route table) and a directly
-constructed timing-wheel ``Network`` (production builds
-:class:`~repro.sim.array.ArrayNetwork` through ``build_network``, which
-falls back to the inherited wheel path by itself on a compiler-less
-host).  ``docs/architecture.md`` says so in one place; this rule keeps
-the statement true: a new production import of one of the former or
-construction of the latter is a second pipeline growing back.
+production reads its pair blocks from the route table).  The engines
+have one home too: a run's network is picked by its lane in
+``repro.sim.engine.Run`` (the wheel ``Network`` or the native
+:class:`~repro.sim.array.ArrayNetwork`), and a caller that steps a
+network itself gets the wheel through ``build_network``, next to it.
+``docs/architecture.md`` says so in one place; this rule keeps the
+statement true: a new production import of one of the former, or a
+network constructed anywhere else, is a second pipeline growing back.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ _IMPORT_HOMES = {
     "compute_pair_stats": ("repro.model.pathstats", "repro.model.lp_model"),
     "PathStatsCache": ("repro.model.pathstats", "repro.model.lp_model"),
 }
-_NETWORK_HOME = "repro.sim.network"
+_NETWORK_HOME = "repro.sim.engine"
+_ENGINES = ("Network", "ArrayNetwork")
 
 
 @rule(
@@ -41,13 +43,15 @@ _NETWORK_HOME = "repro.sim.network"
     severity="warning",
     summary=(
         "a production module imports model_throughput, compute_pair_stats "
-        "or PathStatsCache, or constructs Network(...) directly: all are "
-        "kept only as parity references for FastModel and the "
-        "ArrayNetwork kernel (docs/architecture.md)"
+        "or PathStatsCache (kept only as parity references for FastModel), "
+        "or constructs Network(...) / ArrayNetwork(...) outside "
+        "repro.sim.engine, where a run's lane picks its engine "
+        "(docs/architecture.md)"
     ),
     hint=(
         "solve through repro.model.FastModel (pair statistics: its "
-        "BlockCache) / build networks with repro.sim.build_network; a "
+        "BlockCache) / run simulations through repro.sim.engine.Run, and "
+        "get a network to step yourself from repro.sim.build_network; a "
         "deliberate reference use (a re-export for the parity tests) "
         "takes an allow-marker"
     ),
@@ -79,11 +83,10 @@ def check_reference_only(
                 if isinstance(func, ast.Attribute)
                 else None
             )
-            if name == "Network":
+            if name in _ENGINES:
                 yield entry.finding(
                     unit.path, node.lineno,
-                    "Network(...) constructed directly: the timing-wheel "
-                    "engine is the parity reference, not a production "
-                    "engine",
+                    f"{name}(...) constructed outside repro.sim.engine: "
+                    f"a run's lane picks its engine there",
                     context=unit.line_text(node.lineno),
                 )

@@ -7,29 +7,32 @@ winning :class:`~repro.routing.pathset.PathPolicy` (the T-VLB set) for a
 given topology.
 """
 
-from repro.core.datapoints import datapoint_label, table1_datapoints
-from repro.core.balance import (
-    BalanceReport,
-    balance_adjust,
-    global_usage_probability,
-    pair_usage_probability,
-)
-from repro.core.algorithm import (
-    TvlbResult,
-    compute_tvlb,
-    model_evaluator,
-    simulation_evaluator,
-)
+import importlib
+from typing import Any
 
-__all__ = [
-    "table1_datapoints",
-    "datapoint_label",
-    "BalanceReport",
-    "pair_usage_probability",
-    "global_usage_probability",
-    "balance_adjust",
-    "compute_tvlb",
-    "TvlbResult",
-    "simulation_evaluator",
-    "model_evaluator",
-]
+# each public name and the module it lives in, imported on first use:
+# the balance step and Algorithm 1 solve LPs (scipy), which reading the
+# Table-1 datapoints -- or importing the experiments layer -- never needs
+_HOMES = {
+    "table1_datapoints": "repro.core.datapoints",
+    "datapoint_label": "repro.core.datapoints",
+    "BalanceReport": "repro.core.balance",
+    "pair_usage_probability": "repro.core.balance",
+    "global_usage_probability": "repro.core.balance",
+    "balance_adjust": "repro.core.balance",
+    "compute_tvlb": "repro.core.algorithm",
+    "TvlbResult": "repro.core.algorithm",
+    "simulation_evaluator": "repro.core.algorithm",
+    "model_evaluator": "repro.core.algorithm",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str) -> Any:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value

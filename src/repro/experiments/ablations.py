@@ -19,12 +19,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core import balance_adjust, compute_tvlb
 from repro.experiments.figures import (
     DEFAULT_SCALE, Scale, Variant, curve_suite, run_suite,
 )
 from repro.experiments.report import FigureResult, render_table
-from repro.model import FastModel
 from repro.routing.pathset import (
     AllVlbPolicy,
     HopClassPolicy,
@@ -80,6 +78,8 @@ def abl_strategic(scale: Scale = DEFAULT_SCALE) -> FigureResult:
 
 def abl_balance(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     """Effect of the Step-2 load-balance adjustment on dfly(4,8,4,9)."""
+    from repro.core.balance import balance_adjust
+
     topo = default_dragonfly()
     params = SimParams(window_cycles=scale.window)
     pattern = Shift(topo, 1, 0)
@@ -118,6 +118,8 @@ def abl_balance(scale: Scale = DEFAULT_SCALE) -> FigureResult:
 
 def abl_monotonic() -> FigureResult:
     """LP model: monotonicity fix vs unconstrained vs uniform split."""
+    from repro.model.fastpath import FastModel
+
     topo = default_dragonfly()
     model = FastModel(topo)
     demand = Shift(topo, 2, 0).demand_matrix()
@@ -152,6 +154,8 @@ def abl_monotonic() -> FigureResult:
 
 def algorithm1(scale: Scale = DEFAULT_SCALE) -> FigureResult:
     """Full Algorithm-1 pipeline on dfly(2,4,2,3) with audit trail."""
+    from repro.core.algorithm import compute_tvlb
+
     topo = Dragonfly(2, 4, 2, 3)
     res = compute_tvlb(
         topo,

@@ -13,23 +13,34 @@ channel capacities, with each demand pair free to split between its MIN
 paths (equal split) and its candidate VLB set (equal split).
 """
 
-# repro: allow[REF401]: re-exported for the parity tests and for users
-# checking FastModel against the reference assembly
-from repro.model.pathstats import PairPathStats, PathStatsCache
-# repro: allow[REF401]: re-exported for the parity tests and for users
-# checking FastModel against the reference assembly
-from repro.model.lp_model import ModelResult, model_throughput
-from repro.model.fastpath import BlockCache, FastModel, PairBlock
-from repro.model.sweep import SweepPoint, step1_sweep
+import importlib
+from typing import Any
 
-__all__ = [
-    "BlockCache",
-    "FastModel",
-    "PairBlock",
-    "PairPathStats",
-    "PathStatsCache",
-    "ModelResult",
-    "model_throughput",
-    "SweepPoint",
-    "step1_sweep",
-]
+# each public name and the module it lives in, imported on first use:
+# the LP modules load scipy, which code that only needs, say,
+# ``repro.model.sweep`` or ``repro.model.bounds`` never pays for.
+# ``PathStatsCache`` / ``model_throughput`` are re-exported for the
+# parity tests and for users checking FastModel against the reference
+# assembly.
+_HOMES = {
+    "BlockCache": "repro.model.fastpath",
+    "FastModel": "repro.model.fastpath",
+    "PairBlock": "repro.model.fastpath",
+    "PairPathStats": "repro.model.pathstats",
+    "PathStatsCache": "repro.model.pathstats",
+    "ModelResult": "repro.model.lp_model",
+    "model_throughput": "repro.model.lp_model",
+    "SweepPoint": "repro.model.sweep",
+    "step1_sweep": "repro.model.sweep",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str) -> Any:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value

@@ -1,7 +1,8 @@
-"""The simulation engine: struct-of-arrays state, native cycle kernel.
+"""The array lane's engine: struct-of-arrays state, native cycle kernel.
 
-See :mod:`repro.sim.array.network` for the engine, its reference path
-and the parity contract between the two, and
+See :mod:`repro.sim.array.network` for the network the kernel steps and
+the parity contract with the wheel ``Network``,
+:mod:`repro.sim.array.lane` for the kernel's cycle loop and
 :mod:`repro.sim.array.native` for the on-demand native kernel build.
 """
 
@@ -10,10 +11,9 @@ from repro.sim.array.native import (
     load_kernel,
     native_available,
 )
-from repro.sim.array.network import ArrayChannel, ArrayNetwork
+from repro.sim.array.network import ArrayNetwork
 
 __all__ = [
-    "ArrayChannel",
     "ArrayNetwork",
     "NativeKernelUnavailable",
     "load_kernel",

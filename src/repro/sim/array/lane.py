@@ -228,7 +228,7 @@ class RouteLane:
         ctx.cycle = network.cycle
         state = network._cstate_ref
         returns = self.returns
-        network._commit_routes()  # the kernel appends at the arena's end
+        # the kernel appends at the arena's end
         ctx.arena_len = network._arena_len
         ctx.arena_cap = network._arena_cap
         while True:

@@ -9,8 +9,8 @@ sandbox/CI images both ship a C compiler.
 Environment gate ``REPRO_ARRAYNET_NATIVE``:
 
 * unset (default) -- try to build/load; on any failure log one warning
-  and report the kernel as unavailable (ArrayNetwork then falls back to
-  the bit-identical scalar wheel path, see ``repro.sim.array.network``);
+  and report the kernel as unavailable (every run then steps the
+  bit-identical wheel ``Network``, see ``repro.sim.engine.Run``);
 * ``0`` / ``off`` / ``no`` / ``false`` -- never attempt the native path;
 * ``require`` -- raise :class:`NativeKernelUnavailable` instead of
   falling back (CI perf gates use this to fail loudly).
@@ -170,11 +170,7 @@ class CState(ctypes.Structure):
     ]
 
 
-# ej_who columns (kernel.c EW_*)
-EW_SPID = 0
-EW_SRC = 1
-EW_DST = 2
-EW_CVC = 3
+# ej_who row width (kernel.c EW_*)
 EW_STRIDE = 4
 
 # --- routing decisions and the cycle loop (RouteCtx in kernel.c) ---
@@ -391,27 +387,12 @@ def _load() -> ctypes.CDLL:
             f"ctypes mirror expects {expected} -- clear the cache at "
             f"{_cache_dir()} or rebuild"
         )
-    lib.repro_step_cycle.restype = ctypes.c_int64
-    lib.repro_step_cycle.argtypes = [
-        ctypes.POINTER(CState),
-        ctypes.c_int64,
-        ctypes.c_int64,
-    ]
     # the cycle loop: everything else it needs is in the two structs
     lib.repro_run.restype = ctypes.c_int64
     lib.repro_run.argtypes = [
         ctypes.POINTER(CState),
         ctypes.POINTER(CRouteCtx),
         ctypes.c_int64,  # until
-    ]
-    lib.repro_enqueue.restype = ctypes.c_int64
-    lib.repro_enqueue.argtypes = [
-        ctypes.POINTER(CState),
-        ctypes.c_int64,  # start
-        ctypes.c_int64,  # n
-        ctypes.c_void_p,  # int64 nodes
-        ctypes.c_void_p,  # int32 SE_* records
-        ctypes.c_int64,  # cycle
     ]
     # probes of the routing context: array arguments are raw addresses
     lib.repro_contains_batch.restype = None
@@ -463,8 +444,8 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         if gate == "require":
             raise
         _log.warning(
-            "native array kernel unavailable (%s); ArrayNetwork falls "
-            "back to the scalar wheel path (bit-identical, slower)",
+            "native array kernel unavailable (%s); every run steps the "
+            "wheel Network (bit-identical, slower)",
             exc,
         )
         return None

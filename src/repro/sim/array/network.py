@@ -1,90 +1,62 @@
-"""ArrayNetwork: struct-of-arrays batched cycle engine.
+"""ArrayNetwork: the struct-of-arrays network the native kernel steps.
 
-The engine every run gets (``repro.sim.build_network``), behind the
-:class:`repro.sim.network.Network` interface it inherits.  All
-flit/credit/VC state lives in numpy struct-of-arrays -- per-channel
-credit tables, output-queue rings, router input-buffer rings, sorted
-active-slot tables, and fixed-capacity timing wheels -- and the
-per-cycle phases are advanced for the whole network per call:
+An array-lane run (``repro.sim.engine.Run``, ``lane == "array"``) gets
+this network, and nothing enters it except the kernel's cycle loop
+``repro_run``, driven whole windows at a time by
+:meth:`repro.sim.array.lane.RouteLane.run`.  All flit/credit/VC state
+lives in numpy struct-of-arrays -- per-channel credit tables,
+output-queue rings, router input-buffer rings, sorted active-slot
+tables, and fixed-capacity timing wheels -- that the kernel
+(``kernel.c``, built on demand by :mod:`repro.sim.array.native`) reads
+and writes:
 
-* the hot path is the native kernel (``kernel.c``, built on demand by
-  :mod:`repro.sim.array.native`), a bit-exact transliteration of the
-  wheel engine's deliver -> crossbar -> transmit phases over the shared
-  arrays, with batched timing-wheel pops, cache-packed per-packet
-  records, and allocation-free inner loops;
-* order-insensitive bulk work stays vectorized numpy on the Python side:
-  ejection statistics are buffered in-kernel across many cycles and
-  drained as array batches (``StatsCollector.record_ejection_batch``),
-  and every observability read (utilization, flit totals, VC occupancy,
-  backlog) is a vectorized reduction over the same arrays;
-* the only order-sensitive randomness inside a step -- PAR's hop-1
-  revision draws -- is handled *before* the cycle's step runs, in
-  delivery-bucket order, which is exactly the wheel engine's call order:
-  inside ``repro_run`` when the routing algorithm compiled (see
-  :mod:`repro.sim.array.lane`), by ``on_arrival`` per packet in
-  :meth:`ArrayNetwork.step` (arbitration itself is kept scalar-exact:
-  exact RNG-order parity is infeasible inside a blindly vectorized
-  arbitration step);
-* :meth:`ArrayNetwork.step` / :meth:`ArrayNetwork.inject` are the
-  one-cycle forms (the per-packet lane, tests, the benchmark's mirror
-  driver); a compiled run advances whole windows per kernel call
-  (``repro_run``, driven by :meth:`repro.sim.array.lane.RouteLane.run`),
-  which this module serves only when the kernel comes back for a buffer
-  to grow or the ejection buffer to drain;
-* when no C compiler is available (gate ``REPRO_ARRAYNET_NATIVE``), the
-  engine transparently falls back to the inherited scalar wheel path --
-  slower, logged once, and the reference the kernel is held to.
+* the kernel's step is a bit-exact transliteration of the wheel
+  :class:`~repro.sim.network.Network`'s deliver -> crossbar -> transmit
+  phases over the shared arrays, with batched timing-wheel pops,
+  cache-packed per-packet records, and allocation-free inner loops;
+  PAR's hop-1 revisions run before each cycle's step, in delivery-bucket
+  order, which is exactly the wheel's ``on_arrival`` call order;
+* this module allocates and grows the arrays (the kernel never
+  allocates: it comes back for a buffer to grow) and drains the
+  ejection buffer into ``on_eject_batch``
+  (``StatsCollector.record_ejection_batch``) in large batches;
+* every observability read (utilization, flit totals, VC occupancy,
+  backlog) is a vectorized reduction over the same arrays.
 
-Because ejections are buffered lazily, callers that drive ``step()``
-directly must call :meth:`finalize` before reading final statistics
-(``simulate`` does this); per-ejection hook order and cycle stamps are
-preserved exactly, only the hook call *time* is deferred.
-
-Results are bit-identical between the kernel and the wheel path across
-seed x routing x load x network parameters (pinned, together with the
-values themselves, by ``tests/test_routing_parity_matrix.py`` and
-``tests/test_array_engine.py``), which is why the path taken is a fact
-about the host and not part of a run's identity: both share cache
+Nothing here steps one cycle or takes a ``Packet``: a run routed packet
+by packet in Python -- and any caller that drives a network with
+``inject()`` / ``step()`` -- gets the wheel ``Network`` instead.  Results
+are bit-identical between the two (pinned, together with the values
+themselves, by ``tests/test_routing_parity_matrix.py`` and
+``tests/test_array_engine.py``), which is why the engine a run took is
+a fact about the host and not part of its identity: both share cache
 entries and spec fingerprints.
 """
 
 from __future__ import annotations
 
 import ctypes
-from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.hugepages import zeros as _alloc
-from repro.sim.network import Network, SimChannel
-from repro.sim.packet import Packet
+from repro.sim.network import channel_layout
 from repro.sim.array.native import (
     CNT_EJ,
     CNT_FREE,
-    CNT_PC,
     CNT_PD,
-    CNT_PT,
     COUNTERS_LEN,
-    EW_CVC,
-    EW_DST,
-    EW_SPID,
-    EW_SRC,
     EW_STRIDE,
     PK_STRIDE,
     CState,
+    NativeKernelUnavailable,
     POINTER_FIELD_NAMES,
     SCALAR_FIELDS,
     load_kernel,
 )
 
-__all__ = ["ArrayChannel", "ArrayNetwork"]
-
-# what Network._build_objects provides that code outside the wheel
-# engine's own step path reads
-_OBJECTS = frozenset(
-    {"routers", "channels", "inject_channels", "eject_channels"}
-)
+__all__ = ["ArrayNetwork"]
 
 _PTR_OF_DTYPE = {
     np.dtype(np.int32): ctypes.POINTER(ctypes.c_int32),
@@ -100,34 +72,6 @@ _INITIAL_SRC_CAP = 32
 _EJ_ENTRIES = 1 << 14
 
 
-class ArrayChannel(SimChannel):
-    """A SimChannel whose live state may reside in the SoA arrays.
-
-    Construction is identical to :class:`SimChannel` (each channel's
-    dense ``index`` is its row in the arrays); in native mode the
-    network hands every routable channel the array bag so
-    :meth:`load_metric` -- the UGAL congestion estimate of a single
-    routing decision -- answers from the arrays the kernel updates.  (The
-    bag, not the network: a back reference would tie every network into
-    a reference cycle that only the cyclic collector frees.)
-    In fallback mode the bag stays ``None`` and the inherited
-    deque/credit state remains authoritative.
-    """
-
-    __slots__ = ("_soa",)
-
-    def load_metric(self) -> int:
-        soa = self._soa
-        if soa is None:
-            return SimChannel.load_metric(self)
-        i = self.index
-        return (
-            int(soa.out_len[i])
-            + self.credit_capacity
-            - int(soa.cred_total[i])
-        )
-
-
 class _SoA:
     """Bag of the numpy arrays shared between Python and the kernel.
 
@@ -135,64 +79,42 @@ class _SoA:
     in kernel.c field for field.  Convenience *views* into the packed
     bases keep the wheel engine's vocabulary on the Python side
     (``out_head``/``out_len``/``cred``/``cred_total`` and the int64
-    ``busy_until``/``flits`` tail into ``outrow``, the
-    ``p_*`` columns into ``pkt``, ...); only base arrays are handed to C.
-    A few arrays are Python-only and never cross: ``p_src``,
-    ``p_inject_cycle``, ``p_used_vlb``, ``is_global``.
+    ``busy_until``/``flits`` tail into ``outrow``, ...); only base arrays
+    are handed to C.  ``is_global`` is Python-only and never crosses.
     """
 
 
-class ArrayNetwork(Network):
-    """Struct-of-arrays engine behind the Network interface (native
-    kernel, or the inherited reference path when ``backend`` says so).
+class ArrayNetwork:
+    """The network of an array-lane run: the kernel's arrays, sized for
+    ``topo`` under ``params`` with ``num_vcs`` VCs.
 
-    A native network steps, injects and reports from its arrays alone,
-    so it does not build the inherited channel and router objects until
-    something asks for them (the per-packet routing procedure, a test):
-    ``channels`` / ``inject_channels`` / ``eject_channels`` / ``routers``
-    appear on first access, as views of the same
-    :class:`~repro.sim.network.ChannelLayout` rows.
+    Raises :class:`~repro.sim.array.native.NativeKernelUnavailable` where
+    the kernel does not load (``REPRO_ARRAYNET_NATIVE=0``, no compiler):
+    such a host runs every run on the wheel ``Network``.
     """
-
-    channel_cls = ArrayChannel
 
     def __init__(self, topo, params, num_vcs: int) -> None:
-        self._S: Optional[_SoA] = None
-        self._kernel = load_kernel()
-        # the SoA is built only in native mode (fallback keeps the
-        # inherited wheel structures live, and needs them now)
-        super().__init__(topo, params, num_vcs, objects=self._kernel is None)
+        kernel = load_kernel()
+        if kernel is None:
+            raise NativeKernelUnavailable(
+                "ArrayNetwork needs the native kernel; without it a run "
+                "steps the wheel Network"
+            )
+        self._kernel = kernel
+        self.topo = topo
+        self.params = params
+        self.num_vcs = num_vcs
+        self.cycle = 0
+        self.layout = channel_layout(topo, params, num_vcs)
+        self._wheel_size = self.layout.wheel_size
         self._num_switch_channels = len(self.layout.keys)
-        # routed packets handed to inject() since the last flush
-        self._pending: List[Packet] = []
-        if self._kernel is not None:
-            self._build_soa()
+        # callable(latencies, hops, used_vlb, cycles) over the arrays of
+        # every packet ejected since the last drain, in ejection order
+        self.on_eject_batch = None
+        self._build_soa()
 
-    def __getattr__(self, name: str):
-        # reached only for a name not set yet
-        if name in _OBJECTS and "routers" not in self.__dict__:
-            self._build_objects()
-            return self.__dict__[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def _build_objects(self) -> None:
-        super()._build_objects()
-        # array order is ``channel.index`` order; a node's injection
-        # queue is not routable and keeps answering for itself
-        soa = self._S
-        for channel in self.inject_channels:
-            channel._soa = None
-        for channel in self.channels.values():
-            channel._soa = soa
-        for channel in self.eject_channels:
-            channel._soa = soa
-
-    # ------------------------------------------------------------------
-    # SoA construction (native mode only)
-    # ------------------------------------------------------------------
     def _build_soa(self) -> None:
+        """Allocate the kernel's arrays and point the C struct at them."""
         topo = self.topo
         params = self.params
         layout = self.layout
@@ -304,20 +226,13 @@ class ArrayNetwork(Network):
         S.free_stack = _alloc(cap, np.int32)
         # descending init so pids pop in ascending order
         S.free_stack[:] = np.arange(cap - 1, -1, -1, dtype=np.int32)
-        self._refresh_pkt_views()
         # --- route arena ---
         self._arena_cap = _INITIAL_ARENA_CAP
         self._arena_len = 0
         S.arena_chan = np.zeros(self._arena_cap, np.int32)
         S.arena_vc = np.zeros(self._arena_cap, np.int32)
-        # routes handed out by route_handle() since the last commit
-        self._staged_chan: List[int] = []
-        self._staged_vc: List[int] = []
         S.counters = np.zeros(COUNTERS_LEN, np.int64)
         S.counters[CNT_FREE] = cap
-
-        self._next_spid = 1  # staging ids for revisable Packet objects
-        self._live: Dict[int, Packet] = {}  # spid -> revisable Packet
 
         self._scalars = {
             "nR": nR,
@@ -345,27 +260,7 @@ class ArrayNetwork(Network):
         self._ej_base = nSw + nNodes
         self._cstate = CState()
         self._sync_struct()
-        self._step_native = self._kernel.repro_step_cycle
-        self._enqueue = self._kernel.repro_enqueue
         self._cstate_ref = ctypes.byref(self._cstate)
-
-    def _refresh_pkt_views(self) -> None:
-        """Re-derive the column views after (re)allocating the pool."""
-        S = self._S
-        pkt = S.pkt
-        S.p_hop = pkt[:, 0]
-        S.p_path_hops = pkt[:, 1]
-        S.p_current_vc = pkt[:, 2]
-        S.p_vc0 = pkt[:, 3]
-        S.p_dst = pkt[:, 4]
-        S.p_revisable = pkt[:, 5]
-        S.p_arrived = pkt[:, 6]
-        S.p_route_off = pkt[:, 7]
-        pm = S.pmeta
-        S.pm_src = pm[:, 0]
-        S.pm_icyc = pm[:, 1]
-        S.pm_vlb = pm[:, 2]
-        S.pm_spid = pm[:, 3]
 
     def _sync_struct(self, grown=POINTER_FIELD_NAMES) -> None:
         """Point the C struct at the current arrays (after growth: at
@@ -378,11 +273,6 @@ class ArrayNetwork(Network):
         self._scalars["src_cap"] = self._src_cap
         for name in SCALAR_FIELDS:
             setattr(st, name, self._scalars[name])
-
-    @property
-    def backend(self) -> str:
-        """Which step implementation is live: ``native`` or fallback."""
-        return "native" if self._S is not None else "wheel-fallback"
 
     # ------------------------------------------------------------------
     # Growth (Python-side only; the kernel never allocates)
@@ -406,7 +296,6 @@ class ArrayNetwork(Network):
         )
         S.free_stack = stack
         S.counters[CNT_FREE] = nfree + old_cap
-        self._refresh_pkt_views()
         self._packet_cap = new_cap
         self._sync_struct(("pkt", "pmeta", "free_stack"))
 
@@ -441,90 +330,14 @@ class ArrayNetwork(Network):
         self._sync_struct(("src_buf",))
 
     # ------------------------------------------------------------------
-    # Injection (native) -- mirrors Network.inject over the arrays
+    # The route arena and the ejection drain (asked for by RouteLane.run)
     # ------------------------------------------------------------------
-    def route_handle(self, chans, vcs) -> int:
-        """The arena offset of a route, staged for the next commit.
-
-        Routing registers every candidate once, when it builds it, so
-        the arena holds each distinct candidate -- PAR-revised ones
-        included -- once, however many packets take it.  Arena layout is
-        bookkeeping only; results never depend on it.
-        """
-        if self._S is None:
-            return 0
-        off = self._arena_len + len(self._staged_chan)
-        self._staged_chan += chans
-        self._staged_vc += vcs
-        return off
-
-    def _commit_routes(self) -> None:
-        """Write the staged routes into the arena (before the kernel or
-        anything else reads it)."""
-        if self._staged_chan:
-            chans, vcs = self._staged_chan, self._staged_vc
-            self._staged_chan, self._staged_vc = [], []
-            self.intern_route(chans, vcs)
-
-    def inject(self, packet: Packet) -> None:
-        """Queue a routed packet at its node's source queue.
-
-        Natively the packet only joins ``_pending``; the cycle's
-        injections land through one :meth:`inject_batch` when
-        :meth:`step` starts (or earlier, the moment anything reads
-        source-queue state -- the clock does not move in between, so
-        deferring is invisible).  Queue entries are packed value records
-        (kernel.c ``SE_*``); no pool id is allocated until the kernel
-        moves the packet into the network at injection-transmit, so deep
-        source backlogs never inflate the hot record pool.  Revisable
-        packets additionally park their Python object in ``_live`` under
-        a staging id the kernel threads through to ``pmeta``.
-        """
-        if self._S is None:
-            super().inject(packet)
-            return
-        self._pending.append(packet)
-
-    def _flush_pending(self) -> None:
-        """Move ``_pending`` into the source queues, in inject() order."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        # node + one SE_* record per packet, appended straight into a
-        # typed buffer numpy can view without converting element-wise
-        buf = array("i")
-        add_row = buf.extend
-        for packet in pending:
-            hops = packet.path_hops
-            vc0 = packet.vcs[0] if hops else 0
-            spid = 0
-            if packet.revisable:
-                spid = self._next_spid
-                self._next_spid = spid + 1
-                self._live[spid] = packet
-            add_row(
-                (
-                    packet.src_node,
-                    hops,
-                    vc0,
-                    packet.dst_node,
-                    packet.revisable,
-                    packet.route_ref,
-                    packet.inject_cycle,
-                    spid,
-                    packet.used_vlb,
-                )
-            )
-        rows = np.frombuffer(buf, np.intc).reshape(len(pending), 9)
-        self.inject_batch(rows[:, 0], rows[:, 1:])
-
     def intern_route(self, chan_indices, vcs) -> int:
         """Append an image of routes given by raw channel indices to the
-        arena, now; returns its offset.  (The routing lane interns the
-        table's whole ``MinImage`` this way, once per run.)
+        arena; returns its offset.  (The routing lane interns the table's
+        whole ``MinImage`` this way, once per run; the kernel appends
+        the routes it builds itself.)
         """
-        self._commit_routes()
         S = self._S
         off = self._arena_len
         need = off + len(chan_indices)
@@ -535,211 +348,42 @@ class ArrayNetwork(Network):
         self._arena_len = need
         return off
 
-    def inject_batch(self, src_nodes: np.ndarray, records: np.ndarray) -> None:
-        """Queue already-routed packets at this cycle, in order.
-
-        ``records`` holds one row per packet in kernel.c ``SE_*`` column
-        order: path hops, injection VC, destination node, revisable
-        flag, route arena offset (:meth:`intern_route`), inject cycle,
-        ``_live`` staging id, used-VLB flag.  The caller has applied the
-        source-queue cap.  The queue entries written, the timing-wheel
-        appends for previously-empty queues and the counter updates are
-        what a per-packet loop over the wheel engine's ``inject``
-        produces (``repro_enqueue``, the function the kernel's own cycle
-        loop queues with).
-        """
-        nodes = np.ascontiguousarray(src_nodes, np.int64)
-        records = np.ascontiguousarray(records, np.int32)
-        count = len(nodes)
-        done = 0
-        while True:
-            done = self._enqueue(
-                self._cstate_ref,
-                done,
-                count,
-                nodes.ctypes.data,
-                records.ctypes.data,
-                self.cycle,
-            )
-            if done == count:
-                return
-            if done < 0:
-                raise RuntimeError(
-                    f"array kernel invariant violation (code {done}) "
-                    f"queueing at cycle {self.cycle}"
-                )
-            self._grow_src()
-
-    # ------------------------------------------------------------------
-    # Per-cycle step (native)
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance one cycle (deliver -> crossbar -> transmit)."""
-        S = self._S
-        if S is None:
-            super().step()
-            return
-        self._flush_pending()
-        cycle = self.cycle
-        idx = cycle % self._wheel_size
-        # at most one packet per node can enter the network per cycle
-        if S.counters[CNT_FREE] < self.topo.num_nodes:
-            self._grow_pool()
-        skip_credits = 0
-        if S.rev_n[idx] and self.on_arrival is not None:
-            # the wheel applies this cycle's credit returns before the
-            # delivery loop, so PAR revisions must see post-credit
-            # load_metric state; apply them first, run the revisions in
-            # delivery-bucket order (== the wheel's on_arrival call
-            # order, pinning the RNG draw sequence), then let the kernel
-            # run the rest of the cycle
-            self._process_revisions(idx)
-            skip_credits = 1
-        self._commit_routes()
-        rc = self._step_native(self._cstate_ref, cycle, skip_credits)
-        if rc:
-            raise RuntimeError(
-                f"array kernel invariant violation (code {rc}) at "
-                f"cycle {cycle}"
-            )
-        # ejections accumulate in-kernel and drain in large batches; the
-        # buffer must be flushed before the next cycle could overflow it
-        if S.counters[CNT_EJ] > self._ej_flush:
-            self._flush_ejections()
-        self.cycle += 1
-
-    def finalize(self) -> None:
-        """Flush pending injections and buffered ejections, so queue
-        state and statistics hooks are complete."""
-        if self._S is None:
-            return
-        self._flush_pending()
-        self._flush_ejections()
-
-    def _apply_credit_bucket(self, idx: int) -> None:
-        S = self._S
-        n = int(S.cw_n[idx])
-        if not n:
-            return
-        psize = self.params.packet_size
-        cred = S.cred
-        cred_total = S.cred_total
-        for c, vc in zip(
-            S.cw_chan[idx, :n].tolist(), S.cw_vc[idx, :n].tolist()
-        ):
-            cred[c, vc] += psize
-            cred_total[c] += psize
-        S.cw_n[idx] = 0
-        S.counters[CNT_PC] -= n
-
-    def _process_revisions(self, idx: int) -> None:
-        """Run PAR's revisions for this bucket's hop-1 revisable packets.
-
-        Bucket order equals the wheel's delivery-loop order; ejections
-        and buffer appends interleaved by the wheel cannot influence a
-        revision (they never touch load_metric state), so running all
-        revisions up front is bit-identical.  ``on_arrival`` is asked per
-        packet, with a ``Packet`` to rewrite.
-        """
-        S = self._S
-        self._apply_credit_bucket(idx)
-        n = int(S.dw_n[idx])
-        revisable = S.p_revisable
-        hops = S.p_hop
-        dst_router = S.ch_dst_router
-        on_arrival = self.on_arrival
-        live = self._live
-        pids = S.dw_pid[idx, :n].tolist()
-        chans = S.dw_chan[idx, :n].tolist()
-        for i in range(n):
-            pid = pids[i]
-            if revisable[pid] and hops[pid] == 1:
-                packet = live.pop(int(S.pm_spid[pid]))
-                packet.hop = 1
-                packet.current_vc = int(S.p_current_vc[pid])
-                on_arrival(packet, int(dst_router[chans[i]]))
-                revisable[pid] = 0
-                S.p_route_off[pid] = packet.route_ref
-                S.p_path_hops[pid] = packet.path_hops
-                S.pm_vlb[pid] = 1 if packet.used_vlb else 0
-        S.rev_n[idx] = 0
-
     def _flush_ejections(self) -> None:
-        """Hand the buffered ejections to the hooks, in ejection order.
-        (Their pool ids went back on the free stack as they ejected;
-        everything a hook may ask about them is in the buffer.)"""
+        """Hand the buffered ejections to ``on_eject_batch``, in ejection
+        order.  (Their pool ids went back on the free stack as they
+        ejected; everything the hook is given is in the buffer.)"""
         S = self._S
         count = int(S.counters[CNT_EJ])
         if not count:
             return
         S.counters[CNT_EJ] = 0
-        cycles = S.ej_cycle[:count]
-        who = S.ej_who[:count]
-        batch_hook = self.on_eject_batch
-        scalar_hook = self.on_eject
-        live = self._live
-        if batch_hook is not None:
+        if self.on_eject_batch is not None:
             # hook order and per-packet eject cycles match the wheel's
             # per-cycle on_eject sequence exactly; the drain passes flat
             # slices -- views into reused buffers that must be consumed
             # in-call
-            batch_hook(
+            self.on_eject_batch(
                 S.ej_lat[:count],
                 S.ej_hops[:count],
                 S.ej_vlb[:count],
-                cycles,
+                S.ej_cycle[:count],
             )
-        elif scalar_hook is not None:
-            rows = zip(
-                who.tolist(),
-                cycles.tolist(),
-                S.ej_lat[:count].tolist(),
-                S.ej_hops[:count].tolist(),
-                S.ej_vlb[:count].tolist(),
-            )
-            for row, cycle, latency, hops, vlb in rows:
-                packet = live.pop(row[EW_SPID], None)
-                if packet is None:
-                    packet = Packet(
-                        row[EW_SRC], row[EW_DST], cycle - latency
-                    )
-                packet.path_hops = packet.hop = hops
-                packet.used_vlb = bool(vlb)
-                packet.current_vc = row[EW_CVC]
-                scalar_hook(packet, cycle)
-            return
-        if live:
-            spids = who[:, EW_SPID]
-            for spid in spids[spids > 0].tolist():
-                live.pop(spid, None)
+
+    def finalize(self) -> None:
+        """Drain the buffered ejections, so the statistics are complete
+        (``Run.finish`` calls it before reading them)."""
+        self._flush_ejections()
 
     # ------------------------------------------------------------------
-    # Introspection / observability (vectorized over the arrays)
+    # Introspection / observability (vectorized over the arrays; the
+    # same values as the Network methods of the same names)
     # ------------------------------------------------------------------
-    def source_queue_len(self, node: int) -> int:
-        if self._S is None:
-            return super().source_queue_len(node)
-        if self._pending:  # asked once per generated packet
-            self._flush_pending()
-        return int(self._S.src_len[node])
-
-    def load_snapshot(self) -> Optional[List[int]]:
-        S = self._S
-        if S is None:
-            return None
-        n = self._num_switch_channels
-        capacity = self.params.buffer_size * self.num_vcs
-        return (S.out_len[:n] + capacity - S.cred_total[:n]).tolist()
-
     def reset_channel_counters(self) -> None:
-        if self._S is None:
-            super().reset_channel_counters()
-            return
+        """Zero per-channel traversal counters (at the warmup boundary)."""
         self._S.flits[:] = 0
 
     def channel_utilization(self, cycles: int) -> Dict[str, float]:
-        if self._S is None:
-            return super().channel_utilization(cycles)
+        """Mean/max flits per cycle of local and global channels."""
         S = self._S
         nSw = self._num_switch_channels
         flits = S.flits[:nSw]
@@ -759,8 +403,7 @@ class ArrayNetwork(Network):
         }
 
     def channel_flit_totals(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._S is None:
-            return super().channel_flit_totals()
+        """Cumulative flits sent per switch channel (local, global)."""
         S = self._S
         nSw = self._num_switch_channels
         flits = S.flits[:nSw]
@@ -771,8 +414,7 @@ class ArrayNetwork(Network):
         )
 
     def vc_occupancy(self) -> List[int]:
-        if self._S is None:
-            return super().vc_occupancy()
+        """Flits buffered per VC, summed over every router input port."""
         return (
             self._S.in_len.reshape(-1, self.num_vcs)
             .sum(axis=0, dtype=np.int64)
@@ -780,30 +422,15 @@ class ArrayNetwork(Network):
         )
 
     def injection_backlog(self) -> int:
-        if self._S is None:
-            return super().injection_backlog()
-        self._flush_pending()
+        """Packets waiting in node source queues (not yet on the wire)."""
         return int(self._S.src_len.sum())
 
     def in_flight(self) -> int:
-        if self._S is None:
-            return super().in_flight()
+        """Packets anywhere in the network (excluding source queues)."""
         S = self._S
         return (
             int(S.counters[CNT_PD])
             + int(S.in_len.sum())
             + int(S.out_len[: self._inj_base].sum())
             + int(S.out_len[self._ej_base :].sum())
-        )
-
-    def quiescent(self) -> bool:
-        if self._S is None:
-            return super().quiescent()
-        self._flush_pending()
-        counters = self._S.counters
-        return (
-            not counters[CNT_PT]
-            and not counters[CNT_PD]
-            and not counters[CNT_PC]
-            and self.in_flight() == 0
         )

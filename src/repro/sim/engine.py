@@ -30,10 +30,12 @@ from repro.obs import (
 )
 from repro.obs.manifest import RunManifest
 from repro.routing.pathset import PathPolicy, swap_sample_memo
+from repro.routing.table import route_table
 from repro.sim.array import ArrayNetwork
+from repro.sim.network import Network
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
-from repro.sim.routing import make_routing
+from repro.sim.routing import kernel_plan, make_routing
 from repro.sim.stats import SimResult, StatsCollector
 from repro.topology.dragonfly import Dragonfly
 from repro.traffic.patterns import (
@@ -45,24 +47,26 @@ from repro.traffic.patterns import (
 __all__ = ["Run", "simulate", "build_network"]
 
 
+def _num_vcs(topo: Dragonfly, params: SimParams, routing: str) -> int:
+    """The VC count the routing variant needs on ``topo``."""
+    name = routing.lower()
+    base = name[2:] if name.startswith("t-") else name
+    return params.vcs_required(base, topo.max_local_hops)
+
+
 def build_network(
     topo: Dragonfly,
     params: SimParams,
     routing_variant: str,
-) -> ArrayNetwork:
-    """Construct the network, sized for the routing variant's VCs.
-
-    There is one engine: :class:`~repro.sim.array.ArrayNetwork`.  It
-    steps through the native cycle kernel where the host can build it
-    and through the inherited timing-wheel :class:`Network` path where
-    it cannot (or where ``REPRO_ARRAYNET_NATIVE=0`` says not to) -- a
-    fact about the host, never about the run: results are bit-identical
-    either way, and the wheel path is the parity reference.
+) -> Network:
+    """The timing-wheel :class:`~repro.sim.network.Network`, sized for
+    the routing variant's VCs, for a caller that drives it itself:
+    routes packets (``make_routing``), queues them (``inject``) and
+    advances it (``step``, then ``finalize``).  That per-packet
+    procedure is the one a packet-lane :class:`Run` steps, and the
+    reference the native kernel is held bit-identical to.
     """
-    name = routing_variant.lower()
-    base = name[2:] if name.startswith("t-") else name
-    num_vcs = params.vcs_required(base, topo.max_local_hops)
-    return ArrayNetwork(topo, params, num_vcs)
+    return Network(topo, params, _num_vcs(topo, params, routing_variant))
 
 
 class Run:
@@ -71,10 +75,14 @@ class Run:
     ``simulate()`` and ``simulate_batch`` are both built from it: make
     one, :meth:`advance` it to ``total``, :meth:`finish`.  Everything
     that decides a result -- the rng, the draw order, the routing
-    algorithm, the statistics -- lives here once.  On the array lane
-    :meth:`advance` is the native kernel's cycle loop, entered once per
-    segment (warm-up end, sampler tick, ``until``) and coming back in
-    between only for a buffer to grow or drain; on the packet lane it is
+    algorithm, the statistics -- lives here once.  The lane is decided
+    once, before the network is built (:func:`~repro.sim.routing.
+    kernel_plan`), and picks the engine: on the array lane ``net`` is an
+    :class:`~repro.sim.array.ArrayNetwork` and :meth:`advance` is the
+    native kernel's cycle loop, entered once per segment (warm-up end,
+    sampler tick, ``until``) and coming back in between only for a
+    buffer to grow or drain; on the packet lane ``net`` is the wheel
+    :class:`~repro.sim.network.Network` and :meth:`advance` is
     ``inject(cycle); net.step()`` per cycle, the reference.
     """
 
@@ -105,12 +113,39 @@ class Run:
         self.max_source_queue = max_source_queue
         self.warmup = params.warmup_cycles
         self.total = params.total_cycles
+        self._scheduled = getattr(pattern, "scheduled", False)
+        num_vcs = _num_vcs(topo, params, routing)
+        table = route_table(topo)
+        filled = table.fill_seconds
         # repro: allow[DET104]: the set-up split is runtime metadata on
         # the manifest, never part of result identity or cache keys
-        setup_start = time.perf_counter()
-        self.net = net = build_network(topo, params, routing)
-        # repro: allow[DET104]: closes the build_network measurement
-        build_seconds = time.perf_counter() - setup_start
+        compile_start = time.perf_counter()
+        # one rule picks the lane, and the lane picks the engine:
+        # decisions are kernel calls wherever they can be -- the
+        # per-packet procedure routes explicit event lists, policies
+        # without a membership program and hosts without the kernel, on
+        # the wheel Network
+        plan = kernel_plan(
+            topo,
+            pattern,
+            routing=routing,
+            policy=policy,
+            params=params,
+            num_vcs=num_vcs,
+        )
+        self.lane = "packet" if plan is None else "array"
+        # repro: allow[DET104]: set-up split, as above
+        build_start = time.perf_counter()
+        # the lane's engine: the wheel Network or the native ArrayNetwork
+        self.net: Any = (
+            Network(topo, params, num_vcs)
+            if plan is None
+            else ArrayNetwork(topo, params, num_vcs)
+        )
+        net = self.net
+        # repro: allow[DET104]: closes the network build measurement
+        build_seconds = time.perf_counter() - build_start
+        compile_seconds = build_start - compile_start
         self.rng = np.random.default_rng(seed)
         self.algo = make_routing(net, routing, policy=policy, rng=self.rng)
         base = self.algo.variant  # the name without its t- prefix
@@ -124,7 +159,7 @@ class Run:
                 policy,
                 scheme=params.vc_scheme,
                 routing=base,
-                num_vcs=net.num_vcs,
+                num_vcs=num_vcs,
                 seed=seed,
             )
             if not report.passed:
@@ -133,9 +168,6 @@ class Run:
                     f"configuration:\n{report.to_text()}"
                 )
         self.stats = StatsCollector(topo.num_nodes, self.warmup)
-        net.on_eject = self.stats.record_ejection
-        net.on_eject_batch = self.stats.record_ejection_batch
-        net.on_arrival = self.algo.revise_at
         # sparse-policy reservoirs depend on the rng that filled them, so
         # every run samples against its own memo (see sampling()): the
         # result is a pure function of the arguments, whatever ran before
@@ -150,23 +182,17 @@ class Run:
         self._inc_injected = self.registry.counter("engine.packets_injected").inc
         self._inc_stalled = self.registry.counter("engine.inject_stalls").inc
         self._nodes = np.arange(topo.num_nodes)
-        self._scheduled = getattr(pattern, "scheduled", False)
         # simulate()'s periodic state sampler, ticked by advance()
         self.sampler: Optional[EngineSampler] = None
         self.sample_every = 0
-        # one rule: decisions are kernel calls wherever they can be --
-        # the per-packet procedure routes explicit event lists, policies
-        # without a membership program and hosts without the kernel
-        table = self.algo.table
-        filled = table.fill_seconds
-        # repro: allow[DET104]: set-up split, as above
-        compile_start = time.perf_counter()
-        self.lane = (
-            "array"
-            if not self._scheduled and self.algo.compile()
-            else "packet"
-        )
-        if self.lane == "array":
+        if plan is None:
+            net.on_eject = self.stats.record_ejection
+            net.on_arrival = self.algo.revise_at
+        else:
+            net.on_eject_batch = self.stats.record_ejection_batch
+            # repro: allow[DET104]: set-up split, as above
+            lane_start = time.perf_counter()
+            self.algo.compile(plan)
             rng = self.rng
             self.algo.lane.traffic(
                 load,
@@ -174,8 +200,8 @@ class Run:
                 destination_program(pattern),
                 lambda srcs: pattern.sample_destinations(srcs, rng),
             )
-        # repro: allow[DET104]: closes the compile measurement
-        compile_seconds = time.perf_counter() - compile_start
+            # repro: allow[DET104]: closes the compile measurement
+            compile_seconds += time.perf_counter() - lane_start
         gauge = self.registry.gauge
         gauge("engine.setup.build_network_seconds").set(build_seconds)
         gauge("engine.setup.compile_seconds").set(compile_seconds)
@@ -316,9 +342,11 @@ class Run:
         # the engine buffers ejections across cycles; drain them before
         # stats.result so the tail packets count
         net.finalize()
-        # the hook closes a network <-> routing reference cycle; without it
-        # both are freed on return instead of piling up until a full GC
-        net.on_arrival = None
+        if self.lane == "packet":
+            # the hook closes a network <-> routing reference cycle;
+            # without it both are freed on return instead of piling up
+            # until a full GC
+            net.on_arrival = None
         # repro: allow[DET104]: closes the wall_seconds runtime measurement
         wall_seconds = time.perf_counter() - self._wall_start
         measure_cycles = params.measure_windows * params.window_cycles

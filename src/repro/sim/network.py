@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -310,20 +310,18 @@ class Network:
     """Builds the simulation network for a topology and runs cycles.
 
     What is where is :func:`channel_layout`'s; this class materializes
-    it as channel and router objects and steps them.
+    it as channel and router objects and steps them, one cycle per
+    :meth:`step`, with packets routed in Python and queued by
+    :meth:`inject`.  It is the engine of every packet-lane run and of
+    every caller that drives a network itself (``build_network``), and
+    the reference the native kernel is held bit-identical to.
     """
-
-    # overridable: ArrayNetwork's channels answer load_metric from the
-    # arrays its kernel updates
-    channel_cls = SimChannel
 
     def __init__(
         self,
         topo: Dragonfly,
         params: SimParams,
         num_vcs: int,
-        *,
-        objects: bool = True,
     ) -> None:
         self.topo = topo
         self.params = params
@@ -336,26 +334,13 @@ class Network:
         # hooks filled by the engine
         self.on_eject = None  # callable(packet, cycle)
         self.on_arrival = None  # callable(packet, router_idx) for PAR
-        # optional batched ejection hook: callable(latencies, hops,
-        # used_vlb, cycle) over numpy arrays for every packet ejected in
-        # one cycle, in ejection order.  The wheel engine ignores it (it
-        # ejects packet-at-a-time through on_eject); the array engine
-        # prefers it when set, falling back to per-packet on_eject calls
-        self.on_eject_batch = None
-        if objects:
-            self._build_objects()
 
-    def _build_objects(self) -> None:
-        """The layout as channel and router objects, plus the event
-        wheels that step them."""
-        layout = self.layout
-        params = self.params
-        num_vcs = self.num_vcs
-        num_ports = self.topo.radix
-        channel_cls = self.channel_cls
+        # the layout as channel and router objects, plus the event
+        # wheels that step them
+        num_ports = topo.radix
         self.routers = [
             Router(i, num_ports, num_vcs)
-            for i in range(self.topo.num_switches)
+            for i in range(topo.num_switches)
         ]
         ordered: List[SimChannel] = []
         for index, (src, dst, src_port, dst_port, latency, delay, is_global,
@@ -371,7 +356,7 @@ class Network:
                 layout.kind.tolist(),
             )
         ):
-            channel = channel_cls(
+            channel = SimChannel(
                 None if src < 0 else src,
                 None if dst < 0 else dst,
                 dst_port,
@@ -389,7 +374,7 @@ class Network:
             channel.delivery_delay = delay
             ordered.append(channel)
         switch_channels = len(layout.keys)
-        nodes = self.topo.num_nodes
+        nodes = topo.num_nodes
         # keyed by (src, dst, slot), in index order
         self.channels: Dict[Tuple[int, int, int], SimChannel] = dict(
             zip(layout.keys, ordered)
@@ -660,23 +645,8 @@ class Network:
         out_queue.append(packet)
 
     def source_queue_len(self, node: int) -> int:
+        """Packets waiting in ``node``'s source queue."""
         return len(self.inject_channels[node].out_queue)
-
-    @property
-    def backend(self) -> str:
-        """Which step implementation is live; here always the wheel."""
-        return "wheel"
-
-    def route_handle(self, chans: Sequence[int], vcs: Sequence[int]) -> int:
-        """Register a route (switch-channel indices + per-hop VCs) packets
-        will be injected with; the handle goes on ``Packet.route_ref``.
-        This engine walks ``Packet.route`` directly and needs none."""
-        return 0
-
-    def load_snapshot(self) -> Optional[List[int]]:
-        """``load_metric`` of every switch channel by ``index``, when the
-        engine can read them in bulk; ``None`` here (ask the channels)."""
-        return None
 
     def step(self) -> None:
         """Advance one cycle (deliver -> crossbar -> transmit)."""
@@ -774,11 +744,9 @@ class Network:
         )
 
     def finalize(self) -> None:
-        """Flush any lazily buffered hook work after the last ``step()``.
-
-        The wheel engine fires every hook inline, so this is a no-op;
-        the array engine buffers ejections across cycles and overrides
-        this to drain them.  ``simulate`` calls it before reading stats.
+        """Nothing to flush: this engine fires every hook inline.  (The
+        array engine buffers ejections across cycles and drains them
+        here; ``Run.finish`` calls it on either before reading stats.)
         """
 
     def in_flight(self) -> int:

@@ -23,11 +23,13 @@ batch, strictly in packet order, from a
 the whole batch against one read of the channel loads.
 
 That per-packet procedure (``route_packet`` / ``route_packets`` /
-``revise_at``) is the definition.  Where the five built-in strategies
-meet a policy whose membership test exists as data,
+``revise_at``, over a wheel :class:`~repro.sim.network.Network`) is the
+definition.  Where the five built-in strategies meet a policy whose
+membership test exists as data (:func:`kernel_plan`, the lane rule),
 :meth:`RoutingAlgorithm.compile` moves the same procedure -- same draws,
 same order, same candidate cache -- into the native kernel
-(:class:`~repro.sim.array.lane.RouteLane`), where
+(:class:`~repro.sim.array.lane.RouteLane`) over an
+:class:`~repro.sim.array.ArrayNetwork`, where
 :class:`~repro.sim.engine.Run` drives it whole windows at a time
 (``advance``).  See "Route tables and draw order" and "The run loop"
 in ``docs/simulator.md``.
@@ -49,13 +51,26 @@ from typing import (
 
 import numpy as np
 
-from repro.routing.pathset import AllVlbPolicy, PathPolicy, policy_program
-from repro.routing.table import route_table
+from repro.routing.pathset import (
+    AllVlbPolicy,
+    PathPolicy,
+    PolicyProgram,
+    policy_program,
+)
+from repro.routing.table import MinImage, route_table
 from repro.sim.array.lane import RouteLane
-from repro.sim.array.native import RC_MIN, RC_REVISED, RC_VLB, RK_PAR
+from repro.sim.array.network import ArrayNetwork
+from repro.sim.array.native import (
+    RC_MIN,
+    RC_REVISED,
+    RC_VLB,
+    RK_PAR,
+    load_kernel,
+)
 from repro.sim.draws import DrawStream
 from repro.sim.network import Network, SimChannel
 from repro.sim.packet import Packet
+from repro.sim.params import SimParams
 from repro.sim.strategies import (
     MinimalStrategy,
     ParStrategy,
@@ -63,12 +78,16 @@ from repro.sim.strategies import (
     UgalLocalStrategy,
     ValiantStrategy,
 )
+from repro.topology.dragonfly import Dragonfly
+from repro.traffic.patterns import TrafficPattern
 
 __all__ = [
     "Candidate",
+    "KernelPlan",
     "Pick",
     "RoutingAlgorithm",
     "ROUTING_VARIANTS",
+    "kernel_plan",
     "make_routing",
 ]
 
@@ -95,7 +114,6 @@ class Candidate(NamedTuple):
     shape: str  # 'l'/'g' per hop; keys the VC ladders
     route: List[SimChannel]
     vcs: List[int]
-    ref: int  # Network.route_handle of (chans, vcs)
 
 
 # one packet's draws: its MIN and VLB candidates (VLB ``None`` when the
@@ -123,7 +141,12 @@ _NO_VLB_PATH = _NoVlbPath()
 
 
 class RoutingAlgorithm:
-    """Per-packet route selection bound to a network and a VLB policy."""
+    """Per-packet route selection bound to a network and a VLB policy.
+
+    The per-packet procedure routes over a wheel ``Network``; bound to
+    an :class:`~repro.sim.array.ArrayNetwork`, the algorithm only makes
+    its decisions in the kernel (:meth:`compile`, :meth:`advance`).
+    """
 
     def __init__(
         self,
@@ -156,7 +179,7 @@ class RoutingAlgorithm:
         self.table = route_table(self.topo)
         self._ladders = self.table.ladders(self.vc_scheme, self.num_vcs)
         self._nsw = self.topo.num_switches
-        self._same_switch = Candidate(0, (), "", [], [], 0)
+        self._same_switch = Candidate(0, (), "", [], [])
         # per-pair MIN candidates, keyed src * num_switches + dst
         self._min_cache: Dict[int, List[Candidate]] = {}
         # per-pair VLB candidate cache; once `_vlb_cache_cap` candidates
@@ -164,12 +187,12 @@ class RoutingAlgorithm:
         # _NO_VLB_PATH marks pairs the policy cannot serve
         self._vlb_cache: Dict[int, Union[List[Candidate], _NoVlbPath]] = {}
         self._vlb_cache_cap = network.params.vlb_cache_per_pair
-        # PAR-revised (route, vcs, handle) by channel-index row, so equal
-        # revisions share one route object and one network handle
+        # PAR-revised (route, vcs) by channel-index row, so equal
+        # revisions share one route object
         self._revised: Dict[
-            Tuple[int, ...], Tuple[List[SimChannel], List[int], int]
+            Tuple[int, ...], Tuple[List[SimChannel], List[int]]
         ] = {}
-        # kernel-side decisions, once compile() succeeded
+        # kernel-side decisions, once compile() built them
         self.lane: Optional[RouteLane] = None
 
     # ------------------------------------------------------------------
@@ -178,9 +201,8 @@ class RoutingAlgorithm:
     @cached_property
     def _channels(self) -> List[SimChannel]:
         """Table channel index -> this network's channel object, for
-        the per-packet procedure (networks lay their channels out in the
-        table's order, so the table's indices double as rows of the
-        engine's load snapshot)."""
+        the per-packet procedure (the network lays its channels out in
+        the table's order)."""
         channels = self.network.channels
         return [channels[key] for key in self.table.channel_keys]
 
@@ -192,14 +214,12 @@ class RoutingAlgorithm:
 
     def _candidate(self, chans: Tuple[int, ...], shape: str) -> Candidate:
         channels = self._channels
-        vcs = self._ladders[shape]
         return Candidate(
             len(chans),
             chans,
             shape,
             [channels[c] for c in chans],
-            vcs,
-            self.network.route_handle(chans, vcs),
+            self._ladders[shape],
         )
 
     def pick_min(self, src_sw: int, dst_sw: int, draws) -> Candidate:
@@ -251,53 +271,31 @@ class RoutingAlgorithm:
 
     def revised_route(
         self, packet: Packet, vlb: Candidate
-    ) -> Tuple[List[SimChannel], List[int], int]:
-        """(route, vcs, handle) of ``packet`` re-routed over ``vlb`` from
-        its current hop, on the next VC level; interned per distinct
-        row."""
+    ) -> Tuple[List[SimChannel], List[int]]:
+        """(route, vcs) of ``packet`` re-routed over ``vlb`` from its
+        current hop: the hops taken so far keep their VCs, the VLB
+        fragment rides PAR's revised ladder from there.  Interned per
+        distinct channel row."""
         hop = packet.hop
         chans = tuple([ch.index for ch in packet.route[:hop]]) + vlb.chans
-        return self._revised_entry(chans, packet.vcs[:hop], vlb.shape)
-
-    def _revised_entry(
-        self, chans: Tuple[int, ...], taken_vcs: List[int], shape: str
-    ) -> Tuple[List[SimChannel], List[int], int]:
-        """The interned revised route over channel row ``chans``: the
-        hops taken so far keep ``taken_vcs``, the VLB fragment of
-        ``shape`` rides PAR's revised ladder from there."""
         entry = self._revised.get(chans)
         if entry is None:
             ladders = self.table.ladders(
-                self.vc_scheme,
-                self.num_vcs,
-                revised=True,
-                hop_offset=len(taken_vcs),
+                self.vc_scheme, self.num_vcs, revised=True, hop_offset=hop
             )
-            vcs = taken_vcs + ladders[shape]
             channels = self._channels
             entry = self._revised[chans] = (
                 [channels[c] for c in chans],
-                vcs,
-                self.network.route_handle(chans, vcs),
+                packet.vcs[:hop] + ladders[vlb.shape],
             )
         return entry
 
     # ------------------------------------------------------------------
     # Queue estimates
     # ------------------------------------------------------------------
-    def load_reader(self, decisions: int) -> Callable[[int], int]:
-        """``channel index -> load_metric`` for one batch of decisions.
-
-        Channel state does not change while a batch is being routed, so
-        when the batch is large enough to pay for it the loads of all
-        channels are read from the engine's arrays at once; otherwise
-        (and on engines without such arrays) each read asks the channel.
-        """
+    def load_reader(self) -> Callable[[int], int]:
+        """``channel index -> load_metric``, asked of the channel."""
         channels = self._channels
-        if decisions >= 8 + len(channels) // 64:
-            loads = self.network.load_snapshot()
-            if loads is not None:
-                return loads.__getitem__
         return lambda index: channels[index].load_metric()
 
     # ------------------------------------------------------------------
@@ -373,39 +371,24 @@ class RoutingAlgorithm:
     # ------------------------------------------------------------------
     # The same decisions as kernel calls (array-level entries)
     # ------------------------------------------------------------------
-    def compile(self) -> bool:
-        """Move this algorithm's decisions into the routing kernel.
-
-        True when ``advance`` is available from here on: the network
-        runs natively, the strategy is one of the five the kernel
-        implements, and the policy's membership test
-        exists as data (:func:`~repro.routing.pathset.policy_program`).
-        Building the lane composes the topology's flattened tables
-        (milliseconds, once per topology and process).
-        """
-        if self.lane is not None:
-            return True
-        kind = _KERNEL_STRATEGIES.get(type(self.strategy))
-        if kind is None or self.network.backend != "native":
-            return False
-        program = policy_program(self.policy, self.table)
-        if program is None:
-            return False
-        try:
-            image = self.table.min_image(self.vc_scheme, self.num_vcs)
-        except ValueError:
-            # too few VCs for a MIN path: the per-packet procedure
-            # raises that where it always did
-            return False
+    def compile(self, plan: "KernelPlan") -> None:
+        """Make this algorithm's decisions in the routing kernel, over
+        its :class:`~repro.sim.array.ArrayNetwork`, from ``plan`` (what
+        :func:`kernel_plan` answered for the run): :meth:`advance` is
+        available from here on.  Building the lane composes the
+        topology's flattened tables (milliseconds, once per topology and
+        process)."""
+        network = self.network
+        if not isinstance(network, ArrayNetwork):
+            raise TypeError("the routing kernel runs over an ArrayNetwork")
         self.lane = RouteLane(
-            self.network, self.table, image, self.policy, program, kind,
-            self.rng,
+            network, self.table, plan.image, self.policy, plan.program,
+            plan.kind, self.rng,
         )
-        return True
 
     def _compiled(self) -> RouteLane:
         if self.lane is None:
-            raise RuntimeError("advance needs a successful compile()")
+            raise RuntimeError("advance needs compile()")
         return self.lane
 
     def _absorb(self) -> None:
@@ -432,13 +415,65 @@ class RoutingAlgorithm:
     ) -> None:
         packet.route = entry.route
         packet.vcs = entry.vcs
-        packet.route_ref = entry.ref
         packet.path_hops = entry.hops
         packet.used_vlb = used_vlb
         if used_vlb:
             self.vlb_chosen += 1
         else:
             self.min_chosen += 1
+
+
+class KernelPlan(NamedTuple):
+    """What the routing kernel makes a run's decisions from."""
+
+    kind: int  # the strategy's kernel.c RK_* id
+    program: PolicyProgram  # the policy's membership test, as data
+    image: MinImage  # every MIN candidate, with its VC ladder
+
+
+def kernel_plan(
+    topo: Dragonfly,
+    pattern: TrafficPattern,
+    *,
+    routing: str,
+    policy: Optional[PathPolicy],
+    params: SimParams,
+    num_vcs: int,
+) -> Optional[KernelPlan]:
+    """The lane rule: how the kernel makes a run's decisions, or ``None``
+    where the per-packet procedure makes them (on the wheel ``Network``).
+
+    The kernel routes a run when it loads (``REPRO_ARRAYNET_NATIVE=require``
+    raises here when it does not), the pattern is not a scheduled trace,
+    the strategy is one of the five ``kernel.c`` implements (by exact
+    type: a subclass with its own cost or revision rule stays in
+    Python), the policy's membership test exists as data
+    (:func:`~repro.routing.pathset.policy_program`) and every MIN ladder
+    fits ``num_vcs`` (where one does not, the per-packet procedure raises
+    the error where it always did).  ``routing`` is a variant name as
+    :func:`make_routing` takes it.
+    """
+    from repro.spec.builtins import resolve_routing, strategy_for
+
+    base, _custom = resolve_routing(routing, has_policy=policy is not None)
+    kind = _KERNEL_STRATEGIES.get(type(strategy_for(base)))
+    if (
+        load_kernel() is None
+        or getattr(pattern, "scheduled", False)
+        or kind is None
+    ):
+        return None
+    table = route_table(topo)
+    program = policy_program(
+        policy if policy is not None else AllVlbPolicy(), table
+    )
+    if program is None:
+        return None
+    try:
+        image = table.min_image(params.vc_scheme, num_vcs)
+    except ValueError:
+        return None
+    return KernelPlan(kind, program, image)
 
 
 def make_routing(

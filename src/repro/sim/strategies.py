@@ -112,7 +112,7 @@ class UgalStrategy(RoutingStrategy):
     def decide(
         self, algo: "RoutingAlgorithm", picks: Sequence["Pick"]
     ) -> None:
-        load = algo.load_reader(len(picks))
+        load = algo.load_reader()
         cost = self.cost
         threshold = algo.threshold
         for packet, min_pick, vlb_pick, more_min, more_vlb in picks:
@@ -190,9 +190,7 @@ class ParStrategy(UgalLocalStrategy):
         )
         cost_vlb = vlb.route[0].load_metric() * vlb.hops
         if cost_vlb + algo.threshold < cost_min:
-            packet.route, packet.vcs, packet.route_ref = algo.revised_route(
-                packet, vlb
-            )
+            packet.route, packet.vcs = algo.revised_route(packet, vlb)
             packet.path_hops = hop + vlb.hops
             packet.used_vlb = True
             algo.par_revised += 1

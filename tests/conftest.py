@@ -5,12 +5,12 @@ import pytest
 
 @pytest.fixture
 def reference_engine(monkeypatch):
-    """Networks built in this test step on the reference path.
+    """Runs made in this test step on the reference path.
 
     ``REPRO_ARRAYNET_NATIVE=0`` is the gate a compiler-less host is
-    behind: ``ArrayNetwork`` then runs the timing-wheel ``Network`` code
-    it inherits, which is what the native kernel is held bit-identical
-    to.  The gate is read each time a network is built, so a test can
+    behind: every run is then a packet-lane run on the timing-wheel
+    ``Network``, which is what the native kernel is held bit-identical
+    to.  The gate is read each time a run picks its lane, so a test can
     ``monkeypatch.delenv`` it again to get the host's default path.
     """
     monkeypatch.setenv("REPRO_ARRAYNET_NATIVE", "0")

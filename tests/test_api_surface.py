@@ -104,11 +104,15 @@ def test_the_run_loop_surface():
     """One way to advance a native run: ``Run.advance`` (which both
     drivers call) over ``RoutingAlgorithm.advance`` / ``RouteLane.run``,
     patterns describing themselves through ``destination_program`` --
-    and nothing left of the lockstep, the word buffers or the one-cycle
-    forms of the compiled routing calls."""
+    and nothing left of the lockstep, the word buffers, the one-cycle
+    forms of the compiled routing calls or the one-cycle driving of the
+    native network (Python steps only the wheel ``Network``)."""
+    import repro.sim.array.network as array_network
     from repro.sim.array.lane import RouteLane
     from repro.sim.array.network import ArrayNetwork
     from repro.sim.engine import Run
+    from repro.sim.network import Network
+    from repro.sim.packet import Packet
     from repro.sim.routing import RoutingAlgorithm
     from repro.traffic import (
         DestinationProgram,
@@ -124,8 +128,6 @@ def test_the_run_loop_surface():
         (RouteLane, "run"),
         (RouteLane, "traffic"),
         (RouteLane, "destinations"),
-        (ArrayNetwork, "step"),
-        (ArrayNetwork, "inject_batch"),
         (TrafficPattern, "destination_program"),
     ):
         doc = getattr(owner, name).__doc__
@@ -141,8 +143,15 @@ def test_the_run_loop_surface():
         (RoutingAlgorithm, "revise_arrivals"),
         (RouteLane, "route"),
         (RouteLane, "revise"),
+        (ArrayNetwork, "step"),
+        (ArrayNetwork, "inject_batch"),
+        (ArrayNetwork, "inject"),
+        (ArrayNetwork, "route_handle"),
+        (Network, "route_handle"),
+        (Packet, "route_ref"),
     ):
         assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
+    assert not hasattr(array_network, "ArrayChannel")
     import repro.sim.array.lane as lane
     import repro.sim.batch as batch
 

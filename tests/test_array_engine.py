@@ -3,13 +3,12 @@
 ``ArrayNetwork`` re-implements the per-cycle deliver/crossbar/transmit
 phases over numpy struct-of-arrays state with a native C kernel.  Its
 entire value rests on one contract: every ``SimResult`` field equals
-what the reference path -- the timing-wheel ``Network`` code it inherits
-and falls back to without a C compiler (the ``reference_engine``
-fixture) -- produces, bit for bit, across routing variants, seeds, and
-loads.  These tests pin that contract and the cache/identity neutrality
-of the path taken: it is a fact about the host, so runs from either
-path, and from before the ``engine`` knob was removed, share
-result-cache entries.
+what the reference path -- the timing-wheel ``Network`` every run steps
+without a C compiler (the ``reference_engine`` fixture) -- produces,
+bit for bit, across routing variants, seeds, and loads.  These tests
+pin that contract and the cache/identity neutrality of the path taken:
+it is a fact about the host, so runs from either path, and from before
+the ``engine`` knob was removed, share result-cache entries.
 """
 
 import os
@@ -21,7 +20,13 @@ import repro.perf.executor as executor_module
 from repro.perf.cache import SimCache, fingerprint
 from repro.perf.executor import SimTask, SweepExecutor
 from repro.sim import SimParams, simulate
-from repro.sim.array import ArrayNetwork, native_available
+from repro.sim.array import (
+    ArrayNetwork,
+    NativeKernelUnavailable,
+    native_available,
+)
+from repro.sim.engine import Run
+from repro.sim.network import Network
 from repro.sim.stats import StatsCollector
 from repro.topology import Dragonfly
 from repro.traffic.patterns import UniformRandom
@@ -74,81 +79,39 @@ def test_par_revisions_exercised(reference_engine):
     assert array == wheel
 
 
-def test_par_arena_is_bounded_by_distinct_routes():
-    """A long saturated PAR run revises thousands of packets, but equal
-    revisions share one interned route: the arena grows with the number
-    of distinct candidates, not with packets."""
-    import numpy as np
-
-    from repro.sim import build_network
-    from repro.sim.packet import Packet
-    from repro.sim.routing import make_routing
-    from repro.traffic.patterns import Shift
-
-    params = SimParams(vlb_cache_per_pair=2)
-    network = build_network(TOPO, params, "par")
-    if network.backend != "native":
-        pytest.skip("needs the native array kernel")
-    rng = np.random.default_rng(2)
-    algo = make_routing(network, "par", rng=rng)
-    network.on_arrival = algo.revise_at
-    pattern = Shift(TOPO, 2, 0)
-    nodes = np.arange(TOPO.num_nodes)
-
-    def run(cycles):
-        for _ in range(cycles):
-            srcs = nodes[rng.random(TOPO.num_nodes) < 0.7]
-            dests = pattern.sample_destinations(srcs, rng)
-            batch = [
-                Packet(int(s), int(d), network.cycle)
-                for s, d in zip(srcs, dests)
-                if network.source_queue_len(int(s)) < 50
-            ]
-            algo.route_packets(batch)
-            for packet in batch:
-                network.inject(packet)
-            network.step()
-        network.finalize()
-
-    run(600)
-    revisions = algo.par_revised
-    assert revisions > 400
-    assert len(algo._revised) < revisions / 4
-    # with a finite per-pair cache every candidate ever built is still
-    # held by the algorithm, so the arena is exactly their routes
-    cached = [
-        entry
-        for entries in list(algo._min_cache.values())
-        + [v for v in algo._vlb_cache.values() if isinstance(v, list)]
-        for entry in entries
-    ]
-    assert network._arena_len == sum(e.hops for e in cached) + sum(
-        len(route) for route, _vcs, _ref in algo._revised.values()
-    )
-    # and it has stopped growing: the same traffic again adds (almost)
-    # nothing, where one slice per revision would add thousands of slots
-    before = network._arena_len
-    run(600)
-    assert algo.par_revised > revisions + 400
-    assert network._arena_len - before < 6 * 20
+def _net(routing="ugal-l"):
+    return Run(
+        TOPO,
+        UniformRandom(TOPO),
+        0.2,
+        routing=routing,
+        params=SimParams(window_cycles=80),
+    ).net
 
 
 def test_array_engine_class_is_used():
+    """An array-lane run steps an ``ArrayNetwork``; a caller that drives
+    a network itself (``inject`` / ``step``) gets the wheel."""
     from repro.sim.engine import build_network
 
-    net = build_network(TOPO, SimParams(), "ugal-l")
-    assert isinstance(net, ArrayNetwork)
+    assert type(build_network(TOPO, SimParams(), "ugal-l")) is Network
+    if native_available():
+        assert isinstance(_net(), ArrayNetwork)
 
 
 # ---------------------------------------------------------------------------
-# Documented scalar fallback
+# Hosts without the kernel
 # ---------------------------------------------------------------------------
 def test_fallback_without_native_kernel(reference_engine):
-    """With the native gate off, ArrayNetwork runs the inherited wheel
-    path -- no kernel required, same results."""
+    """With the native gate off, every run steps the wheel ``Network``
+    -- no kernel required, same results -- and no ``ArrayNetwork`` can be
+    built."""
     from repro.sim.engine import build_network
 
-    assert build_network(TOPO, SimParams(), "ugal-l").backend != "native"
+    assert type(build_network(TOPO, SimParams(), "ugal-l")) is Network
+    assert type(_net()) is Network
+    with pytest.raises(NativeKernelUnavailable):
+        ArrayNetwork(TOPO, SimParams(), 4)
     wheel, array = _run_on_both(reference_engine, "ugal-l")
     assert array == wheel
 

@@ -1,4 +1,5 @@
-"""A process that only simulates never imports the LP stack or networkx.
+"""A process that only simulates never imports the LP stack or networkx,
+and neither does importing the experiments layer.
 
 Every latency-vs-load point runs in a fresh process or a forked pool
 worker, so whatever the simulator's import closure drags in is paid per
@@ -83,6 +84,17 @@ assert "scipy.optimize" in sys.modules
 """
 
 
+_EXPERIMENTS = """
+import repro.experiments
+"""
+
+_DATAPOINTS = """
+from repro.core.datapoints import table1_datapoints
+
+assert table1_datapoints(step=0.5)
+"""
+
+
 _NETWORKX = """
 import sys
 print("NETWORKX", sorted(k for k in sys.modules if k.split(".")[0] == "networkx"))
@@ -119,6 +131,16 @@ def test_simulation_loads_no_lp_stack(code):
 
 def test_executor_sim_batches_load_no_lp_stack(tmp_path):
     assert _heavy_modules(_EXECUTOR, str(tmp_path)) == "HEAVY 0 []"
+
+
+@pytest.mark.parametrize(
+    "code", [_EXPERIMENTS, _DATAPOINTS], ids=["experiments", "datapoints"]
+)
+def test_importing_the_experiments_layer_loads_no_lp_stack(code):
+    """The package inits of ``repro.core`` and ``repro.model`` import
+    their modules on first use, so the figure registry and the Table-1
+    grid do not pay for the LP stack."""
+    assert _heavy_modules(code) == "HEAVY 0 []"
 
 
 def test_model_solve_loads_lp_stack_on_first_use():

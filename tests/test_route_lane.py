@@ -51,6 +51,7 @@ from repro.sim.array import ArrayNetwork, native_available
 from repro.sim.array.lane import RouteLane
 from repro.sim.draws import DrawStream
 from repro.sim.engine import Run
+from repro.sim.network import Network
 from repro.topology import CascadeDragonfly, Dragonfly, FullMesh
 from repro.traffic.patterns import Shift, UniformRandom
 from tests.test_draw_stream import BIT_GENERATORS, _same_state, bounds
@@ -493,20 +494,51 @@ def test_too_few_vcs_raise_the_per_packet_procedures_error(
 
 
 @needs_kernel
-def test_a_registered_strategy_the_kernel_does_not_know_stays_in_python():
-    from repro.sim.routing import RoutingAlgorithm
+def test_a_registered_strategy_the_kernel_does_not_know_stays_in_python(
+    monkeypatch,
+):
+    import repro.spec.builtins as builtins
     from repro.sim.strategies import UgalLocalStrategy
 
     class Biased(UgalLocalStrategy):
         def cost(self, load, entry):
             return super().cost(load, entry) + 1
 
-    network = ArrayNetwork(TOPO, SimParams(), 4)
-    algo = RoutingAlgorithm(network, "ugal-l")
-    assert algo.compile() and algo.lane is not None
-    other = RoutingAlgorithm(ArrayNetwork(TOPO, SimParams(), 4), "ugal-l")
-    other.strategy = Biased()
-    assert not other.compile() and other.lane is None
+    def run():
+        return Run(TOPO, Shift(TOPO, 2, 0), 0.3, routing="ugal-l")
+
+    assert run().lane == "array"
+    monkeypatch.setattr(builtins, "strategy_for", lambda variant: Biased())
+    biased = run()
+    assert biased.lane == "packet" and type(biased.algo.strategy) is Biased
+
+
+@needs_kernel
+def test_par_arena_is_bounded_by_distinct_routes():
+    """A long saturated PAR run revises thousands of packets, but equal
+    revisions share one interned route: past the MIN image, the kernel's
+    arena grows with the number of distinct candidates, not with
+    packets, and stops growing."""
+    run = Run(
+        TOPO,
+        Shift(TOPO, 2, 0),
+        0.7,
+        routing="par",
+        params=SimParams(vlb_cache_per_pair=2, window_cycles=400),
+        seed=2,
+    )
+    assert run.lane == "array" and run.total >= 1200
+    lane = run.algo.lane
+    image_end = lane.ctx.image_base + len(lane.image.chan)
+    run.advance(600)
+    revisions = run.algo.par_revised
+    assert revisions > 400
+    # one slice per revision would be >= 3 slots each
+    assert run.net._arena_len - image_end < revisions
+    before = run.net._arena_len
+    run.advance(1200)
+    assert run.algo.par_revised > revisions + 400
+    assert run.net._arena_len - before < 6 * 20
 
 
 # ----------------------------------------------------------------------
@@ -556,4 +588,4 @@ def test_a_cached_kernel_with_another_abi_falls_back_with_one_warning(
     warnings = [r for r in caplog.records if "ABI mismatch" in r.getMessage()]
     assert len(warnings) == 1
     run = Run(TOPO, UniformRandom(TOPO), 0.3, params=SimParams(window_cycles=20))
-    assert run.net.backend == "wheel-fallback" and run.lane == "packet"
+    assert type(run.net) is Network and run.lane == "packet"

@@ -30,7 +30,7 @@ from repro.routing.pathset import (
 )
 from repro.routing.vlb import VlbDescriptor
 from repro.sim import SimParams, simulate
-from repro.sim.array import native_available
+from repro.sim.array import ArrayNetwork, native_available
 from repro.sim.batch import simulate_batch
 from repro.sim.engine import Run
 from repro.spec import RunSpec
@@ -385,9 +385,10 @@ def test_a_user_defined_policy_stays_on_the_packet_lane():
 
 
 def test_one_rule_picks_the_lane(reference_engine):
-    """Not a scheduled trace, and ``RoutingAlgorithm.compile()``
-    succeeds: nothing else decides the lane -- no run is too small, too
-    short or too idle for the array lane, and the per-packet procedure
+    """The lane rule (``kernel_plan``: the kernel loads, not a scheduled
+    trace, a built-in strategy, a policy program, MIN ladders that fit)
+    alone decides the lane -- no run is too small, too short or too idle
+    for the array lane, and the per-packet procedure
     runs only where the kernel cannot (see also the user-defined policy
     above and the lane asserted per ``PINNED`` case)."""
     policies = {
@@ -419,6 +420,49 @@ def test_one_rule_picks_the_lane(reference_engine):
     for routing in ("min", "vlb", "ugal-l", "ugal-g", "par", *policies):
         assert lane(routing=routing) == expected
     assert lane(pattern=_trace()) == "packet"
+
+
+@pytest.mark.skipif(not native_available(), reason="needs the native kernel")
+def test_benchmarked_shapes_stay_on_the_array_lane():
+    """The shapes the benchmark and Algorithm 1's Step 2 simulate all
+    take the array lane, so none of their measured points runs the
+    per-packet procedure on the wheel."""
+    import numpy as np
+
+    from repro.core.balance import balance_adjust
+    from repro.spec import PatternSpec
+    from repro.traffic import type_2_set
+
+    strategic = StrategicFiveHopPolicy("2+3")
+    shift = Shift(TOPO, 2, 0)
+    mixed = PatternSpec.parse("mixed:50,50,1").build(TOPO)
+    type_2 = type_2_set(TOPO, count=1, seed=1000)[0]
+    cases = [
+        ("ugal-l", None, shift),
+        ("t-ugal-l", strategic, shift),
+        ("par", None, mixed),
+        ("t-par", strategic, mixed),
+        ("min", None, UniformRandom(TOPO)),
+        # Step 2's candidate kinds, under a TYPE_2 pattern ("all" runs
+        # as the plain variant)
+        ("t-ugal-l", HopClassPolicy(4, 0.5), type_2),
+        ("t-ugal-l", StrategicFiveHopPolicy("3+2"), type_2),
+        ("ugal-l", None, type_2),
+        ("t-ugal-l", AllVlbPolicy(), type_2),
+    ]
+    for routing, policy, pattern in cases:
+        run = Run(TOPO, pattern, 0.3, routing=routing, policy=policy)
+        assert run.lane == "array", (routing, policy)
+        assert isinstance(run.net, ArrayNetwork)
+    # the balance step removes paths on g9 (not on TOPO): its result is
+    # an ExcludingPolicy, and it compiles too
+    g9 = Dragonfly(4, 8, 4, 9)
+    pairs = list(zip(*np.nonzero(Shift(g9, 1, 0).demand_matrix())))[:4]
+    balanced, report = balance_adjust(g9, HopClassPolicy(5, 0.5), pairs)
+    assert report.adjusted and isinstance(balanced, ExcludingPolicy)
+    run = Run(g9, type_2_set(g9, count=1, seed=1000)[0], 0.3,
+              routing="t-ugal-l", policy=balanced)
+    assert run.lane == "array"
 
 
 @pytest.mark.parametrize("routing", ["min", "ugal-l", "par"])

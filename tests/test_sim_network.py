@@ -202,3 +202,86 @@ class TestPortMapping:
         network = build_network(topo, SimParams(), "ugal-l")
         expected = topo.g * topo.a * (topo.a - 1) + 2 * len(topo.global_links)
         assert len(network.channels) == expected
+
+
+# ---------------------------------------------------------------------------
+# The hand-driven procedure equals simulate()
+# ---------------------------------------------------------------------------
+def _drive_by_hand(topo, pattern, load, *, routing, params, seed,
+                   max_source_queue=10_000):
+    """``simulate()`` rebuilt from the public pieces a caller steps a
+    network with -- ``build_network``, ``make_routing``,
+    ``route_packets``, ``inject``, ``step``, ``finalize`` -- step for
+    step as ``bench/tracing.py``'s mirror driver runs it (whose
+    ``python3 bench/run.py --check`` asserts "traced == measured")."""
+    from repro.routing.pathset import reset_sample_memo
+    from repro.sim.stats import StatsCollector
+    from repro.traffic.patterns import NO_TRAFFIC
+
+    reset_sample_memo()
+    network = build_network(topo, params, routing)
+    rng = np.random.default_rng(seed)
+    algo = make_routing(network, routing, rng=rng)
+    stats = StatsCollector(topo.num_nodes, params.warmup_cycles)
+    network.on_eject = stats.record_ejection
+    network.on_eject_batch = stats.record_ejection_batch
+    network.on_arrival = algo.revise_at
+    nodes = np.arange(topo.num_nodes)
+    for cycle in range(params.total_cycles):
+        if cycle == params.warmup_cycles:
+            network.reset_channel_counters()
+        srcs = nodes[rng.random(topo.num_nodes) < load]
+        if srcs.size:
+            dests = pattern.sample_destinations(srcs, rng)
+            batch = [
+                Packet(src, int(dst), cycle)
+                for src, dst in zip(srcs.tolist(), dests.tolist())
+                if dst != NO_TRAFFIC
+                and network.source_queue_len(src) < max_source_queue
+            ]
+            if batch:
+                algo.route_packets(batch)
+                for packet in batch:
+                    network.inject(packet)
+        network.step()
+    network.finalize()
+    measure_cycles = params.measure_windows * params.window_cycles
+    result = stats.result(
+        offered_load=load,
+        measure_cycles=measure_cycles,
+        sat_latency=params.sat_latency,
+        routing=algo,
+        sat_accept_factor=params.sat_accept_factor,
+        live_fraction=pattern.live_fraction(),
+    )
+    result.channel_utilization = network.channel_utilization(measure_cycles)
+    return result
+
+
+@pytest.mark.parametrize(
+    "routing, load, pattern",
+    [("ugal-l", 0.3, "shift"), ("par", 0.6, "shift"), ("min", 0.5, "ur")],
+)
+def test_the_hand_driven_procedure_equals_simulate(routing, load, pattern):
+    """Driving the wheel by hand is the same run as ``simulate()`` --
+    whichever lane ``simulate()`` takes on this host -- in every
+    ``SimResult`` field."""
+    import dataclasses
+
+    from repro.sim import simulate
+    from repro.traffic.patterns import Shift, UniformRandom
+
+    topo = Dragonfly(2, 4, 2, 5)
+    traffic = Shift(topo, 2, 0) if pattern == "shift" else UniformRandom(topo)
+    params = SimParams(window_cycles=60)
+    kwargs = dict(routing=routing, params=params, seed=3)
+    by_hand = _drive_by_hand(topo, traffic, load, **kwargs)
+    want = simulate(topo, traffic, load, **kwargs)
+    for field in dataclasses.fields(want):
+        if field.compare:
+            assert getattr(by_hand, field.name) == getattr(
+                want, field.name
+            ), field.name
+    assert by_hand.min_chosen + by_hand.vlb_chosen > 0
+    if routing == "par":
+        assert by_hand.par_revised > 0
