@@ -523,11 +523,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    from repro.experiments import FIGURES, Scale, run_figure
+    from repro.experiments import Scale, run_figure
 
-    if args.name not in FIGURES:
-        raise SystemExit(f"repro figure: unknown figure {args.name!r}; "
-                         f"choose from {', '.join(sorted(FIGURES))}")
     try:
         scale = Scale(args.window, args.window_large, args.seeds,
                       tuple(args.large_loads))
@@ -748,18 +745,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="print the rule catalog and exit")
     p.set_defaults(func=_cmd_analyze)
 
-    # defaults are Scale()'s, spelled out: importing repro.experiments
-    # here would load the LP stack into every command's start-up
+    from repro.experiments import DEFAULT_SCALE, FIGURES
+
+    scale = DEFAULT_SCALE
     p = sub.add_parser("figure", help="regenerate a paper table/figure")
-    p.add_argument("name", help="e.g. table2, fig06")
-    p.add_argument("--window", type=int, default=300,
-                   help="window cycles (default 300; paper 10000)")
-    p.add_argument("--window-large", type=int, default=120,
-                   help="window of the 9126-node Figs 13-14 (default 120)")
-    p.add_argument("--seeds", type=int, default=1,
-                   help="seeds averaged per point (default 1; paper 8-20)")
-    p.add_argument("--large-loads", type=parse_loads, default=(0.05, 0.15, 0.3),
-                   help="load ladder of Figs 13-14 (default 0.05,0.15,0.3)")
+    p.add_argument("name", choices=sorted(FIGURES),
+                   help="the table or figure to regenerate")
+    p.add_argument("--window", type=int, default=scale.window,
+                   help=f"window cycles (default {scale.window}; paper 10000)")
+    p.add_argument("--window-large", type=int, default=scale.window_large,
+                   help="window of the 9126-node Figs 13-14 "
+                        f"(default {scale.window_large})")
+    p.add_argument("--seeds", type=int, default=scale.seeds,
+                   help=f"seeds averaged per point (default {scale.seeds}; "
+                        "paper 8-20)")
+    p.add_argument("--large-loads", type=parse_loads, default=scale.large_loads,
+                   help="load ladder of Figs 13-14 (default "
+                        f"{','.join(map(str, scale.large_loads))})")
     p.add_argument("--json", default=None,
                    help="also save a JSON record to this path")
     p.set_defaults(func=_cmd_figure)

@@ -35,7 +35,9 @@ from repro.routing.pathset import (
     HopClassPolicy,
     PathPolicy,
     StrategicFiveHopPolicy,
+    candidate_weights,
 )
+from repro.routing.table import route_table
 from repro.sim.params import SimParams
 from repro.sim.sweep import LoadSweep, latency_vs_load
 from repro.topology.dragonfly import Dragonfly
@@ -87,13 +89,18 @@ class TvlbResult:
 def _mean_vlb_hops(
     topo: Dragonfly, policy: PathPolicy, sample_pairs: Sequence[Tuple[int, int]]
 ) -> float:
-    values = []
-    for src, dst in sample_pairs:
-        try:
-            values.append(policy.average_hops(topo, src, dst))
-        except ValueError:
-            continue
-    return float(np.mean(values)) if values else float("inf")
+    """Mean over the sample pairs that keep a VLB path of the pair's
+    :meth:`~repro.routing.pathset.PathPolicy.average_hops`."""
+    table = route_table(topo)
+    src, dst = np.array(sample_pairs, np.int64).reshape(-1, 2).T
+    cand = table.vlb_candidates(src, dst)
+    weight = candidate_weights(policy, table, cand)
+    slots = table.min_slots()
+    hops = slots.hops[cand.leg1] + slots.hops[cand.leg2]
+    total = np.bincount(cand.pair, weight * hops, len(src))
+    count = np.bincount(cand.pair, weight, len(src))
+    kept = count > 0
+    return float(np.mean(total[kept] / count[kept])) if kept.any() else float("inf")
 
 
 def model_evaluator(

@@ -16,10 +16,13 @@ mechanism): locally the offending pair's paths through its hot channels,
 globally every path through the globally hot channels, producing one flat
 :class:`~repro.routing.pathset.ExcludingPolicy` over the input policy.
 
-Channel usage is a read of the LP's *policy blocks*
-(:class:`~repro.model.fastpath.BlockCache` over the topology's route
-table): no path is built, and channels are numbered as the route table
-numbers them.
+Channel usage is read from the route table the simulator, the LP and
+the verifier share: the pairs' candidates are one
+:meth:`~repro.routing.table.RouteTable.vlb_candidates` call, weighted by
+how often the policy draws each
+(:func:`~repro.routing.pathset.candidate_weights`) and spread onto
+channels by :meth:`~repro.routing.table.RouteTable.vlb_usage`.  No path
+is built, and channels are numbered as the route table numbers them.
 """
 
 from __future__ import annotations
@@ -29,16 +32,16 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.model.fastpath import BlockCache, pair_candidates
 from repro.routing.paths import Channel
 from repro.routing.pathset import (
     OP_CHANNELS,
     ExcludingPolicy,
     PathPolicy,
     PolicyProgram,
-    policy_program,
+    candidate_weights,
     program_mask,
 )
+from repro.routing.table import RouteTable, VlbCandidates, route_table
 from repro.routing.vlb import VlbDescriptor
 from repro.topology.dragonfly import Dragonfly
 
@@ -68,25 +71,30 @@ class BalanceReport:
 
 
 def _usage(
-    blocks: BlockCache,
+    table: RouteTable, cand: VlbCandidates, weight: np.ndarray, pairs: int
+) -> np.ndarray:
+    """``[pairs, channels]``: for each of the pairs ``cand`` was read
+    for, P(channel is on the drawn path) -- its candidates' channel uses
+    weighted by ``weight`` (:func:`candidate_weights`) over the pair's
+    total weight; a zero row for a pair without any."""
+    uses = table.vlb_usage(cand, weight, cand.pair, pairs)
+    count = np.bincount(cand.pair, weight, pairs)
+    kept = count > 0
+    uses[kept] /= count[kept, None]
+    return uses
+
+
+def _read(
+    topo: Dragonfly,
     policy: PathPolicy,
     pairs: Sequence[Pair],
-    program: Optional[PolicyProgram] = None,
-) -> np.ndarray:
-    """Mean over ``pairs`` of P(channel is on the drawn path): a pair's
-    policy block's per-channel uses over its candidate count.
-    ``program`` as in :func:`~repro.model.fastpath.pair_candidates`."""
-    if program is None:
-        program = policy_program(policy, blocks.table)
-    total = np.zeros(blocks.num_channels)
-    for src, dst in pairs:
-        block = blocks.get(src, dst, policy, program)
-        count = block.counts.sum()
-        if count:
-            total += np.bincount(block.cls_idx, block.cls_val, len(total)) / count
-    if len(pairs):
-        total /= len(pairs)
-    return total
+    program: Optional[PolicyProgram],
+) -> Tuple[RouteTable, VlbCandidates, np.ndarray]:
+    """The table, the pairs' candidates and the policy's weights."""
+    table = route_table(topo)
+    src, dst = np.array(pairs, np.int64).reshape(-1, 2).T
+    cand = table.vlb_candidates(src, dst)
+    return table, cand, candidate_weights(policy, table, cand, program)
 
 
 def pair_usage_probability(
@@ -98,7 +106,7 @@ def pair_usage_probability(
 ) -> np.ndarray:
     """P(channel is on the chosen path) for a pair under the policy's draw
     (``program``: the policy's compiled program, if the caller holds it)."""
-    return _usage(BlockCache(topo), policy, [(src, dst)], program)
+    return _usage(*_read(topo, policy, [(src, dst)], program), 1)[0]
 
 
 def global_usage_probability(
@@ -109,7 +117,8 @@ def global_usage_probability(
 ) -> np.ndarray:
     """Mean per-pair usage probability over ``pairs`` (uniform pair choice;
     ``program`` as in :func:`pair_usage_probability`)."""
-    return _usage(BlockCache(topo), policy, pairs, program)
+    probs = _usage(*_read(topo, policy, pairs, program), len(pairs))
+    return probs.sum(axis=0) / max(len(pairs), 1)
 
 
 def _hot(probs: np.ndarray, factor: float) -> np.ndarray:
@@ -137,18 +146,18 @@ def balance_adjust(
     (UGAL tolerates residual imbalance, as the paper notes).
     Returns ``(policy or an ExcludingPolicy of it, report)``.
     """
-    blocks = BlockCache(topo)
-    table = blocks.table
     report = BalanceReport()
     # pairs often come out of numpy (np.nonzero of a demand matrix);
     # the policy built below must carry plain ints to stay serializable
     pairs = [(int(src), int(dst)) for src, dst in pairs]
+    table, cand, weight = _read(topo, policy, pairs, None)
+    # the pairs' rows of ``cand``: pair-major
+    bounds = np.searchsorted(cand.pair, np.arange(len(pairs) + 1))
 
     # ---- local level: per-pair hot channels -> remove that pair's paths
     excluded_descs: Set[Tuple[int, int, VlbDescriptor]] = set()
-    program = policy_program(policy, table)
-    for src, dst in pairs:
-        probs = _usage(blocks, policy, [(src, dst)], program)
+    local = _usage(table, cand, weight, len(pairs))
+    for (src, dst), probs, lo, hi in zip(pairs, local, bounds[:-1], bounds[1:]):
         used = probs[probs > 0]
         if used.size == 0:
             continue
@@ -160,17 +169,14 @@ def balance_adjust(
         # the admitted candidates a one-row program over the hot
         # channels rejects are the pair's paths through them
         avoids_hot = PolicyProgram(ops=[(OP_CHANNELS, 0, 0, 0)], mask=bytearray(hot))
-        cand = pair_candidates(table, src, dst, policy, program)
-        ends = np.full(len(cand.mid), src, np.int64)
-        clear = program_mask(
-            avoids_hot, table, ends, np.full_like(ends, dst),
-            cand.mid, cand.slot1, cand.slot2,
-        )
-        if not clear.all() and cand.weight[clear].sum() >= min_remaining:
+        drawn = weight[lo:hi]
+        clear = program_mask(avoids_hot, table, *(c[lo:hi] for c in cand[1:6]))
+        if (drawn[~clear] > 0).any() and drawn[clear].sum() >= min_remaining:
             report.local_hot_pairs.append((src, dst))
-            drop = np.stack([cand.mid, cand.slot1, cand.slot2], axis=1)[~clear]
+            drop = (drawn > 0) & ~clear
             excluded_descs.update(
-                (src, dst, VlbDescriptor(*desc)) for desc in drop.tolist()
+                (src, dst, VlbDescriptor(*desc))
+                for desc in zip(*(c[lo:hi][drop].tolist() for c in cand[3:6]))
             )
 
     adjusted: PathPolicy = policy
@@ -181,7 +187,9 @@ def balance_adjust(
         )
 
     # ---- global level: hot channels across all pairs -> exclude channels
-    gprobs = _usage(blocks, adjusted, pairs)
+    if adjusted is not policy:
+        weight = candidate_weights(adjusted, table, cand)
+    gprobs = _usage(table, cand, weight, len(pairs)).sum(axis=0) / max(len(pairs), 1)
     used = gprobs[gprobs > 0]
     if used.size:
         report.max_over_mean_global = float(gprobs.max() / used.mean())
@@ -194,10 +202,10 @@ def balance_adjust(
             excluded_descriptors=frozenset(excluded_descs),
         )
         # only commit if no pair is starved below min_remaining
-        if all(
-            blocks.get(src, dst, candidate).counts.sum() >= min_remaining
-            for src, dst in pairs
-        ):
+        kept = np.bincount(
+            cand.pair, candidate_weights(candidate, table, cand), len(pairs)
+        )
+        if (kept >= min_remaining).all():
             report.global_hot_channels = sorted(
                 channels, key=lambda ch: (ch.src, ch.dst, ch.slot)
             )

@@ -20,14 +20,15 @@ lifetime:
   table the simulator and the verifier use
   (:func:`~repro.routing.table.route_table`): a VLB candidate ``(mid,
   slot1, slot2)`` is two slots of ``min_slots()``, the candidates of a
-  pair are expanded from ``vlb_image()`` (:func:`pair_candidates`),
-  counted per (class, leg slot) and spread onto channels with one
-  weighted ``bincount`` -- no path is ever materialized.  A policy with
-  no class-weight translation (``OrderedVlbPolicy``, ``ExcludingPolicy``,
-  ``ExplicitPathSet``) gets *policy blocks* instead: the same statistics
-  over the candidates the policy admits, each weighted by how often the
-  policy draws it, solved with all-ones class weights.  Algorithm 1's
-  balance step reads the same blocks.
+  pair are the table's ``vlb_candidates`` rows, counted per (class, leg)
+  and spread onto channels by ``vlb_usage`` -- no path is ever
+  materialized.  A policy with no class-weight translation
+  (``OrderedVlbPolicy``, ``ExcludingPolicy``, ``ExplicitPathSet``) gets
+  *policy blocks* instead: the same statistics with each candidate
+  weighted by how often the policy draws it
+  (:func:`~repro.routing.pathset.candidate_weights`, the rule the
+  balance step, the verifier and the path-length statistics read the
+  same rows by), solved with all-ones class weights.
 * **Per pattern** -- a stacked COO skeleton of the channel-capacity block
   (channel / class / pair / value streams in the reference's first-touch
   order) plus injection/ejection rows, derived once per demand matrix.
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -76,10 +76,10 @@ from repro.model.quotient import Partition, Quotient
 from repro.routing.pathset import (
     PathPolicy,
     PolicyProgram,
+    candidate_weights,
     policy_program,
-    program_mask,
 )
-from repro.routing.table import RouteTable, route_table
+from repro.routing.table import route_table, spans
 from repro.topology.dragonfly import Dragonfly
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,82 +114,6 @@ def _split_class(l1: int, l2: int, legs: int) -> int:
 
 def _all_vlb(l1: int, l2: int) -> float:
     return 1.0
-
-
-def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``start[i] .. start[i] + count[i] - 1`` for every ``i``, concatenated."""
-    offset = np.cumsum(count) - count
-    return np.repeat(start - offset, count) + np.arange(count.sum())
-
-
-class Candidates(NamedTuple):
-    """The VLB candidates ``(mid, slot1, slot2)`` of one pair with the
-    weight each is drawn with; candidate ``i`` is leg row ``row1[i]``
-    then ``row2[i]``, row ``r`` being MIN slot ``row_slot[r]``."""
-
-    mid: np.ndarray
-    slot1: np.ndarray
-    slot2: np.ndarray
-    weight: np.ndarray  # float64, > 0
-    row_slot: np.ndarray
-    row1: np.ndarray
-    row2: np.ndarray
-
-
-def pair_candidates(
-    table: RouteTable,
-    src: int,
-    dst: int,
-    policy: Optional[PathPolicy] = None,
-    program: Optional[PolicyProgram] = None,
-) -> Candidates:
-    """Every VLB candidate of ``src -> dst`` in the route table, or those
-    ``policy`` admits: weight 1 each under a membership program without
-    lists (:func:`~repro.routing.pathset.program_mask`), else the
-    multiplicity in ``iter_descriptors`` (``ExplicitPathSet`` draws by
-    index from its lists; a Python-only policy has nothing else).
-    ``program`` is the policy's compiled program when the caller holds
-    it (an unhashable policy compiles anew on every call), else it is
-    compiled here."""
-    slots = table.min_slots()
-    image = table.vlb_image()
-    n = table.nsw
-    # through every intermediate switch, each leg row (one MIN slot) of
-    # the first leg times each of the second; rows number the first legs
-    # of all mids, then the second legs
-    pair = image.switch_group[src] * table.g + image.switch_group[dst]
-    groups = image.group[image.first[pair] : image.first[pair] + image.n[pair]]
-    mids = image.switches[groups].ravel().astype(np.int64)
-    k1 = slots.k[src * n + mids].astype(np.int64)
-    k2 = slots.k[mids * n + dst].astype(np.int64)
-    rows1 = int(k1.sum())
-    row_slot = np.concatenate(
-        [_spans(slots.first[src * n + mids], k1), _spans(slots.first[mids * n + dst], k2)]
-    )
-    row_mid = np.repeat(np.arange(len(mids)), k1)  # of the first legs
-    reps = k2[row_mid]
-    row1 = np.repeat(np.arange(rows1), reps)
-    row2 = rows1 + _spans((np.cumsum(k2) - k2)[row_mid], reps)
-    mid = mids[row_mid[row1]]
-    slot1 = row_slot[row1] - slots.first[src * n + mid]
-    slot2 = row_slot[row2] - slots.first[mid * n + dst]
-    weight = np.ones(len(mid))
-    if policy is not None:
-        if program is None:
-            program = policy_program(policy, table)
-        if program is not None and program.lists is None:
-            ends = np.full(len(mid), src, np.int64)
-            weight = program_mask(
-                program, table, ends, np.full_like(ends, dst), mid, slot1, slot2
-            ).astype(np.float64)
-        else:
-            listed = Counter(policy.iter_descriptors(table.topo, src, dst))
-            descs = zip(mid.tolist(), slot1.tolist(), slot2.tolist())
-            weight = np.array([listed[desc] for desc in descs], np.float64)
-        keep = weight > 0
-        mid, slot1, slot2 = mid[keep], slot1[keep], slot2[keep]
-        weight, row1, row2 = weight[keep], row1[keep], row2[keep]
-    return Candidates(mid, slot1, slot2, weight, row_slot, row1, row2)
 
 
 @dataclass
@@ -259,8 +183,9 @@ class BlockCache:
 
     ``get(src, dst)`` is the block of every VLB candidate of the pair;
     ``get(src, dst, policy)`` the *policy block*: the candidates
-    ``policy`` admits, weighted as :func:`pair_candidates` draws them
-    (built per use for an unhashable policy; ``program`` as there).
+    ``policy`` admits, weighted by
+    :func:`~repro.routing.pathset.candidate_weights` (built per use for
+    an unhashable policy; ``program`` as there).
     Not locked itself: a :class:`FastModel` only calls it under its own
     lock.
     """
@@ -307,36 +232,21 @@ class BlockCache:
         # first-touch order, like the reference's dict
         k = int(slots.k[src * n + dst])
         first = slots.first[src * n + dst] + np.arange(k)
-        chans = slots.chan[_spans(slots.rel[first], slots.hops[first])]
+        chans = slots.chan[spans(slots.rel[first], slots.hops[first])]
         touched, at, uses = np.unique(
             chans, return_index=True, return_counts=True
         )
         order = np.argsort(at)
         share = np.cumsum(np.full(int(uses.max(initial=0)), 1.0 / max(k, 1)))
 
-        cand = pair_candidates(table, src, dst, policy, program)
-        row_slot, row1, row2 = cand.row_slot, cand.row1, cand.row2
-        row_hops = slots.hops[row_slot].astype(np.int64)
-        cls = (row_hops[row1] - 1) * legs + row_hops[row2] - 1
-        # candidates per (class, leg row), by weight ...
-        rows = len(row_slot)
-        base = cls * rows
-        per_row = np.bincount(
-            np.concatenate([base + row1, base + row2]),
-            weights=np.concatenate([cand.weight, cand.weight]),
-            minlength=legs * legs * rows,
+        cand = table.vlb_candidates(src, dst)
+        weight = (
+            np.ones(len(cand.pair))
+            if policy is None
+            else candidate_weights(policy, table, cand, program)
         )
-        entry = np.flatnonzero(per_row)
-        leg = row_slot[entry % rows]
-        hops = slots.hops[leg]
-        # ... spread onto the legs' channels
-        spread = np.repeat(np.arange(len(entry)), hops)
-        usage = np.bincount(
-            (entry // rows)[spread] * nchan
-            + slots.chan[_spans(slots.rel[leg], hops)],
-            weights=per_row[entry][spread].astype(np.float64),
-            minlength=legs * legs * nchan,
-        )
+        cls = (slots.hops[cand.leg1] - 1) * legs + slots.hops[cand.leg2] - 1
+        usage = table.vlb_usage(cand, weight, cls, legs * legs).reshape(-1)
         used = np.flatnonzero(usage)
         return PairBlock(
             src=src,
@@ -344,11 +254,10 @@ class BlockCache:
             min_count=k,
             min_idx=touched[order].astype(np.int64),
             min_val=share[uses[order] - 1],
-            counts=np.bincount(cls, cand.weight, legs * legs).astype(np.float64),
+            counts=np.bincount(cls, weight, legs * legs).astype(np.float64),
             cls_id=(used // nchan).astype(np.int8),
             cls_idx=used % nchan,
-            # (a bincount of no entries is integer even with weights)
-            cls_val=usage[used].astype(np.float64),
+            cls_val=usage[used],
         )
 
 

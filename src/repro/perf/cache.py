@@ -33,6 +33,7 @@ cache shared by parallel sweep workers never exposes torn entries.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -237,28 +238,28 @@ class SimCache:
         result_data: Dict,
         manifest: Optional["RunManifest"] = None,
     ) -> None:
+        """Write one entry through a temp file and ``os.replace``.  An
+        ``OSError`` (a full or read-only disk) costs the entry, not the
+        caller's batch: it is logged, the temp file removed and
+        ``manifest`` marked ``computed``, since nothing was stored."""
         path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = {
-            "version": CACHE_VERSION,
-            "kind": kind,
-            "result": result_data,
-        }
+        payload = {"version": CACHE_VERSION, "kind": kind, "result": result_data}
         if manifest is not None:
             payload["manifest"] = manifest.to_dict()
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
+        tmp = None
         try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
                 json.dump(payload, fh)
             os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        except OSError as exc:
+            _log.warning("could not write cache entry %s (%s)", path, exc)
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+            if manifest is not None:
+                manifest.cache = "computed"
 
     def get(self, key: str) -> Optional[SimResult]:
         """The cached sim result for ``key``, or ``None`` on a miss.
@@ -286,7 +287,8 @@ class SimCache:
         return result
 
     def put(self, key: str, result: SimResult) -> None:
-        """Atomically store a sim result (concurrent writers are safe)."""
+        """Atomically store a sim result (concurrent writers are safe);
+        a write that fails is logged and skipped, see :meth:`_store`."""
         self._store(
             key, "sim", result_to_dict(result), manifest=result.manifest
         )
@@ -312,7 +314,7 @@ class SimCache:
         return result
 
     def put_model(self, key: str, result: "ModelResult") -> None:
-        """Atomically store an LP model result."""
+        """Atomically store an LP model result (as :meth:`put`)."""
         self._store(
             key,
             "model",

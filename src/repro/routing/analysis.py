@@ -15,8 +15,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.routing.minimal import min_paths
-from repro.routing.pathset import PathPolicy
-from repro.routing.vlb import vlb_hops
+from repro.routing.pathset import PathPolicy, candidate_weights
+from repro.routing.table import route_table
 from repro.topology.dragonfly import Dragonfly
 
 __all__ = [
@@ -44,16 +44,20 @@ def vlb_length_distribution(
     policy: PathPolicy,
     pairs: Sequence[Tuple[int, int]],
 ) -> PathLengthStats:
-    """Hop-count distribution of the policy's VLB paths over ``pairs``."""
-    histogram: Dict[int, int] = {}
-    total = 0
-    count = 0
-    for src, dst in pairs:
-        for desc in policy.iter_descriptors(topo, src, dst):
-            h = vlb_hops(topo, src, dst, desc)
-            histogram[h] = histogram.get(h, 0) + 1
-            total += h
-            count += 1
+    """Hop-count distribution of the policy's VLB paths over ``pairs``,
+    each path counted as often as the policy draws it
+    (:func:`~repro.routing.pathset.candidate_weights`)."""
+    table = route_table(topo)
+    src, dst = np.array(pairs, np.int64).reshape(-1, 2).T
+    cand = table.vlb_candidates(src, dst)
+    hops = table.min_slots().hops
+    counts = np.bincount(
+        hops[cand.leg1] + hops[cand.leg2],
+        candidate_weights(policy, table, cand),
+    ).astype(np.int64)
+    histogram = {int(h): int(counts[h]) for h in np.flatnonzero(counts)}
+    count = int(counts.sum())
+    total = int(counts @ np.arange(len(counts)))
     mean = total / count if count else float("nan")
     return PathLengthStats(histogram=histogram, mean=mean, count=count)
 

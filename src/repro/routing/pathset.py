@@ -33,6 +33,7 @@ here, whole candidate arrays at a time, for the static verifier
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -40,7 +41,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.routing.paths import Channel
-from repro.routing.table import RouteTable, route_table
+from repro.routing.table import RouteTable, VlbCandidates, route_table
 from repro.routing.vlb import (
     VlbDescriptor,
     enumerate_vlb_descriptors,
@@ -58,6 +59,7 @@ __all__ = [
     "ExcludingPolicy",
     "ExplicitPathSet",
     "PolicyProgram",
+    "candidate_weights",
     "policy_program",
     "program_mask",
     "reset_sample_memo",
@@ -255,6 +257,59 @@ def program_mask(
     return accepted
 
 
+def candidate_weights(
+    policy: "PathPolicy",
+    table: RouteTable,
+    cand: VlbCandidates,
+    program: Optional[PolicyProgram] = None,
+) -> np.ndarray:
+    """How often ``policy`` draws each row of ``cand`` (as float64): the
+    one rule every reader of a candidate set weighs it by, and a row is
+    *admitted* iff its weight is > 0.
+
+    Under a membership program without per-pair lists that is
+    :func:`program_mask` (1 or 0); otherwise the row's multiplicity in
+    ``iter_descriptors`` -- :class:`ExplicitPathSet` draws by index from
+    its lists, and a policy that exists only as Python has nothing else.
+    ``program`` is the policy's compiled program when the caller holds
+    it (an unhashable policy compiles anew on every call), else it is
+    compiled here.
+    """
+    if program is None:
+        program = policy_program(policy, table)
+    if program is not None and program.lists is None:
+        if not program.ops:
+            return np.ones(len(cand.pair))
+        return program_mask(program, table, *cand[1:6]).astype(np.float64)
+    # every pair's listed descriptors, keyed like the rows (a key is a
+    # bijection on in-range values; out-of-range ones name no row)
+    _, first = np.unique(cand.src * table.nsw + cand.dst, return_index=True)
+    src, dst = cand.src[first].tolist(), cand.dst[first].tolist()
+    listed = [list(policy.iter_descriptors(table.topo, *pair)) for pair in zip(src, dst)]
+    lengths = [len(descs) for descs in listed]
+    chain = itertools.chain.from_iterable
+    mid, slot1, slot2 = np.fromiter(
+        chain(chain(listed)), np.int64, 3 * sum(lengths)
+    ).reshape(-1, 3).T
+    bound = table.slot_bound
+    valid = (0 <= mid) & (mid < table.nsw) & (0 <= np.minimum(slot1, slot2))
+    valid &= np.maximum(slot1, slot2) < bound
+    keys, counts = np.unique(
+        PolicyProgram.descriptor_key(
+            table, np.repeat(src, lengths)[valid], np.repeat(dst, lengths)[valid],
+            mid[valid], slot1[valid], slot2[valid],
+        ),
+        return_counts=True,
+    )
+    rows = PolicyProgram.descriptor_key(table, *cand[1:6])
+    at = np.minimum(np.searchsorted(keys, rows), len(keys) - 1)
+    weight = np.zeros(len(rows))
+    if len(keys):
+        found = keys[at] == rows
+        weight[found] = counts[at[found]]
+    return weight
+
+
 def _as_int64(seed: int) -> int:
     """``seed`` mod 2**64, as the signed value with those bits."""
     seed &= 0xFFFFFFFFFFFFFFFF
@@ -405,15 +460,16 @@ class PathPolicy(abc.ABC):
         return reservoir[int(rng.integers(len(reservoir)))]
 
     def average_hops(self, topo: Dragonfly, src: int, dst: int) -> float:
-        """Mean hop count over the set for a pair (by enumeration)."""
-        total = 0
-        count = 0
-        for desc in self.iter_descriptors(topo, src, dst):
-            total += vlb_hops(topo, src, dst, desc)
-            count += 1
+        """Mean hop count over the set for a pair, each path weighted
+        by how often the policy draws it (:func:`candidate_weights`)."""
+        table = route_table(topo)
+        cand = table.vlb_candidates(src, dst)
+        weight = candidate_weights(self, table, cand)
+        count = int(weight.sum())
         if count == 0:
             raise ValueError(f"policy has no VLB path for pair ({src},{dst})")
-        return total / count
+        hops = table.min_slots().hops
+        return int(weight @ (hops[cand.leg1] + hops[cand.leg2])) / count
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,7 @@ __all__ = [
     "Leg",
     "MinImage",
     "MinSlots",
+    "VlbCandidates",
     "VlbImage",
     "RouteTable",
     "route_table",
@@ -179,9 +180,34 @@ class MinSlots(NamedTuple):
     shapes: Tuple[str, ...]
 
 
+class VlbCandidates(NamedTuple):
+    """The VLB candidates of some switch pairs, one row each: descriptor
+    ``(mid, slot1, slot2)`` of pair ``(src, dst)``, the ``pair``-th pair
+    asked for, whose legs are :class:`MinSlots` rows ``leg1`` (``src ->
+    mid``) and ``leg2`` (``mid -> dst``).  Rows are pair-major, then in
+    :func:`~repro.routing.vlb.enumerate_vlb_descriptors` order:
+    intermediate switches group by group, then ``slot1``, then
+    ``slot2``."""
+
+    pair: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    mid: np.ndarray
+    slot1: np.ndarray
+    slot2: np.ndarray
+    leg1: np.ndarray
+    leg2: np.ndarray
+
+
 # candidates composed per numpy pass: temporaries this size come from
 # reused heap memory instead of fresh pages
 _BLOCK = 1 << 18
+
+
+def spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``start[i] .. start[i] + count[i] - 1`` for every ``i``, concatenated."""
+    offset = np.cumsum(count) - count
+    return np.repeat(start - offset, count) + np.arange(count.sum())
 
 
 def _ragged(
@@ -413,6 +439,80 @@ class RouteTable:
             ),
             int(max(1, links_in.max(initial=0), links_out.max(initial=0))),
         )
+
+    # ------------------------------------------------------------------
+    # VLB candidates (what every reader of a policy's set enumerates)
+    # ------------------------------------------------------------------
+    def vlb_candidates(self, src, dst) -> VlbCandidates:
+        """Every VLB candidate of pairs ``(src[i], dst[i])`` (arrays, or
+        one pair as two ints): an intermediate switch outside both end
+        groups and a MIN slot of each leg -- the same ``m x m`` slot grid
+        through every intermediate, as ``m`` links join any two groups."""
+        src = np.atleast_1d(np.asarray(src, np.int64))
+        dst = np.atleast_1d(np.asarray(dst, np.int64))
+        slots, image, n = self.min_slots(), self.vlb_image(), self.nsw
+        group = image.switch_group
+        mids = image.switches.reshape(-1)
+        pair, at = np.nonzero(
+            (group[mids] != group[src][:, None]) & (group[mids] != group[dst][:, None])
+        )
+        mid = mids[at].astype(np.int64)
+        into, out = src[pair] * n + mid, mid * n + dst[pair]
+        m = self.topo.links_per_group_pair
+        if (slots.k[into] != m).any() or (slots.k[out] != m).any():
+            raise ValueError(f"{self.topo}: not every two groups share {m} links")
+        slot1, slot2 = np.divmod(np.arange(m * m), m)
+        pair, src, dst, mid = (
+            np.repeat(column, m * m) for column in (pair, src[pair], dst[pair], mid)
+        )
+        return VlbCandidates(
+            pair, src, dst, mid,
+            np.tile(slot1, len(at)),
+            np.tile(slot2, len(at)),
+            (slots.first[into][:, None] + slot1).ravel(),
+            (slots.first[out][:, None] + slot2).ravel(),
+        )
+
+    def vlb_usage(
+        self,
+        cand: VlbCandidates,
+        weight: np.ndarray,
+        by: np.ndarray,
+        size: int,
+    ) -> np.ndarray:
+        """``[size, channels]``: the channel uses of ``cand``'s rows, row
+        ``r`` counted ``weight[r]`` times into ``by[r]``, where all rows
+        of one ``by`` value belong to one pair.  Weights are summed per
+        leg first and then spread onto the leg's channels, so the cost
+        follows the distinct legs, not the candidates."""
+        slots, n, nchan = self.min_slots(), self.nsw, len(self.channel_keys)
+        bound = self.slot_bound
+        span = n * bound
+        # a leg as (by, second leg or not, mid, slot): dense, unlike its
+        # MIN slot, and decoded through the pair of its ``by``
+        base = by.astype(np.int64) * (2 * span) + cand.mid * bound
+        per_leg = np.bincount(
+            np.concatenate([base + cand.slot1, base + span + cand.slot2]),
+            np.concatenate([weight, weight]),
+            size * 2 * span,
+        )
+        entry = np.flatnonzero(per_leg)
+        row, second, mid, slot = np.unravel_index(entry, (size, 2, n, bound))
+        ends = np.zeros((2, size), np.int64)
+        ends[:, by] = cand.src, cand.dst
+        src, dst = ends[:, row]
+        leg = slot + np.where(
+            second > 0, slots.first[mid * n + dst], slots.first[src * n + mid]
+        )
+        hops = slots.hops[leg]
+        spread = np.repeat(np.arange(len(leg)), hops)
+        usage = np.bincount(
+            row[spread] * nchan + slots.chan[spans(slots.rel[leg], hops)],
+            per_leg[entry][spread],
+            size * nchan,
+        )
+        # (a bincount of no entries is integer even with weights)
+        return usage.astype(np.float64).reshape(size, nchan)
 
     # ------------------------------------------------------------------
     # VC ladders

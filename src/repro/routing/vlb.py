@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, NamedTuple
 
+import numpy as np
+
 from repro.routing.paths import Path
 from repro.routing.table import route_table
 from repro.topology.dragonfly import Dragonfly
@@ -110,8 +112,8 @@ def count_vlb_paths(topo: Dragonfly, src: int, dst: int) -> int:
 
 def vlb_class_counts(topo: Dragonfly, src: int, dst: int) -> Dict[int, int]:
     """Histogram {hop count: number of VLB paths} for a switch pair."""
-    counts: Dict[int, int] = {}
-    for desc in enumerate_vlb_descriptors(topo, src, dst):
-        h = vlb_hops(topo, src, dst, desc)
-        counts[h] = counts.get(h, 0) + 1
-    return counts
+    table = route_table(topo)
+    cand = table.vlb_candidates(src, dst)
+    hops = table.min_slots().hops
+    counts = np.bincount(hops[cand.leg1] + hops[cand.leg2])
+    return {int(h): int(counts[h]) for h in np.flatnonzero(counts)}

@@ -10,25 +10,26 @@ with their shifted VC levels) and runs cycle detection, reporting a
 concrete dependency cycle as a counterexample on failure.
 
 The **array builder** certifies the tables the simulator routes from.  A
-VLB candidate ``(src, dst, mid, slot1, slot2)`` is two MIN slots of
-:meth:`RouteTable.min_slots() <repro.routing.table.RouteTable.min_slots>`;
-its hop channels are those slots' ``chan`` rows, its VC levels the
-``table.ladders`` (:func:`~repro.sim.vc.assign_vcs` itself) of the two
-slots' shapes, and whether the policy admits it is
-:func:`~repro.routing.pathset.program_mask` over the policy's compiled
-:class:`~repro.routing.pathset.PolicyProgram`.  Paths are never
+VLB candidate ``(src, dst, mid, slot1, slot2)`` is a row of
+:meth:`RouteTable.vlb_candidates
+<repro.routing.table.RouteTable.vlb_candidates>`: two MIN slots of
+``min_slots()``, whose hop channels are those slots' ``chan`` rows and
+whose VC levels are the ``table.ladders``
+(:func:`~repro.sim.vc.assign_vcs` itself) of the two slots' shapes.  It
+is admitted when the policy draws it at all -- weight > 0 under
+:func:`~repro.routing.pathset.candidate_weights`, the rule the LP, the
+balance step and lint read the same rows by -- so a compiled policy and
+one that exists only as Python certify the same way.  Paths are never
 materialized and nothing is specific to a hop template or a topology
 class, so fully connected groups, Cascade and the full mesh take the
 same code; the paper's ``dfly(4,8,4,9)`` full-VLB set (~4.6M paths)
-certifies in about a second.
+certifies in a fraction of a second.
 
 The **generic builder** walks ``policy.iter_descriptors`` pair by pair and
 materializes every path.  It is the oracle the array builder is tested
-against edge for edge, the only builder for a policy that exists only as
-Python (no program), and the one that can be sampled (``max_pairs`` /
-``max_descriptors``, and by default on topologies whose candidate space
-is too large to enumerate), in which case the result is only a bounded
-check, not a certificate.
+against edge for edge, and the sampled check on topologies whose
+candidate space is too large to enumerate (``_ROW_LIMIT``), in which
+case the result is only a bounded check, not a certificate.
 
 Injection and ejection channels are not modeled: terminal channels are
 pure sources/sinks and cannot participate in a cycle.
@@ -37,7 +38,7 @@ pure sources/sinks and cannot participate in a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -47,8 +48,8 @@ from repro.routing.pathset import (
     AllVlbPolicy,
     PathPolicy,
     PolicyProgram,
+    candidate_weights,
     policy_program,
-    program_mask,
 )
 from repro.routing.table import RouteTable, route_table
 from repro.routing.vlb import max_vlb_hops, vlb_path
@@ -65,14 +66,16 @@ __all__ = [
 
 VC_SCHEMES = ("won", "perhop", "none")
 
-# beyond this many (src, dst, mid, slot1, slot2) candidates `method="auto"`
-# stops enumerating and runs the generic builder on a sample of this size
+# beyond this many (src, dst, mid, slot1, slot2) candidates the CDG stops
+# enumerating and runs the generic builder on a sample of this size
 _ROW_LIMIT = 50_000_000
 _SAMPLED_PAIRS = 200
 _SAMPLED_DESCRIPTORS = 512
 
-# candidates the array builder expands per numpy pass
+# candidates the array builder reads per numpy pass, and bitmap bits it
+# decodes into dependencies per pass
 _CHUNK_ROWS = 1 << 14
+_DECODE_BITS = 1 << 16
 
 # the analysis has no VC budget: ladders are asked for without a limit
 _NO_VC_LIMIT = 1 << 30
@@ -333,47 +336,6 @@ def _add_leg_hops(
         )
 
 
-def _candidates(table: RouteTable, gm: int) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Every VLB candidate through intermediate group ``gm`` as columns
-    ``(src, dst, mid, slot1, slot2, fragment)``, about ``_CHUNK_ROWS``
-    at a time.  ``fragment``: the candidate is also a PAR-revised
-    fragment, its source being a switch some first MIN hop lands on --
-    always for another group's destination, inside a group only where
-    local routes have a second hop (revision fires at hop 1)."""
-    slots = table.min_slots()
-    image = table.vlb_image()
-    n = table.nsw
-    group = image.switch_group
-    mids = image.switches[gm].astype(np.int64)
-    # second legs: every mid offers the same (dst, slot2) list
-    dsts = np.flatnonzero(group != gm)
-    count = slots.k[mids[0] * n + dsts]
-    dst2 = np.repeat(dsts, count)
-    slot2 = np.arange(len(dst2)) - np.repeat(np.cumsum(count) - count, count)
-    if not len(dst2):
-        return
-    for gs in range(table.g):
-        srcs = image.switches[gs].astype(np.int64)
-        links = int(slots.k[srcs[0] * n + mids[0]])
-        if gs == gm or not links:
-            continue
-        firsts = [
-            column.ravel()
-            for column in np.meshgrid(srcs, mids, np.arange(links), indexing="ij")
-        ]
-        fragment2 = (group[dst2] != gs) | (table.topo.max_local_hops > 1)
-        step = max(1, _CHUNK_ROWS // len(dst2))
-        for lo in range(0, len(firsts[0]), step):
-            src, mid, slot1 = (
-                np.repeat(column[lo : lo + step], len(dst2)) for column in firsts
-            )
-            dst, s2, fragment = (
-                np.tile(column, len(src) // len(dst2))
-                for column in (dst2, slot2, fragment2)
-            )
-            yield src, dst, mid, slot1, s2, fragment
-
-
 def _ports(switch: np.ndarray) -> np.ndarray:
     """Per channel, its position among the channels at the same switch
     (``switch[c]``: the channel's source or target), in channel order."""
@@ -385,7 +347,8 @@ def _ports(switch: np.ndarray) -> np.ndarray:
 
 
 def _build_array(
-    program: PolicyProgram,
+    policy: PathPolicy,
+    program: Optional[PolicyProgram],
     scheme: str,
     include_par: bool,
     graph: ChannelDependencyGraph,
@@ -433,32 +396,38 @@ def _build_array(
     arrive, depart = into[last_chan], out_port[first_chan]
     # what the candidates' dependencies hang on -- a first-leg slot, a
     # second-leg slot, a junction -- each marked as ``what * width +
-    # (shape pair * 2 + fragment)``, one intermediate group at a time
+    # (shape pair * 2 + fragment)``
     marks = (
         np.zeros(len(shape) * width, bool),
         np.zeros(len(shape) * width, bool),
         np.zeros(n * deg * deg * width, bool),
     )
-    for gm in range(table.g):
-        for columns in _candidates(table, gm):
-            src, dst, mid, slot1, slot2, fragment = columns
-            keep = src != dst
-            if program.ops:
-                keep &= program_mask(program, table, *columns[:5])
-            graph.num_paths += int(keep.sum())
-            leg1 = (slots.first[src * n + mid] + slot1)[keep]
-            leg2 = (slots.first[mid * n + dst] + slot2)[keep]
-            tag = (shape[leg1] * len(shapes) + shape[leg2]) * 2 + fragment[keep]
-            junction = arrive[leg1] * deg + depart[leg2]
-            for mark, what in zip(marks, (leg1, leg2, junction)):
-                mark[what * width + tag] = True
-        merged = []
-        for mark in marks:
-            keys = np.flatnonzero(mark)
-            mark[keys] = False
-            merged.append(keys)
-        if not len(merged[0]):
-            continue
+    # every ordered pair's candidates, about _CHUNK_ROWS at a time; a
+    # candidate doubles as a PAR-revised fragment when its source is a
+    # switch some first MIN hop lands on -- always for another group's
+    # destination, inside a group only where local routes have a second
+    # hop (revision fires at hop 1)
+    if program is None:
+        program = policy_program(policy, table)
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    fragment = (group[src] != group[dst]) | (table.topo.max_local_hops > 1)
+    step = max(1, _CHUNK_ROWS // (n * table.slot_bound**2))
+    for lo in range(0, len(src), step):
+        cand = table.vlb_candidates(src[lo : lo + step], dst[lo : lo + step])
+        keep = candidate_weights(policy, table, cand, program) > 0
+        leg1, leg2, pair = cand.leg1, cand.leg2, cand.pair
+        if not keep.all():
+            leg1, leg2, pair = leg1[keep], leg2[keep], pair[keep]
+        graph.num_paths += len(pair)
+        tag = shape[leg1] * len(shapes) + shape[leg2]
+        tag = tag * 2 + fragment[lo + pair]
+        junction = arrive[leg1] * deg + depart[leg2]
+        for mark, what in zip(marks, (leg1, leg2, junction)):
+            mark[what * width + tag] = True
+    # decoded a slice of the bitmaps at a time, which bounds the
+    # temporaries of the decode
+    for lo in range(0, max(map(len, marks)), _DECODE_BITS):
+        merged = [np.flatnonzero(mark[lo : lo + _DECODE_BITS]) + lo for mark in marks]
         # junctions back to ``leg-1 last channel * nchan + leg-2 first``
         junction, tag = np.divmod(merged[2], width)
         arrival, out = np.divmod(junction, deg)
@@ -564,9 +533,6 @@ def build_cdg(
     *,
     scheme: str = "won",
     routing: str = "par",
-    method: str = "auto",
-    max_pairs: Optional[int] = None,
-    max_descriptors: Optional[int] = None,
     seed: int = 0,
     program: Optional[PolicyProgram] = None,
 ) -> ChannelDependencyGraph:
@@ -574,48 +540,25 @@ def build_cdg(
 
     ``routing`` decides which dependencies exist: any ``par`` variant adds
     the PAR-revised path fragments (one VC level up) on top of the MIN and
-    VLB dependencies every UGAL variant creates.  ``method`` is ``fast``
-    (the array builder, which needs the policy to compile to a program),
-    ``generic``, or ``auto``: the array builder when the policy has a
-    program, no sampling cap is given and the candidate space is
-    tractable; otherwise the generic builder -- sampled, when the caller
-    gave no caps, on a candidate space too large to enumerate.  Sampling
-    caps only apply to the generic builder and clear the graph's
-    ``exhaustive`` flag.  ``program`` is the policy's compiled membership
-    program when the caller holds it, else it is compiled here.
+    VLB dependencies every UGAL variant creates.  The array builder
+    enumerates every candidate, admitted by
+    :func:`~repro.routing.pathset.candidate_weights`; on a topology whose
+    candidate space is too large to enumerate (past ``_ROW_LIMIT``) the
+    generic builder checks a ``seed``-drawn sample instead and clears the
+    graph's ``exhaustive`` flag.  ``program`` is the policy's compiled
+    membership program when the caller holds it, else it is compiled
+    where needed.
     """
     policy = policy if policy is not None else AllVlbPolicy()
-    base = routing.lower()
-    base = base[2:] if base.startswith("t-") else base
-    include_par = base == "par"
+    include_par = routing.lower().removeprefix("t-") == "par"
     graph = ChannelDependencyGraph(topo, scheme)
-    if method not in ("auto", "fast", "generic"):
-        raise ValueError(f"unknown method {method!r}")
-    if program is None:
-        program = policy_program(policy, graph.table)
-    if method == "auto" and max_pairs is None and max_descriptors is None:
-        if _estimated_rows(topo) > _ROW_LIMIT:
-            max_pairs, max_descriptors = _SAMPLED_PAIRS, _SAMPLED_DESCRIPTORS
-        elif program is not None:
-            method = "fast"
-    if method != "fast":
+    if _estimated_rows(topo) > _ROW_LIMIT:
         _build_generic(
-            topo,
-            policy,
-            scheme,
-            include_par,
-            graph,
-            max_pairs,
-            max_descriptors,
-            seed,
-        )
-    elif program is None:
-        raise ValueError(
-            f"policy {policy.describe()!r} has no membership program; "
-            f"use method='generic'"
+            topo, policy, scheme, include_par, graph,
+            _SAMPLED_PAIRS, _SAMPLED_DESCRIPTORS, seed,
         )
     else:
-        _build_array(program, scheme, include_par, graph)
+        _build_array(policy, program, scheme, include_par, graph)
     return graph
 
 
@@ -625,23 +568,12 @@ def certify_deadlock_freedom(
     *,
     scheme: str = "won",
     routing: str = "par",
-    method: str = "auto",
-    max_pairs: Optional[int] = None,
-    max_descriptors: Optional[int] = None,
     seed: int = 0,
     program: Optional[PolicyProgram] = None,
 ) -> CdgResult:
     """Build the CDG and run cycle detection; see :class:`CdgResult`."""
     graph = build_cdg(
-        topo,
-        policy,
-        scheme=scheme,
-        routing=routing,
-        method=method,
-        max_pairs=max_pairs,
-        max_descriptors=max_descriptors,
-        seed=seed,
-        program=program,
+        topo, policy, scheme=scheme, routing=routing, seed=seed, program=program
     )
     cycle = graph.find_cycle()
     return CdgResult(

@@ -8,10 +8,11 @@ selected with the ``rules`` argument of :func:`lint_pathset`.
 Lint reads the tables the simulator samples from and the CDG certifies,
 and builds no path.  A sampled pair's MIN candidates are its rows of
 :meth:`RouteTable.min_slots() <repro.routing.table.RouteTable.min_slots>`,
-its VLB candidates every ``(mid, slot1, slot2)`` the table offers (two
-MIN slots back to back), which the policy *admits* by ``program_mask``
--- or by ``contains`` without a program.  The *routed slots* are the
-pairs' own MIN slots and both legs of every candidate.
+its VLB candidates the table's ``vlb_candidates`` rows (two MIN slots
+back to back), which the policy *admits* when it draws them at all --
+weight > 0 under :func:`~repro.routing.pathset.candidate_weights`, the
+rule the LP, the balance step and the CDG read them by.  The *routed
+slots* are the pairs' own MIN slots and both legs of every candidate.
 
 * ``hop-validity`` (error): routed slots chain from their pair's source
   to its destination; every descriptor the policy lists names a candidate.
@@ -21,8 +22,9 @@ pairs' own MIN slots and both legs of every candidate.
   groups, none inside one, and local runs as long as the intra-group
   distance (a BFS over the local channels).
 * ``hop-class`` (error): an admitted candidate has ``[2, max_vlb_hops]``
-  hops, two of them global; every listed descriptor is admitted, and the
-  program agrees with ``contains`` (as the LP model and simulator assume).
+  hops, two of them global, and ``contains`` admits exactly the admitted
+  candidates -- the program's, or those ``iter_descriptors`` lists (as
+  the LP model and simulator assume).
 * ``vc-overflow`` (error): every MIN slot and admitted candidate -- and,
   under PAR, every revised fragment -- fits in the configured VC count,
   per ``table.ladders`` (:func:`~repro.sim.vc.assign_vcs` of its shape).
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,10 +49,10 @@ from repro.routing.pathset import (
     AllVlbPolicy,
     PathPolicy,
     PolicyProgram,
+    candidate_weights,
     policy_program,
-    program_mask,
 )
-from repro.routing.table import RouteTable, route_table
+from repro.routing.table import route_table, spans
 from repro.routing.vlb import VlbDescriptor, max_vlb_hops
 from repro.topology.dragonfly import Dragonfly
 
@@ -82,50 +84,6 @@ def _loc(src: int, dst: int, desc: Optional[Sequence[int]] = None) -> str:
         return base
     mid, slot1, slot2 = desc
     return f"{base} desc (mid={mid},{slot1},{slot2})"
-
-
-def _expand(count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row ``i`` repeated ``count[i]`` times, and each copy's rank."""
-    owner = np.repeat(np.arange(len(count)), count)
-    return owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
-
-
-class _Candidates(NamedTuple):
-    """The sampled pairs' VLB candidates, group-major per pair."""
-
-    pair: np.ndarray  # index into the sampled pairs
-    src: np.ndarray
-    dst: np.ndarray
-    mid: np.ndarray
-    slot1: np.ndarray
-    slot2: np.ndarray
-    leg1: np.ndarray  # MIN slot src -> mid
-    leg2: np.ndarray  # MIN slot mid -> dst
-
-    def desc(self, row: int) -> VlbDescriptor:
-        return VlbDescriptor(*(int(x[row]) for x in (self.mid, self.slot1, self.slot2)))
-
-    def loc(self, row: int) -> str:
-        return _loc(self.src[row], self.dst[row], self.desc(row))
-
-
-def _candidates(table: RouteTable, src: np.ndarray, dst: np.ndarray) -> _Candidates:
-    """Every ``(mid, slot1, slot2)`` the table offers pair ``(src[i],
-    dst[i])``: a mid outside both end groups and a slot of each MIN leg."""
-    slots, image, n = table.min_slots(), table.vlb_image(), table.nsw
-    group = image.switch_group
-    mids = image.switches.reshape(-1).astype(np.int64)
-    pair, at = np.nonzero(
-        (group[mids] != group[src][:, None]) & (group[mids] != group[dst][:, None])
-    )
-    mid = mids[at]
-    into, out = src[pair] * n + mid, mid * n + dst[pair]
-    row, rank = _expand(slots.k[into] * slots.k[out])
-    slot1, slot2 = np.divmod(rank, slots.k[out][row])
-    return _Candidates(
-        pair[row], src[pair][row], dst[pair][row], mid[row], slot1, slot2,
-        slots.first[into][row] + slot1, slots.first[out][row] + slot2,
-    )
 
 
 def _spread(group: np.ndarray, limit: int) -> np.ndarray:
@@ -167,26 +125,22 @@ class _LintContext:
         # (src, dst, slot) per channel index
         self.keys = np.array(self.table.channel_keys, np.int64).reshape(-1, 3)
         self.src, self.dst = np.array(self.pairs, np.int64).reshape(-1, 2).T
-        self.candidates = _candidates(self.table, self.src, self.dst)
+        self.candidates = self.table.vlb_candidates(self.src, self.dst)
         # the pairs' own MIN slots, as (pair index, slot)
         at = self.src * self.table.nsw + self.dst
-        pair, rank = _expand(self.slots.k[at])
-        self.own_slots = pair, self.slots.first[at][pair] + rank
+        k = self.slots.k[at]
+        self.own_slots = np.repeat(np.arange(len(at)), k), spans(self.slots.first[at], k)
         if self.program is None:
             self.program = policy_program(self.policy, self.table)
-        self.admitted = self.admits(*self.candidates[1:6])
+        self.weight = candidate_weights(
+            self.policy, self.table, self.candidates, self.program
+        )
+        self.admitted = self.weight > 0
 
-    def contains(self, *columns: np.ndarray) -> np.ndarray:
-        """``policy.contains`` of candidates ``(src, dst, mid, slot1, slot2)``."""
-        contains, topo = self.policy.contains, self.topo
-        rows = zip(*(column.tolist() for column in columns))
-        said = [contains(topo, s, d, VlbDescriptor(*m)) for s, d, *m in rows]
-        return np.array(said, bool)
-
-    def admits(self, *columns: np.ndarray) -> np.ndarray:
-        if self.program is None:
-            return self.contains(*columns)
-        return program_mask(self.program, self.table, *columns)
+    def loc(self, row: int) -> str:
+        """The location of candidate ``row``."""
+        s, d, *desc = (int(column[row]) for column in self.candidates[1:6])
+        return _loc(s, d, desc)
 
     @cached_property
     def routed(self) -> Tuple[np.ndarray, ...]:
@@ -229,41 +183,40 @@ class _LintContext:
     @cached_property
     def policy_findings(self) -> List[Finding]:
         """Every descriptor ``iter_descriptors`` lists names a candidate
-        and is admitted (the inherited one lists what ``contains`` admits,
-        so it is not walked); a program agrees with ``contains``."""
+        (the inherited one lists what ``contains`` admits, so it is not
+        walked), and the admitted candidates -- the program's, or the
+        listed ones -- are what ``contains`` admits."""
         policy, topo = self.policy, self.topo
         found: List[Finding] = []
-        named = []
         if type(policy).iter_descriptors is not PathPolicy.iter_descriptors:
             for s, d in self.pairs:
                 for desc in policy.iter_descriptors(topo, s, d):
-                    wrong = self.misnamed(s, d, VlbDescriptor(*desc))
-                    found += wrong
-                    if not wrong:
-                        named.append((s, d, *desc))
-        columns = np.array(named, np.int64).reshape(-1, 5).T
-        for (s, d, *desc), ok in zip(named, self.admits(*columns)):
-            if not ok:
-                found.append(Finding(
-                    "hop-class", "error", _loc(s, d, desc),
-                    "policy enumerates a descriptor its own contains() rejects",
-                ))
-        if self.program is None:
-            return found
+                    found += self.misnamed(s, d, VlbDescriptor(*desc))
         c = self.candidates
         starts = np.searchsorted(c.pair, np.arange(len(self.pairs) + 1))
         rows = np.concatenate([
             lo + _spread(self.group[c.mid[lo:hi]], _CONTAINS_ROWS)
             for lo, hi in zip(starts[:-1], starts[1:])
         ])
-        said = self.contains(*(column[rows] for column in c[1:6]))
+        said = np.array([
+            policy.contains(topo, s, d, VlbDescriptor(*desc))
+            for s, d, *desc in zip(*(column[rows].tolist() for column in c[1:6]))
+        ], bool)
         for r in rows[said != self.admitted[rows]].tolist():
             admitted = bool(self.admitted[r])
-            found.append(Finding(
-                "hop-class", "error", c.loc(r), "the compiled membership program "
-                f"{'admits' if admitted else 'rejects'} a candidate contains() "
-                f"{'rejects' if admitted else 'admits'}",
-            ))
+            if self.program is None:
+                message = (
+                    "policy enumerates a descriptor its own contains() rejects"
+                    if admitted
+                    else "policy's contains() admits a descriptor it does not enumerate"
+                )
+            else:
+                message = (
+                    "the compiled membership program "
+                    f"{'admits' if admitted else 'rejects'} a candidate contains() "
+                    f"{'rejects' if admitted else 'admits'}"
+                )
+            found.append(Finding("hop-class", "error", self.loc(r), message))
         return found
 
 
@@ -359,7 +312,7 @@ def _rule_hop_class(ctx: _LintContext) -> Iterator[Finding]:
     odd = (hops < 2) | (hops > cap) | (taken != 2)
     for r, n, g in zip(rows[odd], hops[odd], taken[odd]):
         yield Finding(
-            "hop-class", "error", c.loc(r), f"VLB path has {n} hops, {g} of them "
+            "hop-class", "error", ctx.loc(r), f"VLB path has {n} hops, {g} of them "
             f"global; a VLB path has [2, {cap}] hops, exactly 2 of them global",
         )
     yield from (f for f in ctx.policy_findings if f.rule == "hop-class")
@@ -390,7 +343,7 @@ def _rule_vc_overflow(ctx: _LintContext) -> Iterator[Finding]:
             head, tail = divmod(code, len(shapes))
             message = _overflow(ladder, shapes[head] + shapes[tail])
             for r in rows[applies & (combo == code)] if message else ():
-                yield Finding("vc-overflow", "error", c.loc(r), prefix + message)
+                yield Finding("vc-overflow", "error", ctx.loc(r), prefix + message)
 
 
 def _rule_balance(ctx: _LintContext) -> Iterator[Finding]:

@@ -133,10 +133,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "9126" in out
 
-    def test_figure_unknown(self):
-        # a usage message, not a traceback
-        with pytest.raises(SystemExit, match="unknown figure 'fig99'"):
+    def test_figure_unknown(self, capsys):
+        # argparse's usage error (exit 2) naming the figures, not a traceback
+        with pytest.raises(SystemExit) as exc:
             main(["figure", "fig99"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fig99'" in err and "table2" in err
 
     def test_figure_scale_flags(self, monkeypatch):
         from repro import experiments

@@ -11,7 +11,6 @@ from repro.core.balance import (
     global_usage_probability,
     pair_usage_probability,
 )
-from repro.model.fastpath import pair_candidates
 from repro.routing.channels import ChannelIndex
 from repro.routing.pathset import (
     AllVlbPolicy,
@@ -251,10 +250,7 @@ class TestBalanceAdjust:
         flat_program = policy_program(adjusted, table)
         nested_program = policy_program(nested, table)
         for src, dst in pairs:
-            cand = pair_candidates(table, src, dst)
-            ends = np.full(len(cand.mid), src, np.int64)
-            args = (table, ends, np.full_like(ends, dst),
-                    cand.mid, cand.slot1, cand.slot2)
+            args = (table, *table.vlb_candidates(src, dst)[1:6])
             flat = program_mask(flat_program, *args)
             assert 0 < flat.sum() < len(flat)
             np.testing.assert_array_equal(flat, program_mask(nested_program, *args))

@@ -1,5 +1,6 @@
 """On-disk result cache: hits skip simulation, keys track every input."""
 
+import errno
 import json
 import os
 
@@ -312,3 +313,31 @@ def test_executor_runs_the_live_adhoc_base():
     assert task.spec is None and task.key() is None
     with pytest.raises(SpecError):
         PolicySpec.of(policy)
+
+
+@pytest.mark.parametrize("kind", ["run", "run_models"])
+def test_a_failed_write_costs_the_entry_not_the_batch(
+    tmp_path, monkeypatch, caplog, kind
+):
+    # the disk fills up at the rename: the batch keeps its computed
+    # result, says it stored nothing and leaves no temp file behind
+    if kind == "run":
+        task = _task()
+    else:
+        task = ModelTask(TOPO, UniformRandom(TOPO), HopClassPolicy(4))
+    with SweepExecutor(jobs=1) as executor:
+        (want,) = getattr(executor, kind)([task])
+
+    def full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("repro.perf.cache.os.replace", full)
+    cache = SimCache(str(tmp_path))
+    with caplog.at_level("WARNING", logger="repro.perf.cache"):
+        with SweepExecutor(jobs=1, cache=cache) as executor:
+            (got,) = getattr(executor, kind)([task])
+    assert got == want
+    assert got.manifest.cache == "computed"
+    assert "could not write cache entry" in caplog.text
+    assert len(cache) == 0
+    assert not [f for _, _, files in os.walk(tmp_path) for f in files]

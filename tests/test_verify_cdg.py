@@ -20,7 +20,7 @@ from repro.verify import (
     build_cdg,
     certify_deadlock_freedom,
 )
-from repro.verify.cdg import VC_SCHEMES
+from repro.verify.cdg import VC_SCHEMES, _build_generic
 
 
 @pytest.fixture(scope="module")
@@ -180,12 +180,18 @@ class TestPaperCertification:
             assert ch.dst == nxt.src or ch.is_global or nxt.is_global
 
 
+def _oracle(topo, policy, scheme, routing):
+    """The generic builder's graph, every pair and descriptor walked."""
+    graph = ChannelDependencyGraph(topo, scheme)
+    include_par = routing.removeprefix("t-") == "par"
+    _build_generic(topo, policy, scheme, include_par, graph, None, None, 0)
+    return graph
+
+
 def _same_graph(topo, policy, scheme, routing):
     """Array and generic builder agree edge for edge and on the count."""
-    fast = build_cdg(topo, policy, scheme=scheme, routing=routing, method="fast")
-    generic = build_cdg(
-        topo, policy, scheme=scheme, routing=routing, method="generic"
-    )
+    fast = build_cdg(topo, policy, scheme=scheme, routing=routing)
+    generic = _oracle(topo, policy, scheme, routing)
     assert fast._edges == generic._edges
     assert fast.num_paths == generic.num_paths
     assert fast.exhaustive and generic.exhaustive
@@ -316,8 +322,8 @@ class TestBuilderEquivalence:
         inter = g * (g - 1) * a * a
         intra = g * a * (a - 1)
         want = inter * m + inter * (g - 2) * a * m * m + intra * (g - 1) * a * m * m
-        for method in ("fast", "generic"):
-            assert build_cdg(small_topo, method=method).num_paths == want
+        assert build_cdg(small_topo).num_paths == want
+        assert _oracle(small_topo, AllVlbPolicy(), "won", "par").num_paths == want
         listed_twice = ExplicitPathSet(
             {(0, 19): 2 * list(AllVlbPolicy().iter_descriptors(small_topo, 0, 19))[:3]}
         )
@@ -327,20 +333,23 @@ class TestBuilderEquivalence:
 
 
 class TestBuilderModes:
-    def test_sampling_clears_exhaustive(self, small_topo):
-        res = certify_deadlock_freedom(small_topo, max_pairs=10)
+    def test_sampling_clears_exhaustive(self, monkeypatch, small_topo):
+        monkeypatch.setattr("repro.verify.cdg._ROW_LIMIT", 1000)
+        monkeypatch.setattr("repro.verify.cdg._SAMPLED_PAIRS", 10)
+        res = certify_deadlock_freedom(small_topo)
         assert res.deadlock_free
         assert not res.exhaustive and not res.certified
         assert "sampled" in res.describe()
 
     def test_large_topology_is_sampled_by_default(self, monkeypatch, small_topo):
         # one place decides exhaustive vs sampled: past the row limit
-        # method="auto" runs the bounded check and says so
+        # the CDG runs the bounded check and says so
         monkeypatch.setattr("repro.verify.cdg._ROW_LIMIT", 1000)
         monkeypatch.setattr("repro.verify.cdg._SAMPLED_PAIRS", 10)
         res = certify_deadlock_freedom(small_topo)
         assert res.deadlock_free and not res.exhaustive
-        assert certify_deadlock_freedom(small_topo, method="fast").certified
+        monkeypatch.undo()
+        assert certify_deadlock_freedom(small_topo).certified
 
     def test_explicit_pathset_certifies_from_its_program(self, small_topo):
         policy = ExplicitPathSet.from_policy(
@@ -360,30 +369,27 @@ class TestBuilderModes:
         for scheme in ("won", "perhop"):
             _same_graph(casc, AllVlbPolicy(), scheme, "par")
 
-    def test_python_only_policy_takes_the_generic_builder(self, small_topo):
+    def test_array_builder_certifies_a_python_only_policy(self):
+        # no membership program: the array builder admits the rows its
+        # iter_descriptors lists, edge-equal to the oracle
         class Narrowed(HopClassPolicy):
             def contains(self, topo, src, dst, desc):
                 return desc.mid % 2 == 0 and super().contains(topo, src, dst, desc)
 
         policy = Narrowed(4)
-        res = certify_deadlock_freedom(small_topo, policy)
-        assert res.certified
-        wider = certify_deadlock_freedom(small_topo, HopClassPolicy(4))
-        assert 0 < res.num_paths < wider.num_paths
-        with pytest.raises(ValueError, match="has no membership program"):
-            build_cdg(small_topo, policy, method="fast")
-
-    def test_unknown_method_rejected(self, small_topo):
-        with pytest.raises(ValueError, match="unknown method"):
-            build_cdg(small_topo, method="telepathy")
+        for kind in ("dfly", "cascade"):
+            topo = TOPOLOGIES[kind]()
+            graph = _same_graph(topo, policy, "won", "par")
+            res = certify_deadlock_freedom(topo, policy)
+            assert res.certified and res.num_paths == graph.num_paths
+            wider = certify_deadlock_freedom(topo, HopClassPolicy(4))
+            assert 0 < res.num_paths < wider.num_paths, kind
 
     def test_cascade_certified_via_generic(self):
         # sparse intra-group topology: both schemes certify under PAR,
         # by the default builder and by the oracle alike
         casc = CascadeDragonfly(1, 4, 1, 3, rows=2, cols=2)
         for scheme in ("won", "perhop"):
-            for method in ("auto", "generic"):
-                res = certify_deadlock_freedom(
-                    casc, scheme=scheme, routing="par", method=method
-                )
-                assert res.certified, res.describe()
+            res = certify_deadlock_freedom(casc, scheme=scheme, routing="par")
+            assert res.certified, res.describe()
+            assert _oracle(casc, AllVlbPolicy(), scheme, "par").find_cycle() is None
