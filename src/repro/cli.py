@@ -10,7 +10,7 @@ Commands:
   solves)
 * ``sim``    -- one simulation run at a fixed load
 * ``sweep``  -- a latency-vs-load ladder (``--jobs N`` fans the points
-  out over worker processes; ``--cache`` reuses on-disk results)
+  out over threads; ``--cache`` reuses on-disk results)
 * ``adversary`` -- search for worst-case traffic patterns beyond the
   paper's suites (``repro.adversary``); ``--out file.json`` saves the
   winner as a pattern spec usable via ``--pattern @file.json``
@@ -155,9 +155,9 @@ def _make_executor(args, progress=None):
 def _exec_args(p, jobs_default=None):
     """Attach the shared --jobs/--cache/--cache-dir flags to a parser."""
     p.add_argument("--jobs", type=int, default=jobs_default,
-                   help="worker processes for independent simulation "
-                        "points, threads for LP solves (default: "
-                        "$REPRO_JOBS or 1)")
+                   help="threads for simulation points and LP solves "
+                        "(default: $REPRO_JOBS or 1; packet-lane runs do "
+                        "not speed up with it)")
     p.add_argument("--cache", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="reuse simulation results from the on-disk cache "
@@ -617,8 +617,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="sample engine state (utilization, VC occupancy, "
                         "backlog) every K cycles (default 0 = off)")
     p.add_argument("--trace-dir", default=None, metavar="DIR",
-                   help="per-run engine trace JSONL files land here "
-                        "(required for engine samples from pool workers)")
+                   help="per-run engine trace JSONL files land here")
     p.add_argument("--progress", action="store_true",
                    help="heartbeat/ETA lines on stderr while the batch "
                         "runs")

@@ -153,7 +153,7 @@ def simulation_evaluator(
 
     With an ``executor``, all (pattern, load) points of a candidate's
     evaluation are submitted as one batch -- the 5-pattern evaluation
-    fans out across worker processes and repeated points (e.g. the
+    fans out across the executor's threads and repeated points (e.g. the
     ``all VLB`` candidate re-scored across Algorithm 1 runs) come from
     the result cache.  Scores are identical to the serial path.
     """

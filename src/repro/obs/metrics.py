@@ -12,9 +12,9 @@ Two registry flavours share one interface:
   (``tests/test_obs_parity.py`` asserts which instruments a disabled
   run binds).
 
-Instruments are process-local and deliberately not thread-safe: the
-engine is single-threaded and sweep workers are separate processes, each
-with its own registry (snapshots travel back on the run manifest).
+Instruments are deliberately not thread-safe: every run steps on one
+thread and owns its registry, also when an executor runs several at once
+on its threads (snapshots travel back on the run manifest).
 """
 
 from __future__ import annotations

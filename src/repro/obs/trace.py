@@ -17,21 +17,22 @@ Two export formats:
 * **Chrome ``trace_event``** (:meth:`Tracer.to_chrome` /
   :meth:`Tracer.export_chrome`) -- a JSON object that loads directly in
   ``chrome://tracing`` or https://ui.perfetto.dev: executor tasks appear
-  as duration slices laid out per worker process, cache hits as instant
+  as duration slices laid out per computing thread, cache hits as instant
   markers, and each engine run as its own process row of counter tracks
   (backlog, per-VC occupancy, utilization) with the cycle number as the
   microsecond timestamp.
 
 In-process capture: ``with capture() as tracer: simulate(...)`` collects
-engine events without going through a ``trace_dir`` file (workers in a
-process pool still need ``ObsConfig.trace_dir``, since their tracers die
-with the worker).
+engine events without going through a ``trace_dir`` file -- also those
+of runs an executor computes on its helper threads, since the capture
+stack is process-wide and a tracer takes concurrent writers.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -53,22 +54,27 @@ class Tracer:
     ``clock`` (default :func:`time.time`) stamps every event's ``t``
     field; tests inject a deterministic clock.  Events are plain dicts so
     the tracer has no schema lock-in beyond the ``type`` discriminator.
+    :meth:`record` and :meth:`extend` may be called from any thread: an
+    extend lands as one contiguous run of events.
     """
 
     def __init__(self, clock: Callable[[], float] = time.time) -> None:
         self.events: List[Event] = []
         self._clock = clock
+        self._lock = threading.Lock()
 
     def record(self, type_: str, **fields: Any) -> Event:
         """Append one event; returns the stored dict."""
         event: Event = {"type": type_, "t": self._clock()}
         event.update(fields)
-        self.events.append(event)
+        with self._lock:
+            self.events.append(event)
         return event
 
     def extend(self, events: List[Event]) -> None:
         """Append already-stamped events (merging another tracer's log)."""
-        self.events.extend(events)
+        with self._lock:
+            self.events.extend(events)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -1,12 +1,11 @@
 """Execution-performance layer: parallel sweeps and the result cache.
 
-* :mod:`repro.perf.executor` -- :class:`SweepExecutor`, a process-pool
-  fan-out for batches of independent ``simulate()`` points with a serial
-  fallback and deterministic result ordering;
+* :mod:`repro.perf.executor` -- :class:`SweepExecutor`, a thread fan-out
+  for batches of independent ``simulate()`` points and LP solves with
+  deterministic result ordering;
 * :mod:`repro.perf.planner` -- :class:`BatchPlanner`, which groups
-  compatible cache-miss payloads into multi-run ``simulate_batch``
-  units (bit-identical per run; the executor's ``jobs`` is its only
-  input besides the payloads);
+  compatible run payloads into multi-run ``simulate_batch`` units
+  (bit-identical per run; kept for the benchmark's traced driver);
 * :mod:`repro.perf.cache` -- :class:`SimCache`, the content-addressed
   on-disk ``SimResult`` store with versioned invalidation.
 

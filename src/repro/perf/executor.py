@@ -2,52 +2,46 @@
 
 Every experiment in the paper -- a latency-vs-load ladder, a saturation
 bisection frontier, a multi-seed replication, Algorithm 1 Step 2's
-5-pattern evaluation -- reduces to a batch of *independent* simulation
-points.  :class:`SweepExecutor` fans such a batch out across worker
-processes and returns results in task order, optionally short-circuiting
-each point through the on-disk :class:`~repro.perf.cache.SimCache`.
-Batches of LP-model solves (Algorithm 1 Step 1, the adversary search)
-fan out over threads of the calling process instead: HiGHS releases the
-GIL, and every thread solves through the one memoized
-:class:`~repro.model.fastpath.FastModel` of its topology.  The LP stack
-(``repro.model``, and with it scipy) loads at the first model task:
-importing this module, running simulation batches and forking their
-workers never pay for it.
+5-pattern evaluation, Step 1's LP sweep -- reduces to a batch of
+*independent* tasks.  :class:`SweepExecutor` fans such a batch out over
+``jobs`` threads of the calling process, the calling thread included,
+and returns results in task order, optionally short-circuiting each task
+through the on-disk :class:`~repro.perf.cache.SimCache`.  Simulation
+points and LP solves take the same threads: the native kernel's cycle
+loop (``repro_run``) and HiGHS both release the GIL, so array-lane runs
+and solves run in parallel.  Packet-lane runs (no C compiler, scheduled
+traces, Python-only strategies or policies) run on the same threads and
+return the same results, but they step the network in Python under the
+GIL and do not speed up with ``jobs``.  The LP stack (``repro.model``,
+and with it scipy) loads at the first model task: importing this module
+and running simulation batches never pay for it.
 
 Guarantees:
 
-* **Determinism.**  A task is fully described by picklable inputs and
-  ``simulate()`` is a pure function of them, so the parallel path returns
-  bit-identical results to the serial path and result order never depends
-  on completion order.  Sim tasks whose components are registered spec
-  types ship their compact :class:`~repro.spec.RunSpec` to workers (the
-  worker rebuilds topology and pattern from the declarative form); only
-  tasks the spec layer cannot describe ship live objects.  Model tasks
-  are never pickled.
-* **Graceful degradation.**  ``jobs=1``, a single-task batch, or a host
-  where process pools cannot be created (sandboxes without fork/semaphore
-  support) all run serially in-process -- same results, no crash.  A
-  worker process that dies mid-batch (killed, out of memory) costs the
-  batch its pool, not its results: the units that had not landed are
-  recomputed in-process and the next batch gets a fresh pool.
-
-The worker entry points are module-level (:func:`run_task`,
-:func:`_run_payload`), so both the ``fork`` and ``spawn`` multiprocessing
-start methods work.
+* **Determinism.**  Every run owns its network, generator and kernel
+  state, and ``simulate()`` is a pure function of its task, so a point
+  computed on a helper thread is bit-identical to :func:`run_task` on
+  the calling thread, and result order never depends on completion
+  order.  A sim task's declarative :class:`~repro.spec.RunSpec` keys
+  the cache; nothing is pickled.  The process memos runs share (route
+  tables, the solver memo, the sparse-policy reservoir memo) are safe
+  for concurrent use.
+* **No thread outlives its batch.**  The helper pool is built per batch
+  and shut down -- pending tasks cancelled, running ones awaited --
+  before the batch returns or raises.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -93,12 +87,11 @@ def default_jobs() -> int:
     ``jobs`` of a :class:`SweepExecutor` built without one.
 
     Oversubscribing a small host is strictly counterproductive for these
-    CPU-bound workers (jobs=8 on a 1-CPU host once measured a 0.72x
+    CPU-bound threads (jobs=8 on a 1-CPU host once measured a 0.72x
     "speedup"), so the environment default can never exceed
-    ``os.cpu_count()``.  An explicit ``jobs=`` argument may still
-    force a larger pool, with a warning.  The default is conservative
-    because a worker process costs a whole interpreter; a thread solving
-    LPs costs about 2 MB, so ``step1_sweep`` without an executor takes
+    ``os.cpu_count()``.  An explicit ``jobs=`` argument may still ask
+    for more threads, with a warning.  Unset, a batch runs on the
+    calling thread alone; ``step1_sweep`` without an executor takes
     every CPU this process may use instead.
     """
     cap = os.cpu_count() or 1
@@ -115,12 +108,12 @@ def default_jobs() -> int:
 
 @dataclass
 class SimTask:
-    """One independent ``simulate()`` invocation (picklable).
+    """One independent ``simulate()`` invocation.
 
     On construction the task derives its declarative :class:`RunSpec`
-    (``None`` when a component is not a registered spec type); the spec,
-    when present, is what crosses the process boundary and what keys the
-    result cache.
+    (``None`` when a component is not a registered spec type); the
+    spec, when present, keys the result cache.  The run itself uses the
+    task's live objects (:func:`run_task`).
     """
 
     topo: Dragonfly
@@ -145,7 +138,7 @@ class SimTask:
                     seed=self.seed,
                 )
             except SpecError:
-                self.spec = None  # ad-hoc components: ship live objects
+                self.spec = None  # ad-hoc components: uncacheable
 
     def key(self) -> Optional[str]:
         """Content-address of this task (``None`` = uncacheable)."""
@@ -154,12 +147,15 @@ class SimTask:
         return spec_key(self.spec.fingerprint())
 
     def payload(self) -> Union[RunSpec, "SimTask"]:
-        """What to ship to a worker: the spec when one exists."""
+        """The task's spec when it has one, else the task itself: the
+        member form :func:`repro.sim.batch.simulate_batch` and the
+        :class:`~repro.perf.planner.BatchPlanner` take."""
         return self.spec if self.spec is not None else self
 
 
 def run_task(task: SimTask) -> SimResult:
-    """Execute one task (also the serial path)."""
+    """Execute one task: the entry point of every simulation point the
+    executor computes, on whichever of its threads."""
     return simulate(
         task.topo,
         task.pattern,
@@ -171,78 +167,14 @@ def run_task(task: SimTask) -> SimResult:
     )
 
 
-def _run_payload(payload: Union[RunSpec, SimTask]) -> SimResult:
-    """Worker entry point: a declarative spec or a live-object task."""
-    if isinstance(payload, RunSpec):
-        return payload.run()
-    return run_task(payload)
-
-
-def _run_payload_timed(
-    payload: Union[RunSpec, SimTask],
-) -> Tuple[SimResult, int, float, float]:
-    """Worker entry point with lifecycle telemetry.
-
-    Returns ``(result, worker_pid, started_epoch, duration_seconds)`` so
-    the parent can emit ``task_started``/``task_finished`` trace events
-    laid out per worker process without any cross-process tracer.
-    """
-    started = time.time()
-    result = _run_payload(payload)
-    return result, os.getpid(), started, time.time() - started
-
-
-def _run_unit_timed(
-    payloads: Sequence[Union[RunSpec, SimTask]],
-) -> List[Tuple[SimResult, int, float, float]]:
-    """Worker entry point for one planner unit (one or many payloads).
-
-    Multi-payload units run through :func:`repro.sim.batch.
-    simulate_batch` -- its runs one after another on one topology, each
-    result bit-identical to its single-run form.  A batch the host
-    cannot execute (no native kernel, incompatible members the planner
-    could not see) degrades to per-payload execution *inside the
-    worker*, so the parent never needs a second round trip.  Per-run
-    completion times come from the batch's ``on_result`` callback
-    (ragged batches finish runs at different cycles).
-    """
-    payloads = list(payloads)
-    started = time.time()
-    pid = os.getpid()
-    if len(payloads) > 1:
-        from repro.sim.batch import BatchUnsupported, simulate_batch
-
-        finished_at: Dict[int, float] = {}
-        try:
-            results = simulate_batch(
-                payloads,
-                on_result=lambda slot, _r: finished_at.__setitem__(
-                    slot, time.time()
-                ),
-            )
-        except BatchUnsupported:
-            _log.debug(
-                "batched unit of %d runs unsupported here; falling back "
-                "to per-run execution",
-                len(payloads),
-            )
-        else:
-            return [
-                (result, pid, started, finished_at.get(slot, time.time()) - started)
-                for slot, result in enumerate(results)
-            ]
-    return [_run_payload_timed(payload) for payload in payloads]
-
-
 @dataclass
 class ModelTask:
     """One independent LP-model solve.
 
     The model analogue of :class:`SimTask`: on construction the task
     derives its :class:`ModelSpec` (``None`` when a component is not a
-    registered spec type), the model-cache key material.  A model task
-    never leaves its process: it is solved on a thread of the caller,
-    through :func:`solver_for`.
+    registered spec type), the model-cache key material.  It is solved
+    on a thread of the caller, through :func:`solver_for`.
     """
 
     topo: Dragonfly
@@ -331,12 +263,15 @@ def run_model_task(task: ModelTask) -> ModelResult:
     return result
 
 
-def _run_model_timed(task: ModelTask) -> Tuple[ModelResult, int, float, float]:
-    """Model analogue of :func:`_run_payload_timed`; the worker id is the
-    solving thread's native id (on Linux the calling thread's is the
-    pid)."""
+def _timed(
+    run: Callable[[Any], Any], task: Any
+) -> Tuple[Any, int, float, float]:
+    """``(result, worker, started_epoch, duration_seconds)`` of one task
+    run by ``run`` (:func:`run_task` or :func:`run_model_task`); the
+    worker id is the computing thread's native id (on Linux the calling
+    thread's is the pid)."""
     started = time.time()
-    result = run_model_task(task)
+    result = run(task)
     return result, threading.get_native_id(), started, time.time() - started
 
 
@@ -344,20 +279,14 @@ class SweepExecutor:
     """Runs batches of :class:`SimTask` / :class:`ModelTask` with optional
     parallelism and cache.
 
-    ``jobs`` (default: ``$REPRO_JOBS`` or 1) is the worker-process count
-    for simulations and the thread count for LP solves: :meth:`run_models`
-    solves its cache misses on ``jobs - 1`` helper threads plus the
-    calling thread.  ``cache`` is an optional :class:`SimCache` consulted
-    before computing and filled afterwards.  The executor is reusable
-    across batches (the process pool persists until :meth:`close`; a
-    thread pool lives for one model batch) and usable as a context
-    manager.
-
-    Cache-miss sim payloads are grouped into work units by the
-    :class:`~repro.perf.planner.BatchPlanner`; a unit's runs execute one
-    after another, each result bit-identical to its single-run form and
-    cache/trace/progress per task, so the serial ``jobs=1`` path groups
-    too.
+    ``jobs`` (default: :func:`default_jobs`) is the thread count for all
+    work: each batch computes its cache misses, simulation points and LP
+    solves alike, on ``jobs - 1`` helper threads plus the calling thread
+    (:meth:`_threads`).  Array-lane runs and solves speed up with it;
+    packet-lane runs hold the GIL while they step and do not.  ``cache``
+    is an optional :class:`SimCache` consulted before computing and
+    filled afterwards.  The executor is reusable across batches (helper
+    threads live for one batch) and usable as a context manager.
     """
 
     def __init__(
@@ -375,7 +304,7 @@ class SweepExecutor:
             if self.jobs > cap:
                 _log.warning(
                     "SweepExecutor(jobs=%d) oversubscribes this host "
-                    "(%d CPU%s); CPU-bound workers will contend and can "
+                    "(%d CPU%s); CPU-bound threads will contend and can "
                     "run slower than serial",
                     self.jobs,
                     cap,
@@ -386,9 +315,8 @@ class SweepExecutor:
         # innermost capture() tracer active at call time (if any)
         self.tracer = tracer
         self.progress = progress
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_broken = False
-        # batch statistics (cumulative)
+        # batch statistics (cumulative): tasks computed on a helper
+        # thread / on the calling thread
         self.cache_hits = 0
         self.computed_parallel = 0
         self.computed_serial = 0
@@ -396,26 +324,8 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     @property
     def parallel(self) -> bool:
-        return self.jobs > 1 and not self._pool_broken
+        return self.jobs > 1
 
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self._pool_broken:
-            return None
-        if self._pool is None:
-            try:
-                try:
-                    ctx = multiprocessing.get_context("fork")
-                except ValueError:  # pragma: no cover - non-POSIX hosts
-                    ctx = multiprocessing.get_context()
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=ctx
-                )
-            except (OSError, ValueError):  # pragma: no cover - no mp support
-                self._pool_broken = True
-                return None
-        return self._pool
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _task_label(task: object) -> str:
         """Compact display label of a task (trace/progress cosmetics)."""
@@ -427,21 +337,18 @@ class SweepExecutor:
     def _execute(
         self,
         tasks: Sequence,
+        run: Callable[[Any], Any],
         cache_get: Optional[Callable],
         cache_put: Optional[Callable],
         kind: str,
     ) -> List:
         """Shared batch machinery: cache consult -> compute -> fill.
 
-        Misses are computed as units, each yielding one ``(result,
-        worker, started, duration)`` per task; results stream back in
-        unit order, lazily, so progress heartbeats and trace events fire
-        as each unit lands, not at batch end -- and always in this
-        thread, like every cache consult and fill.  Sim misses are
-        grouped into multi-run units by the
-        :class:`~repro.perf.planner.BatchPlanner` and run in the process
-        pool; model misses are one unit each, solved on threads
-        (:meth:`_threads`).
+        Misses are computed by ``run`` on the batch's threads
+        (:meth:`_threads`); results stream back in task order, lazily, so
+        progress heartbeats and trace events fire as each task lands, not
+        at batch end -- and always in this thread, like every cache
+        consult and fill.
         """
         tasks = list(tasks)
         tracer = self.tracer if self.tracer is not None else active_capture()
@@ -475,81 +382,56 @@ class SweepExecutor:
             pending.append((i, key, task))
 
         if pending:
-            if kind == "model":
-                units = [[j] for j in range(len(pending))]
-                stream = self._threads([t for _i, _k, t in pending])
-            else:
-                payloads = [t.payload() for _i, _k, t in pending]
-                if len(pending) > 1:
-                    from repro.perf.planner import BatchPlanner
-
-                    planner = BatchPlanner(jobs=self.jobs)
-                    units = [u.indices for u in planner.plan(payloads)]
-                else:
-                    units = [[j] for j in range(len(payloads))]
-                pool = (
-                    self._ensure_pool()
-                    if self.jobs > 1 and len(units) > 1
-                    else None
-                )
-                stream = self._stream(
-                    [[payloads[j] for j in unit] for unit in units],
-                    pool,
-                    tracer,
-                )
+            stream = self._threads(run, [task for _i, _k, task in pending])
             with closing(stream):
-                for unit, (mode, computed_unit) in zip(units, stream):
-                    batched = len(unit) > 1
+                for (i, key, task), (mode, computed) in zip(pending, stream):
                     if mode == "parallel":
-                        self.computed_parallel += len(unit)
+                        self.computed_parallel += 1
                     else:
-                        self.computed_serial += len(unit)
-                    for j, computed in zip(unit, computed_unit):
-                        i, key, task = pending[j]
-                        result, worker_pid, started, duration = computed
-                        results[i] = result
-                        if tracer is not None:
-                            label = self._task_label(task)
-                            tracer.extend(
-                                [
-                                    {
-                                        "type": "task_submitted",
-                                        "t": wall_start,
-                                        "kind": kind,
-                                        "index": i,
-                                        "label": label,
-                                    },
-                                    {
-                                        "type": "task_started",
-                                        "t": started,
-                                        "kind": kind,
-                                        "index": i,
-                                        "label": label,
-                                        "worker": worker_pid,
-                                    },
-                                ]
-                            )
-                            tracer.record(
-                                "task_finished",
-                                kind=kind,
-                                index=i,
-                                label=label,
-                                worker=worker_pid,
-                                started=started,
-                                duration=duration,
-                                mode=mode,
-                                batched=batched,
-                            )
-                        if progress is not None:
-                            progress.advance()
-                        manifest = getattr(result, "manifest", None)
-                        if cache_put is not None and key is not None:
-                            if manifest is not None:
-                                manifest.cache = "stored"
-                            cache_put(key, result)
-                        elif cache_get is not None and manifest is not None:
-                            # a cache was consulted but this point has no key
-                            manifest.cache = "uncacheable"
+                        self.computed_serial += 1
+                    result, worker, started, duration = computed
+                    results[i] = result
+                    if tracer is not None:
+                        label = self._task_label(task)
+                        tracer.extend(
+                            [
+                                {
+                                    "type": "task_submitted",
+                                    "t": wall_start,
+                                    "kind": kind,
+                                    "index": i,
+                                    "label": label,
+                                },
+                                {
+                                    "type": "task_started",
+                                    "t": started,
+                                    "kind": kind,
+                                    "index": i,
+                                    "label": label,
+                                    "worker": worker,
+                                },
+                            ]
+                        )
+                        tracer.record(
+                            "task_finished",
+                            kind=kind,
+                            index=i,
+                            label=label,
+                            worker=worker,
+                            started=started,
+                            duration=duration,
+                            mode=mode,
+                        )
+                    if progress is not None:
+                        progress.advance()
+                    manifest = getattr(result, "manifest", None)
+                    if cache_put is not None and key is not None:
+                        if manifest is not None:
+                            manifest.cache = "stored"
+                        cache_put(key, result)
+                    elif cache_get is not None and manifest is not None:
+                        # a cache was consulted but this point has no key
+                        manifest.cache = "uncacheable"
         if tracer is not None:
             tracer.record(
                 "batch_end",
@@ -562,109 +444,72 @@ class SweepExecutor:
             progress.finish()
         return results
 
-    def _stream(
-        self,
-        unit_payloads: List[List],
-        pool: Optional[ProcessPoolExecutor],
-        tracer: Optional[Tracer],
-    ) -> Iterator[Tuple[str, List]]:
-        """``(mode, computed unit)`` per sim unit, in unit order, lazily.
-
-        Through ``pool`` while it lives.  When a worker process dies the
-        pool raises ``BrokenProcessPool`` for every unit still out, and
-        would for every later batch: it is discarded (the next batch
-        builds a new one) and the units that had not landed are computed
-        here -- a result is a pure function of its task, so which
-        process computes it cannot matter.
-        """
-        landed = 0
-        if pool is not None:
-            try:
-                for computed_unit in pool.map(_run_unit_timed, unit_payloads):
-                    yield "parallel", computed_unit
-                    landed += 1
-            except BrokenProcessPool:
-                self._pool = None
-                pool.shutdown(wait=False, cancel_futures=True)
-                _log.warning(
-                    "a worker process died; recomputing %d of %d unit(s) "
-                    "in-process",
-                    len(unit_payloads) - landed,
-                    len(unit_payloads),
-                )
-                if tracer is not None:
-                    tracer.record(
-                        "pool_broken",
-                        kind="sim",
-                        landed=landed,
-                        recomputed=len(unit_payloads) - landed,
-                    )
-        for payloads in unit_payloads[landed:]:
-            yield "serial", _run_unit_timed(payloads)
-
-    def _threads(self, tasks: List[ModelTask]) -> Iterator[Tuple[str, List]]:
-        """``(mode, [computed])`` per model task, in task order, lazily.
+    def _threads(
+        self, run: Callable[[Any], Any], tasks: List
+    ) -> Iterator[Tuple[str, Tuple[Any, int, float, float]]]:
+        """``(mode, computed)`` per task, in task order, lazily.
 
         Every task goes to a per-batch pool of ``jobs - 1`` helper
         threads; the calling thread works too.  Walking the tasks in
-        order, it solves inline a task no helper has started yet
+        order, it runs inline a task no helper has started yet
         (``cancel()`` succeeded), and while a helper is still busy with
         the next task due it takes over the last task nobody has started,
         keeping that result until its turn -- only waiting would leave it
         idle, as a helper that finishes claims the next task before the
-        woken caller gets the GIL.  A result is a pure function
-        of its task and every thread solves through the same shared
-        :class:`~repro.model.fastpath.FastModel`, so which thread solved
-        what cannot matter.  The pool is shut down -- pending tasks
-        cancelled, running ones awaited -- before the stream ends, also
-        when a solve raises, so no thread outlives the batch into a later
-        fork of the process pool.
+        woken caller gets the GIL.  A result is a pure function of its
+        task (each run owns its state; solves share one
+        :class:`~repro.model.fastpath.FastModel` built for this), so
+        which thread computed what cannot matter.  The pool is shut down
+        -- pending tasks cancelled, running ones awaited -- before the
+        stream ends, also when a task raises, so no thread outlives the
+        batch.
         """
         helpers = min(self.jobs, len(tasks)) - 1
         if helpers < 1:
             for task in tasks:
-                yield "serial", [_run_model_timed(task)]
+                yield "serial", _timed(run, task)
             return
-        pool = ThreadPoolExecutor(helpers, thread_name_prefix="repro-lp")
+        pool = ThreadPoolExecutor(helpers, thread_name_prefix="repro-exec")
         try:
-            futures = [pool.submit(_run_model_timed, task) for task in tasks]
-            taken: Dict[int, Tuple[ModelResult, int, float, float]] = {}
+            futures = [pool.submit(_timed, run, task) for task in tasks]
+            taken: Dict[int, Tuple[Any, int, float, float]] = {}
             back = len(tasks) - 1
             for i, (task, future) in enumerate(zip(tasks, futures)):
                 if i in taken:
-                    yield "serial", [taken.pop(i)]
+                    yield "serial", taken.pop(i)
                     continue
                 if future.cancel():
-                    yield "serial", [_run_model_timed(task)]
+                    yield "serial", _timed(run, task)
                     continue
                 while back > i and not future.done():
                     if futures[back].cancel():
-                        taken[back] = _run_model_timed(tasks[back])
+                        taken[back] = _timed(run, tasks[back])
                     back -= 1
-                yield "parallel", [future.result()]
+                yield "parallel", future.result()
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
     def run(self, tasks: Sequence[SimTask]) -> List[SimResult]:
         """Execute a sim batch; results align index-for-index with
-        ``tasks``."""
+        ``tasks``, each bit-identical to :func:`run_task` of its task."""
         cache = self.cache
         return self._execute(
             tasks,
+            run_task,
             cache.get if cache is not None else None,
             cache.put if cache is not None else None,
             kind="sim",
         )
 
     def run_models(self, tasks: Sequence[ModelTask]) -> List[ModelResult]:
-        """Execute a batch of LP-model solves, with the same cache
-        consult and deterministic ordering as :meth:`run` (model results
-        live in the same :class:`SimCache` under their own record kind);
-        the misses are solved on ``jobs`` threads of this process, the
-        calling one included."""
+        """Execute a batch of LP-model solves, with the same threads,
+        cache consult and deterministic ordering as :meth:`run` (model
+        results live in the same :class:`SimCache` under their own record
+        kind)."""
         cache = self.cache
         return self._execute(
             tasks,
+            run_model_task,
             cache.get_model if cache is not None else None,
             cache.put_model if cache is not None else None,
             kind="model",
@@ -676,9 +521,7 @@ class SweepExecutor:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Nothing to release: helper threads end with their batch."""
 
     def __enter__(self) -> "SweepExecutor":
         return self

@@ -1,37 +1,31 @@
-"""Batch planning: size the executor's work units.
+"""Batch planning: group runs into ``simulate_batch`` units.
 
-:class:`BatchPlanner` sits between :class:`~repro.perf.executor.
-SweepExecutor`'s cache-miss list and its worker fan-out.  It partitions
-the pending payloads into *units* -- either a single payload executed by
-the ordinary single-run path, or a group of compatible
-:class:`~repro.spec.RunSpec` payloads executed by one
-:func:`~repro.sim.batch.simulate_batch` call, which runs them one after
-another on one shared topology.
+:class:`BatchPlanner` partitions a list of run payloads into *units* --
+either a single payload executed by the ordinary single-run path, or a
+group of compatible :class:`~repro.spec.RunSpec` payloads executed by
+one :func:`~repro.sim.batch.simulate_batch` call, which runs them one
+after another on one shared topology.  The
+:class:`~repro.perf.executor.SweepExecutor` does not plan: it runs every
+task alone on its threads.  The planner, the MIN rule and
+``DEFAULT_MAX_BATCH`` stay because the repo's benchmark imports and
+drives them (``min_ur_batch_g9``'s traced pass); their removal rides
+with the benchmark-side change ROADMAP schedules.
 
-Batching is unit sizing for the executor, not a kernel path.  A batched
-unit is one task, one topology build and one worker round trip for B
-runs; every run in it is the same ``Run`` as on the single-run path --
+Every run in a unit is the same ``Run`` as on the single-run path --
 bit-identical results (the batch parity suite pins this), its own
-RunSpec fingerprint and cache entry, its own trace/progress events.
-The policy:
+RunSpec fingerprint, its own trace events.  The policy:
 
 * eligible payloads are declarative ``RunSpec``s (live-object tasks
   cannot cross ``simulate_batch``'s validation), uninstrumented
-  (``params.obs is None``) and MIN-routed.  The MIN rule and
-  ``DEFAULT_MAX_BATCH`` are kept because the repo's benchmark imports
-  and drives them (``min_ur_batch_g9``); their removal rides with the
-  benchmark-side change ROADMAP schedules;
+  (``params.obs is None``) and MIN-routed;
 * eligible payloads group by :func:`repro.sim.batch.compatibility_key`
   (topology, routing, policy); seed, load, pattern and measurement
   windows may differ within a group (ragged completion);
-* groups chunk to ``max_batch`` (default 16) and -- when the executor
-  runs a process pool -- spread so every worker gets work instead of
-  one worker hoarding a giant batch.
+* groups chunk to ``max_batch`` (default 16) and, for ``jobs > 1``,
+  spread into at least ``jobs`` units.
 
-The native-kernel check lives in ``simulate_batch`` itself (workers may
-see a different toolchain than the parent); a unit that raises
-:class:`~repro.sim.batch.BatchUnsupported` falls back to per-run
-execution inside the worker, so planning is always safe.
+The native-kernel check lives in ``simulate_batch`` itself; a unit that
+raises :class:`~repro.sim.batch.BatchUnsupported` runs per payload.
 """
 
 from __future__ import annotations
@@ -50,7 +44,7 @@ DEFAULT_MAX_BATCH = 16
 
 @dataclass
 class BatchUnit:
-    """One executor work item: indices into the planned payload list."""
+    """One work item: indices into the planned payload list."""
 
     indices: List[int]
     batched: bool
@@ -98,8 +92,8 @@ class BatchPlanner:
         for indices in groups.values():
             cap = self.max_batch
             if self.jobs > 1:
-                # spread the group across the pool: a single giant unit
-                # would serialize on one worker while the rest idle
+                # spread the group over jobs units: a single giant unit
+                # would serialize on one runner while the rest idle
                 cap = min(cap, max(1, math.ceil(len(indices) / self.jobs)))
             for start in range(0, len(indices), cap):
                 chunk = indices[start:start + cap]

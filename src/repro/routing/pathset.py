@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -74,6 +75,15 @@ _SAMPLE_ATTEMPTS = 128
 _SPARSE_RESERVOIR = 256
 _SPARSE_MEMO_MAX = 20_000  # pairs; beyond this, reservoirs are not stored
 _sparse_memo: dict = {}
+# the memo a Run installed on this thread (swap_sample_memo): concurrent
+# runs on different threads each draw from their own; a thread without
+# one uses _sparse_memo
+_live = threading.local()
+
+
+def _live_memo() -> dict:
+    memo = getattr(_live, "memo", None)
+    return _sparse_memo if memo is None else memo
 
 
 def reset_sample_memo() -> None:
@@ -91,17 +101,17 @@ def reset_sample_memo() -> None:
 
 
 def swap_sample_memo(memo: dict) -> dict:
-    """Install ``memo`` as the live reservoir memo, returning the old one.
+    """Install ``memo`` as this thread's live reservoir memo, returning
+    the one it replaces.
 
     Reservoir contents depend on the rng that populated them, so every
     :class:`~repro.sim.engine.Run` owns a private memo dict and swaps it
     in around its own sampling (``Run.sampling()``): a run's result is a
     pure function of its arguments, whatever ran before it in the
-    process.
+    process or runs beside it on another thread.
     """
-    global _sparse_memo
-    old = _sparse_memo
-    _sparse_memo = memo
+    old = _live_memo()
+    _live.memo = memo
     return old
 
 
@@ -433,7 +443,8 @@ class PathPolicy(abc.ABC):
         # by every later draw.  A long bounded rejection burst is tried
         # first (cheap); full enumeration only for truly tiny/empty sets.
         key = (self, src, dst)
-        reservoir = _sparse_memo.get(key)
+        memo = _live_memo()
+        reservoir = memo.get(key)
         if reservoir is None:
             reservoir = []
             for _ in range(64 * _SPARSE_RESERVOIR):
@@ -453,8 +464,8 @@ class PathPolicy(abc.ABC):
                         j = int(rng.integers(seen))
                         if j < _SPARSE_RESERVOIR:
                             reservoir[j] = desc
-            if len(_sparse_memo) < _SPARSE_MEMO_MAX:
-                _sparse_memo[key] = reservoir
+            if len(memo) < _SPARSE_MEMO_MAX:
+                memo[key] = reservoir
         if not reservoir:
             return None
         return reservoir[int(rng.integers(len(reservoir)))]

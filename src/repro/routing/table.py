@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from typing import (
@@ -775,8 +776,12 @@ class RouteTable:
 # ----------------------------------------------------------------------
 _MAX_TABLES = 4
 _TABLES: Dict[Tuple, RouteTable] = {}
+# makes the fill and eviction of _TABLES atomic for concurrent runs
+_TABLES_LOCK = threading.Lock()
 # the previous lookup (topology, table): membership tests ask for the
-# same topology object's table millions of times in a row
+# same topology object's table millions of times in a row.  Replaced as
+# one tuple and read once per lookup, so a reader never pairs one
+# lookup's topology with another's table.
 _LAST: Tuple[object, Optional[RouteTable]] = (None, None)
 
 
@@ -794,19 +799,21 @@ def topology_key(topo) -> Tuple:
 
 
 def route_table(topo) -> RouteTable:
-    """The process-wide :class:`RouteTable` of ``topo``.
+    """The process-wide :class:`RouteTable` of ``topo``, from any thread.
 
     Equal topologies (same class and constructor fields) share one
     table; at most ``_MAX_TABLES`` are kept, oldest evicted first.
     """
     global _LAST
-    if topo is _LAST[0]:
-        return _LAST[1]  # type: ignore[return-value]
+    last_topo, last_table = _LAST
+    if topo is last_topo:
+        return last_table  # type: ignore[return-value]
     key = topology_key(topo)
-    table = _TABLES.get(key)
-    if table is None:
-        if len(_TABLES) >= _MAX_TABLES:
-            del _TABLES[next(iter(_TABLES))]
-        table = _TABLES[key] = RouteTable(topo)
-    _LAST = (topo, table)
+    with _TABLES_LOCK:
+        table = _TABLES.get(key)
+        if table is None:
+            if len(_TABLES) >= _MAX_TABLES:
+                del _TABLES[next(iter(_TABLES))]
+            table = _TABLES[key] = RouteTable(topo)
+        _LAST = (topo, table)
     return table

@@ -7,14 +7,15 @@ same :class:`~repro.sim.engine.Run` that ``simulate()`` drives (set-up,
 ``Run.advance``, result packaging: one definition), and the members run
 one after another on one shared topology, one network alive at a time.
 A batch is the unit the :class:`~repro.perf.planner.BatchPlanner` sizes
-for the executor -- one task, one topology build, one worker round trip
-for B runs -- not a kernel path (``docs/performance.md``, "Executor
-work units").
+-- one topology build for B runs -- not a kernel path
+(``docs/performance.md``, "Batched runs").  The
+:class:`~repro.perf.executor.SweepExecutor` does not batch: it runs
+every task alone, on its threads.
 
 Runs may differ in seed, load, pattern, and measurement params.  Each
-run gets its own :class:`RunManifest`, is cached individually under its
-own RunSpec fingerprint by the executor, and is announced through
-``on_result`` / tracer events as it completes.
+run gets its own :class:`RunManifest` and RunSpec fingerprint, so a
+batched result keys the result cache exactly like its single run, and is
+announced through ``on_result`` / tracer events as it completes.
 """
 
 from __future__ import annotations

@@ -73,10 +73,9 @@ def replicate(
     argument: its pattern is re-seeded per replication seed (when the
     pattern kind is seed-bearing) exactly like a factory would.
 
-    With an ``executor``, the per-seed runs fan out across worker
-    processes (patterns are materialized up front, in this process, so
-    the factory need not be picklable); results are identical to the
-    serial path.
+    With an ``executor``, the per-seed runs fan out across its threads
+    (patterns are materialized up front, in the calling thread);
+    results are identical to the serial path.
     """
     if pattern_factory is None and load is None:
         from repro.spec import RunSpec
@@ -97,7 +96,7 @@ def replicate(
         )
     elif pattern_factory is None or load is None:
         raise TypeError("replicate() needs both pattern_factory and load")
-    from repro.perf.executor import SimTask, SweepExecutor
+    from repro.perf.executor import SimTask, run_task
 
     tasks = [
         SimTask(
@@ -111,15 +110,11 @@ def replicate(
         )
         for seed in seeds
     ]
-    if executor is not None:
-        results: List[SimResult] = executor.run(tasks)
-    else:
-        # transient in-process executor: no pool, no cache; the runs go
-        # through the BatchPlanner, which groups only MIN runs into one
-        # unit, and a unit runs its members one after another
-        # (bit-identical to a per-seed simulate() loop)
-        with SweepExecutor(jobs=1) as transient:
-            results = transient.run(tasks)
+    results: List[SimResult] = (
+        executor.run(tasks)
+        if executor is not None
+        else [run_task(task) for task in tasks]
+    )
     finite = [r for r in results if np.isfinite(r.avg_latency)]
     return {
         "latency": _aggregate([r.avg_latency for r in finite] or [np.inf]),

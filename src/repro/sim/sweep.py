@@ -8,9 +8,11 @@ throughput.
 Both entry points accept an optional
 :class:`~repro.perf.executor.SweepExecutor`: the ladder's points (and the
 section search's per-round probes) are independent simulations, so they
-fan out across worker processes and/or short-circuit through the on-disk
-result cache.  The parallel ladder returns results bit-identical to the
-serial path.
+fan out across the executor's threads and/or short-circuit through the
+on-disk result cache.  The parallel ladder returns results bit-identical
+to the serial path; packet-lane points run on the threads too but do not
+speed up with ``jobs``.  Without an executor the points run one after
+another.
 """
 
 from __future__ import annotations

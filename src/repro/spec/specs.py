@@ -8,8 +8,7 @@ policy, :class:`~repro.sim.params.SimParams`, and seed.  It can be
 * parsed from the CLI mini-languages (:meth:`PatternSpec.parse`, ...),
 * round-tripped through plain JSON dicts (``to_dict``/``from_dict``), and
 * content-addressed (:meth:`RunSpec.fingerprint`, a SHA-256 over the
-  canonical JSON form) -- the key of the on-disk result cache and the
-  payload shipped to sweep worker processes.
+  canonical JSON form) -- the key of the on-disk result cache.
 
 Pattern/policy arguments are stored as canonical JSON *strings*
 (``args_json``) so every spec is hashable and usable as a dict key; the

@@ -38,7 +38,7 @@ pure sources/sinks and cannot participate in a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -224,12 +224,17 @@ class ChannelDependencyGraph:
 
     @property
     def num_nodes(self) -> int:
-        nodes = set()
-        # repro: allow[DET101]: feeds only len(); order cannot matter
-        for e in self._edges:
-            nodes.add(e // self.num_node_ids)
-            nodes.add(e % self.num_node_ids)
-        return len(nodes)
+        tails, heads = self._endpoints()
+        seen = np.zeros(self.num_node_ids, bool)
+        seen[tails] = seen[heads] = True
+        return int(np.count_nonzero(seen))
+
+    def _endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every dependency's two node ids, sorted by (tail, head)."""
+        # repro: allow[DET101]: the codes are sorted before any use
+        codes = np.fromiter(self._edges, np.int64, len(self._edges))
+        codes.sort()
+        return np.divmod(codes, np.int64(self.num_node_ids))
 
     def iter_dependencies(self) -> Iterable[Tuple[VcNode, VcNode]]:
         """Yield every dependency as ``((ch, vc), (ch, vc))`` pairs."""
@@ -248,34 +253,38 @@ class ChannelDependencyGraph:
         the counterexample reported is the same whatever order they were
         added in.
         """
-        adj: Dict[int, List[int]] = {}
-        for e in sorted(self._edges):
-            n1, n2 = divmod(e, self.num_node_ids)
-            adj.setdefault(n1, []).append(n2)
+        tails, heads = self._endpoints()
+        # CSR: node n's successors are succ[ptr[n]:ptr[n + 1]], ascending
+        ptr = np.searchsorted(tails, np.arange(self.num_node_ids + 1)).tolist()
+        succ = heads.tolist()
+        cursor = ptr[:-1]
         white, gray, black = 0, 1, 2
-        color: Dict[int, int] = {}
-        for start in adj:
-            if color.get(start, white) != white:
+        color = bytearray(self.num_node_ids)
+        for start in np.unique(tails).tolist():
+            if color[start] != white:
                 continue
             color[start] = gray
-            stack = [(start, iter(adj[start]))]
             trail = [start]
-            while stack:
-                node, successors = stack[-1]
-                for nxt in successors:
-                    c = color.get(nxt, white)
+            while trail:
+                node = trail[-1]
+                i, end = cursor[node], ptr[node + 1]
+                while i < end:
+                    nxt = succ[i]
+                    i += 1
+                    c = color[nxt]
+                    if c == white:
+                        break
                     if c == gray:
                         cyc = trail[trail.index(nxt):]
                         return [self.decode_node(n) for n in cyc]
-                    if c == white:
-                        color[nxt] = gray
-                        stack.append((nxt, iter(adj.get(nxt, ()))))
-                        trail.append(nxt)
-                        break
                 else:
+                    cursor[node] = i
                     color[node] = black
-                    stack.pop()
                     trail.pop()
+                    continue
+                cursor[node] = i
+                color[nxt] = gray
+                trail.append(nxt)
         return None
 
 

@@ -9,8 +9,8 @@ Every run in a batch must equal its single-run result bit for bit
 fingerprint and cache entry, and differ only in the identity-neutral
 ``RunManifest.batch_size``/``batch_slot`` environment fields.  These
 tests pin that contract across routing variants, seeds, batch shapes
-(including ragged completion), the planner's grouping policy, and the
-executor's fallback when the native kernel is unavailable.
+(including ragged completion) and the planner's grouping policy, and
+hold the executor's one-task-at-a-time runs to the same results.
 """
 
 import pytest
@@ -105,9 +105,8 @@ def test_unsupported_without_native_kernel(reference_engine):
 
 
 def test_cache_sharing_batched_and_single(tmp_path):
-    """A batched run warms the cache for the single-run path and vice
-    versa: both sides key each run by its own RunSpec fingerprint.  (A
-    one-task ``run`` never plans, so it takes the single-run path.)"""
+    """A batched run and the executor's single runs share cache entries:
+    both sides key each run by its own RunSpec fingerprint."""
 
     def tasks(seeds):
         return [
@@ -123,24 +122,22 @@ def test_cache_sharing_batched_and_single(tmp_path):
         ]
 
     cache = SimCache(str(tmp_path))
-    with SweepExecutor(jobs=1, cache=cache) as batched_exec:
-        stored = batched_exec.run(tasks(range(3)))
-        assert batched_exec.cache_hits == 0
+    stored = simulate_batch([t.payload() for t in tasks(range(3))])
     assert all(r.manifest.batch_size == 3 for r in stored)
-
+    for task, result in zip(tasks(range(3)), stored):
+        cache.put(task.key(), result)
     with SweepExecutor(jobs=1, cache=cache) as single_exec:
         hits = [single_exec.run([t])[0] for t in tasks(range(3))]
         assert single_exec.cache_hits == 3
     assert hits == stored
 
-    # and the reverse direction: single-run entries feed a batched sweep
+    # and the reverse direction: what the executor stores is what a
+    # batch of the same specs computes
     with SweepExecutor(jobs=1, cache=cache) as single_exec:
-        fresh = [single_exec.run([t])[0] for t in tasks(range(3, 5))]
+        fresh = single_exec.run(tasks(range(3, 5)))
     assert all(r.manifest.batch_size is None for r in fresh)
-    with SweepExecutor(jobs=1, cache=cache) as batched_exec:
-        again = batched_exec.run(tasks(range(3, 5)))
-        assert batched_exec.cache_hits == 2
-    assert again == fresh
+    assert [cache.get(t.key()) for t in tasks(range(3, 5))] == fresh
+    assert simulate_batch([t.payload() for t in tasks(range(3, 5))]) == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -220,42 +217,22 @@ def _min_tasks(seeds, window=80):
     ]
 
 
-def test_executor_serial_path_batches():
-    """jobs=1 sweeps get the batched path too (the planner runs before
-    the pool decision), and results match per-task execution."""
+def test_executor_runs_each_task_alone():
+    """The executor never batches: at jobs=1 every cache miss is one
+    run, and the results equal a batch of the same specs."""
     from repro.perf.executor import run_task
 
     tasks = _min_tasks(range(4))
     with SweepExecutor(jobs=1) as executor:
         results = executor.run(tasks)
-    assert all(r.manifest.batch_size == 4 for r in results)
+    assert all(r.manifest.batch_size is None for r in results)
     assert results == [run_task(t) for t in tasks]
-
-
-def test_executor_trace_marks_batched_units():
-    from repro.obs import Tracer
-
-    tracer = Tracer()
-    tasks = _min_tasks(range(3)) + [
-        SimTask(
-            TOPO,
-            UniformRandom(TOPO),
-            0.2,
-            routing="ugal-l",
-            params=SimParams(window_cycles=80),
-            seed=0,
-        )
-    ]
-    with SweepExecutor(jobs=1, tracer=tracer) as executor:
-        executor.run(tasks)
-    finished = [e for e in tracer.events if e["type"] == "task_finished"]
-    assert [e["batched"] for e in sorted(finished, key=lambda e: e["index"])] \
-        == [True, True, True, False]
+    assert results == simulate_batch([t.payload() for t in tasks])
 
 
 def test_executor_falls_back_without_native(reference_engine):
-    """BatchUnsupported inside the worker degrades to per-run execution
-    with identical results -- planning is always safe."""
+    """Without the native kernel the executor's runs take the packet
+    lane and equal the native runs of the same specs."""
     tasks = _min_tasks(range(3), window=60)
     with SweepExecutor(jobs=1) as executor:
         results = executor.run(tasks)
@@ -266,8 +243,8 @@ def test_executor_falls_back_without_native(reference_engine):
 
 
 def test_replicate_matches_seed_loop():
-    """replicate() now routes through the executor's batched path; its
-    aggregates must still come from bit-identical per-seed results."""
+    """replicate()'s aggregates come from bit-identical per-seed
+    results."""
     from repro.sim.engine import simulate
     from repro.sim.replication import replicate
 

@@ -175,16 +175,18 @@ def test_a_failed_solve_in_a_helper_raises_in_the_caller(
 
 
 def test_threads_are_gone_before_the_next_sim_batch():
-    """A threaded model batch leaves no thread behind, so a following
-    simulation batch on the same executor forks its pool safely and
-    equals the serial results."""
+    """A threaded model batch leaves no thread behind, and a simulation
+    batch run straight after it on the same executor -- on that
+    executor's threads -- equals the serial results and leaves none
+    either."""
     params = SimParams(window_cycles=60)
     sims = [
         SimTask(
-            SMALL, UniformRandom(SMALL), load, routing="min", params=params,
+            SMALL, UniformRandom(SMALL), load, routing=routing, params=params,
             seed=1,
         )
         for load in (0.1, 0.2, 0.3)
+        for routing in ("min", "ugal-l")
     ]
     models = [
         ModelTask(SMALL, pattern, HopClassPolicy(4, 0.5), mode="free")
@@ -194,10 +196,10 @@ def test_threads_are_gone_before_the_next_sim_batch():
     with SweepExecutor(jobs=2) as executor:
         solved = executor.run_models(models)
         assert threading.active_count() == before
-        assert executor._pool is None
         assert executor.computed_parallel + executor.computed_serial == 2
         simulated = executor.run(sims)
-        assert executor._pool is not None
+        assert threading.active_count() == before
+        assert executor.computed_parallel + executor.computed_serial == 8
     assert solved == [
         FastModel(SMALL).solve(
             task.pattern.demand_matrix(), policy=task.policy, mode="free"

@@ -161,6 +161,44 @@ class TestEngineCapture:
         assert any(e["type"] == "engine_sample" for e in loaded.events)
 
 
+    def test_capture_holds_runs_computed_on_executor_threads(self, topo):
+        """Points an executor computes on helper threads run in this
+        process, so every run's engine events reach the caller's
+        capture, each run's log whole and in order."""
+        from repro.sim.sweep import latency_vs_load
+
+        loads = [0.05, 0.1, 0.15, 0.2]
+        params = SimParams(**SMALL, obs=ObsConfig(sample_every=20))
+        with capture() as tracer:
+            with SweepExecutor(jobs=2) as executor:
+                latency_vs_load(
+                    topo,
+                    UniformRandom(topo),
+                    loads,
+                    routing="ugal-l",
+                    params=params,
+                    seed=3,
+                    executor=executor,
+                    stop_after_saturation=False,
+                )
+        engine = [e for e in tracer.events if "run" in e]
+        runs = sorted({e["run"] for e in engine})
+        assert runs == sorted(f"seed3-load{load:g}" for load in loads)
+        alone = Tracer()
+        with capture(alone):
+            simulate(topo, UniformRandom(topo), 0.1, params=params, seed=3)
+        per_run = len(alone.events)
+        assert len(engine) == per_run * len(loads)
+        for run in runs:
+            at = [i for i, e in enumerate(engine) if e["run"] == run]
+            assert at == list(range(at[0], at[0] + per_run))
+            assert [engine[i]["type"] for i in at] == [
+                e["type"] for e in alone.events
+            ]
+        finished = [e for e in tracer.events if e["type"] == "task_finished"]
+        assert len(finished) == len(loads)
+
+
 class TestExecutorLifecycle:
     def test_batch_and_task_events(self, topo, tmp_path):
         pattern = UniformRandom(topo)

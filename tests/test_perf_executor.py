@@ -1,7 +1,6 @@
 """Parallel sweep execution: bit-identical to serial, in task order."""
 
-import os
-import signal
+import threading
 
 import pytest
 
@@ -59,21 +58,29 @@ def test_results_align_with_task_order():
         assert g == e, f"result {i} does not match its task"
 
 
+def _workers(tracer):
+    return {e["worker"] for e in tracer.events if e["type"] == "task_finished"}
+
+
 def test_jobs_one_runs_serially_in_process():
-    with SweepExecutor(jobs=1) as executor:
+    tracer = Tracer()
+    with SweepExecutor(jobs=1, tracer=tracer) as executor:
         results = executor.run(_tasks())
         assert executor.computed_serial == len(LOADS)
         assert executor.computed_parallel == 0
-        assert executor._pool is None
         assert not executor.parallel
+    assert _workers(tracer) == {threading.get_native_id()}
     assert results == [run_task(t) for t in _tasks()]
 
 
 def test_single_task_batch_avoids_pool():
-    with SweepExecutor(jobs=4) as executor:
+    tracer = Tracer()
+    before = threading.active_count()
+    with SweepExecutor(jobs=4, tracer=tracer) as executor:
         result = executor.run_one(_tasks(loads=[0.2])[0])
         assert executor.computed_serial == 1
-        assert executor._pool is None
+        assert threading.active_count() == before
+    assert _workers(tracer) == {threading.get_native_id()}
     assert result == run_task(_tasks(loads=[0.2])[0])
 
 
@@ -139,56 +146,6 @@ def test_describe_smoke():
         executor.run(_tasks(loads=[0.1]))
         text = executor.describe()
     assert "serial" in text and "no cache" in text
-
-
-class _KillsItsWorker(UniformRandom):
-    """Uniform traffic that kills the process sampling it, unless that
-    is the process that built it: a worker dies at its first injection,
-    the parent computes the same run normally."""
-
-    def __init__(self, topo):
-        super().__init__(topo)
-        self.home = os.getpid()
-
-    def sample_destinations(self, srcs, rng):
-        if os.getpid() != self.home:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return super().sample_destinations(srcs, rng)
-
-
-def test_a_worker_killed_mid_run_costs_the_pool_not_the_results():
-    """``BrokenProcessPool`` out of ``pool.map`` is caught: the units
-    that had not landed are recomputed in-process, the counters say so,
-    a ``pool_broken`` event is traced -- and the executor is not left
-    holding the broken pool."""
-    deadly = SimTask(
-        TOPO, _KillsItsWorker(TOPO), 0.2, routing="min", params=PARAMS, seed=1
-    )
-    assert deadly.spec is None  # ships the live pattern, pid and all
-    # adaptive runs (and live-object tasks) are never grouped: one unit
-    # per task, so units do land before the pool breaks
-    adaptive = _tasks(routing="ugal-l")
-    tasks = adaptive + [deadly]
-    expected = [run_task(t) for t in tasks]
-    tracer = Tracer()
-    with SweepExecutor(jobs=2, tracer=tracer) as executor:
-        assert executor.run(tasks) == expected
-        assert executor._pool is None  # discarded, not kept broken
-        landed = executor.computed_parallel
-        assert executor.computed_serial == len(tasks) - landed >= 1
-        (broken,) = [e for e in tracer.events if e["type"] == "pool_broken"]
-        assert broken["landed"] == landed
-        assert broken["recomputed"] == len(tasks) - landed
-        modes = [
-            e["mode"] for e in tracer.events if e["type"] == "task_finished"
-        ]
-        assert modes == ["parallel"] * landed + ["serial"] * (
-            len(tasks) - landed
-        )
-        # the next batch gets a fresh pool and runs in it
-        assert executor.run(adaptive) == expected[: len(LOADS)]
-        assert executor._pool is not None and executor.parallel
-        assert executor.computed_parallel == landed + len(LOADS)
 
 
 def test_solver_memo_tells_cascade_grids_apart():

@@ -128,6 +128,51 @@ class TestCycleDetection:
         for i, node in enumerate(cycle):
             assert (node, cycle[(i + 1) % len(cycle)]) in deps
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30
+        )
+    )
+    def test_counterexample_matches_the_dict_dfs(self, small_topo, pairs):
+        """The CSR search returns the cycle the dict-of-lists DFS it
+        replaced returned (kept here as the oracle), or none when it
+        found none."""
+        g = ChannelDependencyGraph(small_topo, "won")
+        spread = g.num_node_ids // 10
+        edges = {(a * spread, b * spread) for a, b in pairs}
+        for n1, n2 in edges:
+            g.add_dependency(*g.decode_node(n1), *g.decode_node(n2))
+        adj = {}
+        for n1, n2 in sorted(edges):
+            adj.setdefault(n1, []).append(n2)
+        expected = None
+        color = {}
+        for start in adj:
+            if expected is not None or color.get(start, 0):
+                continue
+            color[start] = 1
+            stack, trail = [(start, iter(adj[start]))], [start]
+            while stack and expected is None:
+                node, successors = stack[-1]
+                for nxt in successors:
+                    if color.get(nxt, 0) == 1:
+                        expected = trail[trail.index(nxt):]
+                        break
+                    if not color.get(nxt, 0):
+                        color[nxt] = 1
+                        stack.append((nxt, iter(adj.get(nxt, ()))))
+                        trail.append(nxt)
+                        break
+                else:
+                    color[node] = 2
+                    stack.pop()
+                    trail.pop()
+        assert g.find_cycle() == (
+            None if expected is None else [g.decode_node(n) for n in expected]
+        )
+        assert g.num_nodes == len({n for edge in edges for n in edge})
+
     def test_vc_levels_separate_nodes(self, small_topo):
         # same channels at different vc levels do NOT close a cycle
         g = ChannelDependencyGraph(small_topo, "won")
