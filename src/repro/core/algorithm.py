@@ -39,7 +39,7 @@ from repro.routing.pathset import (
 )
 from repro.routing.table import route_table
 from repro.sim.params import SimParams
-from repro.sim.sweep import LoadSweep, latency_vs_load
+from repro.sim.sweep import LoadSweep, run_ladders
 from repro.topology.dragonfly import Dragonfly
 from repro.traffic.adversarial import type_1_set, type_2_set
 from repro.traffic.patterns import Shift
@@ -151,12 +151,16 @@ def simulation_evaluator(
     """Step-2 scoring: mean simulated saturation throughput on TYPE_2
     patterns (the paper simulates 5 of them and averages).
 
-    With an ``executor``, all (pattern, load) points of a candidate's
-    evaluation are submitted as one batch -- the 5-pattern evaluation
-    fans out across the executor's threads and repeated points (e.g. the
-    ``all VLB`` candidate re-scored across Algorithm 1 runs) come from
-    the result cache.  Scores are identical to the serial path.
+    A candidate's evaluation is one ladder of ``loads`` per pattern, run
+    together through :func:`repro.sim.sweep.run_ladders` on ``executor``
+    (default: a cache-less ``SweepExecutor(jobs=1)``): each ladder ends
+    after its first saturated point, the patterns' points share the
+    executor's threads, and repeated points (e.g. the ``all VLB``
+    candidate re-scored across Algorithm 1 runs) come from its result
+    cache.  Scores do not depend on the executor.
     """
+    from repro.perf.executor import SimTask
+
     params = params if params is not None else SimParams(window_cycles=300)
     patterns = type_2_set(topo, count=num_patterns, seed=seed + 1000)
 
@@ -164,47 +168,18 @@ def simulation_evaluator(
         conventional = isinstance(policy, AllVlbPolicy)
         variant = routing if conventional else f"t-{routing}"
         run_policy = None if conventional else policy
-        if executor is not None:
-            from repro.perf.executor import SimTask
-
-            flat = executor.run(
-                [
-                    SimTask(
-                        topo,
-                        pattern,
-                        load,
-                        routing=variant,
-                        policy=run_policy,
-                        params=params,
-                        seed=seed,
-                    )
-                    for pattern in patterns
-                    for load in loads
-                ]
-            )
-            scores = []
-            for i in range(len(patterns)):
-                chunk = flat[i * len(loads) : (i + 1) * len(loads)]
-                sweep = LoadSweep(routing=variant, policy_label=label)
-                # same truncation as the serial ladder's early stop
-                for result in chunk:
-                    sweep.results.append(result)
-                    if result.saturated:
-                        break
-                scores.append(sweep.saturation_throughput())
-            return float(np.mean(scores))
-        scores = []
-        for pattern in patterns:
-            sweep = latency_vs_load(
-                topo,
-                pattern,
-                loads,
-                routing=variant,
-                policy=run_policy,
-                params=params,
-                seed=seed,
-            )
-            scores.append(sweep.saturation_throughput())
+        run = dict(routing=variant, policy=run_policy, params=params, seed=seed)
+        ladders = run_ladders(
+            [
+                [SimTask(topo, pattern, load, **run) for load in loads]
+                for pattern in patterns
+            ],
+            executor,
+        )
+        scores = [
+            LoadSweep(variant, label, results).saturation_throughput()
+            for results in ladders
+        ]
         return float(np.mean(scores))
 
     return evaluate
@@ -246,8 +221,9 @@ def compute_tvlb(
     :class:`~repro.model.fastpath.FastModel` pipeline on every topology,
     on threads of this process sharing one solver; an ``executor`` sets
     their number (its ``jobs``; without one, one thread per available
-    CPU), fans the Step-2 simulation points out across its worker
-    processes, and serves both from its result cache.
+    CPU), computes the Step-2 simulation points on the same threads
+    (:func:`simulation_evaluator`), and serves both from its result
+    cache.
     Step 2's balance check reads the same pair blocks
     (:mod:`repro.core.balance`) over 4 ``shift(1,0)`` pairs drawn from
     ``seed``.

@@ -2,9 +2,12 @@
 
 :class:`ProgressReporter` is a tiny terminal-friendly reporter the
 executor drives: ``start(total)`` then ``advance()`` per finished point,
-``finish()`` at the end.  Output goes to ``stderr`` (results stay clean
-on ``stdout``) and is throttled to one line per ``interval`` seconds,
-so a thousand cache hits do not print a thousand lines.  The ETA is the
+``finish()`` at the end of each batch.  One reporter counts across every
+batch it is given -- a ladder computed batch by batch reads as one
+``done/total`` count -- and its clock starts at the first.  Output goes
+to ``stderr`` (results stay clean on ``stdout``) and is throttled to one
+line per ``interval`` seconds plus one at each batch's end, so a
+thousand cache hits do not print a thousand lines.  The ETA is the
 classic remaining/rate estimate over *computed* points -- cache hits are
 counted separately and excluded from the rate, since a hit costs a file
 read, not a simulation.
@@ -39,17 +42,17 @@ class ProgressReporter:
         self.total = 0
         self.done = 0
         self.cache_hits = 0
-        self._started = 0.0
-        self._last_emit = 0.0
+        self._started: Optional[float] = None
+        self._last_emit = 0.0  # 0 forces an initial heartbeat
+        self._emitted_done = -1  # the count the last line showed
         self.lines_emitted = 0
 
     def start(self, total: int) -> None:
-        """Begin a batch of ``total`` points (resets all counters)."""
-        self.total = total
-        self.done = 0
-        self.cache_hits = 0
-        self._started = self._clock()
-        self._last_emit = 0.0  # force an initial heartbeat
+        """Add a batch of ``total`` points to the count (the first batch
+        starts the clock)."""
+        self.total += total
+        if self._started is None:
+            self._started = self._clock()
 
     def advance(self, cache_hit: bool = False) -> None:
         """Mark one point finished; emits a heartbeat when due."""
@@ -66,9 +69,9 @@ class ProgressReporter:
             self._emit(now)
 
     def finish(self) -> None:
-        """Emit the final line (idempotent when already up to date)."""
-        if self.done < self.total:
-            return  # batch ended early (e.g. an exception); stay quiet
+        """Emit the line of a finished batch, unless it is already out."""
+        if self.done < self.total or self._emitted_done == self.done:
+            return  # batch ended early (e.g. an exception), or no news
         self._emit(self._clock())
 
     def eta_seconds(self, now: Optional[float] = None) -> Optional[float]:
@@ -82,7 +85,7 @@ class ProgressReporter:
         if computed <= 0 or self.done >= self.total:
             return None
         now = self._clock() if now is None else now
-        elapsed = max(now - self._started, 0.0)
+        elapsed = max(now - (self._started or 0.0), 0.0)
         rate = computed / elapsed if elapsed > 0 else None
         if not rate:
             return None
@@ -90,6 +93,7 @@ class ProgressReporter:
 
     def _emit(self, now: float) -> None:
         self._last_emit = now
+        self._emitted_done = self.done
         eta = self.eta_seconds(now)
         eta_text = f", ETA {eta:.0f}s" if eta is not None else ""
         hits = (

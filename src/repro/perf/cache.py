@@ -28,7 +28,7 @@ Key design points:
 
 Layout: ``<root>/v<N>/<hash[:2]>/<hash>.json`` -- two-level sharding keeps
 directories small.  Writes are atomic (temp file + ``os.replace``), so a
-cache shared by parallel sweep workers never exposes torn entries.
+cache shared by concurrent sweeps never exposes torn entries.
 """
 
 from __future__ import annotations

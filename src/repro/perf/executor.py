@@ -2,8 +2,10 @@
 
 Every experiment in the paper -- a latency-vs-load ladder, a saturation
 bisection frontier, a multi-seed replication, Algorithm 1 Step 2's
-5-pattern evaluation, Step 1's LP sweep -- reduces to a batch of
-*independent* tasks.  :class:`SweepExecutor` fans such a batch out over
+5-pattern evaluation, Step 1's LP sweep -- reduces to batches of
+*independent* tasks, and every simulation point of them is computed
+here (ladders batch by batch, under :func:`repro.sim.sweep.run_ladders`'s
+early stop).  :class:`SweepExecutor` fans such a batch out over
 ``jobs`` threads of the calling process, the calling thread included,
 and returns results in task order, optionally short-circuiting each task
 through the on-disk :class:`~repro.perf.cache.SimCache`.  Simulation

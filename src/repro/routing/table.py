@@ -278,9 +278,12 @@ class RouteTable:
         self._legs: Dict[int, Tuple[Leg, ...]] = {}
         self._vlb_rows: Dict[int, Optional[VlbRow]] = {}
         self._ladders: Dict[Tuple[str, int, bool, int], _Ladders] = {}
-        # wall seconds spent composing images: provenance for run
-        # manifests (a run that found its images ready adds nothing)
+        # wall seconds spent composing images, in all threads and per
+        # thread: provenance for run manifests (a run that found its
+        # images ready adds nothing)
         self.fill_seconds = 0.0
+        self._fill_lock = threading.Lock()
+        self._thread_fill = threading.local()
         self._parts: Optional[_LegParts] = None
         self._slots: Optional[MinSlots] = None
         self._images: Dict[Tuple[str, int], MinImage] = {}
@@ -389,6 +392,10 @@ class RouteTable:
         """Exclusive upper bound of every VLB descriptor's link slots."""
         return self.vlb_image().slot_bound
 
+    def thread_fill_seconds(self) -> float:
+        """The part of :attr:`fill_seconds` the calling thread spent."""
+        return getattr(self._thread_fill, "seconds", 0.0)
+
     @contextmanager
     def _filling(self) -> Iterator[None]:
         # repro: allow[DET104]: fill_seconds is runtime metadata for
@@ -398,7 +405,10 @@ class RouteTable:
             yield
         finally:
             # repro: allow[DET104]: closes the fill_seconds measurement
-            self.fill_seconds += time.perf_counter() - start
+            spent = time.perf_counter() - start
+            self._thread_fill.seconds = self.thread_fill_seconds() + spent
+            with self._fill_lock:
+                self.fill_seconds += spent
 
     def vlb_image(self) -> VlbImage:
         """:meth:`vlb_row` of all group pairs as flat arrays."""

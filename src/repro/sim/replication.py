@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.routing.pathset import PathPolicy
 from repro.sim.params import SimParams
-from repro.sim.stats import SimResult
+from repro.sim.sweep import _executor
 from repro.topology.dragonfly import Dragonfly
 from repro.traffic.patterns import TrafficPattern
 
@@ -73,9 +73,9 @@ def replicate(
     argument: its pattern is re-seeded per replication seed (when the
     pattern kind is seed-bearing) exactly like a factory would.
 
-    With an ``executor``, the per-seed runs fan out across its threads
-    (patterns are materialized up front, in the calling thread);
-    results are identical to the serial path.
+    The per-seed runs are one batch of ``executor`` (default: a
+    cache-less ``SweepExecutor(jobs=1)``, every run on the calling
+    thread); patterns are materialized up front, in the calling thread.
     """
     if pattern_factory is None and load is None:
         from repro.spec import RunSpec
@@ -96,24 +96,21 @@ def replicate(
         )
     elif pattern_factory is None or load is None:
         raise TypeError("replicate() needs both pattern_factory and load")
-    from repro.perf.executor import SimTask, run_task
+    from repro.perf.executor import SimTask
 
-    tasks = [
-        SimTask(
-            topo,
-            pattern_factory(seed),
-            load,
-            routing=routing,
-            policy=policy,
-            params=params,
-            seed=seed,
-        )
-        for seed in seeds
-    ]
-    results: List[SimResult] = (
-        executor.run(tasks)
-        if executor is not None
-        else [run_task(task) for task in tasks]
+    results = _executor(executor).run(
+        [
+            SimTask(
+                topo,
+                pattern_factory(seed),
+                load,
+                routing=routing,
+                policy=policy,
+                params=params,
+                seed=seed,
+            )
+            for seed in seeds
+        ]
     )
     finite = [r for r in results if np.isfinite(r.avg_latency)]
     return {

@@ -5,14 +5,13 @@ rates, report the latency curve, and take the last rate before the average
 latency crosses the saturation threshold (500 cycles) as the network
 throughput.
 
-Both entry points accept an optional
-:class:`~repro.perf.executor.SweepExecutor`: the ladder's points (and the
-section search's per-round probes) are independent simulations, so they
-fan out across the executor's threads and/or short-circuit through the
-on-disk result cache.  The parallel ladder returns results bit-identical
-to the serial path; packet-lane points run on the threads too but do not
-speed up with ``jobs``.  Without an executor the points run one after
-another.
+A :class:`~repro.perf.executor.SweepExecutor` computes every point here,
+in :func:`repro.sim.replicate` and in Algorithm 1's Step-2 scoring: the
+caller's, else a cache-less ``SweepExecutor(jobs=1)`` on the calling
+thread.  :func:`run_ladders` is the one early-stop rule: a ladder ends
+after its first saturated point, so ``jobs=1`` computes no point past it
+and ``jobs=J`` at most ``J - 1`` per ladder.  Results never depend on
+``jobs``.
 """
 
 from __future__ import annotations
@@ -20,18 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-
 from repro.routing.pathset import PathPolicy
-from repro.sim.engine import simulate
 from repro.sim.params import SimParams
 from repro.sim.stats import SimResult
 from repro.topology.dragonfly import Dragonfly
 from repro.traffic.patterns import TrafficPattern
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.perf.executor import SweepExecutor
+    from repro.perf.executor import SimTask, SweepExecutor
 
-__all__ = ["LoadSweep", "latency_vs_load", "saturation_throughput"]
+__all__ = ["LoadSweep", "latency_vs_load", "run_ladders", "saturation_throughput"]
 
 
 @dataclass
@@ -62,6 +59,52 @@ class LoadSweep:
         ]
 
 
+def _executor(executor: Optional["SweepExecutor"]) -> "SweepExecutor":
+    """``executor``, or the cache-less ``SweepExecutor(jobs=1)`` a call
+    that passed none computes its points on (``$REPRO_JOBS`` does not
+    reach it)."""
+    from repro.perf.executor import SweepExecutor
+
+    return executor or SweepExecutor(jobs=1)
+
+
+def run_ladders(
+    ladders: Sequence[Sequence["SimTask"]],
+    executor: Optional["SweepExecutor"] = None,
+    stop_after_saturation: bool = True,
+) -> List[List[SimResult]]:
+    """The results of each ladder (tasks in rising load), computed by
+    ``executor``.
+
+    With ``stop_after_saturation``, a ladder ends after its first
+    saturated point: each batch takes the next points rung by rung across
+    the ladders still running, at most ``executor.jobs`` of them, and a
+    point of a batch past its ladder's first saturated one is dropped.
+    Without it, every point goes in one batch.  Either way the result
+    lists depend on nothing but the tasks.
+    """
+    executor = _executor(executor)
+    size = executor.jobs if stop_after_saturation else None
+    results: List[List[SimResult]] = [[] for _ in ladders]
+    todo = [list(ladder) for ladder in ladders]  # each one's points to run
+    while any(todo):
+        # the next points, rung by rung across the ladders still running
+        picked = [
+            (i, rest[k])
+            for k in range(max(map(len, todo)))
+            for i, rest in enumerate(todo)
+            if k < len(rest)
+        ][:size]
+        batch = executor.run([task for _i, task in picked])
+        for (i, _task), result in zip(picked, batch):
+            if todo[i]:  # else it ended at an earlier point of this batch
+                results[i].append(result)
+                del todo[i][0]
+                if stop_after_saturation and result.saturated:
+                    todo[i] = []
+    return results
+
+
 def latency_vs_load(
     topo,
     pattern: Optional[TrafficPattern] = None,
@@ -74,15 +117,13 @@ def latency_vs_load(
     stop_after_saturation: bool = True,
     executor: Optional["SweepExecutor"] = None,
 ) -> LoadSweep:
-    """Simulate each load in order; optionally stop once saturated.
+    """The latency curve of ``loads`` in order: one ladder of
+    :func:`run_ladders`, by default ending after its first saturated
+    point.
 
     Accepts either live objects -- ``latency_vs_load(topo, pattern,
     loads, ...)`` -- or a single declarative
     :class:`repro.spec.SweepSpec` as the first argument.
-
-    With an ``executor``, every point of the ladder runs concurrently and
-    the curve is truncated after the first saturated point, so the result
-    list is identical to the serial path (which stops simulating there).
     """
     if pattern is None and loads is None:
         from repro.spec import SweepSpec
@@ -102,46 +143,15 @@ def latency_vs_load(
         seed = spec.seed
     elif pattern is None or loads is None:
         raise TypeError("latency_vs_load() needs both pattern and loads")
-    sweep = LoadSweep(
+    from repro.perf.executor import SimTask
+
+    run = dict(routing=routing, policy=policy, params=params, seed=seed)
+    ladder = [SimTask(topo, pattern, load, **run) for load in loads]
+    return LoadSweep(
         routing=routing,
         policy_label=policy.describe() if policy is not None else "all VLB",
+        results=run_ladders([ladder], executor, stop_after_saturation)[0],
     )
-    if executor is not None:
-        from repro.perf.executor import SimTask
-
-        results = executor.run(
-            [
-                SimTask(
-                    topo,
-                    pattern,
-                    load,
-                    routing=routing,
-                    policy=policy,
-                    params=params,
-                    seed=seed,
-                )
-                for load in loads
-            ]
-        )
-        for result in results:
-            sweep.results.append(result)
-            if stop_after_saturation and result.saturated:
-                break
-        return sweep
-    for load in loads:
-        result = simulate(
-            topo,
-            pattern,
-            load,
-            routing=routing,
-            policy=policy,
-            params=params,
-            seed=seed,
-        )
-        sweep.results.append(result)
-        if stop_after_saturation and result.saturated:
-            break
-    return sweep
 
 
 def saturation_throughput(
@@ -164,48 +174,23 @@ def saturation_throughput(
     Returns the highest accepted rate observed at a non-saturated load
     (the paper's "last injection rate before saturation").
 
-    Serially this is the classic bisection (one probe per iteration).
-    With an ``executor``, each iteration probes ``sections`` evenly spaced
-    interior loads concurrently (default: the executor's job count,
-    capped at 8), shrinking the bracket by ``1/(sections+1)`` per round --
-    fewer rounds of wall-clock for the same tolerance.  The search is
-    deterministic for a fixed ``sections`` value; ``sections=1``
-    reproduces the serial bisection probe-for-probe.
+    Each round computes ``sections`` evenly spaced interior probes as one
+    batch of ``executor`` (default: the executor's job count, capped at
+    8), shrinking the bracket by ``1/(sections+1)`` per round -- fewer
+    rounds of wall-clock for the same tolerance.  The search is
+    deterministic for a fixed ``sections`` value; ``sections=1``, the
+    default without an executor, is the classic bisection.
     """
+    from repro.perf.executor import SimTask
+
+    executor = _executor(executor)
+    run = dict(routing=routing, policy=policy, params=params, seed=seed)
 
     def run_batch(points: Sequence[float]) -> List[SimResult]:
-        if executor is not None:
-            from repro.perf.executor import SimTask
-
-            return executor.run(
-                [
-                    SimTask(
-                        topo,
-                        pattern,
-                        load,
-                        routing=routing,
-                        policy=policy,
-                        params=params,
-                        seed=seed,
-                    )
-                    for load in points
-                ]
-            )
-        return [
-            simulate(
-                topo,
-                pattern,
-                load,
-                routing=routing,
-                policy=policy,
-                params=params,
-                seed=seed,
-            )
-            for load in points
-        ]
+        return executor.run([SimTask(topo, pattern, load, **run) for load in points])
 
     if sections is None:
-        sections = min(executor.jobs, 8) if executor is not None else 1
+        sections = min(executor.jobs, 8)
     sections = max(1, sections)
 
     low_res, hi_res = run_batch([lo, hi])

@@ -90,11 +90,39 @@ class TestFinish:
         reporter.finish()  # batch aborted: no misleading final line
         assert stream.getvalue() == before
 
-    def test_restart_resets_counters(self):
+    def test_start_extends_the_count(self):
         reporter, _ = _reporter(interval=0.0)
         reporter.start(2)
         reporter.advance(cache_hit=True)
         reporter.start(3)
-        assert reporter.done == 0
-        assert reporter.cache_hits == 0
-        assert reporter.total == 3
+        assert reporter.done == 1
+        assert reporter.cache_hits == 1
+        assert reporter.total == 5
+
+
+class TestBatches:
+    def test_two_batches_end_on_one_total_line(self):
+        """A sweep computed batch by batch reads as one count: the last
+        line is the sum of both batches, printed once."""
+        reporter, stream = _reporter(interval=1000.0)
+        for size in (2, 3):
+            reporter.start(size)
+            for _ in range(size):
+                reporter.advance()
+            reporter.finish()
+        lines = stream.getvalue().strip().splitlines()
+        assert lines[-1] == "[test] 5/5 done"
+        assert sum("5/5 done" in line for line in lines) == 1
+
+    def test_clock_starts_at_the_first_batch(self):
+        # one tick per clock call: the first start at t=0, then three
+        # computed points at t=1..3, the last one of a second batch; the
+        # rate is the points over the time since the first start
+        reporter, _ = _reporter(interval=1000.0)
+        reporter.start(2)
+        reporter.advance()
+        reporter.advance()
+        reporter.start(4)
+        reporter.advance()
+        # 3 points in 3 ticks: 3 remain at 1 point per tick
+        assert reporter.eta_seconds(now=3.0) == 3.0

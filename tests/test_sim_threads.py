@@ -6,7 +6,8 @@ batch equals :func:`run_task` bit for bit whatever the thread count and
 whichever lane its runs take, no thread outlives a batch that raised,
 and the process memos concurrent runs share -- the sparse-policy
 reservoir memo and the route-table memo -- hand every thread its own
-answer under a shortened switch interval.
+answer under a shortened switch interval, and each run reports only the
+route-table composing its own thread did.
 """
 
 import sys
@@ -14,6 +15,7 @@ import threading
 
 import pytest
 
+from repro.obs import ObsConfig
 from repro.perf.executor import SimTask, SweepExecutor, run_task
 from repro.routing.pathset import HopClassPolicy
 from repro.routing import table
@@ -176,3 +178,25 @@ def test_concurrent_lookups_share_one_route_table(monkeypatch):
 
     assert _race(cycle) == [0, 0, 0, 0]
     assert len(table._TABLES) <= table._MAX_TABLES
+
+
+def test_concurrent_set_ups_each_report_their_own_fill(monkeypatch):
+    """Runs set up at once on a fresh topology report only the composing
+    their own thread did, so a batch's ``routing.table_fill_seconds``
+    gauges sum to the table's fill time: no fill is counted twice."""
+    monkeypatch.setattr(table, "_TABLES", {})
+    monkeypatch.setattr(table, "_LAST", (None, None))
+    topo = Dragonfly(4, 8, 4, 17)
+    params = SimParams(
+        window_cycles=20, warmup_windows=1, obs=ObsConfig(metrics=True)
+    )
+    tasks = [
+        SimTask(topo, UniformRandom(topo), 0.1, routing="ugal-l",
+                params=params, seed=seed)
+        for seed in range(4)
+    ]
+    with SweepExecutor(jobs=2) as executor:
+        results = executor.run(tasks)
+    fills = [r.manifest.metrics["routing.table_fill_seconds"] for r in results]
+    assert all(fill >= 0.0 for fill in fills)
+    assert sum(fills) == pytest.approx(route_table(topo).fill_seconds)
