@@ -28,7 +28,7 @@ is built, and channels are numbered as the route table numbers them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -88,13 +88,12 @@ def _read(
     topo: Dragonfly,
     policy: PathPolicy,
     pairs: Sequence[Pair],
-    program: Optional[PolicyProgram],
 ) -> Tuple[RouteTable, VlbCandidates, np.ndarray]:
     """The table, the pairs' candidates and the policy's weights."""
     table = route_table(topo)
     src, dst = np.array(pairs, np.int64).reshape(-1, 2).T
     cand = table.vlb_candidates(src, dst)
-    return table, cand, candidate_weights(policy, table, cand, program)
+    return table, cand, candidate_weights(policy, table, cand)
 
 
 def pair_usage_probability(
@@ -102,22 +101,18 @@ def pair_usage_probability(
     policy: PathPolicy,
     src: int,
     dst: int,
-    program: Optional[PolicyProgram] = None,
 ) -> np.ndarray:
-    """P(channel is on the chosen path) for a pair under the policy's draw
-    (``program``: the policy's compiled program, if the caller holds it)."""
-    return _usage(*_read(topo, policy, [(src, dst)], program), 1)[0]
+    """P(channel is on the chosen path) for a pair under the policy's draw."""
+    return _usage(*_read(topo, policy, [(src, dst)]), 1)[0]
 
 
 def global_usage_probability(
     topo: Dragonfly,
     policy: PathPolicy,
     pairs: Sequence[Pair],
-    program: Optional[PolicyProgram] = None,
 ) -> np.ndarray:
-    """Mean per-pair usage probability over ``pairs`` (uniform pair choice;
-    ``program`` as in :func:`pair_usage_probability`)."""
-    probs = _usage(*_read(topo, policy, pairs, program), len(pairs))
+    """Mean per-pair usage probability over ``pairs`` (uniform pair choice)."""
+    probs = _usage(*_read(topo, policy, pairs), len(pairs))
     return probs.sum(axis=0) / max(len(pairs), 1)
 
 
@@ -150,7 +145,7 @@ def balance_adjust(
     # pairs often come out of numpy (np.nonzero of a demand matrix);
     # the policy built below must carry plain ints to stay serializable
     pairs = [(int(src), int(dst)) for src, dst in pairs]
-    table, cand, weight = _read(topo, policy, pairs, None)
+    table, cand, weight = _read(topo, policy, pairs)
     # the pairs' rows of ``cand``: pair-major
     bounds = np.searchsorted(cand.pair, np.arange(len(pairs) + 1))
 

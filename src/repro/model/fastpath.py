@@ -73,12 +73,7 @@ from scipy.sparse import coo_matrix
 from repro.model import quotient
 from repro.model.lp_model import ModelResult, weights_for_policy
 from repro.model.quotient import Partition, Quotient
-from repro.routing.pathset import (
-    PathPolicy,
-    PolicyProgram,
-    candidate_weights,
-    policy_program,
-)
+from repro.routing.pathset import PathPolicy, candidate_weights
 from repro.routing.table import route_table, spans
 from repro.topology.dragonfly import Dragonfly
 
@@ -184,8 +179,7 @@ class BlockCache:
     ``get(src, dst)`` is the block of every VLB candidate of the pair;
     ``get(src, dst, policy)`` the *policy block*: the candidates
     ``policy`` admits, weighted by
-    :func:`~repro.routing.pathset.candidate_weights` (built per use for
-    an unhashable policy; ``program`` as there).
+    :func:`~repro.routing.pathset.candidate_weights`.
     Not locked itself: a :class:`FastModel` only calls it under its own
     lock.
     """
@@ -202,15 +196,11 @@ class BlockCache:
         src: int,
         dst: int,
         policy: Optional[PathPolicy] = None,
-        program: Optional[PolicyProgram] = None,
     ) -> PairBlock:
         key = (src, dst) if policy is None else (policy, src, dst)
-        try:
-            block = self._blocks.get(key)
-        except TypeError:  # unhashable (mutable) policy: build per use
-            return self._build(src, dst, policy, program)
+        block = self._blocks.get(key)
         if block is None:
-            block = self._blocks[key] = self._build(src, dst, policy, program)
+            block = self._blocks[key] = self._build(src, dst, policy)
         return block
 
     def __len__(self) -> int:
@@ -221,7 +211,6 @@ class BlockCache:
         src: int,
         dst: int,
         policy: Optional[PathPolicy],
-        program: Optional[PolicyProgram],
     ) -> PairBlock:
         table = self.table
         slots = table.min_slots()
@@ -243,7 +232,7 @@ class BlockCache:
         weight = (
             np.ones(len(cand.pair))
             if policy is None
-            else candidate_weights(policy, table, cand, program)
+            else candidate_weights(policy, table, cand)
         )
         cls = (slots.hops[cand.leg1] - 1) * legs + slots.hops[cand.leg2] - 1
         usage = table.vlb_usage(cand, weight, cls, legs * legs).reshape(-1)
@@ -292,10 +281,8 @@ class _PatternStruct:
         cls_parts: List[np.ndarray] = []
         pair_parts: List[np.ndarray] = []
         val_parts: List[np.ndarray] = []
-        # compiled once here, not once per pair block
-        program = None if policy is None else policy_program(policy, blocks.table)
         for k, (s, d, _w) in enumerate(self.pairs):
-            blk = blocks.get(s, d, policy, program)
+            blk = blocks.get(s, d, policy)
             self.counts[k] = blk.counts
             chan_parts.append(blk.min_idx)
             cls_parts.append(np.full(len(blk.min_idx), -1, dtype=np.int8))
@@ -503,10 +490,7 @@ class FastModel:
             hashlib.blake2b(demand.tobytes(), digest_size=16).digest(),
             policy,
         )
-        try:
-            struct = self._patterns.get(key)
-        except TypeError:  # unhashable (mutable) policy: build per use
-            return _PatternStruct(self.topo, demand, self.blocks, policy)
+        struct = self._patterns.get(key)
         if struct is None:
             if len(self._patterns) >= _PATTERNS_MAX:
                 del self._patterns[next(iter(self._patterns))]

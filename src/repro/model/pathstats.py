@@ -191,20 +191,14 @@ class PathStatsCache:
         self, policy: PathPolicy, src: int, dst: int
     ) -> PairPathStats:
         """Memoized :func:`compute_pair_stats` over the policy's own
-        descriptors (equal frozen policies share entries; an unhashable
-        one is enumerated per use)."""
+        descriptors (equal policies share entries)."""
         key = (policy, src, dst)
-        try:
-            stats = self._policy_cache.get(key)
-        except TypeError:  # unhashable (mutable) policy: enumerate per use
-            key = stats = None
+        stats = self._policy_cache.get(key)
         if stats is None:
-            stats = compute_pair_stats(
+            stats = self._policy_cache[key] = compute_pair_stats(
                 self.topo, self.chidx, src, dst,
                 max_descriptors=self.max_descriptors, seed=self.seed, policy=policy,
             )
-            if key is not None:
-                self._policy_cache[key] = stats
         return stats
 
     def __len__(self) -> int:

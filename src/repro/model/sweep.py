@@ -14,7 +14,6 @@ solving thread shares, and an executor-attached
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -57,13 +56,13 @@ def step1_sweep(
 
     ``executor`` (optional) solves on its ``jobs`` threads and consults
     its attached result cache; without one, solves run on one thread per
-    available CPU, uncached.  Either way every thread shares the
-    per-topology structural state of the executor module's per-process
-    solver memo, and the values do not depend on the thread count.
+    usable CPU, uncached.  Either way every thread shares the topology's
+    one solver (:func:`~repro.perf.executor.solver_for`), and the values
+    do not depend on the thread count.
     ``seed`` is part of every task's spec, and so of its cache key; no
     modeled value depends on it.
     """
-    from repro.perf.executor import ModelTask, SweepExecutor
+    from repro.perf.executor import ModelTask, SweepExecutor, usable_cpus
 
     _log.info(
         "step1_sweep: %d datapoints x %d patterns (%s)",
@@ -85,7 +84,7 @@ def step1_sweep(
     if executor is not None:
         results = executor.run_models(tasks)
     else:
-        with SweepExecutor(jobs=min(_usable_cpus(), len(tasks))) as transient:
+        with SweepExecutor(jobs=min(usable_cpus(), len(tasks))) as transient:
             results = transient.run_models(tasks)
 
     points: List[SweepPoint] = []
@@ -98,13 +97,6 @@ def step1_sweep(
         points.append(_make_point(policy, values))
     _log.info("step1_sweep: %d points done", len(points))
     return points
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # pragma: no cover - no affinity API
 
 
 def _make_point(

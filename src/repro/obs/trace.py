@@ -347,11 +347,18 @@ def render_summary(summary: Dict[str, Any]) -> str:
         f"{summary['cache_hits'] + summary['computed']} points "
         f"({summary['cache_hit_rate']:.0%} hit rate)"
     )
+    # one line per kind: a ladder under its early stop is one batch
+    # per point
+    kinds: Dict[str, List[Dict[str, Any]]] = {}
     for batch in summary["batches"]:
+        kinds.setdefault(batch["kind"], []).append(batch)
+    for kind, batches in sorted(kinds.items()):
         lines.append(
-            f"  batch[{batch['kind']}]: {batch['tasks']} points in "
-            f"{batch['wall_seconds']:.3f}s "
-            f"({batch['cache_hits']} cache hits)"
+            f"  batch[{kind}]: {len(batches)} batch"
+            f"{'es' if len(batches) != 1 else ''}, "
+            f"{sum(b['tasks'] for b in batches)} points in "
+            f"{sum(b['wall_seconds'] for b in batches):.3f}s "
+            f"({sum(b['cache_hits'] for b in batches)} cache hits)"
         )
     if summary["engine_samples"]:
         lines.append(

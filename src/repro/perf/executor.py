@@ -25,9 +25,12 @@ Guarantees:
   computed on a helper thread is bit-identical to :func:`run_task` on
   the calling thread, and result order never depends on completion
   order.  A sim task's declarative :class:`~repro.spec.RunSpec` keys
-  the cache; nothing is pickled.  The process memos runs share (route
-  tables, the solver memo, the sparse-policy reservoir memo) are safe
-  for concurrent use.
+  the cache; nothing is pickled.  What runs share lives on the
+  topology's :class:`~repro.routing.table.RouteTable` -- its images,
+  compiled policy programs, channel layouts and the LP solver -- and is
+  built once, under the table's lock, whichever threads ask at once;
+  what depends on a run's rng (its sparse-policy reservoirs) lives on
+  the run.
 * **No thread outlives its batch.**  The helper pool is built per batch
   and shut down -- pending tasks cancelled, running ones awaited --
   before the batch returns or raises.
@@ -59,7 +62,7 @@ from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
 from repro.perf.cache import SimCache, model_fingerprint, spec_key
 from repro.routing.pathset import PathPolicy
-from repro.routing.table import topology_key
+from repro.routing.table import route_table
 from repro.sim.engine import simulate
 from repro.sim.params import SimParams
 from repro.sim.stats import SimResult
@@ -81,22 +84,31 @@ __all__ = [
     "run_model_task",
     "run_task",
     "solver_for",
+    "usable_cpus",
 ]
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, which
+    can be narrower than the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity API
+
+
 def default_jobs() -> int:
-    """``$REPRO_JOBS`` if set (clamped to the CPU count), else 1: the
-    ``jobs`` of a :class:`SweepExecutor` built without one.
+    """``$REPRO_JOBS`` if set (clamped to :func:`usable_cpus`), else 1:
+    the ``jobs`` of a :class:`SweepExecutor` built without one.
 
     Oversubscribing a small host is strictly counterproductive for these
     CPU-bound threads (jobs=8 on a 1-CPU host once measured a 0.72x
-    "speedup"), so the environment default can never exceed
-    ``os.cpu_count()``.  An explicit ``jobs=`` argument may still ask
+    "speedup"), so the environment default can never exceed the CPUs
+    this process may use.  An explicit ``jobs=`` argument may still ask
     for more threads, with a warning.  Unset, a batch runs on the
     calling thread alone; ``step1_sweep`` without an executor takes
-    every CPU this process may use instead.
+    every usable CPU instead.
     """
-    cap = os.cpu_count() or 1
+    cap = usable_cpus()
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
@@ -208,29 +220,17 @@ class ModelTask:
         return model_fingerprint(self.spec)
 
 
-# Per-process solver memo: every solve in this process, whichever thread
-# runs it, reuses one FastModel per topology, so the expensive structural
-# factorization is paid once per topology, not once per task.  Bounded to
-# a handful of topologies; the lock makes fill and eviction atomic.
-_SOLVER_MEMO: Dict[Tuple, FastModel] = {}
-_SOLVER_MEMO_MAX = 4
-_SOLVER_LOCK = threading.Lock()
-
-
 def solver_for(topo: Dragonfly) -> FastModel:
-    """This process's shared :class:`FastModel` of ``topo``."""
+    """This process's shared :class:`FastModel` of ``topo``: every solve,
+    whichever thread runs it, reuses one per topology, so its structural
+    state is built once per topology, not once per task.  It lives, and
+    is evicted, with the topology's route table."""
     # lazy import: the LP stack (scipy) loads at the first model task,
-    # never in a process that only simulates
+    # never in a process that only simulates (and repro.routing, which
+    # holds the table, never imports it)
     from repro.model.fastpath import FastModel
 
-    key = topology_key(topo)
-    with _SOLVER_LOCK:
-        solver = _SOLVER_MEMO.get(key)
-        if solver is None:
-            if len(_SOLVER_MEMO) >= _SOLVER_MEMO_MAX:
-                _SOLVER_MEMO.pop(next(iter(_SOLVER_MEMO)))
-            solver = _SOLVER_MEMO[key] = FastModel(topo)
-    return solver
+    return route_table(topo).fill("solver", None, lambda: FastModel(topo))
 
 
 def run_model_task(task: ModelTask) -> ModelResult:
@@ -302,7 +302,7 @@ class SweepExecutor:
             self.jobs = default_jobs()
         else:
             self.jobs = max(1, int(jobs))
-            cap = os.cpu_count() or 1
+            cap = usable_cpus()
             if self.jobs > cap:
                 _log.warning(
                     "SweepExecutor(jobs=%d) oversubscribes this host "

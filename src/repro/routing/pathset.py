@@ -17,7 +17,10 @@ Candidate sampling is O(1) rejection sampling over the uniform descriptor
 distribution with a bounded number of attempts, falling back to reservoir
 sampling over full enumeration for extremely sparse policies.  It consumes
 randomness only through ``rng.integers(n)``, so the simulator may hand it
-a :class:`~repro.sim.draws.DrawStream` in place of the generator.
+a :class:`~repro.sim.draws.DrawStream` in place of the generator.  The
+reservoirs depend on the rng that filled them, so they live with the
+caller that passes them in (a simulation run's routing algorithm), never
+in the process.
 
 The membership test is also available as *data*
 (:meth:`PathPolicy.membership_program`, :func:`policy_program`): a few
@@ -34,10 +37,18 @@ from __future__ import annotations
 
 import abc
 import itertools
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -64,55 +75,26 @@ __all__ = [
     "policy_program",
     "program_mask",
     "reset_sample_memo",
-    "swap_sample_memo",
 ]
 
 _SAMPLE_ATTEMPTS = 128
-# Sparse-policy fallback memo: when rejection sampling fails for a pair,
-# one enumeration reservoir-samples this many descriptors and they are
-# reused for every later draw of that (policy, pair).  Policies are frozen
-# (hashable), so equal policies share entries.
+# Sparse-policy fallback: when rejection sampling fails for a pair, one
+# long burst (or, failing that, an enumeration) reservoir-samples this
+# many descriptors, reused for every later draw of that (policy, pair)
+# from the caller's reservoir store.
 _SPARSE_RESERVOIR = 256
 _SPARSE_MEMO_MAX = 20_000  # pairs; beyond this, reservoirs are not stored
-_sparse_memo: dict = {}
-# the memo a Run installed on this thread (swap_sample_memo): concurrent
-# runs on different threads each draw from their own; a thread without
-# one uses _sparse_memo
-_live = threading.local()
-
-
-def _live_memo() -> dict:
-    memo = getattr(_live, "memo", None)
-    return _sparse_memo if memo is None else memo
 
 
 def reset_sample_memo() -> None:
-    """Clear the process-wide sparse-policy reservoir memo.
+    """Does nothing: there is no process-wide sampling state to clear.
 
-    The memo's contents depend on the rng that first populated each
-    entry, so sampling that inherits another caller's reservoirs can
-    draw differently than sampling that starts fresh.  Simulation runs
-    never see this memo -- each :class:`~repro.sim.engine.Run` swaps a
-    private one in around its own sampling (:func:`swap_sample_memo`) --
-    so this is for code that samples from a policy directly and wants a
-    result that is a pure function of its own arguments.
+    Sparse-policy reservoirs live in the store a caller hands to
+    :meth:`PathPolicy.sample` (a simulation run's routing algorithm owns
+    one), and a call without a store keeps none, so sampling is a pure
+    function of its arguments.  Kept because the benchmark's mirror
+    driver (``bench/tracing.py``) still calls it.
     """
-    _sparse_memo.clear()
-
-
-def swap_sample_memo(memo: dict) -> dict:
-    """Install ``memo`` as this thread's live reservoir memo, returning
-    the one it replaces.
-
-    Reservoir contents depend on the rng that populated them, so every
-    :class:`~repro.sim.engine.Run` owns a private memo dict and swaps it
-    in around its own sampling (``Run.sampling()``): a run's result is a
-    pure function of its arguments, whatever ran before it in the
-    process or runs beside it on another thread.
-    """
-    old = _live_memo()
-    _live.memo = memo
-    return old
 
 
 def _mix(seed: int, src: int, dst: int, desc: VlbDescriptor) -> int:
@@ -268,10 +250,7 @@ def program_mask(
 
 
 def candidate_weights(
-    policy: "PathPolicy",
-    table: RouteTable,
-    cand: VlbCandidates,
-    program: Optional[PolicyProgram] = None,
+    policy: "PathPolicy", table: RouteTable, cand: VlbCandidates
 ) -> np.ndarray:
     """How often ``policy`` draws each row of ``cand`` (as float64): the
     one rule every reader of a candidate set weighs it by, and a row is
@@ -281,12 +260,8 @@ def candidate_weights(
     :func:`program_mask` (1 or 0); otherwise the row's multiplicity in
     ``iter_descriptors`` -- :class:`ExplicitPathSet` draws by index from
     its lists, and a policy that exists only as Python has nothing else.
-    ``program`` is the policy's compiled program when the caller holds
-    it (an unhashable policy compiles anew on every call), else it is
-    compiled here.
     """
-    if program is None:
-        program = policy_program(policy, table)
+    program = policy_program(policy, table)
     if program is not None and program.lists is None:
         if not program.ops:
             return np.ones(len(cand.pair))
@@ -352,24 +327,18 @@ def policy_program(
     ``sample`` / ``iter_descriptors`` the policy actually runs: a
     subclass that overrides one of those without recompiling falls back
     to Python instead of being silently routed by its parent's test.
-    Programs of hashable policies are memoized on the table.
+    A program is compiled once per table and policy value
+    (:meth:`~repro.routing.table.RouteTable.fill`): equal policies share
+    it.
     """
     cls = type(policy)
     owner = next(c for c in cls.__mro__ if "membership_program" in vars(c))
     for name in ("contains", "sample", "iter_descriptors"):
         if getattr(cls, name) is not getattr(owner, name):
             return None
-    try:
-        return table.programs[policy]  # type: ignore[return-value]
-    except KeyError:
-        pass
-    except TypeError:  # unhashable (mutable) policy: compile per use
-        return policy.membership_program(table)
-    program = policy.membership_program(table)
-    if len(table.programs) >= 64:
-        table.programs.clear()
-    table.programs[policy] = program
-    return program
+    return table.fill(
+        "program", policy, lambda: policy.membership_program(table)
+    )
 
 
 class PathPolicy(abc.ABC):
@@ -409,11 +378,16 @@ class PathPolicy(abc.ABC):
         src: int,
         dst: int,
         rng: np.random.Generator,
+        reservoirs: Optional[dict] = None,
     ) -> Optional[VlbDescriptor]:
         """Draw one candidate VLB path uniformly from the set.
 
         Returns ``None`` when the pair has no VLB path at all (fewer than
         three groups) or the policy excludes every path for the pair.
+        ``reservoirs`` is the caller's store of sparse-policy reservoirs,
+        filled here by the first draw of a pair rejection sampling gives
+        up on and reused by later ones; without it every such draw builds
+        a reservoir of its own.
         """
         table = route_table(topo)
         row = table.vlb_row(table.group[src], table.group[dst])
@@ -439,11 +413,12 @@ class PathPolicy(abc.ABC):
             desc = attempt()
             if desc is not None:
                 return desc
-        # Sparse policy: build a memoized reservoir for this pair, reused
-        # by every later draw.  A long bounded rejection burst is tried
-        # first (cheap); full enumeration only for truly tiny/empty sets.
+        # Sparse policy: build a reservoir for this pair, kept in the
+        # caller's store for every later draw.  A long bounded rejection
+        # burst is tried first (cheap); full enumeration only for truly
+        # tiny/empty sets.
         key = (self, src, dst)
-        memo = _live_memo()
+        memo = reservoirs if reservoirs is not None else {}
         reservoir = memo.get(key)
         if reservoir is None:
             reservoir = []
@@ -696,18 +671,43 @@ class ExcludingPolicy(PathPolicy):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExplicitPathSet(PathPolicy):
     """A fully materialized per-pair path set (small topologies / tests).
 
     Built either from another policy (``from_policy``) or directly from a
-    mapping of pair -> descriptor list.
+    mapping of pair -> descriptor sequence.  A value like every built-in
+    policy: frozen, each pair's descriptors held as a tuple in listed
+    order, repeats included (a descriptor listed twice is drawn twice as
+    often), and hashed once per object -- so equal sets share their
+    compiled program and their LP blocks.
     """
 
-    paths: Dict[Tuple[int, int], List[VlbDescriptor]] = field(
+    paths: Mapping[Tuple[int, int], Sequence[VlbDescriptor]] = field(
         default_factory=dict
     )
     label: str = "explicit"
+
+    def __post_init__(self) -> None:
+        # an own dict of tuples: the caller's lists cannot change the value
+        object.__setattr__(
+            self, "paths", {pair: tuple(descs) for pair, descs in self.paths.items()}
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # repro: allow[DET105]: an in-process dict key, like every frozen
+        # policy's generated __hash__; never persisted or compared across
+        # processes (fingerprints come from repro.spec)
+        return hash((frozenset(self.paths.items()), self.label))
+
+    @cached_property
+    def _members(self) -> Dict[Tuple[int, int], FrozenSet[VlbDescriptor]]:
+        """Each pair's descriptors as a set, for :meth:`contains`."""
+        return {pair: frozenset(descs) for pair, descs in self.paths.items()}
 
     @classmethod
     def from_policy(
@@ -724,17 +724,17 @@ class ExplicitPathSet(PathPolicy):
                 if s != d
             ]
         table = {
-            pair: list(policy.iter_descriptors(topo, *pair)) for pair in pairs
+            pair: tuple(policy.iter_descriptors(topo, *pair)) for pair in pairs
         }
         return cls(paths=table, label=f"explicit({policy.describe()})")
 
     def contains(self, topo, src, dst, desc) -> bool:
-        return desc in self.paths.get((src, dst), ())
+        return desc in self._members.get((src, dst), ())
 
     def iter_descriptors(self, topo, src, dst):
         return iter(self.paths.get((src, dst), ()))
 
-    def sample(self, topo, src, dst, rng):
+    def sample(self, topo, src, dst, rng, reservoirs=None):
         options = self.paths.get((src, dst))
         if not options:
             return None

@@ -38,6 +38,14 @@ directed global links of every group pair -- whose Python fill is
 O(``nsw * a`` + links), milliseconds where the per-pair walk took
 seconds.  ``min_legs`` / ``vlb_row`` stay the per-pair definition the
 images are tested against.
+
+Everything else derived from the topology alone -- those two tables, the
+images, each policy's compiled program, each channel layout, the shared
+LP solver -- is built through one primitive, :meth:`RouteTable.fill`: a
+hit is a plain dict read, a miss builds once under the table's lock
+(whichever threads ask at once), and the build time is counted in
+:attr:`RouteTable.fill_seconds`.  A value lives, and is evicted, with
+its table.
 """
 
 from __future__ import annotations
@@ -46,16 +54,16 @@ import dataclasses
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from typing import (
-    Any,
+    Callable,
     Dict,
-    Iterator,
+    Hashable,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 import numpy as np
@@ -257,9 +265,24 @@ class _Ladders(Dict[str, List[int]]):
         return vcs
 
 
+T = TypeVar("T")
+
+# the kinds of value RouteTable.fill keeps, with how many of each it
+# keeps at most, oldest evicted first (None: one per key, as the keys of
+# those kinds are few); "program": repro.routing.pathset.policy_program,
+# "layout": repro.sim.network.channel_layout, "solver":
+# repro.perf.executor.solver_for
+_FILL_BOUNDS: Dict[str, Optional[int]] = {
+    "leg_parts": None, "min_slots": None, "min_image": None,
+    "vlb_image": None, "program": 64, "layout": 8, "solver": None,
+}
+_MISSING = object()
+
+
 class RouteTable:
     """Lazily filled MIN-leg rows, sampling rows and VC ladders of one
-    topology.  Obtain through :func:`route_table`."""
+    topology, and everything :meth:`fill` derives from it.  Obtain
+    through :func:`route_table`."""
 
     def __init__(self, topo) -> None:
         self.topo = topo
@@ -278,22 +301,19 @@ class RouteTable:
         self._legs: Dict[int, Tuple[Leg, ...]] = {}
         self._vlb_rows: Dict[int, Optional[VlbRow]] = {}
         self._ladders: Dict[Tuple[str, int, bool, int], _Ladders] = {}
-        # wall seconds spent composing images, in all threads and per
-        # thread: provenance for run manifests (a run that found its
-        # images ready adds nothing)
+        # fill()'s values by kind, then key
+        self._filled: Dict[str, Dict[Hashable, object]] = {
+            kind: {} for kind in _FILL_BOUNDS
+        }
+        # held while fill() builds (reentrant: one build asks for
+        # others), with how many builds are under way
+        self._lock = threading.RLock()
+        self._building = 0
+        # wall seconds fill() spent building, in all threads and per
+        # thread: provenance for run manifests (a run that found what it
+        # needs built adds nothing)
         self.fill_seconds = 0.0
-        self._fill_lock = threading.Lock()
         self._thread_fill = threading.local()
-        self._parts: Optional[_LegParts] = None
-        self._slots: Optional[MinSlots] = None
-        self._images: Dict[Tuple[str, int], MinImage] = {}
-        self._vlb_image: Optional[VlbImage] = None
-        # compiled membership tests by (hashable) policy; see
-        # repro.routing.pathset.policy_program
-        self.programs: Dict[object, object] = {}
-        # static network structure by (VC count, latencies, packet
-        # size); see repro.sim.network.channel_layout
-        self.layouts: Dict[Tuple[int, ...], Any] = {}
 
     # ------------------------------------------------------------------
     # Legs
@@ -392,31 +412,54 @@ class RouteTable:
         """Exclusive upper bound of every VLB descriptor's link slots."""
         return self.vlb_image().slot_bound
 
+    # ------------------------------------------------------------------
+    # Derived state
+    # ------------------------------------------------------------------
+    def fill(self, kind: str, key: Hashable, build: Callable[[], T]) -> T:
+        """The ``kind`` value of this topology at ``key``: ``build()``'s
+        result, built once however many threads ask at once.
+
+        A hit reads a dict, without the lock.  A miss takes the table's
+        (reentrant) lock, checks again, builds, and keeps the value --
+        at most ``_FILL_BOUNDS[kind]`` of them, oldest evicted first.
+        The build's wall time, less that of the builds it nests, goes
+        into :attr:`fill_seconds` and the calling thread's
+        :meth:`thread_fill_seconds`.  A build that raises keeps nothing.
+        """
+        memo = self._filled[kind]
+        value = memo.get(key, _MISSING)
+        if value is not _MISSING:
+            return value  # type: ignore[return-value]
+        with self._lock:
+            value = memo.get(key, _MISSING)
+            if value is _MISSING:
+                outermost = not self._building
+                self._building += 1
+                # repro: allow[DET104]: fill_seconds is runtime metadata
+                # for manifests, never part of a result or a cache key
+                start = time.perf_counter()
+                try:
+                    value = build()
+                finally:
+                    self._building -= 1
+                if outermost:
+                    # repro: allow[DET104]: closes the measurement
+                    spent = time.perf_counter() - start
+                    self.fill_seconds += spent
+                    self._thread_fill.seconds = self.thread_fill_seconds() + spent
+                bound = _FILL_BOUNDS[kind]
+                if bound is not None and len(memo) >= bound:
+                    del memo[next(iter(memo))]
+                memo[key] = value
+        return value  # type: ignore[return-value]
+
     def thread_fill_seconds(self) -> float:
         """The part of :attr:`fill_seconds` the calling thread spent."""
         return getattr(self._thread_fill, "seconds", 0.0)
 
-    @contextmanager
-    def _filling(self) -> Iterator[None]:
-        # repro: allow[DET104]: fill_seconds is runtime metadata for
-        # manifests, never part of a result or a cache key
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            # repro: allow[DET104]: closes the fill_seconds measurement
-            spent = time.perf_counter() - start
-            self._thread_fill.seconds = self.thread_fill_seconds() + spent
-            with self._fill_lock:
-                self.fill_seconds += spent
-
     def vlb_image(self) -> VlbImage:
         """:meth:`vlb_row` of all group pairs as flat arrays."""
-        image = self._vlb_image
-        if image is None:
-            with self._filling():
-                image = self._vlb_image = self._compose_vlb_image()
-        return image
+        return self.fill("vlb_image", None, self._compose_vlb_image)
 
     def _compose_vlb_image(self) -> VlbImage:
         g = self.g
@@ -553,12 +596,11 @@ class RouteTable:
         ``num_vcs``; a two-leg shape that does not fit is only marked
         (``combo_off == -1``).
         """
-        image = self._images.get((scheme, num_vcs))
-        if image is None:
-            with self._filling():
-                image = self._compose_min_image(scheme, num_vcs)
-            self._images[(scheme, num_vcs)] = image
-        return image
+        return self.fill(
+            "min_image",
+            (scheme, num_vcs),
+            lambda: self._compose_min_image(scheme, num_vcs),
+        )
 
     def _compose_min_image(self, scheme: str, num_vcs: int) -> MinImage:
         slots = self.min_slots()
@@ -617,9 +659,9 @@ class RouteTable:
         """The two tables every image is composed from: O(``nsw * a``)
         ``local_route`` calls, one ``links_between_groups`` call per
         ordered group pair."""
-        parts = self._parts
-        if parts is not None:
-            return parts
+        return self.fill("leg_parts", None, self._compose_leg_parts)
+
+    def _compose_leg_parts(self) -> _LegParts:
         topo = self.topo
         g, a = self.g, topo.a
         index = self._index
@@ -651,7 +693,7 @@ class RouteTable:
                     near.append(x)
                     far.append(y)
                     chans.append(index[(x, y, link.slot)])
-        parts = self._parts = _LegParts(
+        return _LegParts(
             position,
             local,
             local_hops,
@@ -660,16 +702,15 @@ class RouteTable:
             _ragged(g * g, row, np.array(far, np.int32) * a, 0)[0],
             _ragged(g * g, row, chans, 0)[0],
         )
-        return parts
 
     def min_slots(self) -> MinSlots:
         """Every MIN candidate, composed: a pair of two groups has one
         candidate per global link ``x -> y`` of its group pair -- the
         legs ``s -> x`` and ``y -> d`` around the link's channel; a
         pair ``(s, d)`` of one group has the local leg ``s -> d``."""
-        slots = self._slots
-        if slots is not None:
-            return slots
+        return self.fill("min_slots", None, self._compose_min_slots)
+
+    def _compose_min_slots(self) -> MinSlots:
         parts = self._leg_parts()
         nsw, g = self.nsw, self.g
         group = np.array(self.group, np.int32)
@@ -721,7 +762,7 @@ class RouteTable:
         hops = np.take(hops_of, code, out=zeros(total, np.int32), mode="clip")
         rel = zeros(total, np.int64)
         np.cumsum(hops[:-1], out=rel[1:])
-        slots = self._slots = MinSlots(
+        return MinSlots(
             k,
             first,
             hops,
@@ -733,7 +774,6 @@ class RouteTable:
                 for before, link, after in parse
             ),
         )
-        return slots
 
     def _compose(
         self,

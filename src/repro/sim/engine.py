@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from repro.obs import (
     active_capture,
 )
 from repro.obs.manifest import RunManifest
-from repro.routing.pathset import PathPolicy, swap_sample_memo
+from repro.routing.pathset import PathPolicy
 from repro.routing.table import route_table
 from repro.sim.array import ArrayNetwork
 from repro.sim.network import Network
@@ -168,11 +167,6 @@ class Run:
                     f"configuration:\n{report.to_text()}"
                 )
         self.stats = StatsCollector(topo.num_nodes, self.warmup)
-        # sparse-policy reservoirs depend on the rng that filled them, so
-        # every run samples against its own memo (see sampling()): the
-        # result is a pure function of the arguments, whatever ran before
-        # or runs interleaved with it in this process
-        self.memo: dict = {}
         obs = params.obs
         self.registry = (
             MetricRegistry()
@@ -232,16 +226,6 @@ class Run:
             spec=spec,
         )
 
-    @contextmanager
-    def sampling(self) -> Iterator[None]:
-        """Route against this run's private reservoir memo inside the
-        context (injection and PAR revision both sample)."""
-        previous = swap_sample_memo(self.memo)
-        try:
-            yield
-        finally:
-            swap_sample_memo(previous)
-
     # ------------------------------------------------------------------
     # The cycle loop
     # ------------------------------------------------------------------
@@ -261,21 +245,20 @@ class Run:
             if self.lane == "array"
             else self._advance_packets
         )
-        with self.sampling():
-            while net.cycle < until:
-                cycle = net.cycle
-                if cycle == self.warmup:
-                    net.reset_channel_counters()
-                    if self.sampler is not None:
-                        self.sampler.rebase()
-                stop = until
-                if cycle < self.warmup < stop:
-                    stop = self.warmup
-                if every:
-                    stop = min(stop, cycle - cycle % every + every)
-                step(stop)
-                if every and stop % every == 0:
-                    self.sampler.sample()
+        while net.cycle < until:
+            cycle = net.cycle
+            if cycle == self.warmup:
+                net.reset_channel_counters()
+                if self.sampler is not None:
+                    self.sampler.rebase()
+            stop = until
+            if cycle < self.warmup < stop:
+                stop = self.warmup
+            if every:
+                stop = min(stop, cycle - cycle % every + every)
+            step(stop)
+            if every and stop % every == 0:
+                self.sampler.sample()
 
     def _advance_packets(self, until: int) -> None:
         """The packet lane: route and queue in Python, step per cycle."""

@@ -52,7 +52,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.routing.paths import LOCAL_SLOT, Path
-from repro.routing.table import route_table
+from repro.routing.table import RouteTable, route_table
 from repro.sim.packet import Packet
 from repro.sim.params import SimParams
 from repro.topology.dragonfly import Dragonfly
@@ -200,20 +200,16 @@ class ChannelLayout(NamedTuple):
     wheel_size: int
 
 
-_MAX_LAYOUTS = 8  # per topology
-
-
 def channel_layout(
     topo: Dragonfly, params: SimParams, num_vcs: int
 ) -> ChannelLayout:
-    """The :class:`ChannelLayout` of ``topo`` under ``params``, memoized
-    next to the topology's route table.
+    """The :class:`ChannelLayout` of ``topo`` under ``params``, built once
+    per route table (:meth:`~repro.routing.table.RouteTable.fill`).
 
     Port layout per router: ``0..p-1`` terminal, then one local port per
     intra-group neighbor (``topo.local_neighbors`` order), then global
     ports in the order of ``topo.global_links_of_switch``.
     """
-    table = route_table(topo)
     key = (
         num_vcs,
         params.local_latency,
@@ -222,9 +218,16 @@ def channel_layout(
         params.router_latency,
         params.packet_size,
     )
-    layout = table.layouts.get(key)
-    if layout is not None:
-        return layout
+    table = route_table(topo)
+    return table.fill(
+        "layout", key, lambda: _build_layout(table, params, num_vcs)
+    )
+
+
+def _build_layout(
+    table: RouteTable, params: SimParams, num_vcs: int
+) -> ChannelLayout:
+    topo = table.topo
     p = topo.p
     local_degree = topo.local_degree
     # local port of neighbor v at router u: p + rank of v among group
@@ -300,9 +303,6 @@ def channel_layout(
     for column in layout:
         if isinstance(column, np.ndarray):
             column.flags.writeable = False  # shared by every network
-    if len(table.layouts) >= _MAX_LAYOUTS:
-        del table.layouts[next(iter(table.layouts))]
-    table.layouts[key] = layout
     return layout
 
 

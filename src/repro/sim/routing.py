@@ -187,6 +187,9 @@ class RoutingAlgorithm:
         # _NO_VLB_PATH marks pairs the policy cannot serve
         self._vlb_cache: Dict[int, Union[List[Candidate], _NoVlbPath]] = {}
         self._vlb_cache_cap = network.params.vlb_cache_per_pair
+        # sparse-policy reservoirs (PathPolicy.sample): they depend on
+        # the rng that filled them, so they live with this run
+        self.reservoirs: dict = {}
         # PAR-revised (route, vcs) by channel-index row, so equal
         # revisions share one route object
         self._revised: Dict[
@@ -254,7 +257,9 @@ class RoutingAlgorithm:
             cache = self._vlb_cache[key] = []
         cap = self._vlb_cache_cap
         if cap <= 0 or len(cache) < cap:
-            desc = self.policy.sample(self.topo, src_sw, dst_sw, draws)
+            desc = self.policy.sample(
+                self.topo, src_sw, dst_sw, draws, self.reservoirs
+            )
             if desc is None:
                 if not cache:
                     self._vlb_cache[key] = _NO_VLB_PATH

@@ -44,13 +44,7 @@ import numpy as np
 
 from repro.routing.minimal import min_paths
 from repro.routing.paths import LOCAL_SLOT, Channel, Path
-from repro.routing.pathset import (
-    AllVlbPolicy,
-    PathPolicy,
-    PolicyProgram,
-    candidate_weights,
-    policy_program,
-)
+from repro.routing.pathset import AllVlbPolicy, PathPolicy, candidate_weights
 from repro.routing.table import RouteTable, route_table
 from repro.routing.vlb import max_vlb_hops, vlb_path
 from repro.sim.vc import assign_vcs
@@ -357,7 +351,6 @@ def _ports(switch: np.ndarray) -> np.ndarray:
 
 def _build_array(
     policy: PathPolicy,
-    program: Optional[PolicyProgram],
     scheme: str,
     include_par: bool,
     graph: ChannelDependencyGraph,
@@ -416,14 +409,12 @@ def _build_array(
     # switch some first MIN hop lands on -- always for another group's
     # destination, inside a group only where local routes have a second
     # hop (revision fires at hop 1)
-    if program is None:
-        program = policy_program(policy, table)
     src, dst = np.nonzero(~np.eye(n, dtype=bool))
     fragment = (group[src] != group[dst]) | (table.topo.max_local_hops > 1)
     step = max(1, _CHUNK_ROWS // (n * table.slot_bound**2))
     for lo in range(0, len(src), step):
         cand = table.vlb_candidates(src[lo : lo + step], dst[lo : lo + step])
-        keep = candidate_weights(policy, table, cand, program) > 0
+        keep = candidate_weights(policy, table, cand) > 0
         leg1, leg2, pair = cand.leg1, cand.leg2, cand.pair
         if not keep.all():
             leg1, leg2, pair = leg1[keep], leg2[keep], pair[keep]
@@ -543,7 +534,6 @@ def build_cdg(
     scheme: str = "won",
     routing: str = "par",
     seed: int = 0,
-    program: Optional[PolicyProgram] = None,
 ) -> ChannelDependencyGraph:
     """Build the CDG of a ``(topo, policy, scheme, routing)`` configuration.
 
@@ -554,9 +544,7 @@ def build_cdg(
     :func:`~repro.routing.pathset.candidate_weights`; on a topology whose
     candidate space is too large to enumerate (past ``_ROW_LIMIT``) the
     generic builder checks a ``seed``-drawn sample instead and clears the
-    graph's ``exhaustive`` flag.  ``program`` is the policy's compiled
-    membership program when the caller holds it, else it is compiled
-    where needed.
+    graph's ``exhaustive`` flag.
     """
     policy = policy if policy is not None else AllVlbPolicy()
     include_par = routing.lower().removeprefix("t-") == "par"
@@ -567,7 +555,7 @@ def build_cdg(
             _SAMPLED_PAIRS, _SAMPLED_DESCRIPTORS, seed,
         )
     else:
-        _build_array(policy, program, scheme, include_par, graph)
+        _build_array(policy, scheme, include_par, graph)
     return graph
 
 
@@ -578,12 +566,9 @@ def certify_deadlock_freedom(
     scheme: str = "won",
     routing: str = "par",
     seed: int = 0,
-    program: Optional[PolicyProgram] = None,
 ) -> CdgResult:
     """Build the CDG and run cycle detection; see :class:`CdgResult`."""
-    graph = build_cdg(
-        topo, policy, scheme=scheme, routing=routing, seed=seed, program=program
-    )
+    graph = build_cdg(topo, policy, scheme=scheme, routing=routing, seed=seed)
     cycle = graph.find_cycle()
     return CdgResult(
         scheme=scheme,

@@ -48,7 +48,6 @@ from repro.routing.paths import LOCAL_SLOT, Channel
 from repro.routing.pathset import (
     AllVlbPolicy,
     PathPolicy,
-    PolicyProgram,
     candidate_weights,
     policy_program,
 )
@@ -116,7 +115,6 @@ class _LintContext:
     routing: str
     num_vcs: int
     pairs: List[Tuple[int, int]]
-    program: Optional[PolicyProgram] = None
 
     def __post_init__(self) -> None:
         self.table = route_table(self.topo)
@@ -130,11 +128,8 @@ class _LintContext:
         at = self.src * self.table.nsw + self.dst
         k = self.slots.k[at]
         self.own_slots = np.repeat(np.arange(len(at)), k), spans(self.slots.first[at], k)
-        if self.program is None:
-            self.program = policy_program(self.policy, self.table)
-        self.weight = candidate_weights(
-            self.policy, self.table, self.candidates, self.program
-        )
+        self.program = policy_program(self.policy, self.table)
+        self.weight = candidate_weights(self.policy, self.table, self.candidates)
         self.admitted = self.weight > 0
 
     def loc(self, row: int) -> str:
@@ -352,13 +347,13 @@ def _rule_balance(ctx: _LintContext) -> Iterator[Finding]:
     usage = [
         (
             _loc(s, d), "the pair's",
-            pair_usage_probability(topo, policy, s, d, ctx.program),
+            pair_usage_probability(topo, policy, s, d),
         )
         for s, d in checked
     ]
     usage.append((
         f"{len(checked)} sampled pairs", "the global",
-        global_usage_probability(topo, policy, checked, ctx.program),
+        global_usage_probability(topo, policy, checked),
     ))
     for loc, scope, probs in usage:
         used = probs[probs > 0]
@@ -414,16 +409,13 @@ def lint_pathset(
     rules: Optional[Sequence[str]] = None,
     max_pairs: Optional[int] = 40,
     seed: int = 0,
-    program: Optional[PolicyProgram] = None,
 ) -> List[Finding]:
     """Run the (selected) lint rules over a sampled set of switch pairs.
 
     ``rules`` selects a subset of :data:`LINT_RULES` (default: all);
     unknown names raise ``ValueError``.  ``max_pairs`` bounds the sample
     (``None``: every pair); a sampled pair is linted over all of its
-    candidates.  ``program`` is the policy's compiled membership program
-    when the caller holds it, else it is compiled here.  Findings come
-    back sorted with errors first.
+    candidates.  Findings come back sorted with errors first.
     """
     if max_pairs is not None and max_pairs < 1:
         raise ValueError(f"max_pairs must be None or >= 1, got {max_pairs}")
@@ -436,7 +428,7 @@ def lint_pathset(
     policy = policy if policy is not None else AllVlbPolicy()
     pairs = _sample_pairs(topo, max_pairs, seed)
     base = routing.lower().removeprefix("t-")
-    ctx = _LintContext(topo, policy, scheme, base, num_vcs, pairs, program)
+    ctx = _LintContext(topo, policy, scheme, base, num_vcs, pairs)
     findings = [f for name in selected for f in LINT_RULES[name](ctx)]
     findings.sort(key=lambda f: (f.severity != "error", f.rule, f.location))
     return findings

@@ -14,8 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.routing.pathset import AllVlbPolicy, PathPolicy, policy_program
-from repro.routing.table import route_table
+from repro.routing.pathset import AllVlbPolicy, PathPolicy
 from repro.sim.params import SimParams
 from repro.topology.dragonfly import Dragonfly
 from repro.verify.cdg import CdgResult, certify_deadlock_freedom
@@ -170,13 +169,10 @@ def verify_config(
         if num_vcs is not None and num_vcs > 0
         else _default_num_vcs(topo, scheme, base)
     )
-    # compiled once for both checks (an unhashable policy has no memo)
-    program = policy_program(policy, route_table(topo))
     cdg: Optional[CdgResult] = None
     if run_cdg:
         cdg = certify_deadlock_freedom(
-            topo, policy, scheme=scheme, routing=base, seed=seed,
-            program=program,
+            topo, policy, scheme=scheme, routing=base, seed=seed
         )
     findings: List[Finding] = []
     if run_lint:
@@ -189,7 +185,6 @@ def verify_config(
             rules=rules,
             max_pairs=max_pairs,
             seed=seed,
-            program=program,
         )
     return VerifyReport(
         topo=str(topo),

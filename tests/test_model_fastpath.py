@@ -659,15 +659,18 @@ class TestQuotient:
 
 
 class TestCompileOnce:
-    def test_unhashable_policy_compiles_once_per_call(self):
-        """An ``ExplicitPathSet`` (unhashable: no program memo) is compiled
-        once per solve and once per ``verify_config``, not per pair."""
+    def test_explicit_policy_compiles_once_per_table(self, monkeypatch):
+        """An ``ExplicitPathSet`` is a value: compiled once per route
+        table -- not per pair block, not again by ``verify_config``, not
+        again for an equal set built separately."""
+        from repro.routing import table as table_module
+
+        monkeypatch.setattr(table_module, "_TABLES", {})
+        monkeypatch.setattr(table_module, "_LAST", (None, None))
         demand = Shift(SMALL, 1, 0).demand_matrix()
         src, dst = np.nonzero(demand)
-        policy = ExplicitPathSet.from_policy(
-            SMALL, HopClassPolicy(4, 0.5),
-            pairs=list(zip(src.tolist(), dst.tolist())),
-        )
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        policy = ExplicitPathSet.from_policy(SMALL, HopClassPolicy(4, 0.5), pairs=pairs)
         with mock.patch.object(
             ExplicitPathSet, "membership_program", autospec=True,
             side_effect=ExplicitPathSet.membership_program,
@@ -675,7 +678,11 @@ class TestCompileOnce:
             FastModel(SMALL).solve(demand, policy=policy)
             assert compile_.call_count == 1
             verify_config(SMALL, policy)
-            assert compile_.call_count == 2
+            again = ExplicitPathSet.from_policy(
+                SMALL, HopClassPolicy(4, 0.5), pairs=pairs
+            )
+            verify_config(SMALL, again)
+            assert compile_.call_count == 1
 
 
 class TestWeightsForPolicyRejection:

@@ -124,6 +124,22 @@ class TestChromeExport:
         text = render_summary(summary)
         assert "50% hit rate" in text
         assert "max backlog 3" in text
+        # one line per batch kind, however many batches of it ran
+        tracer = self._traced()
+        tracer.record("batch_end", kind="sim", cache_hits=0, computed=3,
+                      wall_seconds=0.25)
+        tracer.record("batch_end", kind="model", cache_hits=2, computed=2,
+                      wall_seconds=1.0)
+        summary = tracer.summary()
+        assert len(summary["batches"]) == 3
+        lines = [
+            line.strip() for line in render_summary(summary).splitlines()
+            if line.strip().startswith("batch[")
+        ]
+        assert lines == [
+            "batch[model]: 1 batch, 4 points in 1.000s (2 cache hits)",
+            "batch[sim]: 2 batches, 5 points in 0.750s (1 cache hits)",
+        ]
 
 
 class TestEngineCapture:

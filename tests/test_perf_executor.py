@@ -13,6 +13,7 @@ from repro.perf.executor import (
     default_jobs,
     run_model_task,
     run_task,
+    usable_cpus,
 )
 from repro.routing.pathset import AllVlbPolicy
 from repro.sim import SimParams
@@ -117,18 +118,32 @@ def test_replicate_executor_identical():
 
 
 def test_default_jobs_env(monkeypatch):
-    import os
-
-    cap = os.cpu_count() or 1
+    cap = usable_cpus()
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     assert default_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "6")
-    # $REPRO_JOBS is honoured up to the host's core count: oversubscribing
-    # a sweep slows it down (a pool wider than the host measured a
-    # parallel speedup < 1), so the default never exceeds os.cpu_count().
+    # $REPRO_JOBS is honoured up to the CPUs this process may use:
+    # oversubscribing a sweep slows it down (a pool wider than the host
+    # measured a parallel speedup < 1), so the default never exceeds them.
     assert default_jobs() == min(6, cap)
     monkeypatch.setenv("REPRO_JOBS", "not-a-number")
     assert default_jobs() == 1
+
+
+def test_one_cpu_rule_reads_the_affinity_mask(monkeypatch, caplog):
+    """An affinity mask narrower than the host's CPU count bounds the
+    environment default, and an explicit ``jobs`` past it warns."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert usable_cpus() == 1
+    monkeypatch.setenv("REPRO_JOBS", "4")
+    assert default_jobs() == 1
+    with caplog.at_level("WARNING", logger="repro.perf.executor"):
+        executor = SweepExecutor(jobs=2)
+    assert executor.jobs == 2
+    assert any("oversubscribes" in r.getMessage() for r in caplog.records)
 
 
 def test_default_jobs_reports_a_malformed_env(monkeypatch, caplog):

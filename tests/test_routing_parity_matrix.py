@@ -19,7 +19,6 @@ agree" cannot hide a common drift.
 
 import pytest
 
-import repro.routing.pathset as pathset
 from repro.routing.paths import Channel
 from repro.routing.pathset import (
     AllVlbPolicy,
@@ -486,6 +485,7 @@ def test_array_lane_counts_injections_like_the_reference(
             seed=SEED, max_source_queue=3,
         )
 
+    run()  # builds TOPO's channel layout where no earlier test has
     reference = run()
     assert reference.manifest.metrics["routing.lane"] == "packet"
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
@@ -509,9 +509,9 @@ def test_array_lane_counts_injections_like_the_reference(
         for name in split:
             assert isinstance(result.manifest.metrics[name], float)
             assert result.manifest.metrics[name] >= 0.0
-    # these runs found the topology's images composed (by the run
-    # before ``native``; the packet lane never asks for them): a table
-    # hit reads exactly 0
+    # these runs found what they need of the table filled (by the run
+    # before each; the packet lane asks for no image): a table hit
+    # reads exactly 0
     assert native.manifest.metrics["routing.table_fill_seconds"] == 0.0
     assert reference.manifest.metrics["routing.table_fill_seconds"] == 0.0
     names = ("engine.packets_injected", "engine.inject_stalls")
@@ -553,15 +553,18 @@ def test_array_lane_counts_injections_like_the_reference(
             name.startswith("engine.loop.")
             for name in reference.manifest.metrics
         )
-        # the first run of a process on a topology composes them
+        # the first run of a process on a topology fills its table:
+        # images and program while it compiles, the channel layout while
+        # it builds the network
         reference_engine.setattr(table_module, "_TABLES", {})
         reference_engine.setattr(table_module, "_LAST", (None, None))
         cold = run()
         assert cold == native
-        fill = cold.manifest.metrics["routing.table_fill_seconds"]
-        assert 0.0 < fill <= cold.manifest.metrics[
-            "engine.setup.compile_seconds"
-        ]
+        metrics = cold.manifest.metrics
+        assert 0.0 < metrics["routing.table_fill_seconds"] <= (
+            metrics["engine.setup.compile_seconds"]
+            + metrics["engine.setup.build_network_seconds"]
+        )
 
 
 def test_array_lane_constructs_no_packet(monkeypatch):
@@ -589,24 +592,22 @@ def test_array_lane_constructs_no_packet(monkeypatch):
 def test_sparse_case_reaches_the_reservoir_fallback(reference_engine):
     """The matrix's sparse policy is only a fallback test if rejection
     sampling actually gives up for some pair -- and the reservoirs it
-    then builds land in the run's own store (the packet lane's memo,
-    the array lane's pool), not in the process-wide memo."""
+    then builds land in the run's own store (the packet lane's routing
+    algorithm, the array lane's pool)."""
     args, kwargs = _arguments("t-ugal-l/sparse")
-    before = dict(pathset._sparse_memo)
 
     def drive():
         run = Run(*args, **kwargs)
         run.advance(run.total)
-        assert pathset._sparse_memo == before
         return run
 
     run = drive()
-    assert run.memo
+    assert run.algo.reservoirs
     assert _metrics(run.finish()) == PINNED["t-ugal-l/sparse"]
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
     if native_available():
         run = drive()
-        assert not run.memo
+        assert not run.algo.reservoirs
         assert run.algo.lane.counts()["routing.fallback_picks"] > 0
         assert _metrics(run.finish()) == PINNED["t-ugal-l/sparse"]
 

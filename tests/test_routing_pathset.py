@@ -1,5 +1,7 @@
 """Tests for path policies (the T-VLB representation)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from repro.routing import (
     vlb_hops,
     vlb_path,
 )
+from repro.routing.pathset import candidate_weights, policy_program
+from repro.routing.table import route_table
 from repro.routing.vlb import count_vlb_paths, enumerate_vlb_descriptors
 from repro.topology import Dragonfly
 
@@ -178,6 +182,44 @@ class TestExplicitPathSet:
     def test_sample_empty_pair_returns_none(self, topo, rng):
         explicit = ExplicitPathSet(paths={})
         assert explicit.sample(topo, 0, 17, rng) is None
+
+    def test_a_set_is_a_value(self, topo):
+        """Frozen and hashable, so a wrapping policy is hashable too,
+        and equal sets built apart share one compiled program."""
+        pairs = [(0, 17), (3, 40)]
+        one = ExplicitPathSet.from_policy(topo, HopClassPolicy(4), pairs=pairs)
+        two = ExplicitPathSet.from_policy(topo, HopClassPolicy(4), pairs=pairs)
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert hash(ExcludingPolicy(one)) == hash(ExcludingPolicy(two))
+        table = route_table(topo)
+        assert policy_program(one, table) is policy_program(two, table)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            one.label = "renamed"  # type: ignore[misc]
+        # the caller's lists are copied, in order, repeats kept
+        listed = list(one.paths[(0, 17)][:2]) * 2
+        three = ExplicitPathSet(paths={(0, 17): listed})
+        listed.clear()
+        assert three.paths[(0, 17)] == tuple(one.paths[(0, 17)][:2]) * 2
+
+    def test_contains_is_list_membership(self, topo):
+        """``contains`` answers like the pair's list, repeats and all,
+        and ``candidate_weights`` still counts a repeat twice."""
+        every = list(enumerate_vlb_descriptors(topo, 0, 17))
+        listed = every[::3] + every[:40:7]  # some listed twice
+        explicit = ExplicitPathSet(paths={(0, 17): listed})
+        assert [explicit.contains(topo, 0, 17, d) for d in every] == [
+            d in listed for d in every
+        ]
+        assert not explicit.contains(topo, 17, 0, every[0])
+        table = route_table(topo)
+        cand = table.vlb_candidates(0, 17)
+        weight = candidate_weights(explicit, table, cand)
+        named = [
+            (int(m), int(a), int(b))
+            for m, a, b in zip(cand.mid, cand.slot1, cand.slot2)
+        ]
+        assert weight.tolist() == [float(listed.count(d)) for d in named]
+        assert weight.max() == 2.0
 
 
 class TestAverageHops:

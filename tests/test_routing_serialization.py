@@ -100,7 +100,7 @@ class TestRoundTrips:
         pol = ExplicitPathSet(paths={(0, 8): descs}, label="mine")
         back = _roundtrip(pol)
         assert back.label == "mine"
-        assert back.paths == {(0, 8): descs}
+        assert back.paths == {(0, 8): tuple(descs)}
         assert all(
             isinstance(d, VlbDescriptor) for d in back.paths[(0, 8)]
         )

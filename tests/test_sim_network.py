@@ -214,11 +214,9 @@ def _drive_by_hand(topo, pattern, load, *, routing, params, seed,
     ``route_packets``, ``inject``, ``step``, ``finalize`` -- step for
     step as ``bench/tracing.py``'s mirror driver runs it (whose
     ``python3 bench/run.py --check`` asserts "traced == measured")."""
-    from repro.routing.pathset import reset_sample_memo
     from repro.sim.stats import StatsCollector
     from repro.traffic.patterns import NO_TRAFFIC
 
-    reset_sample_memo()
     network = build_network(topo, params, routing)
     rng = np.random.default_rng(seed)
     algo = make_routing(network, routing, rng=rng)

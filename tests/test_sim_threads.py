@@ -4,10 +4,11 @@
 ``jobs - 1`` helper threads plus the calling thread.  Held here: a sim
 batch equals :func:`run_task` bit for bit whatever the thread count and
 whichever lane its runs take, no thread outlives a batch that raised,
-and the process memos concurrent runs share -- the sparse-policy
-reservoir memo and the route-table memo -- hand every thread its own
-answer under a shortened switch interval, and each run reports only the
-route-table composing its own thread did.
+runs side by side keep their own sparse-policy reservoirs, the
+route-table memo hands every thread its own answer under a shortened
+switch interval, what a table derives is built once however many runs
+set up on it at once, and each run reports only the route-table filling
+its own thread did.
 """
 
 import sys
@@ -20,7 +21,8 @@ from repro.perf.executor import SimTask, SweepExecutor, run_task
 from repro.routing.pathset import HopClassPolicy
 from repro.routing import table
 from repro.routing.table import route_table, topology_key
-from repro.sim import SimParams
+from repro.sim import SimParams, network
+from repro.sim.array import native_available
 from repro.sim.engine import Run
 from repro.spec import PolicySpec
 from repro.topology import Dragonfly
@@ -200,3 +202,37 @@ def test_concurrent_set_ups_each_report_their_own_fill(monkeypatch):
     fills = [r.manifest.metrics["routing.table_fill_seconds"] for r in results]
     assert all(fill >= 0.0 for fill in fills)
     assert sum(fills) == pytest.approx(route_table(topo).fill_seconds)
+
+
+def test_concurrent_set_ups_fill_each_image_once(monkeypatch):
+    """Runs set up at once on a fresh topology wait for the one build of
+    what they share instead of building it again: the channel layout on
+    either lane, the images where the runs take the array lane."""
+    monkeypatch.setattr(table, "_TABLES", {})
+    monkeypatch.setattr(table, "_LAST", (None, None))
+    built = {"min": 0, "vlb": 0, "layout": 0}
+
+    def counting(name, build):
+        def wrapper(*args):
+            built[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    for name, owner, attr in (
+        ("min", table.RouteTable, "_compose_min_image"),
+        ("vlb", table.RouteTable, "_compose_vlb_image"),
+        ("layout", network, "_build_layout"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    topo = Dragonfly(4, 8, 4, 9)
+    params = SimParams(window_cycles=1, warmup_windows=0)
+    tasks = [
+        SimTask(topo, UniformRandom(topo), 0.1, routing="ugal-l",
+                params=params, seed=seed)
+        for seed in range(4)
+    ]
+    with SweepExecutor(jobs=2) as executor:
+        executor.run(tasks)
+    images = 1 if native_available() else 0  # the packet lane reads none
+    assert built == {"min": images, "vlb": images, "layout": 1}

@@ -49,8 +49,8 @@ def _explicit_with(pair, desc):
     """Every VLB descriptor, listed, plus one that names no path."""
 
     def make(topo):
-        paths = ExplicitPathSet.from_policy(topo, AllVlbPolicy()).paths
-        paths[pair] = paths[pair] + [desc]
+        paths = dict(ExplicitPathSet.from_policy(topo, AllVlbPolicy()).paths)
+        paths[pair] = (*paths[pair], desc)
         return ExplicitPathSet(paths=paths, label="explicit bad")
 
     return make
