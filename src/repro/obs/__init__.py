@@ -40,6 +40,7 @@ from repro.obs.trace import (
     Tracer,
     active_capture,
     capture,
+    channel_utilization,
     render_summary,
 )
 
@@ -57,6 +58,7 @@ __all__ = [
     "Tracer",
     "active_capture",
     "capture",
+    "channel_utilization",
     "enable_verbose",
     "get_logger",
     "logger",

@@ -399,14 +399,33 @@ def capture(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
         _CAPTURE_STACK.pop()
 
 
+def channel_utilization(totals: Any, cycles: int) -> Dict[str, float]:
+    """Mean and max flits per cycle of the local and the global switch
+    channels, from ``totals`` -- the ``(local, global)`` flit-count
+    arrays of a network's ``channel_flit_totals()``, or the difference
+    of two of them -- over ``cycles``.
+
+    The one reduction behind ``SimResult.channel_utilization`` on both
+    engines and the sampler's ``util``: each count is divided by the
+    cycles first, then reduced, and a kind with no channel reads 0.0.
+    """
+    out: Dict[str, float] = {}
+    for kind, flits in zip(("local", "global"), totals):
+        util = flits / max(cycles, 1)
+        out[f"{kind}_mean"] = float(util.mean()) if util.size else 0.0
+        out[f"{kind}_max"] = float(util.max()) if util.size else 0.0
+    return out
+
+
 class EngineSampler:
     """Periodic network-state sampler feeding a :class:`Tracer`.
 
-    Built by ``simulate()`` when ``ObsConfig.sample_every > 0``.  Each
-    sample turns the network's cumulative flit counters into per-period
-    utilization (flits/cycle/channel) via a kept baseline; the engine
-    calls :meth:`rebase` at the warmup boundary, where the network's
-    counters are reset underneath us.
+    Built by a :class:`~repro.sim.engine.Run` when
+    ``ObsConfig.sample_every > 0``.  Each sample turns the network's
+    cumulative flit counters into per-period utilization
+    (flits/cycle/channel) via a kept baseline; the engine calls
+    :meth:`rebase` at the warmup boundary, where the network's counters
+    are reset underneath us.
     """
 
     def __init__(self, tracer: Tracer, network: Any, run: str) -> None:
@@ -425,25 +444,11 @@ class EngineSampler:
         """Record one ``engine_sample`` event at the current cycle."""
         network = self.network
         cycle = network.cycle
-        period = max(cycle - self._last_cycle, 1)
         local, glob = network.channel_flit_totals()
         prev_local, prev_glob = self._last_totals
-        d_local = local - prev_local
-        d_glob = glob - prev_glob
-        util = {
-            "local_mean": float(d_local.mean()) / period
-            if d_local.size
-            else 0.0,
-            "local_max": float(d_local.max()) / period
-            if d_local.size
-            else 0.0,
-            "global_mean": float(d_glob.mean()) / period
-            if d_glob.size
-            else 0.0,
-            "global_max": float(d_glob.max()) / period
-            if d_glob.size
-            else 0.0,
-        }
+        util = channel_utilization(
+            (local - prev_local, glob - prev_glob), cycle - self._last_cycle
+        )
         self._last_cycle = cycle
         self._last_totals = (local, glob)
         self.tracer.record(

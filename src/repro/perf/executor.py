@@ -63,7 +63,7 @@ from repro.obs.manifest import RunManifest
 from repro.perf.cache import SimCache, model_fingerprint, spec_key
 from repro.routing.pathset import PathPolicy
 from repro.routing.table import route_table
-from repro.sim.engine import simulate
+from repro.sim.engine import Run
 from repro.sim.params import SimParams
 from repro.sim.stats import SimResult
 from repro.spec import ModelSpec, RunSpec, SpecError
@@ -169,8 +169,9 @@ class SimTask:
 
 def run_task(task: SimTask) -> SimResult:
     """Execute one task: the entry point of every simulation point the
-    executor computes, on whichever of its threads."""
-    return simulate(
+    executor computes, on whichever of its threads.  The run takes the
+    task's spec, so a point derives its identity once."""
+    run = Run(
         task.topo,
         task.pattern,
         task.load,
@@ -178,7 +179,10 @@ def run_task(task: SimTask) -> SimResult:
         policy=task.policy,
         params=task.params,
         seed=task.seed,
+        spec=task.spec,
     )
+    run.advance(run.total)
+    return run.finish()
 
 
 @dataclass

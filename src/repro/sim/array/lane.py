@@ -22,26 +22,47 @@ per-packet procedure's scalar draws would have left it.
 
 One entry: :meth:`RouteLane.run` advances whole windows (``repro_run``:
 injection, destinations, decisions, queueing, PAR revisions and the step
-of every cycle).
-:class:`~repro.sim.routing.RoutingAlgorithm` builds a lane when its
-strategy and policy compile (``RoutingAlgorithm.compile``); the
-per-packet procedure there stays the reference this is tested against.
+of every cycle).  A lane is a run's whole routing object on the array
+lane, with the surface of the per-packet
+:class:`~repro.sim.routing.RoutingAlgorithm` on the packet lane --
+``traffic``, ``run``, the decision counts, ``counts()`` -- so
+:class:`~repro.sim.engine.Run` drives either one the same way.  Which
+one a run gets is :func:`kernel_plan`, the lane rule; the per-packet
+procedure stays the reference this is tested against.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from repro.routing.pathset import PathPolicy, PolicyProgram
-from repro.routing.table import MinImage, RouteTable
+from repro.routing.pathset import (
+    AllVlbPolicy,
+    PathPolicy,
+    PolicyProgram,
+    policy_program,
+)
+from repro.routing.table import MinImage, RouteTable, route_table
 from repro.sim.array import native
 from repro.sim.array.network import ArrayNetwork
-from repro.traffic.patterns import NO_TRAFFIC, DestinationProgram
+from repro.sim.params import SimParams
+from repro.sim.strategies import (
+    MinimalStrategy,
+    ParStrategy,
+    UgalGlobalStrategy,
+    UgalLocalStrategy,
+    ValiantStrategy,
+)
+from repro.topology.dragonfly import Dragonfly
+from repro.traffic.patterns import (
+    NO_TRAFFIC,
+    TrafficPattern,
+    destination_program,
+)
 
-__all__ = ["RouteLane"]
+__all__ = ["KernelPlan", "RouteLane", "kernel_plan"]
 
 _INITIAL_POOL = 1 << 14  # int32 entries
 _INITIAL_REPLAY = 1 << 10  # words one decision may draw before growth
@@ -66,6 +87,69 @@ REASONS = {
     native.RS_DESTS: "destinations",
 }
 
+# the decision procedures kernel.c implements (its RK_* ids), by exact
+# type: a subclass with its own cost or revision rule stays in Python
+_KERNEL_STRATEGIES = {
+    MinimalStrategy: 0,
+    ValiantStrategy: 1,
+    UgalLocalStrategy: 2,
+    UgalGlobalStrategy: 3,
+    ParStrategy: native.RK_PAR,
+}
+
+
+class KernelPlan(NamedTuple):
+    """What the routing kernel makes a run's decisions from."""
+
+    kind: int  # the strategy's kernel.c RK_* id
+    program: PolicyProgram  # the policy's membership test, as data
+    image: MinImage  # every MIN candidate, with its VC ladder
+
+
+def kernel_plan(
+    topo: Dragonfly,
+    pattern: TrafficPattern,
+    *,
+    routing: str,
+    policy: Optional[PathPolicy],
+    params: SimParams,
+    num_vcs: int,
+) -> Optional[KernelPlan]:
+    """The lane rule: how the kernel makes a run's decisions, or ``None``
+    where the per-packet procedure makes them (on the wheel ``Network``).
+
+    The kernel routes a run when it loads (``REPRO_ARRAYNET_NATIVE=require``
+    raises here when it does not), the pattern is not a scheduled trace,
+    the strategy is one of the five ``kernel.c`` implements (by exact
+    type: a subclass with its own cost or revision rule stays in
+    Python), the policy's membership test exists as data
+    (:func:`~repro.routing.pathset.policy_program`) and every MIN ladder
+    fits ``num_vcs`` (where one does not, the per-packet procedure raises
+    the error where it always did).  ``routing`` is a variant name as
+    :func:`~repro.sim.routing.make_routing` takes it.
+    """
+    from repro.spec.builtins import resolve_routing, strategy_for
+
+    base, _custom = resolve_routing(routing, has_policy=policy is not None)
+    kind = _KERNEL_STRATEGIES.get(type(strategy_for(base)))
+    if (
+        native.load_kernel() is None
+        or getattr(pattern, "scheduled", False)
+        or kind is None
+    ):
+        return None
+    table = route_table(topo)
+    program = policy_program(
+        policy if policy is not None else AllVlbPolicy(), table
+    )
+    if program is None:
+        return None
+    try:
+        image = table.min_image(params.vc_scheme, num_vcs)
+    except ValueError:
+        return None
+    return KernelPlan(kind, program, image)
+
 
 class RouteLane:
     """One run's routing decisions and cycle loop, made by ``kernel.c``
@@ -89,7 +173,7 @@ class RouteLane:
         # how often the kernel was entered, and what it came back for
         self.kernel_calls = 0
         self.returns: Dict[str, int] = dict.fromkeys(REASONS.values(), 0)
-        self._sample: Optional[Callable[[np.ndarray], np.ndarray]] = None
+        self._pattern: Optional[TrafficPattern] = None
         params = network.params
         rows = table.vlb_image()
         first, descriptors = (
@@ -171,18 +255,19 @@ class RouteLane:
         self,
         load: float,
         max_source_queue: int,
-        program: Optional[DestinationProgram],
-        sample: Callable[[np.ndarray], np.ndarray],
+        pattern: TrafficPattern,
     ) -> None:
         """What :meth:`run` injects: each node with probability ``load``
-        per cycle, to ``program``'s destinations -- or, without one, to
-        ``sample(srcs)``, asked every cycle -- unless its source queue
-        already holds ``max_source_queue`` packets."""
+        per cycle, to the destinations of ``pattern``'s destination
+        program -- or, without one, of its ``sample_destinations``,
+        asked every cycle -- unless its source queue already holds
+        ``max_source_queue`` packets."""
         ctx = self.ctx
         ctx.load = load
         ctx.max_queue = max_source_queue
+        program = destination_program(pattern)
         ctx.has_program = program is not None
-        self._sample = sample
+        self._pattern = pattern
         if program is None:
             return
         nodes = len(self._arrays["srcs"])
@@ -250,7 +335,8 @@ class RouteLane:
             elif status == native.RS_DESTS:
                 srcs = self._arrays["srcs"][: ctx.nsrc].copy()
                 self._arrays["dsts"][: ctx.nsrc] = self._destinations(
-                    self._sample(srcs), ctx.nsrc
+                    self._pattern.sample_destinations(srcs, self.rng),
+                    ctx.nsrc,
                 )
             elif status == native.RS_PACKETS:
                 network._grow_pool()
@@ -348,6 +434,24 @@ class RouteLane:
             self._ctx_ref, len(self._arrays["srcs"])
         )
         return self._arrays["dsts"][:count].copy()
+
+    # ------------------------------------------------------------------
+    # What the run did (the kernel's cumulative counters)
+    # ------------------------------------------------------------------
+    @property
+    def min_chosen(self) -> int:
+        """Packets routed minimally so far."""
+        return self.ctx.cnt[native.RC_MIN]
+
+    @property
+    def vlb_chosen(self) -> int:
+        """Packets routed over a VLB candidate so far."""
+        return self.ctx.cnt[native.RC_VLB]
+
+    @property
+    def par_revised(self) -> int:
+        """PAR revisions taken so far."""
+        return self.ctx.cnt[native.RC_REVISED]
 
     def counts(self) -> Dict[str, int]:
         """What the decisions and the loop did, by metric name."""

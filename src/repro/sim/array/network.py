@@ -36,7 +36,7 @@ entries and spec fingerprints.
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -381,26 +381,6 @@ class ArrayNetwork:
     def reset_channel_counters(self) -> None:
         """Zero per-channel traversal counters (at the warmup boundary)."""
         self._S.flits[:] = 0
-
-    def channel_utilization(self, cycles: int) -> Dict[str, float]:
-        """Mean/max flits per cycle of local and global channels."""
-        S = self._S
-        nSw = self._num_switch_channels
-        flits = S.flits[:nSw]
-        glob_mask = S.is_global[:nSw]
-        # same element order and the same elementwise int/int true
-        # divisions as the wheel's per-channel loop, so the pairwise
-        # numpy reductions see identical float64 inputs
-        local = flits[~glob_mask] / max(cycles, 1)
-        glob = flits[glob_mask] / max(cycles, 1)
-        local_arr = local if local.size else np.zeros(1)
-        glob_arr = glob if glob.size else np.zeros(1)
-        return {
-            "local_mean": float(local_arr.mean()),
-            "local_max": float(local_arr.max()),
-            "global_mean": float(glob_arr.mean()),
-            "global_max": float(glob_arr.max()),
-        }
 
     def channel_flit_totals(self) -> Tuple[np.ndarray, np.ndarray]:
         """Cumulative flits sent per switch channel (local, global)."""

@@ -1,10 +1,14 @@
 """Top-level simulation driver.
 
-``simulate(...)`` builds the network, wires a routing algorithm and a
-traffic pattern to it, runs warmup + measurement windows, and returns a
-:class:`~repro.sim.stats.SimResult`.  What a run *is* -- its set-up, its
-cycle loop, its result -- is :class:`Run`, shared with
-:func:`repro.sim.batch.simulate_batch`.
+``simulate(...)`` runs one simulation point at a fixed offered load and
+returns a :class:`~repro.sim.stats.SimResult`.  What a run *is* -- its
+set-up, its cycle loop, its result -- is :class:`Run`, shared with
+:func:`repro.sim.batch.simulate_batch` and the executor's points.  Set-up
+builds one lane object per run -- the kernel's
+:class:`~repro.sim.array.lane.RouteLane` or the per-packet
+:class:`~repro.sim.routing.RoutingAlgorithm` -- and from there on the
+run drives it through ``traffic`` / ``run`` / ``counts()`` without
+asking which one it is.
 
 Injection follows BookSim's Bernoulli process: each node independently
 generates a packet with probability ``load`` per cycle; packets wait in an
@@ -26,22 +30,19 @@ from repro.obs import (
     MetricRegistry,
     Tracer,
     active_capture,
+    channel_utilization,
 )
 from repro.obs.manifest import RunManifest
-from repro.routing.pathset import PathPolicy
+from repro.routing.pathset import AllVlbPolicy, PathPolicy
 from repro.routing.table import route_table
 from repro.sim.array import ArrayNetwork
+from repro.sim.array.lane import RouteLane, kernel_plan
 from repro.sim.network import Network
-from repro.sim.packet import Packet
 from repro.sim.params import SimParams
-from repro.sim.routing import kernel_plan, make_routing
+from repro.sim.routing import make_routing
 from repro.sim.stats import SimResult, StatsCollector
 from repro.topology.dragonfly import Dragonfly
-from repro.traffic.patterns import (
-    NO_TRAFFIC,
-    TrafficPattern,
-    destination_program,
-)
+from repro.traffic.patterns import TrafficPattern
 
 __all__ = ["Run", "simulate", "build_network"]
 
@@ -71,18 +72,19 @@ def build_network(
 class Run:
     """One simulation run: set-up, the cycle loop, result.
 
-    ``simulate()`` and ``simulate_batch`` are both built from it: make
-    one, :meth:`advance` it to ``total``, :meth:`finish`.  Everything
-    that decides a result -- the rng, the draw order, the routing
-    algorithm, the statistics -- lives here once.  The lane is decided
-    once, before the network is built (:func:`~repro.sim.routing.
-    kernel_plan`), and picks the engine: on the array lane ``net`` is an
-    :class:`~repro.sim.array.ArrayNetwork` and :meth:`advance` is the
-    native kernel's cycle loop, entered once per segment (warm-up end,
-    sampler tick, ``until``) and coming back in between only for a
-    buffer to grow or drain; on the packet lane ``net`` is the wheel
-    :class:`~repro.sim.network.Network` and :meth:`advance` is
-    ``inject(cycle); net.step()`` per cycle, the reference.
+    ``simulate()``, ``simulate_batch`` and the executor's points are all
+    built from it: make one, :meth:`advance` it to ``total``,
+    :meth:`finish`.  Everything that decides a result -- the rng, the
+    routing, the statistics -- lives here once.  Set-up asks the lane
+    rule (:func:`~repro.sim.array.lane.kernel_plan`) once and builds one
+    lane object, ``algo``, with its engine ``net``: on the array lane a
+    :class:`~repro.sim.array.lane.RouteLane` over an
+    :class:`~repro.sim.array.ArrayNetwork` (the native kernel's cycle
+    loop), on the packet lane a
+    :class:`~repro.sim.routing.RoutingAlgorithm` over the wheel
+    :class:`~repro.sim.network.Network` (the per-packet reference).
+    Both inject, decide and step behind the same ``traffic`` / ``run``
+    / ``counts()``, so nothing after set-up asks which lane it is.
     """
 
     def __init__(
@@ -109,10 +111,8 @@ class Run:
         self.params = params
         self.seed = seed
         self.spec = spec
-        self.max_source_queue = max_source_queue
         self.warmup = params.warmup_cycles
         self.total = params.total_cycles
-        self._scheduled = getattr(pattern, "scheduled", False)
         num_vcs = _num_vcs(topo, params, routing)
         table = route_table(topo)
         filled = table.thread_fill_seconds()
@@ -132,22 +132,37 @@ class Run:
             params=params,
             num_vcs=num_vcs,
         )
-        self.lane = "packet" if plan is None else "array"
+        self.rng = rng = np.random.default_rng(seed)
+        self.stats = stats = StatsCollector(topo.num_nodes, self.warmup)
         # repro: allow[DET104]: set-up split, as above
         build_start = time.perf_counter()
-        # the lane's engine: the wheel Network or the native ArrayNetwork
-        self.net: Any = (
-            Network(topo, params, num_vcs)
-            if plan is None
-            else ArrayNetwork(topo, params, num_vcs)
-        )
-        net = self.net
-        # repro: allow[DET104]: closes the network build measurement
-        build_seconds = time.perf_counter() - build_start
-        compile_seconds = build_start - compile_start
-        self.rng = np.random.default_rng(seed)
-        self.algo = make_routing(net, routing, policy=policy, rng=self.rng)
-        base = self.algo.variant  # the name without its t- prefix
+        # the lane: its engine, the engine's ejection hook, its routing
+        self.algo: Any
+        if plan is None:
+            self.lane = "packet"
+            self.net: Any = Network(topo, params, num_vcs)
+            self.net.on_eject = stats.record_ejection
+            # repro: allow[DET104]: closes the network build measurement
+            build_seconds = time.perf_counter() - build_start
+            self.algo = make_routing(self.net, routing, policy=policy, rng=rng)
+        else:
+            self.lane = "array"
+            self.net = ArrayNetwork(topo, params, num_vcs)
+            self.net.on_eject_batch = stats.record_ejection_batch
+            # repro: allow[DET104]: closes the network build measurement
+            build_seconds = time.perf_counter() - build_start
+            self.algo = RouteLane(
+                self.net,
+                table,
+                plan.image,
+                policy if policy is not None else AllVlbPolicy(),
+                plan.program,
+                plan.kind,
+                rng,
+            )
+        self.algo.traffic(load, max_source_queue, pattern)
+        # repro: allow[DET104]: closes the compile measurement
+        compile_seconds = time.perf_counter() - compile_start - build_seconds
         if params.verify:
             # static pre-flight gate: certify deadlock freedom and path-set
             # invariants before burning cycles on a broken configuration
@@ -157,7 +172,7 @@ class Run:
                 topo,
                 policy,
                 scheme=params.vc_scheme,
-                routing=base,
+                routing=routing,
                 num_vcs=num_vcs,
                 seed=seed,
             )
@@ -166,36 +181,12 @@ class Run:
                     "static verification failed for this simulation "
                     f"configuration:\n{report.to_text()}"
                 )
-        self.stats = StatsCollector(topo.num_nodes, self.warmup)
         obs = params.obs
         self.registry = (
             MetricRegistry()
             if obs is not None and obs.metrics
             else NULL_REGISTRY
         )
-        self._inc_injected = self.registry.counter("engine.packets_injected").inc
-        self._inc_stalled = self.registry.counter("engine.inject_stalls").inc
-        self._nodes = np.arange(topo.num_nodes)
-        # simulate()'s periodic state sampler, ticked by advance()
-        self.sampler: Optional[EngineSampler] = None
-        self.sample_every = 0
-        if plan is None:
-            net.on_eject = self.stats.record_ejection
-            net.on_arrival = self.algo.revise_at
-        else:
-            net.on_eject_batch = self.stats.record_ejection_batch
-            # repro: allow[DET104]: set-up split, as above
-            lane_start = time.perf_counter()
-            self.algo.compile(plan)
-            rng = self.rng
-            self.algo.lane.traffic(
-                load,
-                max_source_queue,
-                destination_program(pattern),
-                lambda srcs: pattern.sample_destinations(srcs, rng),
-            )
-            # repro: allow[DET104]: closes the compile measurement
-            compile_seconds += time.perf_counter() - lane_start
         gauge = self.registry.gauge
         gauge("engine.setup.build_network_seconds").set(build_seconds)
         gauge("engine.setup.compile_seconds").set(compile_seconds)
@@ -205,9 +196,35 @@ class Run:
         gauge("routing.table_fill_seconds").set(
             table.thread_fill_seconds() - filled
         )
+        # the periodic state sampler and its event log: only a sampler
+        # adds segment ends to advance() (tests/test_obs_parity.py
+        # asserts ObsConfig() attaches none)
+        self.tracer: Optional[Tracer] = None
+        self.sampler: Optional[EngineSampler] = None
+        self.sample_every = 0
+        if obs is not None and obs.sample_every > 0:
+            self.sample_every = obs.sample_every
+            self.tracer = Tracer()
+            self.tracer.record(
+                "run_start",
+                run=self._label,
+                kind="sim",
+                cycle=0,
+                topology=str(topo),
+                routing=routing,
+                load=float(load),
+                seed=int(seed),
+                sample_every=self.sample_every,
+            )
+            self.sampler = EngineSampler(self.tracer, self.net, self._label)
         # repro: allow[DET104]: wall_seconds is runtime metadata on the
         # manifest, never part of result identity or cache keys
         self._wall_start = time.perf_counter()
+
+    @property
+    def _label(self) -> str:
+        """The run's name in its trace events."""
+        return f"seed{self.seed}-load{self.load:g}"
 
     @classmethod
     def from_spec(cls, spec: Any, topo: Optional[Dragonfly] = None) -> "Run":
@@ -234,17 +251,13 @@ class Run:
 
         Split where Python has something to do between two cycles: the
         channel counters restart when the warm-up ends, the sampler (if
-        ``simulate()`` attached one) ticks every ``sample_every`` cycles.
-        Calling it once for the whole run or once per cycle gives the
-        same run.
+        the run traces) ticks every ``sample_every`` cycles.  Each piece
+        is one ``algo.run(stop)``.  Calling it once for the whole run or
+        once per cycle gives the same run.
         """
         net = self.net
-        every = self.sample_every if self.sampler is not None else 0
-        step = (
-            self.algo.advance
-            if self.lane == "array"
-            else self._advance_packets
-        )
+        run = self.algo.run
+        every = self.sample_every
         while net.cycle < until:
             cycle = net.cycle
             if cycle == self.warmup:
@@ -256,70 +269,9 @@ class Run:
                 stop = self.warmup
             if every:
                 stop = min(stop, cycle - cycle % every + every)
-            step(stop)
+            run(stop)
             if every and stop % every == 0:
                 self.sampler.sample()
-
-    def _advance_packets(self, until: int) -> None:
-        """The packet lane: route and queue in Python, step per cycle."""
-        net = self.net
-        for cycle in range(net.cycle, until):
-            self.inject(cycle)
-            net.step()
-
-    # ------------------------------------------------------------------
-    # Packet-lane injection: trace events, or one Bernoulli draw per node
-    # ------------------------------------------------------------------
-    def inject(self, cycle: int) -> None:
-        """Generate, route and queue the packets of ``cycle``, packet by
-        packet (the reference of the kernel loop's injection phases)."""
-        if self._scheduled:
-            self._inject_scheduled(cycle)
-        elif self.load > 0.0:
-            draws = self.rng.random(self.topo.num_nodes) < self.load
-            srcs = self._nodes[draws]
-            if srcs.size:
-                dests = self.pattern.sample_destinations(srcs, self.rng)
-                self._inject_routed(cycle, srcs, dests)
-
-    def _inject_scheduled(self, cycle: int) -> None:
-        net = self.net
-        algo = self.algo
-        for src, dst in self.pattern.injections_at(cycle):
-            if src == dst:
-                continue
-            if net.source_queue_len(src) >= self.max_source_queue:
-                self._inc_stalled()
-                continue
-            packet = Packet(src, int(dst), cycle)
-            algo.route_packet(packet)
-            net.inject(packet)
-            self._inc_injected()
-
-    def _inject_routed(self, cycle: int, srcs: np.ndarray, dests) -> None:
-        """Create, route all, then inject all.
-
-        Routing reads only channel load_metric state (never source
-        queues), each node draws at most one packet per cycle, and
-        route_packets preserves sequence order, so this is bit-identical
-        to a per-packet route/inject interleave.
-        """
-        net = self.net
-        cap = self.max_source_queue
-        inc_stalled, inc_injected = self._inc_stalled, self._inc_injected
-        batch = []
-        for src, dst in zip(srcs.tolist(), dests.tolist()):
-            if dst == NO_TRAFFIC:
-                continue
-            if net.source_queue_len(src) >= cap:
-                inc_stalled()
-                continue
-            batch.append(Packet(src, int(dst), cycle))
-            inc_injected()
-        if batch:
-            self.algo.route_packets(batch)
-            for packet in batch:
-                net.inject(packet)
 
     # ------------------------------------------------------------------
     def finish(self) -> SimResult:
@@ -329,11 +281,6 @@ class Run:
         # the engine buffers ejections across cycles; drain them before
         # stats.result so the tail packets count
         net.finalize()
-        if self.lane == "packet":
-            # the hook closes a network <-> routing reference cycle;
-            # without it both are freed on return instead of piling up
-            # until a full GC
-            net.on_arrival = None
         # repro: allow[DET104]: closes the wall_seconds runtime measurement
         wall_seconds = time.perf_counter() - self._wall_start
         measure_cycles = params.measure_windows * params.window_cycles
@@ -345,7 +292,9 @@ class Run:
             sat_accept_factor=params.sat_accept_factor,
             live_fraction=self.pattern.live_fraction(),
         )
-        result.channel_utilization = net.channel_utilization(measure_cycles)
+        result.channel_utilization = channel_utilization(
+            net.channel_flit_totals(), measure_cycles
+        )
 
         # provenance, off the hot path: observability never perturbs the
         # result above
@@ -359,16 +308,44 @@ class Run:
         manifest.wall_seconds = wall_seconds
         manifest.engine_cycles = self.total
         if registry.enabled:
-            if self.algo.lane is not None:
-                # what the decisions and the loop did, from counts the
-                # kernel keeps anyway (sampling attempts per accept is
-                # the policy's "useful outcomes per attempt")
-                for name, value in self.algo.lane.counts().items():
-                    registry.counter(name).inc(value)
+            # what the injection, the decisions and the loop did (on the
+            # array lane, sampling attempts per accept is the policy's
+            # "useful outcomes per attempt")
+            for name, value in self.algo.counts().items():
+                registry.counter(name).inc(value)
             manifest.metrics = registry.snapshot()
             manifest.metrics["routing.lane"] = self.lane
         result.manifest = manifest
+        if self.tracer is not None:
+            self._save_trace(manifest)
         return result
+
+    def _save_trace(self, manifest: RunManifest) -> None:
+        """Close the run's event log: ``run_end``, then the per-run
+        JSONL under ``obs.trace_dir`` and the caller's capture."""
+        tracer = self.tracer
+        tracer.record(
+            "run_end",
+            run=self._label,
+            kind="sim",
+            cycle=self.total,
+            cycles=self.total,
+            wall_seconds=manifest.wall_seconds,
+            metrics=manifest.metrics,
+        )
+        trace_dir = self.params.obs.trace_dir
+        if trace_dir:
+            stem = (
+                manifest.spec_fingerprint[:12]
+                if manifest.spec_fingerprint
+                else "adhoc"
+            )
+            tracer.save_jsonl(
+                os.path.join(trace_dir, f"engine-{stem}-{self._label}.jsonl")
+            )
+        captured = active_capture()
+        if captured is not None:
+            captured.extend(tracer.events)
 
     def _manifest(self) -> RunManifest:
         """The provenance record of this run (identity fields only).
@@ -460,60 +437,5 @@ def simulate(
             seed=seed,
             max_source_queue=max_source_queue,
         )
-    total_cycles = run.total
-
-    # --- observability wiring (repro.obs; identity-neutral) ---
-    # The disabled default leaves the loop untouched: only a sampler
-    # adds segment ends to ``run.advance`` (tests/test_obs_parity.py
-    # asserts ``ObsConfig()`` attaches none and enters the kernel as
-    # often as ``obs=None``).
-    obs = run.params.obs
-    tracer: Optional[Tracer] = None
-    run_label = ""
-    if obs is not None and obs.sample_every > 0:
-        run.sample_every = sample_every = obs.sample_every
-        run_label = f"seed{run.seed}-load{run.load:g}"
-        tracer = Tracer()
-        tracer.record(
-            "run_start",
-            run=run_label,
-            kind="sim",
-            cycle=0,
-            topology=str(run.topo),
-            routing=run.routing,
-            load=float(run.load),
-            seed=int(run.seed),
-            sample_every=sample_every,
-        )
-        run.sampler = EngineSampler(tracer, run.net, run_label)
-
-    run.advance(total_cycles)
-    result = run.finish()
-
-    if tracer is not None:
-        manifest = run.manifest
-        tracer.record(
-            "run_end",
-            run=run_label,
-            kind="sim",
-            cycle=total_cycles,
-            cycles=total_cycles,
-            wall_seconds=manifest.wall_seconds,
-            metrics=manifest.metrics,
-        )
-        if obs is not None and obs.trace_dir:
-            stem = (
-                manifest.spec_fingerprint[:12]
-                if manifest.spec_fingerprint
-                else "adhoc"
-            )
-            tracer.save_jsonl(
-                os.path.join(
-                    obs.trace_dir,
-                    f"engine-{stem}-{run_label}.jsonl",
-                )
-            )
-        captured = active_capture()
-        if captured is not None:
-            captured.extend(tracer.events)
-    return result
+    run.advance(run.total)
+    return run.finish()

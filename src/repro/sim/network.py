@@ -51,6 +51,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.obs import channel_utilization
 from repro.routing.paths import LOCAL_SLOT, Path
 from repro.routing.table import RouteTable, route_table
 from repro.sim.packet import Packet
@@ -674,21 +675,7 @@ class Network:
         local and global channels over ``cycles`` -- used to verify the
         load-balance properties that T-VLB selection relies on.
         """
-        local = []
-        glob = []
-        # repro: allow[DET102]: self.channels is insertion-ordered by the
-        # deterministic topology construction; order is reproducible
-        for channel in self.channels.values():
-            util = channel.flits_sent / max(cycles, 1)
-            (glob if channel.is_global_link else local).append(util)
-        local_arr = np.asarray(local) if local else np.zeros(1)
-        glob_arr = np.asarray(glob) if glob else np.zeros(1)
-        return {
-            "local_mean": float(local_arr.mean()),
-            "local_max": float(local_arr.max()),
-            "global_mean": float(glob_arr.mean()),
-            "global_max": float(glob_arr.max()),
-        }
+        return channel_utilization(self.channel_flit_totals(), cycles)
 
     # ------------------------------------------------------------------
     # Observability hooks (repro.obs) -- read-only samples of live state.

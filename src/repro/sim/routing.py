@@ -24,15 +24,15 @@ the whole batch against one read of the channel loads.
 
 That per-packet procedure (``route_packet`` / ``route_packets`` /
 ``revise_at``, over a wheel :class:`~repro.sim.network.Network`) is the
-definition.  Where the five built-in strategies meet a policy whose
-membership test exists as data (:func:`kernel_plan`, the lane rule),
-:meth:`RoutingAlgorithm.compile` moves the same procedure -- same draws,
-same order, same candidate cache -- into the native kernel
-(:class:`~repro.sim.array.lane.RouteLane`) over an
-:class:`~repro.sim.array.ArrayNetwork`, where
-:class:`~repro.sim.engine.Run` drives it whole windows at a time
-(``advance``).  See "Route tables and draw order" and "The run loop"
-in ``docs/simulator.md``.
+definition.  On a packet-lane run the algorithm is also the run's whole
+routing object: :meth:`RoutingAlgorithm.traffic` says what to inject,
+:meth:`RoutingAlgorithm.run` generates, routes and queues each cycle's
+packets and steps the network, and :meth:`RoutingAlgorithm.counts` is
+what the injection did.  The array lane's
+:class:`~repro.sim.array.lane.RouteLane` has the same surface and makes
+the same decisions -- same draws, same order, same candidate cache --
+in the native kernel; this module knows nothing of it.  See "Route
+tables and draw order" and "The run loop" in ``docs/simulator.md``.
 """
 
 from __future__ import annotations
@@ -51,57 +51,22 @@ from typing import (
 
 import numpy as np
 
-from repro.routing.pathset import (
-    AllVlbPolicy,
-    PathPolicy,
-    PolicyProgram,
-    policy_program,
-)
-from repro.routing.table import MinImage, route_table
-from repro.sim.array.lane import RouteLane
-from repro.sim.array.network import ArrayNetwork
-from repro.sim.array.native import (
-    RC_MIN,
-    RC_REVISED,
-    RC_VLB,
-    RK_PAR,
-    load_kernel,
-)
+from repro.routing.pathset import AllVlbPolicy, PathPolicy
+from repro.routing.table import route_table
 from repro.sim.draws import DrawStream
 from repro.sim.network import Network, SimChannel
 from repro.sim.packet import Packet
-from repro.sim.params import SimParams
-from repro.sim.strategies import (
-    MinimalStrategy,
-    ParStrategy,
-    UgalGlobalStrategy,
-    UgalLocalStrategy,
-    ValiantStrategy,
-)
-from repro.topology.dragonfly import Dragonfly
-from repro.traffic.patterns import TrafficPattern
+from repro.traffic.patterns import NO_TRAFFIC, TrafficPattern
 
 __all__ = [
     "Candidate",
-    "KernelPlan",
     "Pick",
     "RoutingAlgorithm",
     "ROUTING_VARIANTS",
-    "kernel_plan",
     "make_routing",
 ]
 
 ROUTING_VARIANTS = ("min", "vlb", "ugal-l", "ugal-g", "par")
-
-# the decision procedures kernel.c implements (its RK_* ids), by exact
-# type: a subclass with its own cost or revision rule stays in Python
-_KERNEL_STRATEGIES = {
-    MinimalStrategy: 0,
-    ValiantStrategy: 1,
-    UgalLocalStrategy: 2,
-    UgalGlobalStrategy: 3,
-    ParStrategy: RK_PAR,
-}
 
 
 class Candidate(NamedTuple):
@@ -141,12 +106,9 @@ _NO_VLB_PATH = _NoVlbPath()
 
 
 class RoutingAlgorithm:
-    """Per-packet route selection bound to a network and a VLB policy.
-
-    The per-packet procedure routes over a wheel ``Network``; bound to
-    an :class:`~repro.sim.array.ArrayNetwork`, the algorithm only makes
-    its decisions in the kernel (:meth:`compile`, :meth:`advance`).
-    """
+    """Per-packet route selection bound to a wheel ``Network`` and a
+    VLB policy -- and, given :meth:`traffic`, a packet-lane run's
+    injection and cycle loop (:meth:`run`)."""
 
     def __init__(
         self,
@@ -195,8 +157,12 @@ class RoutingAlgorithm:
         self._revised: Dict[
             Tuple[int, ...], Tuple[List[SimChannel], List[int]]
         ] = {}
-        # kernel-side decisions, once compile() built them
-        self.lane: Optional[RouteLane] = None
+        # what traffic() set and run() injected
+        self.load = 0.0
+        self.max_source_queue = 0
+        self.pattern: Optional[TrafficPattern] = None
+        self.injected = 0
+        self.stalled = 0
 
     # ------------------------------------------------------------------
     # Candidate generation
@@ -374,45 +340,94 @@ class RoutingAlgorithm:
         self.strategy.revise(self, packet, router_idx)
 
     # ------------------------------------------------------------------
-    # The same decisions as kernel calls (array-level entries)
+    # The packet lane: trace events, or one Bernoulli draw per node
     # ------------------------------------------------------------------
-    def compile(self, plan: "KernelPlan") -> None:
-        """Make this algorithm's decisions in the routing kernel, over
-        its :class:`~repro.sim.array.ArrayNetwork`, from ``plan`` (what
-        :func:`kernel_plan` answered for the run): :meth:`advance` is
-        available from here on.  Building the lane composes the
-        topology's flattened tables (milliseconds, once per topology and
-        process)."""
-        network = self.network
-        if not isinstance(network, ArrayNetwork):
-            raise TypeError("the routing kernel runs over an ArrayNetwork")
-        self.lane = RouteLane(
-            network, self.table, plan.image, self.policy, plan.program,
-            plan.kind, self.rng,
-        )
+    def traffic(
+        self,
+        load: float,
+        max_source_queue: int,
+        pattern: TrafficPattern,
+    ) -> None:
+        """What :meth:`run` injects: ``pattern``'s events when it is a
+        scheduled trace, else each node with probability ``load`` per
+        cycle to ``pattern``'s ``sample_destinations`` -- unless its
+        source queue already holds ``max_source_queue`` packets."""
+        self.load = load
+        self.max_source_queue = max_source_queue
+        self.pattern = pattern
 
-    def _compiled(self) -> RouteLane:
-        if self.lane is None:
-            raise RuntimeError("advance needs compile()")
-        return self.lane
+    def run(self, until: int) -> None:
+        """Run the network to cycle ``until``, cycle by cycle: generate,
+        route and queue the cycle's packets (:meth:`inject`), then
+        ``step``.  PAR's arrival hook is attached only meanwhile, so no
+        network <-> routing reference cycle outlives the call."""
+        net = self.network
+        net.on_arrival = self.revise_at
+        try:
+            for cycle in range(net.cycle, until):
+                self.inject(cycle)
+                net.step()
+        finally:
+            net.on_arrival = None
 
-    def _absorb(self) -> None:
-        """Move the kernel's decision counts since the last call into
-        ``min_chosen`` / ``vlb_chosen`` / ``par_revised``."""
-        cnt = self._compiled().ctx.cnt
-        self.min_chosen += cnt[RC_MIN]
-        self.vlb_chosen += cnt[RC_VLB]
-        self.par_revised += cnt[RC_REVISED]
-        cnt[RC_MIN] = cnt[RC_VLB] = cnt[RC_REVISED] = 0
+    def inject(self, cycle: int) -> None:
+        """Generate, route and queue the packets of ``cycle``, packet by
+        packet (the reference of the kernel loop's injection phases)."""
+        pattern = self.pattern
+        if getattr(pattern, "scheduled", False):
+            self._inject_scheduled(cycle)
+        elif self.load > 0.0:
+            rng = self.rng
+            nodes = self.topo.num_nodes
+            srcs = np.flatnonzero(rng.random(nodes) < self.load)
+            if srcs.size:
+                dests = pattern.sample_destinations(srcs, rng)
+                self._inject_routed(cycle, srcs, dests)
 
-    def advance(self, until: int) -> None:
-        """Run the network to cycle ``until`` in the kernel: each cycle's
-        injection (the traffic given to ``lane.traffic``), decisions,
-        queueing, PAR revisions and step.  Needs :meth:`compile`.  Draws,
-        candidate-cache updates and the generator's end state are those
-        of the per-packet procedure driven cycle by cycle."""
-        self._compiled().run(until)
-        self._absorb()
+    def _inject_scheduled(self, cycle: int) -> None:
+        net = self.network
+        cap = self.max_source_queue
+        for src, dst in self.pattern.injections_at(cycle):
+            if src == dst:
+                continue
+            if net.source_queue_len(src) >= cap:
+                self.stalled += 1
+                continue
+            packet = Packet(src, int(dst), cycle)
+            self.route_packet(packet)
+            net.inject(packet)
+            self.injected += 1
+
+    def _inject_routed(self, cycle: int, srcs: np.ndarray, dests) -> None:
+        """Create, route all, then inject all.
+
+        Routing reads only channel load_metric state (never source
+        queues), each node draws at most one packet per cycle, and
+        route_packets preserves sequence order, so this is bit-identical
+        to a per-packet route/inject interleave.
+        """
+        net = self.network
+        cap = self.max_source_queue
+        batch = []
+        for src, dst in zip(srcs.tolist(), dests.tolist()):
+            if dst == NO_TRAFFIC:
+                continue
+            if net.source_queue_len(src) >= cap:
+                self.stalled += 1
+                continue
+            batch.append(Packet(src, int(dst), cycle))
+        if batch:
+            self.injected += len(batch)
+            self.route_packets(batch)
+            for packet in batch:
+                net.inject(packet)
+
+    def counts(self) -> Dict[str, int]:
+        """What the injection did, by metric name."""
+        return {
+            "engine.packets_injected": self.injected,
+            "engine.inject_stalls": self.stalled,
+        }
 
     # ------------------------------------------------------------------
     def _apply(
@@ -426,59 +441,6 @@ class RoutingAlgorithm:
             self.vlb_chosen += 1
         else:
             self.min_chosen += 1
-
-
-class KernelPlan(NamedTuple):
-    """What the routing kernel makes a run's decisions from."""
-
-    kind: int  # the strategy's kernel.c RK_* id
-    program: PolicyProgram  # the policy's membership test, as data
-    image: MinImage  # every MIN candidate, with its VC ladder
-
-
-def kernel_plan(
-    topo: Dragonfly,
-    pattern: TrafficPattern,
-    *,
-    routing: str,
-    policy: Optional[PathPolicy],
-    params: SimParams,
-    num_vcs: int,
-) -> Optional[KernelPlan]:
-    """The lane rule: how the kernel makes a run's decisions, or ``None``
-    where the per-packet procedure makes them (on the wheel ``Network``).
-
-    The kernel routes a run when it loads (``REPRO_ARRAYNET_NATIVE=require``
-    raises here when it does not), the pattern is not a scheduled trace,
-    the strategy is one of the five ``kernel.c`` implements (by exact
-    type: a subclass with its own cost or revision rule stays in
-    Python), the policy's membership test exists as data
-    (:func:`~repro.routing.pathset.policy_program`) and every MIN ladder
-    fits ``num_vcs`` (where one does not, the per-packet procedure raises
-    the error where it always did).  ``routing`` is a variant name as
-    :func:`make_routing` takes it.
-    """
-    from repro.spec.builtins import resolve_routing, strategy_for
-
-    base, _custom = resolve_routing(routing, has_policy=policy is not None)
-    kind = _KERNEL_STRATEGIES.get(type(strategy_for(base)))
-    if (
-        load_kernel() is None
-        or getattr(pattern, "scheduled", False)
-        or kind is None
-    ):
-        return None
-    table = route_table(topo)
-    program = policy_program(
-        policy if policy is not None else AllVlbPolicy(), table
-    )
-    if program is None:
-        return None
-    try:
-        image = table.min_image(params.vc_scheme, num_vcs)
-    except ValueError:
-        return None
-    return KernelPlan(kind, program, image)
 
 
 def make_routing(

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.manifest import RunManifest
-    from repro.sim.routing import RoutingAlgorithm
 
 __all__ = ["StatsCollector", "SimResult"]
 
@@ -131,11 +130,13 @@ class StatsCollector:
         offered_load: float,
         measure_cycles: int,
         sat_latency: float,
-        routing: Optional["RoutingAlgorithm"] = None,
+        routing: Optional[Any] = None,
         sat_accept_factor: float = 0.90,
         live_fraction: float = 1.0,
     ) -> SimResult:
-        """``live_fraction`` scales the offered load for patterns where some
+        """``routing`` is the run's lane object, read for its decision
+        counts (``min_chosen`` / ``vlb_chosen`` / ``par_revised``).
+        ``live_fraction`` scales the offered load for patterns where some
         nodes never inject (permutation fixed points, shift(0,0)).
 
         Float-summation-order audit (bit-identity across engines): the

@@ -101,19 +101,23 @@ def test_public_callables_documented(name):
 
 
 def test_the_run_loop_surface():
-    """One way to advance a native run: ``Run.advance`` (which both
-    drivers call) over ``RoutingAlgorithm.advance`` / ``RouteLane.run``,
-    patterns describing themselves through ``destination_program`` --
-    and nothing left of the lockstep, the word buffers, the one-cycle
-    forms of the compiled routing calls or the one-cycle driving of the
-    native network (Python steps only the wheel ``Network``)."""
+    """One way to advance a run: ``Run.advance`` (which every driver
+    calls) over the lane object's ``run`` -- ``RouteLane.run`` or
+    ``RoutingAlgorithm.run``, the same surface on both lanes -- patterns
+    describing themselves through ``destination_program``, and nothing
+    left of the lockstep, the word buffers, the one-cycle forms of the
+    compiled routing calls, the one-cycle driving of the native network
+    (Python steps only the wheel ``Network``), the routing algorithm's
+    kernel front door or ``Run``'s own packet injection."""
     import repro.sim.array.network as array_network
     from repro.sim.array.lane import RouteLane
     from repro.sim.array.network import ArrayNetwork
-    from repro.sim.engine import Run
+    from repro.sim.engine import Run, build_network
     from repro.sim.network import Network
     from repro.sim.packet import Packet
-    from repro.sim.routing import RoutingAlgorithm
+    from repro.sim.params import SimParams
+    from repro.sim.routing import RoutingAlgorithm, make_routing
+    from repro.topology.dragonfly import Dragonfly
     from repro.traffic import (
         DestinationProgram,
         TrafficPattern,
@@ -122,11 +126,14 @@ def test_the_run_loop_surface():
 
     for owner, name in (
         (Run, "advance"),
-        (Run, "inject"),
         (Run, "finish"),
-        (RoutingAlgorithm, "advance"),
+        (RoutingAlgorithm, "run"),
+        (RoutingAlgorithm, "traffic"),
+        (RoutingAlgorithm, "inject"),
+        (RoutingAlgorithm, "counts"),
         (RouteLane, "run"),
         (RouteLane, "traffic"),
+        (RouteLane, "counts"),
         (RouteLane, "destinations"),
         (TrafficPattern, "destination_program"),
     ):
@@ -136,6 +143,10 @@ def test_the_run_loop_surface():
     assert DestinationProgram._fields == ("fixed", "ur_mask", "ur_probability")
     for owner, name in (
         (Run, "_inject_arrays"),
+        (Run, "inject"),
+        (Run, "_advance_packets"),
+        (RoutingAlgorithm, "compile"),
+        (RoutingAlgorithm, "advance"),
         (ArrayNetwork, "pre_step"),
         (ArrayNetwork, "post_step"),
         (RouteLane, "words_drawn"),
@@ -152,11 +163,35 @@ def test_the_run_loop_surface():
     ):
         assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
     assert not hasattr(array_network, "ArrayChannel")
+    network = build_network(Dragonfly(2, 4, 2, 5), SimParams(), "ugal-l")
+    assert not hasattr(make_routing(network, "ugal-l"), "lane")
     import repro.sim.array.lane as lane
     import repro.sim.batch as batch
 
     assert not hasattr(lane, "WordSource")
     assert not hasattr(batch, "_state_pointers")
+
+
+def test_the_routing_algorithm_knows_nothing_of_the_kernel():
+    """The per-packet procedure is one lane object and the kernel's
+    ``RouteLane`` the other: ``repro.sim.routing`` imports nothing from
+    ``repro.sim.array``."""
+    import ast
+
+    import repro.sim.routing as routing
+
+    tree = ast.parse(inspect.getsource(routing))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        node.module or ""
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert not [name for name in imported if name.startswith("repro.sim.array")]
 
 
 # a sweep is scheduled by ``jobs`` alone: no per-run batch hint on

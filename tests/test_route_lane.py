@@ -417,7 +417,7 @@ def _returns(routing, policy=None, **params):
         seed=4,
     )
     run.advance(run.total)
-    return run.finish(), run.algo.lane.returns
+    return run.finish(), run.algo.returns
 
 
 @needs_kernel
@@ -468,7 +468,7 @@ def test_an_unfindable_set_is_enumerated_once_per_pair(reference_engine):
     run = Run(*args, **kwargs)
     assert run.lane == "array"
     run.advance(run.total)
-    pairs = run.algo.lane._arrays["pair"]
+    pairs = run.algo._arrays["pair"]
     enumerated = pairs[:, native.PS_FLAGS] & native.PF_ENUM != 0
     assert enumerated.any()
     assert (pairs[enumerated, native.PS_ELEN] == 0).all()
@@ -528,7 +528,7 @@ def test_par_arena_is_bounded_by_distinct_routes():
         seed=2,
     )
     assert run.lane == "array" and run.total >= 1200
-    lane = run.algo.lane
+    lane = run.algo
     image_end = lane.ctx.image_base + len(lane.image.chan)
     run.advance(600)
     revisions = run.algo.par_revised

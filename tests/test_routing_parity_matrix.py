@@ -607,8 +607,8 @@ def test_sparse_case_reaches_the_reservoir_fallback(reference_engine):
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
     if native_available():
         run = drive()
-        assert not run.algo.reservoirs
-        assert run.algo.lane.counts()["routing.fallback_picks"] > 0
+        assert not hasattr(run.algo, "reservoirs")
+        assert run.algo.counts()["routing.fallback_picks"] > 0
         assert _metrics(run.finish()) == PINNED["t-ugal-l/sparse"]
 
 
@@ -624,3 +624,23 @@ def test_excluding_and_all_vlb_differ():
         seed=SEED,
     )
     assert _metrics(_run("t-ugal-l/excluding")) != _metrics(base)
+
+
+def test_array_lane_builds_no_routing_algorithm(monkeypatch):
+    """An array-lane run's routing object is its ``RouteLane`` alone:
+    no per-packet ``RoutingAlgorithm`` is built beside it, and the
+    results are still the pinned ones."""
+    if not native_available():
+        pytest.skip("needs the native kernel")
+    from repro.sim.routing import RoutingAlgorithm
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an array-lane run built a RoutingAlgorithm")
+
+    monkeypatch.setattr(RoutingAlgorithm, "__init__", refuse)
+    for case in ("ugal-l", "par", "t-ugal-l"):
+        args, kwargs = _arguments(case)
+        run = Run(*args, **kwargs)
+        assert run.lane == "array", case
+        run.advance(run.total)
+        assert _metrics(run.finish()) == PINNED[case], case

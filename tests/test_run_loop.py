@@ -261,7 +261,7 @@ def test_every_return_status_fires_and_resumes(
     monkeypatch.setattr("repro.sim.array.lane._INITIAL_REPLAY", 1)
     starved = _drive(case)
     _assert_same_run(starved, reference)
-    asked = starved[0].algo.lane.returns
+    asked = starved[0].algo.returns
     assert asked["segment"] == 2  # the warm-up, the measurement window
     assert asked["drain"] > 3
     assert asked["pool"] > 0  # the packet pool, candidate blocks
@@ -274,9 +274,9 @@ def test_every_return_status_fires_and_resumes(
         assert asked["destinations"] == 0
     if policy is POLICIES["sparse"]:
         assert asked["enum"] > 0
-    calls = starved[0].algo.lane.kernel_calls
+    calls = starved[0].algo.kernel_calls
     assert calls == sum(asked.values())
-    assert calls > roomy[0].algo.lane.kernel_calls
+    assert calls > roomy[0].algo.kernel_calls
 
 
 @needs_kernel
@@ -370,7 +370,7 @@ def test_programs_draw_what_sample_destinations_draws(kind, seed, data):
     if native_available():
         run = Run(topo, pattern, 0.5, routing="min", seed=0)
         run.rng.bit_generator.state = kernel.bit_generator.state
-        kernel, lane = run.rng, run.algo.lane
+        kernel, lane = run.rng, run.algo
     for _ in range(3):
         subset = data.draw(
             st.lists(
@@ -445,7 +445,7 @@ def test_a_pattern_without_a_program_still_runs_on_the_array_lane(
     assert run.lane == "array" and reference[0].lane == "packet"
     _assert_same_run(native, reference)
     # asked once per cycle that generated anything, through the one entry
-    asked = run.algo.lane.returns["destinations"]
+    asked = run.algo.returns["destinations"]
     assert 0.9 * run.total <= asked <= run.total
 
 

@@ -236,3 +236,32 @@ def test_concurrent_set_ups_fill_each_image_once(monkeypatch):
         executor.run(tasks)
     images = 1 if native_available() else 0  # the packet lane reads none
     assert built == {"min": images, "vlb": images, "layout": 1}
+
+
+def test_an_executor_point_derives_its_identity_once(monkeypatch, tmp_path):
+    """``RunSpec.from_objects`` runs once per point: the task derives
+    the spec that keys the cache, and its run's manifest reads the same
+    spec instead of deriving it again -- with the run's sampled trace
+    still written."""
+    from repro.spec import RunSpec
+
+    derive = RunSpec.from_objects.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[:3])
+        return derive(cls, *args, **kwargs)
+
+    monkeypatch.setattr(RunSpec, "from_objects", classmethod(counted))
+    topo = Dragonfly(2, 4, 2, 5)
+    params = SimParams(
+        window_cycles=60,
+        warmup_windows=1,
+        obs=ObsConfig(sample_every=20, trace_dir=str(tmp_path)),
+    )
+    task = SimTask(topo, UniformRandom(topo), 0.2, params=params, seed=3)
+    with SweepExecutor(jobs=1) as executor:
+        (result,) = executor.run([task])
+    assert len(calls) == 1
+    assert result.manifest.fingerprint == task.key()
+    assert len(list(tmp_path.glob("engine-*.jsonl"))) == 1
