@@ -170,7 +170,8 @@ class SimTask:
 def run_task(task: SimTask) -> SimResult:
     """Execute one task: the entry point of every simulation point the
     executor computes, on whichever of its threads.  The run takes the
-    task's spec, so a point derives its identity once."""
+    task's spec -- ``None`` included, for a task whose components have
+    none -- so a point derives its identity once."""
     run = Run(
         task.topo,
         task.pattern,

@@ -41,11 +41,11 @@ images are tested against.
 
 Everything else derived from the topology alone -- those two tables, the
 images, each policy's compiled program, each channel layout, the shared
-LP solver -- is built through one primitive, :meth:`RouteTable.fill`: a
-hit is a plain dict read, a miss builds once under the table's lock
-(whichever threads ask at once), and the build time is counted in
-:attr:`RouteTable.fill_seconds`.  A value lives, and is evicted, with
-its table.
+LP solver, each deadlock-freedom certificate -- is built through one
+primitive, :meth:`RouteTable.fill`: a hit is a plain dict read, a miss
+builds once under the table's lock (whichever threads ask at once), and
+the build time is counted in :attr:`RouteTable.fill_seconds`.  A value
+lives, and is evicted, with its table.
 """
 
 from __future__ import annotations
@@ -271,10 +271,12 @@ T = TypeVar("T")
 # keeps at most, oldest evicted first (None: one per key, as the keys of
 # those kinds are few); "program": repro.routing.pathset.policy_program,
 # "layout": repro.sim.network.channel_layout, "solver":
-# repro.perf.executor.solver_for
+# repro.perf.executor.solver_for, "certificate":
+# repro.verify.cdg.certify_deadlock_freedom
 _FILL_BOUNDS: Dict[str, Optional[int]] = {
     "leg_parts": None, "min_slots": None, "min_image": None,
     "vlb_image": None, "program": 64, "layout": 8, "solver": None,
+    "certificate": 16,
 }
 _MISSING = object()
 

@@ -46,6 +46,10 @@ from repro.traffic.patterns import TrafficPattern
 
 __all__ = ["Run", "simulate", "build_network"]
 
+# a Run's ``spec`` when its caller did not derive one: the manifest
+# derives it from the live objects
+_DERIVE: Any = object()
+
 
 def _num_vcs(topo: Dragonfly, params: SimParams, routing: str) -> int:
     """The VC count the routing variant needs on ``topo``."""
@@ -85,6 +89,10 @@ class Run:
     :class:`~repro.sim.network.Network` (the per-packet reference).
     Both inject, decide and step behind the same ``traffic`` / ``run``
     / ``counts()``, so nothing after set-up asks which lane it is.
+
+    ``spec`` is the run's :class:`~repro.spec.RunSpec` when the caller
+    already derived it, ``None`` when the caller found the components
+    have none; left out, it is derived once, for the manifest.
     """
 
     def __init__(
@@ -98,7 +106,7 @@ class Run:
         params: Optional[SimParams] = None,
         seed: int = 0,
         max_source_queue: int = 10_000,
-        spec: Optional[Any] = None,
+        spec: Any = _DERIVE,
     ) -> None:
         if not 0.0 <= load <= 1.0:
             raise ValueError("load must be in [0, 1] packets/cycle/node")
@@ -351,16 +359,17 @@ class Run:
         """The provenance record of this run (identity fields only).
 
         Both fingerprints come from the run's declarative ``RunSpec``
-        (derived once from the live objects when the run was not built
-        from one), so the key is the result cache's; a run with a
-        component the spec registries cannot describe has neither.
-        Lazy imports keep ``repro.sim`` importable without ``repro.perf``.
+        (derived here from the live objects only when the caller did not
+        hand one over, or its absence), so the key is the result cache's;
+        a run with a component the spec registries cannot describe has
+        neither.  Lazy imports keep ``repro.sim`` importable without
+        ``repro.perf``.
         """
         from repro.perf.cache import spec_key
         from repro.spec import RunSpec, SpecError
 
         spec = self.spec
-        if spec is None:
+        if spec is _DERIVE:
             try:
                 spec = RunSpec.from_objects(
                     self.topo,
@@ -372,7 +381,8 @@ class Run:
                     seed=self.seed,
                 )
             except SpecError:
-                pass
+                spec = None
+            self.spec = spec
         spec_fp = spec.fingerprint() if spec is not None else None
         return RunManifest(
             kind="sim",

@@ -31,6 +31,12 @@ against edge for edge, and the sampled check on topologies whose
 candidate space is too large to enumerate (``_ROW_LIMIT``), in which
 case the result is only a bounded check, not a certificate.
 
+What :func:`certify_deadlock_freedom` returns depends on the topology and
+the question alone, never on the run that asks, so it is route-table
+state: one build per ``(policy, scheme, routing)`` -- plus the seed and
+sample size of a sampled check -- shared by the ``verify`` CLI, every
+verify-gated simulation point and Algorithm 1's final check.
+
 Injection and ejection channels are not modeled: terminal channels are
 pure sources/sinks and cannot participate in a cycle.
 """
@@ -89,7 +95,7 @@ def _vcs_for(path: Path, scheme: str, revised: bool = False) -> List[int]:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CdgResult:
     """Outcome of one deadlock-freedom analysis.
 
@@ -97,7 +103,9 @@ class CdgResult:
     among: the MIN paths between different groups plus the policy's VLB
     paths.  PAR's revised fragments are those same VLB paths again and
     intra-group MIN routes offer no choice, so neither is counted
-    (both contribute their dependencies).
+    (both contribute their dependencies).  Frozen, ``cycle`` a tuple:
+    one result is the route table's certificate for every caller that
+    asks the same question (:func:`certify_deadlock_freedom`).
     """
 
     scheme: str
@@ -106,7 +114,7 @@ class CdgResult:
     num_edges: int
     num_paths: int
     exhaustive: bool
-    cycle: Optional[List[VcNode]]
+    cycle: Optional[Tuple[VcNode, ...]]
 
     @property
     def deadlock_free(self) -> bool:
@@ -527,6 +535,12 @@ def _estimated_rows(topo: Dragonfly) -> int:
     return topo.g * topo.g * max(topo.g - 2, 0) * topo.a**3 * m * m
 
 
+def _sampled(topo: Dragonfly) -> bool:
+    """Is ``topo``'s candidate space past ``_ROW_LIMIT``, so that the
+    CDG checks a sample instead of enumerating every candidate?"""
+    return _estimated_rows(topo) > _ROW_LIMIT
+
+
 def build_cdg(
     topo: Dragonfly,
     policy: Optional[PathPolicy] = None,
@@ -549,7 +563,7 @@ def build_cdg(
     policy = policy if policy is not None else AllVlbPolicy()
     include_par = routing.lower().removeprefix("t-") == "par"
     graph = ChannelDependencyGraph(topo, scheme)
-    if _estimated_rows(topo) > _ROW_LIMIT:
+    if _sampled(topo):
         _build_generic(
             topo, policy, scheme, include_par, graph,
             _SAMPLED_PAIRS, _SAMPLED_DESCRIPTORS, seed,
@@ -567,15 +581,31 @@ def certify_deadlock_freedom(
     routing: str = "par",
     seed: int = 0,
 ) -> CdgResult:
-    """Build the CDG and run cycle detection; see :class:`CdgResult`."""
-    graph = build_cdg(topo, policy, scheme=scheme, routing=routing, seed=seed)
-    cycle = graph.find_cycle()
-    return CdgResult(
-        scheme=scheme,
-        routing=routing,
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-        num_paths=graph.num_paths,
-        exhaustive=graph.exhaustive,
-        cycle=cycle,
-    )
+    """Build the CDG and run cycle detection; see :class:`CdgResult`.
+
+    The result is the route table's ``"certificate"``
+    (:meth:`~repro.routing.table.RouteTable.fill`): built once per
+    topology and question, however many callers and threads ask.  The
+    key holds what the build reads -- the policy value, ``scheme``,
+    ``routing`` as passed, and for the sampled check also ``seed`` and
+    the sample's size; an exhaustive certificate reads no seed.
+    """
+    policy = policy if policy is not None else AllVlbPolicy()
+    key: Tuple[object, ...] = (policy, scheme, routing)
+    if _sampled(topo):
+        key += (seed, _SAMPLED_PAIRS, _SAMPLED_DESCRIPTORS)
+
+    def build() -> CdgResult:
+        graph = build_cdg(topo, policy, scheme=scheme, routing=routing, seed=seed)
+        cycle = graph.find_cycle()
+        return CdgResult(
+            scheme=scheme,
+            routing=routing,
+            num_nodes=graph.num_nodes,
+            num_edges=graph.num_edges,
+            num_paths=graph.num_paths,
+            exhaustive=graph.exhaustive,
+            cycle=None if cycle is None else tuple(cycle),
+        )
+
+    return route_table(topo).fill("certificate", key, build)

@@ -5,7 +5,10 @@ CLI subcommand, the ``SimParams(verify=True)`` pre-flight gate in the
 simulation engine, and Algorithm 1's finalization check.  It packages a
 :class:`~repro.verify.cdg.CdgResult` and the linter's
 :class:`~repro.verify.lint.Finding` list into a :class:`VerifyReport`
-renderable as text or JSON.
+renderable as text or JSON.  The CDG result is the route table's
+certificate, built once per configuration however often that is asked
+(every load point of a verify-gated sweep asks); lint, which samples
+pairs by ``seed``, runs on every call.
 """
 
 from __future__ import annotations
@@ -155,12 +158,14 @@ def verify_config(
 ) -> VerifyReport:
     """Statically verify a ``(topology, path set, VC scheme)`` configuration.
 
-    Builds the channel dependency graph and certifies deadlock freedom
-    (``run_cdg``), then lints the sampled path set (``run_lint``,
-    restricted to ``rules`` when given).  ``num_vcs`` defaults to the
-    scheme's requirement for ``routing`` on this topology.  On topologies
-    too large for exhaustive dependency enumeration the CDG falls back to
-    a sampled build and the result is flagged non-exhaustive.
+    Certifies deadlock freedom (``run_cdg``: the route table's
+    certificate of this policy, scheme and routing, its channel
+    dependency graph built on the first ask only), then lints the
+    sampled path set (``run_lint``, restricted to ``rules`` when given).
+    ``num_vcs`` defaults to the scheme's requirement for ``routing`` on
+    this topology.  On topologies too large for exhaustive dependency
+    enumeration the CDG falls back to a sampled build and the result is
+    flagged non-exhaustive.
     """
     policy = policy if policy is not None else AllVlbPolicy()
     base = routing.lower().removeprefix("t-")

@@ -265,3 +265,42 @@ def test_an_executor_point_derives_its_identity_once(monkeypatch, tmp_path):
     assert len(calls) == 1
     assert result.manifest.fingerprint == task.key()
     assert len(list(tmp_path.glob("engine-*.jsonl"))) == 1
+
+
+class _EvenMids(HopClassPolicy):
+    """A policy that exists only as Python: no spec describes it."""
+
+    def contains(self, topo, src, dst, desc):
+        return desc.mid % 2 == 0 and super().contains(topo, src, dst, desc)
+
+
+def test_an_uncacheable_point_derives_its_identity_once(monkeypatch):
+    """A point the spec registries cannot describe learns so once: the
+    task's failed derivation is handed to its run, whose manifest does
+    not try again."""
+    from repro.spec import RunSpec
+
+    derive = RunSpec.from_objects.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[:3])
+        return derive(cls, *args, **kwargs)
+
+    monkeypatch.setattr(RunSpec, "from_objects", classmethod(counted))
+    topo = Dragonfly(2, 4, 2, 5)
+    task = SimTask(
+        topo,
+        UniformRandom(topo),
+        0.2,
+        routing="t-ugal-l",
+        policy=_EvenMids(4),
+        params=SimParams(window_cycles=60, warmup_windows=1),
+        seed=3,
+    )
+    assert task.spec is None and task.key() is None
+    with SweepExecutor(jobs=1) as executor:
+        (result,) = executor.run([task])
+    assert len(calls) == 1
+    assert result.manifest.fingerprint is None
+    assert result.manifest.spec_fingerprint is None
