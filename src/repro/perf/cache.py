@@ -72,8 +72,10 @@ __all__ = [
 # changes: old entries are then ignored wholesale because they live under
 # a different v<N>/ directory.  v2: keys are RunSpec fingerprints.
 # v3: records carry a "kind" discriminator (sim | model) and the cache
-# also stores LP ModelResults keyed by ModelSpec fingerprints.
-CACHE_VERSION = 3
+# also stores LP ModelResults keyed by ModelSpec fingerprints.  v4:
+# every VLB pick is a fresh sample (SimParams.vlb_cache_per_pair is gone),
+# which changes the results of longer runs.
+CACHE_VERSION = 4
 
 # Records may also carry a sibling "manifest" key (repro.obs provenance)
 # next to "result".  It is additive -- pre-manifest v3 entries still load

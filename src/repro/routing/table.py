@@ -27,7 +27,7 @@ and model pass on an equal topology (see :func:`route_table`).
 
 The same rows also exist flattened into numpy arrays --
 :class:`MinImage` (all MIN candidates, their shape ids, and the VC
-ladder of every ordered pair of shapes) and :class:`VlbImage` (the
+ladder of every shape and of every ordered pair of shapes) and :class:`VlbImage` (the
 sampling rows of all group pairs) -- which is the form the simulator's
 routing kernel reads; a policy's membership test joins them as a
 :class:`~repro.routing.pathset.PolicyProgram`.  The images are not
@@ -101,32 +101,32 @@ class MinImage(NamedTuple):
     """Every MIN candidate of a topology, flattened for array use.
 
     Pair ``src * nsw + dst`` owns candidate slots ``first[pair]`` ..
-    ``first[pair] + k[pair] - 1``; slot ``i`` has ``hops[i]`` hops, head
-    VC ``vcs0[i]``, and its (channel, VC) sequence starts at ``rel[i]``
-    in the concatenated ``chan`` / ``vc`` image.
+    ``first[pair] + k[pair] - 1``; slot ``i`` has ``hops[i]`` hops, and
+    its channel sequence starts at ``rel[i]`` in the concatenated
+    ``chan`` image.
 
-    A VLB candidate ``(mid, slot1, slot2)`` of the pair is slots
-    ``first[src * nsw + mid] + slot1`` and ``first[mid * nsw + dst] +
-    slot2`` back to back.  Its VC ladder depends only on the two slots'
-    shapes: with ``S = len(shapes)``, ``combo_off[revised, shape[i] * S
-    + shape[j]]`` is where the ladder of ``shapes[shape[i]] +
-    shapes[shape[j]]`` starts in ``combo_vc`` (row 1: PAR's
-    ``revised=True, hop_offset=1`` ladder), or ``-1`` where
-    ``assign_vcs`` raises for that shape under this VC budget.
+    VC ladders depend only on shapes, and all of them sit in one array,
+    ``ladder_vc``: the ladder of slot ``i`` starts at
+    ``min_off[shape[i]]``.  A VLB candidate ``(mid, slot1, slot2)`` of
+    the pair is slots ``first[src * nsw + mid] + slot1`` and
+    ``first[mid * nsw + dst] + slot2`` back to back; with ``S =
+    len(shapes)``, ``combo_off[revised, shape[i] * S + shape[j]]`` is
+    where the ladder of ``shapes[shape[i]] + shapes[shape[j]]`` starts
+    (row 1: PAR's ``revised=True, hop_offset=1`` ladder), or ``-1``
+    where ``assign_vcs`` raises for that shape under this VC budget.
     """
 
     k: np.ndarray
     first: np.ndarray
     hops: np.ndarray
-    vcs0: np.ndarray
     rel: np.ndarray
     chan: np.ndarray
-    vc: np.ndarray
     shape: np.ndarray  # per slot: index into ``shapes``
     shapes: Tuple[str, ...]
     shape_local: np.ndarray  # per shape: 1 when its first hop is local
+    min_off: np.ndarray  # [S]
     combo_off: np.ndarray  # [2, S * S]
-    combo_vc: np.ndarray
+    ladder_vc: np.ndarray
 
 
 class VlbImage(NamedTuple):
@@ -608,21 +608,13 @@ class RouteTable:
         slots = self.min_slots()
         shapes = slots.shapes
         count = len(shapes)
-        total = len(slots.hops)
         ladders = self.ladders(scheme, num_vcs)
-        # per shape, then gathered per slot
-        longest = max(map(len, shapes), default=1)
-        ladder = np.zeros((count, longest), np.int32)
+        ladder_vc: List[int] = []
+        min_off = np.zeros(count, np.int32)
         for i, name in enumerate(shapes):
-            ladder[i, : len(name)] = ladders[name]
-        hop = np.arange(ladder.shape[1], dtype=np.int32)
-        vc = zeros(len(slots.chan), np.int32)
-        for lo in range(0, total, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            vcs = ladder[slots.shape[block]][hop < slots.hops[block, None]]
-            vc[slots.rel[lo] : slots.rel[lo] + len(vcs)] = vcs
+            min_off[i] = len(ladder_vc)
+            ladder_vc.extend(ladders[name])
         combo_off = np.full((2, count * count), -1, np.int32)
-        combo_vc: List[int] = []
         for revised in (0, 1):
             two_leg = (
                 self.ladders(scheme, num_vcs, revised=True, hop_offset=1)
@@ -635,26 +627,20 @@ class RouteTable:
                         vcs = two_leg[head + tail]
                     except ValueError:
                         continue  # too few VCs: marked, raised on use
-                    combo_off[revised, i * count + j] = len(combo_vc)
-                    combo_vc.extend(vcs)
+                    combo_off[revised, i * count + j] = len(ladder_vc)
+                    ladder_vc.extend(vcs)
         return MinImage(
             slots.k,
             slots.first,
             slots.hops,
-            np.take(
-                ladder[:, 0],
-                slots.shape,
-                out=zeros(total, np.int32),
-                mode="clip",
-            ),
             slots.rel,
             slots.chan,
-            vc,
             slots.shape,
             shapes,
             np.array([name.startswith("l") for name in shapes], np.int32),
+            min_off,
             combo_off,
-            np.array(combo_vc, np.int32),
+            np.array(ladder_vc, np.int32),
         )
 
     def _leg_parts(self) -> _LegParts:

@@ -24,7 +24,7 @@
  *
  * Performance notes (the step is memory-bound: thousands of scattered
  * accesses per cycle at saturation):
- *   - per-packet hot fields are one packed 32-byte record (`pkt`, stride
+ *   - per-packet hot fields are one packed 64-byte record (`pkt`, stride
  *     PK_STRIDE), so a packet touch costs one cache line, not seven;
  *   - ring head/len pairs are interleaved (in_meta/src_meta), as are
  *     the crossbar input budget stamp/count pairs (in_bud);
@@ -79,7 +79,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define REPRO_ARRAYNET_ABI_VERSION 13
+#define REPRO_ARRAYNET_ABI_VERSION 14
 
 /* counters[] indices (shared with Python) */
 #define CNT_ACT 0 /* active routers in act_list */
@@ -94,6 +94,26 @@
 #define KIND_INJECT 1
 #define KIND_EJECT 2
 
+/* A route is four words of a packet's record or queued entry, all
+ * references into the route table's images (repro.routing.table.MinImage:
+ * `chan`, `ladder_vc`), never a copy: hop h rides channel
+ * route_chan[(h < RT_SPLIT ? RT_LEG1 : RT_LEG2) + h] on VC
+ * route_vc[RT_LADDER + h].  Each base is shifted back by the hop its row
+ * starts at, so a MIN route (one leg), a VLB route (two legs) and a
+ * PAR-revised one (the hop taken, then a fresh candidate's legs from
+ * hop 1) are read alike, and a decision allocates nothing. */
+#define RT_LEG1 0   /* chan base of the hops before RT_SPLIT */
+#define RT_LEG2 1   /* chan base of the hops from RT_SPLIT on */
+#define RT_SPLIT 2  /* first hop of the second leg (path_hops: one leg) */
+#define RT_LADDER 3 /* ladder_vc base */
+#define RT_WORDS 4
+
+/* the channel-image index of a route's hop `hop` */
+static inline int32_t rt_chan(const int32_t *rt, int32_t hop)
+{
+    return (hop < rt[RT_SPLIT] ? rt[RT_LEG1] : rt[RT_LEG2]) + hop;
+}
+
 /* packed source-queue entry columns (stride SE_STRIDE int32): a queued
  * packet is a plain value record until it enters the network -- only at
  * injection-transmit does the kernel pop a pool pid from the free stack
@@ -104,11 +124,11 @@
 #define SE_VC0 1  /* injection VC (vcs[0], or 0 for empty routes) */
 #define SE_DST 2
 #define SE_REV 3  /* revisable flag */
-#define SE_ROFF 4 /* route arena offset */
-#define SE_ICYC 5 /* inject cycle */
-#define SE_SPID 6 /* staging id of the Python Packet (revisable only) */
-#define SE_VLB 7  /* used_vlb at inject */
-#define SE_STRIDE 8
+#define SE_ICYC 4 /* inject cycle */
+#define SE_SPID 5 /* staging id of the Python Packet (revisable only) */
+#define SE_VLB 6  /* used_vlb at inject */
+#define SE_ROUTE 7 /* RT_WORDS words: the route */
+#define SE_STRIDE 11
 
 /* per-packet Python-facing meta (stride PM_STRIDE int32), written once at
  * network entry, read only by the ejection drain / revision mapping */
@@ -129,18 +149,17 @@
 #define PK_HOP 0
 #define PK_PATH 1 /* path_hops */
 #define PK_CVC 2  /* current_vc */
-#define PK_VC0 3  /* vcs[0] if path_hops else 0 (injection reserve) */
-#define PK_DST 4  /* destination node */
-#define PK_REV 5  /* revisable flag */
-#define PK_ARR 6  /* channel whose buffer the packet occupies, -1 none */
-#define PK_ROFF 7 /* offset into the route arena */
-#define PK_STRIDE 8
+#define PK_DST 3  /* destination node */
+#define PK_REV 4  /* revisable flag */
+#define PK_ARR 5  /* channel whose buffer the packet occupies, -1 none */
+#define PK_ROUTE 6 /* RT_WORDS words: the route */
+#define PK_STRIDE 16 /* padded to one 64-byte line */
 
 /* input-queue meta columns (in_meta stride IM_STRIDE int32): besides the
  * ring head/len, each queue caches its head packet's id and crossbar
  * decision (output channel + next VC; HNVC < 0 encodes "ejecting").  The
  * cache collapses the visit-time dependent-load chain
- * meta -> in_buf -> pkt -> arena -> output checks into a single meta
+ * meta -> in_buf -> pkt -> route -> output checks into a single meta
  * line plus independent output-side loads.  It is refilled whenever the
  * head changes (delivery into an empty queue, grant pop); a buffered
  * packet's hop/route/VC never change while it waits (PAR revisions run
@@ -152,7 +171,7 @@
 #define IM_HNVC 4
 /* second-head cache: same fields for the packet at ring position
  * head+1, so a grant-pop promotes second -> head with three register
- * moves instead of a ring -> record -> arena dependent-load chain; the
+ * moves instead of a ring -> record -> route dependent-load chain; the
  * vacated second slot is refilled in a deferred batched pipeline at the
  * end of the crossbar pass (see crossbar()), where the chain's latency
  * overlaps across every refill of the cycle */
@@ -198,7 +217,7 @@ typedef struct {
     int32_t *rsnap; /* scratch [nR]: active-router snapshot */
     int32_t *osnap; /* scratch [nSr]: rotated slot order */
     /* scratch [nR*nSr]: deferred second-head refills (queue, ring pos /
-     * pid, arena offset) batched at the end of the crossbar pass */
+     * pid, route channel) batched at the end of the crossbar pass */
     int32_t *rf_q;
     int32_t *rf_pos;
     int32_t *rf_off;
@@ -224,12 +243,12 @@ typedef struct {
     /* [ej_cap][EW_STRIDE]: what only the per-packet on_eject hook and
      * the revisable-Packet staging read (see EW_* columns) */
     int32_t *ej_who;
-    /* --- packet records + route arena --- */
+    /* --- packet records + the route table they refer to --- */
     int32_t *pkt;        /* [cap][PK_STRIDE] */
     int32_t *pmeta;      /* [cap][PM_STRIDE] */
     int32_t *free_stack; /* [cap] LIFO of free pids (count CNT_FREE) */
-    int32_t *arena_chan; /* appended to by the routing phases */
-    int32_t *arena_vc;
+    const int32_t *route_chan; /* MinImage.chan (RT_LEG1 / RT_LEG2) */
+    const int32_t *route_vc;   /* MinImage.ladder_vc (RT_LADDER) */
     int64_t *counters; /* CNT_* above */
     /* --- scalars --- */
     int64_t nR;
@@ -372,8 +391,8 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
     int32_t *const pkt = s->pkt;
     int32_t *const pmeta = s->pmeta;
     const int32_t ej_base = (int32_t)s->ej_base;
-    const int32_t *const arena_chan = s->arena_chan;
-    const int32_t *const arena_vc = s->arena_vc;
+    const int32_t *const route_chan = s->route_chan;
+    const int32_t *const route_vc = s->route_vc;
     int64_t nact = s->counters[CNT_ACT];
     int64_t nej = s->counters[CNT_EJ];
     int64_t nfree = s->counters[CNT_FREE];
@@ -431,9 +450,9 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
                 meta[IM_HOUT] = ej_base + rec[PK_DST];
                 meta[IM_HNVC] = -1;
             } else {
-                const int64_t off = (int64_t)rec[PK_ROFF] + hop;
-                meta[IM_HOUT] = arena_chan[off];
-                meta[IM_HNVC] = arena_vc[off];
+                const int32_t *const rt = rec + PK_ROUTE;
+                meta[IM_HOUT] = route_chan[rt_chan(rt, hop)];
+                meta[IM_HNVC] = route_vc[rt[RT_LADDER] + hop];
             }
         } else if (qlen == 1) {
             /* arriving packet becomes the second head: cache its
@@ -444,9 +463,9 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
                 meta[IM_H2OUT] = ej_base + rec[PK_DST];
                 meta[IM_H2NVC] = -1;
             } else {
-                const int64_t off = (int64_t)rec[PK_ROFF] + hop;
-                meta[IM_H2OUT] = arena_chan[off];
-                meta[IM_H2NVC] = arena_vc[off];
+                const int32_t *const rt = rec + PK_ROUTE;
+                meta[IM_H2OUT] = route_chan[rt_chan(rt, hop)];
+                meta[IM_H2NVC] = route_vc[rt[RT_LADDER] + hop];
             }
         }
         if (qlen >= in_cap)
@@ -488,8 +507,8 @@ static int64_t crossbar(State *s, int64_t cycle, int32_t idx)
     const int64_t cw_cap = s->cw_cap;
     const int64_t tw_cap = s->tw_cap;
     const int32_t *const ch_latency = s->ch_latency;
-    const int32_t *const arena_chan = s->arena_chan;
-    const int32_t *const arena_vc = s->arena_vc;
+    const int32_t *const route_chan = s->route_chan;
+    const int32_t *const route_vc = s->route_vc;
     int32_t *const outrow = s->outrow;
     int32_t *const out_buf = s->out_buf;
     int32_t *const in_buf = s->in_buf;
@@ -672,7 +691,7 @@ static int64_t crossbar(State *s, int64_t cycle, int32_t idx)
     }
     /* deferred second-head refills: each stage touches every queued
      * refill before any value is consumed, so the ring -> record ->
-     * arena dependent chain overlaps across the whole cycle's refills
+     * route dependent chain overlaps across the whole cycle's refills
      * instead of stalling each grant (queues are distinct -- a slot is
      * visited at most once per pass -- so order is irrelevant) */
     for (int32_t i = 0; i < nrf; i++)
@@ -693,19 +712,19 @@ static int64_t crossbar(State *s, int64_t cycle, int32_t idx)
             qm[IM_H2NVC] = -1;
             rf_off[i] = -1;
         } else {
-            const int64_t noff = (int64_t)nrec[PK_ROFF] + nhop;
-            rf_off[i] = (int32_t)noff;
-            PREFETCH_R(arena_chan + noff);
-            PREFETCH_R(arena_vc + noff);
+            /* the ladder is a few cached words; the channel image is
+             * not, so its read waits for the last stage */
+            const int32_t *const rt = nrec + PK_ROUTE;
+            const int32_t noff = rt_chan(rt, nhop);
+            rf_off[i] = noff;
+            qm[IM_H2NVC] = route_vc[rt[RT_LADDER] + nhop];
+            PREFETCH_R(route_chan + noff);
         }
     }
     for (int32_t i = 0; i < nrf; i++) {
         const int32_t noff = rf_off[i];
-        if (noff >= 0) {
-            int32_t *const qm = in_meta + (int64_t)rf_q[i] * IM_STRIDE;
-            qm[IM_H2OUT] = arena_chan[noff];
-            qm[IM_H2NVC] = arena_vc[noff];
-        }
+        if (noff >= 0)
+            in_meta[(int64_t)rf_q[i] * IM_STRIDE + IM_H2OUT] = route_chan[noff];
     }
     s->counters[CNT_ACT] = nact;
     s->counters[CNT_PC] += pc;
@@ -813,11 +832,10 @@ static int64_t transmit(State *s, int64_t cycle, int32_t idx)
             rec[PK_HOP] = 0;
             rec[PK_PATH] = e[SE_PATH];
             rec[PK_CVC] = vc;
-            rec[PK_VC0] = vc;
             rec[PK_DST] = e[SE_DST];
             rec[PK_REV] = e[SE_REV];
             rec[PK_ARR] = -1;
-            rec[PK_ROFF] = e[SE_ROFF];
+            memcpy(rec + PK_ROUTE, e + SE_ROUTE, RT_WORDS * sizeof(int32_t));
             int32_t *const pm = pmeta + (int64_t)pid * PM_STRIDE;
             pm[PM_SRC] = (int32_t)node;
             pm[PM_ICYC] = e[SE_ICYC];
@@ -901,24 +919,26 @@ int64_t repro_step_cycle(State *s, int64_t cycle, int64_t skip_credits)
  * Routing decisions
  *
  * Everything a decision does per packet -- the bounded-integer draws,
- * the policy's rejection test, the per-pair VLB candidate cache, the
- * UGAL-L / UGAL-G / PAR cost comparison -- as reads of flat tables:
+ * the policy's rejection test, the UGAL-L / UGAL-G / PAR cost
+ * comparison -- as reads of flat tables:
  *   - MinImage (repro.routing.table): MIN candidates by switch pair; a
  *     VLB descriptor (mid, slot1, slot2) is two of its slots, and the VC
- *     ladder of the pair of slot shapes is a row of combo_off/combo_vc;
+ *     ladder of a slot's shape (min_off) or of a pair of slot shapes
+ *     (combo_off) is a row of ladder_vc.  A route the decision picks is
+ *     four words pointing into these (RT_*);
  *   - VlbImage: eligible intermediate groups and link counts per group
  *     pair (uniform descriptor sampling);
  *   - the policy's membership program (repro.routing.pathset.PO_* rows);
- *   - the run's candidate store: per switch pair a row of `pair` plus
- *     blocks of `pool` (cached candidates, sparse-policy reservoir,
- *     enumeration handed in by Python);
+ *   - the run's sampling store: per switch pair a row of `pair` plus
+ *     blocks of `pool` (sparse-policy reservoir, enumeration handed in
+ *     by Python);
  *   - the run's generator, through NumPy's bitgen_t interface: every
  *     draw is the call numpy.random.Generator itself would make
  *     (next_double for random(), next_uint32 under the Lemire rule for
  *     integers(n)), on the same state, so C and Python draws interleave
  *     and the generator ends where the reference leaves it.
  * Python owns every buffer.  A decision that needs more than there is
- * -- pool or arena space, a pair's enumeration, a VC ladder that does
+ * -- pool space, a pair's enumeration, a VC ladder that does
  * not exist -- is rolled back completely and the call returns its index
  * with RouteCtx.status saying what to provide.  The generator cannot be
  * rolled back, so the words a decision draws are kept in a replay ring
@@ -928,8 +948,7 @@ int64_t repro_step_cycle(State *s, int64_t cycle, int64_t skip_credits)
 
 /* what a call came back for (RouteCtx.status; repro_run returns it) */
 #define RS_OK 0      /* done: the batch, the bucket, the segment */
-#define RS_POOL 2    /* candidate-store pool full */
-#define RS_ARENA 3   /* route arena full */
+#define RS_POOL 2    /* sampling-store pool full */
 #define RS_ENUM 4    /* need iter_descriptors of pair fail_a */
 #define RS_LADDER 5  /* combo fail_a has no (fail_b: revised) VC ladder */
 #define RS_REPLAY 6  /* replay ring full */
@@ -961,15 +980,12 @@ int64_t repro_step_cycle(State *s, int64_t cycle, int64_t skip_credits)
 #define SPARSE_MEMO_MAX 20000
 
 /* per-pair store row (int32 columns) */
-#define PS_OFF 0   /* pool offset of the candidate block */
-#define PS_CAP 1   /* its capacity, in candidates */
-#define PS_LEN 2   /* candidates cached so far */
-#define PS_FLAGS 3
-#define PS_ROFF 4  /* reservoir: pool offset, */
-#define PS_RLEN 5  /* descriptor count */
-#define PS_EOFF 6  /* enumeration (written by Python): pool offset, */
-#define PS_ELEN 7  /* descriptor count */
-#define PS_STRIDE 8
+#define PS_FLAGS 0
+#define PS_ROFF 1  /* reservoir: pool offset, */
+#define PS_RLEN 2  /* descriptor count */
+#define PS_EOFF 3  /* enumeration (written by Python): pool offset, */
+#define PS_ELEN 4  /* descriptor count */
+#define PS_STRIDE 5
 #define PF_NO_VLB 1    /* the policy offers this pair nothing */
 #define PF_RESERVOIR 2 /* PS_ROFF/PS_RLEN are valid */
 #define PF_ENUM 4      /* PS_EOFF/PS_ELEN are valid */
@@ -978,14 +994,13 @@ int64_t repro_step_cycle(State *s, int64_t cycle, int64_t skip_credits)
 #define RC_VLB 0        /* decisions that chose the VLB candidate */
 #define RC_ATTEMPTS 1   /* uniform descriptor draws tried */
 #define RC_ACCEPTS 2    /* ... that the policy accepted */
-#define RC_REUSES 3     /* picks served from a pair's candidate cache */
-#define RC_FALLBACK 4   /* picks served from a sparse-policy reservoir */
-#define RC_CONSIDERED 5 /* hop-1 arrivals PAR looked at */
-#define RC_REVISED 6    /* ... and re-routed */
-#define RC_MIN 7        /* decisions that kept the MIN candidate */
-#define RC_WORDS 8      /* 32-bit words the decisions consumed */
-#define RC_INJECTED 9   /* packets repro_run queued */
-#define RC_STALLED 10   /* ... and dropped at a full source queue */
+#define RC_FALLBACK 3   /* picks served from a sparse-policy reservoir */
+#define RC_CONSIDERED 4 /* hop-1 arrivals PAR looked at */
+#define RC_REVISED 5    /* ... and re-routed */
+#define RC_MIN 6        /* decisions that kept the MIN candidate */
+#define RC_WORDS 7      /* 32-bit words the decisions consumed */
+#define RC_INJECTED 8   /* packets repro_run queued */
+#define RC_STALLED 9    /* ... and dropped at a full source queue */
 #define RC_LEN 16
 
 /* NumPy's bit generator interface (numpy/random/bitgen.h), as handed
@@ -1012,13 +1027,12 @@ typedef struct {
     const int32_t *mi_k;
     const int64_t *mi_first;
     const int32_t *mi_hops;
-    const int32_t *mi_vcs0;
     const int64_t *mi_rel;
     const int32_t *mi_chan;
     const int32_t *mi_shape;
     const int32_t *shape_local;
+    const int32_t *min_off;   /* [nshapes] */
     const int32_t *combo_off; /* [2][nshapes * nshapes] */
-    const int32_t *combo_vc;
     /* --- VlbImage --- */
     const int32_t *vr_first;
     const int32_t *vr_n;
@@ -1032,10 +1046,9 @@ typedef struct {
     const uint8_t *mask;
     const int64_t *ex_first; /* by_index: CSR over switch pairs */
     const int32_t *ex_desc;  /* [.][3] */
-    /* --- candidate store --- */
+    /* --- sampling store --- */
     int32_t *pair; /* [nsw * nsw][PS_STRIDE] */
     int32_t *pool;
-    int32_t *rv_head; /* [rv_mask + 1] revised-route chains, -1 = empty */
     /* --- the generator and the current decision's words --- */
     bitgen_t *gen;
     uint32_t *replay; /* [replay_cap] */
@@ -1057,15 +1070,10 @@ typedef struct {
     int64_t threshold;
     int64_t extra_min; /* candidates beyond the first, UGAL family */
     int64_t extra_vlb;
-    int64_t cache_cap; /* vlb_cache_per_pair */
     int64_t credit_cap; /* buffer_size * num_vcs of a switch channel */
-    int64_t image_base; /* arena offset of the interned MinImage */
     int64_t pool_len;
     int64_t pool_cap;
     int64_t nres; /* reservoirs memoized (SPARSE_MEMO_MAX) */
-    int64_t arena_len;
-    int64_t arena_cap;
-    int64_t rv_mask;    /* chains - 1 (a power of two) */
     int64_t replay_cap;
     int64_t rlen; /* words in the replay ring */
     int64_t rpos; /* ... of which re-read */
@@ -1177,10 +1185,10 @@ typedef struct {
     int32_t mid, s1, s2;
 } Desc;
 
-/* a prepared route: hops, arena offset, injection VC, and the MinImage
- * slot (MIN) or shape-pair index (VLB) it came from */
+/* a prepared route: hops, the route from hop 0 (RT_*), injection VC,
+ * and the MinImage slot (MIN) or shape-pair index (VLB) it came from */
 typedef struct {
-    int32_t hops, off, vc0, aux;
+    int32_t hops, rt[RT_WORDS], vc0, aux;
 } Cand;
 
 /* policy.contains(src, dst, desc): every program row must accept */
@@ -1371,11 +1379,11 @@ static int rc_sample(RouteCtx *c, int32_t src, int32_t dst, Desc *out)
     return 1;
 }
 
-/* RoutingAlgorithm._candidate for a sampled descriptor: its route goes
- * into the arena and, with the cache on, the candidate into the pair's
- * block in draw order; 0 when something is missing (status) */
-static int rc_candidate(State *s, RouteCtx *c, int32_t src, int32_t dst,
-                        Desc d, int32_t *ps, Cand *out)
+/* RoutingAlgorithm._candidate for a sampled descriptor: its two MIN
+ * slots on the ladder of their shape pair; 0 when that ladder does not
+ * exist (status) */
+static int rc_candidate(const State *s, RouteCtx *c, int32_t src,
+                        int32_t dst, Desc d, Cand *out)
 {
     const int64_t nsw = c->nsw;
     const int64_t slot1 = c->mi_first[src * nsw + d.mid] + d.s1;
@@ -1389,84 +1397,48 @@ static int rc_candidate(State *s, RouteCtx *c, int32_t src, int32_t dst,
         c->fail_b = 0;
         return 0;
     }
-    const int32_t h1 = c->mi_hops[slot1], h2 = c->mi_hops[slot2];
-    if (c->arena_len + h1 + h2 > c->arena_cap) {
-        c->status = RS_ARENA;
-        return 0;
-    }
-    int32_t *chan = s->arena_chan + c->arena_len;
-    memcpy(chan, c->mi_chan + c->mi_rel[slot1], h1 * sizeof(int32_t));
-    memcpy(chan + h1, c->mi_chan + c->mi_rel[slot2], h2 * sizeof(int32_t));
-    memcpy(s->arena_vc + c->arena_len, c->combo_vc + ladder,
-           (h1 + h2) * sizeof(int32_t));
-    out->hops = h1 + h2;
-    out->off = (int32_t)c->arena_len;
-    out->vc0 = c->combo_vc[ladder];
+    const int32_t h1 = c->mi_hops[slot1];
+    out->hops = h1 + c->mi_hops[slot2];
+    out->rt[RT_LEG1] = (int32_t)c->mi_rel[slot1];
+    out->rt[RT_LEG2] = (int32_t)c->mi_rel[slot2] - h1;
+    out->rt[RT_SPLIT] = h1;
+    out->rt[RT_LADDER] = ladder;
+    out->vc0 = s->route_vc[ladder];
     out->aux = combo;
-    c->arena_len += h1 + h2;
-    const int64_t cap = c->cache_cap;
-    if (cap <= 0)
-        return 1;
-    const int32_t len = ps[PS_LEN];
-    if (len == ps[PS_CAP]) {
-        /* grow the pair's block by relocation (the pool only ever grows
-         * at its end) */
-        int64_t grown = len ? 2 * (int64_t)len : 8;
-        if (grown > cap)
-            grown = cap;
-        if (c->pool_len + 4 * grown > c->pool_cap) {
-            c->status = RS_POOL;
-            return 0;
-        }
-        memcpy(c->pool + c->pool_len, c->pool + ps[PS_OFF],
-               (size_t)len * sizeof(Cand));
-        ps[PS_OFF] = (int32_t)c->pool_len;
-        ps[PS_CAP] = (int32_t)grown;
-        c->pool_len += 4 * grown;
-    }
-    memcpy(c->pool + ps[PS_OFF] + 4 * len, out, sizeof(Cand));
-    ps[PS_LEN] = len + 1;
     return 1;
 }
 
-/* RoutingAlgorithm.pick_vlb: one VLB candidate of the pair through its
- * candidate cache -- the first cache_cap picks are genuine samples,
- * later ones (and picks the policy cannot serve any more) reuse them
- * uniformly; 0 when the policy offers the pair nothing, and whenever the
- * pick could not complete (status): callers act on a candidate only when
- * it is the one the reference draws */
-static int rc_pick_vlb(State *s, RouteCtx *c, int32_t src, int32_t dst,
-                       Cand *out)
+/* RoutingAlgorithm.pick_vlb: one fresh VLB candidate of the pair; 0 when
+ * the policy offers the pair nothing (remembered: such a pair draws no
+ * more), and whenever the pick could not complete (status): callers act
+ * on a candidate only when it is the one the reference draws */
+static int rc_pick_vlb(const State *s, RouteCtx *c, int32_t src,
+                       int32_t dst, Cand *out)
 {
     int32_t *ps = c->pair + (src * c->nsw + dst) * PS_STRIDE;
     if (ps[PS_FLAGS] & PF_NO_VLB)
         return 0;
-    if (c->cache_cap <= 0 || ps[PS_LEN] < c->cache_cap) {
-        Desc d;
-        const int sampled = rc_sample(c, src, dst, &d);
-        if (c->status)
-            return 0;
-        if (sampled)
-            return rc_candidate(s, c, src, dst, d, ps, out);
-        if (!ps[PS_LEN]) {
-            ps[PS_FLAGS] |= PF_NO_VLB;
-            return 0;
-        }
-    }
-    memcpy(out, c->pool + ps[PS_OFF] + 4 * rc_draw(c, ps[PS_LEN]),
-           sizeof(Cand));
-    c->cnt[RC_REUSES]++;
-    return !c->status;
+    Desc d;
+    const int sampled = rc_sample(c, src, dst, &d);
+    if (c->status)
+        return 0;
+    if (sampled)
+        return rc_candidate(s, c, src, dst, d, out);
+    ps[PS_FLAGS] |= PF_NO_VLB;
+    return 0;
 }
 
 /* RoutingAlgorithm.pick_min, as a candidate */
-static inline Cand rc_pick_min(RouteCtx *c, int64_t pair)
+static inline Cand rc_pick_min(const State *s, RouteCtx *c, int64_t pair)
 {
     const int64_t slot = c->mi_first[pair] + rc_draw(c, c->mi_k[pair]);
     Cand m;
     m.hops = c->mi_hops[slot];
-    m.off = (int32_t)(c->image_base + c->mi_rel[slot]);
-    m.vc0 = c->mi_vcs0[slot];
+    m.rt[RT_LEG1] = (int32_t)c->mi_rel[slot];
+    m.rt[RT_LEG2] = 0; /* one leg: never read */
+    m.rt[RT_SPLIT] = m.hops;
+    m.rt[RT_LADDER] = c->min_off[c->mi_shape[slot]];
+    m.vc0 = s->route_vc[m.rt[RT_LADDER]];
     m.aux = (int32_t)slot;
     return m;
 }
@@ -1480,18 +1452,18 @@ static inline int64_t rc_load(const State *s, const RouteCtx *c, int32_t ch)
 /* the strategy's delay estimate of a candidate (UgalStrategy.cost) */
 static inline int64_t rc_cost(const State *s, const RouteCtx *c, Cand p)
 {
-    const int32_t *chan = s->arena_chan + p.off;
+    const int32_t *chan = s->route_chan;
     if (c->kind != RK_UGAL_G)
-        return rc_load(s, c, chan[0]) * p.hops;
+        return rc_load(s, c, chan[p.rt[RT_LEG1]]) * p.hops;
     int64_t total = 0;
     for (int32_t h = 0; h < p.hops; h++)
-        total += rc_load(s, c, chan[h]);
+        total += rc_load(s, c, chan[rt_chan(p.rt, h)]);
     return total;
 }
 
 /* what a decision may change, so that it can be undone */
 typedef struct {
-    int64_t arena_len, pool_len, nres;
+    int64_t pool_len, nres;
     int64_t cnt[RC_LEN];
     int32_t *ps;
     int32_t row[PS_STRIDE];
@@ -1503,7 +1475,6 @@ static inline void rc_mark(RouteCtx *c, int32_t *ps, Mark *m)
 {
     if (c->rpos >= c->rlen)
         c->rpos = c->rlen = 0;
-    m->arena_len = c->arena_len;
     m->pool_len = c->pool_len;
     m->nres = c->nres;
     memcpy(m->cnt, c->cnt, sizeof m->cnt);
@@ -1514,7 +1485,6 @@ static inline void rc_mark(RouteCtx *c, int32_t *ps, Mark *m)
 static inline void rc_rollback(RouteCtx *c, const Mark *m)
 {
     c->rpos = 0;
-    c->arena_len = m->arena_len;
     c->pool_len = m->pool_len;
     c->nres = m->nres;
     memcpy(c->cnt, m->cnt, sizeof m->cnt);
@@ -1553,7 +1523,7 @@ static int64_t route_span(State *s, RouteCtx *c, int64_t start, int64_t n,
         /* draws first, in the reference's order: MIN, VLB, extra MINs,
          * extra VLBs; costs read channel state only, so comparing as
          * the draws arrive equals comparing afterwards */
-        Cand pick = rc_pick_min(c, pair), vlb;
+        Cand pick = rc_pick_min(s, c, pair), vlb;
         int use_vlb = 0;
         const int contested =
             kind != RK_MIN && rc_pick_vlb(s, c, src, dst, &vlb);
@@ -1564,7 +1534,7 @@ static int64_t route_span(State *s, RouteCtx *c, int64_t start, int64_t n,
                 int64_t cost_min = rc_cost(s, c, pick);
                 int64_t cost_vlb = rc_cost(s, c, vlb);
                 for (int64_t e = 0; e < extra_min && !c->status; e++) {
-                    const Cand other = rc_pick_min(c, pair);
+                    const Cand other = rc_pick_min(s, c, pair);
                     const int64_t cost = rc_cost(s, c, other);
                     if (cost < cost_min) {
                         pick = other;
@@ -1597,7 +1567,7 @@ static int64_t route_span(State *s, RouteCtx *c, int64_t start, int64_t n,
         c->cnt[use_vlb ? RC_VLB : RC_MIN]++;
         rec[SE_PATH] = pick.hops;
         rec[SE_VC0] = pick.vc0;
-        rec[SE_ROFF] = pick.off;
+        memcpy(rec + SE_ROUTE, pick.rt, sizeof pick.rt);
     }
     return n;
 }
@@ -1620,24 +1590,11 @@ static int64_t repro_route_batch(State *s, RouteCtx *c, int64_t n,
         c, route_span(s, c, c->pos, n, srcs, dsts, cycle, records), n);
 }
 
-static inline uint32_t rv_chain(const RouteCtx *c, int32_t taken, int32_t off)
-{
-    const uint64_t key =
-        ((uint64_t)(uint32_t)taken << 32 | (uint32_t)off) *
-        0x9E3779B97F4A7C15ull;
-    return (uint32_t)(key >> 32) & (uint32_t)c->rv_mask;
-}
-
-/* RoutingAlgorithm.revised_route: the arena offset of the hop the packet
- * of record `rec` took followed by candidate `vlb` on PAR's revised
- * ladder.  One route per (hop taken, cached candidate), remembered in
- * chains of 4-entry pool blocks (next, taken, candidate offset, route
- * offset), so the arena grows with distinct revisions, not with
- * packets; without a candidate cache every pick is a fresh arena row
- * and nothing is remembered.  -1 when something is missing (status),
- * before anything was written. */
-static int32_t rc_revised_route(State *s, RouteCtx *c, const int32_t *rec,
-                                Cand vlb)
+/* RoutingAlgorithm.revised_route: the packet of record `rec`, one hop
+ * into its route, goes on over candidate `vlb` on PAR's revised ladder
+ * (the hop it took keeps its VC, and is never read again); 0 when that
+ * ladder does not exist (status), before anything was written */
+static int rc_revise_route(RouteCtx *c, int32_t *rec, Cand vlb)
 {
     const int32_t ladder =
         c->combo_off[c->nshapes * c->nshapes + vlb.aux];
@@ -1645,47 +1602,21 @@ static int32_t rc_revised_route(State *s, RouteCtx *c, const int32_t *rec,
         c->status = RS_LADDER;
         c->fail_a = vlb.aux;
         c->fail_b = 1;
-        return -1;
+        return 0;
     }
-    const int32_t taken = s->arena_chan[rec[PK_ROFF]];
-    const int remember = c->cache_cap > 0;
-    int32_t *head = c->rv_head + (remember ? rv_chain(c, taken, vlb.off) : 0);
-    if (remember)
-        for (int32_t e = *head; e >= 0; e = c->pool[e])
-            if (c->pool[e + 1] == taken && c->pool[e + 2] == vlb.off)
-                return c->pool[e + 3];
-    if (c->arena_len + 1 + vlb.hops > c->arena_cap) {
-        c->status = RS_ARENA;
-        return -1;
-    }
-    if (remember && c->pool_len + 4 > c->pool_cap) {
-        c->status = RS_POOL;
-        return -1;
-    }
-    const int32_t off = (int32_t)c->arena_len;
-    s->arena_chan[off] = taken;
-    s->arena_vc[off] = rec[PK_VC0];
-    memcpy(s->arena_chan + off + 1, s->arena_chan + vlb.off,
-           vlb.hops * sizeof(int32_t));
-    memcpy(s->arena_vc + off + 1, c->combo_vc + ladder,
-           vlb.hops * sizeof(int32_t));
-    c->arena_len += 1 + vlb.hops;
-    if (remember) {
-        int32_t *e = c->pool + c->pool_len;
-        e[0] = *head;
-        e[1] = taken;
-        e[2] = vlb.off;
-        e[3] = off;
-        *head = (int32_t)c->pool_len;
-        c->pool_len += 4;
-    }
-    return off;
+    int32_t *rt = rec + PK_ROUTE;
+    rt[RT_LEG1] = vlb.rt[RT_LEG1] - 1;
+    rt[RT_LEG2] = vlb.rt[RT_LEG2] - 1;
+    rt[RT_SPLIT] = vlb.rt[RT_SPLIT] + 1;
+    rt[RT_LADDER] = ladder - 1;
+    rec[PK_PATH] = 1 + vlb.hops;
+    return 1;
 }
 
 /* PAR's hop-1 revisions of delivery bucket idx (ParStrategy.revise), in
  * delivery order from bucket position `start`: applies the bucket's
  * credit returns first (revisions read post-credit loads; the step then
- * runs with skip_credits), draws from the same candidate store as the
+ * runs with skip_credits), samples through the same store as the
  * source decisions, and moves each packet that revises onto its spliced
  * route.  Returns the bucket length when done, else the position to
  * resume at. */
@@ -1710,18 +1641,14 @@ static int64_t revise_span(State *s, RouteCtx *c, int64_t idx, int64_t start)
             if (rc_pick_vlb(s, c, here, dst, &vlb)) {
                 /* the remaining MIN route against a fresh VLB path */
                 const int64_t cost_min =
-                    rc_load(s, c, s->arena_chan[rec[PK_ROFF] + 1]) *
+                    rc_load(s, c, s->route_chan[rt_chan(rec + PK_ROUTE, 1)]) *
                     (rec[PK_PATH] - 1);
                 const int64_t cost_vlb =
-                    rc_load(s, c, s->arena_chan[vlb.off]) * vlb.hops;
-                if (cost_vlb + c->threshold < cost_min) {
-                    const int32_t off = rc_revised_route(s, c, rec, vlb);
-                    if (off >= 0) {
-                        rec[PK_ROFF] = off;
-                        rec[PK_PATH] = 1 + vlb.hops;
-                        s->pmeta[(int64_t)dp[i] * PM_STRIDE + PM_VLB] = 1;
-                        c->cnt[RC_REVISED]++;
-                    }
+                    rc_load(s, c, s->route_chan[vlb.rt[RT_LEG1]]) * vlb.hops;
+                if (cost_vlb + c->threshold < cost_min &&
+                    rc_revise_route(c, rec, vlb)) {
+                    s->pmeta[(int64_t)dp[i] * PM_STRIDE + PM_VLB] = 1;
+                    c->cnt[RC_REVISED]++;
                 }
             }
             if (c->status) {

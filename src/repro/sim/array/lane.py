@@ -6,9 +6,9 @@ owns what those calls read and write besides the network's own arrays --
 pointers into the topology's flattened tables
 (:class:`~repro.routing.table.MinImage`,
 :class:`~repro.routing.table.VlbImage`), the policy's membership program,
-the run's candidate store, the traffic pattern's destination program --
+the run's sampling store, the traffic pattern's destination program --
 and answers the kernel's requests: a call that cannot go on returns a
-status, the lane provides what was missing (pool, arena, ring or packet
+status, the lane provides what was missing (pool, ring or packet
 space, a drained ejection buffer, a pair's enumeration, a cycle's
 destinations, the reference's ``ValueError`` for a VC ladder that does
 not exist) and re-enters where the call stopped.
@@ -80,7 +80,6 @@ REASONS = {
     native.RS_DRAIN: "drain",
     native.RS_PACKETS: "pool",
     native.RS_POOL: "pool",
-    native.RS_ARENA: "arena",
     native.RS_SOURCE: "ring",
     native.RS_REPLAY: "ring",
     native.RS_ENUM: "enum",
@@ -103,7 +102,7 @@ class KernelPlan(NamedTuple):
 
     kind: int  # the strategy's kernel.c RK_* id
     program: PolicyProgram  # the policy's membership test, as data
-    image: MinImage  # every MIN candidate, with its VC ladder
+    image: MinImage  # every MIN candidate, and every VC ladder
 
 
 def kernel_plan(
@@ -183,8 +182,6 @@ class RouteLane:
         )
         nsw = table.nsw
         nodes = network.topo.num_nodes
-        # PAR's revised routes hang off one chain per (about) switch pair
-        chains = 1 << (nsw * nsw).bit_length() if kind == native.RK_PAR else 1
         # everything the context points at, kept alive here
         self._arrays: Dict[str, np.ndarray] = {
             "sw_of": rows.node_switch,
@@ -192,13 +189,12 @@ class RouteLane:
             "mi_k": image.k,
             "mi_first": image.first,
             "mi_hops": image.hops,
-            "mi_vcs0": image.vcs0,
             "mi_rel": image.rel,
             "mi_chan": image.chan,
             "mi_shape": image.shape,
             "shape_local": image.shape_local,
+            "min_off": image.min_off,
             "combo_off": image.combo_off,
-            "combo_vc": image.combo_vc,
             "vr_first": rows.first,
             "vr_n": rows.n,
             "vr_group": rows.group,
@@ -212,12 +208,11 @@ class RouteLane:
             "ex_desc": descriptors,
             "pair": np.zeros((nsw * nsw, native.PS_STRIDE), np.int32),
             "pool": np.zeros(_INITIAL_POOL, np.int32),
-            "rv_head": np.full(chains, -1, np.int32),
             "replay": np.zeros(_INITIAL_REPLAY, np.uint32),
             # one cycle of the loop: who sends, where to, as what record
             "srcs": np.zeros(nodes, np.int64),
             "dsts": np.zeros(nodes, np.int64),
-            "records": np.zeros((nodes, 8), np.int32),
+            "records": np.zeros((nodes, native.SE_STRIDE), np.int32),
         }
         self.ctx = ctx = native.CRouteCtx()
         for name, array in self._arrays.items():
@@ -237,12 +232,10 @@ class RouteLane:
         ctx.threshold = params.ugal_threshold
         ctx.extra_min = params.min_candidates - 1
         ctx.extra_vlb = params.vlb_candidates - 1
-        ctx.cache_cap = params.vlb_cache_per_pair
         ctx.credit_cap = params.buffer_size * network.num_vcs
-        # the whole MinImage, interned once: MIN candidates are arena rows
-        ctx.image_base = network.intern_route(image.chan, image.vc)
+        # a packet's route is four words pointing into the image
+        network.read_routes(image.chan, image.ladder_vc)
         ctx.pool_cap = _INITIAL_POOL
-        ctx.rv_mask = chains - 1
         ctx.replay_cap = _INITIAL_REPLAY
         ctx.ur_prob = -1.0
         self._ctx_ref = ctypes.byref(ctx)
@@ -313,13 +306,9 @@ class RouteLane:
         ctx.cycle = network.cycle
         state = network._cstate_ref
         returns = self.returns
-        # the kernel appends at the arena's end
-        ctx.arena_len = network._arena_len
-        ctx.arena_cap = network._arena_cap
         while True:
             status = self._run(state, self._ctx_ref, until)
             self.kernel_calls += 1
-            network._arena_len = ctx.arena_len
             if status < 0:
                 raise RuntimeError(
                     f"array kernel invariant violation (code {status}) "
@@ -346,9 +335,6 @@ class RouteLane:
                 self._grow("pool", 2 * ctx.pool_cap, ctx.pool_len)
             elif status == native.RS_REPLAY:
                 self._grow("replay", 2 * ctx.replay_cap, ctx.rlen)
-            elif status == native.RS_ARENA:
-                network._grow_arena(2 * network._arena_cap)
-                ctx.arena_cap = network._arena_cap
             else:
                 self._enumerate(ctx.fail_a)
         network.cycle = until
@@ -459,7 +445,6 @@ class RouteLane:
         counts = {
             "routing.sample_attempts": cnt[native.RC_ATTEMPTS],
             "routing.sample_accepts": cnt[native.RC_ACCEPTS],
-            "routing.cache_reuses": cnt[native.RC_REUSES],
             "routing.fallback_picks": cnt[native.RC_FALLBACK],
             "routing.words_drawn": cnt[native.RC_WORDS],
             "routing.revisions_considered": cnt[native.RC_CONSIDERED],

@@ -51,17 +51,17 @@ __all__ = [
     "PK_HOP",
     "PK_PATH",
     "PK_CVC",
-    "PK_VC0",
     "PK_DST",
     "PK_REV",
     "PK_ARR",
-    "PK_ROFF",
+    "PK_ROUTE",
     "PK_STRIDE",
+    "SE_STRIDE",
 ]
 
 _log = get_logger("sim.array.native")
 
-_ABI_VERSION = 13  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
+_ABI_VERSION = 14  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
 _KERNEL_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -81,12 +81,13 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 PK_HOP = 0
 PK_PATH = 1
 PK_CVC = 2
-PK_VC0 = 3
-PK_DST = 4
-PK_REV = 5
-PK_ARR = 6
-PK_ROFF = 7
-PK_STRIDE = 8
+PK_DST = 3
+PK_REV = 4
+PK_ARR = 5
+PK_ROUTE = 6  # the route's four RT_* words
+PK_STRIDE = 16
+# queued-packet entry width (kernel.c SE_*: src_buf rows, RouteCtx.records)
+SE_STRIDE = 11
 
 # field order MUST match struct State in kernel.c exactly; repro_abi()
 # only guards the total sizes, the parity test suite guards the semantics
@@ -131,8 +132,8 @@ _POINTER_FIELDS: List[Tuple[str, object]] = [
     ("pkt", _I32P),
     ("pmeta", _I32P),
     ("free_stack", _I32P),
-    ("arena_chan", _I32P),
-    ("arena_vc", _I32P),
+    ("route_chan", _I32P),
+    ("route_vc", _I32P),
     ("counters", _I64P),
 ]
 
@@ -177,7 +178,6 @@ EW_STRIDE = 4
 # statuses: what an incomplete call needs before re-entry
 RS_OK = 0
 RS_POOL = 2
-RS_ARENA = 3
 RS_ENUM = 4
 RS_LADDER = 5
 RS_REPLAY = 6
@@ -189,10 +189,10 @@ RS_DESTS = 10
 RK_PAR = 4  # RouteCtx.kind of ParStrategy (kernel.c RK_*)
 
 # per-pair store row columns / flags
-PS_EOFF = 6
-PS_ELEN = 7
-PS_FLAGS = 3
-PS_STRIDE = 8
+PS_FLAGS = 0
+PS_EOFF = 3
+PS_ELEN = 4
+PS_STRIDE = 5
 PF_RESERVOIR = 2
 PF_ENUM = 4
 
@@ -200,14 +200,13 @@ PF_ENUM = 4
 RC_VLB = 0
 RC_ATTEMPTS = 1
 RC_ACCEPTS = 2
-RC_REUSES = 3
-RC_FALLBACK = 4
-RC_CONSIDERED = 5
-RC_REVISED = 6
-RC_MIN = 7
-RC_WORDS = 8
-RC_INJECTED = 9
-RC_STALLED = 10
+RC_FALLBACK = 3
+RC_CONSIDERED = 4
+RC_REVISED = 5
+RC_MIN = 6
+RC_WORDS = 7
+RC_INJECTED = 8
+RC_STALLED = 9
 RC_LEN = 16
 
 ROUTE_POINTER_FIELDS: Tuple[str, ...] = (
@@ -216,13 +215,12 @@ ROUTE_POINTER_FIELDS: Tuple[str, ...] = (
     "mi_k",
     "mi_first",
     "mi_hops",
-    "mi_vcs0",
     "mi_rel",
     "mi_chan",
     "mi_shape",
     "shape_local",
+    "min_off",
     "combo_off",
-    "combo_vc",
     "vr_first",
     "vr_n",
     "vr_group",
@@ -236,7 +234,6 @@ ROUTE_POINTER_FIELDS: Tuple[str, ...] = (
     "ex_desc",
     "pair",
     "pool",
-    "rv_head",
     "gen",
     "replay",
     "dest_map",
@@ -258,15 +255,10 @@ ROUTE_SCALAR_FIELDS: Tuple[str, ...] = (
     "threshold",
     "extra_min",
     "extra_vlb",
-    "cache_cap",
     "credit_cap",
-    "image_base",
     "pool_len",
     "pool_cap",
     "nres",
-    "arena_len",
-    "arena_cap",
-    "rv_mask",
     "replay_cap",
     "rlen",
     "rpos",

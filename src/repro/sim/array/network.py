@@ -49,6 +49,7 @@ from repro.sim.array.native import (
     COUNTERS_LEN,
     EW_STRIDE,
     PK_STRIDE,
+    SE_STRIDE,
     CState,
     NativeKernelUnavailable,
     POINTER_FIELD_NAMES,
@@ -64,7 +65,6 @@ _PTR_OF_DTYPE = {
 }
 
 _INITIAL_PACKET_CAP = 1024
-_INITIAL_ARENA_CAP = 4096
 _INITIAL_SRC_CAP = 32
 # ejection-buffer entries (never fewer than two worst-case cycles' worth):
 # hundreds of cycles between drains on the paper's topologies, and small
@@ -166,7 +166,7 @@ class ArrayNetwork:
         self._src_cap = _INITIAL_SRC_CAP
         # each ring slot is a packed queued-packet entry (kernel.c SE_*):
         # records materialize in the pool only at network entry
-        S.src_buf = _alloc((nNodes, self._src_cap, 8), np.int32)
+        S.src_buf = _alloc((nNodes, self._src_cap, SE_STRIDE), np.int32)
         S.src_meta = np.zeros((nNodes, 2), np.int32)
         S.src_head = S.src_meta[:, 0]
         S.src_len = S.src_meta[:, 1]
@@ -226,11 +226,9 @@ class ArrayNetwork:
         S.free_stack = _alloc(cap, np.int32)
         # descending init so pids pop in ascending order
         S.free_stack[:] = np.arange(cap - 1, -1, -1, dtype=np.int32)
-        # --- route arena ---
-        self._arena_cap = _INITIAL_ARENA_CAP
-        self._arena_len = 0
-        S.arena_chan = np.zeros(self._arena_cap, np.int32)
-        S.arena_vc = np.zeros(self._arena_cap, np.int32)
+        # --- what a packet's route refers to: the route table's channel
+        # image and VC ladders (read_routes; none until then) ---
+        S.route_chan = S.route_vc = np.zeros(1, np.int32)
         S.counters = np.zeros(COUNTERS_LEN, np.int64)
         S.counters[CNT_FREE] = cap
 
@@ -299,25 +297,12 @@ class ArrayNetwork:
         self._packet_cap = new_cap
         self._sync_struct(("pkt", "pmeta", "free_stack"))
 
-    def _grow_arena(self, need: int) -> None:
-        S = self._S
-        new_cap = self._arena_cap
-        while new_cap < need:
-            new_cap *= 2
-        for name in ("arena_chan", "arena_vc"):
-            old = getattr(S, name)
-            grown = _alloc(new_cap, old.dtype)
-            grown[: self._arena_len] = old[: self._arena_len]
-            setattr(S, name, grown)
-        self._arena_cap = new_cap
-        self._sync_struct(("arena_chan", "arena_vc"))
-
     def _grow_src(self) -> None:
         """Double source-queue ring capacity, unwrapping each ring."""
         S = self._S
         old_cap = self._src_cap
         new_cap = old_cap * 2
-        grown = _alloc((S.src_buf.shape[0], new_cap, 8), np.int32)
+        grown = _alloc((S.src_buf.shape[0], new_cap, SE_STRIDE), np.int32)
         lens = S.src_len
         heads = S.src_head
         for node in np.nonzero(lens)[0].tolist():
@@ -330,23 +315,17 @@ class ArrayNetwork:
         self._sync_struct(("src_buf",))
 
     # ------------------------------------------------------------------
-    # The route arena and the ejection drain (asked for by RouteLane.run)
+    # The route table and the ejection drain (RouteLane's)
     # ------------------------------------------------------------------
-    def intern_route(self, chan_indices, vcs) -> int:
-        """Append an image of routes given by raw channel indices to the
-        arena; returns its offset.  (The routing lane interns the table's
-        whole ``MinImage`` this way, once per run; the kernel appends
-        the routes it builds itself.)
-        """
+    def read_routes(self, chan: np.ndarray, ladder_vc: np.ndarray) -> None:
+        """Point the kernel at what its packets' routes refer to: a
+        :class:`~repro.routing.table.MinImage`'s ``chan`` and
+        ``ladder_vc`` (the routing lane's, set once per run; the arrays
+        must outlive the network)."""
         S = self._S
-        off = self._arena_len
-        need = off + len(chan_indices)
-        if need > self._arena_cap:
-            self._grow_arena(need)
-        S.arena_chan[off:need] = chan_indices
-        S.arena_vc[off:need] = vcs
-        self._arena_len = need
-        return off
+        S.route_chan = chan
+        S.route_vc = ladder_vc
+        self._sync_struct(("route_chan", "route_vc"))
 
     def _flush_ejections(self) -> None:
         """Hand the buffered ejections to ``on_eject_batch``, in ejection

@@ -42,11 +42,6 @@ class SimParams:
     # credits to advance, occupies its channel for `packet_size` cycles,
     # and is delivered when its tail flit arrives.
     packet_size: int = 1
-    # per-pair VLB candidate cache: after this many distinct random
-    # candidates have been drawn for a switch pair, further draws reuse
-    # them uniformly (an unbiased approximation that removes path
-    # construction from the simulator hot loop).  0 disables the cache.
-    vlb_cache_per_pair: int = 128
     # statically verify the (topology, path set, VC scheme) configuration
     # with repro.verify before running the engine; a failed verification
     # raises instead of simulating a broken configuration

@@ -1,4 +1,4 @@
-"""Routing decision state: candidate rows, caches, queue estimates.
+"""Routing decision state: candidate rows, queue estimates.
 
 The T- variants (T-UGAL-L, T-UGAL-G, T-PAR) are the same decision
 procedures with a restricted VLB :class:`~repro.routing.pathset.PathPolicy`
@@ -6,8 +6,7 @@ procedures with a restricted VLB :class:`~repro.routing.pathset.PathPolicy`
 paths for UGAL".
 
 :class:`RoutingAlgorithm` owns everything a decision *uses* -- per-pair
-MIN/VLB candidate caches, the rng, queue-state reads, decision counters
--- while each variant's decision *procedure* (how MIN, VLB, UGAL-L,
+MIN candidates, the rng, queue-state reads, decision counters -- while each variant's decision *procedure* (how MIN, VLB, UGAL-L,
 UGAL-G, and PAR choose and revise) lives in a
 :class:`~repro.sim.strategies.RoutingStrategy` looked up in
 ``repro.spec``'s ``ROUTING_REGISTRY``.  Adding a variant is a
@@ -30,8 +29,7 @@ routing object: :meth:`RoutingAlgorithm.traffic` says what to inject,
 packets and steps the network, and :meth:`RoutingAlgorithm.counts` is
 what the injection did.  The array lane's
 :class:`~repro.sim.array.lane.RouteLane` has the same surface and makes
-the same decisions -- same draws, same order, same candidate cache --
-in the native kernel; this module knows nothing of it.  See "Route
+the same decisions -- same draws, same order -- in the native kernel; this module knows nothing of it.  See "Route
 tables and draw order" and "The run loop" in ``docs/simulator.md``.
 """
 
@@ -45,8 +43,8 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -93,18 +91,6 @@ Pick = Tuple[
 ]
 
 
-class _NoVlbPath:
-    """Typed cache sentinel: a pair with no VLB path under the policy."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<no VLB path>"
-
-
-_NO_VLB_PATH = _NoVlbPath()
-
-
 class RoutingAlgorithm:
     """Per-packet route selection bound to a wheel ``Network`` and a
     VLB policy -- and, given :meth:`traffic`, a packet-lane run's
@@ -144,19 +130,11 @@ class RoutingAlgorithm:
         self._same_switch = Candidate(0, (), "", [], [])
         # per-pair MIN candidates, keyed src * num_switches + dst
         self._min_cache: Dict[int, List[Candidate]] = {}
-        # per-pair VLB candidate cache; once `_vlb_cache_cap` candidates
-        # were drawn for a pair, further draws reuse them uniformly;
-        # _NO_VLB_PATH marks pairs the policy cannot serve
-        self._vlb_cache: Dict[int, Union[List[Candidate], _NoVlbPath]] = {}
-        self._vlb_cache_cap = network.params.vlb_cache_per_pair
+        # pairs (same key) the policy cannot serve: they draw no more
+        self._no_vlb_path: Set[int] = set()
         # sparse-policy reservoirs (PathPolicy.sample): they depend on
         # the rng that filled them, so they live with this run
         self.reservoirs: dict = {}
-        # PAR-revised (route, vcs) by channel-index row, so equal
-        # revisions share one route object
-        self._revised: Dict[
-            Tuple[int, ...], Tuple[List[SimChannel], List[int]]
-        ] = {}
         # what traffic() set and run() injected
         self.load = 0.0
         self.max_source_queue = 0
@@ -209,57 +187,37 @@ class RoutingAlgorithm:
         return entries[draws.integers(len(entries))]
 
     def pick_vlb(self, src_sw: int, dst_sw: int, draws) -> Optional[Candidate]:
-        """One random VLB candidate, ``None`` if the policy offers none.
-
-        Uses the per-pair candidate cache: the first ``_vlb_cache_cap``
-        draws are genuine uniform samples from the policy (and are
-        memoized in draw order); later draws reuse them uniformly.
-        """
+        """One uniform VLB candidate of the policy, drawn fresh; ``None``
+        if the policy offers none (remembered: such a pair draws no
+        more)."""
         key = src_sw * self._nsw + dst_sw
-        cache = self._vlb_cache.get(key)
-        if isinstance(cache, _NoVlbPath):
-            return None  # pair has no VLB path under this policy
-        if cache is None:
-            cache = self._vlb_cache[key] = []
-        cap = self._vlb_cache_cap
-        if cap <= 0 or len(cache) < cap:
-            desc = self.policy.sample(
-                self.topo, src_sw, dst_sw, draws, self.reservoirs
-            )
-            if desc is None:
-                if not cache:
-                    self._vlb_cache[key] = _NO_VLB_PATH
-                    return None
-                return cache[draws.integers(len(cache))]
-            first, second = self.table.vlb_legs(src_sw, dst_sw, desc)
-            entry = self._candidate(
-                first.chans + second.chans, first.shape + second.shape
-            )
-            if cap > 0:
-                cache.append(entry)
-            return entry
-        return cache[draws.integers(len(cache))]
+        if key in self._no_vlb_path:
+            return None
+        desc = self.policy.sample(
+            self.topo, src_sw, dst_sw, draws, self.reservoirs
+        )
+        if desc is None:
+            self._no_vlb_path.add(key)
+            return None
+        first, second = self.table.vlb_legs(src_sw, dst_sw, desc)
+        return self._candidate(
+            first.chans + second.chans, first.shape + second.shape
+        )
 
     def revised_route(
         self, packet: Packet, vlb: Candidate
     ) -> Tuple[List[SimChannel], List[int]]:
         """(route, vcs) of ``packet`` re-routed over ``vlb`` from its
         current hop: the hops taken so far keep their VCs, the VLB
-        fragment rides PAR's revised ladder from there.  Interned per
-        distinct channel row."""
+        fragment rides PAR's revised ladder from there."""
         hop = packet.hop
-        chans = tuple([ch.index for ch in packet.route[:hop]]) + vlb.chans
-        entry = self._revised.get(chans)
-        if entry is None:
-            ladders = self.table.ladders(
-                self.vc_scheme, self.num_vcs, revised=True, hop_offset=hop
-            )
-            channels = self._channels
-            entry = self._revised[chans] = (
-                [channels[c] for c in chans],
-                packet.vcs[:hop] + ladders[vlb.shape],
-            )
-        return entry
+        ladders = self.table.ladders(
+            self.vc_scheme, self.num_vcs, revised=True, hop_offset=hop
+        )
+        return (
+            packet.route[:hop] + vlb.route,
+            packet.vcs[:hop] + ladders[vlb.shape],
+        )
 
     # ------------------------------------------------------------------
     # Queue estimates
@@ -282,8 +240,8 @@ class RoutingAlgorithm:
         Batch-friendly hook for the engines: one call per injection
         cycle instead of one per packet.  The RNG draw order is pinned
         -- every pick is drawn strictly in packet order, so the draws
-        (and the VLB candidate-cache mutations they cause) happen in
-        exactly the order a per-packet loop would produce, and the
+        (and the no-VLB-path marks they leave) happen in exactly the
+        order a per-packet loop would produce, and the
         :class:`~repro.sim.draws.DrawStream` leaves the generator in the
         state scalar draws would have.  Decisions only read channel
         ``load_metric`` state, never source-queue occupancy, and consume

@@ -1,7 +1,7 @@
 """Routing decision strategies: the variant-specific half of UGAL routing.
 
 :class:`~repro.sim.routing.RoutingAlgorithm` owns the state a decision
-needs -- candidate caches, queue-state reads, decision counters -- and
+needs -- candidate rows, queue-state reads, decision counters -- and
 draws every packet's MIN/VLB candidates; the *decision procedure* of each
 variant (MIN, VLB, UGAL-L, UGAL-G, PAR) lives here as a registered
 strategy object that decides a whole batch of drawn picks at once.

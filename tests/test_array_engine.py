@@ -126,13 +126,21 @@ def test_native_kernel_builds_here():
 # The path taken is identity-neutral: cache keys, cache sharing
 # ---------------------------------------------------------------------------
 # keys of the two entries in tests/fixtures/simcache_pr12, a SimCache
-# directory written at the last commit that had ``SimParams.engine``
-# (ugal-l by engine="array", min by engine="wheel")
+# directory written (CACHE_VERSION 3) at the last commit that had
+# ``SimParams.engine`` (ugal-l by engine="array", min by engine="wheel")
 PARENT_KEYS = {
     "ugal-l": "dfeb6b2098314e267bd71ba0799dd112"
     "119fa2cacb2bb99a1893a512e6484c81",
     "min": "2f8ba7bf017c184f4e3efc2c3ff515ae"
     "93813256a04d2eb877ccf537d197be13",
+}
+# the same two points' keys since every VLB pick is a fresh sample
+# (``SimParams.vlb_cache_per_pair`` went, CACHE_VERSION 4)
+KEYS = {
+    "ugal-l": "04021f43a4e0d227da4d8bf4acbfc2da"
+    "ace70fe135d033cb05a3eef233fe4056",
+    "min": "ff644cfdc759041336076bcc39b1e86c"
+    "4c67292415059165b5ff6167ead96cba",
 }
 PARENT_CACHE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "fixtures", "simcache_pr12"
@@ -152,33 +160,44 @@ def _task(routing):
 
 
 def test_engine_excluded_from_fingerprint(reference_engine):
-    """Removing the knob moved no cache key: the keys are the ones the
-    parent commit computed, on either path."""
-    for routing, key in PARENT_KEYS.items():
-        task = _task(routing)
-        assert fingerprint(
-            task.topo, task.pattern, task.load, routing=task.routing,
-            policy=None, params=task.params, seed=task.seed,
-        ) == key
-        assert os.path.exists(SimCache(PARENT_CACHE).path_for(key))
+    """The path a run takes is no part of its key: on either path the
+    key is the pinned one -- which is not the key the fixture's entry of
+    the same point has, as that result was computed with the candidate
+    cache."""
+    for native in (False, True):
+        if native:
+            reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
+        for routing, key in KEYS.items():
+            task = _task(routing)
+            assert fingerprint(
+                task.topo, task.pattern, task.load, routing=task.routing,
+                policy=None, params=task.params, seed=task.seed,
+            ) == key != PARENT_KEYS[routing]
+    for key in PARENT_KEYS.values():
+        assert os.path.exists(
+            os.path.join(PARENT_CACHE, "v3", key[:2], key + ".json")
+        )
 
 
 def test_cross_engine_cache_sharing(tmp_path, reference_engine):
     """A reference-path run warms the cache for a native run, and a
-    cache directory written before the ``engine`` knob was removed is
-    hit, not recomputed."""
+    cache directory written before fresh VLB picks changed results is
+    recomputed, not hit."""
     fresh = str(tmp_path / "fresh")
     with SweepExecutor(jobs=1, cache=SimCache(fresh)) as executor:
         first = executor.run([_task("ugal-l"), _task("min")])
         assert executor.cache_hits == 0
     reference_engine.delenv("REPRO_ARRAYNET_NATIVE")
+    inherited = str(tmp_path / "inherited")
+    shutil.copytree(PARENT_CACHE, inherited)
+    with SweepExecutor(jobs=1, cache=SimCache(inherited)) as executor:
+        assert executor.run([_task("ugal-l"), _task("min")]) == first
+        assert executor.cache_hits == 0
 
     def bomb(t):
         raise AssertionError("cache miss: the engines do not share entries")
 
     reference_engine.setattr(executor_module, "run_task", bomb)
-    inherited = str(tmp_path / "inherited")
-    shutil.copytree(PARENT_CACHE, inherited)
     for root in (fresh, inherited):
         with SweepExecutor(jobs=1, cache=SimCache(root)) as executor:
             second = executor.run([_task("ugal-l"), _task("min")])

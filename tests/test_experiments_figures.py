@@ -88,26 +88,27 @@ def _capture_suite(monkeypatch, runner, scale=DEFAULT_SCALE):
 
 #: The suite fingerprints of every curve figure and suite ablation, as
 #: built when their scale was read from unset environment variables --
-#: ``DEFAULT_SCALE`` must build exactly these suites.
+#: ``DEFAULT_SCALE`` must build exactly these suites (re-pinned, all at
+#: once, when ``SimParams.vlb_cache_per_pair`` left every run's identity).
 SUITE_FINGERPRINTS = {
-    "fig06": "a3641647640ff889c0a515a26dbf48d15fd6826292c08cb63b37b050020b820b",
-    "fig07": "5a131109e5815c6f92d7518bb3b9afae0f94f7d7ce7fed5076a9307d2f2f4796",
-    "fig08": "0a6d655894740fc2a3032db34513e6bdd9a09ef627992dab50e61b875f32bae0",
-    "fig09": "0a85bd935019f1a93947995556fe9ab91621491cd0c9700a79f961748156e75e",
-    "fig10": "353d55e98ef943c1267680145b7dd7103334b2aa3a5c9435aafd6bae85dfa536",
-    "fig11": "a4b7210a6dc2573a4101712c8a5b4bd6a3827cd319984eb8d462be5360fec9d8",
-    "fig12": "822e0d2b90a60fe25b56b48de99e004588171fd6b8034af2dcb7986f9bc1a4a7",
-    "fig13": "aaa19caef539905e06ff0ccca03d36f24646b483e05aa154ed56499c10edcc9a",
-    "fig14": "4f5c22f2b7b77a847e46380a53bae4684bb33a796a2eca9e7f157b8ed9199b14",
-    "fig15": "12c9c246e374e210e74e9d3cfafa360df7fec9e4704b99a3e4dee1f4498104b4",
-    "fig16": "76940a9a9efc73add2b477130fd5261187155bdef31d97c4d5868314695e9320",
-    "fig17": "fcf84cc0d49b6b61deb316a49cb71b7c9e1a4b25b9ef7eb8ab1dcfbd6c0b26ca",
-    "fig18": "9e0569c0a3980b5966c7f640df318f98066adfdff7b4309139560da7a2e4a211",
+    "fig06": "1a87fafa4dbb44efd22095b4e69cfeefb8a34fc2c651fc55e50612006d3fa334",
+    "fig07": "5394778f9ed641e277eb2e22ac329cfb41ba336e9094469eabde66d11bd8bbd9",
+    "fig08": "a42a7b86ad82f9cb001b5a4a14d13cd3d2997e3c41a7eafcd0293567c12a5ecf",
+    "fig09": "4c659dd0bf104c90f0a4181c026364c8f79979954fc468fbeb7e96f71f4d02e8",
+    "fig10": "251c4e55c2c0547acec8e9b5094f948caacf64a32320885944e80729d63494f5",
+    "fig11": "14485daaa6fcb3a9d15e5e553436d2e0b154afb1b924f48fddc86fa683a201a4",
+    "fig12": "41d847a46ea17b49bf04a16f8b43f6cfdc8348a1adf210cb9298a037bb9eae7f",
+    "fig13": "0fe61f3cd9fa04df96b529574fa8b89aae56a0d2db76d116c81dec659bde4575",
+    "fig14": "b45839be1a16e111fdc88d89f9769a54e472173e064449696504cc94f8bdd301",
+    "fig15": "633d492b57f2dda9dbe93073e4384ebca1996626b9e67dd9914a9e6a330f19b0",
+    "fig16": "7b17522d1869187745700ed93a4913ec94d989a896e1fc6e4952d891a7984c05",
+    "fig17": "3e79241e452eefa17caac3ae8ba94ee6158c84ed5ad97b7e0878227eb3efee08",
+    "fig18": "e69933b3451cb61ccfe1a83c0a3e4101f639979c25717f8a31b7bb753bfd0c68",
     "abl_strategic": (
-        "9c66e12694fbdc08f58854e3cb81138fb7bfcf01059fda488914d4b5c757e866"
+        "732e08a3b50ac99f012f93c326566da73ecde1ed242b4bd47be3e29f9861ae55"
     ),
     "abl_balance": (
-        "16ff3cf5fcd2cc26bdf8b85a77ab0e76407170876fdb0d69849eabdcd708ac71"
+        "cffb7fa1df980e0545372dc6be4ad4e9d8dad56a59c18e0a9abad58a41df0447"
     ),
 }
 

@@ -35,13 +35,13 @@ BUMP_MSG = (
 )
 
 GOLDEN_RUN = (
-    "6c082646b446c9f4053b0f27d3665e2163fda5d4b93966118845a29152ecea6c"
+    "c3abccbad40143983fbb11e2731a568d9906784dad2ed582e751ed33bdfeb734"
 )
 GOLDEN_MODEL = (
     "bf364af96b964fed16222d2260ee4220ecc01c9f19f44e370efa910aacd0d373"
 )
 GOLDEN_PARAMS = (
-    "2553a071cd339900e4b6fe62154ed7cd5d479797691139b125b05f5acdb59afc"
+    "ab1821c2d9a9eda5e5a2756e7e168dab74296b15810fe096970ecd029d0478ca"
 )
 # the balanced T-VLB set the CI saves (Algorithm 1 Step 2 over
 # HopClassPolicy(5, 0.5) on dfly(4,8,4,9)) and an explicit set that lists
@@ -57,8 +57,8 @@ GOLDEN_PARAMS_KEYS = [
     "local_latency", "measure_windows", "min_candidates", "num_vcs",
     "output_queue_size", "packet_size", "router_latency",
     "sat_accept_factor", "sat_latency", "speedup", "ugal_threshold",
-    "vc_scheme", "verify", "vlb_cache_per_pair", "vlb_candidates",
-    "warmup_windows", "window_cycles",
+    "vc_scheme", "verify", "vlb_candidates", "warmup_windows",
+    "window_cycles",
 ]
 
 

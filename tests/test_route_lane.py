@@ -14,9 +14,10 @@ that agreement rests on, independently:
   ``DrawStream.integers`` / ``int(rng.integers(n))``, generator end
   state included, with a rolled-back decision re-reading its words and
   replay rings that fill up mid-batch;
-* the requests -- a lane starved of replay, pool and arena space still
+* the requests -- a lane starved of replay and pool space still
   produces the same results, a pair whose set sampling cannot find is
-  enumerated, too few VCs raise the reference's error;
+  enumerated, too few VCs raise the reference's error, and what a run
+  keeps does not grow with its length;
 * the ABI guard -- a cached ``.so`` built from other sources is refused.
 """
 
@@ -206,10 +207,16 @@ def test_table_candidates_equal_legs_and_ladders(shape, scheme):
         shape_str = head.shape + tail.shape
         assert image.shapes[image.shape[i]] == head.shape
         assert image.shape_local[image.shape[i]] == head.shape.startswith("l")
+        for slot, leg in ((i, head), (j, tail)):
+            lo = image.min_off[image.shape[slot]]
+            assert (
+                image.ladder_vc[lo : lo + leg.hops].tolist()
+                == plain[leg.shape]
+            )
         for row, ladders in ((0, plain), (1, revised)):
             lo = image.combo_off[row, combo]
             assert (
-                image.combo_vc[lo : lo + len(shape_str)].tolist()
+                image.ladder_vc[lo : lo + len(shape_str)].tolist()
                 == ladders[shape_str]
             )
 
@@ -425,27 +432,23 @@ def _returns(routing, policy=None, **params):
     "routing, policy, params",
     [
         ("ugal-l", None, {}),
-        ("par", None, {"vlb_cache_per_pair": 0}),
+        ("par", None, {}),
         ("t-par", HopClassPolicy(3, 0.4), {"vlb_candidates": 2}),
         ("t-ugal-l", HopClassPolicy(2, 0.02), {}),
     ],
 )
 def test_a_starved_lane_asks_and_resumes(routing, policy, params, monkeypatch):
-    """A 2-word replay ring, a 16-entry pool and a small arena: every
-    kind of routing request is made (and counted), and nothing
-    changes."""
+    """A 2-word replay ring and a 16-entry pool: every kind of routing
+    request is made (and counted), and nothing changes."""
     want = _simulate(routing, policy, **params)
     monkeypatch.setattr("repro.sim.array.lane._INITIAL_REPLAY", 2)
     monkeypatch.setattr("repro.sim.array.lane._INITIAL_POOL", 16)
-    monkeypatch.setattr("repro.sim.array.network._INITIAL_ARENA_CAP", 512)
     got, asked = _returns(routing, policy, **params)
     assert got == want
     assert asked["ring"] > 0
-    if params.get("vlb_cache_per_pair") == 0:
-        assert asked["arena"] > 0  # a route per sample
-        assert asked["pool"] == 0  # and nothing remembered
-    else:
-        assert asked["pool"] > 0
+    # what a run keeps of its samples is the reservoirs of pairs that
+    # rejection sampling gives up on: none under the full VLB set
+    assert (asked["pool"] > 0) == (policy is not None)
     if routing == "t-ugal-l":
         assert asked["enum"] > 0
         assert asked["ring"] > 10  # a 16384-attempt burst, kept for replay
@@ -514,31 +517,29 @@ def test_a_registered_strategy_the_kernel_does_not_know_stays_in_python(
 
 
 @needs_kernel
-def test_par_arena_is_bounded_by_distinct_routes():
-    """A long saturated PAR run revises thousands of packets, but equal
-    revisions share one interned route: past the MIN image, the kernel's
-    arena grows with the number of distinct candidates, not with
-    packets, and stops growing."""
+@pytest.mark.parametrize("routing", ["ugal-l", "par"])
+def test_a_runs_store_does_not_grow_with_its_length(routing):
+    """Every VLB pick is a fresh sample and a route is four words into
+    the route table: past its first window, a run on ``dfly(4,8,4,9)``
+    picks thousands more candidates (and PAR revises hundreds more
+    packets) without its store growing by one word."""
+    topo = Dragonfly(4, 8, 4, 9)
     run = Run(
-        TOPO,
-        Shift(TOPO, 2, 0),
-        0.7,
-        routing="par",
-        params=SimParams(vlb_cache_per_pair=2, window_cycles=400),
-        seed=2,
+        topo,
+        Shift(topo, 2, 0),
+        0.3,
+        routing=routing,
+        params=SimParams(window_cycles=50),
+        seed=1,
     )
-    assert run.lane == "array" and run.total >= 1200
+    assert run.lane == "array" and run.total == 200
     lane = run.algo
-    image_end = lane.ctx.image_base + len(lane.image.chan)
-    run.advance(600)
-    revisions = run.algo.par_revised
-    assert revisions > 400
-    # one slice per revision would be >= 3 slots each
-    assert run.net._arena_len - image_end < revisions
-    before = run.net._arena_len
-    run.advance(1200)
-    assert run.algo.par_revised > revisions + 400
-    assert run.net._arena_len - before < 6 * 20
+    run.advance(50)
+    picks, revised, stored = lane.vlb_chosen, lane.par_revised, lane.ctx.pool_len
+    run.advance(200)
+    assert lane.vlb_chosen > picks + 1000
+    assert (lane.par_revised > revised + 100) == (routing == "par")
+    assert lane.ctx.pool_len == stored
 
 
 # ----------------------------------------------------------------------

@@ -229,7 +229,7 @@ def _row_by_row_min_image(table, scheme, num_vcs):
     ladders = table.ladders(scheme, num_vcs)
     k = np.zeros(nsw * nsw, np.int32)
     first = np.zeros(nsw * nsw, np.int64)
-    hops, vcs0, rel, chan, vc, shape, ids = [], [], [], [], [], [], {}
+    hops, rel, chan, shape, ids = [], [], [], [], {}
     for s in range(nsw):
         for d in range(nsw):
             if s == d:
@@ -238,17 +238,18 @@ def _row_by_row_min_image(table, scheme, num_vcs):
             first[s * nsw + d] = len(hops)
             k[s * nsw + d] = len(legs)
             for leg in legs:
-                vcs = ladders[leg.shape]
                 rel.append(len(chan))
                 hops.append(leg.hops)
-                vcs0.append(vcs[0])
                 chan.extend(leg.chans)
-                vc.extend(vcs)
                 shape.append(ids.setdefault(leg.shape, len(ids)))
     shapes = tuple(ids)
     count = len(shapes)
+    ladder_vc = []
+    min_off = np.zeros(count, np.int32)
+    for i, name in enumerate(shapes):
+        min_off[i] = len(ladder_vc)
+        ladder_vc.extend(ladders[name])
     combo_off = np.full((2, count * count), -1, np.int32)
-    combo_vc = []
     for revised in (0, 1):
         two_leg = table.ladders(
             scheme, num_vcs, revised=bool(revised), hop_offset=revised
@@ -259,21 +260,20 @@ def _row_by_row_min_image(table, scheme, num_vcs):
                     vcs = two_leg[head + tail]
                 except ValueError:
                     continue
-                combo_off[revised, i * count + j] = len(combo_vc)
-                combo_vc.extend(vcs)
+                combo_off[revised, i * count + j] = len(ladder_vc)
+                ladder_vc.extend(vcs)
     return MinImage(
         k,
         first,
         np.array(hops, np.int32),
-        np.array(vcs0, np.int32),
         np.array(rel, np.int64),
         np.array(chan, np.int32),
-        np.array(vc, np.int32),
         np.array(shape, np.int32),
         shapes,
         np.array([name.startswith("l") for name in shapes], np.int32),
+        min_off,
         combo_off,
-        np.array(combo_vc, np.int32),
+        np.array(ladder_vc, np.int32),
     )
 
 
@@ -350,7 +350,7 @@ def test_composed_images_equal_the_row_by_row_assembly(shape, scheme):
 @pytest.mark.parametrize("scheme", ["won", "perhop"])
 def test_composed_image_marks_the_ladders_that_do_not_fit(scheme):
     """UGAL's budget holds every MIN shape but not every two-leg one:
-    the same ``combo_off == -1`` marks, the same ``combo_vc``."""
+    the same ``combo_off == -1`` marks, the same ``ladder_vc``."""
     topo = Dragonfly(2, 4, 2, 5)
     num_vcs = 4 if scheme == "won" else 3
     _assert_images_equal_the_rows(topo, scheme, num_vcs)

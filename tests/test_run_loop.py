@@ -175,7 +175,6 @@ cases = st.builds(
             "ugal_threshold": st.sampled_from([2, 40]),
             "min_candidates": st.just(2),
             "vlb_candidates": st.just(3),
-            "vlb_cache_per_pair": st.sampled_from([0, 2]),
         },
     ),
 )
@@ -207,7 +206,7 @@ STARVED = [
     # every request
     ("dfly-g5", "min", None, "ur", {}, 11),
     ("dfly-g5", "ugal-l", None, "tmixed", {"packet_size": 2}, 11),
-    ("dfly-g5", "par", None, "fixed", {"vlb_cache_per_pair": 0}, 11),
+    ("dfly-g5", "par", None, "fixed", {}, 11),
     (
         "dfly-g5",
         "t-par",
@@ -218,9 +217,8 @@ STARVED = [
     ),
     ("dfly-g5", "t-ugal-l", POLICIES["sparse"], "fixed", {}, 11),
     ("dfly-g5", "t-par", POLICIES["sparse"], "ur", {}, 11),
-    # revisions whose pick is cut short on a pair that already has
-    # cached candidates: the packet must stay on its route until the
-    # decision is replayed
+    # revisions whose pick is cut short mid-sample: the packet must stay
+    # on its route until the decision is replayed
     ("dfly-g9", "t-par", HopClassPolicy(4, 0.05), "fixed", {}, 3),
     ("dfly-g5", "ugal-g", None, "subclass-no-program", {}, 11),
 ]
@@ -254,7 +252,6 @@ def test_every_return_status_fires_and_resumes(
     roomy = _drive(case)
     _assert_same_run(roomy, reference)
     monkeypatch.setattr("repro.sim.array.network._INITIAL_PACKET_CAP", 64)
-    monkeypatch.setattr("repro.sim.array.network._INITIAL_ARENA_CAP", 512)
     monkeypatch.setattr("repro.sim.array.network._INITIAL_SRC_CAP", 1)
     monkeypatch.setattr("repro.sim.array.network._EJ_ENTRIES", 1)
     monkeypatch.setattr("repro.sim.array.lane._INITIAL_POOL", 16)
@@ -264,10 +261,9 @@ def test_every_return_status_fires_and_resumes(
     asked = starved[0].algo.returns
     assert asked["segment"] == 2  # the warm-up, the measurement window
     assert asked["drain"] > 3
-    assert asked["pool"] > 0  # the packet pool, candidate blocks
-    if routing != "min":  # MIN draws one word and builds no route
+    assert asked["pool"] > 0  # the packet pool
+    if routing != "min":  # MIN draws one word per decision
         assert asked["ring"] > 1  # replay and source rings doubling
-        assert asked["arena"] > 0
     if pattern == "subclass-no-program":
         assert asked["destinations"] > 100  # every cycle with a packet
     else:
@@ -296,9 +292,7 @@ def test_a_run_enters_the_kernel_a_few_times_per_window():
     assert metrics["routing.lane"] == "array"
     calls = metrics["engine.loop.kernel_calls"]
     assert 2 <= calls <= params.total_cycles // 8
-    reasons = (
-        "segment", "drain", "pool", "arena", "ring", "enum", "destinations"
-    )
+    reasons = ("segment", "drain", "pool", "ring", "enum", "destinations")
     assert calls == sum(
         metrics[f"engine.loop.returns.{reason}"] for reason in reasons
     )

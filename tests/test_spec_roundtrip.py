@@ -195,6 +195,23 @@ def test_t_variant_requires_policy():
         _run_spec(routing="t-ugal-l", policy=None)
 
 
+def test_a_saved_spec_with_the_candidate_cache_is_refused_by_name():
+    """A run spec saved while ``SimParams`` still had
+    ``vlb_cache_per_pair`` describes a run this code cannot make: loading
+    it names the field instead of failing inside ``SimParams``."""
+    data = _run_spec().to_dict()
+    data["params"]["vlb_cache_per_pair"] = 128
+    with pytest.raises(SpecError, match=r"\['vlb_cache_per_pair'\]"):
+        RunSpec.from_dict(json.loads(json.dumps(data)))
+    run = _run_spec()
+    sweep = SweepSpec(
+        run.topology, run.pattern, (0.1, 0.2), params=run.params
+    ).to_dict()
+    sweep["params"]["vlb_cache_per_pair"] = 0
+    with pytest.raises(SpecError, match="vlb_cache_per_pair"):
+        SweepSpec.from_dict(sweep)
+
+
 def test_ad_hoc_subclass_has_no_spec():
     class Weird(Dragonfly):
         pass
