@@ -73,8 +73,8 @@ __all__ = [
 # a different v<N>/ directory.  v2: keys are RunSpec fingerprints.
 # v3: records carry a "kind" discriminator (sim | model) and the cache
 # also stores LP ModelResults keyed by ModelSpec fingerprints.  v4:
-# every VLB pick is a fresh sample (SimParams.vlb_cache_per_pair is gone),
-# which changes the results of longer runs.
+# every VLB pick is a fresh sample (the per-pair candidate cache is
+# gone), which changes the results of longer runs.
 CACHE_VERSION = 4
 
 # Records may also carry a sibling "manifest" key (repro.obs provenance)
