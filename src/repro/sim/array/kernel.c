@@ -11,10 +11,17 @@
  * Bit-exactness contract (the reason this is a scalar transliteration and
  * not a blindly vectorized arbiter): every iteration order below mirrors
  * the wheel engine one-to-one --
- *   - routers are visited in activation (insertion) order over a snapshot
- *     of the active-router list, exactly like `list(self._active_routers)`;
- *   - a router's occupied slots are visited in ring-rotated sorted order
- *     (bisect + rotation), the wheel's round-robin;
+ *   - routers are visited in activation (insertion) order over the
+ *     active-router list as the pass found it, exactly like
+ *     `list(self._active_routers)`;
+ *   - a router's occupied slots are visited in ring-rotated ascending
+ *     order (the wheel's bisect + rotation of its sorted list, here a
+ *     walk of the router's slot bitset from rr that wraps around), the
+ *     wheel's round-robin;
+ *   - routers the crossbar leaves idle drop out of the active-router list
+ *     together at the end of the pass, the others keeping their order
+ *     (the wheel pops each from its dict as it goes: the same list,
+ *     because only delivery appends to it);
  *   - wheel buckets are drained in append order;
  *   - credits are applied before deliveries, deliveries before the
  *     crossbar, the crossbar before transmissions.
@@ -79,7 +86,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define REPRO_ARRAYNET_ABI_VERSION 14
+#define REPRO_ARRAYNET_ABI_VERSION 15
 
 /* counters[] indices (shared with Python) */
 #define CNT_ACT 0 /* active routers in act_list */
@@ -125,25 +132,15 @@ static inline int32_t rt_chan(const int32_t *rt, int32_t hop)
 #define SE_DST 2
 #define SE_REV 3  /* revisable flag */
 #define SE_ICYC 4 /* inject cycle */
-#define SE_SPID 5 /* staging id of the Python Packet (revisable only) */
-#define SE_VLB 6  /* used_vlb at inject */
-#define SE_ROUTE 7 /* RT_WORDS words: the route */
-#define SE_STRIDE 11
+#define SE_VLB 5  /* used_vlb at inject */
+#define SE_ROUTE 6 /* RT_WORDS words: the route */
+#define SE_STRIDE 10
 
-/* per-packet Python-facing meta (stride PM_STRIDE int32), written once at
- * network entry, read only by the ejection drain / revision mapping */
-#define PM_SRC 0
-#define PM_ICYC 1
-#define PM_VLB 2
-#define PM_SPID 3
-#define PM_STRIDE 4
-
-/* ej_who columns */
-#define EW_SPID 0 /* staging id (0 = never revisable) */
-#define EW_SRC 1
-#define EW_DST 2
-#define EW_CVC 3 /* VC of the last hop */
-#define EW_STRIDE 4
+/* per-packet meta (stride PM_STRIDE int32), written at network entry
+ * (PM_VLB again by a PAR revision), read only at ejection */
+#define PM_ICYC 0
+#define PM_VLB 1
+#define PM_STRIDE 2
 
 /* packed per-packet record columns (stride PK_STRIDE int32) */
 #define PK_HOP 0
@@ -183,9 +180,19 @@ static inline int32_t rt_chan(const int32_t *rt, int32_t hop)
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH_W(addr) __builtin_prefetch((addr), 1)
 #define PREFETCH_R(addr) __builtin_prefetch((addr), 0)
+#define CTZ64(x) __builtin_ctzll(x)
 #else
 #define PREFETCH_W(addr)
 #define PREFETCH_R(addr)
+static int CTZ64(uint64_t x)
+{
+    int n = 0;
+    while (!(x & 1)) {
+        x >>= 1;
+        n++;
+    }
+    return n;
+}
 #endif
 
 typedef struct {
@@ -208,13 +215,15 @@ typedef struct {
     /* --- router state --- */
     int32_t *in_buf;  /* [nR*nSr][in_cap] input-buffer pid ring */
     int32_t *in_meta; /* [nR*nSr][IM_STRIDE]: see IM_* columns */
-    int32_t *act_slots; /* [nR][nSr] sorted occupied local slots */
-    int32_t *act_len;
-    int32_t *act_list; /* [nR] insertion-ordered active routers */
-    int32_t *act_pos;  /* [nR] position+1 in act_list, 0 = absent */
+    /* [nR][ASLOT_WORDS(nSr)]: bitset of the occupied local slots (bit
+     * slot & 63 of word slot >> 6) */
+    uint64_t *act_slots;
+    int32_t *act_len;  /* [nR] bits set in the router's act_slots row */
+    /* [nR] activation-ordered active routers (count CNT_ACT): exactly
+     * those with act_len > 0, outside the crossbar pass */
+    int32_t *act_list;
     int32_t *rr;       /* [nR] round-robin priority */
     int64_t *in_bud;   /* [nR*radix][2]: cycle stamp, used budget */
-    int32_t *rsnap; /* scratch [nR]: active-router snapshot */
     int32_t *osnap; /* scratch [nSr]: rotated slot order */
     /* scratch [nR*nSr]: deferred second-head refills (queue, ring pos /
      * pid, route channel) batched at the end of the crossbar pass */
@@ -240,9 +249,6 @@ typedef struct {
     int32_t *ej_lat;   /* [ej_cap] cycle - inject_cycle */
     int32_t *ej_hops;  /* [ej_cap] path_hops */
     int32_t *ej_vlb;   /* [ej_cap] used_vlb */
-    /* [ej_cap][EW_STRIDE]: what only the per-packet on_eject hook and
-     * the revisable-Packet staging read (see EW_* columns) */
-    int32_t *ej_who;
     /* --- packet records + the route table they refer to --- */
     int32_t *pkt;        /* [cap][PK_STRIDE] */
     int32_t *pmeta;      /* [cap][PM_STRIDE] */
@@ -282,54 +288,21 @@ typedef struct {
  * the row tail; the int32 and int64 regions never overlap) */
 #define OR_BUD(cs) ((2 + (cs) + 1) & ~1)
 
-/* sorted insert into an active-slot row (caller: slot absent) */
-static void aslot_insert(int32_t *a, int32_t *alen, int32_t slot)
+/* words of a router's active-slot bitset */
+#define ASLOT_WORDS(nsr) (((nsr) + 63) >> 6)
+
+/* mark a slot occupied (caller: slot absent) */
+static inline void aslot_insert(uint64_t *row, int32_t *alen, int32_t slot)
 {
-    int32_t n = *alen;
-    int32_t lo = 0, hi = n;
-    while (lo < hi) {
-        int32_t mid = (lo + hi) >> 1;
-        if (a[mid] < slot)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    memmove(a + lo + 1, a + lo, (size_t)(n - lo) * sizeof(int32_t));
-    a[lo] = slot;
-    *alen = n + 1;
+    row[slot >> 6] |= (uint64_t)1 << (slot & 63);
+    ++*alen;
 }
 
-static void aslot_remove(int32_t *a, int32_t *alen, int32_t slot)
+/* mark a slot empty (caller: slot present) */
+static inline void aslot_remove(uint64_t *row, int32_t *alen, int32_t slot)
 {
-    int32_t n = *alen;
-    int32_t lo = 0, hi = n;
-    while (lo < hi) {
-        int32_t mid = (lo + hi) >> 1;
-        if (a[mid] < slot)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo < n && a[lo] == slot) {
-        memmove(a + lo, a + lo + 1, (size_t)(n - lo - 1) * sizeof(int32_t));
-        *alen = n - 1;
-    }
-}
-
-/* remove router r from the insertion-ordered active-router list,
- * preserving the order of the remaining entries (== dict.pop) */
-static int64_t router_remove(int32_t *act_list, int32_t *act_pos,
-                             int64_t nact, int32_t r)
-{
-    int32_t pos = act_pos[r] - 1;
-    if (pos < 0)
-        return nact;
-    memmove(act_list + pos, act_list + pos + 1,
-            (size_t)(nact - pos - 1) * sizeof(int32_t));
-    for (int64_t k = pos; k < nact - 1; k++)
-        act_pos[act_list[k]] = (int32_t)(k + 1);
-    act_pos[r] = 0;
-    return nact - 1;
+    row[slot >> 6] &= ~((uint64_t)1 << (slot & 63));
+    --*alen;
 }
 
 /* this bucket's credit returns (idempotent: the bucket is emptied) */
@@ -378,15 +351,14 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
     const int32_t *const ch_gslot = s->ch_gslot;
     int32_t *const in_buf = s->in_buf;
     int32_t *const in_meta = s->in_meta;
-    int32_t *const act_slots = s->act_slots;
+    const int32_t aw = ASLOT_WORDS(nSr);
+    uint64_t *const act_slots = s->act_slots;
     int32_t *const act_lenp = s->act_len;
     int32_t *const act_list = s->act_list;
-    int32_t *const act_pos = s->act_pos;
     int32_t *const ej_cycle = s->ej_cycle;
     int32_t *const ej_lat = s->ej_lat;
     int32_t *const ej_hops = s->ej_hops;
     int32_t *const ej_vlb = s->ej_vlb;
-    int32_t *const ej_who = s->ej_who;
     int32_t *const free_stack = s->free_stack;
     int32_t *const pkt = s->pkt;
     int32_t *const pmeta = s->pmeta;
@@ -414,16 +386,10 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
             if (nej >= ej_cap)
                 return -1;
             const int32_t *const pm = pmeta + (int64_t)pid * PM_STRIDE;
-            const int32_t *const rec = pkt + (int64_t)pid * PK_STRIDE;
-            int32_t *const who = ej_who + nej * EW_STRIDE;
             ej_cycle[nej] = (int32_t)cycle;
             ej_lat[nej] = (int32_t)cycle - pm[PM_ICYC];
-            ej_hops[nej] = rec[PK_PATH];
+            ej_hops[nej] = pkt[(int64_t)pid * PK_STRIDE + PK_PATH];
             ej_vlb[nej] = pm[PM_VLB];
-            who[EW_SPID] = pm[PM_SPID];
-            who[EW_SRC] = pm[PM_SRC];
-            who[EW_DST] = rec[PK_DST];
-            who[EW_CVC] = rec[PK_CVC];
             nej++;
             free_stack[nfree++] = pid;
             continue;
@@ -437,12 +403,10 @@ static int64_t deliver(State *s, int64_t cycle, int32_t idx,
         int32_t *const meta = in_meta + (int64_t)gslot * IM_STRIDE;
         const int32_t qlen = meta[IM_LEN];
         if (qlen == 0) {
-            aslot_insert(act_slots + (int64_t)r * nSr, act_lenp + r, lslot);
-            if (act_pos[r] == 0) {
-                act_list[nact] = r;
-                act_pos[r] = (int32_t)(nact + 1);
-                nact++;
-            }
+            /* a router's first occupied slot activates it */
+            if (!act_lenp[r])
+                act_list[nact++] = r;
+            aslot_insert(act_slots + (int64_t)r * aw, act_lenp + r, lslot);
             /* new head: cache its crossbar decision */
             meta[IM_HPID] = pid;
             const int32_t hop = rec[PK_HOP];
@@ -513,10 +477,10 @@ static int64_t crossbar(State *s, int64_t cycle, int32_t idx)
     int32_t *const out_buf = s->out_buf;
     int32_t *const in_buf = s->in_buf;
     int32_t *const in_meta = s->in_meta;
-    int32_t *const act_slots = s->act_slots;
+    const int32_t aw = ASLOT_WORDS(nSr);
+    uint64_t *const act_slots = s->act_slots;
     int32_t *const act_lenp = s->act_len;
     int32_t *const act_list = s->act_list;
-    int32_t *const act_pos = s->act_pos;
     int32_t *const rrp = s->rr;
     int64_t *const in_bud = s->in_bud;
     const int32_t orb = OR_BUD(cs);
@@ -531,40 +495,33 @@ static int64_t crossbar(State *s, int64_t cycle, int32_t idx)
     int32_t *const rf_pos = s->rf_pos;
     int32_t *const rf_off = s->rf_off;
     int32_t nrf = 0;
-    /* snapshot: `for ridx in list(self._active_routers)` */
-    int32_t *const rsnap = s->rsnap;
-    memcpy(rsnap, act_list, (size_t)nact * sizeof(int32_t));
-    const int64_t nact0 = nact;
+    /* `for ridx in list(self._active_routers)`: nothing joins the list
+     * during the pass and nothing leaves it before its end, so the list
+     * is its own snapshot */
+    int64_t idle = 0;
     int64_t pc = 0, pt = 0;
-    for (int64_t ri = 0; ri < nact0; ri++) {
-        const int32_t r = rsnap[ri];
-        int32_t *const aslots = act_slots + (int64_t)r * nSr;
+    for (int64_t ri = 0; ri < nact; ri++) {
+        const int32_t r = act_list[ri];
+        uint64_t *const aslots = act_slots + (int64_t)r * aw;
         const int32_t alen = act_lenp[r];
-        if (!alen) {
-            nact = router_remove(act_list, act_pos, nact, r);
-            continue;
-        }
-        /* ring rotation of the sorted slot list: slots >= rr first */
+        /* ring rotation: the occupied slots >= rr ascending, then those
+         * below it -- the bits of rr's word from rr on, the later words,
+         * the earlier ones, then the bits of rr's word below rr */
         const int32_t rrv = rrp[r];
-        int32_t lo = 0, hi = alen;
-        while (lo < hi) {
-            int32_t mid = (lo + hi) >> 1;
-            if (aslots[mid] < rrv)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        const int32_t n = alen;
-        {
-            int32_t k = 0;
-            for (int32_t j = lo; j < n; j++) {
-                const int32_t sl = aslots[j];
-                osnap[k++] = sl;
-                PREFETCH_W(in_meta + ((int64_t)r * nSr + sl) * IM_STRIDE);
-            }
-            for (int32_t j = 0; j < lo; j++) {
-                const int32_t sl = aslots[j];
-                osnap[k++] = sl;
+        const int32_t w0 = rrv >> 6;
+        const uint64_t from_rr = ~(uint64_t)0 << (rrv & 63);
+        int32_t n = 0;
+        for (int32_t i = 0; i <= aw && n < alen; i++) {
+            const int32_t w = w0 + i < aw ? w0 + i : w0 + i - aw;
+            uint64_t bits = aslots[w];
+            if (i == 0)
+                bits &= from_rr;
+            else if (i == aw)
+                bits &= ~from_rr;
+            while (bits) {
+                const int32_t sl = (w << 6) + CTZ64(bits);
+                bits &= bits - 1;
+                osnap[n++] = sl;
                 PREFETCH_W(in_meta + ((int64_t)r * nSr + sl) * IM_STRIDE);
             }
         }
@@ -686,8 +643,17 @@ static int64_t crossbar(State *s, int64_t cycle, int32_t idx)
             oslot[1] = wmeta;
             orow[OR_LEN] = ol + 1;
         }
-        if (!act_lenp[r])
-            nact = router_remove(act_list, act_pos, nact, r);
+        idle += !act_lenp[r];
+    }
+    /* the routers left idle leave the list, the rest keep their order */
+    if (idle) {
+        int64_t kept = 0;
+        for (int64_t ri = 0; ri < nact; ri++) {
+            const int32_t r = act_list[ri];
+            if (act_lenp[r])
+                act_list[kept++] = r;
+        }
+        nact = kept;
     }
     /* deferred second-head refills: each stage touches every queued
      * refill before any value is consumed, so the ring -> record ->
@@ -837,10 +803,8 @@ static int64_t transmit(State *s, int64_t cycle, int32_t idx)
             rec[PK_ARR] = -1;
             memcpy(rec + PK_ROUTE, e + SE_ROUTE, RT_WORDS * sizeof(int32_t));
             int32_t *const pm = pmeta + (int64_t)pid * PM_STRIDE;
-            pm[PM_SRC] = (int32_t)node;
             pm[PM_ICYC] = e[SE_ICYC];
             pm[PM_VLB] = e[SE_VLB];
-            pm[PM_SPID] = e[SE_SPID];
             wvc = vc;
             wrev = 0;
             int32_t h = meta[0] + 1;

@@ -56,12 +56,13 @@ __all__ = [
     "PK_ARR",
     "PK_ROUTE",
     "PK_STRIDE",
+    "PM_STRIDE",
     "SE_STRIDE",
 ]
 
 _log = get_logger("sim.array.native")
 
-_ABI_VERSION = 14  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
+_ABI_VERSION = 15  # keep in sync with REPRO_ARRAYNET_ABI_VERSION in kernel.c
 _KERNEL_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -76,6 +77,7 @@ COUNTERS_LEN = 8
 
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
+_U64P = ctypes.POINTER(ctypes.c_uint64)
 
 # packed per-packet record columns (pkt stride, shared with kernel.c)
 PK_HOP = 0
@@ -86,8 +88,10 @@ PK_REV = 4
 PK_ARR = 5
 PK_ROUTE = 6  # the route's four RT_* words
 PK_STRIDE = 16
+# per-packet meta width (kernel.c PM_*: inject cycle, used_vlb)
+PM_STRIDE = 2
 # queued-packet entry width (kernel.c SE_*: src_buf rows, RouteCtx.records)
-SE_STRIDE = 11
+SE_STRIDE = 10
 
 # field order MUST match struct State in kernel.c exactly; repro_abi()
 # only guards the total sizes, the parity test suite guards the semantics
@@ -103,13 +107,11 @@ _POINTER_FIELDS: List[Tuple[str, object]] = [
     ("src_meta", _I32P),
     ("in_buf", _I32P),
     ("in_meta", _I32P),
-    ("act_slots", _I32P),
+    ("act_slots", _U64P),
     ("act_len", _I32P),
     ("act_list", _I32P),
-    ("act_pos", _I32P),
     ("rr", _I32P),
     ("in_bud", _I64P),
-    ("rsnap", _I32P),
     ("osnap", _I32P),
     ("rf_q", _I32P),
     ("rf_pos", _I32P),
@@ -128,7 +130,6 @@ _POINTER_FIELDS: List[Tuple[str, object]] = [
     ("ej_lat", _I32P),
     ("ej_hops", _I32P),
     ("ej_vlb", _I32P),
-    ("ej_who", _I32P),
     ("pkt", _I32P),
     ("pmeta", _I32P),
     ("free_stack", _I32P),
@@ -170,9 +171,6 @@ class CState(ctypes.Structure):
         (name, ctypes.c_int64) for name in SCALAR_FIELDS
     ]
 
-
-# ej_who row width (kernel.c EW_*)
-EW_STRIDE = 4
 
 # --- routing decisions and the cycle loop (RouteCtx in kernel.c) ---
 # statuses: what an incomplete call needs before re-entry

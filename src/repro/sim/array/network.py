@@ -5,8 +5,8 @@ this network, and nothing enters it except the kernel's cycle loop
 ``repro_run``, driven whole windows at a time by
 :meth:`repro.sim.array.lane.RouteLane.run`.  All flit/credit/VC state
 lives in numpy struct-of-arrays -- per-channel credit tables,
-output-queue rings, router input-buffer rings, sorted active-slot
-tables, and fixed-capacity timing wheels -- that the kernel
+output-queue rings, router input-buffer rings, per-router bitsets of
+occupied input slots, and fixed-capacity timing wheels -- that the kernel
 (``kernel.c``, built on demand by :mod:`repro.sim.array.native`) reads
 and writes:
 
@@ -47,8 +47,8 @@ from repro.sim.array.native import (
     CNT_FREE,
     CNT_PD,
     COUNTERS_LEN,
-    EW_STRIDE,
     PK_STRIDE,
+    PM_STRIDE,
     SE_STRIDE,
     CState,
     NativeKernelUnavailable,
@@ -62,6 +62,7 @@ __all__ = ["ArrayNetwork"]
 _PTR_OF_DTYPE = {
     np.dtype(np.int32): ctypes.POINTER(ctypes.c_int32),
     np.dtype(np.int64): ctypes.POINTER(ctypes.c_int64),
+    np.dtype(np.uint64): ctypes.POINTER(ctypes.c_uint64),
 }
 
 _INITIAL_PACKET_CAP = 1024
@@ -178,14 +179,13 @@ class ArrayNetwork:
         S.in_meta = _alloc((nR * nSr, 8), np.int32)
         S.in_head = S.in_meta[:, 0]
         S.in_len = S.in_meta[:, 1]
-        S.act_slots = np.zeros((nR, nSr), np.int32)
+        # a bit per input slot (kernel.c ASLOT_WORDS words a router)
+        S.act_slots = np.zeros((nR, -(-nSr // 64)), np.uint64)
         S.act_len = np.zeros(nR, np.int32)
         S.act_list = np.zeros(nR, np.int32)
-        S.act_pos = np.zeros(nR, np.int32)
         S.rr = np.zeros(nR, np.int32)
         S.in_bud = np.zeros((nR * radix, 2), np.int64)
         S.in_bud[:, 0] = -1  # stamp: no cycle yet
-        S.rsnap = np.zeros(nR, np.int32)
         S.osnap = np.zeros(nSr, np.int32)
         # deferred second-head refill scratch (kernel crossbar pass)
         S.rf_q = np.zeros(nR * nSr, np.int32)
@@ -213,7 +213,6 @@ class ArrayNetwork:
         S.ej_lat = np.zeros(ej_cap, np.int32)
         S.ej_hops = np.zeros(ej_cap, np.int32)
         S.ej_vlb = np.zeros(ej_cap, np.int32)
-        S.ej_who = np.zeros((ej_cap, EW_STRIDE), np.int32)
         # --- packed per-packet record pool (one cache line per packet).
         # Sized by in-network occupancy, NOT by the source backlog or by
         # what waits in the ejection buffer: the kernel pops pool ids
@@ -222,7 +221,7 @@ class ArrayNetwork:
         cap = _INITIAL_PACKET_CAP
         self._packet_cap = cap
         S.pkt = _alloc((cap, PK_STRIDE), np.int32)
-        S.pmeta = _alloc((cap, 4), np.int32)
+        S.pmeta = _alloc((cap, PM_STRIDE), np.int32)
         S.free_stack = _alloc(cap, np.int32)
         # descending init so pids pop in ascending order
         S.free_stack[:] = np.arange(cap - 1, -1, -1, dtype=np.int32)
@@ -280,7 +279,7 @@ class ArrayNetwork:
         S = self._S
         old_cap = self._packet_cap
         new_cap = old_cap * 2
-        for name, width in (("pkt", PK_STRIDE), ("pmeta", 4)):
+        for name, width in (("pkt", PK_STRIDE), ("pmeta", PM_STRIDE)):
             old = getattr(S, name)
             grown = _alloc((new_cap, width), np.int32)
             grown[:old_cap] = old

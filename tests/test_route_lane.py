@@ -548,12 +548,20 @@ def test_a_runs_store_does_not_grow_with_its_length(routing):
 @pytest.fixture
 def stale_kernel_cache(tmp_path, monkeypatch):
     """A kernel cache whose entry for the current sources was built from
-    sources with another ABI version."""
+    sources with another ABI version.
+
+    The sources are a snapshot the loader reads too: keyed by the live
+    kernel.c, an edit of that file between building the entry and
+    loading would send the loader to another entry -- a fresh build
+    with the right ABI, and no mismatch to refuse."""
     compiler = native._find_compiler()
     if compiler is None:
         pytest.skip("needs a C compiler")
     with open(native._KERNEL_SRC) as fh:
         source = fh.read()
+    snapshot = tmp_path / "kernel.c"
+    snapshot.write_text(source)
+    monkeypatch.setattr(native, "_KERNEL_SRC", str(snapshot))
     marker = f"#define REPRO_ARRAYNET_ABI_VERSION {native._ABI_VERSION}"
     assert marker in source
     stale = tmp_path / "stale.c"
